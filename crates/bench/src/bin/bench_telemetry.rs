@@ -48,6 +48,7 @@ fn entry(op: &str, size: &str, ns_per_iter: f64) -> TensorBenchEntry {
         size: size.to_string(),
         ns_per_iter,
         threads: par::threads(),
+        gflops: None,
     }
 }
 

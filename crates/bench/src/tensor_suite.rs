@@ -6,11 +6,11 @@
 //! `bench-results/BENCH_tensor.json` artifact can never drift apart.
 //!
 //! Each measurement becomes a [`TensorBenchEntry`] row `(op, size,
-//! ns_per_iter, threads)`; `threads` is the pool width the suite ran with
-//! ([`dinar_tensor::par::threads`]), so recorded baselines are comparable
-//! across runners. Regeneration instructions live in `benches/README.md`.
+//! ns_per_iter, threads)`, plus `gflops` on the matmul-family rows; `threads`
+//! is the pool width the suite ran with ([`dinar_tensor::par::threads`]), so
+//! recorded baselines are comparable across runners. Regeneration
+//! instructions live in `benches/README.md`.
 
-use crate::impl_to_json;
 use crate::timing::{bench, bench_batched, Config, Measurement};
 use dinar_tensor::conv::{im2col2d, Conv2dGeom};
 use dinar_tensor::json::{Json, ToJson};
@@ -28,9 +28,24 @@ pub struct TensorBenchEntry {
     pub ns_per_iter: f64,
     /// Worker-pool width the measurement ran with.
     pub threads: usize,
+    /// Achieved GFLOP/s (`2·m·k·n` per iteration); matmul-family rows only.
+    pub gflops: Option<f64>,
 }
 
-impl_to_json!(TensorBenchEntry { op, size, ns_per_iter, threads });
+impl ToJson for TensorBenchEntry {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("op", self.op.to_json()),
+            ("size", self.size.to_json()),
+            ("ns_per_iter", self.ns_per_iter.to_json()),
+            ("threads", self.threads.to_json()),
+        ];
+        if let Some(gflops) = self.gflops {
+            fields.push(("gflops", gflops.to_json()));
+        }
+        Json::obj(fields)
+    }
+}
 
 fn entry(op: &str, size: &str, m: &Measurement) -> TensorBenchEntry {
     TensorBenchEntry {
@@ -38,6 +53,7 @@ fn entry(op: &str, size: &str, m: &Measurement) -> TensorBenchEntry {
         size: size.to_string(),
         ns_per_iter: m.median_ns(),
         threads: par::threads(),
+        gflops: None,
     }
 }
 
@@ -54,21 +70,31 @@ fn entry(op: &str, size: &str, m: &Measurement) -> TensorBenchEntry {
 pub fn run(config: &Config) -> dinar_tensor::Result<Vec<TensorBenchEntry>> {
     let mut entries = Vec::new();
 
-    for &n in &[32usize, 64, 128] {
-        let mut rng = Rng::seed_from(0);
-        let a = rng.randn(&[n, n]);
-        let b = rng.randn(&[n, n]);
-        a.matmul(&b)?; // shape-check once; the timed closure cannot fail
-        let m = bench(&format!("matmul/{n}"), config, || black_box(a.matmul(&b)));
-        entries.push(entry("matmul", &format!("{n}x{n}x{n}"), &m));
+    // The matmul family as logical products `m×k×n`: the square forward
+    // shapes, the dense-backward transposed shapes, and the first-conv
+    // forward shape (tall, `n` below one register tile).
+    type Product = fn(&Tensor, &Tensor) -> dinar_tensor::Result<Tensor>;
+    let family: [(&str, Product, [usize; 3]); 6] = [
+        ("matmul", Tensor::matmul, [32, 32, 32]),
+        ("matmul", Tensor::matmul, [64, 64, 64]),
+        ("matmul", Tensor::matmul, [128, 128, 128]),
+        ("matmul_t", Tensor::matmul_t, [64, 128, 96]),
+        ("matmul_t", Tensor::matmul_t, [4096, 27, 8]),
+        ("t_matmul", Tensor::t_matmul, [128, 64, 96]),
+    ];
+    let mut rng = Rng::seed_from(0);
+    for (op, product, [m, k, n]) in family {
+        // The transposed entry points store that operand transposed.
+        let a = rng.randn(&if op == "t_matmul" { [k, m] } else { [m, k] });
+        let b = rng.randn(&if op == "matmul_t" { [n, k] } else { [k, n] });
+        product(&a, &b)?; // shape-check once; the timed closure cannot fail
+        let size = format!("{m}x{k}x{n}");
+        let timed = bench(&format!("{op}_{size}"), config, || black_box(product(&a, &b)));
+        entries.push(TensorBenchEntry {
+            gflops: Some(2.0 * (m * k * n) as f64 / timed.median_ns()),
+            ..entry(op, &size, &timed)
+        });
     }
-
-    let mut rng = Rng::seed_from(1);
-    let a = rng.randn(&[64, 128]);
-    let b = rng.randn(&[96, 128]);
-    a.matmul_t(&b)?;
-    let m = bench("matmul_t_64x128x96", config, || black_box(a.matmul_t(&b)));
-    entries.push(entry("matmul_t", "64x128x96", &m));
 
     let mut rng = Rng::seed_from(2);
     let x = rng.randn(&[8, 8, 16, 16]);
@@ -149,19 +175,22 @@ mod tests {
             target_sample: Duration::from_millis(0),
         };
         let entries = run(&config).expect("static shapes are consistent");
-        assert_eq!(entries.len(), 9);
+        assert_eq!(entries.len(), 11);
         assert!(entries.iter().all(|e| e.ns_per_iter > 0.0));
         assert!(entries.iter().all(|e| e.threads == par::threads()));
 
         let json = to_json(&entries);
         let back = Json::parse(&json.dump_pretty()).expect("emitter output parses");
         let rows = back.get("entries").and_then(Json::as_arr).expect("entries");
-        assert_eq!(rows.len(), 9);
+        assert_eq!(rows.len(), 11);
         assert_eq!(
             rows[2].get("op").and_then(Json::as_str),
             Some("matmul"),
             "third row is matmul/128"
         );
         assert_eq!(rows[2].get("size").and_then(Json::as_str), Some("128x128x128"));
+        // `gflops` rides on the six matmul-family rows only.
+        let with_gflops = rows.iter().filter(|r| r.get("gflops").is_some()).count();
+        assert_eq!(with_gflops, 6);
     }
 }

@@ -236,9 +236,8 @@ impl Layer for Conv2d {
             cache.out_h,
             cache.out_w,
         );
-        // dW += g_rowsᵀ · cols
-        let gw = g_rows.t_matmul(&cache.cols)?;
-        self.grad_weight.add_assign(&gw)?;
+        // dW += g_rowsᵀ · cols (the temporary is freed before `g_cols`).
+        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
         self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
         // d cols = g_rows · W ; fold back onto the input.
         let g_cols = g_rows.matmul(&self.weight)?;
@@ -371,8 +370,7 @@ impl Layer for Conv1d {
             .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
         let (n, ol, oc) = (cache.batch, cache.out_len, self.out_channels);
         let g_rows = ncl_to_rows(grad_output, n, oc, ol);
-        let gw = g_rows.t_matmul(&cache.cols)?;
-        self.grad_weight.add_assign(&gw)?;
+        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
         self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
         let g_cols = g_rows.matmul(&self.weight)?;
         Ok(col2im1d(&g_cols, n, &cache.geom)?)

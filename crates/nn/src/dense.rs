@@ -80,11 +80,11 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
-        // dW += xᵀ · dy ; db += column sums of dy ; dx = dy · Wᵀ
-        let gw = input.t_matmul(grad_output)?;
-        self.grad_weight.add_assign(&gw)?;
-        let gb = grad_output.sum_rows()?;
-        self.grad_bias.add_assign(&gb)?;
+        // dW += xᵀ · dy ; db += column sums of dy ; dx = dy · Wᵀ. The
+        // weight-sized temporary is freed before `dx` is allocated, so it
+        // does not sit on the client's memory peak.
+        self.grad_weight.add_assign(&input.t_matmul(grad_output)?)?;
+        self.grad_bias.add_assign(&grad_output.sum_rows()?)?;
         Ok(grad_output.matmul_t(&self.weight)?)
     }
 

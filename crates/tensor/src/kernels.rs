@@ -1,10 +1,14 @@
-//! Register-blocked matmul microkernels behind the cache-blocked drivers in
-//! [`crate::Tensor`].
+//! The packed GEMM microkernel behind the matmul family in [`crate::Tensor`].
 //!
-//! The drivers ([`Tensor::matmul`](crate::Tensor::matmul) and friends)
-//! partition output *rows* across the pool and hand each partition to one of
-//! the two kernels here; the kernels tile each partition into MR×NR register
-//! blocks with unrolled accumulators the compiler keeps in vector registers.
+//! [`Tensor::matmul`](crate::Tensor::matmul),
+//! [`matmul_t`](crate::Tensor::matmul_t) and
+//! [`t_matmul`](crate::Tensor::t_matmul) are one product `out = A · B` over
+//! two strided [`View`]s: a transposed operand is the same buffer with its
+//! stride pair swapped. The driver in `tensor.rs` partitions output *rows*
+//! across the pool and hands each partition to [`gemm_row_block`], which
+//! packs both operands into contiguous tile-shaped scratch and runs every
+//! product through the single MR×NR register tile — operand layout is
+//! absorbed by the packing, never by the arithmetic.
 //!
 //! # Element spec (the determinism contract)
 //!
@@ -14,210 +18,146 @@
 //! acc = 0.0;  for p in 0..k { acc = a_ip.mul_add(b_pj, acc) }  out_ij = acc
 //! ```
 //!
-//! Each kernel has several code paths (full MR×NR tiles, row remainders,
-//! column remainders), and *which* path computes a given element depends on
-//! where the parallel partition boundary falls — so every path implements
-//! exactly this chain, making each element's bits a function of the operands
-//! alone, independent of tiling, pool width, and partition. (`f32::mul_add`
-//! is the IEEE fused operation — one rounding — on every path; with the
-//! workspace's x86-64-v3 baseline it compiles to a single FMA instruction.)
+//! The tile is the only code that does arithmetic, and each of its MR×NR
+//! lanes is exactly this chain. Blocking never reorders it: a reduction
+//! block parks the chain in the output and the next block resumes from the
+//! stored value — an exact `f32` round trip — in ascending `p`. Edge tiles
+//! are *padded*, not special-cased: a partial panel is packed with zero
+//! columns and a partial row-quad with a repeated row, the full tile is
+//! computed, and only the lanes that exist are stored. Lanes never mix, so
+//! a padded lane cannot reach a real one, and each element's bits are a
+//! function of the operands alone, independent of tiling, pool width, and
+//! partition. (`f32::mul_add` is the IEEE fused operation — one rounding;
+//! with the workspace's x86-64-v3 baseline it compiles to a single FMA
+//! instruction.)
 //!
-//! # Tile shape
+//! # Blocking
 //!
 //! MR = 4 rows × NR = 16 columns: the accumulator block is 8 AVX2 registers,
 //! the streamed `b` tile 2 more, and the broadcast coefficient 1 — leaving
 //! headroom in the 16-register file. Per reduction step the tile performs 8
-//! vector FMAs against 3 loads (2 for the `b` tile, 1 for the packed
+//! vector FMAs against 3 loads (2 for the packed `b` row, 1 for the packed
 //! coefficients), so the loop is FMA-throughput-bound rather than
-//! load-bound. `a` coefficients are packed once per row-quad into a
-//! contiguous `[[f32; MR]]` scratch (amortized over `n / NR` tiles), which
-//! also lets [`Tensor::t_matmul`](crate::Tensor::t_matmul)'s column-major
-//! coefficient stride reuse the same kernel.
+//! load-bound. `B` is packed [`KC`]×[`NC`] at a time into NR-wide panels
+//! (transposing on the fly when its unit stride runs along the reduction),
+//! and each row-quad of `A` is packed once per block and reused across the
+//! block's `NC / NR` panels. The scratch is therefore at most
+//! `KC · (NC + MR)` floats per worker however large the operands are.
 
 /// Rows per register tile.
 const MR: usize = 4;
 /// Columns per register tile (two 8-lane AVX2 vectors).
 const NR: usize = 16;
-/// Independent accumulator chains in the dot-product kernel — enough
-/// in-flight FMAs to cover the FMA latency×throughput product.
-const DR: usize = 8;
+/// Reduction steps per packed block: one `B` panel (`KC · NR` floats) plus
+/// the packed `A` quad stay L1-resident.
+const KC: usize = 256;
+/// Output columns per packed block (a multiple of [`NR`]): bounds the `B`
+/// scratch at `KC · NC` floats and amortises each `A` quad over 8 tiles.
+const NC: usize = 128;
 
-/// Accumulating-style kernel for a block of output rows of `out = A · B`,
-/// shared by `matmul` (`a` row-major: strides `k`, 1) and `t_matmul`
-/// (`a` column-major view: strides 1, `m`).
+/// Read-only strided matrix view: element `(r, c)` is `data[r * rs + c * cs]`.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a> {
+    pub data: &'a [f32],
+    pub rs: usize,
+    pub cs: usize,
+}
+
+/// Computes a block of output rows of `out = A · B` (`a` is `m × k`, `b` is
+/// `k × n`); `out_rows` holds rows `i0..` of the row-major output.
 ///
-/// `out_rows` must be zero-filled (the drivers hand out freshly zeroed
-/// tensors); the kernel overwrites it with the fold described in the module
-/// docs, which is bit-identical to `+=`-ing into zeros in ascending-`p`
-/// order.
-pub(crate) fn axpy_row_block(
+/// With `k == 0` nothing is written: the driver's zero fill is the result.
+pub(crate) fn gemm_row_block(
     out_rows: &mut [f32],
     i0: usize,
-    a: &[f32],
-    a_row_stride: usize,
-    a_col_stride: usize,
-    b: &[f32],
+    a: View,
+    b: View,
     k: usize,
     n: usize,
 ) {
     if n == 0 {
         return;
     }
-    // Packed coefficient scratch, reused across the partition's row-quads.
-    let mut pa: Vec<[f32; MR]> = Vec::with_capacity(k);
-    let mut rest = out_rows;
-    let mut i = i0;
-    while rest.len() >= MR * n {
-        let (r0, tail) = rest.split_at_mut(n);
-        let (r1, tail) = tail.split_at_mut(n);
-        let (r2, tail) = tail.split_at_mut(n);
-        let (r3, tail) = tail.split_at_mut(n);
-        rest = tail;
-        pa.clear();
-        pa.extend((0..k).map(|p| {
-            let base = i * a_row_stride + p * a_col_stride;
-            [
-                a[base],
-                a[base + a_row_stride],
-                a[base + 2 * a_row_stride],
-                a[base + 3 * a_row_stride],
-            ]
-        }));
-        quad_rows([r0, r1, r2, r3], &pa, b, n);
-        i += MR;
-    }
-    while !rest.is_empty() {
-        let (r0, tail) = rest.split_at_mut(n);
-        rest = tail;
-        one_row(r0, i, a, a_row_stride, a_col_stride, b, k, n);
-        i += 1;
-    }
-}
-
-/// MR×NR register tiles over four output rows; `pa[p]` holds the four `a`
-/// coefficients of reduction step `p`.
-fn quad_rows(mut rows: [&mut [f32]; MR], pa: &[[f32; MR]], b: &[f32], n: usize) {
-    let mut j = 0;
-    while j + NR <= n {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (p, ca) in pa.iter().enumerate() {
-            let Some((bt, _)) = b[p * n + j..].split_first_chunk::<NR>() else {
-                break; // unreachable: j + NR <= n and p < k
-            };
-            for (accr, &c) in acc.iter_mut().zip(ca) {
-                for (av, &bv) in accr.iter_mut().zip(bt) {
-                    *av = c.mul_add(bv, *av);
-                }
+    let mut pa = vec![[0.0f32; MR]; k.min(KC)];
+    let mut pb = vec![[0.0f32; NR]; k.min(KC) * n.min(NC).div_ceil(NR)];
+    for jc in (0..n).step_by(NC) {
+        let panels = || (jc..n.min(jc + NC)).step_by(NR);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for (panel, j) in pb.chunks_exact_mut(kc).zip(panels()) {
+                pack_b(panel, b, pc, j, NR.min(n - j));
             }
-        }
-        for (accr, row) in acc.iter().zip(rows.iter_mut()) {
-            row[j..j + NR].copy_from_slice(accr);
-        }
-        j += NR;
-    }
-    if j < n {
-        // Column remainder: same per-element chain, folded through the
-        // (zeroed) output memory instead of a fixed-width register tile.
-        for (p, ca) in pa.iter().enumerate() {
-            let b_row = &b[p * n + j..p * n + n];
-            for (row, &c) in rows.iter_mut().zip(ca) {
-                for (o, &bv) in row[j..].iter_mut().zip(b_row) {
-                    *o = c.mul_add(bv, *o);
+            for (quad, rows) in out_rows.chunks_mut(MR * n).enumerate() {
+                pack_a(&mut pa[..kc], a, i0 + quad * MR, rows.len() / n, pc);
+                for (panel, j) in pb.chunks_exact(kc).zip(panels()) {
+                    tile(rows, n, j, pc > 0, &pa[..kc], panel);
                 }
             }
         }
     }
 }
 
-/// Row remainder: one output row, 1×NR register tiles plus a column tail.
-fn one_row(
-    out_row: &mut [f32],
-    i: usize,
-    a: &[f32],
-    a_row_stride: usize,
-    a_col_stride: usize,
-    b: &[f32],
-    k: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NR <= n {
-        let mut acc = [0.0f32; NR];
-        for p in 0..k {
-            let c = a[i * a_row_stride + p * a_col_stride];
-            let Some((bt, _)) = b[p * n + j..].split_first_chunk::<NR>() else {
-                break; // unreachable: j + NR <= n and p < k
-            };
-            for (av, &bv) in acc.iter_mut().zip(bt) {
+/// Packs columns `j..j + nr` (`nr ≤ NR`) of `B`, reduction steps `pc..`, into
+/// one panel; missing columns are zero.
+fn pack_b(panel: &mut [[f32; NR]], b: View, pc: usize, j: usize, nr: usize) {
+    if nr < NR {
+        panel.fill([0.0; NR]);
+    }
+    if b.cs == 1 {
+        // Rows of `B` are contiguous: copy row segments.
+        for (dst, p) in panel.iter_mut().zip(pc..) {
+            let src = &b.data[p * b.rs + j..][..nr];
+            match src.first_chunk::<NR>() {
+                Some(full) => *dst = *full,
+                None => dst[..nr].copy_from_slice(src),
+            }
+        }
+    } else {
+        // Transposing pack: stream each column of `B` into its lane.
+        for c in 0..nr {
+            for (dst, p) in panel.iter_mut().zip(pc..) {
+                dst[c] = b.data[p * b.rs + (j + c) * b.cs];
+            }
+        }
+    }
+}
+
+/// Packs reduction steps `pc..` of `mr ≤ MR` rows of `A` from row `i`; a
+/// missing row repeats the last real one.
+fn pack_a(pa: &mut [[f32; MR]], a: View, i: usize, mr: usize, pc: usize) {
+    let row: [usize; MR] = std::array::from_fn(|r| (i + r.min(mr - 1)) * a.rs);
+    for (dst, p) in pa.iter_mut().zip(pc..) {
+        *dst = row.map(|o| a.data[o + p * a.cs]);
+    }
+}
+
+/// The MR×NR register tile over one packed reduction block: the chains of
+/// columns `j..` of the (up to MR) output rows in `rows` start from zero, or
+/// `resume` from the values an earlier block stored there.
+// Kept out of line: inlined into the driver's loop nest, LLVM has been seen
+// to scalarise the accumulator block instead of holding it in registers.
+#[inline(never)]
+fn tile(rows: &mut [f32], n: usize, j: usize, resume: bool, pa: &[[f32; MR]], pb: &[[f32; NR]]) {
+    let mut acc = [[0.0f32; NR]; MR];
+    if resume {
+        for (accr, row) in acc.iter_mut().zip(rows.chunks_exact(n)) {
+            match row[j..].first_chunk::<NR>() {
+                Some(full) => *accr = *full,
+                None => accr[..n - j].copy_from_slice(&row[j..]),
+            }
+        }
+    }
+    for (ca, bt) in pa.iter().zip(pb) {
+        for (accr, &c) in acc.iter_mut().zip(ca) {
+            for (av, &bv) in accr.iter_mut().zip(bt) {
                 *av = c.mul_add(bv, *av);
             }
         }
-        out_row[j..j + NR].copy_from_slice(&acc);
-        j += NR;
     }
-    if j < n {
-        for p in 0..k {
-            let c = a[i * a_row_stride + p * a_col_stride];
-            let b_row = &b[p * n + j..p * n + n];
-            for (o, &bv) in out_row[j..].iter_mut().zip(b_row) {
-                *o = c.mul_add(bv, *o);
-            }
-        }
-    }
-}
-
-/// Dot-product kernel for a block of output rows of `matmul_t`
-/// (`a` is `[m, k]`, `b` is `[n, k]`, both reduced along their contiguous
-/// axis).
-///
-/// Each output element is a strictly serial ascending-`p` FMA chain (the
-/// module-level spec) — vectorizing *along* the reduction would change the
-/// association order, so the kernel instead runs [`DR`] independent chains
-/// (one per output column) to cover FMA latency.
-pub(crate) fn dot_row_block(
-    out_rows: &mut [f32],
-    i0: usize,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-) {
-    for (local, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
-        let i = i0 + local;
-        let a_row = &a[i * k..(i + 1) * k];
-        let mut chunks = out_row.chunks_exact_mut(DR);
-        let mut j = 0;
-        for out_chunk in &mut chunks {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let b4 = &b[(j + 4) * k..(j + 5) * k];
-            let b5 = &b[(j + 5) * k..(j + 6) * k];
-            let b6 = &b[(j + 6) * k..(j + 7) * k];
-            let b7 = &b[(j + 7) * k..(j + 8) * k];
-            let mut acc = [0.0f32; DR];
-            for (p, &av) in a_row.iter().enumerate() {
-                acc[0] = av.mul_add(b0[p], acc[0]);
-                acc[1] = av.mul_add(b1[p], acc[1]);
-                acc[2] = av.mul_add(b2[p], acc[2]);
-                acc[3] = av.mul_add(b3[p], acc[3]);
-                acc[4] = av.mul_add(b4[p], acc[4]);
-                acc[5] = av.mul_add(b5[p], acc[5]);
-                acc[6] = av.mul_add(b6[p], acc[6]);
-                acc[7] = av.mul_add(b7[p], acc[7]);
-            }
-            out_chunk.copy_from_slice(&acc);
-            j += DR;
-        }
-        for o in chunks.into_remainder() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc = av.mul_add(bv, acc);
-            }
-            *o = acc;
-            j += 1;
+    for (accr, row) in acc.iter().zip(rows.chunks_exact_mut(n)) {
+        match row[j..].first_chunk_mut::<NR>() {
+            Some(full) => *full = *accr,
+            None => row[j..].copy_from_slice(&accr[..n - j]),
         }
     }
 }
@@ -227,21 +167,13 @@ mod tests {
     use super::*;
 
     /// The module-level element spec, written as the naive triple loop.
-    fn reference_matmul(
-        a: &[f32],
-        ars: usize,
-        acs: usize,
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Vec<f32> {
+    fn reference_gemm(a: View, b: View, m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for p in 0..k {
-                    acc = a[i * ars + p * acs].mul_add(b[p * n + j], acc);
+                    acc = a.data[i * a.rs + p * a.cs].mul_add(b.data[p * b.rs + j * b.cs], acc);
                 }
                 out[i * n + j] = acc;
             }
@@ -261,62 +193,36 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_reference_across_shapes_and_partitions() {
-        // Shapes straddle the MR×NR tile: remainder rows, remainder
-        // columns, degenerate k.
-        for &(m, k, n) in &[(1, 1, 1), (4, 3, 16), (5, 7, 17), (9, 16, 33), (8, 2, 15)] {
-            let a = fill_pattern(m * k, 1);
-            let b = fill_pattern(k * n, 2);
-            let want = reference_matmul(&a, k, 1, &b, m, k, n);
-            // Whole-output call.
-            let mut out = vec![0.0f32; m * n];
-            axpy_row_block(&mut out, 0, &a, k, 1, &b, k, n);
-            assert_eq!(out, want, "m={m} k={k} n={n}");
-            // Partitioned at every row boundary: the path an element takes
-            // (quad vs. remainder) shifts, the bits must not.
-            for split in 1..m {
-                let mut out = vec![0.0f32; m * n];
-                let (lo, hi) = out.split_at_mut(split * n);
-                axpy_row_block(lo, 0, &a, k, 1, &b, k, n);
-                axpy_row_block(hi, split, &a, k, 1, &b, k, n);
-                assert_eq!(out, want, "m={m} k={k} n={n} split={split}");
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_strided_coefficients_match_reference() {
-        // t_matmul layout: `a` is [k, m], coefficient strides (1, m).
-        let (m, k, n) = (6, 5, 19);
-        let a = fill_pattern(k * m, 3);
-        let b = fill_pattern(k * n, 4);
-        let want = reference_matmul(&a, 1, m, &b, m, k, n);
-        let mut out = vec![0.0f32; m * n];
-        axpy_row_block(&mut out, 0, &a, 1, m, &b, k, n);
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    fn dot_matches_serial_chain_across_partitions() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 8, 8), (5, 13, 11), (4, 16, 24)] {
-            let a = fill_pattern(m * k, 5);
-            let b = fill_pattern(n * k, 6);
-            let mut want = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc = a[i * k + p].mul_add(b[j * k + p], acc);
+    fn gemm_matches_reference_across_layouts_shapes_and_partitions() {
+        // Shapes straddle every blocking edge: MR rows, NR columns, the NC
+        // column block and the KC reduction block, plus degenerate k.
+        let shapes = [
+            (3, 0, 5),
+            (1, 1, 1),
+            (4, 3, NR),
+            (5, 7, NR + 1),
+            (9, NR, 2 * NR + 1),
+            (8, 2, NR - 1),
+            (6, KC + 3, NC + NR + 5),
+        ];
+        for (m, k, n) in shapes {
+            let (da, db) = (fill_pattern(m * k, 1), fill_pattern(k * n, 2));
+            // Each operand row-major and as the transposed view of the
+            // buffer `matmul_t` / `t_matmul` hand in.
+            for a in [View { data: &da, rs: k, cs: 1 }, View { data: &da, rs: 1, cs: m }] {
+                for b in [View { data: &db, rs: n, cs: 1 }, View { data: &db, rs: 1, cs: k }] {
+                    let want = reference_gemm(a, b, m, k, n);
+                    // Partitioned at every row boundary (0 = one whole-output
+                    // call): the tile an element lands in shifts, its bits
+                    // must not.
+                    for split in 0..m {
+                        let mut out = vec![0.0f32; m * n];
+                        let (lo, hi) = out.split_at_mut(split * n);
+                        gemm_row_block(lo, 0, a, b, k, n);
+                        gemm_row_block(hi, split, a, b, k, n);
+                        assert_eq!(out, want, "m={m} k={k} n={n} split={split}");
                     }
-                    want[i * n + j] = acc;
                 }
-            }
-            for split in 0..m {
-                let mut out = vec![0.0f32; m * n];
-                let (lo, hi) = out.split_at_mut(split * n);
-                dot_row_block(lo, 0, &a, &b, k, n);
-                dot_row_block(hi, split, &a, &b, k, n);
-                assert_eq!(out, want, "m={m} k={k} n={n} split={split}");
             }
         }
     }

@@ -9,7 +9,7 @@ const PAR_MIN_FLOPS: usize = 32 * 1024;
 /// Minimum element count before an elementwise op fans out to the pool.
 const PAR_MIN_ELEMS: usize = 16 * 1024;
 
-use crate::kernels::{axpy_row_block, dot_row_block};
+use crate::kernels::{gemm_row_block, View};
 
 /// Minimum rows per parallel part so each part clears [`PAR_MIN_FLOPS`]
 /// multiply-adds (`k * n` per row).
@@ -689,39 +689,18 @@ impl Tensor {
 
     /// Matrix product of two rank-2 tensors.
     ///
-    /// Register-blocked FMA microkernel (see [`crate::kernels`]) behind a
-    /// driver that parallelizes over output-row ranges on the [`par`] pool;
-    /// every output element is one serial ascending-`p` `mul_add` chain, so
-    /// results are bit-identical for any thread count and partition (see
-    /// [`par`] module docs).
+    /// Packed register-blocked FMA microkernel (see [`crate::kernels`])
+    /// behind a driver that parallelizes over output-row ranges on the
+    /// [`par`] pool; every output element is one serial ascending-`p`
+    /// `mul_add` chain, so results are bit-identical for any thread count
+    /// and partition (see [`par`] module docs).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::NotAMatrix`] for non-matrices and
     /// [`TensorError::ShapeMismatch`] if the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = self.expect_matrix("matmul")?;
-        let (k2, n) = other.expect_matrix("matmul")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op: "matmul",
-            });
-        }
-        sanitize::check_finite("matmul", "lhs", self);
-        sanitize::check_finite("matmul", "rhs", other);
-        crate::profile::record_matmul(m, k, n);
-        let mut out = Tensor::zeros(&[m, n]);
-        if m > 0 && n > 0 {
-            let a = self.buf.data.as_slice();
-            let b = other.buf.data.as_slice();
-            par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-                axpy_row_block(rows, offset / n, a, k, 1, b, k, n);
-            });
-        }
-        sanitize::check_finite("matmul", "output", &out);
-        Ok(out)
+        self.gemm("matmul", false, other, false)
     }
 
     /// `self * otherᵀ` without materializing the transpose.
@@ -731,28 +710,7 @@ impl Tensor {
     /// Returns [`TensorError::NotAMatrix`] for non-matrices and
     /// [`TensorError::ShapeMismatch`] if the column counts differ.
     pub fn matmul_t(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = self.expect_matrix("matmul_t")?;
-        let (n, k2) = other.expect_matrix("matmul_t")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op: "matmul_t",
-            });
-        }
-        sanitize::check_finite("matmul_t", "lhs", self);
-        sanitize::check_finite("matmul_t", "rhs", other);
-        crate::profile::record_matmul(m, k, n);
-        let mut out = Tensor::zeros(&[m, n]);
-        if m > 0 && n > 0 {
-            let a = self.buf.data.as_slice();
-            let b = other.buf.data.as_slice();
-            par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-                dot_row_block(rows, offset / n, a, b, k, n);
-            });
-        }
-        sanitize::check_finite("matmul_t", "output", &out);
-        Ok(out)
+        self.gemm("matmul_t", false, other, true)
     }
 
     /// `selfᵀ * other` without materializing the transpose.
@@ -762,30 +720,43 @@ impl Tensor {
     /// Returns [`TensorError::NotAMatrix`] for non-matrices and
     /// [`TensorError::ShapeMismatch`] if the row counts differ.
     pub fn t_matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let (k, m) = self.expect_matrix("t_matmul")?;
-        let (k2, n) = other.expect_matrix("t_matmul")?;
+        self.gemm("t_matmul", true, other, false)
+    }
+
+    /// This matrix as a logical `(rows, cols, view)` operand: transposing a
+    /// stored `[r, c]` swaps the dimensions and the stride pair, not the data.
+    fn operand(&self, op: &'static str, transposed: bool) -> Result<(usize, usize, View<'_>)> {
+        let (r, c) = self.expect_matrix(op)?;
+        let data = self.buf.data.as_slice();
+        Ok(if transposed {
+            (c, r, View { data, rs: 1, cs: c })
+        } else {
+            (r, c, View { data, rs: c, cs: 1 })
+        })
+    }
+
+    /// The one driver behind the matmul family: `A · B` over two operand
+    /// views (see [`Tensor::operand`]).
+    fn gemm(&self, op: &'static str, a_t: bool, other: &Tensor, b_t: bool) -> Result<Tensor> {
+        let (m, k, a) = self.operand(op, a_t)?;
+        let (k2, n, b) = other.operand(op, b_t)?;
         if k != k2 {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.shape.clone(),
                 rhs: other.shape.clone(),
-                op: "t_matmul",
+                op,
             });
         }
-        sanitize::check_finite("t_matmul", "lhs", self);
-        sanitize::check_finite("t_matmul", "rhs", other);
-        crate::profile::record_matmul(m, k, n);
+        sanitize::check_finite(op, "lhs", self);
+        sanitize::check_finite(op, "rhs", other);
+        profile::record_matmul(m, k, n);
         let mut out = Tensor::zeros(&[m, n]);
         if m > 0 && n > 0 {
-            let a = self.buf.data.as_slice();
-            let b = other.buf.data.as_slice();
-            // `self` is `[k, m]`, so the coefficient for output row `i` at
-            // reduction step `p` sits at `a[p * m + i]` — same axpy kernel
-            // as `matmul`, with the stride pair swapped.
             par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-                axpy_row_block(rows, offset / n, a, 1, m, b, k, n);
+                gemm_row_block(rows, offset / n, a, b, k, n);
             });
         }
-        sanitize::check_finite("t_matmul", "output", &out);
+        sanitize::check_finite(op, "output", &out);
         Ok(out)
     }
 
@@ -1002,7 +973,7 @@ mod tests {
         let b = Tensor::from_fn(&[5, 4], |i| (i as f32).sin());
         let direct = a.matmul_t(&b).unwrap();
         let via_transpose = a.matmul(&b.transpose().unwrap()).unwrap();
-        assert!(direct.approx_eq(&via_transpose, 1e-5));
+        assert_eq!(direct, via_transpose);
     }
 
     #[test]
@@ -1011,7 +982,7 @@ mod tests {
         let b = Tensor::from_fn(&[4, 5], |i| i as f32 * 0.5);
         let direct = a.t_matmul(&b).unwrap();
         let via_transpose = a.transpose().unwrap().matmul(&b).unwrap();
-        assert!(direct.approx_eq(&via_transpose, 1e-4));
+        assert_eq!(direct, via_transpose);
     }
 
     #[test]

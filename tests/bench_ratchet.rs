@@ -4,6 +4,10 @@
 //! keep showing the speedups the bulk-sampling + microkernel rewrite
 //! bought, measured against the pre-rewrite numbers frozen below.
 //!
+//! Packed GEMM driver: the transposed products (`matmul_t`, `t_matmul`) go
+//! through the same register tile as `matmul`, so the committed artifact must
+//! keep them within [`TRANSPOSED_MATMUL_CAP`] of `matmul` 128³ per FLOP.
+//!
 //! Telemetry overhead: the committed `bench-results/BENCH_telemetry.json`
 //! must keep showing that a fully instrumented FL training run stays
 //! within [`TELEMETRY_OVERHEAD_CAP`] of the uninstrumented run —
@@ -29,6 +33,10 @@ const PRE_REWRITE_RANDN_100K_NS: f64 = 1_900_000.0;
 /// 128×128×128 `matmul`, cache-blocked loops without the register-blocked
 /// FMA microkernel (single thread, same runner).
 const PRE_REWRITE_MATMUL_128_NS: f64 = 285_970.0;
+
+/// Cost per multiply-add a transposed product may reach relative to
+/// `matmul` 128³: the packing absorbs the layout, the tile is shared.
+const TRANSPOSED_MATMUL_CAP: f64 = 1.5;
 
 /// Instrumented / uninstrumented FL-run ratio the committed telemetry
 /// bench must stay under: within 5%.
@@ -94,6 +102,31 @@ fn microkernel_matmul_holds_2x_over_blocked_loops() {
         "matmul 128³ at {ns:.0} ns/iter is not ≥2× under the pre-rewrite \
          {PRE_REWRITE_MATMUL_128_NS:.0} ns/iter"
     );
+}
+
+/// ns per multiply-add of a matmul-family row, from its `MxKxN` size label.
+fn ns_per_mac(entries: &[(String, String, f64)], op: &str, size: &str) -> f64 {
+    let macs: f64 = size
+        .split('x')
+        .map(|d| d.parse::<f64>().expect("matmul-family size is MxKxN"))
+        .product();
+    ns_for(entries, op, size) / macs
+}
+
+#[test]
+fn transposed_products_stay_within_cap_of_matmul_per_flop() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let matmul = ns_per_mac(&entries, "matmul", "128x128x128");
+    for (op, size) in [("matmul_t", "64x128x96"), ("t_matmul", "128x64x96")] {
+        let ns = ns_per_mac(&entries, op, size);
+        assert!(
+            ns <= matmul * TRANSPOSED_MATMUL_CAP,
+            "{op} {size} at {ns:.4} ns/MAC is over {TRANSPOSED_MATMUL_CAP}× the \
+             matmul 128³ {matmul:.4} ns/MAC — the transposed product left the \
+             shared packed tile"
+        );
+    }
 }
 
 #[test]

@@ -65,6 +65,66 @@ fn matmul_family_is_bit_identical_across_widths() {
     }
 }
 
+/// The kernels' element spec: one serial ascending-`p` FMA chain from 0.0.
+fn serial_fma_product(a: &Tensor, b: &Tensor) -> Vec<u32> {
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let chain = (0..k).fold(0.0f32, |acc, p| a[i * k + p].mul_add(b[p * n + j], acc));
+            out.push(chain.to_bits());
+        }
+    }
+    out
+}
+
+#[test]
+fn matmul_family_is_the_serial_fma_chain_at_every_tile_edge() {
+    // Shapes straddle every edge of the packed driver: the 4-row quad, the
+    // 16-column panel (conv widths 8/12/24/27 included), the 128-column
+    // block and the 256-step reduction block.
+    let mut rng = Rng::seed_from(11);
+    let mut cases = Vec::new();
+    for m in [1, 3, 4, 5, 67] {
+        for k in [1, 8, 27, 100, 300] {
+            for n in [1, 7, 8, 12, 16, 17, 24, 27, 600] {
+                let a = rng.randn(&[m, k]);
+                let b = rng.randn(&[k, n]);
+                let want = serial_fma_product(&a, &b);
+                let (at, bt) = (a.transpose().expect("2-d"), b.transpose().expect("2-d"));
+                cases.push((a, b, at, bt, want));
+            }
+        }
+    }
+    // All three entry points are the same product A·B, so each must equal
+    // the chain — and hence `matmul_t(a, bᵀ) == matmul(a, b) == t_matmul(aᵀ, b)`.
+    let results = per_width(|| {
+        cases
+            .iter()
+            .map(|(a, b, at, bt, _)| {
+                [
+                    bits(&a.matmul(b).expect("matmul")),
+                    bits(&a.matmul_t(bt).expect("matmul_t")),
+                    bits(&at.t_matmul(b).expect("t_matmul")),
+                ]
+            })
+            .collect::<Vec<_>>()
+    });
+    for (w, result) in WIDTHS.iter().zip(&results) {
+        for ((a, b, _, _, want), got) in cases.iter().zip(result) {
+            for (op, got) in ["matmul", "matmul_t", "t_matmul"].iter().zip(got) {
+                assert!(
+                    got == want,
+                    "{op} {:?}·{:?} left the serial chain at {w} threads",
+                    a.shape(),
+                    b.shape()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn im2col_and_reductions_are_bit_identical_across_widths() {
     let mut rng = Rng::seed_from(8);
