@@ -79,7 +79,7 @@ pub fn invert_class(
         }
         let (_, grad_logits) = loss_fn.loss_and_grad(&logits, &[class])?;
         template.zero_grad();
-        let grad_input = template.backward(&grad_logits)?;
+        let grad_input = template.backward_input(&grad_logits)?;
         // Descend the class loss (= ascend the class logit) + decay.
         x.scaled_add_assign(-config.lr, &grad_input)
             .map_err(dinar_nn::NnError::from)?;

@@ -129,6 +129,12 @@ pub fn run(config: &Config) -> dinar_tensor::Result<Vec<TensorBenchEntry>> {
     );
     entries.push(entry("scaled_add_assign", "100k", &m));
 
+    // The Tanh activation at the fcnn6 hidden shape (batch 64 × 64 units).
+    let mut rng = Rng::seed_from(5);
+    let x = rng.randn(&[64, 64]);
+    let m = bench("tanh_64x64", config, || black_box(x.tanh()));
+    entries.push(entry("tanh", "64x64", &m));
+
     let mut rng = Rng::seed_from(4);
     let m = bench("randn_100k", config, || black_box(rng.randn(&[100_000])));
     entries.push(entry("randn", "100k", &m));
@@ -175,14 +181,14 @@ mod tests {
             target_sample: Duration::from_millis(0),
         };
         let entries = run(&config).expect("static shapes are consistent");
-        assert_eq!(entries.len(), 11);
+        assert_eq!(entries.len(), 12);
         assert!(entries.iter().all(|e| e.ns_per_iter > 0.0));
         assert!(entries.iter().all(|e| e.threads == par::threads()));
 
         let json = to_json(&entries);
         let back = Json::parse(&json.dump_pretty()).expect("emitter output parses");
         let rows = back.get("entries").and_then(Json::as_arr).expect("entries");
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 12);
         assert_eq!(
             rows[2].get("op").and_then(Json::as_str),
             Some("matmul"),

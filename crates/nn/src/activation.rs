@@ -59,7 +59,7 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let out = input.map(f32::tanh);
+        let out = input.tanh();
         self.cached_output = Some(out.clone());
         Ok(out)
     }

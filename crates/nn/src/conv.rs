@@ -100,6 +100,28 @@ impl Conv2d {
             padding: self.padding,
         })
     }
+
+    /// The parameter half of the backward pass: `dW += g_rowsᵀ · cols` and
+    /// `db += column sums`, returning `grad_output` in the `[n*oh*ow, oc]`
+    /// row layout the input product consumes.
+    fn accumulate(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let cache = self
+            .cached
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
+        let g_rows = nchw_to_rows(
+            grad_output,
+            cache.batch,
+            self.out_channels,
+            cache.out_h,
+            cache.out_w,
+        );
+        // The weight-sized temporary is freed before the caller allocates
+        // `g_cols`.
+        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
+        self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
+        Ok(g_rows)
+    }
 }
 
 /// Rearranges `[n*oh*ow, oc]` matrix rows into `[n, oc, oh, ow]` layout.
@@ -225,23 +247,18 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let g_rows = self.accumulate(grad_output)?;
+        // d cols = g_rows · W ; fold back onto the input.
+        let g_cols = g_rows.matmul(&self.weight)?;
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        let g_rows = nchw_to_rows(
-            grad_output,
-            cache.batch,
-            self.out_channels,
-            cache.out_h,
-            cache.out_w,
-        );
-        // dW += g_rowsᵀ · cols (the temporary is freed before `g_cols`).
-        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
-        self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
-        // d cols = g_rows · W ; fold back onto the input.
-        let g_cols = g_rows.matmul(&self.weight)?;
         Ok(col2im2d(&g_cols, cache.batch, &cache.geom)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.accumulate(grad_output).map(drop)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -329,6 +346,19 @@ impl Conv1d {
             cached: None,
         }
     }
+
+    /// The parameter half of the backward pass (see [`Conv2d`]'s): `dW`,
+    /// `db`, and `grad_output` in `[n*ol, oc]` row layout.
+    fn accumulate(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let cache = self
+            .cached
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
+        let g_rows = ncl_to_rows(grad_output, cache.batch, self.out_channels, cache.out_len);
+        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
+        self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
+        Ok(g_rows)
+    }
 }
 
 impl Layer for Conv1d {
@@ -364,16 +394,17 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let g_rows = self.accumulate(grad_output)?;
+        let g_cols = g_rows.matmul(&self.weight)?;
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
-        let (n, ol, oc) = (cache.batch, cache.out_len, self.out_channels);
-        let g_rows = ncl_to_rows(grad_output, n, oc, ol);
-        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
-        self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
-        let g_cols = g_rows.matmul(&self.weight)?;
-        Ok(col2im1d(&g_cols, n, &cache.geom)?)
+        Ok(col2im1d(&g_cols, cache.batch, &cache.geom)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.accumulate(grad_output).map(drop)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -526,6 +557,46 @@ mod tests {
         let numeric = (f1 - f0) / eps;
         let analytic = gx.get(&[1, 0, 7]).unwrap();
         assert!((numeric - analytic).abs() < 0.05 * (1.0 + analytic.abs()));
+    }
+
+    /// `half` and `full` are identically built: `backward_params` on one
+    /// must accumulate what `backward` accumulates on the other.
+    fn assert_params_half_matches(mut full: impl Layer, mut half: impl Layer, x: &Tensor) {
+        let g = Tensor::ones(full.forward(x, true).unwrap().shape());
+        half.forward(x, true).unwrap();
+        full.backward(&g).unwrap();
+        half.backward_params(&g).unwrap();
+        assert_eq!(half.grads(), full.grads());
+        assert!(full.grads()[0].norm_l2() > 0.0);
+    }
+
+    #[test]
+    fn backward_params_accumulates_what_backward_accumulates() {
+        let mut rng = Rng::seed_from(4);
+        let conv2 = || Conv2d::new(2, 3, 3, 2, 1, &mut Rng::seed_from(9));
+        assert_params_half_matches(conv2(), conv2(), &rng.randn(&[2, 2, 6, 6]));
+        let conv1 = || Conv1d::new(2, 3, 5, 2, 2, &mut Rng::seed_from(9));
+        assert_params_half_matches(conv1(), conv1(), &rng.randn(&[2, 2, 16]));
+    }
+
+    #[test]
+    fn backward_before_forward_errors_on_both_paths() {
+        let mut rng = Rng::seed_from(5);
+        let g = Tensor::ones(&[1, 3, 4, 4]);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        assert!(matches!(
+            conv.backward(&g),
+            Err(NnError::BackwardBeforeForward { layer: "conv2d" })
+        ));
+        assert!(matches!(
+            conv.backward_params(&g),
+            Err(NnError::BackwardBeforeForward { layer: "conv2d" })
+        ));
+        let mut conv = Conv1d::new(2, 3, 3, 1, 1, &mut rng);
+        assert!(matches!(
+            conv.backward_params(&Tensor::ones(&[1, 3, 8])),
+            Err(NnError::BackwardBeforeForward { layer: "conv1d" })
+        ));
     }
 
     #[test]

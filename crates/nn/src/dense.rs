@@ -76,16 +76,21 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        // dx = dy · Wᵀ, allocated after `backward_params` has freed its
+        // weight-sized temporary, so the two never share the memory peak.
+        self.backward_params(grad_output)?;
+        Ok(grad_output.matmul_t(&self.weight)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
-        // dW += xᵀ · dy ; db += column sums of dy ; dx = dy · Wᵀ. The
-        // weight-sized temporary is freed before `dx` is allocated, so it
-        // does not sit on the client's memory peak.
+        // dW += xᵀ · dy ; db += column sums of dy.
         self.grad_weight.add_assign(&input.t_matmul(grad_output)?)?;
         self.grad_bias.add_assign(&grad_output.sum_rows()?)?;
-        Ok(grad_output.matmul_t(&self.weight)?)
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -194,12 +199,31 @@ mod tests {
     }
 
     #[test]
+    fn backward_params_accumulates_what_backward_accumulates() {
+        let mut rng = Rng::seed_from(4);
+        let mut full = Dense::xavier(5, 3, &mut rng);
+        let mut params_only = Dense::with_weight(full.weight.clone());
+        let x = rng.randn(&[4, 5]);
+        let g = rng.randn(&[4, 3]);
+        full.forward(&x, true).unwrap();
+        full.backward(&g).unwrap();
+        params_only.forward(&x, true).unwrap();
+        params_only.backward_params(&g).unwrap();
+        assert_eq!(params_only.grad_weight, full.grad_weight);
+        assert_eq!(params_only.grad_bias, full.grad_bias);
+    }
+
+    #[test]
     fn backward_before_forward_errors() {
         let mut rng = Rng::seed_from(3);
         let mut layer = Dense::he(2, 2, &mut rng);
         let g = Tensor::ones(&[1, 2]);
         assert!(matches!(
             layer.backward(&g),
+            Err(NnError::BackwardBeforeForward { layer: "dense" })
+        ));
+        assert!(matches!(
+            layer.backward_params(&g),
             Err(NnError::BackwardBeforeForward { layer: "dense" })
         ));
     }

@@ -8,6 +8,10 @@ use dinar_tensor::Tensor;
 /// Layers own their parameters and accumulated gradients and cache whatever
 /// activations the backward pass needs. `forward` must be called before
 /// `backward`; gradients *accumulate* across calls until [`Layer::zero_grad`].
+/// The backward pass has two halves: [`Layer::backward`] accumulates the
+/// parameter gradients *and* returns the input gradient,
+/// [`Layer::backward_params`] does only the former — a model calls it on its
+/// first trainable layer, whose input gradient nobody reads.
 ///
 /// The paper's middleware operates at layer granularity, so this trait exposes
 /// paired parameter/gradient access ([`Layer::params_and_grads`]) used by the
@@ -34,6 +38,23 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Returns [`crate::NnError::BackwardBeforeForward`] if no forward pass
     /// has been cached, or a tensor error on shape mismatch.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Accumulates the parameter gradients for `grad_output` exactly as
+    /// [`Layer::backward`] does, without computing the gradient with respect
+    /// to the layer input.
+    ///
+    /// [`crate::Model::backward`] calls this on the first trainable layer,
+    /// whose input gradient nothing reads. The default runs the full
+    /// `backward` and drops its result, so a layer that does not override it
+    /// stays correct; layers whose input product is expensive (dense,
+    /// convolutions) override it to skip that product.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// The layer's parameter tensors (empty for parameterless layers).
     fn params(&self) -> Vec<&Tensor> {

@@ -34,6 +34,8 @@
 //! let mut opt = Sgd::new(0.1);
 //! let logits = model.forward(&x, true)?;
 //! let (loss, grad) = CrossEntropyLoss.loss_and_grad(&logits, &y)?;
+//! // Accumulates every parameter gradient; the gradient with respect to `x`
+//! // is not computed (`Model::backward_input` is for callers that need it).
 //! model.backward(&grad)?;
 //! opt.step(&mut model)?;
 //! assert!(loss > 0.0);

@@ -95,21 +95,67 @@ impl Model {
     }
 
     /// Runs the backward pass, accumulating gradients in every trainable
-    /// layer, and returns the gradient with respect to the model input.
+    /// layer.
+    ///
+    /// The walk stops where the gradients stop being needed: the first
+    /// trainable layer only accumulates its own gradients
+    /// ([`Layer::backward_params`]) and the parameterless layers before it do
+    /// not run, so no gradient with respect to the model input is computed.
+    /// A caller that optimizes the *input* uses [`Model::backward_input`].
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if [`Model::forward`] has
     /// not been called.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
+    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
+        self.walk_back(grad_logits, false, |_| {}).map(drop)
+    }
+
+    /// Runs the backward pass through every layer and returns the gradient
+    /// with respect to the model input. Parameter gradients accumulate
+    /// exactly as in [`Model::backward`]; the extra work is the first
+    /// trainable layer's input product and whatever precedes it.
+    ///
+    /// Only the model-inversion attack (gradient descent on the input) and
+    /// tests of the backward contract need this.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BackwardBeforeForward`] if [`Model::forward`] has
+    /// not been called.
+    pub fn backward_input(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
+        self.walk_back(grad_logits, true, |_| {})
+    }
+
+    /// The one backward walk. Layers run last to first, `tap` seeing the
+    /// gradient that enters each trainable layer. With `to_input` every
+    /// layer runs its full `backward` and the input gradient is returned;
+    /// without it the walk ends at the first trainable layer, which runs
+    /// `backward_params` (the returned tensor is then the gradient that
+    /// entered that layer).
+    fn walk_back(
+        &mut self,
+        grad_logits: &Tensor,
+        to_input: bool,
+        mut tap: impl FnMut(&Tensor),
+    ) -> Result<Tensor> {
+        let first_trainable = self.trainable.first().copied().unwrap_or(self.layers.len());
+        let stop = if to_input { 0 } else { first_trainable };
         let mut g = grad_logits.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().skip(stop).rev() {
             let _span = if self.telemetry.is_enabled() {
                 Some(self.telemetry.span(&format!("bwd[{i}:{}]", layer.name())))
             } else {
                 None
             };
-            g = layer.backward(&g)?;
+            if self.trainable.binary_search(&i).is_ok() {
+                tap(&g);
+            }
+            if i == stop && !to_input {
+                layer.backward_params(&g)?;
+            } else {
+                g = layer.backward(&g)?;
+            }
         }
         self.check_gradients_finite();
         self.record_grad_norms();
@@ -163,10 +209,10 @@ impl Model {
         }
     }
 
-    /// Runs the backward pass like [`Model::backward`], additionally
-    /// returning, for every **trainable** layer, the gradient of the loss
-    /// with respect to that layer's *output* (the backpropagated error
-    /// signal δ entering the layer).
+    /// Runs the backward pass like [`Model::backward`] (same walk, same
+    /// stopping point), additionally returning, for every **trainable**
+    /// layer, the gradient of the loss with respect to that layer's *output*
+    /// (the backpropagated error signal δ entering the layer).
     ///
     /// The layer-sensitivity analysis uses these taps: they measure how much
     /// sample-specific error signal reaches each layer, independent of the
@@ -177,21 +223,10 @@ impl Model {
     /// Returns [`NnError::BackwardBeforeForward`] if [`Model::forward`] has
     /// not been called.
     pub fn backward_with_taps(&mut self, grad_logits: &Tensor) -> Result<Vec<Tensor>> {
-        let mut g = grad_logits.clone();
-        let mut taps: Vec<Option<Tensor>> = vec![None; self.trainable.len()];
-        for (raw_idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            if let Some(slot) = self.trainable.iter().position(|&t| t == raw_idx) {
-                taps[slot] = Some(g.clone());
-            }
-            g = layer.backward(&g)?;
-        }
-        self.check_gradients_finite();
-        self.record_grad_norms();
-        Ok(taps
-            .into_iter()
-            // lint: allow(L001, the loop above visits every trainable index by construction)
-            .map(|t| t.expect("every trainable layer was visited"))
-            .collect())
+        let mut taps = Vec::with_capacity(self.trainable.len());
+        self.walk_back(grad_logits, false, |g| taps.push(g.clone()))?;
+        taps.reverse(); // visited last trainable layer first
+        Ok(taps)
     }
 
     /// Resets all accumulated gradients.

@@ -702,7 +702,7 @@ mod tests {
             }
             let mut model = models::mlp(&[2, 16, 3], Activation::ReLU, &mut rng).unwrap();
 
-            let mut step = |model: &mut crate::model::Model, opt: &mut dyn Optimizer| {
+            let step = |model: &mut crate::model::Model, opt: &mut dyn Optimizer| {
                 let logits = model.forward(&x, true).unwrap();
                 let (loss, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).unwrap();
                 model.zero_grad();

@@ -336,6 +336,53 @@ fn cos_poly(x: f32) -> f32 {
     1.0 + x2 * (C2 + x2 * (C4 + x2 * (C6 + x2 * (C8 + x2 * C10))))
 }
 
+/// Hyperbolic tangent: the odd 13/6 rational `x·P(x²)/Q(x²)` (the minimax
+/// fit Eigen ships for `float`), on the input clamped to ±[`TANH_CLAMP`].
+///
+/// Not part of the sampler — it lives beside the other libm-free
+/// transcendentals because it exists for the same two reasons. It is
+/// straight-line `f32` arithmetic (`×`, `÷`, `mul_add`, two selects), so an
+/// elementwise loop over it autovectorizes where glibc's `tanhf` is a scalar
+/// call (≈ 35× slower per element), and its result is a function of the
+/// input bits alone, so Tanh-model digests do not depend on the host's libm.
+///
+/// Over every `f32`: absolute error against `f64::tanh` ≤ 2.92e-7 (at
+/// |x| ≈ 5.13), `|tanh(x)| ≤ 1`, `tanh(-x) == -tanh(x)` bit for bit,
+/// `tanh(±0) = ±0`, and NaN propagates — the clamp is written as compares
+/// rather than `min`/`max`, which would swallow a NaN operand.
+#[inline]
+pub(crate) fn tanh(x: f32) -> f32 {
+    // Eigen's coefficients, written at the precision `f32` holds.
+    const A1: f32 = 4.893_524_6e-3;
+    const A3: f32 = 6.372_619_5e-4;
+    const A5: f32 = 1.485_722_35e-5;
+    const A7: f32 = 5.122_297_3e-8;
+    const A9: f32 = -8.604_672e-11;
+    const A11: f32 = 2.000_188e-13;
+    const A13: f32 = -2.760_768_4e-16;
+    const B0: f32 = 4.893_525e-3;
+    const B2: f32 = 2.268_434_7e-3;
+    const B4: f32 = 1.185_347_1e-4;
+    const B6: f32 = 1.198_258_4e-6;
+    let x = if x > TANH_CLAMP { TANH_CLAMP } else { x };
+    let x = if x < -TANH_CLAMP { -TANH_CLAMP } else { x };
+    let x2 = x * x;
+    let p = x2.mul_add(A13, A11);
+    let p = x2.mul_add(p, A9);
+    let p = x2.mul_add(p, A7);
+    let p = x2.mul_add(p, A5);
+    let p = x2.mul_add(p, A3);
+    let p = x2.mul_add(p, A1);
+    let q = x2.mul_add(B6, B4);
+    let q = x2.mul_add(q, B2);
+    let q = x2.mul_add(q, B0);
+    x * p / q
+}
+
+/// Where [`tanh`] saturates: the rational evaluates to `1 − 2⁻²²` here, and
+/// the true value is within 2.7e-7 of 1 from here on.
+const TANH_CLAMP: f32 = 7.905_311;
+
 /// Box–Muller from two 24-bit lanes (the per-pair spec).
 #[inline]
 fn box_muller(u1_bits: i32, u2_bits: i32) -> (f32, f32) {
@@ -427,6 +474,57 @@ mod tests {
             assert!((c as f64 - theta.cos()).abs() < 5e-6, "cos at {theta}");
             assert!((s as f64 - theta.sin()).abs() < 5e-6, "sin at {theta}");
         }
+    }
+
+    /// Inputs that stress [`tanh`]: a uniform sweep of [−10, 10], a
+    /// logarithmic sweep towards 0 down to the smallest subnormal, and every
+    /// float within 4096 ulps of the clamp (the kernel's only breakpoint).
+    fn tanh_probe_points() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=1_000_000).map(|i| i as f32 * 2e-5 - 10.0).collect();
+        for e in -149..=3 {
+            for m in 0..256 {
+                let x = (1.0 + m as f32 / 256.0) * 2f32.powi(e);
+                xs.extend([x, -x]);
+            }
+        }
+        for d in -4096i32..=4096 {
+            let x = f32::from_bits(TANH_CLAMP.to_bits().wrapping_add_signed(d));
+            xs.extend([x, -x]);
+        }
+        xs.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(1)]);
+        xs
+    }
+
+    #[test]
+    fn tanh_stays_within_5e7_of_f64_tanh() {
+        let xs = tanh_probe_points();
+        assert!(xs.len() >= 1_000_000);
+        for x in xs {
+            let err = (tanh(x) as f64 - (x as f64).tanh()).abs();
+            assert!(err <= 5e-7, "x={x:e} got={} err={err:e}", tanh(x));
+        }
+    }
+
+    #[test]
+    fn tanh_is_odd_bounded_and_signed_zero_preserving() {
+        let extremes = [f32::INFINITY, f32::MAX, 1e30, 100.0, TANH_CLAMP];
+        for x in tanh_probe_points().into_iter().chain(extremes) {
+            let y = tanh(x);
+            assert_eq!(tanh(-x).to_bits(), (-y).to_bits(), "odd symmetry at {x:e}");
+            assert!(y.abs() <= 1.0, "|tanh({x:e})| = {}", y.abs());
+        }
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert!((tanh(f32::INFINITY) - 1.0).abs() <= 5e-7);
+    }
+
+    #[test]
+    fn tanh_propagates_nan() {
+        // `sanitize` pins a poisoned layer only if the NaN survives the
+        // activation; a min/max clamp would turn it into ±TANH_CLAMP.
+        assert!(tanh(f32::NAN).is_nan());
+        assert!(tanh(-f32::NAN).is_nan());
+        assert!(tanh(f32::from_bits(0x7F80_0001)).is_nan());
     }
 
     #[test]

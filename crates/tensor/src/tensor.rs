@@ -650,14 +650,23 @@ impl Tensor {
         });
     }
 
-    /// Adds a rank-1 bias to every row of a rank-2 tensor.
+    /// Hyperbolic tangent of every element: the crate's own vectorizable
+    /// rational kernel (`cbrng.rs`), not libm — absolute error ≤ 3e-7, and
+    /// the result is a pure function of the input bits on every host.
+    pub fn tanh(&self) -> Tensor {
+        self.unary_elementwise(crate::cbrng::tanh)
+    }
+
+    /// Adds a rank-1 bias to every row of a rank-2 tensor, in place: the
+    /// operand is consumed and its buffer returned (callers pass the fresh
+    /// product they just computed, so nothing is copied).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::NotAMatrix`] if `self` is not rank-2 or
     /// [`TensorError::ShapeMismatch`] if `bias.len()` differs from the column
     /// count.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Result<Tensor> {
+    pub fn add_row_broadcast(mut self, bias: &Tensor) -> Result<Tensor> {
         let (_, c) = self.expect_matrix("add_row_broadcast")?;
         if bias.shape != [c] {
             return Err(TensorError::ShapeMismatch {
@@ -666,13 +675,12 @@ impl Tensor {
                 op: "add_row_broadcast",
             });
         }
-        sanitize::check_finite("add_row_broadcast", "input", self);
+        sanitize::check_finite("add_row_broadcast", "input", &self);
         sanitize::check_finite("add_row_broadcast", "bias", bias);
-        let mut out = self.clone();
         if c > 0 {
             let bias = bias.buf.data.as_slice();
             let min_rows = (PAR_MIN_ELEMS / c.max(1)).max(1);
-            par::for_each_part_mut(out.data_mut(), c, min_rows, |_, rows| {
+            par::for_each_part_mut(self.data_mut(), c, min_rows, |_, rows| {
                 for row in rows.chunks_exact_mut(c) {
                     for (o, &bv) in row.iter_mut().zip(bias) {
                         *o += bv;
@@ -680,7 +688,7 @@ impl Tensor {
                 }
             });
         }
-        Ok(out)
+        Ok(self)
     }
 
     // ------------------------------------------------------------------

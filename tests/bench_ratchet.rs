@@ -4,6 +4,9 @@
 //! keep showing the speedups the bulk-sampling + microkernel rewrite
 //! bought, measured against the pre-rewrite numbers frozen below.
 //!
+//! `tanh` kernel: the committed `tanh` 64×64 row must stay ≥5× under the
+//! libm reading frozen before the vectorised rational kernel replaced it.
+//!
 //! Packed GEMM driver: the transposed products (`matmul_t`, `t_matmul`) go
 //! through the same register tile as `matmul`, so the committed artifact must
 //! keep them within [`TRANSPOSED_MATMUL_CAP`] of `matmul` 128³ per FLOP.
@@ -33,6 +36,12 @@ const PRE_REWRITE_RANDN_100K_NS: f64 = 1_900_000.0;
 /// 128×128×128 `matmul`, cache-blocked loops without the register-blocked
 /// FMA microkernel (single thread, same runner).
 const PRE_REWRITE_MATMUL_128_NS: f64 = 285_970.0;
+
+/// `tanh` over a 64×64 `randn` activation (the fcnn6 hidden shape) through
+/// glibc `tanhf`, one scalar call per element (single thread, same runner;
+/// three runs read medians of 63.7–81.7 µs with a fastest sample of 57.9 µs
+/// on a noisy host — frozen below all of them, so the ratchet errs strict).
+const PRE_REWRITE_TANH_4096_NS: f64 = 56_000.0;
 
 /// Cost per multiply-add a transposed product may reach relative to
 /// `matmul` 128³: the packing absorbs the layout, the tile is shared.
@@ -101,6 +110,19 @@ fn microkernel_matmul_holds_2x_over_blocked_loops() {
         ns * 2.0 <= PRE_REWRITE_MATMUL_128_NS,
         "matmul 128³ at {ns:.0} ns/iter is not ≥2× under the pre-rewrite \
          {PRE_REWRITE_MATMUL_128_NS:.0} ns/iter"
+    );
+}
+
+#[test]
+fn vectorised_tanh_holds_5x_over_libm() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let ns = ns_for(&entries, "tanh", "64x64");
+    assert!(
+        ns * 5.0 <= PRE_REWRITE_TANH_4096_NS,
+        "tanh 64x64 at {ns:.0} ns/iter is not ≥5× under the pre-rewrite \
+         {PRE_REWRITE_TANH_4096_NS:.0} ns/iter — the elementwise loop stopped \
+         vectorising, or libm is back"
     );
 }
 

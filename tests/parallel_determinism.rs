@@ -154,6 +154,24 @@ fn im2col_and_reductions_are_bit_identical_across_widths() {
 }
 
 #[test]
+fn tanh_is_bit_identical_across_widths() {
+    // 40k elements: above the elementwise fan-out threshold, and not a
+    // multiple of any partition or vector width.
+    let x = Rng::seed_from(12).randn_with(&[40_003], 0.0, 3.0);
+    let results = per_width(|| bits(&x.tanh()));
+    for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
+        assert_eq!(r, &results[0], "tanh diverged at {w} threads");
+    }
+    // Each element is the scalar kernel's value wherever it was computed.
+    let one_by_one: Vec<u32> = x
+        .as_slice()
+        .iter()
+        .map(|&v| Tensor::from_slice(&[v]).tanh().as_slice()[0].to_bits())
+        .collect();
+    assert_eq!(results[0], one_by_one);
+}
+
+#[test]
 fn conv2d_forward_backward_is_bit_identical_across_widths() {
     let results = per_width(|| {
         // Fresh layer per width from the same seed: identical weights, so
@@ -184,7 +202,7 @@ fn model_forward_backward_is_bit_identical_across_widths() {
         let x = rng.randn(&[5, 37]);
         let y = model.forward(&x, true).expect("forward");
         let g = rng.randn(&[5, 11]);
-        let gx = model.backward(&g).expect("backward");
+        let gx = model.backward_input(&g).expect("backward");
         (bits(&y), bits(&gx), model.params().to_flat())
     });
     for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
