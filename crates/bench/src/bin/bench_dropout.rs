@@ -26,7 +26,9 @@ use dinar_data::catalog::{self, Profile};
 use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_fl::clock::WallClock;
 use dinar_fl::eval::accuracy_of_params;
-use dinar_fl::{run_threaded_resilient, FaultPlan, FlConfig, FlSystem, Quorum, RoundPolicy};
+use dinar_fl::{
+    run_threaded_wire, FaultPlan, FlConfig, FlSystem, Quorum, RoundPolicy, WireConfig,
+};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
 use dinar_tensor::Rng;
@@ -80,7 +82,8 @@ fn run_rate(rate: f64) -> Result<DropoutRow, Box<dyn std::error::Error>> {
     let fault_seed = plan.seed();
     let policy = RoundPolicy::with_quorum(Quorum::AtLeast(1), None).with_faults(plan);
     let deadline_ms = policy.deadline.map(|d| d.as_millis() as u64);
-    let run = run_threaded_resilient(system, ROUNDS, Arc::new(WallClock::new()), policy)?;
+    let clock = Arc::new(WallClock::new());
+    let run = run_threaded_wire(system, ROUNDS, clock, policy, WireConfig::default())?;
 
     let mut template = models::mlp(&[600, 64, 100], Activation::ReLU, &mut rng)?;
     let accuracy = accuracy_of_params(run.system.global_params(), &mut template, &test)?;

@@ -301,24 +301,11 @@ impl FlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::tests::blob_dataset;
     use dinar_data::Dataset;
     use dinar_nn::models::{self, Activation};
     use dinar_nn::optim::Sgd;
     use dinar_tensor::Tensor;
-
-    fn blob_dataset(n: usize, seed: u64) -> Dataset {
-        let mut rng = Rng::seed_from(seed);
-        let mut features = Tensor::zeros(&[n, 2]);
-        let mut labels = Vec::new();
-        for i in 0..n {
-            let class = i % 2;
-            let c = if class == 0 { -2.0 } else { 2.0 };
-            features.set(&[i, 0], rng.normal_with(c, 0.5)).unwrap();
-            features.set(&[i, 1], rng.normal_with(c, 0.5)).unwrap();
-            labels.push(class);
-        }
-        Dataset::new(features, labels, &[2], 2).unwrap()
-    }
 
     fn make_client(id: usize) -> FlClient {
         let mut rng = Rng::seed_from(42);

@@ -1,9 +1,6 @@
-//! Injectable time sources for the FL runtime.
-//!
-//! The [`Clock`] abstraction moved to `dinar-telemetry` so the span layer
-//! and the FL runtime share one time source; this module re-exports it for
-//! source compatibility (`dinar_fl::clock::ManualClock` keeps working).
-//! See `dinar_telemetry::clock` for the determinism rationale.
+//! Injectable time sources for the FL runtime: a re-export of
+//! [`dinar_metrics::clock`], the workspace's one definition (see there for
+//! the determinism rationale).
 //!
 //! The threaded transport also budgets its **round deadlines** on this
 //! clock (see [`crate::deadline`]): under a [`ManualClock`], whose
@@ -12,4 +9,4 @@
 //! accounted for through explicit messages or liveness checks rather than
 //! timing.
 
-pub use dinar_telemetry::clock::{Clock, ManualClock, WallClock};
+pub use dinar_metrics::clock::{Clock, ManualClock, WallClock};

@@ -58,9 +58,9 @@ pub mod eval;
 pub mod fault;
 pub mod middleware;
 pub mod netsim;
+mod round;
 pub mod server;
 pub mod system;
-pub mod trace;
 pub mod transport;
 
 pub use ckpt::{ClientCkpt, FlCheckpoint, PendingRound};
@@ -72,9 +72,7 @@ pub use middleware::{ClientMiddleware, ServerMiddleware};
 pub use netsim::{ClientLink, LinkModel, NetworkModel, RoundWireStats, WireConfig};
 pub use server::FlServer;
 pub use system::{FlConfig, FlSystem, RoundReport};
-pub use transport::{
-    run_threaded, run_threaded_resilient, run_threaded_wire, run_threaded_with_clock, ResilientRun,
-};
+pub use transport::{run_threaded_wire, ResilientRun};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, FlError>;

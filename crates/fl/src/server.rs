@@ -79,7 +79,7 @@ impl FlServer {
     ///
     /// The weights normalize over the updates *presented*, not over the full
     /// client population — so a quorum round that lost some clients (see
-    /// [`transport::run_threaded_resilient`](crate::transport::run_threaded_resilient))
+    /// [`transport::run_threaded_wire`](crate::transport::run_threaded_wire))
     /// renormalizes gracefully over the arrived subset, exactly as FedAvg
     /// with partial participation prescribes.
     ///

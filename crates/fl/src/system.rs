@@ -1,36 +1,15 @@
 //! Round orchestration, system builder and cost accounting.
 
 use crate::ckpt::{FlCheckpoint, PendingRound};
-use crate::{ClientMiddleware, ClientUpdate, FlClient, FlError, FlServer, Result, ServerMiddleware};
+use crate::clock::WallClock;
+use crate::round::{Contribution, Round};
+use crate::{ClientMiddleware, FlClient, FlError, FlServer, Result, ServerMiddleware};
 use dinar_data::Dataset;
-use dinar_metrics::cost::{measure, CostSample};
+use dinar_metrics::cost::CostSample;
 use dinar_nn::optim::Optimizer;
 use dinar_nn::{Model, ModelParams};
-use dinar_telemetry::{bridge, Telemetry};
-use dinar_tensor::{par, profile, Rng};
-use std::time::Duration;
-
-/// Runs one round of local training for each referenced client on the
-/// [`par`] pool (clients are data-independent within a round) and returns
-/// the per-client outcomes **in input order**, so the caller's loss fold
-/// and the aggregation order are identical to the sequential loop. Each
-/// client's [`measure`] runs entirely on its worker thread, so the
-/// per-thread memory scope attributes only that client's allocations.
-/// Tensor kernels invoked inside a worker run serially (nested parallel
-/// regions execute inline), preventing clients × threads oversubscription.
-///
-/// `span_parent` seeds each client's span lineage (worker threads start
-/// with an empty span stack); pass the enclosing round span's path.
-fn train_fan_out(
-    clients: &mut [&mut FlClient],
-    global: &ModelParams,
-    span_parent: &str,
-) -> Vec<(Result<(f32, ClientUpdate)>, Duration, u64)> {
-    par::map_items_mut(clients, |_, client| {
-        let _client_span = client.round_span(span_parent);
-        measure(|| client.run_protocol(global))
-    })
-}
+use dinar_telemetry::Telemetry;
+use dinar_tensor::{par, Rng};
 
 /// Static configuration of an FL system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +50,6 @@ pub struct RoundReport {
 pub struct FlSystem {
     server: FlServer,
     clients: Vec<FlClient>,
-    rounds_run: usize,
     /// The finished portion of an interrupted round (see
     /// [`FlSystem::begin_round_partial`]); `None` between rounds.
     pending: Option<PendingRound>,
@@ -120,19 +98,22 @@ impl FlSystem {
     /// part of the tuple — callers that need it should clone it via
     /// [`FlSystem::telemetry`] first (the threaded transport does, and
     /// re-attaches it on reassembly); each client keeps carrying its own
-    /// handle across the move. Any pending partial round is dropped.
+    /// handle across the move. A pending partial round is not part of the
+    /// tuple either: finish it first (the threaded transport refuses a
+    /// system with one pending rather than lose the parked updates).
     pub fn into_parts(self) -> (FlServer, Vec<FlClient>, usize) {
-        (self.server, self.clients, self.rounds_run)
+        let rounds = self.server.rounds_completed();
+        (self.server, self.clients, rounds)
     }
 
-    /// Reassembles a system from parts produced by [`FlSystem::into_parts`].
-    /// The reassembled system starts with telemetry disabled; call
-    /// [`FlSystem::set_telemetry`] to re-attach a sink.
-    pub fn from_parts(server: FlServer, clients: Vec<FlClient>, rounds_run: usize) -> Self {
+    /// Reassembles a system from the server and clients produced by
+    /// [`FlSystem::into_parts`]; the completed-round count travels inside
+    /// the server. The reassembled system starts with telemetry disabled;
+    /// call [`FlSystem::set_telemetry`] to re-attach a sink.
+    pub fn from_parts(server: FlServer, clients: Vec<FlClient>) -> Self {
         FlSystem {
             server,
             clients,
-            rounds_run,
             pending: None,
             telemetry: Telemetry::disabled(),
         }
@@ -159,84 +140,78 @@ impl FlSystem {
         &self.telemetry
     }
 
-    /// Returns an error if a partial round is pending — the caller must
-    /// [`finish_round`](FlSystem::finish_round) before starting a new one.
-    fn check_no_pending(&self) -> Result<()> {
-        if self.pending.is_some() {
-            return Err(FlError::InvalidConfig {
-                reason: "a partial round is pending; call finish_round first".into(),
-            });
+    /// Guards the start of a round that will `verb` `count` clients: no
+    /// partial round may be pending — the caller must
+    /// [`finish_round`](FlSystem::finish_round) first — and `count` must be
+    /// in `1..=clients`.
+    fn check_can_start(&self, count: usize, verb: &str) -> Result<()> {
+        let reason = if self.pending.is_some() {
+            "a partial round is pending; call finish_round first".into()
+        } else if count == 0 || count > self.clients.len() {
+            format!("cannot {verb} {count} of {} clients", self.clients.len())
+        } else {
+            return Ok(());
+        };
+        Err(FlError::InvalidConfig { reason })
+    }
+
+    /// Trains the clients at the ascending positions `ids` for `round` on
+    /// the [`par`] pool (clients are data-independent within a round) and
+    /// returns their contributions **in `ids` order**. Each client is
+    /// measured entirely on its worker thread, so the per-thread memory
+    /// scope attributes only that client's allocations. Tensor kernels
+    /// invoked inside a worker run serially (nested parallel regions
+    /// execute inline), preventing clients × threads oversubscription.
+    fn train(
+        clients: &mut [FlClient],
+        ids: impl Iterator<Item = usize>,
+        round: &Round<'_>,
+    ) -> Result<Vec<Contribution>> {
+        let mut wanted = ids.peekable();
+        let mut refs: Vec<&mut FlClient> = clients
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| wanted.next_if_eq(i).is_some())
+            .map(|(_, client)| client)
+            .collect();
+        // Worker threads start with an empty span stack: seed each client's
+        // lineage with the round span's path.
+        let (global, span_parent, clock) = (round.global(), round.span_path(), round.clock());
+        par::map_items_mut(&mut refs, |_, client| {
+            let _client_span = client.round_span(span_parent);
+            Contribution::measure(client, global, clock)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Opens the next round, trains the clients at `ids`, and closes it
+    /// over `parked` plus what they produced.
+    fn round_over(
+        &mut self,
+        parked: Vec<Contribution>,
+        ids: impl Iterator<Item = usize>,
+    ) -> Result<RoundReport> {
+        let clock = WallClock::new();
+        let mut round = Round::open(&mut self.server, &self.telemetry, &clock);
+        let trained = Self::train(&mut self.clients, ids, &round)?;
+        for contribution in parked.into_iter().chain(trained) {
+            round.accept(contribution);
         }
-        Ok(())
+        let required = round.accepted();
+        round.close(required)
     }
 
     /// Runs one FL round: every client downloads the global model, trains
-    /// locally and uploads; the server aggregates.
+    /// locally and uploads; the round closes with FedAvg on the server.
     ///
     /// # Errors
     ///
     /// Propagates client training, middleware and aggregation errors;
     /// returns [`FlError::InvalidConfig`] if a partial round is pending.
     pub fn run_round(&mut self) -> Result<RoundReport> {
-        self.check_no_pending()?;
-        let kernels_before = profile::snapshot();
-        let round_span = self.telemetry.span(&format!("round[{}]", self.rounds_run + 1));
-        let span_parent = round_span.path().to_string();
-        let global = self.server.global_params().share();
-        let mut refs: Vec<&mut FlClient> = self.clients.iter_mut().collect();
-        let results = train_fan_out(&mut refs, &global, &span_parent);
-        drop(refs);
-        let mut updates = Vec::with_capacity(self.clients.len());
-        let mut loss_sum = 0.0f64;
-        let mut train_time_sum = 0.0f64;
-        let mut peak_mem = 0u64;
-        for (result, elapsed, mem) in results {
-            let (loss, update) = result?;
-            loss_sum += loss as f64;
-            train_time_sum += elapsed.as_secs_f64();
-            peak_mem = peak_mem.max(mem);
-            updates.push(update);
-        }
-        let (agg_result, agg_elapsed, _) = {
-            let _agg_span = self.telemetry.span("aggregate");
-            measure(|| self.server.aggregate(&updates).map(|_| ()))
-        };
-        agg_result?;
-        self.rounds_run += 1;
-        drop(round_span);
-        self.record_round_metrics(&kernels_before, updates.len(), peak_mem);
-        Ok(RoundReport {
-            round: self.rounds_run,
-            mean_train_loss: (loss_sum / self.clients.len().max(1) as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_time_sum / self.clients.len().max(1) as f64,
-                server_agg_s: agg_elapsed.as_secs_f64(),
-                client_peak_mem_bytes: peak_mem,
-            },
-        })
-    }
-
-    /// Post-round metrics: deterministic round/update counters, the bridged
-    /// tensor kernel delta for the round, and the volatile alloc/peak-memory
-    /// gauges.
-    fn record_round_metrics(
-        &self,
-        kernels_before: &profile::KernelSnapshot,
-        updates: usize,
-        peak_mem: u64,
-    ) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry.counter_add("fl.rounds", 1);
-        self.telemetry.counter_add("fl.updates", updates as u64);
-        bridge::record_kernel_delta(
-            &self.telemetry,
-            &profile::snapshot().delta_since(kernels_before),
-        );
-        bridge::record_alloc_gauges(&self.telemetry);
-        self.telemetry
-            .gauge_max_volatile("fl.client_peak_mem_bytes", peak_mem as f64);
+        self.check_can_start(self.clients.len(), "run")?;
+        self.round_over(Vec::new(), 0..self.clients.len())
     }
 
     /// Runs `rounds` FL rounds and returns the per-round reports.
@@ -264,65 +239,11 @@ impl FlSystem {
         participants: usize,
         rng: &mut Rng,
     ) -> Result<RoundReport> {
-        self.check_no_pending()?;
-        if participants == 0 || participants > self.clients.len() {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "cannot select {participants} of {} clients",
-                    self.clients.len()
-                ),
-            });
-        }
+        self.check_can_start(participants, "select")?;
         let mut selected = rng.permutation(self.clients.len());
         selected.truncate(participants);
         selected.sort_unstable();
-
-        let kernels_before = profile::snapshot();
-        let round_span = self.telemetry.span(&format!("round[{}]", self.rounds_run + 1));
-        let span_parent = round_span.path().to_string();
-        let global = self.server.global_params().share();
-        // Collect &mut references to the selected clients (indices are
-        // sorted, so a single forward sweep suffices).
-        let mut refs: Vec<&mut FlClient> = Vec::with_capacity(participants);
-        {
-            let mut wanted = selected.iter().peekable();
-            for (i, client) in self.clients.iter_mut().enumerate() {
-                if wanted.peek() == Some(&&i) {
-                    refs.push(client);
-                    wanted.next();
-                }
-            }
-        }
-        let results = train_fan_out(&mut refs, &global, &span_parent);
-        drop(refs);
-        let mut updates = Vec::with_capacity(participants);
-        let mut loss_sum = 0.0f64;
-        let mut train_time_sum = 0.0f64;
-        let mut peak_mem = 0u64;
-        for (result, elapsed, mem) in results {
-            let (loss, update) = result?;
-            loss_sum += loss as f64;
-            train_time_sum += elapsed.as_secs_f64();
-            peak_mem = peak_mem.max(mem);
-            updates.push(update);
-        }
-        let (agg_result, agg_elapsed, _) = {
-            let _agg_span = self.telemetry.span("aggregate");
-            measure(|| self.server.aggregate(&updates).map(|_| ()))
-        };
-        agg_result?;
-        self.rounds_run += 1;
-        drop(round_span);
-        self.record_round_metrics(&kernels_before, updates.len(), peak_mem);
-        Ok(RoundReport {
-            round: self.rounds_run,
-            mean_train_loss: (loss_sum / participants as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_time_sum / participants as f64,
-                server_agg_s: agg_elapsed.as_secs_f64(),
-                client_peak_mem_bytes: peak_mem,
-            },
-        })
+        self.round_over(Vec::new(), selected.into_iter())
     }
 
     /// Whether an interrupted round is pending (some clients trained, no
@@ -331,9 +252,9 @@ impl FlSystem {
         self.pending.is_some()
     }
 
-    /// Trains clients `0..stop_after` of the next round **sequentially**
-    /// and parks their `(loss, update)` pairs instead of aggregating —
-    /// modelling a run killed after `stop_after` clients. Take a
+    /// Trains clients `0..stop_after` of the next round and parks their
+    /// `(loss, update)` pairs instead of aggregating — modelling a run
+    /// killed after `stop_after` clients. Take a
     /// [`checkpoint`](FlSystem::checkpoint) afterwards to persist the
     /// partial round, and call [`finish_round`](FlSystem::finish_round)
     /// (possibly after a [`restore`](FlSystem::restore) in a fresh
@@ -341,8 +262,8 @@ impl FlSystem {
     ///
     /// Clients are data-independent within a round and the engine
     /// aggregates in client order, so splitting a round this way is
-    /// bit-identical to the parallel [`run_round`](FlSystem::run_round) at
-    /// any thread-pool width.
+    /// bit-identical to [`run_round`](FlSystem::run_round) at any
+    /// thread-pool width.
     ///
     /// # Errors
     ///
@@ -350,69 +271,50 @@ impl FlSystem {
     /// pending or `stop_after` is not in `1..=clients`; propagates client
     /// training errors.
     pub fn begin_round_partial(&mut self, stop_after: usize) -> Result<()> {
-        self.check_no_pending()?;
-        if stop_after == 0 || stop_after > self.clients.len() {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "cannot stop after {stop_after} of {} clients",
-                    self.clients.len()
-                ),
-            });
-        }
-        let global = self.server.global_params().share();
-        let mut completed = Vec::with_capacity(stop_after);
-        for client in &mut self.clients[..stop_after] {
-            completed.push(client.run_protocol(&global)?);
-        }
+        self.check_can_start(stop_after, "stop after")?;
+        // The round is opened for its snapshot and span lineage and then
+        // dropped unclosed, as the killed process would leave it.
+        let clock = WallClock::new();
+        let round = Round::open(&mut self.server, &self.telemetry, &clock);
+        let completed = Self::train(&mut self.clients, 0..stop_after, &round)?
+            .into_iter()
+            .map(|c| (c.loss, c.update))
+            .collect();
         self.pending = Some(PendingRound { completed });
         Ok(())
     }
 
     /// Completes a pending partial round: trains the remaining clients
-    /// sequentially against the same global snapshot, then aggregates all
-    /// updates in client order. The resulting global model is bit-identical
-    /// to an uninterrupted [`run_round`](FlSystem::run_round).
+    /// against the same global snapshot, then aggregates all updates in
+    /// client order. The resulting global model is bit-identical to an
+    /// uninterrupted [`run_round`](FlSystem::run_round).
     ///
     /// The report's cost sample covers only the clients trained in this
-    /// call (the earlier portion's wall-clock belongs to the interrupted
-    /// process).
+    /// call (the earlier portion's wall-clock and memory belong to the
+    /// interrupted process).
     ///
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] if no partial round is pending;
     /// propagates training and aggregation errors.
     pub fn finish_round(&mut self) -> Result<RoundReport> {
-        let Some(mut pending) = self.pending.take() else {
+        let Some(pending) = self.pending.take() else {
             return Err(FlError::InvalidConfig {
                 reason: "no partial round is pending; call begin_round_partial first".into(),
             });
         };
-        let global = self.server.global_params().share();
         let done = pending.completed.len();
-        let mut train_time_sum = 0.0f64;
-        for client in &mut self.clients[done..] {
-            let (result, elapsed, _mem) = measure(|| client.run_protocol(&global));
-            train_time_sum += elapsed.as_secs_f64();
-            pending.completed.push(result?);
-        }
-        let mut updates = Vec::with_capacity(pending.completed.len());
-        let mut loss_sum = 0.0f64;
-        for (loss, update) in pending.completed {
-            loss_sum += loss as f64;
-            updates.push(update);
-        }
-        let (agg_result, agg_elapsed, _) = measure(|| self.server.aggregate(&updates).map(|_| ()));
-        agg_result?;
-        self.rounds_run += 1;
-        Ok(RoundReport {
-            round: self.rounds_run,
-            mean_train_loss: (loss_sum / self.clients.len().max(1) as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_time_sum / self.clients.len().max(1) as f64,
-                server_agg_s: agg_elapsed.as_secs_f64(),
-                client_peak_mem_bytes: 0,
-            },
-        })
+        let parked = pending
+            .completed
+            .into_iter()
+            .map(|(loss, update)| Contribution {
+                loss,
+                train_s: 0.0,
+                peak_mem: 0,
+                update,
+            })
+            .collect();
+        self.round_over(parked, done..self.clients.len())
     }
 
     /// Captures a complete resume image of the system: global model,
@@ -420,7 +322,7 @@ impl FlSystem {
     /// pending partial round. Persist it with [`crate::ckpt::save_resume`].
     pub fn checkpoint(&self) -> FlCheckpoint {
         FlCheckpoint {
-            rounds_run: self.rounds_run,
+            rounds_run: self.server.rounds_completed(),
             global: self.server.global_params().share(),
             clients: self.clients.iter().map(FlClient::export_state).collect(),
             // lint: allow(L009, PendingRound's derived Clone bumps COW refcounts, O(1) like share())
@@ -452,7 +354,6 @@ impl FlSystem {
             client.import_state(state)?;
         }
         self.server.restore_state(ckpt.global, ckpt.rounds_run);
-        self.rounds_run = ckpt.rounds_run;
         self.pending = ckpt.pending;
         Ok(())
     }
@@ -580,7 +481,6 @@ impl FlSystemBuilder {
         Ok(FlSystem {
             server,
             clients: self.clients,
-            rounds_run: 0,
             pending: None,
             telemetry: Telemetry::disabled(),
         })
@@ -588,7 +488,7 @@ impl FlSystemBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dinar_data::partition::{partition_dataset, Distribution};
     use dinar_data::Dataset;
@@ -596,7 +496,8 @@ mod tests {
     use dinar_nn::optim::Sgd;
     use dinar_tensor::Tensor;
 
-    fn blob_dataset(n: usize, seed: u64) -> Dataset {
+    /// Two separable Gaussian blobs (σ = 0.6 around ±2), deterministic in `seed`.
+    pub(crate) fn blob_dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from(seed);
         let mut features = Tensor::zeros(&[n, 2]);
         let mut labels = Vec::new();
@@ -610,7 +511,15 @@ mod tests {
         Dataset::new(features, labels, &[2], 2).unwrap()
     }
 
-    fn small_system(clients: usize) -> FlSystem {
+    /// Bit patterns of the global model, for exact comparisons.
+    pub(crate) fn global_bits(system: &FlSystem) -> Vec<u32> {
+        let flat = system.global_params().to_flat();
+        flat.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The crate's shared unit-test system: `clients` IID shards of two
+    /// separable blobs, a `[2, 8, 2]` ReLU MLP under SGD.
+    pub(crate) fn small_system(clients: usize) -> FlSystem {
         let data = blob_dataset(120, 5);
         let mut rng = Rng::seed_from(9);
         let shards = partition_dataset(&data, clients, Distribution::Iid, &mut rng).unwrap();
@@ -682,32 +591,8 @@ mod tests {
 
 #[cfg(test)]
 mod selection_tests {
+    use super::tests::{global_bits, small_system as system};
     use super::*;
-    use dinar_data::partition::{partition_dataset, Distribution};
-    use dinar_data::Dataset;
-    use dinar_nn::models::{self, Activation};
-    use dinar_nn::optim::Sgd;
-
-    fn system(clients: usize) -> FlSystem {
-        let mut rng = Rng::seed_from(1);
-        let features = rng.randn(&[clients * 20, 3]);
-        let labels = (0..clients * 20).map(|i| i % 2).collect();
-        let data = Dataset::new(features, labels, &[3], 2).unwrap();
-        let shards = partition_dataset(&data, clients, Distribution::Iid, &mut rng).unwrap();
-        FlSystem::builder(FlConfig {
-            local_epochs: 1,
-            batch_size: 8,
-            seed: 2,
-        })
-        .clients_from_shards(
-            shards,
-            |rng| models::mlp(&[3, 4, 2], Activation::ReLU, rng),
-            |_| Box::new(Sgd::new(0.05)),
-        )
-        .unwrap()
-        .build()
-        .unwrap()
-    }
 
     #[test]
     fn partial_participation_round_runs() {
@@ -723,13 +608,13 @@ mod selection_tests {
         let mut a = system(4);
         let mut b = system(4);
         let mut rng = Rng::seed_from(4);
-        a.run_round().unwrap();
-        b.run_round_with_selection(4, &mut rng).unwrap();
-        assert!(a
-            .global_params()
-            .max_abs_diff(b.global_params())
-            .unwrap()
-            < 1e-7);
+        let plain = a.run_round().unwrap();
+        let selected = b.run_round_with_selection(4, &mut rng).unwrap();
+        assert_eq!(global_bits(&a), global_bits(&b));
+        assert_eq!(
+            plain.mean_train_loss.to_bits(),
+            selected.mean_train_loss.to_bits()
+        );
     }
 
     #[test]

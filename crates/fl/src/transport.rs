@@ -43,24 +43,25 @@
 //! ([`ClientReply::Fatal`]), a corrupt upload drops that update — the run
 //! reports, it does not abort.
 //!
-//! The two engines are behaviourally identical on a healthy system: client
-//! training is self-contained and the server sorts updates by client id
-//! before aggregating, so `run_threaded` produces bit-identical global
-//! models to the sequential engine given the same seeds (the default
-//! lossless codec moves exact `f32` bit patterns), and keeps doing so
-//! under an injected [`FaultPlan`] for any worker-pool width (asserted by
-//! the integration tests).
+//! Both engines close their rounds through the same crate-private
+//! `round::Round`: this module supplies the broadcast, the collection
+//! policy and the fault accounting, and hands every decoded upload to the
+//! round, which sorts by client id, folds and aggregates. So
+//! [`run_threaded_wire`] under the default [`RoundPolicy`] and
+//! [`WireConfig`] produces bit-identical global models to the in-process
+//! engine given the same seeds (the lossless codec moves exact `f32` bit
+//! patterns), and keeps doing so under an injected [`FaultPlan`] for any
+//! worker-pool width (asserted by the integration tests).
 
-use crate::clock::{Clock, WallClock};
+use crate::clock::Clock;
 use crate::deadline::{recv_blocking, DeadlineReceiver, Step};
 use crate::fault::{FaultKind, FaultPlan, RoundFaultStats, RoundPolicy};
 use crate::netsim::{RoundMeter, RoundWireStats, WireConfig};
+use crate::round::{Contribution, Round};
 use crate::{ClientUpdate, FlClient, FlError, FlSystem, Result, RoundReport};
-use dinar_metrics::cost::CostSample;
 use dinar_nn::snapshot::{decode_params, encode_params, ErrorFeedback};
 use dinar_nn::ModelParams;
-use dinar_telemetry::{bridge, Telemetry};
-use dinar_tensor::alloc::MemoryScope;
+use dinar_telemetry::bridge;
 use dinar_tensor::wire::Codec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -156,7 +157,7 @@ pub enum ClientReply {
 struct ClientHandle {
     id: usize,
     tx: Sender<ServerMsg>,
-    join: thread::JoinHandle<Result<FlClient>>,
+    join: thread::JoinHandle<FlClient>,
     /// Set once the client is known gone (crashed, fatal error, or its
     /// channel closed); the server stops dispatching rounds to it.
     departed: bool,
@@ -177,91 +178,55 @@ pub struct ResilientRun {
     pub wire_stats: Vec<RoundWireStats>,
 }
 
-/// Runs `rounds` FL rounds with one thread per client under the strict
-/// full-participation policy, consuming and returning the system.
+/// Runs `rounds` FL rounds with one thread per client, consuming the
+/// system and returning it reassembled — the one threaded entry point.
+/// `clock` times the cost samples and budgets the round deadline
+/// ([`WallClock`](crate::clock::WallClock) in production,
+/// [`ManualClock`](crate::clock::ManualClock) for deterministic replays);
+/// `policy` sets deadline, quorum, retries and the injected fault plan
+/// ([`RoundPolicy::strict`] is the paper's full-participation protocol);
+/// `wire` picks the codec per direction and the simulated network
+/// ([`WireConfig::default`] is lossless `f32` over an ideal network).
 ///
-/// Message flow per round: the server broadcasts
-/// [`ServerMsg::StartRound`] to every client thread; each client installs
-/// the global model (running its download middleware), trains locally,
-/// applies its upload middleware and sends a [`ClientReply`] back; the
-/// server collects all updates, sorts them by client id (for deterministic
-/// aggregation order) and runs FedAvg plus its server middleware.
-///
-/// # Errors
-///
-/// Propagates client training and aggregation errors; a dead, crashed or
-/// failed client thread surfaces as [`FlError::ClientFailure`] naming the
-/// client and round (the strict policy requires every client to report).
-pub fn run_threaded(system: FlSystem, rounds: usize) -> Result<(FlSystem, Vec<RoundReport>)> {
-    run_threaded_with_clock(system, rounds, Arc::new(WallClock::new()))
-}
-
-/// [`run_threaded`] with an injected [`Clock`] for the per-round cost
-/// timings and deadline budget — pair with
-/// [`ManualClock`](crate::clock::ManualClock) to make the reported
-/// `CostSample`s deterministic in replay tests.
-///
-/// # Errors
-///
-/// Same conditions as [`run_threaded`].
-pub fn run_threaded_with_clock(
-    system: FlSystem,
-    rounds: usize,
-    clock: Arc<dyn Clock>,
-) -> Result<(FlSystem, Vec<RoundReport>)> {
-    let run = run_threaded_resilient(system, rounds, clock, RoundPolicy::strict())?;
-    Ok((run.system, run.reports))
-}
-
-/// The fault-tolerant entry point: [`run_threaded_with_clock`] under an
-/// explicit [`RoundPolicy`] (deadline, quorum, retry, fault plan), returning
-/// per-round fault accounting alongside the reports.
+/// Message flow per round: the server encodes the global snapshot once and
+/// broadcasts the frame in a [`ServerMsg::StartRound`] to every client
+/// thread; each client decodes it, installs it (running its download
+/// middleware), trains locally, applies its upload middleware and sends an
+/// encoded [`ClientReply`] back; the server decodes the uploads and hands
+/// them to the round engine, which sorts them by client id (for a
+/// deterministic aggregation order) and runs FedAvg plus the server
+/// middleware.
 ///
 /// Rounds proceed while at least [`Quorum::required`] updates arrive; a
 /// round that falls below quorum fails the run with
 /// [`FlError::ClientFailure`] naming the first failed client. Telemetry
 /// attached to the system before the call is preserved: rounds emit
-/// `round[N]` spans with `broadcast`/`collect`/`aggregate` children and the
-/// `fl.transport.*` fault counters.
+/// `round[N]` spans with `encode`/`broadcast`/`collect`/`aggregate`
+/// children and the `fl.transport.*` fault and wire counters beside the
+/// engine's own `fl.rounds`/`fl.updates`.
+///
+/// Raw-`f32` frames carry exact bit patterns, so under the default wire
+/// config the decoded models match the in-process engine bit for bit.
+/// Lossy uplinks switch clients to encoding the *delta* against the
+/// received global, with error-feedback residuals carried client-side
+/// across rounds; the server reconstructs by adding back its own decode of
+/// the round's broadcast frame, so both sides agree on the base even when
+/// the downlink is itself lossy.
 ///
 /// [`Quorum::required`]: crate::fault::Quorum::required
 ///
 /// # Errors
 ///
-/// Returns [`FlError::InvalidConfig`] for an unmeetable quorum or a
-/// [`FaultKind::Stall`] plan without a deadline (a silent stall can only be
-/// resolved by a deadline); [`FlError::ClientFailure`] for below-quorum
-/// rounds; and propagates aggregation errors.
-pub fn run_threaded_resilient(
-    system: FlSystem,
-    rounds: usize,
-    clock: Arc<dyn Clock>,
-    policy: RoundPolicy,
-) -> Result<ResilientRun> {
-    run_threaded_wire(system, rounds, clock, policy, WireConfig::default())
-}
-
-/// The full-surface entry point: [`run_threaded_resilient`] under an
-/// explicit [`WireConfig`] — codec per direction plus the simulated
-/// network every frame crosses.
-///
-/// The default config (lossless `f32` both ways, ideal network) makes
-/// this identical to [`run_threaded_resilient`]: raw-`f32` frames carry
-/// exact bit patterns, so the decoded models match the in-process engines
-/// bit for bit. Lossy uplinks switch clients to encoding the *delta*
-/// against the received global, with error-feedback residuals carried
-/// client-side across rounds; the server reconstructs by adding back its
-/// own decode of the round's broadcast frame, so both sides agree on the
-/// base even when the downlink is itself lossy.
-///
-/// # Errors
-///
-/// Same conditions as [`run_threaded_resilient`], plus
-/// [`FlError::Nn`](crate::FlError) wrapping a wire error if the global
-/// snapshot cannot be encoded (architecture exceeding the wire's `u32`
-/// fields). Per-frame decode failures do **not** abort the run: a corrupt
-/// broadcast fails that client, a corrupt upload drops that update, and
-/// both land in the round's fault accounting.
+/// Returns [`FlError::InvalidConfig`] for a system with a pending partial
+/// round (its parked updates would be lost), an unmeetable quorum, or a
+/// [`FaultKind::Stall`] plan without a deadline (a silent stall can only
+/// be resolved by a deadline); [`FlError::ClientFailure`] for below-quorum
+/// rounds; [`FlError::Nn`](crate::FlError) wrapping a wire error if the
+/// global snapshot cannot be encoded (architecture exceeding the wire's
+/// `u32` fields); and propagates aggregation errors. Per-frame decode
+/// failures do **not** abort the run: a corrupt broadcast fails that
+/// client, a corrupt upload drops that update, and both land in the
+/// round's fault accounting.
 pub fn run_threaded_wire(
     system: FlSystem,
     rounds: usize,
@@ -269,8 +234,13 @@ pub fn run_threaded_wire(
     policy: RoundPolicy,
     wire: WireConfig,
 ) -> Result<ResilientRun> {
+    if system.has_pending_round() {
+        return Err(FlError::InvalidConfig {
+            reason: "a partial round is pending; call finish_round before a threaded run".into(),
+        });
+    }
     let telemetry = system.telemetry().clone();
-    let (mut server, clients, rounds_before) = system.into_parts();
+    let (mut server, clients, _) = system.into_parts();
     let num_clients = clients.len();
     let required = policy.quorum.required(num_clients);
     if required > num_clients {
@@ -292,10 +262,7 @@ pub fn run_threaded_wire(
             telemetry.gauge_set("fl.transport.fault_seed", seed as f64);
         }
         if let Some(deadline) = policy.deadline {
-            telemetry.gauge_set(
-                "fl.transport.deadline_ms",
-                deadline.as_millis() as f64,
-            );
+            telemetry.gauge_set("fl.transport.deadline_ms", deadline.as_millis() as f64);
         }
     }
 
@@ -316,72 +283,51 @@ pub fn run_threaded_wire(
     }
     drop(reply_tx);
     // Client id → handle index, for retry dispatch and liveness checks.
-    let index: BTreeMap<usize, usize> = handles
-        .iter()
-        .enumerate()
-        .map(|(i, h)| (h.id, i))
-        .collect();
+    let index: BTreeMap<usize, usize> =
+        handles.iter().enumerate().map(|(i, h)| (h.id, i)).collect();
 
     let mut reports = Vec::with_capacity(rounds);
     let mut fault_stats = Vec::with_capacity(rounds);
     let mut wire_stats = Vec::with_capacity(rounds);
-    let mut error: Option<FlError> = None;
-    'rounds: for r in 1..=rounds {
-        let round_span = telemetry.span(&format!("round[{}]", rounds_before + r));
+    // One round of the server loop. The first error ends the run, but not
+    // before the teardown below has joined every client thread.
+    let mut serve_round = |r: usize| -> Result<()> {
+        let mut open_round = Round::open(&mut server, &telemetry, clock.as_ref());
         // Encode the broadcast once, straight out of the snapshot's shared
         // buffers; every client gets the same Arc'd frame.
-        let global = server.global_params().share();
         let frame = {
             let _espan = telemetry.span("encode");
-            match encode_params(&global, wire.downlink) {
-                Ok(bytes) => Arc::new(bytes),
-                Err(e) => {
-                    error = Some(e.into());
-                    break 'rounds;
-                }
-            }
+            Arc::new(encode_params(open_round.global(), wire.downlink)?)
         };
         // Base for reconstructing delta uploads: the server's own decode of
         // the frame it broadcast, so lossy downlinks leave both sides
         // agreeing on the base bit for bit. Lossless uplinks send absolute
         // parameters and need no base.
         let delta_base = if wire.uplink.is_lossy() {
-            match decode_params(&frame) {
-                Ok(base) => Some(base),
-                Err(e) => {
-                    error = Some(e.into());
-                    break 'rounds;
-                }
-            }
+            Some(decode_params(&frame)?)
         } else {
             None
         };
         let mut meter = RoundMeter::new(&wire.network);
 
         // Broadcast to every client still alive; a failed send means the
-        // thread is gone — account it as dropped instead of failing the run.
+        // thread is gone — it sits the round out instead of failing the run.
+        // Every client ends the round either accepted or not, so the dropped
+        // count needs no ledger of its own: it is clients − accepted.
         let mut pending: BTreeSet<usize> = BTreeSet::new();
-        let mut dropped = 0usize;
-        // First failure observed this round, for the below-quorum error.
-        let mut first_failure: Option<(usize, String)> = None;
         {
             let _bspan = telemetry.span("broadcast");
-            for handle in handles.iter_mut() {
-                if handle.departed {
-                    dropped += 1;
-                    continue;
-                }
+            for handle in handles.iter_mut().filter(|h| !h.departed) {
                 let sent = handle.tx.send(ServerMsg::StartRound {
                     round: r,
                     frame: frame.clone(),
                 });
                 if sent.is_err() {
                     handle.departed = true;
-                    dropped += 1;
-                    first_failure.get_or_insert((
+                    open_round.reject(
                         handle.id,
                         "client thread exited before the round started".into(),
-                    ));
+                    );
                 } else {
                     pending.insert(handle.id);
                     meter.sent_down(handle.id, frame.len() as u64);
@@ -394,7 +340,6 @@ pub fn run_threaded_wire(
         let round_start = clock.elapsed();
         let mut extension = Duration::ZERO;
         let mut retries: BTreeMap<usize, u32> = BTreeMap::new();
-        let mut updates: Vec<(ClientMsg, ClientUpdate)> = Vec::with_capacity(pending.len());
         let mut retried = 0usize;
         let mut stale = 0usize;
         let mut deadline_expired = false;
@@ -421,28 +366,31 @@ pub fn run_threaded_wire(
                         // Decode at the trust boundary: a frame that fails
                         // validation is a dropped update, never an abort.
                         match decode_update(&msg, delta_base.as_ref()) {
-                            Ok(update) => updates.push((msg, update)),
+                            Ok(contribution) => open_round.accept(contribution),
                             Err(e) => {
-                                dropped += 1;
                                 telemetry.flight_record(
                                     "wire",
                                     "update_decode_failed",
                                     msg.client_id as u64,
                                 );
-                                first_failure.get_or_insert((
+                                open_round.reject(
                                     msg.client_id,
                                     format!("update frame failed to decode: {e}"),
-                                ));
+                                );
                             }
                         }
                     }
                     Step::Msg(ClientReply::Dropped { client, round })
                     | Step::Msg(ClientReply::Delayed { client, round }) => {
-                        if round == r && pending.remove(&client) {
-                            dropped += 1;
+                        if round == r {
+                            pending.remove(&client);
                         }
                     }
-                    Step::Msg(ClientReply::Transient { client, round, cause }) => {
+                    Step::Msg(ClientReply::Transient {
+                        client,
+                        round,
+                        cause,
+                    }) => {
                         if round != r || !pending.contains(&client) {
                             continue;
                         }
@@ -462,68 +410,53 @@ pub fn run_threaded_wire(
                                 meter.sent_down(client, frame.len() as u64);
                             } else {
                                 pending.remove(&client);
-                                dropped += 1;
-                                first_failure.get_or_insert((client, cause));
+                                open_round.reject(client, cause);
                             }
                         } else {
                             pending.remove(&client);
-                            dropped += 1;
-                            first_failure
-                                .get_or_insert((client, format!("retries exhausted: {cause}")));
+                            open_round.reject(client, format!("retries exhausted: {cause}"));
                         }
                     }
-                    Step::Msg(ClientReply::Fatal { client, round, cause }) => {
+                    Step::Msg(ClientReply::Fatal {
+                        client,
+                        round,
+                        cause,
+                    }) => {
                         if let Some(&i) = index.get(&client) {
                             handles[i].departed = true;
                         }
                         if round == r && pending.remove(&client) {
-                            dropped += 1;
-                            first_failure.get_or_insert((client, cause));
+                            open_round.reject(client, cause);
                         }
                     }
                     Step::Tick => {
                         // Liveness: a pending client whose thread has exited
                         // will never report — the silent-death path that
                         // used to hang the server forever.
-                        let dead: Vec<usize> = pending
-                            .iter()
-                            .copied()
-                            .filter(|id| {
-                                index
-                                    .get(id)
-                                    .is_some_and(|&i| handles[i].join.is_finished())
-                            })
-                            .collect();
-                        for id in dead {
-                            pending.remove(&id);
-                            dropped += 1;
-                            if let Some(&i) = index.get(&id) {
-                                handles[i].departed = true;
+                        pending.retain(|id| {
+                            let Some(handle) = index.get(id).map(|&i| &mut handles[i]) else {
+                                return true;
+                            };
+                            if !handle.join.is_finished() {
+                                return true;
                             }
-                            first_failure
-                                .get_or_insert((id, "client thread died mid-round".into()));
-                        }
+                            handle.departed = true;
+                            open_round.reject(*id, "client thread died mid-round".into());
+                            false
+                        });
                     }
                     Step::Expired => {
                         deadline_expired = true;
-                        dropped += pending.len();
-                        if let Some(&id) = pending.iter().next() {
-                            first_failure
-                                .get_or_insert((id, "missed the round deadline".into()));
+                        if let Some(&id) = pending.first() {
+                            open_round.reject(id, "missed the round deadline".into());
                         }
-                        telemetry.flight_record(
-                            "fault",
-                            "deadline_expired",
-                            pending.len() as u64,
-                        );
+                        telemetry.flight_record("fault", "deadline_expired", pending.len() as u64);
                         telemetry.flight_dump_if_requested("deadline");
                         pending.clear();
                     }
                     Step::Disconnected => {
-                        dropped += pending.len();
-                        if let Some(&id) = pending.iter().next() {
-                            first_failure
-                                .get_or_insert((id, "all client threads disconnected".into()));
+                        if let Some(&id) = pending.first() {
+                            open_round.reject(id, "all client threads disconnected".into());
                         }
                         pending.clear();
                     }
@@ -531,9 +464,17 @@ pub fn run_threaded_wire(
             }
         }
 
-        record_round_telemetry(&telemetry, updates.len(), dropped, retried, stale);
-        let round_wire = meter.finish(rounds_before + r);
+        let (number, participants) = (open_round.number(), open_round.accepted());
+        let dropped = num_clients - participants;
+        let round_wire = meter.finish(number);
+        // Per-round transport metrics: deterministic counters (message
+        // accounting, not scheduling; see DESIGN.md §10).
         if telemetry.is_enabled() {
+            telemetry.counter_add("fl.transport.rounds", 1);
+            telemetry.counter_add("fl.transport.updates", participants as u64);
+            telemetry.counter_add("fl.transport.clients_dropped", dropped as u64);
+            telemetry.counter_add("fl.transport.clients_retried", retried as u64);
+            telemetry.counter_add("fl.transport.stale_updates", stale as u64);
             bridge::record_wire_round(
                 &telemetry,
                 round_wire.bytes_down,
@@ -548,61 +489,9 @@ pub fn run_threaded_wire(
                 round_wire.sim_elapsed.as_secs_f64() * 1e3,
             );
         }
-        if updates.len() < required {
-            let (client, cause) = first_failure
-                .unwrap_or((0, "no client failure observed".into()));
-            telemetry.flight_record("fault", "quorum_failed", updates.len() as u64);
-            telemetry.flight_dump_if_requested("quorum");
-            error = Some(FlError::ClientFailure {
-                client,
-                round: rounds_before + r,
-                cause: format!(
-                    "round collected {} of {} updates, below quorum {required}: {cause}",
-                    updates.len(),
-                    num_clients
-                ),
-            });
-            break 'rounds;
-        }
-
-        // Deterministic aggregation order regardless of arrival order; the
-        // loss/time folds also run in sorted order so their floating-point
-        // sums replay bit-identically.
-        updates.sort_by_key(|(m, _)| m.client_id);
-        let participants = updates.len();
-        let loss_sum: f64 = updates.iter().map(|(m, _)| m.train_loss as f64).sum();
-        let train_s_sum: f64 = updates.iter().map(|(m, _)| m.train_s).sum();
-        let peak_mem = updates
-            .iter()
-            .map(|(m, _)| m.peak_mem_bytes)
-            .max()
-            .unwrap_or(0);
-        let round_updates: Vec<ClientUpdate> =
-            updates.into_iter().map(|(_, u)| u).collect();
-        let t0 = clock.elapsed();
-        let agg_result = {
-            let _aspan = telemetry.span("aggregate");
-            server.aggregate(&round_updates)
-        };
-        if let Err(e) = agg_result {
-            error = Some(e);
-            break 'rounds;
-        }
-        drop(round_span);
-        reports.push(RoundReport {
-            round: rounds_before + r,
-            mean_train_loss: (loss_sum / participants.max(1) as f64) as f32,
-            cost: CostSample {
-                client_train_s: train_s_sum / participants.max(1) as f64,
-                server_agg_s: clock.elapsed().saturating_sub(t0).as_secs_f64(),
-                // Max over the participants' per-thread ledgers — each
-                // client thread measures its own MemoryScope, so concurrent
-                // clients never attribute each other's allocations.
-                client_peak_mem_bytes: peak_mem,
-            },
-        });
+        reports.push(open_round.close(required)?);
         fault_stats.push(RoundFaultStats {
-            round: rounds_before + r,
+            round: number,
             participants,
             clients_dropped: dropped,
             clients_retried: retried,
@@ -610,7 +499,9 @@ pub fn run_threaded_wire(
             deadline_expired,
         });
         wire_stats.push(round_wire);
-    }
+        Ok(())
+    };
+    let mut error = (1..=rounds).try_for_each(&mut serve_round).err();
 
     // Tear down the client threads and reassemble the system.
     for handle in &handles {
@@ -618,13 +509,12 @@ pub fn run_threaded_wire(
             let _ = handle.tx.send(ServerMsg::Shutdown);
         }
     }
-    let attempted_rounds = rounds_before + reports.len() + usize::from(error.is_some());
+    let attempted_rounds = server.rounds_completed() + usize::from(error.is_some());
     let mut clients = Vec::with_capacity(num_clients);
     for handle in handles {
         let id = handle.id;
         match handle.join.join() {
-            Ok(Ok(client)) => clients.push(client),
-            Ok(Err(e)) => error = error.or(Some(e)),
+            Ok(client) => clients.push(client),
             Err(_) => {
                 telemetry.flight_record("fault", "client_panic", id as u64);
                 telemetry.flight_dump_if_requested("panic");
@@ -640,8 +530,7 @@ pub fn run_threaded_wire(
         return Err(e);
     }
     clients.sort_by_key(FlClient::id);
-    let completed = rounds_before + reports.len();
-    let mut system = FlSystem::from_parts(server, clients, completed);
+    let mut system = FlSystem::from_parts(server, clients);
     if telemetry.is_enabled() {
         system.set_telemetry(telemetry);
     }
@@ -656,7 +545,7 @@ pub fn run_threaded_wire(
 /// Decodes and validates one client upload at the server's trust boundary,
 /// reconstructing absolute parameters from a delta frame by adding back
 /// `delta_base` (the server's decode of the round's broadcast).
-fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<ClientUpdate> {
+fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<Contribution> {
     let mut params = decode_params(&msg.frame)?;
     if msg.delta {
         let base = delta_base.ok_or_else(|| FlError::InvalidConfig {
@@ -667,10 +556,15 @@ fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<Cl
         })?;
         params.add_assign(base)?;
     }
-    Ok(ClientUpdate {
-        client_id: msg.client_id,
-        params,
-        num_samples: msg.num_samples,
+    Ok(Contribution {
+        loss: msg.train_loss,
+        train_s: msg.train_s,
+        peak_mem: msg.peak_mem_bytes,
+        update: ClientUpdate {
+            client_id: msg.client_id,
+            params,
+            num_samples: msg.num_samples,
+        },
     })
 }
 
@@ -693,7 +587,7 @@ fn spawn_client(
 ) -> ClientHandle {
     let id = client.id();
     let (tx, rx): (Sender<ServerMsg>, Receiver<ServerMsg>) = channel();
-    let join = thread::spawn(move || -> Result<FlClient> {
+    let join = thread::spawn(move || -> FlClient {
         let delta_mode = uplink.is_lossy();
         let mut feedback = ErrorFeedback::new();
         // A Delay fault holds the finished round here until the next
@@ -723,7 +617,7 @@ fn spawn_client(
                             .flight_record("fault", fault_label(kind), round as u64);
                     }
                     match fault {
-                        Some(FaultKind::Crash) => return Ok(client),
+                        Some(FaultKind::Crash) => return client,
                         Some(FaultKind::Stall) => continue,
                         Some(FaultKind::Transient { failures }) => {
                             if failed_round != round {
@@ -748,102 +642,84 @@ fn spawn_client(
                         }
                         _ => {}
                     }
-                    // Decode the broadcast at the client's trust boundary: a
-                    // frame this client cannot decode is a fatal condition
-                    // for this client alone — report and exit, never panic.
+                    // Anything below that this client cannot do — decode the
+                    // broadcast, train, encode its upload — is fatal for this
+                    // client alone: the reply carries the diagnosis and the
+                    // thread exits like a crashed process, returning its
+                    // state for post-mortem reassembly. Never a panic.
+                    let fatal = |client: &FlClient, kind, label, cause: String| {
+                        client.telemetry().flight_record(kind, label, round as u64);
+                        let _ = replies.send(ClientReply::Fatal {
+                            client: id,
+                            round,
+                            cause,
+                        });
+                    };
                     let global = match decode_params(&frame) {
                         Ok(g) => g,
                         Err(e) => {
-                            client
-                                .telemetry()
-                                .flight_record("wire", "broadcast_decode_failed", round as u64);
-                            let _ = replies.send(ClientReply::Fatal {
-                                client: id,
-                                round,
-                                cause: format!("broadcast frame failed to decode: {e}"),
-                            });
-                            return Ok(client);
+                            let cause = format!("broadcast frame failed to decode: {e}");
+                            fatal(&client, "wire", "broadcast_decode_failed", cause);
+                            return client;
                         }
                     };
-                    let scope = MemoryScope::enter();
-                    let t0 = clock.elapsed();
                     let _round_span = client.round_span(&format!("round[{round}]"));
-                    match client.run_protocol(&global) {
+                    let done = match Contribution::measure(&mut client, &global, clock.as_ref()) {
+                        Ok(done) => done,
                         Err(e) => {
-                            // The reply carries the diagnosis; the thread
-                            // exits like a crashed process, returning its
-                            // state for post-mortem reassembly.
-                            client
-                                .telemetry()
-                                .flight_record("send", "fatal", round as u64);
-                            let _ = replies.send(ClientReply::Fatal {
-                                client: id,
-                                round,
-                                cause: e.to_string(),
-                            });
-                            return Ok(client);
+                            fatal(&client, "send", "fatal", e.to_string());
+                            return client;
                         }
-                        Ok((train_loss, update)) => {
-                            let train_s = clock.elapsed().saturating_sub(t0).as_secs_f64();
-                            let peak_mem_bytes = scope.peak_extra_bytes();
-                            // Encode the upload: absolute parameters over a
-                            // lossless uplink; otherwise the delta against
-                            // the received global, error-feedback
-                            // compensated. Encode failure is fatal for this
-                            // client, reported like any training error.
-                            let encoded = if delta_mode {
-                                update
-                                    .params
-                                    .sub(&global)
-                                    .and_then(|d| feedback.compress(&d, uplink))
-                            } else {
-                                encode_params(&update.params, uplink)
-                            };
-                            let upload = match encoded {
-                                Ok(bytes) => bytes,
-                                Err(e) => {
-                                    client
-                                        .telemetry()
-                                        .flight_record("wire", "encode_failed", round as u64);
-                                    let _ = replies.send(ClientReply::Fatal {
-                                        client: id,
-                                        round,
-                                        cause: format!("update frame failed to encode: {e}"),
-                                    });
-                                    return Ok(client);
-                                }
-                            };
-                            let msg = ClientMsg {
-                                round,
-                                client_id: id,
-                                num_samples: update.num_samples,
-                                frame: upload,
-                                delta: delta_mode,
-                                train_loss,
-                                train_s,
-                                peak_mem_bytes,
-                            };
-                            // The server may already have given up on this
-                            // round (or shut down); a closed channel just
-                            // ends us.
-                            let (label, reply) = match fault {
-                                Some(FaultKind::DropUpdate) => {
-                                    ("dropped", ClientReply::Dropped { client: id, round })
-                                }
-                                Some(FaultKind::Delay) => {
-                                    held = Some(msg);
-                                    ("delayed", ClientReply::Delayed { client: id, round })
-                                }
-                                _ => ("update", ClientReply::Update(msg)),
-                            };
-                            client.telemetry().flight_record("send", label, round as u64);
-                            let _ = replies.send(reply);
+                    };
+                    // Encode the upload: absolute parameters over a lossless
+                    // uplink; otherwise the delta against the received
+                    // global, error-feedback compensated.
+                    let encoded = if delta_mode {
+                        done.update
+                            .params
+                            .sub(&global)
+                            .and_then(|d| feedback.compress(&d, uplink))
+                    } else {
+                        encode_params(&done.update.params, uplink)
+                    };
+                    let upload = match encoded {
+                        Ok(bytes) => bytes,
+                        Err(e) => {
+                            let cause = format!("update frame failed to encode: {e}");
+                            fatal(&client, "wire", "encode_failed", cause);
+                            return client;
                         }
-                    }
+                    };
+                    let msg = ClientMsg {
+                        round,
+                        client_id: id,
+                        num_samples: done.update.num_samples,
+                        frame: upload,
+                        delta: delta_mode,
+                        train_loss: done.loss,
+                        train_s: done.train_s,
+                        peak_mem_bytes: done.peak_mem,
+                    };
+                    // The server may already have given up on this round (or
+                    // shut down); a closed channel just ends us.
+                    let (label, reply) = match fault {
+                        Some(FaultKind::DropUpdate) => {
+                            ("dropped", ClientReply::Dropped { client: id, round })
+                        }
+                        Some(FaultKind::Delay) => {
+                            held = Some(msg);
+                            ("delayed", ClientReply::Delayed { client: id, round })
+                        }
+                        _ => ("update", ClientReply::Update(msg)),
+                    };
+                    client
+                        .telemetry()
+                        .flight_record("send", label, round as u64);
+                    let _ = replies.send(reply);
                 }
             }
         }
-        Ok(client)
+        client
     });
     ClientHandle {
         id,
@@ -864,89 +740,44 @@ fn fault_label(kind: FaultKind) -> &'static str {
     }
 }
 
-/// Per-round transport metrics (deterministic counters; see DESIGN.md §10).
-fn record_round_telemetry(
-    telemetry: &Telemetry,
-    participants: usize,
-    dropped: usize,
-    retried: usize,
-    stale: usize,
-) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    telemetry.counter_add("fl.transport.rounds", 1);
-    telemetry.counter_add("fl.transport.updates", participants as u64);
-    telemetry.counter_add("fl.transport.clients_dropped", dropped as u64);
-    telemetry.counter_add("fl.transport.clients_retried", retried as u64);
-    telemetry.counter_add("fl.transport.stale_updates", stale as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlConfig;
-    use dinar_data::Dataset;
-    use dinar_nn::models::{self, Activation};
-    use dinar_nn::optim::Sgd;
-    use dinar_tensor::{Rng, Tensor};
+    use crate::clock::{ManualClock, WallClock};
+    use crate::system::tests::{global_bits, small_system};
 
-    fn blob_dataset(n: usize, seed: u64) -> Dataset {
-        let mut rng = Rng::seed_from(seed);
-        let mut features = Tensor::zeros(&[n, 2]);
-        let mut labels = Vec::new();
-        for i in 0..n {
-            let class = i % 2;
-            let c = if class == 0 { -2.0 } else { 2.0 };
-            features.set(&[i, 0], rng.normal_with(c, 0.6)).unwrap();
-            features.set(&[i, 1], rng.normal_with(c, 0.6)).unwrap();
-            labels.push(class);
-        }
-        Dataset::new(features, labels, &[2], 2).unwrap()
+    /// The surviving entry point under the defaults that exist as data.
+    fn run_with(system: FlSystem, rounds: usize, policy: RoundPolicy) -> Result<ResilientRun> {
+        let clock = Arc::new(WallClock::new());
+        run_threaded_wire(system, rounds, clock, policy, WireConfig::default())
     }
 
-    fn build_system() -> FlSystem {
-        let data = blob_dataset(90, 5);
-        let mut rng = Rng::seed_from(9);
-        let shards = dinar_data::partition::partition_dataset(
-            &data,
-            3,
-            dinar_data::partition::Distribution::Iid,
-            &mut rng,
-        )
-        .unwrap();
-        FlSystem::builder(FlConfig {
-            local_epochs: 2,
-            batch_size: 16,
-            seed: 3,
-        })
-        .clients_from_shards(
-            shards,
-            |rng| models::mlp(&[2, 8, 2], Activation::ReLU, rng),
-            |_| Box::new(Sgd::new(0.1)),
-        )
-        .unwrap()
-        .build()
-        .unwrap()
+    fn healthy(rounds: usize) -> ResilientRun {
+        run_with(small_system(3), rounds, RoundPolicy::strict()).unwrap()
     }
 
     #[test]
     fn threaded_matches_sequential_exactly() {
-        let mut sequential = build_system();
-        sequential.run(4).unwrap();
+        let mut sequential = small_system(3);
+        let expected = sequential.run(4).unwrap();
 
-        let (threaded, reports) = run_threaded(build_system(), 4).unwrap();
-        assert_eq!(reports.len(), 4);
-        let diff = sequential
-            .global_params()
-            .max_abs_diff(threaded.global_params())
-            .unwrap();
-        assert!(diff < 1e-7, "threaded diverged from sequential by {diff}");
+        let run = healthy(4);
+        assert_eq!(run.reports.len(), 4);
+        assert_eq!(global_bits(&sequential), global_bits(&run.system));
+        for (want, got) in expected.iter().zip(&run.reports) {
+            assert_eq!(want.round, got.round);
+            assert_eq!(
+                want.mean_train_loss.to_bits(),
+                got.mean_train_loss.to_bits()
+            );
+        }
     }
 
     #[test]
     fn threaded_reports_progress_and_preserves_clients() {
-        let (system, reports) = run_threaded(build_system(), 3).unwrap();
+        let ResilientRun {
+            system, reports, ..
+        } = healthy(3);
         assert_eq!(system.clients().len(), 3);
         assert_eq!(system.server().rounds_completed(), 3);
         assert_eq!(reports.last().unwrap().round, 3);
@@ -959,11 +790,17 @@ mod tests {
 
     #[test]
     fn manual_clock_yields_deterministic_cost_timings() {
-        let clock = Arc::new(crate::clock::ManualClock::new());
-        let (_, reports) = run_threaded_with_clock(build_system(), 2, clock).unwrap();
+        let run = run_threaded_wire(
+            small_system(3),
+            2,
+            Arc::new(ManualClock::new()),
+            RoundPolicy::strict(),
+            WireConfig::default(),
+        )
+        .unwrap();
         // The clock never advances, so every timing is exactly zero — the
         // replay-determinism property L002 exists to protect.
-        for r in &reports {
+        for r in &run.reports {
             assert_eq!(r.cost.client_train_s, 0.0);
             assert_eq!(r.cost.server_agg_s, 0.0);
         }
@@ -971,14 +808,14 @@ mod tests {
 
     #[test]
     fn threaded_then_sequential_continues_seamlessly() {
-        let (mut system, _) = run_threaded(build_system(), 2).unwrap();
+        let mut system = healthy(2).system;
         let report = system.run_round().unwrap();
         assert_eq!(report.round, 3);
     }
 
     #[test]
     fn threaded_reports_real_per_client_peak_memory() {
-        let (_, reports) = run_threaded(build_system(), 1).unwrap();
+        let reports = healthy(1).reports;
         // Training allocates activation and gradient tensors; the per-thread
         // ledger must observe them (the old transport hard-coded 0 here).
         assert!(
@@ -989,13 +826,7 @@ mod tests {
 
     #[test]
     fn healthy_resilient_run_reports_no_faults() {
-        let run = run_threaded_resilient(
-            build_system(),
-            2,
-            Arc::new(WallClock::new()),
-            RoundPolicy::strict(),
-        )
-        .unwrap();
+        let run = healthy(2);
         assert_eq!(run.fault_stats.len(), 2);
         for s in &run.fault_stats {
             assert_eq!(s.participants, 3);
@@ -1009,26 +840,25 @@ mod tests {
     #[test]
     fn unmeetable_quorum_is_rejected_upfront() {
         let policy = RoundPolicy::with_quorum(crate::fault::Quorum::AtLeast(7), None);
-        let err = run_threaded_resilient(
-            build_system(),
-            1,
-            Arc::new(WallClock::new()),
-            policy,
-        )
-        .unwrap_err();
+        let err = run_with(small_system(3), 1, policy).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
     fn stall_plan_without_deadline_is_rejected_upfront() {
         let policy = RoundPolicy::strict().with_faults(FaultPlan::new().stall(0, 1));
-        let err = run_threaded_resilient(
-            build_system(),
-            1,
-            Arc::new(WallClock::new()),
-            policy,
-        )
-        .unwrap_err();
+        let err = run_with(small_system(3), 1, policy).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn pending_partial_round_is_rejected_before_any_thread_spawns() {
+        let mut system = small_system(3);
+        system.begin_round_partial(2).unwrap();
+        let err = run_with(system, 1, RoundPolicy::strict()).unwrap_err();
+        assert!(
+            matches!(&err, FlError::InvalidConfig { reason } if reason.contains("pending")),
+            "{err}"
+        );
     }
 }

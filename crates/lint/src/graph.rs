@@ -41,24 +41,26 @@ pub const L010_CLIP_FNS: [&str; 3] = ["clip_l2", "clip_l2_with_count", "clip_fac
 pub const L010_NOISE_FNS: [&str; 1] = ["add_gaussian_noise"];
 
 /// L012 reachability roots: every non-test function in these files…
-pub const L012_ROOT_FILES: [&str; 1] = ["crates/fl/src/transport.rs"];
+pub const L012_ROOT_FILES: [&str; 2] = ["crates/fl/src/transport.rs", "crates/fl/src/round.rs"];
 
-/// …plus these qualified functions (the server round loop).
-pub const L012_ROOT_FNS: [&str; 4] = [
+/// …plus these qualified functions (aggregation and every public
+/// `FlSystem` round method, the resume pair included).
+pub const L012_ROOT_FNS: [&str; 6] = [
     "FlServer::aggregate",
     "FlSystem::run",
     "FlSystem::run_round",
     "FlSystem::run_round_with_selection",
+    "FlSystem::begin_round_partial",
+    "FlSystem::finish_round",
 ];
 
 /// The global mutex acquisition order, outermost first. Nested acquisitions
 /// must move strictly *down* this list; acquiring an earlier (or the same)
 /// class while holding a later one is an L013 violation.
-pub const LOCK_ORDER: [&str; 5] = [
+pub const LOCK_ORDER: [&str; 4] = [
     "telemetry.spans",
     "telemetry.registry",
     "telemetry.histo",
-    "fl.trace",
     "tensor.par",
 ];
 
@@ -72,8 +74,7 @@ fn lock_class(file: &str, receiver: &str) -> Option<usize> {
         }
         ("crates/telemetry/src/registry.rs", "entries") => Some(1),
         ("crates/telemetry/src/registry.rs", "inner") => Some(2),
-        ("crates/fl/src/trace.rs", "inner") => Some(3),
-        ("crates/tensor/src/par.rs", "WIDTH_LOCK") => Some(4),
+        ("crates/tensor/src/par.rs", "WIDTH_LOCK") => Some(3),
         _ => None,
     }
 }
@@ -967,10 +968,10 @@ mod tests {
         let sources = files(&[
             (
                 "crates/fl/src/transport.rs",
-                "pub fn run_threaded(s: FlSystem) { step_round(&s); }\n",
+                "pub fn run_threaded_wire(s: FlSystem) { step_round(&s); }\n",
             ),
             (
-                "crates/fl/src/round.rs",
+                "crates/fl/src/steps.rs",
                 "pub fn step_round(s: &FlSystem) { s.model.refit(); }\n",
             ),
             (
@@ -981,7 +982,7 @@ mod tests {
         ]);
         let l012 = rule_findings(&sources, Rule::L012);
         assert_eq!(l012.len(), 1, "{l012:?}");
-        assert!(l012[0].message.contains("run_threaded"));
+        assert!(l012[0].message.contains("run_threaded_wire"));
         assert!(l012[0].message.contains("Model::refit"));
     }
 
@@ -990,10 +991,10 @@ mod tests {
         let sources = files(&[
             (
                 "crates/fl/src/transport.rs",
-                "pub fn run_threaded(s: FlSystem) { s.tensor.map(f); justified(); }\n",
+                "pub fn run_threaded_wire(s: FlSystem) { s.tensor.map(f); justified(); }\n",
             ),
             (
-                "crates/fl/src/round.rs",
+                "crates/fl/src/steps.rs",
                 "pub fn justified() {\n\
                      x.unwrap(); // lint: allow(L001, invariant documented here)\n\
                  }\n\

@@ -237,7 +237,7 @@ pub fn write_trace_if_requested(tel: &Telemetry) -> Option<std::path::PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use crate::ManualClock;
     use std::sync::Arc;
     use std::time::Duration;
 

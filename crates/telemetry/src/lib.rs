@@ -48,14 +48,13 @@
 #![warn(missing_docs)]
 
 pub mod bridge;
-pub mod clock;
 pub mod export;
 pub mod ledger;
 pub mod recorder;
 pub mod registry;
 pub mod span;
 
-pub use clock::{Clock, ManualClock, WallClock};
+pub use dinar_metrics::clock::{Clock, ManualClock, WallClock};
 pub use ledger::PrivacyAccount;
 pub use recorder::FlightEvent;
 pub use registry::{Counter, Gauge, Histo, MetricData, MetricValue, Registry};

@@ -1,6 +1,6 @@
 //! Hierarchical spans with scoped RAII timers.
 //!
-//! A span is a named interval on the injected [`Clock`](crate::Clock),
+//! A span is a named interval on the injected [`Clock`],
 //! identified by its slash-separated **path** — e.g.
 //! `round[1]/client[0]/train/fwd[0:dense]`. Paths nest lexically: a
 //! [`SpanGuard`] pushes its path onto a thread-local stack at creation, so
@@ -25,7 +25,7 @@
 //! is `(path, 0, 0, tid)`; emission *order* may vary with thread
 //! interleaving, so exports sort first ([`crate::export::sorted_spans`]).
 
-use crate::clock::Clock;
+use crate::Clock;
 use crate::recorder::FlightRecorder;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,7 +202,7 @@ fn micros(clock: &dyn Clock) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use crate::clock::ManualClock;
+    use crate::ManualClock;
     use crate::Telemetry;
     use std::sync::Arc;
     use std::time::Duration;

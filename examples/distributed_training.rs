@@ -1,6 +1,6 @@
 //! Distributed execution: every client on its own thread, exchanging models
-//! only through messages — plus tracing and checkpointing, the operational
-//! pieces a deployed FL middleware needs.
+//! only through messages — plus telemetry spans and checkpointing, the
+//! operational pieces a deployed FL middleware needs.
 //!
 //! ```text
 //! cargo run --release --example distributed_training
@@ -11,11 +11,12 @@ use dinar_suite::core::DinarConfig;
 use dinar_suite::data::catalog::{self, Profile};
 use dinar_suite::data::partition::{partition_dataset, Distribution};
 use dinar_suite::data::split::attack_split;
-use dinar_suite::fl::trace::{FlEvent, TraceSink, Traced};
-use dinar_suite::fl::transport::run_threaded;
-use dinar_suite::fl::{ClientMiddleware, FlConfig, FlSystem};
+use dinar_suite::fl::clock::WallClock;
+use dinar_suite::fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, WireConfig};
 use dinar_suite::nn::{io, models, optim::Adagrad};
+use dinar_suite::telemetry::{export, Telemetry};
 use dinar_suite::tensor::Rng;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from(99);
@@ -23,11 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = attack_split(&dataset, &mut rng)?;
     let shards = partition_dataset(&split.train, 4, Distribution::Iid, &mut rng)?;
 
-    // Trace every middleware invocation across all client threads.
-    let sink = TraceSink::new();
-    let mw_sink = sink.clone();
     let dinar_config = DinarConfig::default();
-    let system = FlSystem::builder(FlConfig {
+    let mut system = FlSystem::builder(FlConfig {
         local_epochs: 3,
         batch_size: 64,
         seed: 42,
@@ -38,21 +36,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         |_| Box::new(Adagrad::new(0.05)),
     )?
     .with_client_middleware(move |id| {
-        vec![Box::new(Traced::new(
-            DinarMiddleware::new(4, dinar_config, id as u64),
-            mw_sink.clone(),
-            id,
-        )) as Box<dyn ClientMiddleware>]
+        vec![Box::new(DinarMiddleware::new(4, dinar_config, id as u64))]
     })
     .build()?;
 
+    // One sink shared by the server and every client thread: each round,
+    // client phase and middleware transform lands as a span.
+    let telemetry = Telemetry::new();
+    system.set_telemetry(telemetry.clone());
+
     println!("running 6 rounds with one thread per client ...");
-    let (system, reports) = run_threaded(system, 6)?;
-    for report in &reports {
-        sink.emit(FlEvent::Aggregated {
-            round: report.round,
-            updates: system.clients().len(),
-        });
+    let run = run_threaded_wire(
+        system,
+        6,
+        Arc::new(WallClock::new()),
+        RoundPolicy::strict(),
+        WireConfig::default(),
+    )?;
+    for report in &run.reports {
         println!(
             "round {:>2}: mean training loss {:.3} (client wall-clock {:.3}s)",
             report.round, report.mean_train_loss, report.cost.client_train_s
@@ -60,16 +61,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Checkpoint the final global model and prove the round trip.
+    let system = run.system;
     let path = std::env::temp_dir().join("dinar-global.dnck");
     io::save(system.global_params(), &path)?;
     let restored = io::load(&path)?;
     assert!(system.global_params().max_abs_diff(&restored)? < 1e-9);
     println!("\ncheckpointed global model to {}", path.display());
 
-    let summary = sink.summary();
+    // The summary tree has one line per span path, indented by depth. Show
+    // the last round down to the middleware level; the per-layer fwd/bwd
+    // spans sit below `train`.
+    let last_round = format!("round[{}]", run.reports.len());
+    let mut in_last_round = false;
+    for line in export::summary_tree(&telemetry).lines() {
+        let name = line.trim_start();
+        if name.len() == line.len() {
+            in_last_round = name.starts_with(&last_round);
+        }
+        if in_last_round && !name.starts_with("fwd[") && !name.starts_with("bwd[") {
+            println!("{line}");
+        }
+    }
+    let spans = telemetry.spans();
+    let dinar_transforms = spans
+        .iter()
+        .filter(|s| s.path.ends_with("/mw[dinar]"))
+        .count();
     println!(
-        "trace: {} events over {:?}; DINAR middleware invocations: {:?}",
-        summary.events, summary.span, summary.middleware_invocations
+        "telemetry: {} spans, {} DINAR middleware transforms, {} updates aggregated",
+        spans.len(),
+        dinar_transforms,
+        telemetry.counter_value("fl.updates")
     );
     std::fs::remove_file(&path).ok();
     Ok(())

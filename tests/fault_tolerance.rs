@@ -9,8 +9,8 @@
 
 use dinar_fl::clock::{ManualClock, WallClock};
 use dinar_fl::{
-    run_threaded_resilient, FaultPlan, FlConfig, FlError, FlSystem, Quorum, ResilientRun,
-    RetryPolicy, RoundPolicy,
+    run_threaded_wire, FaultPlan, FlConfig, FlError, FlSystem, Quorum, ResilientRun,
+    RetryPolicy, RoundPolicy, WireConfig,
 };
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
@@ -90,7 +90,8 @@ fn global_bits(run: &ResilientRun) -> Vec<u32> {
 }
 
 fn resilient(policy: RoundPolicy, rounds: usize) -> ResilientRun {
-    run_threaded_resilient(build_system(), rounds, Arc::new(ManualClock::new()), policy)
+    let clock = Arc::new(ManualClock::new());
+    run_threaded_wire(build_system(), rounds, clock, policy, WireConfig::default())
         .expect("resilient run")
 }
 
@@ -104,8 +105,8 @@ fn dead_client_surfaces_error_instead_of_hanging() {
     let (tx, rx) = channel();
     thread::spawn(move || {
         let policy = RoundPolicy::strict().with_faults(FaultPlan::new().crash(1, 2));
-        let result =
-            run_threaded_resilient(build_system(), 4, Arc::new(WallClock::new()), policy);
+        let clock = Arc::new(WallClock::new());
+        let result = run_threaded_wire(build_system(), 4, clock, policy, WireConfig::default());
         let _ = tx.send(result);
     });
     let result = rx
@@ -216,11 +217,12 @@ fn exhausted_retries_drop_the_client() {
     let strict = RoundPolicy::strict()
         .with_retry(RetryPolicy::retries(1))
         .with_faults(faults());
-    let err = run_threaded_resilient(
+    let err = run_threaded_wire(
         build_system(),
         3,
         Arc::new(ManualClock::new()),
         strict,
+        WireConfig::default(),
     )
     .expect_err("full participation cannot survive exhausted retries");
     assert!(
@@ -236,7 +238,8 @@ fn exhausted_retries_drop_the_client() {
 fn stalled_client_is_cut_off_by_the_deadline() {
     let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), Some(Duration::from_millis(250)))
         .with_faults(FaultPlan::new().stall(1, 2));
-    let run = run_threaded_resilient(build_system(), 3, Arc::new(WallClock::new()), policy)
+    let clock = Arc::new(WallClock::new());
+    let run = run_threaded_wire(build_system(), 3, clock, policy, WireConfig::default())
         .expect("quorum run survives a stall");
     assert_eq!(run.reports.len(), 3);
     let s = &run.fault_stats[1];
@@ -254,11 +257,12 @@ fn stalled_client_is_cut_off_by_the_deadline() {
 fn below_quorum_round_fails_with_client_failure() {
     let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), None)
         .with_faults(FaultPlan::new().crash(0, 1).crash(2, 1));
-    let err = run_threaded_resilient(
+    let err = run_threaded_wire(
         build_system(),
         2,
         Arc::new(ManualClock::new()),
         policy,
+        WireConfig::default(),
     )
     .expect_err("one survivor cannot meet a quorum of two");
     match err {
@@ -278,7 +282,8 @@ fn lenient_policy_without_faults_matches_sequential() {
     sequential.run(4).expect("sequential run");
     let policy = RoundPolicy::with_quorum(Quorum::Fraction(0.5), Some(Duration::from_secs(60)))
         .with_retry(RetryPolicy::retries(3));
-    let run = run_threaded_resilient(build_system(), 4, Arc::new(WallClock::new()), policy)
+    let clock = Arc::new(WallClock::new());
+    let run = run_threaded_wire(build_system(), 4, clock, policy, WireConfig::default())
         .expect("threaded run");
     let diff = sequential
         .global_params()
@@ -300,7 +305,8 @@ fn telemetry_counts_faults_per_round() {
     let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), None)
         .with_retry(RetryPolicy::retries(1))
         .with_faults(FaultPlan::new().drop_update(1, 1).transient(2, 2, 1).delay(0, 2));
-    let run = run_threaded_resilient(system, 3, Arc::new(ManualClock::new()), policy)
+    let clock = Arc::new(ManualClock::new());
+    let run = run_threaded_wire(system, 3, clock, policy, WireConfig::default())
         .expect("faulty quorum run");
     assert_eq!(telemetry.counter_value("fl.transport.rounds"), 3);
     assert_eq!(telemetry.counter_value("fl.transport.clients_dropped"), 2);

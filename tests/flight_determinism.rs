@@ -10,7 +10,9 @@
 //! stable even though threads interleave differently per width.
 
 use dinar_fl::clock::ManualClock as FlManualClock;
-use dinar_fl::{run_threaded_resilient, FaultPlan, FlConfig, FlSystem, Quorum, RoundPolicy};
+use dinar_fl::{
+    run_threaded_wire, FaultPlan, FlConfig, FlSystem, Quorum, RoundPolicy, WireConfig,
+};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
 use dinar_telemetry::{ManualClock, Telemetry};
@@ -83,7 +85,8 @@ fn flight_dump_after_client_death_is_bit_identical_across_widths() {
         system.set_telemetry(tel.clone());
         let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), None)
             .with_faults(FaultPlan::new().crash(1, 2));
-        let run = run_threaded_resilient(system, 3, Arc::new(FlManualClock::new()), policy)
+        let clock = Arc::new(FlManualClock::new());
+        let run = run_threaded_wire(system, 3, clock, policy, WireConfig::default())
             .expect("quorum run survives the crash");
         assert_eq!(run.reports.len(), 3, "run did not complete all rounds");
         assert_eq!(run.fault_stats[1].clients_dropped, 1, "crash did not fire");

@@ -7,10 +7,11 @@ use dinar_data::catalog::{self, Profile};
 use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_data::split::attack_split;
 use dinar_data::{csv, Dataset};
-use dinar_fl::transport::run_threaded;
-use dinar_fl::{FlConfig, FlSystem};
+use dinar_fl::clock::WallClock;
+use dinar_fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, WireConfig};
 use dinar_nn::{io, models, optim::Adagrad, Model};
 use dinar_tensor::Rng;
+use std::sync::Arc;
 
 fn arch(rng: &mut Rng) -> dinar_nn::Result<Model> {
     models::fcnn6(600, 100, 48, rng)
@@ -50,10 +51,17 @@ fn build(with_dinar: bool) -> FlSystem {
 fn threaded_dinar_matches_sequential_dinar() {
     let mut sequential = build(true);
     sequential.run(3).unwrap();
-    let (threaded, _) = run_threaded(build(true), 3).unwrap();
+    let threaded = run_threaded_wire(
+        build(true),
+        3,
+        Arc::new(WallClock::new()),
+        RoundPolicy::strict(),
+        WireConfig::default(),
+    )
+    .unwrap();
     let diff = sequential
         .global_params()
-        .max_abs_diff(threaded.global_params())
+        .max_abs_diff(threaded.system.global_params())
         .unwrap();
     assert!(diff < 1e-6, "threaded DINAR diverged by {diff}");
 }
