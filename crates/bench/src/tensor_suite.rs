@@ -12,7 +12,9 @@
 //! instructions live in `benches/README.md`.
 
 use crate::timing::{bench, bench_batched, Config, Measurement};
-use dinar_tensor::conv::{im2col2d, Conv2dGeom};
+use dinar_nn::conv::Conv2d;
+use dinar_nn::Layer;
+use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::{par, Rng, Tensor};
 use std::hint::black_box;
@@ -67,19 +69,19 @@ fn entry(op: &str, size: &str, m: &Measurement) -> TensorBenchEntry {
 ///
 /// Returns an error if a benchmark's operand shapes are inconsistent — each
 /// routine is shape-checked once before its timed loop starts.
-pub fn run(config: &Config) -> dinar_tensor::Result<Vec<TensorBenchEntry>> {
+pub fn run(config: &Config) -> dinar_nn::Result<Vec<TensorBenchEntry>> {
     let mut entries = Vec::new();
 
     // The matmul family as logical products `m×k×n`: the square forward
     // shapes, the dense-backward transposed shapes, and the first-conv
-    // forward shape (tall, `n` below one register tile).
+    // forward shape (`W · cols`: 8 rows, the 16384 positions along `n`).
     type Product = fn(&Tensor, &Tensor) -> dinar_tensor::Result<Tensor>;
     let family: [(&str, Product, [usize; 3]); 6] = [
         ("matmul", Tensor::matmul, [32, 32, 32]),
         ("matmul", Tensor::matmul, [64, 64, 64]),
         ("matmul", Tensor::matmul, [128, 128, 128]),
+        ("matmul", Tensor::matmul, [8, 27, 16384]),
         ("matmul_t", Tensor::matmul_t, [64, 128, 96]),
-        ("matmul_t", Tensor::matmul_t, [4096, 27, 8]),
         ("t_matmul", Tensor::t_matmul, [128, 64, 96]),
     ];
     let mut rng = Rng::seed_from(0);
@@ -107,11 +109,30 @@ pub fn run(config: &Config) -> dinar_tensor::Result<Vec<TensorBenchEntry>> {
         stride: 1,
         padding: 1,
     };
-    im2col2d(&x, &geom)?;
+    let cols = im2col2d(&x, &geom)?;
     let m = bench("im2col2d_8x8x16x16_k3", config, || {
         black_box(im2col2d(&x, &geom))
     });
     entries.push(entry("im2col2d", "8x8x16x16_k3", &m));
+    col2im2d(&cols, 8, &geom)?;
+    let m = bench("col2im2d_8x8x16x16_k3", config, || {
+        black_box(col2im2d(&cols, 8, &geom))
+    });
+    entries.push(entry("col2im2d", "8x8x16x16_k3", &m));
+
+    // One training step (forward + backward) of the first two vgg11_mini
+    // convolutions at the DP-SGD batch: lowering, the three products, the
+    // layout swaps and the gradient folds together.
+    for (c, hw, oc) in [(3, 16, 8), (8, 8, 12)] {
+        let mut conv = Conv2d::new(c, oc, 3, 1, 1, &mut rng);
+        let x = rng.randn(&[64, c, hw, hw]);
+        let g = rng.randn(&[64, oc, hw, hw]);
+        let mut step = || conv.forward(&x, true).and_then(|_| conv.backward(&g));
+        step()?;
+        let size = format!("64x{c}x{hw}x{hw}_to_{oc}");
+        let m = bench(&format!("conv2d_step_{size}"), config, || black_box(step()));
+        entries.push(entry("conv2d_step", &size, &m));
+    }
 
     let mut rng = Rng::seed_from(3);
     let a = rng.randn(&[100_000]);
@@ -181,14 +202,14 @@ mod tests {
             target_sample: Duration::from_millis(0),
         };
         let entries = run(&config).expect("static shapes are consistent");
-        assert_eq!(entries.len(), 12);
+        assert_eq!(entries.len(), 15);
         assert!(entries.iter().all(|e| e.ns_per_iter > 0.0));
         assert!(entries.iter().all(|e| e.threads == par::threads()));
 
         let json = to_json(&entries);
         let back = Json::parse(&json.dump_pretty()).expect("emitter output parses");
         let rows = back.get("entries").and_then(Json::as_arr).expect("entries");
-        assert_eq!(rows.len(), 12);
+        assert_eq!(rows.len(), 15);
         assert_eq!(
             rows[2].get("op").and_then(Json::as_str),
             Some("matmul"),

@@ -3,16 +3,113 @@
 
 use crate::{init, Layer, NnError, Result};
 use dinar_tensor::conv::{col2im1d, col2im2d, im2col1d, im2col2d, Conv1dGeom, Conv2dGeom};
-use dinar_tensor::{par, Rng, Tensor};
+use dinar_tensor::{sanitize, Rng, Tensor};
 
-/// Minimum output cells per parallel part for the layout-rearrange helpers.
-const PAR_MIN_CELLS: usize = 16 * 1024;
+/// Copies `src`, viewed as `[a, b, run]`, into `[b, a, run]` order one
+/// contiguous run at a time, adding `bias[i]` to block `i` of `a` on the way
+/// if given. With `run` = one feature map this is the swap between the
+/// product layout `[oc, n, map]` and the activation layout `[n, oc, map]`,
+/// in either direction and for either dimensionality.
+fn swap_blocks(src: &[f32], a: usize, b: usize, run: usize, bias: Option<&[f32]>) -> Vec<f32> {
+    let mut out = vec![0.0f32; a * b * run];
+    if !out.is_empty() {
+        for (j, block) in out.chunks_exact_mut(a * run).enumerate() {
+            for (i, dst) in block.chunks_exact_mut(run).enumerate() {
+                let from = &src[(i * b + j) * run..][..run];
+                match bias {
+                    Some(bias) => dst.iter_mut().zip(from).for_each(|(d, &v)| *d = v + bias[i]),
+                    None => dst.copy_from_slice(from),
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The forward product both layers share: `W · cols + b` for the patch-major
+/// `cols` of `n` samples with `map` output positions each, returned flat in
+/// `[n, oc, map]` order.
+fn lowered_forward(
+    weight: &Tensor,
+    bias: &Tensor,
+    cols: &Tensor,
+    n: usize,
+    map: usize,
+) -> Result<Vec<f32>> {
+    // `[oc, n·map]`: the long side runs along the register tile's 16 lanes.
+    let product = weight.matmul(cols)?;
+    if bias.shape() != [product.shape()[0]] {
+        return Err(dinar_tensor::TensorError::ShapeMismatch {
+            lhs: product.shape().to_vec(),
+            rhs: bias.shape().to_vec(),
+            op: "conv bias",
+        }
+        .into());
+    }
+    sanitize::check_finite("conv", "bias", bias);
+    Ok(swap_blocks(product.as_slice(), bias.len(), n, map, Some(bias.as_slice())))
+}
+
+/// The parameter half of the backward pass both layers share: `dW += g ·
+/// colsᵀ` and `db +=` the sums over (sample, position), returning
+/// `grad_output` (`[n, oc, map]`) block-swapped to the `[oc, n·map]` layout
+/// the input product consumes.
+fn accumulate(
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+    cols: &Tensor,
+    grad_output: &Tensor,
+    n: usize,
+    map: usize,
+) -> Result<Tensor> {
+    let oc = grad_bias.len();
+    if grad_output.len() != n * oc * map {
+        return Err(NnError::InvalidConfig {
+            reason: format!(
+                "conv backward expects a gradient of [{n}, {oc}, {map}] elements, got {:?}",
+                grad_output.shape()
+            ),
+        });
+    }
+    let g = swap_blocks(grad_output.as_slice(), n, oc, map, None);
+    let g = Tensor::from_vec(g, &[oc, n * map])?;
+    // Both operands have the reduction contiguous, so one is packed
+    // transposed: as `cols · gᵀ` that is `g`, the small one. The weight-sized
+    // temporaries are freed before the caller allocates the input product.
+    grad_weight.add_assign(&cols.matmul_t(&g)?.transpose()?)?;
+    // `db[o]` is the add chain along row `o` of `g`, i.e. in ascending
+    // (sample, position) order. The chains are independent, so eight run
+    // interleaved in registers; a lane past the last channel repeats it and
+    // its sum is dropped.
+    let (mut db, positions) = (vec![0.0f32; oc], n * map);
+    for (group, rows) in db.chunks_mut(8).zip(g.as_slice().chunks(8 * positions.max(1))) {
+        let lanes: [&[f32]; 8] = std::array::from_fn(|lane| {
+            &rows[lane.min(group.len() - 1) * positions..][..positions]
+        });
+        let mut sums = [0.0f32; 8];
+        for r in 0..positions {
+            for (sum, row) in sums.iter_mut().zip(lanes) {
+                *sum += row[r];
+            }
+        }
+        group.copy_from_slice(&sums[..group.len()]);
+    }
+    grad_bias.add_assign(&Tensor::from_vec(db, &[oc])?)?;
+    Ok(g)
+}
 
 /// 2-D convolution over `[batch, channels, height, width]` inputs.
 ///
 /// Weights are stored flattened as `[out_channels, in_channels * k * k]` so
 /// that the forward pass is a single matrix product against the `im2col`
-/// patch matrix.
+/// patch matrix. That matrix is patch-major, `[in_channels * k * k, batch *
+/// out_h * out_w]` (built by row-run copies, see [`dinar_tensor::conv`]), so
+/// every product of a training step has the long position axis on the
+/// kernel's 16-lane side: `W · cols` forward, `Wᵀ · g` for the input
+/// gradient, and `cols · gᵀ` for the weight gradient. Products come out as
+/// `[out_channels, batch, map]`; activations and gradients are `[batch,
+/// out_channels, map]`; one block swap of whole feature maps converts
+/// between the two (adding the bias on the way forward).
 ///
 /// # Example
 ///
@@ -46,8 +143,8 @@ struct ConvCache {
     cols: Tensor,
     geom: Conv2dGeom,
     batch: usize,
-    out_h: usize,
-    out_w: usize,
+    /// Output positions per sample (`out_h * out_w`).
+    map: usize,
 }
 
 impl Conv2d {
@@ -101,131 +198,21 @@ impl Conv2d {
         })
     }
 
-    /// The parameter half of the backward pass: `dW += g_rowsᵀ · cols` and
-    /// `db += column sums`, returning `grad_output` in the `[n*oh*ow, oc]`
-    /// row layout the input product consumes.
+    /// The parameter half of the backward pass (see [`accumulate`]).
     fn accumulate(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        let g_rows = nchw_to_rows(
+        accumulate(
+            &mut self.grad_weight,
+            &mut self.grad_bias,
+            &cache.cols,
             grad_output,
             cache.batch,
-            self.out_channels,
-            cache.out_h,
-            cache.out_w,
-        );
-        // The weight-sized temporary is freed before the caller allocates
-        // `g_cols`.
-        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
-        self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
-        Ok(g_rows)
+            cache.map,
+        )
     }
-}
-
-/// Rearranges `[n*oh*ow, oc]` matrix rows into `[n, oc, oh, ow]` layout.
-///
-/// Both layouts keep each sample's block contiguous, so the transpose is
-/// parallelized over samples on the [`par`] pool (pure per-element copies —
-/// bit-identical for any thread count).
-fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
-    let src = rows.as_slice();
-    let sample = oc * oh * ow;
-    let mut out = vec![0.0f32; n * sample];
-    if sample > 0 {
-        let min_samples = (PAR_MIN_CELLS / sample).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let i0 = offset / sample;
-            for (local, block) in part.chunks_exact_mut(sample).enumerate() {
-                let i = i0 + local;
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let row = ((i * oh + y) * ow + x) * oc;
-                        for c in 0..oc {
-                            block[(c * oh + y) * ow + x] = src[row + c];
-                        }
-                    }
-                }
-            }
-        });
-    }
-    // lint: allow(L001, length is n*oc*oh*ow by construction)
-    Tensor::from_vec(out, &[n, oc, oh, ow]).expect("size preserved")
-}
-
-/// Inverse of [`rows_to_nchw`].
-fn nchw_to_rows(t: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
-    let src = t.as_slice();
-    let sample = oh * ow * oc;
-    let mut out = vec![0.0f32; n * sample];
-    if sample > 0 {
-        let min_samples = (PAR_MIN_CELLS / sample).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let i0 = offset / sample;
-            for (local, block) in part.chunks_exact_mut(sample).enumerate() {
-                let i = i0 + local;
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let row = ((y * ow) + x) * oc;
-                        for c in 0..oc {
-                            block[row + c] = src[((i * oc + c) * oh + y) * ow + x];
-                        }
-                    }
-                }
-            }
-        });
-    }
-    // lint: allow(L001, length is n*oh*ow*oc by construction)
-    Tensor::from_vec(out, &[n * oh * ow, oc]).expect("size preserved")
-}
-
-/// Rearranges `[n*ol, oc]` matrix rows into `[n, oc, ol]` layout (1-D
-/// counterpart of [`rows_to_nchw`]).
-fn rows_to_ncl(rows: &Tensor, n: usize, oc: usize, ol: usize) -> Tensor {
-    let src = rows.as_slice();
-    let sample = oc * ol;
-    let mut out = vec![0.0f32; n * sample];
-    if sample > 0 {
-        let min_samples = (PAR_MIN_CELLS / sample).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let i0 = offset / sample;
-            for (local, block) in part.chunks_exact_mut(sample).enumerate() {
-                let i = i0 + local;
-                for o in 0..ol {
-                    let row = (i * ol + o) * oc;
-                    for c in 0..oc {
-                        block[c * ol + o] = src[row + c];
-                    }
-                }
-            }
-        });
-    }
-    // lint: allow(L001, length is n*oc*ol by construction)
-    Tensor::from_vec(out, &[n, oc, ol]).expect("size preserved")
-}
-
-/// Inverse of [`rows_to_ncl`].
-fn ncl_to_rows(t: &Tensor, n: usize, oc: usize, ol: usize) -> Tensor {
-    let src = t.as_slice();
-    let sample = ol * oc;
-    let mut out = vec![0.0f32; n * sample];
-    if sample > 0 {
-        let min_samples = (PAR_MIN_CELLS / sample).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let i0 = offset / sample;
-            for (local, block) in part.chunks_exact_mut(sample).enumerate() {
-                let i = i0 + local;
-                for o in 0..ol {
-                    for c in 0..oc {
-                        block[o * oc + c] = src[(i * oc + c) * ol + o];
-                    }
-                }
-            }
-        });
-    }
-    // lint: allow(L001, length is n*ol*oc by construction)
-    Tensor::from_vec(out, &[n * ol, oc]).expect("size preserved")
 }
 
 impl Layer for Conv2d {
@@ -234,22 +221,21 @@ impl Layer for Conv2d {
         let (oh, ow) = geom.output_size()?;
         let n = input.shape()[0];
         let cols = im2col2d(input, &geom)?;
-        let rows = cols.matmul_t(&self.weight)?.add_row_broadcast(&self.bias)?;
-        let out = rows_to_nchw(&rows, n, self.out_channels, oh, ow);
+        let out = lowered_forward(&self.weight, &self.bias, &cols, n, oh * ow)?;
         self.cached = Some(ConvCache {
             cols,
             geom,
             batch: n,
-            out_h: oh,
-            out_w: ow,
+            map: oh * ow,
         });
-        Ok(out)
+        Ok(Tensor::from_vec(out, &[n, self.out_channels, oh, ow])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g_rows = self.accumulate(grad_output)?;
-        // d cols = g_rows · W ; fold back onto the input.
-        let g_cols = g_rows.matmul(&self.weight)?;
+        let g = self.accumulate(grad_output)?;
+        // d cols = Wᵀ · g ; fold back onto the input, with `g` freed first.
+        let g_cols = self.weight.t_matmul(&g)?;
+        drop(g);
         let cache = self
             .cached
             .as_ref()
@@ -347,17 +333,20 @@ impl Conv1d {
         }
     }
 
-    /// The parameter half of the backward pass (see [`Conv2d`]'s): `dW`,
-    /// `db`, and `grad_output` in `[n*ol, oc]` row layout.
+    /// The parameter half of the backward pass (see [`accumulate`]).
     fn accumulate(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
-        let g_rows = ncl_to_rows(grad_output, cache.batch, self.out_channels, cache.out_len);
-        self.grad_weight.add_assign(&g_rows.t_matmul(&cache.cols)?)?;
-        self.grad_bias.add_assign(&g_rows.sum_rows()?)?;
-        Ok(g_rows)
+        accumulate(
+            &mut self.grad_weight,
+            &mut self.grad_bias,
+            &cache.cols,
+            grad_output,
+            cache.batch,
+            cache.out_len,
+        )
     }
 }
 
@@ -382,20 +371,20 @@ impl Layer for Conv1d {
         let ol = geom.output_len()?;
         let n = shape[0];
         let cols = im2col1d(input, &geom)?;
-        let rows = cols.matmul_t(&self.weight)?.add_row_broadcast(&self.bias)?;
-        let out = rows_to_ncl(&rows, n, self.out_channels, ol);
+        let out = lowered_forward(&self.weight, &self.bias, &cols, n, ol)?;
         self.cached = Some(Conv1dCache {
             cols,
             geom,
             batch: n,
             out_len: ol,
         });
-        Ok(out)
+        Ok(Tensor::from_vec(out, &[n, self.out_channels, ol])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g_rows = self.accumulate(grad_output)?;
-        let g_cols = g_rows.matmul(&self.weight)?;
+        let g = self.accumulate(grad_output)?;
+        let g_cols = self.weight.t_matmul(&g)?;
+        drop(g);
         let cache = self
             .cached
             .as_ref()

@@ -18,7 +18,70 @@ pub struct MaxPool2d {
 struct MaxPoolCache {
     input_shape: Vec<usize>,
     /// Flat input index of the max element for every output element.
-    argmax: Vec<usize>,
+    argmax: Vec<u32>,
+}
+
+impl MaxPoolCache {
+    /// Routes each output gradient to the input cell that won its window.
+    fn backward(&self, grad_output: &Tensor) -> Result<Tensor> {
+        if grad_output.len() != self.argmax.len() {
+            return Err(NnError::InvalidConfig {
+                reason: format!(
+                    "max pooling produced {} outputs, got a gradient of {:?}",
+                    self.argmax.len(),
+                    grad_output.shape()
+                ),
+            });
+        }
+        let mut grad_in = Tensor::zeros(&self.input_shape);
+        let gi = grad_in.as_mut_slice();
+        for (&idx, &g) in self.argmax.iter().zip(grad_output.as_slice()) {
+            gi[idx as usize] += g;
+        }
+        Ok(grad_in)
+    }
+}
+
+/// Max over the non-overlapping `kh × kw` windows of every `[h, w]` plane of
+/// `x` (`h`, `w` divisible by the window): the maxima in plane order and the
+/// flat input index of each. Within a window the first maximum wins (`>` is
+/// strict), and a NaN is only ever kept from the window's first cell.
+///
+/// Each window is scanned row slice by row slice against a running maximum
+/// held in registers and updated by compare-select, so the scan carries no
+/// data-dependent branch.
+fn max_pool(x: &[f32], w: usize, kh: usize, kw: usize) -> Result<(Vec<f32>, Vec<u32>)> {
+    if u32::try_from(x.len()).is_err() {
+        return Err(NnError::InvalidConfig {
+            reason: format!(
+                "max pooling indexes its input with u32; {} elements is too many",
+                x.len()
+            ),
+        });
+    }
+    let mut out = vec![0.0f32; x.len() / (kh * kw)];
+    let mut argmax = vec![0u32; out.len()];
+    if out.is_empty() {
+        return Ok((out, argmax));
+    }
+    // Heights are divisible by `kh`, so each output row of the stacked planes
+    // covers the next `kh` input rows whichever plane it is in.
+    let bands = out.chunks_exact_mut(w / kw).zip(argmax.chunks_exact_mut(w / kw));
+    for ((best_row, arg_row), (band_no, band)) in bands.zip(x.chunks_exact(kh * w).enumerate()) {
+        for (ox, (best_out, arg_out)) in best_row.iter_mut().zip(arg_row).enumerate() {
+            let (mut best, mut arg) = (band[ox * kw], ox * kw);
+            for (ky, row) in band.chunks_exact(w).enumerate() {
+                let offset = ky * w + ox * kw;
+                for (idx, &v) in (offset..).zip(&row[ox * kw..][..kw]) {
+                    let take = v > best;
+                    best = if take { v } else { best };
+                    arg = if take { idx } else { arg };
+                }
+            }
+            (*best_out, *arg_out) = (best, (band_no * kh * w + arg) as u32);
+        }
+    }
+    Ok((out, argmax))
 }
 
 impl MaxPool2d {
@@ -46,38 +109,12 @@ impl Layer for MaxPool2d {
         }
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let k = self.kernel;
-        let (oh, ow) = (h / k, w / k);
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        for i in 0..n {
-            for ch in 0..c {
-                let plane = (i * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = plane + (oy * k) * w + ox * k;
-                        let mut best = x[best_idx];
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = plane + (oy * k + ky) * w + ox * k + kx;
-                                if x[idx] > best {
-                                    best = x[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = ((i * c + ch) * oh + oy) * ow + ox;
-                        out[o] = best;
-                        argmax[o] = best_idx;
-                    }
-                }
-            }
-        }
+        let (out, argmax) = max_pool(input.as_slice(), w, k, k)?;
         self.cached = Some(MaxPoolCache {
             input_shape: shape.to_vec(),
             argmax,
         });
-        Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
+        Ok(Tensor::from_vec(out, &[n, c, h / k, w / k])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -85,12 +122,7 @@ impl Layer for MaxPool2d {
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "maxpool2d" })?;
-        let mut grad_in = Tensor::zeros(&cache.input_shape);
-        let gi = grad_in.as_mut_slice();
-        for (o, &idx) in cache.argmax.iter().enumerate() {
-            gi[idx] += grad_output.as_slice()[o];
-        }
-        Ok(grad_in)
+        cache.backward(grad_output)
     }
 
     fn name(&self) -> &'static str {
@@ -133,35 +165,12 @@ impl Layer for MaxPool1d {
             });
         }
         let (n, c, l) = (shape[0], shape[1], shape[2]);
-        let k = self.kernel;
-        let ol = l / k;
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; n * c * ol];
-        let mut argmax = vec![0usize; n * c * ol];
-        for i in 0..n {
-            for ch in 0..c {
-                let line = (i * c + ch) * l;
-                for o in 0..ol {
-                    let mut best_idx = line + o * k;
-                    let mut best = x[best_idx];
-                    for kk in 1..k {
-                        let idx = line + o * k + kk;
-                        if x[idx] > best {
-                            best = x[idx];
-                            best_idx = idx;
-                        }
-                    }
-                    let oidx = (i * c + ch) * ol + o;
-                    out[oidx] = best;
-                    argmax[oidx] = best_idx;
-                }
-            }
-        }
+        let (out, argmax) = max_pool(input.as_slice(), l, 1, self.kernel)?;
         self.cached = Some(MaxPoolCache {
             input_shape: shape.to_vec(),
             argmax,
         });
-        Ok(Tensor::from_vec(out, &[n, c, ol])?)
+        Ok(Tensor::from_vec(out, &[n, c, l / self.kernel])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -169,12 +178,7 @@ impl Layer for MaxPool1d {
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "maxpool1d" })?;
-        let mut grad_in = Tensor::zeros(&cache.input_shape);
-        let gi = grad_in.as_mut_slice();
-        for (o, &idx) in cache.argmax.iter().enumerate() {
-            gi[idx] += grad_output.as_slice()[o];
-        }
-        Ok(grad_in)
+        cache.backward(grad_output)
     }
 
     fn name(&self) -> &'static str {
@@ -285,6 +289,86 @@ mod tests {
             .backward(&Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]).unwrap())
             .unwrap();
         assert_eq!(gx.as_slice(), &[0.0, 0.0, 0.0, 10.0]);
+    }
+
+    /// The loop [`max_pool`] replaced: a flat index per window element, a
+    /// branch per compare, starting from the window's first cell.
+    fn replaced_max_pool(
+        x: &[f32],
+        planes: usize,
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+    ) -> (Vec<f32>, Vec<u32>) {
+        let (oh, ow) = (h / kh, w / kw);
+        let (mut out, mut argmax) = (Vec::new(), Vec::new());
+        for plane in 0..planes {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best_idx = (plane * h + oy * kh) * w + ox * kw;
+                    let mut best = x[best_idx];
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let idx = (plane * h + oy * kh + ky) * w + ox * kw + kx;
+                            if x[idx] > best {
+                                best = x[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out.push(best);
+                    argmax.push(best_idx as u32);
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    #[test]
+    fn max_pool_matches_the_replaced_loop_on_ties_and_nans() {
+        let mut rng = dinar_tensor::Rng::seed_from(6);
+        let cases = [(6, 8, 12, 2, 2), (4, 9, 6, 3, 3), (5, 1, 20, 1, 4), (3, 4, 4, 4, 4)];
+        for (planes, h, w, kh, kw) in cases {
+            // Few distinct levels, so most windows hold a tie; NaNs land in
+            // first and non-first window cells alike.
+            let x = rng.randn(&[planes * h * w]);
+            let mut x: Vec<f32> = x.as_slice().iter().map(|v| (v * 2.0).round()).collect();
+            for i in (0..x.len()).step_by(7) {
+                x[i] = f32::NAN;
+            }
+            let (want, want_arg) = replaced_max_pool(&x, planes, (h, w), (kh, kw));
+            let (got, got_arg) = max_pool(&x, w, kh, kw).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{planes}x{h}x{w} k={kh}x{kw}");
+            assert_eq!(got_arg, want_arg, "{planes}x{h}x{w} k={kh}x{kw}");
+        }
+    }
+
+    #[test]
+    fn maxpool_tie_goes_to_the_first_maximum_and_backward_follows_argmax() {
+        let mut pool = MaxPool2d::new(2);
+        let x = Tensor::from_vec(
+            vec![
+                3.0, 3.0, 0.0, 5.0, //
+                3.0, 1.0, 5.0, 5.0, //
+                -1.0, -2.0, 7.0, 7.0, //
+                -1.0, -1.0, 2.0, 7.0,
+            ],
+            &[1, 1, 4, 4],
+        )
+        .unwrap();
+        let y = pool.forward(&x, true).unwrap();
+        assert_eq!(y.as_slice(), &[3.0, 5.0, -1.0, 7.0]);
+        let g = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
+        let gx = pool.backward(&g).unwrap();
+        let mut want = [0.0; 16];
+        (want[0], want[3], want[8], want[10]) = (1.0, 2.0, 3.0, 4.0);
+        assert_eq!(gx.as_slice(), &want);
+
+        let mut pool = MaxPool1d::new(3);
+        let x = Tensor::from_vec(vec![1.0, 4.0, 4.0, 2.0, 2.0, 2.0], &[1, 1, 6]).unwrap();
+        assert_eq!(pool.forward(&x, true).unwrap().as_slice(), &[4.0, 2.0]);
+        let gx = pool.backward(&Tensor::from_vec(vec![5.0, 6.0], &[1, 1, 2]).unwrap()).unwrap();
+        assert_eq!(gx.as_slice(), &[0.0, 5.0, 0.0, 6.0, 0.0, 0.0]);
     }
 
     #[test]

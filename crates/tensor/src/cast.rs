@@ -54,17 +54,6 @@ pub fn f64_to_f32(x: f64) -> f32 {
     out
 }
 
-/// Converts a signed index that has already been bounds-checked to `usize`.
-///
-/// Verifies under `debug_assertions` that the index is non-negative; in
-/// release builds this is the plain cast, keeping the `im2col` inner loops
-/// free of branches.
-#[inline]
-pub fn idx_to_usize(i: isize) -> usize {
-    debug_assert!(i >= 0, "idx_to_usize on negative index {i}");
-    i as usize // lint: allow(L004, the checked-cast helper itself)
-}
-
 /// Converts a non-negative finite `f32` to an index, erroring on anything
 /// that would truncate or wrap.
 ///
@@ -96,12 +85,6 @@ mod tests {
     fn f64_narrowing() {
         assert_eq!(f64_to_f32(1.5), 1.5f32);
         assert_eq!(f64_to_f32(0.1) as f64, 0.1f32 as f64);
-    }
-
-    #[test]
-    fn idx_roundtrip() {
-        assert_eq!(idx_to_usize(7), 7);
-        assert_eq!(idx_to_usize(0), 0);
     }
 
     #[test]

@@ -3,14 +3,38 @@
 //! The CNN architectures of the paper (ResNet20 for CIFAR, VGG11 for
 //! GTSRB/CelebA, M18 for Speech Commands) are built on 2-D and 1-D
 //! convolutions. As in most CPU deep-learning stacks, convolution is lowered
-//! to matrix multiplication: [`im2col2d`] unfolds input patches into the rows
-//! of a matrix so the convolution becomes one `matmul` against the flattened
-//! kernel bank, and [`col2im2d`] folds gradient columns back onto the input
-//! for the backward pass. [`im2col1d`]/[`col2im1d`] are the waveform (audio)
-//! counterparts.
+//! to matrix multiplication: [`im2col2d`] unfolds the input into a *patch
+//! matrix* so the convolution becomes one `matmul` of the flattened kernel
+//! bank against it, and [`col2im2d`] folds a gradient of that matrix back
+//! onto the input for the backward pass. [`im2col1d`]/[`col2im1d`] are the
+//! waveform (audio) counterparts: the same lowering over height-1 images.
+//!
+//! # Layout: patch-major
+//!
+//! The patch matrix has shape `[c·kh·kw, n·oh·ow]`. Row `q = (ch, ky, kx)` is
+//! one kernel tap; column `r = (i, oy, ox)` is one output position of one
+//! sample. Within a row, the `ow` columns of one `(i, oy)` read consecutive
+//! (or, at stride `s`, every `s`-th) cells of *one* input row, so the whole
+//! lowering is a sequence of row-run copies: the output range `lo..hi` a tap
+//! can reach without touching the zero padding is computed once per row of
+//! the matrix, and each run inside it is a `copy_from_slice` (a strided
+//! gather when `s > 1`). The long side `n·oh·ow` is the contiguous one, which
+//! is also the side the GEMM driver wants on its 16-wide register-tile axis
+//! (`W.matmul(cols)`, see `dinar_nn::conv`).
+//!
+//! # Accumulation order of `col2im`
+//!
+//! `col2im` is the transpose of the same copies — each run is *added* back —
+//! and overlapping patches make that a floating-point sum per input cell.
+//! The sum's order is part of the determinism contract: every input cell
+//! receives its contributions in ascending `(oy, ox)` order. An input cell
+//! `(iy, ix)` is reached from tap `(ky, kx)` at `oy = (iy + p − ky) / s`,
+//! `ox = (ix + p − kx) / s`, at most once per tap, so ascending `(oy, ox)`
+//! is exactly *descending* `(ky, kx)`: the fold walks the rows of the matrix
+//! from the last tap to the first.
 
-use crate::cast::idx_to_usize;
 use crate::{par, sanitize, Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// Minimum output cells per parallel part for the lowering kernels; below
 /// this the whole buffer is filled inline.
@@ -68,138 +92,218 @@ impl Conv2dGeom {
     pub fn patch_len(&self) -> usize {
         self.channels * self.kernel_h * self.kernel_w
     }
+
+    fn lowering(&self) -> Result<Lowering> {
+        let (oh, ow) = self.output_size()?;
+        Ok(Lowering {
+            c: self.channels,
+            h: self.height,
+            w: self.width,
+            kh: self.kernel_h,
+            kw: self.kernel_w,
+            stride: self.stride,
+            pad_h: self.padding,
+            pad_w: self.padding,
+            oh,
+            ow,
+        })
+    }
 }
 
-/// Unfolds a batched image tensor into patch rows.
+/// The validated geometry both dimensionalities lower through: a 1-D
+/// convolution is the 2-D one over height-1 images with a height-1 kernel
+/// and no vertical padding.
+struct Lowering {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad_h: usize,
+    pad_w: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Output positions `o` along one axis whose tap `k` reads inside the input,
+/// i.e. `0 <= o * stride + k - pad < len`.
+fn tap_range(len: usize, pad: usize, stride: usize, out: usize, k: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = if len + pad > k {
+        ((len + pad - k - 1) / stride + 1).min(out)
+    } else {
+        0
+    };
+    lo.min(hi)..hi
+}
+
+impl Lowering {
+    fn patch(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// Columns of the patch matrix for a batch of `n`.
+    fn positions(&self, n: usize) -> usize {
+        n * self.oh * self.ow
+    }
+
+    /// Calls `f(image, col, len)` for every run of patch row `q` over
+    /// `samples`: columns `col..col + len` of that row correspond to the
+    /// input cells `image, image + stride, ..` (flat `[n, c, h, w]` indices).
+    /// Columns outside every run are padding.
+    fn for_each_run(
+        &self,
+        q: usize,
+        samples: Range<usize>,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        let (ch, ky, kx) = (q / (self.kh * self.kw), q / self.kw % self.kh, q % self.kw);
+        let ys = tap_range(self.h, self.pad_h, self.stride, self.oh, ky);
+        let xs = tap_range(self.w, self.pad_w, self.stride, self.ow, kx);
+        if xs.is_empty() {
+            return;
+        }
+        let ix = xs.start * self.stride + kx - self.pad_w;
+        // Normally a run is the part of one output row that reads inside one
+        // input row. A tap that maps whole input rows onto whole output rows
+        // at stride 1 has them back to back on both sides: its runs join
+        // into one per sample.
+        let whole_rows = self.stride == 1 && xs.len() == self.w && self.ow == self.w;
+        let (ys, len) = if whole_rows && !ys.is_empty() {
+            (ys.start..ys.start + 1, ys.len() * self.w)
+        } else {
+            (ys, xs.len())
+        };
+        for i in samples {
+            for oy in ys.clone() {
+                let iy = oy * self.stride + ky - self.pad_h;
+                let image = ((i * self.c + ch) * self.h + iy) * self.w + ix;
+                f(image, (i * self.oh + oy) * self.ow + xs.start, len);
+            }
+        }
+    }
+
+    /// The patch matrix `[patch, n·oh·ow]` of `input`, a batch of `n` images
+    /// of shape `image` (`[c, h, w]`, or `[c, len]` for waveforms).
+    fn unfold(&self, op: &'static str, input: &Tensor, image: &[usize]) -> Result<Tensor> {
+        let shape = input.shape();
+        if shape.len() != image.len() + 1 || shape[1..] != *image {
+            return Err(TensorError::ShapeMismatch {
+                lhs: shape.to_vec(),
+                rhs: [&[0], image].concat(),
+                op,
+            });
+        }
+        let n = shape[0];
+        sanitize::check_finite(op, "input", input);
+        let x = input.as_slice();
+        let (patch, positions, s) = (self.patch(), self.positions(n), self.stride);
+        let mut out = vec![0.0f32; patch * positions];
+        // Parallel over patch rows: each row is written by exactly one
+        // thread from its own tap coordinates, so the result is identical
+        // for any partition.
+        if !out.is_empty() {
+            let min_rows = (PAR_MIN_CELLS / positions).max(1);
+            par::for_each_part_mut(&mut out, positions, min_rows, |offset, rows| {
+                for (q, row) in (offset / positions..).zip(rows.chunks_exact_mut(positions)) {
+                    self.for_each_run(q, 0..n, |image, col, len| {
+                        let dst = &mut row[col..col + len];
+                        if s == 1 {
+                            dst.copy_from_slice(&x[image..image + len]);
+                        } else {
+                            for (d, &v) in dst.iter_mut().zip(x[image..].iter().step_by(s)) {
+                                *d = v;
+                            }
+                        }
+                    });
+                }
+            });
+        }
+        let cols = Tensor::from_vec(out, &[patch, positions])?;
+        sanitize::check_shape_contract(op, &[patch, positions], cols.shape());
+        crate::profile::record_im2col(cols.len() as u64 * 4);
+        Ok(cols)
+    }
+
+    /// Folds a patch-matrix gradient (`[patch, n·oh·ow]`) back onto `n`
+    /// images of shape `image`, overlapping patches accumulated.
+    fn fold(&self, op: &'static str, cols: &Tensor, n: usize, image: &[usize]) -> Result<Tensor> {
+        let (patch, positions, s) = (self.patch(), self.positions(n), self.stride);
+        if cols.shape() != [patch, positions] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: cols.shape().to_vec(),
+                rhs: vec![patch, positions],
+                op,
+            });
+        }
+        sanitize::check_finite(op, "cols", cols);
+        let g = cols.as_slice();
+        let sample = self.c * self.h * self.w;
+        let mut out = vec![0.0f32; n * sample];
+        // Overlapping patches accumulate, but only within one sample's
+        // `[c, h, w]` block — so parallelizing over samples keeps every
+        // accumulation on a single thread. Rows are visited last tap first
+        // (see the module docs), each read as one sweep.
+        if !out.is_empty() && positions > 0 {
+            let min_samples = (PAR_MIN_CELLS / (self.oh * self.ow * patch).max(1)).max(1);
+            par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+                let samples = offset / sample..(offset + part.len()) / sample;
+                for (q, row) in g.chunks_exact(positions).enumerate().rev() {
+                    self.for_each_run(q, samples.clone(), |image, col, len| {
+                        let src = &row[col..col + len];
+                        let dst = &mut part[image - offset..];
+                        if s == 1 {
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d += v;
+                            }
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
+                                *d += v;
+                            }
+                        }
+                    });
+                }
+            });
+        }
+        sanitize::check_finite_slice(op, "output", &out);
+        crate::profile::record_col2im(out.len() as u64 * 4);
+        Tensor::from_vec(out, &[&[n], image].concat())
+    }
+}
+
+/// Unfolds a batched image tensor into the patch matrix.
 ///
 /// `input` must have shape `[n, c, h, w]`. The result has shape
-/// `[n * out_h * out_w, c * kh * kw]`: row `(i, oy, ox)` holds the receptive
-/// field of output pixel `(oy, ox)` of sample `i`, so that
-/// `cols.matmul_t(kernels)` (with `kernels` of shape
-/// `[out_c, c * kh * kw]`) computes the convolution.
+/// `[c * kh * kw, n * out_h * out_w]` (patch-major, see the module docs):
+/// column `(i, oy, ox)` holds the receptive field of output pixel `(oy, ox)`
+/// of sample `i`, so that `kernels.matmul(&cols)` (with `kernels` of shape
+/// `[out_c, c * kh * kw]`) computes the convolution as `[out_c, n * out_h *
+/// out_w]`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `input` does not match the
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn im2col2d(input: &Tensor, geom: &Conv2dGeom) -> Result<Tensor> {
-    let (oh, ow) = geom.output_size()?;
-    let shape = input.shape();
-    if shape.len() != 4 || shape[1] != geom.channels || shape[2] != geom.height || shape[3] != geom.width {
-        return Err(TensorError::ShapeMismatch {
-            lhs: shape.to_vec(),
-            rhs: vec![0, geom.channels, geom.height, geom.width],
-            op: "im2col2d",
-        });
-    }
-    let n = shape[0];
-    sanitize::check_finite("im2col2d", "input", input);
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
-    let patch = geom.patch_len();
-    let mut out = vec![0.0f32; n * oh * ow * patch];
-    let x = input.as_slice();
-    // Parallel over flat patch rows: each row is written by exactly one
-    // thread and depends only on its own (i, oy, ox) coordinates, so the
-    // result is identical for any partition.
-    if patch > 0 && oh * ow > 0 {
-        let min_rows = (PAR_MIN_CELLS / patch.max(1)).max(1);
-        par::for_each_part_mut(&mut out, patch, min_rows, |offset, rows| {
-            let mut r = offset / patch;
-            for row_buf in rows.chunks_exact_mut(patch) {
-                let i = r / (oh * ow);
-                let rem = r % (oh * ow);
-                let oy = rem / ow;
-                let ox = rem % ow;
-                for ch in 0..c {
-                    for ky in 0..kh {
-                        let iy = (oy * s + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // zero padding
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * s + kx) as isize - p as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let src = ((i * c + ch) * h + idx_to_usize(iy)) * w + idx_to_usize(ix);
-                            row_buf[(ch * kh + ky) * kw + kx] = x[src];
-                        }
-                    }
-                }
-                r += 1;
-            }
-        });
-    }
-    let cols = Tensor::from_vec(out, &[n * oh * ow, patch])?;
-    sanitize::check_shape_contract("im2col2d", &[n * oh * ow, patch], cols.shape());
-    crate::profile::record_im2col(cols.len() as u64 * 4);
-    Ok(cols)
+    let image = [geom.channels, geom.height, geom.width];
+    geom.lowering()?.unfold("im2col2d", input, &image)
 }
 
-/// Folds patch-row gradients back onto the input (the adjoint of
+/// Folds a patch-matrix gradient back onto the input (the adjoint of
 /// [`im2col2d`]).
 ///
-/// `cols` must have shape `[n * out_h * out_w, c * kh * kw]`; the result has
-/// shape `[n, c, h, w]`, with overlapping patches accumulated.
+/// `cols` must have shape `[c * kh * kw, n * out_h * out_w]`; the result has
+/// shape `[n, c, h, w]`, with overlapping patches accumulated in ascending
+/// output-position order per input cell.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `cols` does not match the
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn col2im2d(cols: &Tensor, n: usize, geom: &Conv2dGeom) -> Result<Tensor> {
-    let (oh, ow) = geom.output_size()?;
-    let patch = geom.patch_len();
-    if cols.shape() != [n * oh * ow, patch] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: cols.shape().to_vec(),
-            rhs: vec![n * oh * ow, patch],
-            op: "col2im2d",
-        });
-    }
-    sanitize::check_finite("col2im2d", "cols", cols);
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
-    let mut out = vec![0.0f32; n * c * h * w];
-    let g = cols.as_slice();
-    // Overlapping patches accumulate, but only within one sample's `[c, h,
-    // w]` block — so parallelizing over samples keeps every accumulation
-    // on a single thread in the original (oy, ox, ch, ky, kx) order.
-    let sample = c * h * w;
-    if sample > 0 && n > 0 {
-        let min_samples = (PAR_MIN_CELLS / (oh * ow * patch).max(1)).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let i0 = offset / sample;
-            for (local, out_sample) in part.chunks_exact_mut(sample).enumerate() {
-                let i = i0 + local;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let row = ((i * oh + oy) * ow + ox) * patch;
-                        for ch in 0..c {
-                            for ky in 0..kh {
-                                let iy = (oy * s + ky) as isize - p as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..kw {
-                                    let ix = (ox * s + kx) as isize - p as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let dst = (ch * h + idx_to_usize(iy)) * w + idx_to_usize(ix);
-                                    let src = row + (ch * kh + ky) * kw + kx;
-                                    out_sample[dst] += g[src];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-    }
-    sanitize::check_finite_slice("col2im2d", "output", &out);
-    crate::profile::record_col2im(out.len() as u64 * 4);
-    Tensor::from_vec(out, &[n, c, h, w])
+    let image = [geom.channels, geom.height, geom.width];
+    geom.lowering()?.fold("col2im2d", cols, n, &image)
 }
 
 /// Geometry of a 1-D convolution over waveforms `[n, c, len]`.
@@ -238,55 +342,32 @@ impl Conv1dGeom {
         }
         Ok((pl - self.kernel) / self.stride + 1)
     }
+
+    fn lowering(&self) -> Result<Lowering> {
+        Ok(Lowering {
+            c: self.channels,
+            h: 1,
+            w: self.len,
+            kh: 1,
+            kw: self.kernel,
+            stride: self.stride,
+            pad_h: 0,
+            pad_w: self.padding,
+            oh: 1,
+            ow: self.output_len()?,
+        })
+    }
 }
 
 /// 1-D analogue of [`im2col2d`]: unfolds `[n, c, len]` into
-/// `[n * out_len, c * kernel]`.
+/// `[c * kernel, n * out_len]`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `input` does not match the
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn im2col1d(input: &Tensor, geom: &Conv1dGeom) -> Result<Tensor> {
-    let ol = geom.output_len()?;
-    let shape = input.shape();
-    if shape.len() != 3 || shape[1] != geom.channels || shape[2] != geom.len {
-        return Err(TensorError::ShapeMismatch {
-            lhs: shape.to_vec(),
-            rhs: vec![0, geom.channels, geom.len],
-            op: "im2col1d",
-        });
-    }
-    let n = shape[0];
-    sanitize::check_finite("im2col1d", "input", input);
-    let (c, l, k, s, p) = (geom.channels, geom.len, geom.kernel, geom.stride, geom.padding);
-    let patch = c * k;
-    let mut out = vec![0.0f32; n * ol * patch];
-    let x = input.as_slice();
-    if patch > 0 && ol > 0 {
-        let min_rows = (PAR_MIN_CELLS / patch.max(1)).max(1);
-        par::for_each_part_mut(&mut out, patch, min_rows, |offset, rows| {
-            let mut r = offset / patch;
-            for row_buf in rows.chunks_exact_mut(patch) {
-                let i = r / ol;
-                let o = r % ol;
-                for ch in 0..c {
-                    for kk in 0..k {
-                        let idx = (o * s + kk) as isize - p as isize;
-                        if idx < 0 || idx >= l as isize {
-                            continue;
-                        }
-                        row_buf[ch * k + kk] = x[(i * c + ch) * l + idx_to_usize(idx)];
-                    }
-                }
-                r += 1;
-            }
-        });
-    }
-    let cols = Tensor::from_vec(out, &[n * ol, patch])?;
-    sanitize::check_shape_contract("im2col1d", &[n * ol, patch], cols.shape());
-    crate::profile::record_im2col(cols.len() as u64 * 4);
-    Ok(cols)
+    geom.lowering()?.unfold("im2col1d", input, &[geom.channels, geom.len])
 }
 
 /// 1-D analogue of [`col2im2d`].
@@ -296,44 +377,7 @@ pub fn im2col1d(input: &Tensor, geom: &Conv1dGeom) -> Result<Tensor> {
 /// Returns [`TensorError::ShapeMismatch`] if `cols` does not match the
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn col2im1d(cols: &Tensor, n: usize, geom: &Conv1dGeom) -> Result<Tensor> {
-    let ol = geom.output_len()?;
-    let patch = geom.channels * geom.kernel;
-    if cols.shape() != [n * ol, patch] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: cols.shape().to_vec(),
-            rhs: vec![n * ol, patch],
-            op: "col2im1d",
-        });
-    }
-    sanitize::check_finite("col2im1d", "cols", cols);
-    let (c, l, k, s, p) = (geom.channels, geom.len, geom.kernel, geom.stride, geom.padding);
-    let mut out = vec![0.0f32; n * c * l];
-    let g = cols.as_slice();
-    let sample = c * l;
-    if sample > 0 && n > 0 {
-        let min_samples = (PAR_MIN_CELLS / (ol * patch).max(1)).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let i0 = offset / sample;
-            for (local, out_sample) in part.chunks_exact_mut(sample).enumerate() {
-                let i = i0 + local;
-                for o in 0..ol {
-                    let row = (i * ol + o) * patch;
-                    for ch in 0..c {
-                        for kk in 0..k {
-                            let idx = (o * s + kk) as isize - p as isize;
-                            if idx < 0 || idx >= l as isize {
-                                continue;
-                            }
-                            out_sample[ch * l + idx_to_usize(idx)] += g[row + ch * k + kk];
-                        }
-                    }
-                }
-            }
-        });
-    }
-    sanitize::check_finite_slice("col2im1d", "output", &out);
-    crate::profile::record_col2im(out.len() as u64 * 4);
-    Tensor::from_vec(out, &[n, c, l])
+    geom.lowering()?.fold("col2im1d", cols, n, &[geom.channels, geom.len])
 }
 
 #[cfg(test)]
@@ -367,14 +411,13 @@ mod tests {
 
     #[test]
     fn im2col_identity_kernel_1x1() {
-        // With a 1x1 kernel and stride 1, im2col is a pure reshape.
+        // With a 1x1 kernel and stride 1, im2col of one sample is a pure
+        // reshape: row `ch` of the patch matrix is channel `ch`'s plane.
         let g = geom(2, 3, 3, 1, 1, 0);
         let x = Tensor::from_fn(&[1, 2, 3, 3], |i| i as f32);
         let cols = im2col2d(&x, &g).unwrap();
-        assert_eq!(cols.shape(), &[9, 2]);
-        // Row 0 = pixel (0,0) of both channels.
-        assert_eq!(cols.get(&[0, 0]).unwrap(), 0.0);
-        assert_eq!(cols.get(&[0, 1]).unwrap(), 9.0);
+        assert_eq!(cols.shape(), &[2, 9]);
+        assert_eq!(cols.as_slice(), x.as_slice());
     }
 
     #[test]
@@ -384,7 +427,7 @@ mod tests {
         let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
         let kernel = Tensor::from_fn(&[1, 9], |i| (i % 2) as f32); // alternating 0/1
         let cols = im2col2d(&x, &g).unwrap();
-        let y = cols.matmul_t(&kernel).unwrap(); // [4, 1]
+        let y = kernel.matmul(&cols).unwrap(); // [1, 4]
         // Direct convolution.
         for oy in 0..2 {
             for ox in 0..2 {
@@ -396,7 +439,7 @@ mod tests {
                         acc += w * ((oy + ky) * 4 + ox + kx) as f32;
                     }
                 }
-                assert_eq!(y.get(&[oy * 2 + ox, 0]).unwrap(), acc);
+                assert_eq!(y.get(&[0, oy * 2 + ox]).unwrap(), acc);
             }
         }
     }
@@ -408,8 +451,11 @@ mod tests {
         let cols = im2col2d(&x, &g).unwrap();
         // Top-left output: only the bottom-right 2x2 of the kernel overlaps
         // real pixels -> 4 ones, 5 zeros.
-        let first_row_sum: f32 = (0..9).map(|j| cols.get(&[0, j]).unwrap()).sum();
-        assert_eq!(first_row_sum, 4.0);
+        let first_patch_sum: f32 = (0..9).map(|q| cols.get(&[q, 0]).unwrap()).sum();
+        assert_eq!(first_patch_sum, 4.0);
+        // Tap (0, 0) reads above-left of its output: only the bottom-right
+        // output sees a real pixel through it.
+        assert_eq!(cols.as_slice()[..4], [0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -431,15 +477,20 @@ mod tests {
     fn im2col1d_basic() {
         let g = Conv1dGeom {
             channels: 1,
-            len: 5,
+            len: 7,
             kernel: 3,
-            stride: 1,
-            padding: 0,
+            stride: 2,
+            padding: 1,
         };
-        let x = Tensor::from_fn(&[1, 1, 5], |i| i as f32);
+        let x = Tensor::from_fn(&[1, 1, 7], |i| (i + 1) as f32);
         let cols = im2col1d(&x, &g).unwrap();
-        assert_eq!(cols.shape(), &[3, 3]);
-        assert_eq!(cols.as_slice(), &[0.0, 1.0, 2.0, 1.0, 2.0, 3.0, 2.0, 3.0, 4.0]);
+        // Row `k` is tap `k` at outputs 0..4: input cell `2·o + k − 1`, zero
+        // where that falls in the padding.
+        assert_eq!(cols.shape(), &[3, 4]);
+        assert_eq!(
+            cols.as_slice(),
+            &[0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0, 2.0, 4.0, 6.0, 0.0]
+        );
     }
 
     #[test]

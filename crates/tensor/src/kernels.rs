@@ -124,10 +124,23 @@ fn pack_b(panel: &mut [[f32; NR]], b: View, pc: usize, j: usize, nr: usize) {
 
 /// Packs reduction steps `pc..` of `mr ≤ MR` rows of `A` from row `i`; a
 /// missing row repeats the last real one.
+///
+/// Rows with a contiguous reduction are streamed as slices, free of index
+/// arithmetic and bounds checks: a quad is reused by only `n / NR` tiles, so
+/// for a narrow output (the conv `dW` product has `n` = 8…32) its pack
+/// otherwise costs as much as its FMAs.
 fn pack_a(pa: &mut [[f32; MR]], a: View, i: usize, mr: usize, pc: usize) {
-    let row: [usize; MR] = std::array::from_fn(|r| (i + r.min(mr - 1)) * a.rs);
-    for (dst, p) in pa.iter_mut().zip(pc..) {
-        *dst = row.map(|o| a.data[o + p * a.cs]);
+    let rows: [&[f32]; MR] =
+        std::array::from_fn(|r| &a.data[(i + r.min(mr - 1)) * a.rs + pc * a.cs..]);
+    if a.cs == 1 {
+        let [r0, r1, r2, r3] = rows;
+        for ((((dst, &a0), &a1), &a2), &a3) in pa.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *dst = [a0, a1, a2, a3];
+        }
+    } else {
+        for (p, dst) in pa.iter_mut().enumerate() {
+            *dst = rows.map(|row| row[p * a.cs]);
+        }
     }
 }
 

@@ -11,6 +11,11 @@
 //! through the same register tile as `matmul`, so the committed artifact must
 //! keep them within [`TRANSPOSED_MATMUL_CAP`] of `matmul` 128³ per FLOP.
 //!
+//! Patch-major conv lowering: the committed `im2col2d` row must stay ≥2.5×
+//! under the per-element row-major lowering it replaced, and the conv-shaped
+//! `matmul` 8×27×16384 (`W · cols`, positions along the register tile's
+//! lanes) within [`CONV_MATMUL_CAP`] of `matmul` 128³ per FLOP.
+//!
 //! Telemetry overhead: the committed `bench-results/BENCH_telemetry.json`
 //! must keep showing that a fully instrumented FL training run stays
 //! within [`TELEMETRY_OVERHEAD_CAP`] of the uninstrumented run —
@@ -21,11 +26,14 @@
 //! than timing inside the test — test-process timing is too noisy to gate
 //! on, while the artifact is regenerated deliberately (single-threaded:
 //! `DINAR_THREADS=1 cargo run --release -p dinar-bench --bin bench_tensor`)
-//! and reviewed when committed. The reference constants are *not* read from
-//! `BENCH_tensor_baseline.json` on purpose: that file tracks the current
-//! accepted single-thread numbers and moves forward over time, whereas the
-//! denominators here are the pre-rewrite scalar implementations and must
-//! stay frozen for the ratchet to mean anything.
+//! and reviewed when committed. [`load_entries`] rejects a row recorded at
+//! any other pool width: a kernel that fans out on a small host reads many
+//! times slower, which would trip or loosen every ratchet below. The
+//! reference constants are *not* read from `BENCH_tensor_baseline.json` on
+//! purpose: that file tracks the current accepted single-thread numbers and
+//! moves forward over time, whereas the denominators here are the
+//! pre-rewrite scalar implementations and must stay frozen for the ratchet
+//! to mean anything.
 
 use dinar_tensor::json::Json;
 use std::path::Path;
@@ -43,6 +51,19 @@ const PRE_REWRITE_MATMUL_128_NS: f64 = 285_970.0;
 /// on a noisy host — frozen below all of them, so the ratchet errs strict).
 const PRE_REWRITE_TANH_4096_NS: f64 = 56_000.0;
 
+/// `im2col2d` of an 8×8×16×16 batch (3×3, stride 1, padding 1) into the
+/// row-major patch matrix: one output row per position, two signed compares
+/// per element (single thread, same runner; the last committed reading).
+const PRE_REWRITE_IM2COL_8X8X16X16_NS: f64 = 257_848.0;
+
+/// Cost per multiply-add the first-conv forward product `W · cols`
+/// (8×27×16384) may reach relative to `matmul` 128³: two row quads and a
+/// 27-step reduction amortise the packing far less than a square product.
+/// Reads 1.7–1.95 on a quiet host. Its 2.3 MB of operands spill the caches
+/// the 128³ product sits in, so on a shared host other tenants' traffic has
+/// pushed single readings to 2.4: regenerate the artifact when it is quiet.
+const CONV_MATMUL_CAP: f64 = 2.0;
+
 /// Cost per multiply-add a transposed product may reach relative to
 /// `matmul` 128³: the packing absorbs the layout, the tile is shared.
 const TRANSPOSED_MATMUL_CAP: f64 = 1.5;
@@ -52,15 +73,20 @@ const TRANSPOSED_MATMUL_CAP: f64 = 1.5;
 const TELEMETRY_OVERHEAD_CAP: f64 = 1.05;
 
 fn load_entries(path: &Path) -> Vec<(String, String, f64)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "{} must be committed (regenerate with `DINAR_THREADS=1 cargo run \
-             --release -p dinar-bench --bin bench_{}`): {e}",
-            path.display(),
-            if path.ends_with("BENCH_telemetry.json") { "telemetry" } else { "tensor" },
-        )
-    });
-    let json = Json::parse(&text).expect("committed bench report parses");
+    let regenerate = format!(
+        "regenerate with `DINAR_THREADS=1 cargo run --release -p dinar-bench --bin bench_{}`",
+        if path.ends_with("BENCH_telemetry.json") { "telemetry" } else { "tensor" },
+    );
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{} must be committed ({regenerate}): {e}", path.display()));
+    parse_entries(&text, &regenerate)
+}
+
+/// The `(op, size, ns_per_iter)` rows of a bench report. Every row must have
+/// been measured at pool width 1: the frozen constants are single-thread
+/// readings.
+fn parse_entries(text: &str, regenerate: &str) -> Vec<(String, String, f64)> {
+    let json = Json::parse(text).expect("committed bench report parses");
     json.get("entries")
         .and_then(Json::as_arr)
         .expect("report has entries")
@@ -76,9 +102,23 @@ fn load_entries(path: &Path) -> Vec<(String, String, f64)> {
                 .get("ns_per_iter")
                 .and_then(Json::as_f64)
                 .expect("row has ns_per_iter");
-            (field("op"), field("size"), ns)
+            let (op, size) = (field("op"), field("size"));
+            let threads = row.get("threads").and_then(Json::as_usize);
+            assert!(
+                threads == Some(1),
+                "{op}/{size} was recorded at pool width {threads:?}, not 1: {regenerate}"
+            );
+            (op, size, ns)
         })
         .collect()
+}
+
+#[test]
+#[should_panic(expected = "recorded at pool width Some(2), not 1: regenerate with")]
+fn rows_recorded_at_another_pool_width_are_rejected() {
+    let report = r#"{"threads": 2, "entries": [
+        {"op": "im2col2d", "size": "8x8x16x16_k3", "ns_per_iter": 898000.0, "threads": 2}]}"#;
+    parse_entries(report, "regenerate with `DINAR_THREADS=1 cargo run ..`");
 }
 
 fn ns_for(entries: &[(String, String, f64)], op: &str, size: &str) -> f64 {
@@ -126,6 +166,19 @@ fn vectorised_tanh_holds_5x_over_libm() {
     );
 }
 
+#[test]
+fn run_copy_im2col_holds_2_5x_over_per_element_lowering() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let ns = ns_for(&entries, "im2col2d", "8x8x16x16_k3");
+    assert!(
+        ns * 2.5 <= PRE_REWRITE_IM2COL_8X8X16X16_NS,
+        "im2col2d 8x8x16x16_k3 at {ns:.0} ns/iter is not ≥2.5× under the \
+         pre-rewrite {PRE_REWRITE_IM2COL_8X8X16X16_NS:.0} ns/iter — the lowering \
+         is back to per-element gathers"
+    );
+}
+
 /// ns per multiply-add of a matmul-family row, from its `MxKxN` size label.
 fn ns_per_mac(entries: &[(String, String, f64)], op: &str, size: &str) -> f64 {
     let macs: f64 = size
@@ -149,6 +202,20 @@ fn transposed_products_stay_within_cap_of_matmul_per_flop() {
              shared packed tile"
         );
     }
+}
+
+#[test]
+fn conv_shaped_matmul_stays_within_cap_of_matmul_per_flop() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let matmul = ns_per_mac(&entries, "matmul", "128x128x128");
+    let ns = ns_per_mac(&entries, "matmul", "8x27x16384");
+    assert!(
+        ns <= matmul * CONV_MATMUL_CAP,
+        "matmul 8x27x16384 at {ns:.4} ns/MAC is over {CONV_MATMUL_CAP}× the \
+         matmul 128³ {matmul:.4} ns/MAC — the conv forward product lost the \
+         straight-copy pack or its positions left the tile's lane axis"
+    );
 }
 
 #[test]

@@ -16,7 +16,7 @@ use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_fl::{FlConfig, FlSystem};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::{Layer, Model};
-use dinar_tensor::conv::{im2col2d, Conv2dGeom};
+use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
 use dinar_tensor::{par, Rng, Tensor};
 use std::sync::Mutex;
 
@@ -127,8 +127,11 @@ fn matmul_family_is_the_serial_fma_chain_at_every_tile_edge() {
 
 #[test]
 fn im2col_and_reductions_are_bit_identical_across_widths() {
+    // A batch large enough that the lowering fans out at widths 2 and 4:
+    // im2col partitions the 45 patch rows, col2im the 64 samples. Stride 2
+    // takes the strided-gather form of the run copy.
     let mut rng = Rng::seed_from(8);
-    let x = rng.randn(&[3, 5, 13, 11]);
+    let x = rng.randn(&[64, 5, 13, 11]);
     let geom = Conv2dGeom {
         channels: 5,
         height: 13,
@@ -143,13 +146,15 @@ fn im2col_and_reductions_are_bit_identical_across_widths() {
 
     let results = per_width(|| {
         let cols = im2col2d(&x, &geom).expect("im2col2d");
+        assert_eq!(cols.shape(), &[5 * 3 * 3, 64 * 7 * 6], "patch-major");
+        let folded = col2im2d(&cols, 64, &geom).expect("col2im2d");
         let sum = v.sum();
         let dot = v.dot(&u).expect("dot");
         let norm = v.norm_l2();
-        (bits(&cols), sum.to_bits(), dot.to_bits(), norm.to_bits())
+        (bits(&cols), bits(&folded), sum.to_bits(), dot.to_bits(), norm.to_bits())
     });
     for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
-        assert_eq!(r, &results[0], "im2col/reductions diverged at {w} threads");
+        assert_eq!(r, &results[0], "im2col/col2im/reductions diverged at {w} threads");
     }
 }
 
