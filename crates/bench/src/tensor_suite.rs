@@ -1,9 +1,9 @@
 //! The shared tensor micro-benchmark suite.
 //!
 //! One definition of the hot-kernel benchmarks (matmul family, im2col
-//! lowering, elementwise, RNG) used by both the `tensor_ops` bench harness
-//! and the `bench_tensor` binary, so the printed lines and the recorded
-//! `bench-results/BENCH_tensor.json` artifact can never drift apart.
+//! lowering, elementwise, RNG, wire codecs) used by both the `tensor_ops`
+//! bench harness and the `bench_tensor` binary, so the printed lines and the
+//! recorded `bench-results/BENCH_tensor.json` artifact can never drift apart.
 //!
 //! Each measurement becomes a [`TensorBenchEntry`] row `(op, size,
 //! ns_per_iter, threads)`, plus `gflops` on the matmul-family rows; `threads`
@@ -13,7 +13,10 @@
 
 use crate::timing::{bench, bench_batched, Config, Measurement};
 use dinar_nn::conv::Conv2d;
+use dinar_nn::models::{self, Activation};
+use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
 use dinar_nn::Layer;
+use dinar_tensor::wire::Codec;
 use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::{par, Rng, Tensor};
@@ -177,6 +180,37 @@ pub fn run(config: &Config) -> dinar_nn::Result<Vec<TensorBenchEntry>> {
     });
     entries.push(entry("fill_normal", "100k", &m));
 
+    // The wire plane at the `comm_wdp_i8` model (`mlp[600,1024,100]`,
+    // 717,924 parameters): one client's whole lossy uplink — delta, error
+    // feedback (residual present), i8 encode — the server's decode of it
+    // onto its base, and the lossless pair the downlink pays.
+    let mut rng = Rng::seed_from(6);
+    let base = models::mlp(&[600, 1024, 100], Activation::ReLU, &mut rng)?.params();
+    let mut trained = base.share();
+    trained.map_inplace(|x| x * 1.01 + 1e-3);
+    let size = base.param_count().to_string();
+    let mut feedback = ErrorFeedback::new();
+    let frame = feedback.compress_delta(&trained, &base, Codec::QuantI8)?;
+    let m = bench(&format!("uplink_delta_quant_i8_{size}"), config, || {
+        black_box(feedback.compress_delta(&trained, &base, Codec::QuantI8))
+    });
+    entries.push(entry("uplink_delta_quant_i8", &size, &m));
+    decode_params_onto(&frame, &base)?;
+    let m = bench(&format!("decode_onto_quant_i8_{size}"), config, || {
+        black_box(decode_params_onto(&frame, &base))
+    });
+    entries.push(entry("decode_onto_quant_i8", &size, &m));
+    let frame = encode_params(&base, Codec::F32)?;
+    let m = bench(&format!("encode_f32_{size}"), config, || {
+        black_box(encode_params(&base, Codec::F32))
+    });
+    entries.push(entry("encode_f32", &size, &m));
+    decode_params(&frame)?;
+    let m = bench(&format!("decode_f32_{size}"), config, || {
+        black_box(decode_params(&frame))
+    });
+    entries.push(entry("decode_f32", &size, &m));
+
     Ok(entries)
 }
 
@@ -202,14 +236,14 @@ mod tests {
             target_sample: Duration::from_millis(0),
         };
         let entries = run(&config).expect("static shapes are consistent");
-        assert_eq!(entries.len(), 15);
+        assert_eq!(entries.len(), 19);
         assert!(entries.iter().all(|e| e.ns_per_iter > 0.0));
         assert!(entries.iter().all(|e| e.threads == par::threads()));
 
         let json = to_json(&entries);
         let back = Json::parse(&json.dump_pretty()).expect("emitter output parses");
         let rows = back.get("entries").and_then(Json::as_arr).expect("entries");
-        assert_eq!(rows.len(), 15);
+        assert_eq!(rows.len(), 19);
         assert_eq!(
             rows[2].get("op").and_then(Json::as_str),
             Some("matmul"),

@@ -100,6 +100,48 @@ pub fn add_gaussian_noise(params: &mut ModelParams, std_dev: f32, rng: &mut Rng)
     });
 }
 
+/// Clip-then-noise on the update `trained − base`, reconstructed onto the
+/// base: returns `base + clip(trained − base) + N(0, std_dev²)`, bit for
+/// bit what `sub` → [`clip_l2`] → [`add_gaussian_noise`] → `add_assign(base)`
+/// produce, with the same draws from `rng` (one keyed stream per non-empty
+/// tensor, in canonical order; none when `std_dev ≤ 0`).
+///
+/// Two sweeps and one model-sized allocation: the clip factor comes from
+/// the norm of the difference, which is never materialized
+/// ([`ModelParams::diff_l2_norm`]); then every output element is written
+/// once, as `((t − b)·factor + σ·z) + b`, inside the sampler's own pass
+/// ([`Rng::map_normal`]). An unclipped update takes the same path:
+/// `factor` is then exactly `1.0`, and `x · 1.0` is `x`.
+///
+/// # Errors
+///
+/// Returns [`dinar_nn::NnError::ParamShapeMismatch`] if the architectures
+/// differ.
+pub fn clip_noise_onto(
+    trained: &ModelParams,
+    base: &ModelParams,
+    clip_norm: f32,
+    std_dev: f32,
+    rng: &mut Rng,
+) -> dinar_nn::Result<ModelParams> {
+    // Also the architecture check: from here on the three sets walk in step.
+    let factor = clip_factor(trained.diff_l2_norm(base)?, clip_norm);
+    let mut out = trained.zeros_like();
+    let (trained, base) = (ParamView::of_model(trained), ParamView::of_model(base));
+    let mut operands = trained.slices().zip(base.slices());
+    ParamViewMut::of_model(&mut out).for_each_slice_mut(|out| {
+        let Some((t, b)) = operands.next() else { return };
+        if std_dev > 0.0 {
+            rng.map_normal(out, |i, _, z| ((t[i] - b[i]) * factor + z * std_dev) + b[i]);
+        } else {
+            for ((o, &t), &b) in out.iter_mut().zip(t).zip(b) {
+                *o = (t - b) * factor + b;
+            }
+        }
+    });
+    Ok(out)
+}
+
 /// The full clip-then-noise Gaussian mechanism.
 ///
 /// Noise is scaled per coordinate as `σ · clip / √d` (with `d` the parameter
@@ -168,6 +210,26 @@ mod tests {
         let before = p.clone();
         add_gaussian_noise(&mut p, 0.0, &mut Rng::seed_from(0));
         assert_eq!(p, before);
+    }
+
+    #[test]
+    fn fused_update_mechanism_equals_the_four_step_composition() {
+        let base = params(0.25, 1000);
+        // (trained value, clip bound): clipped, unclipped, and noise-free.
+        for (value, clip, std_dev) in [(1.0, 5.0, 0.025), (0.26, 5.0, 0.025), (1.0, 5.0, 0.0)] {
+            let trained = params(value, 1000);
+            let (mut rng_ref, mut rng_fused) = (Rng::seed_from(6), Rng::seed_from(6));
+            let mut want = trained.sub(&base).unwrap();
+            clip_l2(&mut want, clip);
+            add_gaussian_noise(&mut want, std_dev, &mut rng_ref);
+            want.add_assign(&base).unwrap();
+            let got = clip_noise_onto(&trained, &base, clip, std_dev, &mut rng_fused).unwrap();
+            let bits =
+                |p: &ModelParams| p.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "value {value} std {std_dev}");
+            assert_eq!(rng_fused.state(), rng_ref.state());
+        }
+        assert!(clip_noise_onto(&base, &params(0.0, 3), 5.0, 0.1, &mut Rng::seed_from(0)).is_err());
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //! Unlike [`crate::LocalDp`], the noise is an absolute magnitude, not
 //! calibrated to a budget — hence "weak": good utility, limited protection
 //! (its attack AUC stays high in Fig. 6).
+//!
+//! The upload transform is [`clip_noise_onto`]: the update's norm is taken
+//! without materializing the update, and clip, noise and the add-back of
+//! the global are one pass that writes the upload — two sweeps and one
+//! model-sized allocation per round.
 
-use crate::dp::{add_gaussian_noise, clip_l2};
+use crate::dp::clip_noise_onto;
 use dinar_fl::{ClientMiddleware, FlError, Result};
 use dinar_nn::ModelParams;
 use dinar_telemetry::Telemetry;
@@ -64,9 +69,7 @@ impl ClientMiddleware for WeakDp {
                 name: "wdp",
                 reason: "upload before any download; no reference model".into(),
             })?;
-        let mut update = params.sub(global)?;
-        clip_l2(&mut update, self.norm_bound);
-        add_gaussian_noise(&mut update, self.sigma, &mut self.rng);
+        let upload = clip_noise_onto(params, global, self.norm_bound, self.sigma, &mut self.rng)?;
         // WDP fixes σ instead of a budget; invert the Gaussian-mechanism
         // calibration to find the ε this round's noise actually bought. Per
         // coordinate we add std `sigma` over d coordinates, i.e. a noise
@@ -74,7 +77,7 @@ impl ClientMiddleware for WeakDp {
         // effective multiplier is z = sigma·√d / bound and
         // ε = √(2 ln(1.25/δ)) / z — large ε, consistent with "weak".
         if self.telemetry.is_enabled() {
-            let d = update.param_count().max(1) as f64;
+            let d = params.param_count().max(1) as f64;
             let z = f64::from(self.sigma) * d.sqrt() / f64::from(self.norm_bound);
             let eps = if z > 0.0 {
                 (2.0 * (1.25 / WDP_LEDGER_DELTA).ln()).sqrt() / z
@@ -88,10 +91,7 @@ impl ClientMiddleware for WeakDp {
                 WDP_LEDGER_DELTA,
             );
         }
-        // Commuted in-place reconstruction; bit-identical to the old
-        // `global.clone() + update` without the upload copy.
-        update.add_assign(global)?;
-        *params = update;
+        *params = upload;
         Ok(())
     }
 

@@ -59,7 +59,7 @@ use crate::fault::{FaultKind, FaultPlan, RoundFaultStats, RoundPolicy};
 use crate::netsim::{RoundMeter, RoundWireStats, WireConfig};
 use crate::round::{Contribution, Round};
 use crate::{ClientUpdate, FlClient, FlError, FlSystem, Result, RoundReport};
-use dinar_nn::snapshot::{decode_params, encode_params, ErrorFeedback};
+use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
 use dinar_nn::ModelParams;
 use dinar_telemetry::bridge;
 use dinar_tensor::wire::Codec;
@@ -299,15 +299,6 @@ pub fn run_threaded_wire(
             let _espan = telemetry.span("encode");
             Arc::new(encode_params(open_round.global(), wire.downlink)?)
         };
-        // Base for reconstructing delta uploads: the server's own decode of
-        // the frame it broadcast, so lossy downlinks leave both sides
-        // agreeing on the base bit for bit. Lossless uplinks send absolute
-        // parameters and need no base.
-        let delta_base = if wire.uplink.is_lossy() {
-            Some(decode_params(&frame)?)
-        } else {
-            None
-        };
         let mut meter = RoundMeter::new(&wire.network);
 
         // Broadcast to every client still alive; a failed send means the
@@ -334,6 +325,17 @@ pub fn run_threaded_wire(
                 }
             }
         }
+
+        // Base for reconstructing delta uploads: the server's own decode of
+        // the frame it broadcast, so lossy downlinks leave both sides
+        // agreeing on the base bit for bit. Lossless uplinks send absolute
+        // parameters and need no base. Decoded here, while the clients
+        // train, rather than ahead of the broadcast they all wait for.
+        let delta_base = if wire.uplink.is_lossy() {
+            Some(decode_params(&frame)?)
+        } else {
+            None
+        };
 
         // Collect until every dispatched client is accounted for or the
         // deadline (extended by retry backoff) expires.
@@ -543,19 +545,21 @@ pub fn run_threaded_wire(
 }
 
 /// Decodes and validates one client upload at the server's trust boundary,
-/// reconstructing absolute parameters from a delta frame by adding back
-/// `delta_base` (the server's decode of the round's broadcast).
+/// reconstructing absolute parameters from a delta frame by decoding it
+/// straight onto `delta_base` (the server's decode of the round's
+/// broadcast).
 fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<Contribution> {
-    let mut params = decode_params(&msg.frame)?;
-    if msg.delta {
+    let params = if msg.delta {
         let base = delta_base.ok_or_else(|| FlError::InvalidConfig {
             reason: format!(
                 "client {} sent a delta update but the uplink codec is lossless",
                 msg.client_id
             ),
         })?;
-        params.add_assign(base)?;
-    }
+        decode_params_onto(&msg.frame, base)?
+    } else {
+        decode_params(&msg.frame)?
+    };
     Ok(Contribution {
         loss: msg.train_loss,
         train_s: msg.train_s,
@@ -675,10 +679,7 @@ fn spawn_client(
                     // uplink; otherwise the delta against the received
                     // global, error-feedback compensated.
                     let encoded = if delta_mode {
-                        done.update
-                            .params
-                            .sub(&global)
-                            .and_then(|d| feedback.compress(&d, uplink))
+                        feedback.compress_delta(&done.update.params, &global, uplink)
                     } else {
                         encode_params(&done.update.params, uplink)
                     };

@@ -87,7 +87,7 @@ const KEYWORDS: [&str; 14] = [
     "break", "fn",
 ];
 
-const NOISE_METHODS: [&str; 7] = [
+const NOISE_METHODS: [&str; 8] = [
     "normal",
     "normal_with",
     "randn",
@@ -95,6 +95,7 @@ const NOISE_METHODS: [&str; 7] = [
     "fill_normal",
     "fill_normal_with",
     "axpy_normal",
+    "map_normal",
 ];
 
 /// Parses one stripped file into its non-test functions with events.

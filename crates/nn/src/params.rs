@@ -7,6 +7,7 @@
 //! the per-layer structure — instead of a flat vector — is what makes the
 //! paper's fine-grained approach expressible.
 
+use crate::view::NestedNorm;
 use crate::{NnError, Result};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::Tensor;
@@ -215,7 +216,7 @@ impl ModelParams {
                 .all(|(a, b)| a.same_shape(b))
     }
 
-    fn check_shape(&self, other: &ModelParams, op: &str) -> Result<()> {
+    pub(crate) fn check_shape(&self, other: &ModelParams, op: &str) -> Result<()> {
         if !self.same_shape(other) {
             return Err(NnError::ParamShapeMismatch {
                 reason: format!(
@@ -289,6 +290,26 @@ impl ModelParams {
             layers.push(LayerParams { tensors });
         }
         Ok(ModelParams { layers })
+    }
+
+    /// L2 norm of `self − other` without materializing the difference: the
+    /// bits of `self.sub(other)?.l2_norm()` (same nested association, see
+    /// [`ParamView::norm_and_count`](crate::ParamView::norm_and_count)) in
+    /// one read-only pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParamShapeMismatch`] if the architectures differ.
+    pub fn diff_l2_norm(&self, other: &ModelParams) -> Result<f32> {
+        self.check_shape(other, "diff_l2_norm")?;
+        let mut norm = NestedNorm::default();
+        for (l, lo) in self.layers.iter().zip(&other.layers) {
+            for (t, to) in l.tensors.iter().zip(&lo.tensors) {
+                norm.tensor(t.diff_norm_l2(to)?);
+            }
+            norm.end_layer();
+        }
+        Ok(norm.finish())
     }
 
     /// Applies `f` to every scalar parameter in place.
@@ -377,6 +398,20 @@ mod tests {
         let mut rebuilt = a.clone();
         rebuilt.add_assign(&diff).unwrap();
         assert!(rebuilt.max_abs_diff(&b).unwrap() < 1e-6);
+    }
+
+    #[test]
+    fn diff_norm_is_the_norm_of_the_difference_bit_for_bit() {
+        let a = params2();
+        let mut b = params2();
+        b.map_inplace(|x| x * 0.37 - 1.0);
+        let want = crate::ParamView::of_model(&a.sub(&b).unwrap()).l2_norm();
+        assert_eq!(a.diff_l2_norm(&b).unwrap().to_bits(), want.to_bits());
+        let other = ModelParams::new(vec![LayerParams::new(vec![Tensor::ones(&[3])])]);
+        assert!(matches!(
+            a.diff_l2_norm(&other),
+            Err(NnError::ParamShapeMismatch { .. })
+        ));
     }
 
     #[test]

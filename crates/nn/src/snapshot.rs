@@ -27,12 +27,21 @@
 //! quantization error accumulates into later rounds instead of being lost
 //! (Seide et al.'s 1-bit SGD trick). For [`Codec::F32`] the residual is
 //! identically zero and is not materialized.
+//!
+//! A lossy upload is two sweeps per tensor over the carried residual buffer
+//! and allocates nothing once that buffer exists: sweep A overwrites the
+//! residual with `v = (params − base) + residual`, sweep B
+//! ([`encode_tensor_feedback`]) writes each level into the frame and what it
+//! lost back over `v`, where the next round's sweep A finds it. The sender
+//! never decodes its own frame. [`decode_params_onto`] is the receiving
+//! half: each level is dequantised straight onto the base it is a delta to.
 
-use crate::{ModelParams, NnError, Result};
+use crate::{LayerParams, ModelParams, NnError, Result};
 use dinar_tensor::wire::{
-    decode_tensor, encode_tensor, encoded_tensor_len, read_header, write_header, ByteReader,
-    ByteWriter, Codec, WireError, HEADER_LEN,
+    decode_tensor, decode_tensor_onto, encode_tensor, encode_tensor_feedback, encoded_tensor_len,
+    read_header, write_header, ByteReader, ByteWriter, Codec, WireError, WireResult, HEADER_LEN,
 };
+use dinar_tensor::Tensor;
 
 /// Exact byte length [`encode_params`] will produce for `params` under
 /// `codec` — usable for byte metering without encoding.
@@ -56,13 +65,23 @@ pub fn encoded_params_len(params: &ModelParams, codec: Codec) -> usize {
 /// Returns [`NnError::Wire`] if a layer/tensor count or dimension exceeds
 /// the `u32` wire fields.
 pub fn encode_params(params: &ModelParams, codec: Codec) -> Result<Vec<u8>> {
+    encode_frame(params, codec, |_, _, t, w| encode_tensor(t, codec, w))
+}
+
+/// The model framing of `params` around the tensor frames that
+/// `tensor(layer, index, tensor, writer)` writes.
+fn encode_frame(
+    params: &ModelParams,
+    codec: Codec,
+    mut tensor: impl FnMut(usize, usize, &Tensor, &mut ByteWriter) -> WireResult<()>,
+) -> Result<Vec<u8>> {
     let mut w = ByteWriter::with_capacity(encoded_params_len(params, codec));
     write_header(&mut w, codec);
     w.put_u32(wire_len(params.layers.len(), "layer count")?);
-    for layer in &params.layers {
+    for (li, layer) in params.layers.iter().enumerate() {
         w.put_u32(wire_len(layer.tensors.len(), "tensor count")?);
-        for t in &layer.tensors {
-            encode_tensor(t, codec, &mut w).map_err(NnError::Wire)?;
+        for (ti, t) in layer.tensors.iter().enumerate() {
+            tensor(li, ti, t, &mut w).map_err(NnError::Wire)?;
         }
     }
     Ok(w.into_bytes())
@@ -77,6 +96,27 @@ pub fn encode_params(params: &ModelParams, codec: Codec) -> Result<Vec<u8>> {
 /// unknown codecs, overflowing length headers, corrupt payloads or
 /// trailing bytes. Never panics.
 pub fn decode_params(bytes: &[u8]) -> Result<ModelParams> {
+    decode_frame(bytes, None)
+}
+
+/// Decodes a *delta* frame onto `base`: every element is `decoded + base`,
+/// the bits of [`decode_params`] followed by `add_assign(base)`, built in
+/// one pass per tensor with no dequantised intermediate.
+///
+/// # Errors
+///
+/// As [`decode_params`], plus [`NnError::ParamShapeMismatch`] (or a
+/// [`WireError::BaseMismatch`]) if the frame's architecture is not
+/// `base`'s.
+pub fn decode_params_onto(bytes: &[u8], base: &ModelParams) -> Result<ModelParams> {
+    decode_frame(bytes, Some(base))
+}
+
+fn decode_frame(bytes: &[u8], base: Option<&ModelParams>) -> Result<ModelParams> {
+    let mismatch = || NnError::ParamShapeMismatch {
+        reason: "delta frame does not have the architecture of its base".into(),
+    };
+    let mut onto = base.into_iter().flat_map(|b| &b.layers).flat_map(|l| &l.tensors);
     let mut r = ByteReader::new(bytes);
     let codec = read_header(&mut r).map_err(NnError::Wire)?;
     let layer_count = r.read_u32().map_err(NnError::Wire)?;
@@ -87,12 +127,22 @@ pub fn decode_params(bytes: &[u8]) -> Result<ModelParams> {
         let tensor_count = r.read_u32().map_err(NnError::Wire)?;
         let mut tensors = Vec::new();
         for _ in 0..tensor_count {
-            tensors.push(decode_tensor(&mut r, codec).map_err(NnError::Wire)?);
+            let tensor = match base {
+                Some(_) => decode_tensor_onto(&mut r, codec, onto.next().ok_or_else(mismatch)?),
+                None => decode_tensor(&mut r, codec),
+            };
+            tensors.push(tensor.map_err(NnError::Wire)?);
         }
-        layers.push(crate::params::LayerParams::new(tensors));
+        layers.push(LayerParams::new(tensors));
     }
     r.finish().map_err(NnError::Wire)?;
-    Ok(ModelParams::new(layers))
+    let params = ModelParams::new(layers);
+    // Tensor by tensor the shapes agreed; the layer grouping and a frame
+    // shorter than its base are what is left to rule out.
+    if base.is_some_and(|b| !params.same_shape(b)) {
+        return Err(mismatch());
+    }
+    Ok(params)
 }
 
 pub(crate) fn wire_len(n: usize, what: &'static str) -> Result<u32> {
@@ -120,9 +170,9 @@ impl ErrorFeedback {
         ErrorFeedback::default()
     }
 
-    /// Whether a residual is currently carried.
-    pub fn has_residual(&self) -> bool {
-        self.residual.is_some()
+    /// The carried residual, if any: what the last lossy encode lost.
+    pub fn residual(&self) -> Option<&ModelParams> {
+        self.residual.as_ref()
     }
 
     /// Encodes `update` under `codec`, compensating with and refreshing
@@ -137,23 +187,72 @@ impl ErrorFeedback {
     ///
     /// Returns [`NnError::Wire`] on encode failure and
     /// [`NnError::ParamShapeMismatch`] if the carried residual's
-    /// architecture no longer matches the update's.
+    /// architecture no longer matches the update's; either way the carried
+    /// residual is exactly what it was.
     pub fn compress(&mut self, update: &ModelParams, codec: Codec) -> Result<Vec<u8>> {
+        self.encode(update, None, codec)
+    }
+
+    /// [`compress`](ErrorFeedback::compress) of the delta `params − base`
+    /// without materializing it: the subtraction rides the sweep that adds
+    /// the carried residual. Same frame, same residual, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`compress`](ErrorFeedback::compress), with `base` held to the
+    /// same architecture check as the residual.
+    pub fn compress_delta(
+        &mut self,
+        params: &ModelParams,
+        base: &ModelParams,
+        codec: Codec,
+    ) -> Result<Vec<u8>> {
+        self.encode(params, Some(base), codec)
+    }
+
+    fn encode(
+        &mut self,
+        params: &ModelParams,
+        base: Option<&ModelParams>,
+        codec: Codec,
+    ) -> Result<Vec<u8>> {
         if !codec.is_lossy() {
+            let bytes = match base {
+                Some(base) => encode_params(&params.sub(base)?, codec),
+                None => encode_params(params, codec),
+            }?;
             self.residual = None;
-            return encode_params(update, codec);
+            return Ok(bytes);
         }
-        let compensated = match self.residual.take() {
-            Some(residual) => {
-                let mut v = update.share();
-                v.add_assign(&residual)?;
-                v
-            }
-            None => update.share(),
+        // Architectures first: nothing below may fail once state is touched.
+        for other in base.into_iter().chain(&self.residual) {
+            params.check_shape(other, "compress")?;
+        }
+        // With nothing carried, `v` starts as the update itself (round one's
+        // allocation) and sweep A has nothing to add. A carried residual was
+        // left by a successful encode of this architecture, so the wire
+        // fields are known to fit and the frame below cannot fail on it.
+        let carried = self.residual.take();
+        let fresh = carried.is_none();
+        let mut v = match (carried, base) {
+            (Some(residual), _) => residual,
+            (None, Some(base)) => params.sub(base)?,
+            (None, None) => params.share(),
         };
-        let bytes = encode_params(&compensated, codec)?;
-        let decoded = decode_params(&bytes)?;
-        self.residual = Some(compensated.sub(&decoded)?);
+        let bytes = encode_frame(params, codec, |li, ti, p, w| {
+            let v = &mut v.layers[li].tensors[ti];
+            if !fresh {
+                // Sweep A: the compensated value, over the old residual.
+                let (r, p) = (v.as_mut_slice().iter_mut(), p.as_slice());
+                match base.map(|b| b.layers[li].tensors[ti].as_slice()) {
+                    Some(b) => r.zip(p).zip(b).for_each(|((r, &p), &b)| *r = (p - b) + *r),
+                    None => r.zip(p).for_each(|(r, &u)| *r = u + *r),
+                }
+            }
+            // Sweep B: levels into the frame, what they lost back over `v`.
+            encode_tensor_feedback(v, codec, w)
+        })?;
+        self.residual = Some(v);
         Ok(bytes)
     }
 
@@ -250,7 +349,7 @@ mod tests {
             err < err_free * 0.5,
             "feedback mean err {err} not well under feedback-free {err_free}"
         );
-        assert!(fb.has_residual());
+        assert!(fb.residual().is_some());
     }
 
     #[test]
@@ -258,10 +357,95 @@ mod tests {
         let p = small_params();
         let mut fb = ErrorFeedback::new();
         let _ = fb.compress(&p, Codec::QuantI8).unwrap();
-        assert!(fb.has_residual());
+        assert!(fb.residual().is_some());
         let bytes = fb.compress(&p, Codec::F32).unwrap();
-        assert!(!fb.has_residual());
+        assert!(!fb.residual().is_some());
         assert_eq!(bytes, encode_params(&p, Codec::F32).unwrap());
+    }
+
+    fn flat_bits(p: &ModelParams) -> Vec<u32> {
+        p.to_flat().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_failed_compress_leaves_the_carried_residual_exactly_as_it_was() {
+        let p = small_params();
+        let other = models::mlp(&[4, 5, 3], Activation::ReLU, &mut Rng::seed_from(2))
+            .unwrap()
+            .params();
+        for codec in [Codec::Sign1, Codec::QuantI8] {
+            let mut fb = ErrorFeedback::new();
+            fb.compress(&p, codec).unwrap();
+            let carried = flat_bits(fb.residual.as_ref().unwrap());
+            // Update vs residual, then params vs base and base vs residual
+            // on the delta entry: each is refused before anything is written.
+            for result in [
+                fb.compress(&other, codec),
+                fb.compress_delta(&p, &other, codec),
+                fb.compress_delta(&other, &other, codec),
+            ] {
+                assert!(matches!(result, Err(NnError::ParamShapeMismatch { .. })));
+                assert_eq!(flat_bits(fb.residual.as_ref().unwrap()), carried, "{codec:?}");
+            }
+            // The next good round is compensated as if nothing had happened.
+            let mut twin = ErrorFeedback::new();
+            twin.compress(&p, codec).unwrap();
+            assert_eq!(fb.compress(&p, codec).unwrap(), twin.compress(&p, codec).unwrap());
+        }
+        // With nothing carried, a refused delta leaves nothing behind.
+        let mut fresh = ErrorFeedback::new();
+        assert!(fresh.compress_delta(&p, &other, Codec::QuantI8).is_err());
+        assert!(!fresh.residual().is_some());
+    }
+
+    #[test]
+    fn delta_entry_equals_compress_of_the_subtracted_update() {
+        let mut rng = Rng::seed_from(8);
+        let base = small_params();
+        for codec in Codec::all() {
+            let (mut fused, mut split) = (ErrorFeedback::new(), ErrorFeedback::new());
+            for round in 0..3 {
+                let mut trained = base.share();
+                trained.map_inplace(|x| x * 0.9);
+                let noise = rng.randn(&[1]).as_slice()[0];
+                trained.map_inplace(|x| x + noise);
+                let want = split.compress(&trained.sub(&base).unwrap(), codec).unwrap();
+                let got = fused.compress_delta(&trained, &base, codec).unwrap();
+                assert_eq!(got, want, "{codec:?} round {round}: frame");
+                assert_eq!(
+                    fused.residual.as_ref().map(flat_bits),
+                    split.residual.as_ref().map(flat_bits),
+                    "{codec:?} round {round}: residual"
+                );
+                let mut server = decode_params(&want).unwrap();
+                server.add_assign(&base).unwrap();
+                let onto = decode_params_onto(&got, &base).unwrap();
+                assert_eq!(flat_bits(&onto), flat_bits(&server), "{codec:?} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_onto_rejects_frames_of_another_architecture() {
+        let p = small_params();
+        let bytes = encode_params(&p, Codec::QuantI8).unwrap();
+        let mut rng = Rng::seed_from(3);
+        let reshaped = models::mlp(&[4, 5, 3], Activation::ReLU, &mut rng).unwrap().params();
+        let deeper = models::mlp(&[4, 6, 3, 2], Activation::ReLU, &mut rng).unwrap().params();
+        let shallower = ModelParams::new(vec![p.layers[0].share()]);
+        assert!(matches!(
+            decode_params_onto(&bytes, &reshaped),
+            Err(NnError::Wire(WireError::BaseMismatch { .. }))
+        ));
+        for base in [&deeper, &shallower] {
+            assert!(matches!(
+                decode_params_onto(&bytes, base),
+                Err(NnError::ParamShapeMismatch { .. })
+            ));
+        }
+        for cut in [0, HEADER_LEN, bytes.len() - 1] {
+            assert!(decode_params_onto(&bytes[..cut], &p).is_err(), "prefix {cut} decoded");
+        }
     }
 
     #[test]

@@ -72,18 +72,44 @@ impl<'a> ParamView<'a> {
     /// rounded square root recovers it.)
     pub fn norm_and_count(&self) -> (f32, usize) {
         let mut count = 0usize;
-        let mut model_acc = 0f64;
+        let mut norm = NestedNorm::default();
         for l in &self.layers {
-            let mut layer_acc = 0f64;
             for t in &l.tensors {
                 count += t.len();
-                let n = f64::from(t.norm_l2());
-                layer_acc += n * n;
+                norm.tensor(t.norm_l2());
             }
-            let ln = f64::from(cast::f64_to_f32(layer_acc.sqrt()));
-            model_acc += ln * ln;
+            norm.end_layer();
         }
-        (cast::f64_to_f32(model_acc.sqrt()), count)
+        (norm.finish(), count)
+    }
+}
+
+/// The nested association of a parameter-set norm, fed one tensor norm at
+/// a time: tensor norms are squared and summed in `f64` within a layer,
+/// each layer's `f32`-rounded norm likewise across layers.
+#[derive(Debug, Default)]
+pub(crate) struct NestedNorm {
+    model_acc: f64,
+    layer_acc: f64,
+}
+
+impl NestedNorm {
+    /// Adds one tensor's (`f32`-rounded) norm to the open layer.
+    pub(crate) fn tensor(&mut self, norm: f32) {
+        let n = f64::from(norm);
+        self.layer_acc += n * n;
+    }
+
+    /// Closes the open layer.
+    pub(crate) fn end_layer(&mut self) {
+        let ln = f64::from(cast::f64_to_f32(self.layer_acc.sqrt()));
+        self.model_acc += ln * ln;
+        self.layer_acc = 0.0;
+    }
+
+    /// The norm over every closed layer.
+    pub(crate) fn finish(self) -> f32 {
+        cast::f64_to_f32(self.model_acc.sqrt())
     }
 }
 

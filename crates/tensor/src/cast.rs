@@ -31,13 +31,20 @@ pub fn len_to_f64(n: usize) -> f64 {
 ///
 /// Non-finite inputs map to level 0 — a NaN-poisoned element must not
 /// produce an undefined cast.
+///
+/// The narrowing itself is integer-only so that a loop over this function
+/// vectorizes (a float→int `as` is a saturating conversion, which LLVM
+/// lowers one lane at a time on x86): `clamped` is an integer in
+/// [−127, 127], so adding 1.5·2²³ is exact and leaves that integer, in
+/// two's complement, in the low mantissa bits of the sum.
 #[inline]
 pub fn f32_to_i8_sat(x: f32) -> i8 {
     if !x.is_finite() {
         return 0;
     }
     let clamped = x.round().clamp(-127.0, 127.0);
-    clamped as i8 // lint: allow(L004, clamped to the i8 range just above)
+    let biased = clamped + 12_582_912.0;
+    biased.to_bits() as u8 as i8 // lint: allow(L004, keeps the low mantissa byte, see above)
 }
 
 /// Explicit precision-narrowing conversion from `f64` to `f32`.
@@ -98,6 +105,22 @@ mod tests {
         assert_eq!(f32_to_i8_sat(-1e9), -127);
         assert_eq!(f32_to_i8_sat(f32::NAN), 0);
         assert_eq!(f32_to_i8_sat(f32::INFINITY), 0);
+        assert_eq!(f32_to_i8_sat(-0.0), 0);
+        assert_eq!(f32_to_i8_sat(f32::MAX), 127);
+        assert_eq!(f32_to_i8_sat(f32::MIN), -127);
+    }
+
+    #[test]
+    fn i8_narrowing_agrees_with_the_saturating_cast_on_every_level() {
+        // Every level, every tie and both neighbours of every tie.
+        for quarter in -4 * 130..=4 * 130 {
+            let x = quarter as f32 * 0.25;
+            let (above, below) = (x.to_bits() + 1, x.to_bits().wrapping_sub(1));
+            for x in [x, f32::from_bits(above), f32::from_bits(below)] {
+                let want = x.round().clamp(-127.0, 127.0) as i8;
+                assert_eq!(f32_to_i8_sat(x), want, "x = {x}");
+            }
+        }
     }
 
     #[test]

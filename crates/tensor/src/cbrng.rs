@@ -207,6 +207,20 @@ impl CbRng {
         }
     }
 
+    /// Maps `out` in place through `f(i, old, z)`: `for_each_normal` with
+    /// the element's position, so `f` can read operands that live beside
+    /// `out` (a fused `out[i] = g(a[i], b[i], z)` needs no staging pass).
+    /// The chunk loop visits every position once, in ascending order — a
+    /// counter is the position.
+    pub fn map_normal(&self, out: &mut [f32], f: impl Fn(usize, f32, f32) -> f32) {
+        let next = std::cell::Cell::new(0usize);
+        self.for_each_normal(out, |x, z| {
+            let i = next.get();
+            next.set(i + 1);
+            f(i, x, z)
+        });
+    }
+
     /// Overwrites `out` with `N(mean, std_dev²)` samples from this stream.
     pub fn fill_normal(&self, out: &mut [f32], mean: f32, std_dev: f32) {
         self.for_each_normal(out, |_, z| z * std_dev + mean);
@@ -435,6 +449,22 @@ mod tests {
                     assert_eq!(v.to_bits(), want.to_bits(), "key={key} i={i} n={n}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn map_normal_hands_out_positions_in_order_and_the_axpy_samples() {
+        let g = CbRng::new(3, 4);
+        for n in [0usize, 1, 2, CHUNK - 1, CHUNK, 2 * CHUNK + 7] {
+            let mut want = vec![1.5f32; n];
+            g.axpy_normal(&mut want, 0.25);
+            let aux: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            let mut got = vec![1.5f32; n];
+            g.map_normal(&mut got, |i, x, z| {
+                assert_eq!(aux[i], i as f32);
+                x + z * 0.25
+            });
+            assert_eq!(got, want, "n={n}");
         }
     }
 

@@ -16,7 +16,8 @@
 //! * Kernels compute each output element in the same floating-point order
 //!   regardless of which partition it lands in — partition boundaries select
 //!   *who* computes an element, never *how*.
-//! * Reductions ([`chunked_sum`], [`chunked_dot`], [`chunked_sumsq_f64`])
+//! * Reductions ([`chunked_sum`], [`chunked_dot`], [`chunked_sumsq_f64`],
+//!   [`chunked_sumsq_diff_f64`])
 //!   always use fixed-size chunk boundaries (independent of the thread
 //!   count) and combine the per-chunk partials in ascending chunk order, so
 //!   the association order of the floating-point sum is a constant of the
@@ -256,54 +257,68 @@ where
     partials
 }
 
+/// A fixed-chunk reduction over `len` elements: `partial(start, end)` folds
+/// one chunk. Inputs of at most one chunk are that single fold; above that
+/// the per-chunk folds are combined in ascending chunk order.
+fn chunked_reduce<A, P>(len: usize, partial: P) -> A
+where
+    A: Send + Default + Clone + for<'a> std::iter::Sum<&'a A>,
+    P: Fn(usize, usize) -> A + Sync,
+{
+    if len <= REDUCE_CHUNK {
+        return partial(0, len);
+    }
+    chunk_partials(len, partial).iter().sum()
+}
+
 /// Sum of `data` with a fixed-chunk association order (see module docs).
 ///
 /// For inputs of at most one chunk this is the plain left fold; above that,
 /// per-chunk left folds are combined in ascending chunk order.
 pub fn chunked_sum(data: &[f32]) -> f32 {
-    if data.len() <= REDUCE_CHUNK {
-        return data.iter().sum();
-    }
-    chunk_partials(data.len(), |start, end| data[start..end].iter().sum::<f32>())
-        .iter()
-        .sum()
+    chunked_reduce(data.len(), |start, end| data[start..end].iter().sum::<f32>())
 }
 
 /// Dot product of `a` and `b` (equal lengths) with fixed-chunk association
 /// order.
 pub fn chunked_dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "chunked_dot length mismatch");
-    if a.len() <= REDUCE_CHUNK {
-        return a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-    }
-    chunk_partials(a.len(), |start, end| {
+    chunked_reduce(a.len(), |start, end| {
         a[start..end]
             .iter()
             .zip(&b[start..end])
             .map(|(&x, &y)| x * y)
             .sum::<f32>()
     })
-    .iter()
-    .sum()
 }
 
 /// Sum of squares of `data`, accumulated in `f64`, with fixed-chunk
 /// association order. Backs [`crate::Tensor::norm_l2`].
 pub fn chunked_sumsq_f64(data: &[f32]) -> f64 {
-    if data.len() <= REDUCE_CHUNK {
-        return data
-            .iter()
-            .map(|&x| f64::from(x) * f64::from(x))
-            .sum();
-    }
-    chunk_partials(data.len(), |start, end| {
+    chunked_reduce(data.len(), |start, end| {
         data[start..end]
             .iter()
             .map(|&x| f64::from(x) * f64::from(x))
             .sum::<f64>()
     })
-    .iter()
-    .sum()
+}
+
+/// [`chunked_sumsq_f64`] of the elementwise difference `a − b` (equal
+/// lengths; each difference rounded to `f32` first), without materializing
+/// it: the bits `chunked_sumsq_f64` gives on the subtracted buffer. Backs
+/// [`crate::Tensor::diff_norm_l2`].
+pub fn chunked_sumsq_diff_f64(a: &[f32], b: &[f32]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "chunked_sumsq_diff_f64 length mismatch");
+    chunked_reduce(a.len(), |start, end| {
+        a[start..end]
+            .iter()
+            .zip(&b[start..end])
+            .map(|(&x, &y)| {
+                let d = f64::from(x - y);
+                d * d
+            })
+            .sum::<f64>()
+    })
 }
 
 #[cfg(test)]
@@ -428,6 +443,24 @@ mod tests {
                 assert_eq!(chunked_dot(&data, &other).to_bits(), base_dot.to_bits());
                 assert_eq!(chunked_sumsq_f64(&data).to_bits(), base_sq.to_bits());
             });
+        }
+    }
+
+    #[test]
+    fn sumsq_of_a_difference_equals_sumsq_of_the_subtracted_buffer() {
+        for len in [0usize, 1, 100, REDUCE_CHUNK, REDUCE_CHUNK + 1, 20_000] {
+            let a: Vec<f32> = (0..len).map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0).collect();
+            let b: Vec<f32> = (0..len).map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0).collect();
+            let diff: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
+            for width in [1, 2, 4] {
+                with_width(width, || {
+                    assert_eq!(
+                        chunked_sumsq_diff_f64(&a, &b).to_bits(),
+                        chunked_sumsq_f64(&diff).to_bits(),
+                        "len {len} width {width}"
+                    );
+                });
+            }
         }
     }
 

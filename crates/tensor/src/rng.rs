@@ -340,6 +340,19 @@ impl Rng {
         self.derive_cb().axpy_normal(out, std_dev);
     }
 
+    /// Maps `out` in place through `f(i, old, zᵢ)`, with `zᵢ` i.i.d. standard
+    /// normal: the general form of [`Rng::axpy_normal`]
+    /// (`f = |_, x, z| x + z·σ`, same stream, same samples) for mechanisms
+    /// that fold more than the noise into the pass. An empty `out` consumes
+    /// no generator state.
+    pub fn map_normal(&mut self, out: &mut [f32], f: impl Fn(usize, f32, f32) -> f32) {
+        if out.is_empty() {
+            return;
+        }
+        profile::record_rng_samples(out.len());
+        self.derive_cb().map_normal(out, f);
+    }
+
     // ------------------------------------------------------------------
     // Tensor sampling
     // ------------------------------------------------------------------

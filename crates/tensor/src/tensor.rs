@@ -841,6 +841,18 @@ impl Tensor {
         cast::f64_to_f32(par::chunked_sumsq_f64(&self.buf.data).sqrt())
     }
 
+    /// L2 norm of `self − other` without materializing the difference: the
+    /// bits of `self.sub(other)?.norm_l2()`, in one read-only pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
+    pub fn diff_norm_l2(&self, other: &Tensor) -> Result<f32> {
+        self.zip_check(other, "diff_norm_l2")?;
+        let sumsq = par::chunked_sumsq_diff_f64(&self.buf.data, &other.buf.data);
+        Ok(cast::f64_to_f32(sumsq.sqrt()))
+    }
+
     /// Column sums of a rank-2 tensor (shape `[ncols]`).
     ///
     /// # Errors
@@ -1040,6 +1052,15 @@ mod tests {
         assert_eq!(a.max().unwrap(), 3.0);
         assert_eq!(a.min().unwrap(), -1.0);
         assert!((a.norm_l2() - 14.0f32.sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn diff_norm_matches_the_norm_of_the_difference() {
+        let a = Tensor::from_fn(&[9000], |i| (i % 17) as f32 * 0.3 - 2.0);
+        let b = Tensor::from_fn(&[9000], |i| (i % 13) as f32 * 0.7 - 4.0);
+        let want = a.sub(&b).unwrap().norm_l2();
+        assert_eq!(a.diff_norm_l2(&b).unwrap().to_bits(), want.to_bits());
+        assert!(a.diff_norm_l2(&Tensor::zeros(&[3])).is_err());
     }
 
     #[test]

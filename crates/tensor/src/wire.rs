@@ -15,6 +15,18 @@
 //! and nothing else. Decoding builds exactly one fresh buffer per tensor,
 //! which is then shared by refcount like any other tensor storage.
 //!
+//! # What is fused where
+//!
+//! Every payload is reserved once and filled in bulk; nothing is pushed
+//! element by element. The lossy codecs run as two passes — the scale scan,
+//! then scale-round-saturate straight into the reserved bytes — through
+//! one routine, [`encode_tensor`] and [`encode_tensor_feedback`] being its
+//! two callers: the second hands it the tensor mutably, and the same pass
+//! that writes a level also leaves `v − level·scale` (what the codec lost)
+//! in `v`'s place, so error feedback never decodes its own frame.
+//! [`decode_tensor_onto`] is the server's half: it dequantises
+//! `level·scale + base` in the one pass that builds the output buffer.
+//!
 //! # Format
 //!
 //! All integers are little-endian. A payload stream opens with a header —
@@ -50,6 +62,7 @@
 
 use crate::storage::QuantTensor;
 use crate::{cast, Tensor};
+use std::cell::Cell;
 use std::fmt;
 
 /// Leading magic of every wire stream: `DNWR` ("DINAR wire").
@@ -114,6 +127,13 @@ pub enum WireError {
         /// Byte offset of the offending padding byte within the payload.
         at: usize,
     },
+    /// A delta frame's shape differs from the base it is decoded onto.
+    BaseMismatch {
+        /// The shape the frame declares.
+        declared: Vec<usize>,
+        /// The base tensor's shape.
+        base: Vec<usize>,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -144,6 +164,9 @@ impl fmt::Display for WireError {
             }
             WireError::NonzeroPadding { at } => {
                 write!(f, "nonzero padding bit(s) at payload byte {at}")
+            }
+            WireError::BaseMismatch { declared, base } => {
+                write!(f, "delta frame of shape {declared:?} decoded onto a base of shape {base:?}")
             }
         }
     }
@@ -294,6 +317,14 @@ impl ByteWriter {
     /// Appends raw bytes verbatim.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends `n` zero bytes and hands them back to be filled: a payload
+    /// is one reservation, not a capacity check per element.
+    fn reserve_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
     }
 }
 
@@ -450,6 +481,38 @@ pub fn encoded_tensor_len(t: &Tensor, codec: Codec) -> usize {
     header + payload
 }
 
+/// One element of a tensor being encoded: always read and, under error
+/// feedback, overwritten with what the codec lost of it. The two impls are
+/// what make write-back a parameter of the one encode routine: a plain
+/// `f32` ignores the residual, a `Cell<f32>` (a mutably borrowed buffer
+/// viewed through [`Cell::as_slice_of_cells`]) stores it.
+pub(crate) trait Lane {
+    /// The element's value.
+    fn get(&self) -> f32;
+    /// Leaves `residual` in the element's place.
+    fn leave(&self, residual: f32);
+}
+
+impl Lane for f32 {
+    #[inline]
+    fn get(&self) -> f32 {
+        *self
+    }
+    #[inline]
+    fn leave(&self, _residual: f32) {}
+}
+
+impl Lane for Cell<f32> {
+    #[inline]
+    fn get(&self) -> f32 {
+        Cell::get(self)
+    }
+    #[inline]
+    fn leave(&self, residual: f32) {
+        self.set(residual);
+    }
+}
+
 /// Encodes one tensor frame, reading directly from the tensor's shared
 /// buffer (no copy-on-write materialization).
 ///
@@ -458,40 +521,103 @@ pub fn encoded_tensor_len(t: &Tensor, codec: Codec) -> usize {
 /// Returns [`WireError::LengthOverflow`] if the rank or a dimension does
 /// not fit the `u32` wire fields.
 pub fn encode_tensor(t: &Tensor, codec: Codec, w: &mut ByteWriter) -> WireResult<()> {
-    let shape = t.shape();
+    write_shape(t.shape(), w)?;
+    encode_payload(t.as_slice(), codec, w);
+    Ok(())
+}
+
+/// [`encode_tensor`] for error feedback: writes the identical frame and, in
+/// the same pass, overwrites `v` with what the codec lost of it —
+/// `v − decode(encode(v))` bit for bit, without decoding anything (all
+/// zeros under the lossless codec). Nothing is written to `v` on an error.
+///
+/// # Errors
+///
+/// As [`encode_tensor`].
+pub fn encode_tensor_feedback(
+    v: &mut Tensor,
+    codec: Codec,
+    w: &mut ByteWriter,
+) -> WireResult<()> {
+    write_shape(v.shape(), w)?;
+    encode_payload(Cell::from_mut(v.as_mut_slice()).as_slice_of_cells(), codec, w);
+    Ok(())
+}
+
+/// The frame's shape header: rank, then every dimension.
+fn write_shape(shape: &[usize], w: &mut ByteWriter) -> WireResult<()> {
     w.put_u32(len_to_u32(shape.len(), "rank")?);
     for &d in shape {
         w.put_u32(len_to_u32(d, "dim")?);
     }
-    let xs = t.as_slice();
+    Ok(())
+}
+
+/// The codec payload of `xs`, reserved once and filled in bulk; each
+/// element is told what the codec lost of it ([`Lane::leave`]).
+fn encode_payload<L: Lane>(xs: &[L], codec: Codec, w: &mut ByteWriter) {
     match codec {
         Codec::F32 => {
-            for &x in xs {
-                w.put_f32(x);
+            let out = w.reserve_zeroed(4 * xs.len());
+            for (dst, x) in out.chunks_exact_mut(4).zip(xs) {
+                dst.copy_from_slice(&x.get().to_bits().to_le_bytes());
+                x.leave(0.0);
             }
         }
         Codec::Sign1 => {
-            w.put_f32(sign1_scale(xs));
-            for chunk in xs.chunks(8) {
-                let mut byte = 0u8;
-                for (bit, &x) in chunk.iter().enumerate() {
-                    if x.is_sign_positive() {
-                        byte |= 1 << bit;
-                    }
+            let scale = sign1_scale(xs);
+            w.put_f32(scale);
+            let out = w.reserve_zeroed(xs.len().div_ceil(8));
+            for (byte, chunk) in out.iter_mut().zip(xs.chunks(8)) {
+                let mut bits = 0u8;
+                for (bit, x) in chunk.iter().enumerate() {
+                    let v = x.get();
+                    let positive = v.is_sign_positive();
+                    bits |= u8::from(positive) << bit;
+                    x.leave(v - if positive { scale } else { -scale });
                 }
-                w.put_u8(byte);
+                *byte = bits;
             }
         }
         Codec::QuantI8 => {
             let scale = quant_scale(xs);
             w.put_f32(scale);
             let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-            for &x in xs {
-                w.put_i8(cast::f32_to_i8_sat(x * inv));
+            let out = w.reserve_zeroed(xs.len());
+            for (byte, x) in out.iter_mut().zip(xs) {
+                let v = x.get();
+                let level = cast::f32_to_i8_sat(v * inv);
+                *byte = level.to_le_bytes()[0];
+                x.leave(v - f32::from(level) * scale);
             }
         }
     }
-    Ok(())
+}
+
+/// Reads and validates a frame's shape header, returning the shape and its
+/// element count. Nothing is allocated from the declared count: callers
+/// bounds-check the payload against the buffer first.
+fn read_shape(r: &mut ByteReader<'_>) -> WireResult<(Vec<usize>, usize)> {
+    let rank = len_to_usize(r.read_u32()?, "rank")?;
+    if rank > MAX_RANK {
+        return Err(WireError::LengthOverflow {
+            what: "rank",
+            value: u64::try_from(rank).unwrap_or(u64::MAX),
+        });
+    }
+    let mut shape = Vec::with_capacity(rank);
+    let mut len = 1usize;
+    for _ in 0..rank {
+        let d = len_to_usize(r.read_u32()?, "dim")?;
+        len = len
+            .checked_mul(d)
+            .ok_or(WireError::LengthOverflow {
+                what: "element count",
+                value: u64::MAX,
+            })?;
+        shape.push(d);
+    }
+    Ok((shape, len))
 }
 
 /// Decodes one tensor frame into fresh shared storage.
@@ -505,67 +631,101 @@ pub fn encode_tensor(t: &Tensor, codec: Codec, w: &mut ByteWriter) -> WireResult
 /// Returns a typed [`WireError`] for any truncated, oversized or corrupt
 /// frame; never panics.
 pub fn decode_tensor(r: &mut ByteReader<'_>, codec: Codec) -> WireResult<Tensor> {
-    let rank = len_to_usize(r.read_u32()?, "rank")?;
-    if rank > MAX_RANK {
-        return Err(WireError::LengthOverflow {
-            what: "rank",
-            value: u64::try_from(rank).unwrap_or(u64::MAX),
+    let (shape, len) = read_shape(r)?;
+    decode_payload(r, codec, &shape, len, None)
+}
+
+/// Decodes one *delta* frame onto its base: element `i` of the result is
+/// `decoded[i] + base[i]` — the bits `decode_tensor` followed by
+/// `add_assign(base)` produce — computed in the one pass that builds the
+/// output buffer, with no dequantised intermediate.
+///
+/// # Errors
+///
+/// As [`decode_tensor`], plus [`WireError::BaseMismatch`] if the frame's
+/// shape is not `base`'s (checked before the payload is touched).
+pub fn decode_tensor_onto(
+    r: &mut ByteReader<'_>,
+    codec: Codec,
+    base: &Tensor,
+) -> WireResult<Tensor> {
+    let (shape, len) = read_shape(r)?;
+    if shape != base.shape() {
+        return Err(WireError::BaseMismatch {
+            declared: shape,
+            base: base.shape().to_vec(),
         });
     }
-    let mut shape = Vec::with_capacity(rank);
-    let mut len = 1usize;
-    for _ in 0..rank {
-        let d = len_to_usize(r.read_u32()?, "dim")?;
-        len = len
-            .checked_mul(d)
-            .ok_or(WireError::LengthOverflow {
-                what: "element count",
-                value: u64::MAX,
-            })?;
-        shape.push(d);
-    }
+    decode_payload(r, codec, &shape, len, Some(base.as_slice()))
+}
+
+/// Decodes the codec payload of a `len`-element frame, adding each value
+/// onto its `base` element when there is one. Every byte count is taken
+/// from the reader — and so checked against the buffer — before the
+/// output is allocated.
+fn decode_payload(
+    r: &mut ByteReader<'_>,
+    codec: Codec,
+    shape: &[usize],
+    len: usize,
+    base: Option<&[f32]>,
+) -> WireResult<Tensor> {
     let data = match codec {
         Codec::F32 => {
             let bytes = r.take(len.checked_mul(4).ok_or(WireError::LengthOverflow {
                 what: "payload bytes",
                 value: u64::MAX,
             })?)?;
-            let mut data = Vec::with_capacity(len);
-            for b in bytes.chunks_exact(4) {
-                data.push(f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
-            }
-            data
+            let values = bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+            collect_onto(values, len, base)
         }
         Codec::Sign1 => {
             let scale = r.read_f32()?;
             let packed = r.take(len.div_ceil(8))?;
-            let mut data = Vec::with_capacity(len);
-            for (i, &byte) in packed.iter().enumerate() {
-                let used = (len - 8 * i).min(8);
-                // A corrupted tail byte with stray high bits would decode
-                // "successfully" under a laxer reader; reject it.
-                if used < 8 && byte >> used != 0 {
-                    return Err(WireError::NonzeroPadding { at: i });
-                }
-                for bit in 0..used {
-                    data.push(if byte >> bit & 1 == 1 { scale } else { -scale });
+            // Only the last byte can carry padding. A corrupted tail byte
+            // with stray high bits would decode "successfully" under a
+            // laxer reader; reject it.
+            if let Some(&last) = packed.last() {
+                if len % 8 != 0 && last >> (len % 8) != 0 {
+                    return Err(WireError::NonzeroPadding {
+                        at: packed.len() - 1,
+                    });
                 }
             }
-            data
+            let values = (0..len).map(|i| match packed[i / 8] >> (i % 8) & 1 {
+                1 => scale,
+                _ => -scale,
+            });
+            collect_onto(values, len, base)
         }
         Codec::QuantI8 => {
-            // Route through native i8 storage and dequantize eagerly;
-            // callers that want to stay quantized use
-            // [`decode_tensor_quant`] directly.
-            let q = decode_quant_payload(r, len, &shape)?;
-            return Ok(q.to_tensor());
+            let scale = r.read_f32()?;
+            let levels = r.take(len)?;
+            let values = levels
+                .iter()
+                .map(|&b| f32::from(i8::from_le_bytes([b])) * scale);
+            collect_onto(values, len, base)
         }
     };
     let actual = data.len();
-    Tensor::from_vec(data, &shape).map_err(|_| WireError::ShapeMismatch {
+    Tensor::from_vec(data, shape).map_err(|_| WireError::ShapeMismatch {
         declared: len,
         actual,
     })
+}
+
+/// Collects `len` decoded values into one exactly-sized buffer, each added
+/// onto its `base` element (`value + base`, the operand order of
+/// `add_assign`) when a base is given.
+fn collect_onto(values: impl Iterator<Item = f32>, len: usize, base: Option<&[f32]>) -> Vec<f32> {
+    let mut out = Vec::with_capacity(len);
+    match base {
+        Some(base) => out.extend(values.zip(base).map(|(v, &b)| v + b)),
+        None => out.extend(values),
+    }
+    out
 }
 
 /// Decodes one `QuantI8` tensor frame natively into `i8` storage: one byte
@@ -578,43 +738,11 @@ pub fn decode_tensor(r: &mut ByteReader<'_>, codec: Codec) -> WireResult<Tensor>
 /// Returns a typed [`WireError`] for any truncated, oversized or corrupt
 /// frame; never panics.
 pub fn decode_tensor_quant(r: &mut ByteReader<'_>) -> WireResult<QuantTensor> {
-    let rank = len_to_usize(r.read_u32()?, "rank")?;
-    if rank > MAX_RANK {
-        return Err(WireError::LengthOverflow {
-            what: "rank",
-            value: u64::try_from(rank).unwrap_or(u64::MAX),
-        });
-    }
-    let mut shape = Vec::with_capacity(rank);
-    let mut len = 1usize;
-    for _ in 0..rank {
-        let d = len_to_usize(r.read_u32()?, "dim")?;
-        len = len
-            .checked_mul(d)
-            .ok_or(WireError::LengthOverflow {
-                what: "element count",
-                value: u64::MAX,
-            })?;
-        shape.push(d);
-    }
-    decode_quant_payload(r, len, &shape)
-}
-
-/// Shared `QuantI8` payload decoder: scale, then `len` raw level bytes
-/// straight into `i8` storage (bounds-checked before allocating).
-fn decode_quant_payload(
-    r: &mut ByteReader<'_>,
-    len: usize,
-    shape: &[usize],
-) -> WireResult<QuantTensor> {
+    let (shape, len) = read_shape(r)?;
     let scale = r.read_f32()?;
-    let bytes = r.take(len)?;
-    let mut levels = Vec::with_capacity(len);
-    for &b in bytes {
-        levels.push(i8::from_le_bytes([b]));
-    }
+    let levels: Vec<i8> = r.take(len)?.iter().map(|&b| i8::from_le_bytes([b])).collect();
     let actual = levels.len();
-    QuantTensor::from_levels(levels, scale, shape).map_err(|_| WireError::ShapeMismatch {
+    QuantTensor::from_levels(levels, scale, &shape).map_err(|_| WireError::ShapeMismatch {
         declared: len,
         actual,
     })
@@ -624,30 +752,44 @@ fn decode_quant_payload(
 /// the result is bit-identical for any worker-pool width. Non-finite
 /// entries contribute nothing (a NaN-poisoned update must not produce a
 /// NaN scale that wipes out the whole tensor on decode).
-fn sign1_scale(xs: &[f32]) -> f32 {
+fn sign1_scale<L: Lane>(xs: &[L]) -> f32 {
     if xs.is_empty() {
         return 0.0;
     }
     let mut sum = 0.0f64;
-    for &x in xs {
-        if x.is_finite() {
-            sum += f64::from(x).abs();
+    for x in xs {
+        if x.get().is_finite() {
+            sum += f64::from(x.get()).abs();
         }
     }
     cast::f64_to_f32(sum / cast::len_to_f64(xs.len()))
 }
 
+/// Independent running maxima in the [`quant_scale`] scan.
+const SCAN_LANES: usize = 16;
+
 /// The QuantI8 shared scale: max |x| / 127 over the finite entries.
 /// Crate-visible so [`QuantTensor::quantize`](crate::storage::QuantTensor)
 /// produces bit-identical levels to the wire codec.
-pub(crate) fn quant_scale(xs: &[f32]) -> f32 {
-    let mut max_abs = 0.0f32;
-    for &x in xs {
-        if x.is_finite() {
-            max_abs = max_abs.max(x.abs());
+///
+/// The maximum of a set of non-NaN values does not depend on the order
+/// they are compared in, so the scan keeps [`SCAN_LANES`] running maxima
+/// (which vectorizes) and the result is the bits a sequential scan gives.
+pub(crate) fn quant_scale<L: Lane>(xs: &[L]) -> f32 {
+    let mut maxima = [0.0f32; SCAN_LANES];
+    let mut fold = |chunk: &[L]| {
+        for (m, x) in maxima.iter_mut().zip(chunk) {
+            let a = if x.get().is_finite() { x.get().abs() } else { 0.0 };
+            *m = if a > *m { a } else { *m };
         }
-    }
-    max_abs / 127.0
+    };
+    // Whole chunks first: a fixed trip count is what lets the lanes stay
+    // in registers.
+    let chunks = xs.chunks_exact(SCAN_LANES);
+    let tail = chunks.remainder();
+    chunks.for_each(&mut fold);
+    fold(tail);
+    maxima.iter().fold(0.0f32, |m, &a| if a > m { a } else { m }) / 127.0
 }
 
 #[cfg(test)]
@@ -814,6 +956,119 @@ mod tests {
         for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() <= step * 0.5 + 1e-6, "{a} vs {b}");
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Values that stress the lossy arms: both signs of zero, subnormals,
+    /// non-finite entries, ties at .5 of a level, and a spread of normals.
+    fn awkward(len: usize, rng: &mut Rng) -> Tensor {
+        let special = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE,
+            63.5,
+            -127.0,
+        ];
+        let mut t = rng.randn(&[len]);
+        for (i, x) in t.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *x = special[(i / 3) % special.len()];
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn feedback_encode_writes_the_same_frame_and_leaves_the_exact_residual() {
+        let mut rng = Rng::seed_from(0xFEED_BAC);
+        for codec in Codec::all() {
+            for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 1000] {
+                for t in [awkward(len, &mut rng), Tensor::zeros(&[len])] {
+                    let before = bits(&t);
+                    let mut plain = ByteWriter::new();
+                    encode_tensor(&t, codec, &mut plain).unwrap();
+                    let plain = plain.into_bytes();
+                    let decoded = decode_tensor(&mut ByteReader::new(&plain), codec).unwrap();
+                    let want = t.sub(&decoded).unwrap();
+
+                    let mut v = t.clone();
+                    let mut fused = ByteWriter::new();
+                    encode_tensor_feedback(&mut v, codec, &mut fused).unwrap();
+                    assert_eq!(fused.into_bytes(), plain, "{codec:?} len {len}: frame");
+                    if codec.is_lossy() {
+                        assert_eq!(bits(&v), bits(&want), "{codec:?} len {len}: residual");
+                    } else {
+                        assert!(v.as_slice().iter().all(|x| x.to_bits() == 0));
+                    }
+                    // `v` shared `t`'s buffer until it was written: a reader
+                    // of the source never sees the residual.
+                    assert_eq!(bits(&t), before, "{codec:?} len {len}: source");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn laned_scale_scan_equals_the_sequential_maximum() {
+        let mut rng = Rng::seed_from(77);
+        for len in [0usize, 1, 15, 16, 17, 33, 1000] {
+            let t = awkward(len, &mut rng);
+            let mut max_abs = 0.0f32;
+            for &x in t.as_slice() {
+                if x.is_finite() {
+                    max_abs = max_abs.max(x.abs());
+                }
+            }
+            assert_eq!(quant_scale(t.as_slice()).to_bits(), (max_abs / 127.0).to_bits());
+        }
+    }
+
+    #[test]
+    fn decode_onto_equals_decode_then_add_assign() {
+        let mut rng = Rng::seed_from(0x0B75);
+        for codec in Codec::all() {
+            for len in [0usize, 1, 7, 9, 16, 129] {
+                let t = awkward(len, &mut rng);
+                let base = awkward(len, &mut rng);
+                let mut w = ByteWriter::new();
+                encode_tensor(&t, codec, &mut w).unwrap();
+                let bytes = w.into_bytes();
+                let mut want = decode_tensor(&mut ByteReader::new(&bytes), codec).unwrap();
+                want.add_assign(&base).unwrap();
+                let mut r = ByteReader::new(&bytes);
+                let got = decode_tensor_onto(&mut r, codec, &base).unwrap();
+                r.finish().unwrap();
+                assert_eq!(bits(&got), bits(&want), "{codec:?} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_onto_rejects_a_base_of_another_shape_before_the_payload() {
+        let t = Tensor::zeros(&[2, 3]);
+        let mut w = ByteWriter::new();
+        encode_tensor(&t, Codec::QuantI8, &mut w).unwrap();
+        let bytes = w.into_bytes();
+        let other = Tensor::zeros(&[3, 2]);
+        let err = decode_tensor_onto(&mut ByteReader::new(&bytes), Codec::QuantI8, &other)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            WireError::BaseMismatch { declared: vec![2, 3], base: vec![3, 2] }
+        );
+        // Truncation is still reported as such when the shapes agree.
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(matches!(
+            decode_tensor_onto(&mut ByteReader::new(cut), Codec::QuantI8, &t),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! `matmul` 8×27×16384 (`W · cols`, positions along the register tile's
 //! lanes) within [`CONV_MATMUL_CAP`] of `matmul` 128³ per FLOP.
 //!
+//! Fused uplink: the committed `uplink_delta_quant_i8` row (one client's
+//! delta + error feedback + i8 encode at the `comm_wdp_i8` model) must stay
+//! ≥3× under the materialize-encode-decode-subtract pipeline it replaced.
+//!
 //! Telemetry overhead: the committed `bench-results/BENCH_telemetry.json`
 //! must keep showing that a fully instrumented FL training run stays
 //! within [`TELEMETRY_OVERHEAD_CAP`] of the uninstrumented run —
@@ -55,6 +59,13 @@ const PRE_REWRITE_TANH_4096_NS: f64 = 56_000.0;
 /// row-major patch matrix: one output row per position, two signed compares
 /// per element (single thread, same runner; the last committed reading).
 const PRE_REWRITE_IM2COL_8X8X16X16_NS: f64 = 257_848.0;
+
+/// One client's lossy uplink at the `comm_wdp_i8` model (717,924
+/// parameters, residual present) as it ran before the sweeps were fused:
+/// `params.sub(global)` (1.1 ms) + `ErrorFeedback::compress` (5.4 ms: COW
+/// copy + residual add, scale scan, a `put_i8` per element, a decode of the
+/// frame just written, `sub` for the residual). Single thread, same runner.
+const PRE_REWRITE_UPLINK_718K_NS: f64 = 6_500_000.0;
 
 /// Cost per multiply-add the first-conv forward product `W · cols`
 /// (8×27×16384) may reach relative to `matmul` 128³: two row quads and a
@@ -177,6 +188,23 @@ fn run_copy_im2col_holds_2_5x_over_per_element_lowering() {
          pre-rewrite {PRE_REWRITE_IM2COL_8X8X16X16_NS:.0} ns/iter — the lowering \
          is back to per-element gathers"
     );
+}
+
+#[test]
+fn fused_uplink_holds_3x_over_the_decode_own_frame_pipeline() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let ns = ns_for(&entries, "uplink_delta_quant_i8", "717924");
+    assert!(
+        ns * 3.0 <= PRE_REWRITE_UPLINK_718K_NS,
+        "uplink_delta_quant_i8 717924 at {ns:.0} ns/iter is not ≥3× under the \
+         pre-rewrite {PRE_REWRITE_UPLINK_718K_NS:.0} ns/iter — the uplink is \
+         materializing its delta or decoding its own frame again"
+    );
+    // The server's half and the lossless pair are recorded beside it.
+    for op in ["decode_onto_quant_i8", "encode_f32", "decode_f32"] {
+        assert!(ns_for(&entries, op, "717924") > 0.0, "{op} row is empty");
+    }
 }
 
 /// ns per multiply-add of a matmul-family row, from its `MxKxN` size label.

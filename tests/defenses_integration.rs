@@ -4,11 +4,14 @@ use dinar_data::catalog::{self, Profile};
 use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_data::split::attack_split;
 use dinar_data::Dataset;
+use dinar_defenses::dp::{add_gaussian_noise, clip_l2, clip_noise_onto};
 use dinar_defenses::{
     DpOptimizer, DpParams, GradientCompression, SaGroup, SecureAggregation, WeakDp,
 };
 use dinar_fl::{ClientMiddleware, FlConfig, FlSystem};
-use dinar_nn::{models, optim::Adagrad, Model};
+use dinar_nn::{models, optim::Adagrad, Model, ModelParams};
+use dinar_telemetry::Telemetry;
+use dinar_tensor::alloc::MemoryScope;
 use dinar_tensor::Rng;
 use std::sync::Arc;
 
@@ -136,6 +139,61 @@ fn wdp_bounds_every_upload() {
         let update_norm = upload.sub(&global).unwrap().l2_norm();
         // Norm bound 5 plus the sigma=0.025 noise.
         assert!(update_norm < 7.0, "update norm {update_norm} exceeds bound");
+    }
+}
+
+/// The WDP upload as it was composed before the fold, kept as the
+/// reference: materialize the update, clip it, noise it, add the global
+/// back.
+fn wdp_reference(trained: &ModelParams, global: &ModelParams, rng: &mut Rng) -> ModelParams {
+    let mut update = trained.sub(global).unwrap();
+    clip_l2(&mut update, 5.0);
+    add_gaussian_noise(&mut update, 0.025, rng);
+    update.add_assign(global).unwrap();
+    update
+}
+
+fn param_bits(p: &ModelParams) -> Vec<u32> {
+    p.to_flat().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The folded WDP upload equals the four-step composition on bits, round
+/// after round on one middleware instance, whether or not the update is
+/// clipped; it leaves the noise stream where the composition leaves it,
+/// charges the ledger once per upload, and allocates one model's worth.
+#[test]
+fn wdp_fold_matches_the_reference_composition_bit_for_bit() {
+    let mut rng = Rng::seed_from(17);
+    let global = arch(&mut rng).unwrap().params();
+    let param_bytes = 4 * global.param_count() as u64;
+    // Scaling every weight by 1 ± step moves the model by step·‖global‖.
+    let global_norm = global.l2_norm();
+    for (step, clipped) in [(0.5, true), (1e-3, false)] {
+        assert_eq!(step * global_norm > 5.0, clipped, "‖global‖ = {global_norm}");
+        let telemetry = Telemetry::new();
+        let mut mw = WeakDp::paper_default(Rng::seed_from(23));
+        mw.attach_telemetry(&telemetry, 0);
+        let (mut rng_ref, mut rng_fused) = (Rng::seed_from(23), Rng::seed_from(23));
+        for round in 1..=3u64 {
+            let mut received = global.share();
+            mw.transform_download(0, &mut received).unwrap();
+            let mut trained = global.share();
+            trained.map_inplace(|x| x * (1.0 + step / round as f32));
+            let want = wdp_reference(&trained, &global, &mut rng_ref);
+
+            let mut upload = trained.share();
+            let scope = MemoryScope::enter();
+            mw.transform_upload(0, &mut upload).unwrap();
+            assert_eq!(scope.peak_extra_bytes(), param_bytes, "round {round}");
+            assert_eq!(param_bits(&upload), param_bits(&want), "round {round}");
+
+            let direct = clip_noise_onto(&trained, &global, 5.0, 0.025, &mut rng_fused).unwrap();
+            assert_eq!(param_bits(&direct), param_bits(&want), "round {round}");
+            assert_eq!(rng_fused.state(), rng_ref.state(), "round {round}: stream position");
+        }
+        let accounts = telemetry.privacy_accounts();
+        assert_eq!(accounts.len(), 1);
+        assert_eq!((accounts[0].defense.as_str(), accounts[0].charges), ("wdp", 3));
     }
 }
 

@@ -11,7 +11,9 @@ use dinar_fl::netsim::{Codec, LinkModel, NetworkModel};
 use dinar_fl::{run_threaded_wire, FlConfig, FlSystem, ResilientRun, RoundPolicy, WireConfig};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
-use dinar_nn::snapshot::{decode_params, encode_params};
+use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
+use dinar_nn::{LayerParams, ModelParams};
+use dinar_tensor::alloc::MemoryScope;
 use dinar_tensor::wire::{decode_tensor, encode_tensor, read_header, write_header, ByteReader, ByteWriter};
 use dinar_tensor::{par, Rng, Tensor};
 use std::sync::{Arc, Mutex};
@@ -152,6 +154,137 @@ fn corrupted_model_streams_never_panic() {
                 corrupt[idx] ^= (1u8) << (r >> 32 & 7);
             }
             let _ = decode_params(&corrupt); // Ok(garbage) or Err — both fine
+        }
+    }
+}
+
+/// A parameter set over every length class the fused sweeps treat
+/// differently (empty, one element, either side of the 8-bit sign packing
+/// and of a 16-lane and a 128-element chunk), with an all-zero tensor and,
+/// in the base, entries no arithmetic should be trusted with.
+fn awkward_params(rng: &mut Rng, poisoned: bool) -> ModelParams {
+    let lens = [0usize, 1, 15, 16, 17, 127, 128, 129];
+    let mut tensors: Vec<Tensor> = lens.iter().map(|&n| rng.randn(&[n])).collect();
+    tensors.push(Tensor::zeros(&[33]));
+    tensors.push(rng.randn(&[3, 0, 5]));
+    if poisoned {
+        let special = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            -0.0,
+        ];
+        for t in &mut tensors {
+            for (i, x) in t.as_mut_slice().iter_mut().enumerate().skip(2).step_by(5) {
+                *x = special[(i / 5) % special.len()];
+            }
+        }
+    }
+    let (head, tail) = tensors.split_at(4);
+    ModelParams::new(vec![
+        LayerParams::new(head.to_vec()),
+        LayerParams::new(tail.to_vec()),
+    ])
+}
+
+fn param_bits(p: &ModelParams) -> Vec<u32> {
+    p.to_flat().iter().map(|x| x.to_bits()).collect()
+}
+
+/// The uplink as it was before the sweeps were fused, kept as the
+/// reference: materialize the delta, share it and add the residual, encode,
+/// decode the frame just written, subtract for the new residual; the server
+/// decodes and adds its base back.
+struct ReferenceUplink {
+    residual: Option<ModelParams>,
+}
+
+impl ReferenceUplink {
+    fn upload(&mut self, params: &ModelParams, base: &ModelParams, codec: Codec) -> Vec<u8> {
+        let delta = params.sub(base).expect("sub");
+        let mut v = delta.share();
+        if let Some(residual) = self.residual.take() {
+            v.add_assign(&residual).expect("add residual");
+        }
+        let bytes = encode_params(&v, codec).expect("encode");
+        let decoded = decode_params(&bytes).expect("own frame");
+        self.residual = Some(v.sub(&decoded).expect("residual"));
+        bytes
+    }
+
+    fn receive(bytes: &[u8], base: &ModelParams) -> ModelParams {
+        let mut params = decode_params(bytes).expect("decode");
+        params.add_assign(base).expect("add base");
+        params
+    }
+}
+
+/// The fused uplink against the formulation it replaced, bit for bit:
+/// frame bytes, the residual carried into the next round, and the
+/// parameters the server reconstructs — over three consecutive rounds
+/// (the first has no residual to add, the later ones do), both lossy
+/// codecs, clean and poisoned inputs, at every pool width. The second
+/// client goes through `compress` on a materialized delta, the entry the
+/// benchmark's stepwise pass drives.
+#[test]
+fn fused_uplink_matches_the_reference_pipeline_bit_for_bit() {
+    let per_width_bits = per_width(|| {
+        let mut seen = Vec::new();
+        for codec in [Codec::QuantI8, Codec::Sign1] {
+            for poisoned in [false, true] {
+                let mut rng = Rng::seed_from(0xC0DEC);
+                let mut reference = ReferenceUplink { residual: None };
+                let (mut fused, mut split) = (ErrorFeedback::new(), ErrorFeedback::new());
+                for round in 1..=4 {
+                    let base = awkward_params(&mut rng, poisoned);
+                    let mut trained = awkward_params(&mut rng, false);
+                    trained.scale(0.05);
+                    trained.add_assign(&base).expect("trained");
+                    let tag = format!("{codec:?} poisoned={poisoned} round {round}");
+
+                    let want = reference.upload(&trained, &base, codec);
+                    let got = fused.compress_delta(&trained, &base, codec).expect("fused");
+                    assert_eq!(got, want, "{tag}: frame bytes");
+                    let delta = trained.sub(&base).expect("delta");
+                    assert_eq!(split.compress(&delta, codec).expect("split"), want, "{tag}");
+
+                    let carried = param_bits(reference.residual.as_ref().expect("residual"));
+                    assert_eq!(param_bits(fused.residual().expect("carried")), carried, "{tag}");
+                    assert_eq!(param_bits(split.residual().expect("carried")), carried, "{tag}");
+
+                    let server = param_bits(&ReferenceUplink::receive(&want, &base));
+                    let onto = decode_params_onto(&got, &base).expect("decode onto");
+                    assert_eq!(param_bits(&onto), server, "{tag}: server parameters");
+                    seen.push((got, carried, server));
+                }
+            }
+        }
+        seen
+    });
+    assert_eq!(per_width_bits[0], per_width_bits[1], "width 1 vs 2 diverged");
+    assert_eq!(per_width_bits[1], per_width_bits[2], "width 2 vs 4 diverged");
+}
+
+/// Once the residual buffer exists, an upload through the delta entry
+/// allocates no tensor memory at all: sweep A runs in place over it and
+/// sweep B writes only into the frame.
+#[test]
+fn delta_entry_allocates_no_tensor_bytes_after_the_first_round() {
+    let mut rng = Rng::seed_from(21);
+    let base = awkward_params(&mut rng, false);
+    let mut trained = base.share();
+    trained.map_inplace(|x| x * 1.01 + 0.001);
+    for codec in [Codec::QuantI8, Codec::Sign1] {
+        let mut feedback = ErrorFeedback::new();
+        let scope = MemoryScope::enter();
+        feedback.compress_delta(&trained, &base, codec).expect("round 1");
+        assert_eq!(scope.peak_extra_bytes(), 4 * base.param_count() as u64, "{codec:?}");
+        for round in 2..=3 {
+            let scope = MemoryScope::enter();
+            feedback.compress_delta(&trained, &base, codec).expect("upload");
+            assert_eq!(scope.peak_extra_bytes(), 0, "{codec:?} round {round}");
         }
     }
 }
