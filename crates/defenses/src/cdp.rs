@@ -9,7 +9,7 @@
 //! model; individual client uploads remain visible to the server — which is
 //! why CDP protects local models poorly in the paper's Fig. 6.
 
-use crate::dp::{add_gaussian_noise, clip_l2_with_count, DpParams};
+use crate::dp::{clip_noise_onto, DpParams};
 use dinar_fl::{Result, ServerMiddleware};
 use dinar_nn::ModelParams;
 use dinar_telemetry::Telemetry;
@@ -53,12 +53,13 @@ impl CentralDp {
 impl ServerMiddleware for CentralDp {
     fn transform_aggregate(&mut self, params: &mut ModelParams) -> Result<()> {
         if let Some(prev) = &self.previous_global {
-            let mut update = params.sub(prev)?;
-            let (_, count) = clip_l2_with_count(&mut update, self.dp.clip_norm);
-            let d = count.max(1) as f32;
+            let d = params.param_count().max(1) as f32;
             let std_dev = self.dp.noise_multiplier() * self.dp.clip_norm
                 / (self.clients as f32 * d.sqrt());
-            add_gaussian_noise(&mut update, std_dev, &mut self.rng);
+            // Clip, noise and the add-back of the previous global in one
+            // pass over the never-materialized update.
+            let released =
+                clip_noise_onto(params, prev, self.dp.clip_norm, std_dev, &mut self.rng)?;
             // One (ε, δ) invocation of the Gaussian mechanism on the global
             // aggregate; the ledger composes the per-round charges.
             self.telemetry.privacy_charge(
@@ -67,10 +68,7 @@ impl ServerMiddleware for CentralDp {
                 f64::from(self.dp.epsilon),
                 f64::from(self.dp.delta),
             );
-            // Commuted in-place reconstruction (bit-identical to
-            // `prev.clone() + update`).
-            update.add_assign(prev)?;
-            *params = update;
+            *params = released;
         } else {
             // First-round pass-through releases the aggregate unnoised: an
             // explicit zero-cost ledger entry, so the audit shows the round
@@ -114,6 +112,43 @@ mod tests {
         let update_norm = second.sub(&params(1.0)).unwrap().l2_norm();
         assert!((update_norm - 5.0).abs() < 1.0, "norm {update_norm}");
         assert!(second.max_abs_diff(&params(2.0)).unwrap() > 0.1);
+    }
+
+    /// The folded release is the four-step composition it replaced, kept
+    /// here as the reference — `sub`, clip, noise, `add_assign` — on bits,
+    /// round after round, clipped or not, with the noise stream left where
+    /// the composition leaves it and one ledger entry per round.
+    #[test]
+    fn aggregate_equals_the_four_step_composition_bit_for_bit() {
+        use crate::dp::{add_gaussian_noise, clip_l2_with_count};
+        let bits = |p: &ModelParams| p.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (dp, clients) = (DpParams::paper_default(), 5usize);
+        let telemetry = Telemetry::new();
+        let mut mw = CentralDp::new(dp, clients, Rng::seed_from(13));
+        mw.attach_telemetry(&telemetry);
+        let mut rng_ref = Rng::seed_from(13);
+        let mut prev = params(1.0);
+        mw.transform_aggregate(&mut prev.share()).unwrap();
+        // Steps of norm 20 (clipped to 5) and 0.2 (left alone).
+        for (round, step) in [1.0f32, 0.01, 1.0].into_iter().enumerate() {
+            let mut aggregate = prev.share();
+            aggregate.map_inplace(|x| x + step);
+
+            let mut want = aggregate.sub(&prev).unwrap();
+            let (_, count) = clip_l2_with_count(&mut want, dp.clip_norm);
+            let std_dev = dp.noise_multiplier() * dp.clip_norm
+                / (clients as f32 * (count.max(1) as f32).sqrt());
+            add_gaussian_noise(&mut want, std_dev, &mut rng_ref);
+            want.add_assign(&prev).unwrap();
+
+            mw.transform_aggregate(&mut aggregate).unwrap();
+            assert_eq!(bits(&aggregate), bits(&want), "round {round} step {step}");
+            assert_eq!(mw.rng.state(), rng_ref.state(), "round {round}: stream position");
+            prev = aggregate;
+        }
+        let accounts = telemetry.privacy_accounts();
+        assert_eq!(accounts.len(), 1);
+        assert_eq!((accounts[0].defense.as_str(), accounts[0].charges), ("cdp", 4));
     }
 
     #[test]

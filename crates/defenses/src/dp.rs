@@ -45,6 +45,18 @@ impl DpParams {
         );
         (2.0 * (1.25 / self.delta).ln()).sqrt() / self.epsilon
     }
+
+    /// Per-coordinate noise of the Gaussian mechanism over `param_count`
+    /// parameters: `σ · clip / √d`, so the *norm* of the added noise is
+    /// `σ · clip` in expectation.
+    ///
+    /// # Panics
+    ///
+    /// As [`DpParams::noise_multiplier`].
+    pub fn noise_std_dev(&self, param_count: usize) -> f32 {
+        let d = param_count.max(1) as f32;
+        self.noise_multiplier() * self.clip_norm / d.sqrt()
+    }
 }
 
 /// Clips the parameter set to `clip_norm` in L2 (uniform scaling), returning
@@ -110,7 +122,7 @@ pub fn add_gaussian_noise(params: &mut ModelParams, std_dev: f32, rng: &mut Rng)
 /// the norm of the difference, which is never materialized
 /// ([`ModelParams::diff_l2_norm`]); then every output element is written
 /// once, as `((t − b)·factor + σ·z) + b`, inside the sampler's own pass
-/// ([`Rng::map_normal`]). An unclipped update takes the same path:
+/// ([`Rng::zip_normal`]). An unclipped update takes the same path:
 /// `factor` is then exactly `1.0`, and `x · 1.0` is `x`.
 ///
 /// # Errors
@@ -132,7 +144,7 @@ pub fn clip_noise_onto(
     ParamViewMut::of_model(&mut out).for_each_slice_mut(|out| {
         let Some((t, b)) = operands.next() else { return };
         if std_dev > 0.0 {
-            rng.map_normal(out, |i, _, z| ((t[i] - b[i]) * factor + z * std_dev) + b[i]);
+            rng.zip_normal(out, t, b, |t, b, z| ((t - b) * factor + z * std_dev) + b);
         } else {
             for ((o, &t), &b) in out.iter_mut().zip(t).zip(b) {
                 *o = (t - b) * factor + b;
@@ -151,9 +163,7 @@ pub fn clip_noise_onto(
 /// over a [`ParamView`] instead of two traversals.
 pub fn gaussian_mechanism(params: &mut ModelParams, dp: &DpParams, rng: &mut Rng) {
     let (_, count) = clip_l2_with_count(params, dp.clip_norm);
-    let d = count.max(1) as f32;
-    let std_dev = dp.noise_multiplier() * dp.clip_norm / d.sqrt();
-    add_gaussian_noise(params, std_dev, rng);
+    add_gaussian_noise(params, dp.noise_std_dev(count), rng);
 }
 
 #[cfg(test)]

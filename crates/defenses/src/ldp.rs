@@ -6,8 +6,13 @@
 //! **model update** — the difference between its trained parameters and the
 //! global model it received — so that the clipping bound constrains each
 //! client's *contribution*, not the absolute weight scale.
+//!
+//! The upload transform is [`clip_noise_onto`] with the mechanism's
+//! calibrated noise: two sweeps and one model-sized allocation, the bits of
+//! `sub` → [`gaussian_mechanism`](crate::dp::gaussian_mechanism) →
+//! `add_assign`.
 
-use crate::dp::{gaussian_mechanism, DpParams};
+use crate::dp::{clip_noise_onto, DpParams};
 use dinar_fl::{ClientMiddleware, FlError, Result};
 use dinar_nn::ModelParams;
 use dinar_telemetry::Telemetry;
@@ -56,8 +61,8 @@ impl ClientMiddleware for LocalDp {
                 name: "ldp",
                 reason: "upload before any download; no reference model".into(),
             })?;
-        let mut update = params.sub(global)?;
-        gaussian_mechanism(&mut update, &self.dp, &mut self.rng);
+        let std_dev = self.dp.noise_std_dev(params.param_count());
+        let upload = clip_noise_onto(params, global, self.dp.clip_norm, std_dev, &mut self.rng)?;
         // Each upload is one (ε, δ) invocation of the Gaussian mechanism on
         // this client's data; the ledger composes the per-round charges.
         self.telemetry.privacy_charge(
@@ -66,11 +71,7 @@ impl ClientMiddleware for LocalDp {
             f64::from(self.dp.epsilon),
             f64::from(self.dp.delta),
         );
-        // `update + global` adds the same pairs as the old
-        // `global.clone() + update` (f32 addition commutes bitwise), without
-        // materializing an upload copy.
-        update.add_assign(global)?;
-        *params = update;
+        *params = upload;
         Ok(())
     }
 
@@ -141,6 +142,35 @@ mod tests {
         let uploaded = round_trip(&mut mw, 0.0, 1.0);
         let update_norm = uploaded.l2_norm();
         assert!((update_norm - 2.0).abs() < 0.1, "norm {update_norm}");
+    }
+
+    /// The folded upload is the four-step composition it replaced, kept
+    /// here as the reference — `sub`, clip, noise, `add_assign` — on bits,
+    /// round after round, clipped or not, with the noise stream left where
+    /// the composition leaves it and one ledger charge per upload.
+    #[test]
+    fn upload_equals_the_four_step_composition_bit_for_bit() {
+        let bits = |p: &ModelParams| p.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dp = DpParams::paper_default(); // clip 5: 1000 × 1.0 clips, 1000 × 0.01 does not
+        for trained_value in [1.5, 0.51] {
+            let telemetry = Telemetry::new();
+            let mut mw = LocalDp::new(dp, Rng::seed_from(11));
+            mw.attach_telemetry(&telemetry, 3);
+            let mut rng_ref = Rng::seed_from(11);
+            for round in 1..=3 {
+                let global = params(0.5);
+                let mut want = params(trained_value).sub(&global).unwrap();
+                crate::dp::gaussian_mechanism(&mut want, &dp, &mut rng_ref);
+                want.add_assign(&global).unwrap();
+
+                let got = round_trip(&mut mw, 0.5, trained_value);
+                assert_eq!(bits(&got), bits(&want), "value {trained_value} round {round}");
+                assert_eq!(mw.rng.state(), rng_ref.state(), "round {round}: stream position");
+            }
+            let accounts = telemetry.privacy_accounts();
+            assert_eq!(accounts.len(), 1);
+            assert_eq!((accounts[0].defense.as_str(), accounts[0].charges), ("ldp", 3));
+        }
     }
 
     #[test]

@@ -8,6 +8,19 @@
 //! over the network. No memory is shared between server and clients beyond
 //! the messages.
 //!
+//! # Thread model
+//!
+//! One rule, the same as the in-process engine's: **one client, one core; a
+//! worker's nested regions run inline.** A client thread is started with
+//! [`par::spawn_worker`], so it is a pool worker from its first
+//! instruction and every kernel in its decode → train → defense → encode
+//! chain runs on that thread. A client thread spawns nothing: the thread
+//! count of a run is clients + the server, never clients × pool width.
+//! The server is the calling thread, not a worker, so its own decode and
+//! aggregation may fan out while it waits on the clients. This file
+//! creates no thread itself — `dinar_tensor::par` owns every compute
+//! thread in the workspace (lint L006).
+//!
 //! # Fault tolerance
 //!
 //! Unlike the sequential engine, the threaded engine must survive partial
@@ -62,11 +75,12 @@ use crate::{ClientUpdate, FlClient, FlError, FlSystem, Result, RoundReport};
 use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
 use dinar_nn::ModelParams;
 use dinar_telemetry::bridge;
+use dinar_tensor::par;
 use dinar_tensor::wire::Codec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A message from the server to a client.
@@ -157,7 +171,7 @@ pub enum ClientReply {
 struct ClientHandle {
     id: usize,
     tx: Sender<ServerMsg>,
-    join: thread::JoinHandle<FlClient>,
+    join: JoinHandle<FlClient>,
     /// Set once the client is known gone (crashed, fatal error, or its
     /// channel closed); the server stops dispatching rounds to it.
     departed: bool,
@@ -572,7 +586,8 @@ fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<Co
     })
 }
 
-/// Spawns one client thread: a command loop that serves rounds, consults
+/// Spawns one client thread — a [`par`] pool worker, so the client's
+/// kernels run inline on it: a command loop that serves rounds, consults
 /// the fault plan at each [`ServerMsg::StartRound`], and reports through
 /// [`ClientReply`]s. A [`FaultKind::Crash`] exits the thread silently —
 /// the server detects the death through its liveness check, exactly as it
@@ -591,7 +606,7 @@ fn spawn_client(
 ) -> ClientHandle {
     let id = client.id();
     let (tx, rx): (Sender<ServerMsg>, Receiver<ServerMsg>) = channel();
-    let join = thread::spawn(move || -> FlClient {
+    let join = par::spawn_worker(move || -> FlClient {
         let delta_mode = uplink.is_lossy();
         let mut feedback = ErrorFeedback::new();
         // A Delay fault holds the finished round here until the next

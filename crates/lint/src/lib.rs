@@ -16,7 +16,7 @@
 //! | L003 | every `pub enum *Error` implements `Display + std::error::Error` |
 //! | L004 | no bare `as` numeric casts in the tensor hot paths (use `dinar_tensor::cast`) |
 //! | L005 | every manifest declares only in-repo dependencies (hermetic builds) |
-//! | L006 | no raw `thread::spawn`/`thread::scope` outside the worker pool (`dinar_tensor::par`) and the threaded transport |
+//! | L006 | no raw `thread::spawn`/`thread::scope` outside the worker pool (`dinar_tensor::par`), which owns every compute thread |
 //! | L007 | no ambient `Instant::now()` outside the sanctioned clock modules (`clock.rs`, `timing.rs`, `dinar-telemetry`) |
 //! | L008 | no bare mpsc `recv()`/`recv_timeout()` in `dinar-fl` outside the sanctioned deadline helper (`crates/fl/src/deadline.rs`) |
 //! | L009 | no `.clone()` in the parameter-plane modules — snapshot params with the O(1) `share()` (sanctioned copy sites: `crates/fl/src/transport.rs`, `crates/nn/src/params.rs`) |

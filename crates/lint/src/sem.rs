@@ -95,7 +95,7 @@ const NOISE_METHODS: [&str; 8] = [
     "fill_normal",
     "fill_normal_with",
     "axpy_normal",
-    "map_normal",
+    "zip_normal",
 ];
 
 /// Parses one stripped file into its non-test functions with events.

@@ -159,38 +159,61 @@ impl CbRng {
         }
     }
 
-    /// Maps `out` in place through `f(element_index, old, z)` where `z` is
-    /// the standard normal sample at that position of this stream —
-    /// bit-identical to driving [`CbRng::ref_normal_pair`] element by
-    /// element. This one chunked loop backs overwriting fills
-    /// (`f = |_, _, z| z·σ + µ`) and accumulating noise
-    /// (`f = |_, x, z| x + z·σ`) without duplicating the sampler.
+    /// Stages 1–3 of one chunk of the stage-split Gaussian sampler: the
+    /// Box–Muller factors of the [`PAIRS`] pairs starting at element `base`
+    /// (a multiple of [`CHUNK`]), as `(r, cos θ, sin θ)`. Pair `p` of the
+    /// chunk is `z0 = r[p]·cos[p]`, `z1 = r[p]·sin[p]` — stage 4, which
+    /// each caller fuses with its own write.
+    #[inline(always)]
+    fn pair_factors(&self, base: usize) -> ([f32; PAIRS], [f32; PAIRS], [f32; PAIRS]) {
+        // Stage 1 (scalar integer): Philox blocks -> 24-bit lanes.
+        let mut u1 = [0i32; PAIRS];
+        let mut u2 = [0i32; PAIRS];
+        for bi in 0..BLOCKS {
+            let y = self.block(((base / 4) + bi) as u64);
+            u1[2 * bi] = hi24_bits(y[0]);
+            u2[2 * bi] = mid24_bits(y[0]);
+            u1[2 * bi + 1] = hi24_bits(y[1]);
+            u2[2 * bi + 1] = mid24_bits(y[1]);
+        }
+        // Stage 2 (vectorizable): radius r = sqrt(-2 ln u1).
+        let mut r = [0.0f32; PAIRS];
+        for (ri, &l) in r.iter_mut().zip(&u1) {
+            *ri = radius(l);
+        }
+        // Stage 3 (vectorizable): angle factors cos θ, sin θ.
+        let mut cv = [0.0f32; PAIRS];
+        let mut sv = [0.0f32; PAIRS];
+        for ((ci, si), &l) in cv.iter_mut().zip(&mut sv).zip(&u2) {
+            (*ci, *si) = cos_sin_turn(l);
+        }
+        (r, cv, sv)
+    }
+
+    /// Standard normal element `i` of this stream, through the scalar
+    /// reference path (the sub-chunk tails).
+    #[inline]
+    fn ref_normal(&self, i: usize) -> f32 {
+        let (z0, z1) = self.ref_normal_pair(i / 2);
+        if i.is_multiple_of(2) {
+            z0
+        } else {
+            z1
+        }
+    }
+
+    /// Maps `out` in place through `f(old, z)` where `z` is the standard
+    /// normal sample at that position of this stream — bit-identical to
+    /// driving [`CbRng::ref_normal_pair`] element by element. This one
+    /// chunked loop backs overwriting fills (`f = |_, z| z·σ + µ`) and
+    /// accumulating noise (`f = |x, z| x + z·σ`) without duplicating the
+    /// sampler.
     #[inline]
     fn for_each_normal(&self, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
         let mut chunks = out.chunks_exact_mut(CHUNK);
         let mut base = 0usize;
         for chunk in &mut chunks {
-            // Stage 1 (scalar integer): Philox blocks -> 24-bit lanes.
-            let mut u1 = [0i32; PAIRS];
-            let mut u2 = [0i32; PAIRS];
-            for bi in 0..BLOCKS {
-                let y = self.block(((base / 4) + bi) as u64);
-                u1[2 * bi] = hi24_bits(y[0]);
-                u2[2 * bi] = mid24_bits(y[0]);
-                u1[2 * bi + 1] = hi24_bits(y[1]);
-                u2[2 * bi + 1] = mid24_bits(y[1]);
-            }
-            // Stage 2 (vectorizable): radius r = sqrt(-2 ln u1).
-            let mut r = [0.0f32; PAIRS];
-            for (ri, &l) in r.iter_mut().zip(&u1) {
-                *ri = radius(l);
-            }
-            // Stage 3 (vectorizable): angle factors cos θ, sin θ.
-            let mut cv = [0.0f32; PAIRS];
-            let mut sv = [0.0f32; PAIRS];
-            for ((ci, si), &l) in cv.iter_mut().zip(&mut sv).zip(&u2) {
-                (*ci, *si) = cos_sin_turn(l);
-            }
+            let (r, cv, sv) = self.pair_factors(base);
             // Stage 4 (vectorizable): interleave z0 = r·cosθ, z1 = r·sinθ.
             for (p, pair) in chunk.chunks_exact_mut(2).enumerate() {
                 pair[0] = f(pair[0], r[p] * cv[p]);
@@ -198,27 +221,50 @@ impl CbRng {
             }
             base += CHUNK;
         }
-        let tail = chunks.into_remainder();
-        for (i, o) in tail.iter_mut().enumerate() {
-            let idx = base + i;
-            let (z0, z1) = self.ref_normal_pair(idx / 2);
-            let z = if idx % 2 == 0 { z0 } else { z1 };
-            *o = f(*o, z);
+        for (i, o) in chunks.into_remainder().iter_mut().enumerate() {
+            *o = f(*o, self.ref_normal(base + i));
         }
     }
 
-    /// Maps `out` in place through `f(i, old, z)`: `for_each_normal` with
-    /// the element's position, so `f` can read operands that live beside
-    /// `out` (a fused `out[i] = g(a[i], b[i], z)` needs no staging pass).
-    /// The chunk loop visits every position once, in ascending order — a
-    /// counter is the position.
-    pub fn map_normal(&self, out: &mut [f32], f: impl Fn(usize, f32, f32) -> f32) {
-        let next = std::cell::Cell::new(0usize);
-        self.for_each_normal(out, |x, z| {
-            let i = next.get();
-            next.set(i + 1);
-            f(i, x, z)
-        });
+    /// Writes `out[i] = f(a[i], b[i], zᵢ)`, with `zᵢ` the standard normal
+    /// sample at position `i` of this stream (the samples
+    /// [`CbRng::axpy_normal`] adds): the sampler's stage 4 fused with a
+    /// caller's own elementwise pass over two operands that live beside
+    /// `out`, so a mechanism like `(a − b)·c + σ·z + b` needs no staging
+    /// buffer. The three slices are chunked in lockstep, so stage 4 is a
+    /// fixed-length loop over three arrays.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a`, `b` and `out` have one length.
+    pub fn zip_normal(
+        &self,
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        f: impl Fn(f32, f32, f32) -> f32,
+    ) {
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "zip_normal: operands of {} and {} elements for an output of {}",
+            a.len(),
+            b.len(),
+            out.len()
+        );
+        let (chunks, tail) = out.as_chunks_mut::<CHUNK>();
+        let (a_chunks, a_tail) = a.as_chunks::<CHUNK>();
+        let (b_chunks, b_tail) = b.as_chunks::<CHUNK>();
+        for (c, ((o, a), b)) in chunks.iter_mut().zip(a_chunks).zip(b_chunks).enumerate() {
+            let (r, cv, sv) = self.pair_factors(c * CHUNK);
+            for p in 0..PAIRS {
+                o[2 * p] = f(a[2 * p], b[2 * p], r[p] * cv[p]);
+                o[2 * p + 1] = f(a[2 * p + 1], b[2 * p + 1], r[p] * sv[p]);
+            }
+        }
+        let base = chunks.len() * CHUNK;
+        for (i, ((o, &a), &b)) in tail.iter_mut().zip(a_tail).zip(b_tail).enumerate() {
+            *o = f(a, b, self.ref_normal(base + i));
+        }
     }
 
     /// Overwrites `out` with `N(mean, std_dev²)` samples from this stream.
@@ -453,19 +499,25 @@ mod tests {
     }
 
     #[test]
-    fn map_normal_hands_out_positions_in_order_and_the_axpy_samples() {
+    fn zip_normal_reads_operands_in_step_and_draws_the_axpy_samples() {
         let g = CbRng::new(3, 4);
         for n in [0usize, 1, 2, CHUNK - 1, CHUNK, 2 * CHUNK + 7] {
-            let mut want = vec![1.5f32; n];
+            let a: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+            let b: Vec<f32> = (0..n).map(|i| 1.0 - i as f32).collect();
+            // The unfused form: the elementwise pass, then the noise.
+            let mut want: Vec<f32> = a.iter().zip(&b).map(|(a, b)| (a - b) * 0.75).collect();
             g.axpy_normal(&mut want, 0.25);
-            let aux: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let mut got = vec![1.5f32; n];
-            g.map_normal(&mut got, |i, x, z| {
-                assert_eq!(aux[i], i as f32);
-                x + z * 0.25
-            });
-            assert_eq!(got, want, "n={n}");
+            let mut got = vec![f32::NAN; n];
+            g.zip_normal(&mut got, &a, &b, |a, b, z| (a - b) * 0.75 + z * 0.25);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n={n}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "zip_normal")]
+    fn zip_normal_rejects_operands_of_another_length() {
+        CbRng::new(3, 4).zip_normal(&mut [0.0; 4], &[0.0; 4], &[0.0; 3], |a, _, _| a);
     }
 
     #[test]

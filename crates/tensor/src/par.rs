@@ -1,11 +1,14 @@
-//! Deterministic parallel compute layer: a scoped-thread fork-join pool.
+//! Deterministic parallel compute layer: a scoped-thread fork-join pool,
+//! and the owner of every compute thread in the workspace.
 //!
 //! Every figure in the paper's evaluation is gated on the same hot path —
 //! `im2col` + `matmul` inside each client's local epochs — so the kernels in
 //! [`crate::Tensor`] and [`crate::conv`] fan work out across OS threads. The
 //! workspace builds hermetically (no rayon), so this module provides the
 //! minimal std-only substitute: [`std::thread::scope`]-based fork-join over
-//! contiguous partitions of an output buffer.
+//! contiguous partitions of an output buffer, plus [`spawn_worker`] for the
+//! long-lived threads of the threaded FL engine. No other file creates a
+//! thread (lint L006).
 //!
 //! # Determinism contract
 //!
@@ -32,10 +35,28 @@
 //! The pool width defaults to [`std::thread::available_parallelism`] and can
 //! be pinned with the `DINAR_THREADS` environment variable (CI determinism
 //! tests set it to exercise fixed widths) or programmatically with
-//! [`set_threads`]. Nested parallel regions run serially: a worker thread
-//! that reaches another parallel op executes it inline, so the concurrent FL
-//! client fan-out in `dinar-fl` does not multiply into clients × threads
-//! oversubscription.
+//! [`set_threads`].
+//!
+//! # Thread model
+//!
+//! One rule, in both FL engines: **one client, one core; a worker's nested
+//! regions run inline.** A thread is a *pool worker* while it carries the
+//! worker mark ([`in_parallel_region`]), and a worker that reaches a
+//! parallel op executes it inline with `f(0, data)`. Three things carry the
+//! mark:
+//!
+//! * a thread a region spawned for one of its parts, for its whole life;
+//! * the thread that *opened* the region, for exactly the duration of the
+//!   part it runs itself — a region of `P` parts spawns `P − 1` threads and
+//!   the caller computes the first part; the caller's previous mark comes
+//!   back when the region returns or unwinds;
+//! * a [`spawn_worker`] thread, from its first instruction — the threaded
+//!   engine's client threads in `dinar-fl`.
+//!
+//! So the in-process fan-out (`map_items_mut` over clients) and the threaded
+//! engine (one `spawn_worker` thread per client) both run every kernel of a
+//! client on that client's own thread, and neither multiplies into
+//! clients × threads oversubscription.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,8 +65,29 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set on pool worker threads so nested parallel regions run inline.
+    /// The worker mark: set while this thread is a pool worker, so nested
+    /// parallel regions run inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Holds the worker mark on the current thread; dropping it (on return or
+/// on unwind) puts back whatever the thread carried before.
+struct WorkerMark {
+    was: bool,
+}
+
+impl WorkerMark {
+    fn set() -> Self {
+        WorkerMark {
+            was: IN_POOL.with(|flag| flag.replace(true)),
+        }
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_POOL.with(|flag| flag.set(self.was));
+    }
 }
 
 /// Explicit pool configuration.
@@ -110,9 +152,28 @@ pub fn reset_threads() {
     THREADS.store(ParConfig::from_env().threads, Ordering::Relaxed);
 }
 
-/// `true` on a pool worker thread (nested regions run inline there).
+/// `true` while the current thread is a pool worker (nested regions run
+/// inline there): inside a region part, or anywhere on a [`spawn_worker`]
+/// thread.
 pub fn in_parallel_region() -> bool {
     IN_POOL.with(Cell::get)
+}
+
+/// Starts a long-lived thread that is a pool worker from its first
+/// instruction: every parallel op `f` reaches runs inline on this thread.
+///
+/// This is how a caller that needs one thread per *party* (an FL client
+/// speaking over channels) gets it without each party's kernels fanning
+/// out again. Join the handle: a panic in `f` surfaces there.
+pub fn spawn_worker<T, F>(f: F) -> std::thread::JoinHandle<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    std::thread::spawn(move || {
+        let _mark = WorkerMark::set();
+        f()
+    })
 }
 
 /// Balanced partition of `granules` work units into `parts` contiguous
@@ -129,18 +190,19 @@ fn split_counts(granules: usize, parts: usize) -> Vec<usize> {
 ///
 /// `data` is split at multiples of `granule` elements (a "granule" is the
 /// indivisible unit — e.g. one output row of length `n`). Each part is
-/// passed to `f` together with the element offset of its first element, on
-/// its own scoped thread. The partition uses at most [`threads`] parts and
-/// at least `min_granules` granules per part; below that (or on a nested
-/// call from a worker thread) the whole slice is processed inline with
-/// `f(0, data)`.
+/// passed to `f` together with the element offset of its first element:
+/// the first non-empty part on the calling thread, which is a pool worker
+/// for exactly that call, and every other part on its own scoped thread.
+/// The partition uses at most [`threads`] parts and at least `min_granules`
+/// granules per part; below that (or on a call from a worker thread) the
+/// whole slice is processed inline with `f(0, data)`.
 ///
 /// Determinism: `f` must compute each element of its part from `data`'s
 /// coordinates alone (same FP order wherever the partition boundary falls);
 /// then the result is bit-identical for every thread count.
 ///
-/// A panic in any part (e.g. a `sanitize` check) propagates to the caller
-/// once the scope joins.
+/// A panic in any part (e.g. a `sanitize` check), the caller's own
+/// included, propagates to the caller once the scope has joined the rest.
 pub fn for_each_part_mut<T, F>(data: &mut [T], granule: usize, min_granules: usize, f: F)
 where
     T: Send,
@@ -168,6 +230,7 @@ where
     std::thread::scope(|scope| {
         let mut rest = data;
         let mut offset = 0usize;
+        let mut own = None;
         for (p, &count) in counts.iter().enumerate() {
             // The last part also absorbs any sub-granule tail.
             let take = if p + 1 == counts.len() {
@@ -182,10 +245,19 @@ where
             if part.is_empty() {
                 continue;
             }
+            if own.is_none() {
+                own = Some((part_offset, part));
+                continue;
+            }
             scope.spawn(move || {
-                IN_POOL.with(|flag| flag.set(true));
+                let _mark = WorkerMark::set();
                 f(part_offset, part);
             });
+        }
+        // The others are running; the caller computes the first part.
+        if let Some((part_offset, part)) = own {
+            let _mark = WorkerMark::set();
+            f(part_offset, part);
         }
     });
 }
@@ -417,6 +489,45 @@ mod tests {
     }
 
     #[test]
+    fn a_region_of_p_parts_records_p_tasks_and_runs_part_zero_on_the_caller() {
+        with_width(4, || {
+            let caller = std::thread::current().id();
+            let mut ran_on = vec![None; 4];
+            let before = crate::profile::snapshot();
+            for_each_part_mut(&mut ran_on, 1, 1, |_, part| {
+                assert!(in_parallel_region());
+                part[0] = Some(std::thread::current().id());
+            });
+            // Other tests fan out concurrently on the same global counters:
+            // this region alone accounts for one region of four parts.
+            let delta = crate::profile::snapshot().delta_since(&before);
+            assert!(delta.pool_regions >= 1 && delta.pool_tasks >= 4, "{delta:?}");
+            assert_eq!(ran_on[0], Some(caller));
+            assert!(ran_on[1..].iter().all(|id| id.is_some() && *id != Some(caller)));
+            assert!(!in_parallel_region(), "the caller's mark outlived its part");
+        });
+    }
+
+    #[test]
+    fn spawn_worker_thread_runs_a_nested_region_inline() {
+        with_width(4, || {
+            let inline = spawn_worker(|| {
+                assert!(in_parallel_region());
+                let me = std::thread::current().id();
+                let calls = Mutex::new(Vec::new());
+                for_each_part_mut(&mut [0u8; 64], 1, 1, |offset, part| {
+                    let here = std::thread::current().id();
+                    calls.lock().unwrap().push((offset, part.len(), here == me));
+                });
+                calls.into_inner().unwrap()
+            })
+            .join()
+            .unwrap();
+            assert_eq!(inline, vec![(0, 64, true)]);
+        });
+    }
+
+    #[test]
     fn map_items_preserves_order() {
         for width in [1, 3, 8] {
             with_width(width, || {
@@ -481,6 +592,26 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn callers_mark_is_restored_after_a_panic_in_its_own_part() {
+        with_width(2, || {
+            let result = std::panic::catch_unwind(|| {
+                let mut data = vec![0u8; 8];
+                for_each_part_mut(&mut data, 1, 1, |offset, _| {
+                    assert!(offset != 0, "synthetic failure in the caller's part");
+                });
+            });
+            assert!(result.is_err());
+            assert!(!in_parallel_region(), "an unwound region left its mark");
+        });
+        // A worker that opens a (then inline) region keeps its own mark.
+        let still_marked = spawn_worker(|| {
+            for_each_part_mut(&mut [0u8; 8], 1, 1, |_, _| {});
+            in_parallel_region()
+        });
+        assert!(still_marked.join().unwrap());
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub(crate) fn record_col2im(bytes: u64) {
     COL2IM_BYTES.fetch_add(bytes, Ordering::Relaxed);
 }
 
-/// Record a pool region that actually fanned out to `tasks` scoped threads.
+/// Record a pool region that actually fanned out into `tasks` parts: one
+/// on the thread that opened it, `tasks − 1` on scoped threads.
 pub(crate) fn record_pool_region(tasks: u64) {
     POOL_REGIONS.fetch_add(1, Ordering::Relaxed);
     POOL_TASKS.fetch_add(tasks, Ordering::Relaxed);
@@ -143,7 +144,9 @@ pub struct KernelSnapshot {
     /// Parallel regions that fanned out (width > 1). **Volatile**: varies
     /// with the pool width.
     pub pool_regions: u64,
-    /// Scoped threads spawned across those regions. **Volatile**.
+    /// Parts those regions ran. The opening thread runs one part of each
+    /// region itself, so scoped threads spawned = `pool_tasks −
+    /// pool_regions`. **Volatile**.
     pub pool_tasks: u64,
     /// Widest single fan-out observed. **Volatile**.
     pub pool_max_width: u64,

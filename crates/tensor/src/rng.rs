@@ -340,17 +340,27 @@ impl Rng {
         self.derive_cb().axpy_normal(out, std_dev);
     }
 
-    /// Maps `out` in place through `f(i, old, zᵢ)`, with `zᵢ` i.i.d. standard
-    /// normal: the general form of [`Rng::axpy_normal`]
-    /// (`f = |_, x, z| x + z·σ`, same stream, same samples) for mechanisms
-    /// that fold more than the noise into the pass. An empty `out` consumes
-    /// no generator state.
-    pub fn map_normal(&mut self, out: &mut [f32], f: impl Fn(usize, f32, f32) -> f32) {
+    /// Writes `out[i] = f(a[i], b[i], zᵢ)`, with `zᵢ` i.i.d. standard
+    /// normal: [`Rng::axpy_normal`]'s stream and samples, for mechanisms
+    /// that fold an elementwise pass over two operands into the noise pass
+    /// (`f = |t, b, z| ((t − b)·c + z·σ) + b` is clip, noise and add-back in
+    /// one write). An empty `out` consumes no generator state.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a`, `b` and `out` have one length.
+    pub fn zip_normal(
+        &mut self,
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        f: impl Fn(f32, f32, f32) -> f32,
+    ) {
         if out.is_empty() {
             return;
         }
         profile::record_rng_samples(out.len());
-        self.derive_cb().map_normal(out, f);
+        self.derive_cb().zip_normal(out, a, b, f);
     }
 
     // ------------------------------------------------------------------

@@ -9,11 +9,12 @@
 
 use dinar_fl::clock::{ManualClock, WallClock};
 use dinar_fl::{
-    run_threaded_wire, FaultPlan, FlConfig, FlError, FlSystem, Quorum, ResilientRun,
-    RetryPolicy, RoundPolicy, WireConfig,
+    run_threaded_wire, ClientMiddleware, FaultPlan, FlConfig, FlError, FlSystem, Quorum,
+    ResilientRun, RetryPolicy, RoundPolicy, WireConfig,
 };
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
+use dinar_nn::ModelParams;
 use dinar_tensor::{par, Rng, Tensor};
 use dinar_telemetry::Telemetry;
 use std::sync::mpsc::channel;
@@ -41,22 +42,42 @@ fn per_width<T>(f: impl Fn() -> T) -> Vec<T> {
     results
 }
 
-fn blob_dataset(n: usize, seed: u64) -> dinar_data::Dataset {
+/// The tiny model most of the matrix runs on: no kernel of it crosses the
+/// pool's fan-out threshold (16,384 elements).
+const TINY: [usize; 3] = [2, 8, 2];
+/// A model whose first weight matrix (65,536 elements) does: its parameter
+/// sweeps fan out on any thread that is not a pool worker.
+const WIDE: [usize; 3] = [64, 1024, 10];
+
+/// `n` samples in `features` dimensions, one Gaussian blob per class with
+/// the class centres spread evenly over [-2, 2].
+fn blob_dataset(n: usize, features: usize, classes: usize, seed: u64) -> dinar_data::Dataset {
     let mut rng = Rng::seed_from(seed);
-    let mut features = Tensor::zeros(&[n, 2]);
+    let mut x = Tensor::zeros(&[n, features]);
     let mut labels = Vec::new();
     for i in 0..n {
-        let class = i % 2;
-        let c = if class == 0 { -2.0 } else { 2.0 };
-        features.set(&[i, 0], rng.normal_with(c, 0.6)).expect("set");
-        features.set(&[i, 1], rng.normal_with(c, 0.6)).expect("set");
+        let class = i % classes;
+        let c = -2.0 + 4.0 * class as f32 / (classes - 1) as f32;
+        for j in 0..features {
+            x.set(&[i, j], rng.normal_with(c, 0.6)).expect("set");
+        }
         labels.push(class);
     }
-    dinar_data::Dataset::new(features, labels, &[2], 2).expect("dataset")
+    dinar_data::Dataset::new(x, labels, &[features], classes).expect("dataset")
 }
 
 fn build_system() -> FlSystem {
-    let data = blob_dataset(90, 5);
+    build_system_of(&TINY, |_| Vec::new())
+}
+
+/// Three clients over 90 blob samples, each an MLP of `layers`, with the
+/// client middleware `middleware` builds per id.
+fn build_system_of(
+    layers: &[usize],
+    middleware: impl Fn(usize) -> Vec<Box<dyn ClientMiddleware>>,
+) -> FlSystem {
+    let (features, classes) = (layers[0], layers[layers.len() - 1]);
+    let data = blob_dataset(90, features, classes, 5);
     let mut rng = Rng::seed_from(9);
     let shards = dinar_data::partition::partition_dataset(
         &data,
@@ -72,21 +93,21 @@ fn build_system() -> FlSystem {
     })
     .clients_from_shards(
         shards,
-        |rng| models::mlp(&[2, 8, 2], Activation::ReLU, rng),
+        |rng| models::mlp(layers, Activation::ReLU, rng),
         |_| Box::new(Sgd::new(0.1)),
     )
     .expect("clients")
+    .with_client_middleware(middleware)
     .build()
     .expect("system")
 }
 
+fn param_bits(params: &ModelParams) -> Vec<u32> {
+    params.to_flat().iter().map(|x| x.to_bits()).collect()
+}
+
 fn global_bits(run: &ResilientRun) -> Vec<u32> {
-    run.system
-        .global_params()
-        .to_flat()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect()
+    param_bits(run.system.global_params())
 }
 
 fn resilient(policy: RoundPolicy, rounds: usize) -> ResilientRun {
@@ -229,6 +250,97 @@ fn exhausted_retries_drop_the_client() {
         matches!(err, FlError::ClientFailure { client: 1, round: 2, .. }),
         "{err}"
     );
+}
+
+/// The crash, lost-upload and deadline paths again, on a model large enough
+/// that its kernels would fan out: the client threads are pool workers, so
+/// they run them inline, and every path accounts and aggregates exactly as
+/// on the tiny model — to the same bits at every pool width.
+#[test]
+fn fault_paths_hold_on_a_model_large_enough_to_fan_out() {
+    let wide = |policy: RoundPolicy, clock: Arc<dyn dinar_fl::clock::Clock>| {
+        let system = build_system_of(&WIDE, |_| Vec::new());
+        run_threaded_wire(system, 3, clock, policy, WireConfig::default()).expect("wide run")
+    };
+    let results = per_width(|| {
+        let quorum = |deadline| RoundPolicy::with_quorum(Quorum::AtLeast(2), deadline);
+        let manual = || Arc::new(ManualClock::new());
+        let crashed = wide(quorum(None).with_faults(FaultPlan::new().crash(1, 2)), manual());
+        let dropped = wide(quorum(None).with_faults(FaultPlan::new().drop_update(1, 2)), manual());
+        let stalled = wide(
+            quorum(Some(Duration::from_millis(500))).with_faults(FaultPlan::new().stall(1, 2)),
+            Arc::new(WallClock::new()),
+        );
+        let participants = |run: &ResilientRun| -> Vec<usize> {
+            run.fault_stats.iter().map(|s| s.participants).collect()
+        };
+        assert_eq!(participants(&crashed), [3, 2, 2]);
+        assert_eq!(participants(&dropped), [3, 2, 3]);
+        assert_eq!(participants(&stalled), [3, 2, 3]);
+        assert!(stalled.fault_stats[1].deadline_expired);
+        // A stalled client neither trains nor uploads in round 2; a client
+        // whose upload is lost trains on — so the two diverge in round 3.
+        [global_bits(&crashed), global_bits(&dropped), global_bits(&stalled)]
+    });
+    for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
+        assert!(r == &results[0], "a wide-model fault run diverged at {w} threads");
+    }
+}
+
+/// Records, from inside a client's upload transform, whether the thread it
+/// runs on is a pool worker.
+#[derive(Debug)]
+struct WorkerProbe(Arc<Mutex<Vec<bool>>>);
+
+impl ClientMiddleware for WorkerProbe {
+    fn transform_upload(&mut self, _: usize, _: &mut ModelParams) -> dinar_fl::Result<()> {
+        self.0.lock().expect("probe lock").push(par::in_parallel_region());
+        Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        "worker-probe"
+    }
+}
+
+/// One rule in both engines — one client, one core; a worker's nested
+/// regions run inline: wherever a client's round runs next to other work,
+/// it runs on a pool worker (the in-process engine's fan-out at widths ≥ 2,
+/// the threaded engine's client threads at every width), and both engines
+/// reach the same global model bit for bit at every width.
+#[test]
+fn both_engines_run_clients_on_pool_workers() {
+    let results = per_width(|| {
+        let marks = Arc::new(Mutex::new(Vec::new()));
+        let probed = || {
+            build_system_of(&WIDE, |_| {
+                vec![Box::new(WorkerProbe(marks.clone())) as Box<dyn ClientMiddleware>]
+            })
+        };
+        let take = || std::mem::take(&mut *marks.lock().expect("probe lock"));
+
+        let mut in_process = probed();
+        in_process.run(2).expect("in-process rounds");
+        let in_process_marks = take();
+        let clock = Arc::new(ManualClock::new());
+        let threaded =
+            run_threaded_wire(probed(), 2, clock, RoundPolicy::strict(), WireConfig::default())
+                .expect("threaded rounds");
+        let threaded_marks = take();
+
+        let global = param_bits(in_process.global_params());
+        assert!(global == global_bits(&threaded), "the two engines diverged");
+        (in_process_marks, threaded_marks, global)
+    });
+    for (&width, (in_process, threaded, global)) in WIDTHS.iter().zip(&results) {
+        // Three clients, two rounds, one upload each.
+        assert_eq!((in_process.len(), threaded.len()), (6, 6), "width {width}");
+        // At width 1 the in-process engine has nothing to fan out to: the
+        // clients take turns on the calling thread, which is no worker.
+        assert!(in_process.iter().all(|&m| m == (width > 1)), "width {width}: {in_process:?}");
+        assert!(threaded.iter().all(|&m| m), "width {width}: {threaded:?}");
+        assert!(global == &results[0].2, "global model diverged at {width} threads");
+    }
 }
 
 /// A silently stalling client (alive but never replying) is resolved by the
