@@ -28,11 +28,15 @@
 //! serving) are not offered here.
 
 use crate::{ClientUpdate, FlError, MiddlewareState, Result};
-use dinar_nn::ckpt::{expect_header, read_tensor, write_header, write_tensor, CkptKind};
+use dinar_nn::ckpt::{expect_header, write_header, CkptKind};
 use dinar_nn::optim::OptimState;
-use dinar_nn::{LayerParams, ModelParams, NnError};
-use dinar_tensor::wire::{ByteReader, ByteWriter, WireError};
-use dinar_tensor::{Dtype, RngState};
+use dinar_nn::snapshot::{read_layers, write_layers};
+use dinar_nn::{LayerParams, ModelParams};
+use dinar_tensor::wire::{
+    decode_section, encode_section, read_seq, write_seq, ByteReader, ByteWriter, WireError,
+    WireResult,
+};
+use dinar_tensor::{Dtype, RngState, Tensor};
 use std::fs;
 use std::path::Path;
 
@@ -74,151 +78,65 @@ pub struct FlCheckpoint {
     pub pending: Option<PendingRound>,
 }
 
-fn ckpt_len(n: usize, what: &'static str) -> Result<u32> {
-    u32::try_from(n).map_err(|_| {
-        FlError::Nn(NnError::Wire(WireError::LengthOverflow {
-            what,
-            value: u64::try_from(n).unwrap_or(u64::MAX),
-        }))
-    })
+/// Writes a parameter-shaped part — a model, an optimizer's state groups —
+/// in the model framing, every tensor an f32 section.
+fn write_f32_layers<L: AsRef<[Tensor]>>(w: &mut ByteWriter, layers: &[L]) -> WireResult<()> {
+    write_layers(w, layers, |_, _, t, w| encode_section(t, Dtype::F32, w))
 }
 
-fn write_layer(w: &mut ByteWriter, layer: &LayerParams) -> Result<()> {
-    w.put_u32(ckpt_len(layer.tensors.len(), "resume tensor count")?);
-    for t in &layer.tensors {
-        write_tensor(w, t, Dtype::F32)?;
-    }
-    Ok(())
-}
-
-fn read_layer(r: &mut ByteReader<'_>) -> Result<LayerParams> {
-    let count = r.read_u32().map_err(NnError::Wire)?;
-    let mut tensors = Vec::new();
-    for _ in 0..count {
-        tensors.push(read_tensor(r)?.into_tensor());
-    }
-    Ok(LayerParams::new(tensors))
-}
-
-fn write_params(w: &mut ByteWriter, params: &ModelParams) -> Result<()> {
-    w.put_u32(ckpt_len(params.layers.len(), "resume layer count")?);
-    for layer in &params.layers {
-        write_layer(w, layer)?;
-    }
-    Ok(())
-}
-
-fn read_params(r: &mut ByteReader<'_>) -> Result<ModelParams> {
-    let count = r.read_u32().map_err(NnError::Wire)?;
-    let mut layers = Vec::new();
-    for _ in 0..count {
-        layers.push(read_layer(r)?);
-    }
-    Ok(ModelParams::new(layers))
+/// One section, widened to f32 whatever width it was stored at.
+fn dense_section(r: &mut ByteReader<'_>) -> WireResult<Tensor> {
+    decode_section(r, |t| t, |q| q.to_tensor())
 }
 
 fn write_rng(w: &mut ByteWriter, rng: &RngState) {
     for &word in &rng.words {
         w.put_u64(word);
     }
-    match rng.gauss_cache {
-        Some(cached) => {
-            w.put_u8(1);
-            w.put_f32(cached);
-        }
-        None => w.put_u8(0),
+    w.put_flag(rng.gauss_cache.is_some());
+    if let Some(cached) = rng.gauss_cache {
+        w.put_f32(cached);
     }
 }
 
-fn read_rng(r: &mut ByteReader<'_>) -> Result<RngState> {
+fn read_rng(r: &mut ByteReader<'_>) -> WireResult<RngState> {
     let mut words = [0u64; 4];
     for word in &mut words {
-        *word = r.read_u64().map_err(NnError::Wire)?;
+        *word = r.read_u64()?;
     }
-    let gauss_cache = match r.read_u8().map_err(NnError::Wire)? {
-        0 => None,
-        _ => Some(r.read_f32().map_err(NnError::Wire)?),
-    };
+    let gauss_cache = r.read_flag("resume gauss-cache flag")?.then(|| r.read_f32()).transpose()?;
     Ok(RngState { words, gauss_cache })
 }
 
-fn write_optim(w: &mut ByteWriter, optim: &OptimState) -> Result<()> {
-    w.put_u32(ckpt_len(optim.scalars.len(), "resume optim scalar count")?);
-    for &s in &optim.scalars {
-        w.put_f32(s);
-    }
-    w.put_u32(ckpt_len(optim.groups.len(), "resume optim group count")?);
-    for group in &optim.groups {
-        w.put_u32(ckpt_len(group.len(), "resume optim group size")?);
-        for t in group {
-            write_tensor(w, t, Dtype::F32)?;
-        }
-    }
-    Ok(())
-}
-
-fn read_optim(r: &mut ByteReader<'_>) -> Result<OptimState> {
-    let scalar_count = r.read_u32().map_err(NnError::Wire)?;
-    let mut scalars = Vec::new();
-    for _ in 0..scalar_count {
-        scalars.push(r.read_f32().map_err(NnError::Wire)?);
-    }
-    let group_count = r.read_u32().map_err(NnError::Wire)?;
-    let mut groups = Vec::new();
-    for _ in 0..group_count {
-        let size = r.read_u32().map_err(NnError::Wire)?;
-        let mut group = Vec::new();
-        for _ in 0..size {
-            group.push(read_tensor(r)?.into_tensor());
-        }
-        groups.push(group);
-    }
-    Ok(OptimState { scalars, groups })
-}
-
-fn write_middleware(w: &mut ByteWriter, state: &Option<MiddlewareState>) -> Result<()> {
+fn write_middleware(w: &mut ByteWriter, state: &Option<MiddlewareState>) -> WireResult<()> {
+    w.put_flag(state.is_some());
     let Some(state) = state else {
-        w.put_u8(0);
         return Ok(());
     };
-    w.put_u8(1);
-    match &state.rng {
-        Some(rng) => {
-            w.put_u8(1);
-            write_rng(w, rng);
-        }
-        None => w.put_u8(0),
+    w.put_flag(state.rng.is_some());
+    if let Some(rng) = &state.rng {
+        write_rng(w, rng);
     }
-    w.put_u32(ckpt_len(state.stored.len(), "resume middleware slot count")?);
-    for slot in &state.stored {
-        match slot {
-            Some(layer) => {
-                w.put_u8(1);
-                write_layer(w, layer)?;
-            }
-            None => w.put_u8(0),
-        }
-    }
-    Ok(())
+    write_seq(w, state.stored.iter(), "resume middleware slot count", |_, slot, w| {
+        w.put_flag(slot.is_some());
+        let Some(layer) = slot else {
+            return Ok(());
+        };
+        write_seq(w, layer.tensors.iter(), "resume slot tensor count", |_, t, w| {
+            encode_section(t, Dtype::F32, w)
+        })
+    })
 }
 
-fn read_middleware(r: &mut ByteReader<'_>) -> Result<Option<MiddlewareState>> {
-    if r.read_u8().map_err(NnError::Wire)? == 0 {
+fn read_middleware(r: &mut ByteReader<'_>) -> WireResult<Option<MiddlewareState>> {
+    if !r.read_flag("resume middleware flag")? {
         return Ok(None);
     }
-    let rng = match r.read_u8().map_err(NnError::Wire)? {
-        0 => None,
-        _ => Some(read_rng(r)?),
-    };
-    let slot_count = r.read_u32().map_err(NnError::Wire)?;
-    let mut stored = Vec::new();
-    for _ in 0..slot_count {
-        let slot = match r.read_u8().map_err(NnError::Wire)? {
-            0 => None,
-            _ => Some(read_layer(r)?),
-        };
-        stored.push(slot);
-    }
+    let rng = r.read_flag("resume middleware rng flag")?.then(|| read_rng(r)).transpose()?;
+    let stored = read_seq(r, |r| {
+        let present = r.read_flag("resume middleware slot flag")?;
+        present.then(|| read_seq(r, dense_section).map(LayerParams::new)).transpose()
+    })?;
     Ok(Some(MiddlewareState { rng, stored }))
 }
 
@@ -232,38 +150,51 @@ pub fn encode_resume(ckpt: &FlCheckpoint) -> Result<Vec<u8>> {
     let mut w = ByteWriter::new();
     write_header(&mut w, CkptKind::FlResume);
     w.put_u64(u64::try_from(ckpt.rounds_run).unwrap_or(u64::MAX));
-    write_params(&mut w, &ckpt.global)?;
-    w.put_u32(ckpt_len(ckpt.clients.len(), "resume client count")?);
-    for client in &ckpt.clients {
+    write_f32_layers(&mut w, &ckpt.global.layers)?;
+    write_seq(&mut w, ckpt.clients.iter(), "resume client count", |_, client, w| {
         w.put_u64(u64::try_from(client.id).unwrap_or(u64::MAX));
-        write_rng(&mut w, &client.rng);
-        write_params(&mut w, &client.params)?;
-        write_optim(&mut w, &client.optim)?;
-        w.put_u32(ckpt_len(client.middleware.len(), "resume middleware count")?);
-        for mw in &client.middleware {
-            write_middleware(&mut w, mw)?;
-        }
-    }
-    match &ckpt.pending {
-        Some(pending) => {
-            w.put_u8(1);
-            w.put_u32(ckpt_len(pending.completed.len(), "resume completed count")?);
-            for (loss, update) in &pending.completed {
-                w.put_u64(u64::try_from(update.client_id).unwrap_or(u64::MAX));
-                w.put_f32(*loss);
-                w.put_u64(u64::try_from(update.num_samples).unwrap_or(u64::MAX));
-                write_params(&mut w, &update.params)?;
-            }
-        }
-        None => w.put_u8(0),
+        write_rng(w, &client.rng);
+        write_f32_layers(w, &client.params.layers)?;
+        w.put_f32s(&client.optim.scalars, "resume optim scalar count")?;
+        write_f32_layers(w, &client.optim.groups)?;
+        write_seq(w, client.middleware.iter(), "resume middleware count", |_, mw, w| {
+            write_middleware(w, mw)
+        })
+    })?;
+    w.put_flag(ckpt.pending.is_some());
+    if let Some(pending) = &ckpt.pending {
+        let completed = pending.completed.iter();
+        write_seq(&mut w, completed, "resume completed count", |_, (loss, update), w| {
+            w.put_u64(u64::try_from(update.client_id).unwrap_or(u64::MAX));
+            w.put_f32(*loss);
+            w.put_u64(u64::try_from(update.num_samples).unwrap_or(u64::MAX));
+            write_f32_layers(w, &update.params.layers)
+        })?;
     }
     Ok(w.into_bytes())
 }
 
-fn read_file_usize(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize> {
-    let value = r.read_u64().map_err(NnError::Wire)?;
-    usize::try_from(value)
-        .map_err(|_| FlError::Nn(NnError::Wire(WireError::LengthOverflow { what, value })))
+fn read_file_usize(r: &mut ByteReader<'_>, what: &'static str) -> WireResult<usize> {
+    let value = r.read_u64()?;
+    usize::try_from(value).map_err(|_| WireError::LengthOverflow { what, value })
+}
+
+fn read_client(r: &mut ByteReader<'_>) -> WireResult<ClientCkpt> {
+    let id = read_file_usize(r, "resume client id")?;
+    let rng = read_rng(r)?;
+    let params = read_layers(r, dense_section)?.into();
+    let scalars = r.read_f32s("resume optim scalar count")?;
+    let optim = OptimState { scalars, groups: read_layers(r, dense_section)? };
+    let middleware = read_seq(r, read_middleware)?;
+    Ok(ClientCkpt { id, params, rng, optim, middleware })
+}
+
+fn read_completed(r: &mut ByteReader<'_>) -> WireResult<(f32, ClientUpdate)> {
+    let client_id = read_file_usize(r, "resume update client id")?;
+    let loss = r.read_f32()?;
+    let num_samples = read_file_usize(r, "resume update samples")?;
+    let params = read_layers(r, dense_section)?.into();
+    Ok((loss, ClientUpdate { client_id, params, num_samples }))
 }
 
 /// Decodes a resume image. The whole buffer must be consumed.
@@ -271,43 +202,19 @@ fn read_file_usize(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize> 
 /// # Errors
 ///
 /// Returns [`FlError::Nn`] wrapping the typed wire error for truncation,
-/// bad magic/version, a non-`fl-resume` kind, corrupt headers or trailing
-/// bytes. Never panics.
+/// bad magic/version, a non-`fl-resume` kind, a presence flag other than
+/// 0/1, corrupt headers or trailing bytes. Never panics.
 pub fn decode_resume(bytes: &[u8]) -> Result<FlCheckpoint> {
     let mut r = ByteReader::new(bytes);
     expect_header(&mut r, CkptKind::FlResume)?;
     let rounds_run = read_file_usize(&mut r, "resume round counter")?;
-    let global = read_params(&mut r)?;
-    let client_count = r.read_u32().map_err(NnError::Wire)?;
-    let mut clients = Vec::new();
-    for _ in 0..client_count {
-        let id = read_file_usize(&mut r, "resume client id")?;
-        let rng = read_rng(&mut r)?;
-        let params = read_params(&mut r)?;
-        let optim = read_optim(&mut r)?;
-        let mw_count = r.read_u32().map_err(NnError::Wire)?;
-        let mut middleware = Vec::new();
-        for _ in 0..mw_count {
-            middleware.push(read_middleware(&mut r)?);
-        }
-        clients.push(ClientCkpt { id, params, rng, optim, middleware });
-    }
-    let pending = match r.read_u8().map_err(NnError::Wire)? {
-        0 => None,
-        _ => {
-            let completed_count = r.read_u32().map_err(NnError::Wire)?;
-            let mut completed = Vec::new();
-            for _ in 0..completed_count {
-                let client_id = read_file_usize(&mut r, "resume update client id")?;
-                let loss = r.read_f32().map_err(NnError::Wire)?;
-                let num_samples = read_file_usize(&mut r, "resume update samples")?;
-                let params = read_params(&mut r)?;
-                completed.push((loss, ClientUpdate { client_id, params, num_samples }));
-            }
-            Some(PendingRound { completed })
-        }
+    let global = read_layers(&mut r, dense_section)?.into();
+    let clients = read_seq(&mut r, read_client)?;
+    let pending = match r.read_flag("resume pending-round flag")? {
+        true => Some(PendingRound { completed: read_seq(&mut r, read_completed)? }),
+        false => None,
     };
-    r.finish().map_err(NnError::Wire)?;
+    r.finish()?;
     Ok(FlCheckpoint { rounds_run, global, clients, pending })
 }
 
@@ -340,7 +247,8 @@ pub fn load_resume(path: impl AsRef<Path>) -> Result<FlCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dinar_tensor::{Rng, Tensor};
+    use dinar_nn::NnError;
+    use dinar_tensor::Rng;
 
     fn params(v: f32) -> ModelParams {
         ModelParams::new(vec![LayerParams::new(vec![

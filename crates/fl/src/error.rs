@@ -1,5 +1,6 @@
 use dinar_data::DataError;
 use dinar_nn::NnError;
+use dinar_tensor::wire::WireError;
 use dinar_tensor::TensorError;
 use std::fmt;
 
@@ -76,6 +77,13 @@ impl std::error::Error for FlError {
 impl From<NnError> for FlError {
     fn from(e: NnError) -> Self {
         FlError::Nn(e)
+    }
+}
+
+/// A byte-codec failure is the model plane's, as the decoders report it.
+impl From<WireError> for FlError {
+    fn from(e: WireError) -> Self {
+        FlError::Nn(NnError::Wire(e))
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Where the `DNWR` wire format ([`crate::snapshot`]) frames *transient*
 //! round traffic, `DNCK` frames *durable* state: the global model between
-//! rounds, personalized client models for serving, and (via the composable
-//! section writers below) full mid-round resume images assembled by
+//! rounds, personalized client models for serving, and (from the same
+//! sections and model framing) full mid-round resume images assembled by
 //! `dinar-fl`. The layout:
 //!
 //! ```text
@@ -16,40 +16,35 @@
 //!   per tensor:
 //!     dtype tag: u8            (F32 = 0x00, I8 = 0x01, F16 = 0x02)
 //!     rank: u32, dims: u32 × rank
-//!     payload:
-//!       F32: f32 bit patterns          (4 bytes/element, lossless)
-//!       F16: IEEE half bit patterns    (2 bytes/element, round-to-nearest)
-//!       I8:  scale f32 + level bytes   (1 byte/element + 4, abs-max quant)
+//!     payload at that width    (f32 or f16 bit patterns; i8: scale + levels)
 //! ```
 //!
 //! Every tensor carries its own dtype tag, so a single checkpoint can mix
 //! storage widths (e.g. f32 biases next to i8 weight matrices) and old
-//! readers fail loudly on tags they do not know. Decoding reuses the
-//! hardened [`dinar_tensor::wire`] byte codec — every length header is
-//! validated before allocation, corrupt counts run into
+//! readers fail loudly on tags they do not know. The header check and the
+//! sections are [`dinar_tensor::wire`]'s, the codec `DNWR` streams use, and
+//! the counts are [`crate::snapshot`]'s model framing; this module owns the
+//! kind byte, the at-width decoded form and file I/O. Every payload's byte
+//! budget is validated before allocation, corrupt counts run into
 //! [`WireError::Truncated`] instead of a giant reservation, and the whole
 //! buffer must be consumed.
 //!
-//! The I8 payload is bit-identical to the wire plane's `quant_i8` codec
-//! ([`QuantTensor::quantize`] is the single quantizer for both), so a model
+//! The I8 payload *is* the wire plane's `quant_i8` payload, so a model
 //! checkpointed at i8 decodes to exactly the values a client would have
 //! received over a `quant_i8` uplink.
 
-use crate::snapshot::wire_len;
+use crate::snapshot::{framed_len, read_layers, write_layers};
 use crate::{ModelParams, NnError, Result};
-use dinar_tensor::wire::{ByteReader, ByteWriter, WireError, MAX_RANK};
-use dinar_tensor::{Dtype, Element, QuantTensor, Tensor, F16};
+use dinar_tensor::wire::{
+    self, decode_section, encode_section, encoded_section_len, ByteReader, ByteWriter, WireError,
+};
+pub use dinar_tensor::wire::{FORMAT_VERSION, HEADER_LEN};
+use dinar_tensor::{Dtype, QuantTensor, Tensor};
 use std::fs;
 use std::path::Path;
 
 /// The four magic bytes every checkpoint starts with.
 pub const MAGIC: [u8; 4] = *b"DNCK";
-
-/// Current checkpoint format version.
-pub const FORMAT_VERSION: u16 = 1;
-
-/// Byte length of the fixed header (magic + version + kind).
-pub const HEADER_LEN: usize = 7;
 
 /// What a `DNCK` file contains. The tag byte sits in the header so a model
 /// loader cannot silently misparse an FL resume image (and vice versa).
@@ -91,43 +86,20 @@ impl CkptKind {
 
 /// Writes the `DNCK` header (magic + version + kind).
 pub fn write_header(w: &mut ByteWriter, kind: CkptKind) {
-    w.put_bytes(&MAGIC);
-    w.put_u16(FORMAT_VERSION);
-    w.put_u8(kind.tag());
+    wire::write_header(w, MAGIC, kind.tag());
 }
 
-/// Reads and validates the `DNCK` header, returning the file kind.
-///
-/// # Errors
-///
-/// Returns [`NnError::Wire`] with [`WireError::BadMagic`],
-/// [`WireError::UnsupportedVersion`] or [`WireError::UnknownCodec`] (for an
-/// unknown kind tag) on mismatch, [`WireError::Truncated`] if the buffer is
-/// shorter than the header.
-pub fn read_header(r: &mut ByteReader<'_>) -> Result<CkptKind> {
-    let magic = r.take(4).map_err(NnError::Wire)?;
-    if magic != MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(NnError::Wire(WireError::BadMagic { found }));
-    }
-    let version = r.read_u16().map_err(NnError::Wire)?;
-    if version != FORMAT_VERSION {
-        return Err(NnError::Wire(WireError::UnsupportedVersion { found: version }));
-    }
-    let tag = r.read_u8().map_err(NnError::Wire)?;
-    CkptKind::from_tag(tag).ok_or(NnError::Wire(WireError::UnknownCodec { tag }))
-}
-
-/// Reads the header and checks the file kind, failing loudly on a
+/// Reads the `DNCK` header and checks the file kind, failing loudly on a
 /// mismatch (e.g. feeding an FL resume image to a bare model loader).
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_header`], plus [`NnError::InvalidConfig`] if
-/// the kind differs from `expected`.
+/// Returns [`NnError::Wire`] for a bad magic/version (naming `DNCK`), an
+/// unknown kind byte or truncation, and [`NnError::InvalidConfig`] if the
+/// kind differs from `expected`.
 pub fn expect_header(r: &mut ByteReader<'_>, expected: CkptKind) -> Result<()> {
-    let kind = read_header(r)?;
+    let tag = wire::read_header(r, MAGIC)?;
+    let kind = CkptKind::from_tag(tag).ok_or(WireError::UnknownTag { what: "DNCK kind", tag })?;
     if kind != expected {
         return Err(NnError::InvalidConfig {
             reason: format!(
@@ -142,7 +114,7 @@ pub fn expect_header(r: &mut ByteReader<'_>, expected: CkptKind) -> Result<()> {
 
 /// A decoded checkpoint tensor, still in its on-disk storage width.
 ///
-/// [`read_tensor`] returns this so a serving path can keep i8 weights
+/// [`decode_checkpoint_raw`] returns these so a serving path can keep i8 weights
 /// resident as [`QuantTensor`]s instead of eagerly widening to f32.
 #[derive(Debug, Clone)]
 pub enum CkptTensor {
@@ -180,188 +152,19 @@ pub struct RawCheckpoint {
 impl RawCheckpoint {
     /// Densifies every section into a plain f32 [`ModelParams`].
     pub fn into_params(self) -> ModelParams {
-        let layers = self
-            .layers
-            .into_iter()
-            .map(|ts| {
-                crate::params::LayerParams::new(
-                    ts.into_iter().map(CkptTensor::into_tensor).collect(),
-                )
-            })
-            .collect();
-        ModelParams::new(layers)
+        let dense = |ts: Vec<CkptTensor>| ts.into_iter().map(CkptTensor::into_tensor).collect();
+        ModelParams::from(self.layers.into_iter().map(dense).collect::<Vec<_>>())
     }
-}
-
-/// Exact byte length of one encoded tensor section under `dtype`.
-pub fn encoded_tensor_section_len(t: &Tensor, dtype: Dtype) -> usize {
-    let n = t.len();
-    let payload = match dtype {
-        Dtype::F32 => 4 * n,
-        Dtype::F16 => 2 * n,
-        Dtype::I8 => 4 + n,
-    };
-    1 + 4 + 4 * t.shape().len() + payload
 }
 
 /// Exact byte length [`encode_checkpoint`] will produce for `params` under
 /// `dtype` — usable for byte metering without encoding.
 pub fn encoded_checkpoint_len(params: &ModelParams, dtype: Dtype) -> usize {
-    let mut total = HEADER_LEN + 4;
-    for layer in &params.layers {
-        total += 4;
-        for t in &layer.tensors {
-            total += encoded_tensor_section_len(t, dtype);
-        }
-    }
-    total
+    framed_len(params, |t| encoded_section_len(t, dtype))
 }
 
-/// Writes one dtype-tagged tensor section.
-///
-/// # Errors
-///
-/// Returns [`NnError::Wire`] with [`WireError::LengthOverflow`] if the rank
-/// or a dimension exceeds the `u32` wire fields.
-pub fn write_tensor(w: &mut ByteWriter, t: &Tensor, dtype: Dtype) -> Result<()> {
-    w.put_u8(dtype.tag());
-    w.put_u32(wire_len(t.shape().len(), "checkpoint tensor rank")?);
-    for &d in t.shape() {
-        w.put_u32(wire_len(d, "checkpoint tensor dim")?);
-    }
-    match dtype {
-        Dtype::F32 => {
-            for &x in t.as_slice() {
-                w.put_f32(x);
-            }
-        }
-        Dtype::F16 => {
-            for &x in t.as_slice() {
-                w.put_u16(F16::from_f32(x).to_u16());
-            }
-        }
-        Dtype::I8 => {
-            let q = QuantTensor::quantize(t);
-            w.put_f32(q.scale());
-            for &l in q.levels() {
-                w.put_i8(l);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reads one dtype-tagged tensor section at its on-disk width.
-///
-/// # Errors
-///
-/// Returns [`NnError::Wire`] for truncation, an unknown dtype tag
-/// ([`WireError::UnknownCodec`]) or an overflowing rank/dimension header.
-/// Never panics and never allocates more than the remaining buffer.
-pub fn read_tensor(r: &mut ByteReader<'_>) -> Result<CkptTensor> {
-    let tag = r.read_u8().map_err(NnError::Wire)?;
-    let dtype = Dtype::from_tag(tag)
-        .ok_or(NnError::Wire(WireError::UnknownCodec { tag }))?;
-    let rank = r.read_u32().map_err(NnError::Wire)? as usize;
-    if rank > MAX_RANK {
-        return Err(NnError::Wire(WireError::LengthOverflow {
-            what: "checkpoint tensor rank",
-            value: u64::try_from(rank).unwrap_or(u64::MAX),
-        }));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    let mut len = 1usize;
-    for _ in 0..rank {
-        let d = r.read_u32().map_err(NnError::Wire)? as usize;
-        len = len
-            .checked_mul(d)
-            .ok_or(NnError::Wire(WireError::LengthOverflow {
-                what: "checkpoint element count",
-                value: u64::MAX,
-            }))?;
-        shape.push(d);
-    }
-    // Element counts come from the file: grow by push so a corrupt huge
-    // count runs into Truncated instead of a giant reservation.
-    match dtype {
-        Dtype::F32 => {
-            let mut data = Vec::new();
-            for _ in 0..len {
-                data.push(r.read_f32().map_err(NnError::Wire)?);
-            }
-            Ok(CkptTensor::Dense(Tensor::from_vec(data, &shape)?))
-        }
-        Dtype::F16 => {
-            let mut data = Vec::new();
-            for _ in 0..len {
-                let bits = r.read_u16().map_err(NnError::Wire)?;
-                data.push(F16::from_u16(bits).to_f32());
-            }
-            Ok(CkptTensor::Dense(Tensor::from_vec(data, &shape)?))
-        }
-        Dtype::I8 => {
-            let scale = r.read_f32().map_err(NnError::Wire)?;
-            let mut levels = Vec::new();
-            for _ in 0..len {
-                levels.push(r.read_i8().map_err(NnError::Wire)?);
-            }
-            let q = QuantTensor::from_levels(levels, scale, &shape)
-                .map_err(NnError::Tensor)?;
-            Ok(CkptTensor::Quant(q))
-        }
-    }
-}
-
-/// Writes the checkpoint body (layer/tensor counts + sections), no header.
-///
-/// Exposed so `dinar-fl` can embed parameter sections inside its larger
-/// resume image.
-///
-/// # Errors
-///
-/// Returns [`NnError::Wire`] if a count, rank or dimension exceeds the
-/// `u32` wire fields.
-pub fn write_params(w: &mut ByteWriter, params: &ModelParams, dtype: Dtype) -> Result<()> {
-    w.put_u32(wire_len(params.layers.len(), "checkpoint layer count")?);
-    for layer in &params.layers {
-        w.put_u32(wire_len(layer.tensors.len(), "checkpoint tensor count")?);
-        for t in &layer.tensors {
-            write_tensor(w, t, dtype)?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads a checkpoint body at its on-disk widths (counterpart of
-/// [`write_params`]).
-///
-/// # Errors
-///
-/// Returns [`NnError::Wire`] for any truncation or corrupt header.
-pub fn read_params_raw(r: &mut ByteReader<'_>) -> Result<RawCheckpoint> {
-    let layer_count = r.read_u32().map_err(NnError::Wire)?;
-    let mut layers = Vec::new();
-    for _ in 0..layer_count {
-        let tensor_count = r.read_u32().map_err(NnError::Wire)?;
-        let mut tensors = Vec::new();
-        for _ in 0..tensor_count {
-            tensors.push(read_tensor(r)?);
-        }
-        layers.push(tensors);
-    }
-    Ok(RawCheckpoint { layers })
-}
-
-/// Reads a checkpoint body and densifies it to f32 [`ModelParams`].
-///
-/// # Errors
-///
-/// Same conditions as [`read_params_raw`].
-pub fn read_params(r: &mut ByteReader<'_>) -> Result<ModelParams> {
-    Ok(read_params_raw(r)?.into_params())
-}
-
-/// Encodes `params` as a complete `DNCK` checkpoint under `dtype`.
+/// Encodes `params` as a complete `DNCK` checkpoint under `dtype`: the
+/// model framing around one `dtype` section per tensor.
 ///
 /// # Errors
 ///
@@ -370,24 +173,24 @@ pub fn read_params(r: &mut ByteReader<'_>) -> Result<ModelParams> {
 pub fn encode_checkpoint(params: &ModelParams, dtype: Dtype) -> Result<Vec<u8>> {
     let mut w = ByteWriter::with_capacity(encoded_checkpoint_len(params, dtype));
     write_header(&mut w, CkptKind::Model);
-    write_params(&mut w, params, dtype)?;
+    write_layers(&mut w, &params.layers, |_, _, t, w| encode_section(t, dtype, w))?;
     Ok(w.into_bytes())
 }
 
-/// Decodes a complete `DNCK` checkpoint at its on-disk widths. The whole
-/// buffer must be consumed.
+/// Decodes a complete `DNCK` checkpoint, every section at its on-disk
+/// width. The whole buffer must be consumed.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::Wire`] for truncated buffers, bad magic/version,
 /// unknown dtype tags, overflowing length headers or trailing bytes.
-/// Never panics.
+/// Never panics and never allocates more than the remaining buffer.
 pub fn decode_checkpoint_raw(bytes: &[u8]) -> Result<RawCheckpoint> {
     let mut r = ByteReader::new(bytes);
     expect_header(&mut r, CkptKind::Model)?;
-    let raw = read_params_raw(&mut r)?;
-    r.finish().map_err(NnError::Wire)?;
-    Ok(raw)
+    let layers = read_layers(&mut r, |r| decode_section(r, CkptTensor::Dense, CkptTensor::Quant))?;
+    r.finish()?;
+    Ok(RawCheckpoint { layers })
 }
 
 /// Decodes a complete `DNCK` checkpoint to dense f32 [`ModelParams`].
@@ -498,7 +301,9 @@ mod tests {
                 let CkptTensor::Quant(q) = sec else {
                     panic!("i8 checkpoint produced a dense section")
                 };
-                let expect = QuantTensor::quantize(t);
+                let mut w = ByteWriter::new();
+                wire::encode_tensor(t, wire::Codec::QuantI8, &mut w).unwrap();
+                let expect = wire::decode_tensor_quant(&mut ByteReader::new(&w.into_bytes())).unwrap();
                 assert_eq!(q.levels(), expect.levels());
                 assert_eq!(q.scale().to_bits(), expect.scale().to_bits());
             }
@@ -512,9 +317,9 @@ mod tests {
         write_header(&mut w, CkptKind::Model);
         w.put_u32(1);
         w.put_u32(3);
-        write_tensor(&mut w, &t, Dtype::F32).unwrap();
-        write_tensor(&mut w, &t, Dtype::F16).unwrap();
-        write_tensor(&mut w, &t, Dtype::I8).unwrap();
+        for dtype in [Dtype::F32, Dtype::F16, Dtype::I8] {
+            encode_section(&t, dtype, &mut w).unwrap();
+        }
         let raw = decode_checkpoint_raw(&w.into_bytes()).unwrap();
         assert_eq!(raw.layers.len(), 1);
         assert_eq!(raw.layers[0].len(), 3);
@@ -533,6 +338,12 @@ mod tests {
             save(&p, dtype, &path).unwrap();
             let back = load(&path).unwrap();
             assert!(back.same_shape(&p), "{dtype}");
+            // What is loaded installs into a model of the same architecture.
+            let mut model = models::mlp(&[4, 6, 3], Activation::Tanh, &mut Rng::seed_from(7)).unwrap();
+            model.set_params(&back).unwrap();
+            if dtype == Dtype::F32 {
+                assert_eq!(back, p);
+            }
             std::fs::remove_file(&path).ok();
         }
     }
@@ -541,26 +352,25 @@ mod tests {
     fn corrupted_checkpoints_return_typed_errors() {
         let p = params();
         let bytes = encode_checkpoint(&p, Dtype::F32).unwrap();
-        // Bad magic.
+        // Bad magic, named as the checkpoint format's.
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::BadMagic { .. }))
-        ));
+        let err = decode_checkpoint(&bad).unwrap_err();
+        assert!(matches!(err, NnError::Wire(WireError::BadMagic { expected: MAGIC, .. })));
+        assert!(err.to_string().contains("DNCK"), "{err}");
         // Bad version.
         let mut bad = bytes.clone();
         bad[4] = 0xFF;
         assert!(matches!(
             decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::UnsupportedVersion { .. }))
+            Err(NnError::Wire(WireError::UnsupportedVersion { magic: MAGIC, .. }))
         ));
         // Unknown kind tag.
         let mut bad = bytes.clone();
         bad[6] = 0x7F;
         assert!(matches!(
             decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::UnknownCodec { tag: 0x7F }))
+            Err(NnError::Wire(WireError::UnknownTag { what: "DNCK kind", tag: 0x7F }))
         ));
         // Wrong kind (an fl-resume header on a model loader).
         let mut bad = bytes.clone();
@@ -574,7 +384,7 @@ mod tests {
         bad[HEADER_LEN + 8] = 0x7F;
         assert!(matches!(
             decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::UnknownCodec { tag: 0x7F }))
+            Err(NnError::Wire(WireError::UnknownTag { what: "DNCK dtype", tag: 0x7F }))
         ));
         // Every strict prefix fails.
         for cut in [0, 3, HEADER_LEN, HEADER_LEN + 5, bytes.len() - 1] {
@@ -600,5 +410,11 @@ mod tests {
     fn missing_file_is_a_clean_error() {
         let err = load("/nonexistent/dinar.dnck").unwrap_err();
         assert!(err.to_string().contains("nonexistent"));
+        // A file that is there but is not a checkpoint is a wire error.
+        let path = std::env::temp_dir().join("dinar-ckpt-garbage.dnck");
+        std::fs::write(&path, b"{not a checkpoint").unwrap();
+        let err = load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, NnError::Wire(WireError::BadMagic { .. })), "got {err:?}");
     }
 }

@@ -52,7 +52,6 @@ pub mod dense;
 pub mod dropout;
 mod error;
 pub mod init;
-pub mod io;
 pub mod layer;
 pub mod loss;
 pub mod model;

@@ -26,6 +26,22 @@ impl ToJson for LayerParams {
     }
 }
 
+/// A layer is its tensor list to the model framing
+/// ([`crate::snapshot::write_layers`]), like an optimizer's state group.
+impl AsRef<[Tensor]> for LayerParams {
+    fn as_ref(&self) -> &[Tensor] {
+        &self.tensors
+    }
+}
+
+/// A model from its tensors, layer by layer: what a decoder reads back out
+/// of the model framing ([`crate::snapshot::read_layers`]).
+impl From<Vec<Vec<Tensor>>> for ModelParams {
+    fn from(layers: Vec<Vec<Tensor>>) -> ModelParams {
+        ModelParams::new(layers.into_iter().map(LayerParams::new).collect())
+    }
+}
+
 impl LayerParams {
     /// Reconstructs layer parameters from their [`ToJson`] encoding.
     ///

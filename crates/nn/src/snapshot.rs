@@ -2,9 +2,10 @@
 //!
 //! The FL transport exchanges models as bytes, not handles: the server
 //! broadcasts an encoded global snapshot and every client upload comes
-//! back encoded (optionally compressed). This module defines the
-//! model-level framing over the tensor-level codec in
-//! [`dinar_tensor::wire`]:
+//! back encoded (optionally compressed). This module owns the one model
+//! framing over the section codec in [`dinar_tensor::wire`]
+//! ([`write_layers`]/[`read_layers`]); `DNCK` models ([`crate::ckpt`]) and
+//! resume images use it too, with dtype-tagged sections in place of frames:
 //!
 //! ```text
 //! header (magic "DNWR", version u16, codec u8)
@@ -39,21 +40,45 @@
 use crate::{LayerParams, ModelParams, NnError, Result};
 use dinar_tensor::wire::{
     decode_tensor, decode_tensor_onto, encode_tensor, encode_tensor_feedback, encoded_tensor_len,
-    read_header, write_header, ByteReader, ByteWriter, Codec, WireError, WireResult, HEADER_LEN,
+    read_header, read_seq, write_header, write_seq, ByteReader, ByteWriter, Codec, WireError,
+    WireResult, HEADER_LEN, MAGIC,
 };
 use dinar_tensor::Tensor;
+
+/// The one model framing — of `DNWR` snapshots, `DNCK` models and every
+/// parameter-shaped part of a resume image: a `u32` layer count, then per
+/// layer a `u32` tensor count and each tensor's section, which
+/// `section(layer, index, tensor, writer)` writes.
+pub fn write_layers<L: AsRef<[Tensor]>, E: From<WireError>>(
+    w: &mut ByteWriter,
+    layers: &[L],
+    mut section: impl FnMut(usize, usize, &Tensor, &mut ByteWriter) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    write_seq(w, layers.iter(), "layer count", |li, layer, w| {
+        write_seq(w, layer.as_ref().iter(), "tensor count", |ti, t, w| section(li, ti, t, w))
+    })
+}
+
+/// Reads the model framing written by [`write_layers`], each section
+/// through `section`.
+pub fn read_layers<T, E: From<WireError>>(
+    r: &mut ByteReader<'_>,
+    mut section: impl FnMut(&mut ByteReader<'_>) -> std::result::Result<T, E>,
+) -> std::result::Result<Vec<Vec<T>>, E> {
+    read_seq(r, |r| read_seq(r, &mut section))
+}
+
+/// Exact byte length of a header plus the model framing of `params`, each
+/// tensor's section taking `section_len(tensor)` bytes.
+pub(crate) fn framed_len(params: &ModelParams, section_len: impl Fn(&Tensor) -> usize) -> usize {
+    let layer = |l: &LayerParams| 4 + l.tensors.iter().map(&section_len).sum::<usize>();
+    HEADER_LEN + 4 + params.layers.iter().map(layer).sum::<usize>()
+}
 
 /// Exact byte length [`encode_params`] will produce for `params` under
 /// `codec` — usable for byte metering without encoding.
 pub fn encoded_params_len(params: &ModelParams, codec: Codec) -> usize {
-    let mut total = HEADER_LEN + 4;
-    for layer in &params.layers {
-        total += 4;
-        for t in &layer.tensors {
-            total += encoded_tensor_len(t, codec);
-        }
-    }
-    total
+    framed_len(params, |t| encoded_tensor_len(t, codec))
 }
 
 /// Encodes a parameter snapshot to wire bytes under `codec`, reading
@@ -68,22 +93,16 @@ pub fn encode_params(params: &ModelParams, codec: Codec) -> Result<Vec<u8>> {
     encode_frame(params, codec, |_, _, t, w| encode_tensor(t, codec, w))
 }
 
-/// The model framing of `params` around the tensor frames that
-/// `tensor(layer, index, tensor, writer)` writes.
+/// The stream header and model framing of `params` around the tensor
+/// frames that `tensor(layer, index, tensor, writer)` writes.
 fn encode_frame(
     params: &ModelParams,
     codec: Codec,
-    mut tensor: impl FnMut(usize, usize, &Tensor, &mut ByteWriter) -> WireResult<()>,
+    tensor: impl FnMut(usize, usize, &Tensor, &mut ByteWriter) -> WireResult<()>,
 ) -> Result<Vec<u8>> {
     let mut w = ByteWriter::with_capacity(encoded_params_len(params, codec));
-    write_header(&mut w, codec);
-    w.put_u32(wire_len(params.layers.len(), "layer count")?);
-    for (li, layer) in params.layers.iter().enumerate() {
-        w.put_u32(wire_len(layer.tensors.len(), "tensor count")?);
-        for (ti, t) in layer.tensors.iter().enumerate() {
-            tensor(li, ti, t, &mut w).map_err(NnError::Wire)?;
-        }
-    }
+    write_header(&mut w, MAGIC, codec.tag());
+    write_layers(&mut w, &params.layers, tensor)?;
     Ok(w.into_bytes())
 }
 
@@ -118,40 +137,21 @@ fn decode_frame(bytes: &[u8], base: Option<&ModelParams>) -> Result<ModelParams>
     };
     let mut onto = base.into_iter().flat_map(|b| &b.layers).flat_map(|l| &l.tensors);
     let mut r = ByteReader::new(bytes);
-    let codec = read_header(&mut r).map_err(NnError::Wire)?;
-    let layer_count = r.read_u32().map_err(NnError::Wire)?;
-    // Counts come from the wire: grow the Vecs by push so a corrupt huge
-    // count hits a Truncated error instead of a giant reservation.
-    let mut layers = Vec::new();
-    for _ in 0..layer_count {
-        let tensor_count = r.read_u32().map_err(NnError::Wire)?;
-        let mut tensors = Vec::new();
-        for _ in 0..tensor_count {
-            let tensor = match base {
-                Some(_) => decode_tensor_onto(&mut r, codec, onto.next().ok_or_else(mismatch)?),
-                None => decode_tensor(&mut r, codec),
-            };
-            tensors.push(tensor.map_err(NnError::Wire)?);
-        }
-        layers.push(LayerParams::new(tensors));
-    }
-    r.finish().map_err(NnError::Wire)?;
-    let params = ModelParams::new(layers);
+    let codec = Codec::from_tag(read_header(&mut r, MAGIC)?)?;
+    let layers = read_layers(&mut r, |r| {
+        Ok::<_, NnError>(match base {
+            Some(_) => decode_tensor_onto(r, codec, onto.next().ok_or_else(mismatch)?)?,
+            None => decode_tensor(r, codec)?,
+        })
+    })?;
+    r.finish()?;
+    let params = ModelParams::from(layers);
     // Tensor by tensor the shapes agreed; the layer grouping and a frame
     // shorter than its base are what is left to rule out.
     if base.is_some_and(|b| !params.same_shape(b)) {
         return Err(mismatch());
     }
     Ok(params)
-}
-
-pub(crate) fn wire_len(n: usize, what: &'static str) -> Result<u32> {
-    u32::try_from(n).map_err(|_| {
-        NnError::Wire(WireError::LengthOverflow {
-            what,
-            value: u64::try_from(n).unwrap_or(u64::MAX),
-        })
-    })
 }
 
 /// Client-side error-feedback state for lossy update compression.

@@ -502,21 +502,6 @@ impl QuantTensor {
         })
     }
 
-    /// Quantizes a dense tensor: symmetric `max|x| / 127` scaling with
-    /// saturating rounding, identical to the wire's `quant_i8` codec.
-    pub fn quantize(t: &Tensor) -> QuantTensor {
-        let xs = t.as_slice();
-        let scale = crate::wire::quant_scale(xs);
-        let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-        let levels: Vec<i8> = xs.iter().map(|&x| i8::from_f32(x * inv)).collect();
-        QuantTensor {
-            levels: Buffer::new(levels),
-            scale,
-            shape: t.shape().to_vec(),
-            cache: None,
-        }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -600,6 +585,15 @@ impl QuantTensor {
 mod tests {
     use super::*;
     use crate::alloc::thread_live_bytes;
+    use crate::wire::{self, ByteReader, ByteWriter, Codec};
+
+    /// A tensor quantized the one way there is: through the wire's i8 frame,
+    /// decoded natively into i8 storage.
+    fn quantize(t: &Tensor) -> QuantTensor {
+        let mut w = ByteWriter::new();
+        wire::encode_tensor(t, Codec::QuantI8, &mut w).unwrap();
+        wire::decode_tensor_quant(&mut ByteReader::new(&w.into_bytes())).unwrap()
+    }
 
     #[test]
     fn dtype_tags_roundtrip_and_widths_match() {
@@ -747,7 +741,7 @@ mod tests {
     fn quant_tensor_stores_one_byte_per_element() {
         let t = crate::Tensor::from_vec(vec![1.0, -0.5, 0.25, 0.0], &[2, 2]).unwrap();
         let before = thread_live_bytes();
-        let q = QuantTensor::quantize(&t);
+        let q = quantize(&t);
         assert_eq!(thread_live_bytes(), before + 4, "4 i8 levels = 4 bytes");
         assert_eq!(q.resident_bytes(), 8);
         assert_eq!(q.shape(), &[2, 2]);
@@ -759,7 +753,7 @@ mod tests {
     #[test]
     fn quant_dense_is_lazy_and_cached() {
         let t = crate::Tensor::from_vec(vec![1.0, -1.0, 0.5, -0.25], &[4]).unwrap();
-        let mut q = QuantTensor::quantize(&t);
+        let mut q = quantize(&t);
         let before = thread_live_bytes();
         let first = q.dense().clone();
         // Materialization allocated exactly the 16-byte dense buffer.
@@ -778,16 +772,15 @@ mod tests {
 
     #[test]
     fn quant_matches_wire_codec_decode() {
-        // QuantTensor::quantize → to_tensor must equal the wire codec's
-        // encode → decode bit for bit (same scale, same rounding).
+        // The resident i8 form of a quant_i8 frame dequantises to the bits
+        // the wire's dense decode gives (same scale, same levels).
         let mut rng = crate::Rng::seed_from(11);
         let t = rng.randn(&[13]);
-        let mut w = crate::wire::ByteWriter::new();
-        crate::wire::encode_tensor(&t, crate::wire::Codec::QuantI8, &mut w).unwrap();
+        let mut w = ByteWriter::new();
+        wire::encode_tensor(&t, Codec::QuantI8, &mut w).unwrap();
         let bytes = w.into_bytes();
-        let mut r = crate::wire::ByteReader::new(&bytes);
-        let via_wire = crate::wire::decode_tensor(&mut r, crate::wire::Codec::QuantI8).unwrap();
-        let via_quant = QuantTensor::quantize(&t).to_tensor();
+        let via_wire = wire::decode_tensor(&mut ByteReader::new(&bytes), Codec::QuantI8).unwrap();
+        let via_quant = quantize(&t).to_tensor();
         for (a, b) in via_wire.as_slice().iter().zip(via_quant.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -796,7 +789,7 @@ mod tests {
     #[test]
     fn dequantize_into_fills_pooled_scratch() {
         let t = crate::Tensor::from_vec(vec![2.0, -2.0, 1.0, 0.0], &[4]).unwrap();
-        let q = QuantTensor::quantize(&t);
+        let q = quantize(&t);
         let mut pool = BufferPool::<f32>::new();
         let mut scratch = pool.acquire_tensor(&[4]);
         q.dequantize_into(&mut scratch).unwrap();

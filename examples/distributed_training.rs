@@ -13,9 +13,9 @@ use dinar_suite::data::partition::{partition_dataset, Distribution};
 use dinar_suite::data::split::attack_split;
 use dinar_suite::fl::clock::WallClock;
 use dinar_suite::fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, WireConfig};
-use dinar_suite::nn::{io, models, optim::Adagrad};
+use dinar_suite::nn::{ckpt, models, optim::Adagrad};
 use dinar_suite::telemetry::{export, Telemetry};
-use dinar_suite::tensor::Rng;
+use dinar_suite::tensor::{Dtype, Rng};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Checkpoint the final global model and prove the round trip.
     let system = run.system;
     let path = std::env::temp_dir().join("dinar-global.dnck");
-    io::save(system.global_params(), &path)?;
-    let restored = io::load(&path)?;
+    ckpt::save(system.global_params(), Dtype::F32, &path)?;
+    let restored = ckpt::load(&path)?;
     assert!(system.global_params().max_abs_diff(&restored)? < 1e-9);
     println!("\ncheckpointed global model to {}", path.display());
 

@@ -9,8 +9,8 @@ use dinar_data::split::attack_split;
 use dinar_data::{csv, Dataset};
 use dinar_fl::clock::WallClock;
 use dinar_fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, WireConfig};
-use dinar_nn::{io, models, optim::Adagrad, Model};
-use dinar_tensor::Rng;
+use dinar_nn::{ckpt, models, optim::Adagrad, Model};
+use dinar_tensor::{Dtype, Rng};
 use std::sync::Arc;
 
 fn arch(rng: &mut Rng) -> dinar_nn::Result<Model> {
@@ -78,14 +78,14 @@ fn checkpoint_resume_is_equivalent_for_stateless_baseline() {
     // Interrupted run: 2 rounds, checkpoint, rebuild clients, restore, 2 more.
     let mut first = build(false);
     first.run(2).unwrap();
-    let path = std::env::temp_dir().join("dinar-resume-test.ckpt.json");
-    io::save(first.global_params(), &path).unwrap();
+    let path = std::env::temp_dir().join("dinar-resume-test.dnck");
+    ckpt::save(first.global_params(), Dtype::F32, &path).unwrap();
 
     // NOTE: client-side optimizer state (accumulated Adagrad G) is NOT part
     // of the global checkpoint, so resuming resets it — as it would when new
     // client processes join. We therefore compare against a reference with
     // the same reset, not bit-equality with `reference`.
-    let restored = io::load(&path).unwrap();
+    let restored = ckpt::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let mut resumed = build(false);
     // Install the checkpoint as the server's model by aggregating it from a

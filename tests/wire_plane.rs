@@ -14,10 +14,15 @@ use dinar_nn::optim::Sgd;
 use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
 use dinar_nn::{LayerParams, ModelParams};
 use dinar_tensor::alloc::MemoryScope;
-use dinar_tensor::wire::{decode_tensor, encode_tensor, read_header, write_header, ByteReader, ByteWriter};
+use dinar_tensor::wire::{
+    decode_tensor, encode_tensor, read_header, write_header, ByteReader, ByteWriter, MAGIC,
+};
 use dinar_tensor::{par, Rng, Tensor};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+#[path = "support/corruption.rs"]
+mod corruption;
 
 /// Serializes mutations of the process-global pool width across tests.
 static WIDTH_LOCK: Mutex<()> = Mutex::new(());
@@ -43,11 +48,11 @@ fn per_width<T>(f: impl Fn() -> T) -> Vec<T> {
 
 fn tensor_roundtrip(t: &Tensor, codec: Codec) -> Tensor {
     let mut w = ByteWriter::with_capacity(64);
-    write_header(&mut w, codec);
+    write_header(&mut w, MAGIC, codec.tag());
     encode_tensor(t, codec, &mut w).expect("encode");
     let bytes = w.into_bytes();
     let mut r = ByteReader::new(&bytes);
-    let decoded_codec = read_header(&mut r).expect("header");
+    let decoded_codec = Codec::from_tag(read_header(&mut r, MAGIC).expect("header")).expect("codec");
     assert_eq!(decoded_codec, codec);
     let back = decode_tensor(&mut r, codec).expect("decode");
     r.finish().expect("no trailing bytes");
@@ -126,9 +131,10 @@ fn lossy_codecs_roundtrip_shapes_and_are_idempotent() {
     }
 }
 
-/// Seeded fuzz over corrupted model streams: every truncation and a spread
-/// of random bit flips must return a typed error or decode garbage — and
-/// never panic, allocate absurdly, or loop.
+/// Seeded fuzz over corrupted model streams under every codec, through
+/// the corruption harness `tests/ckpt_plane.rs` shares: every truncation
+/// and a spread of random bit flips must return a typed error or decode
+/// garbage — and never panic, allocate absurdly, or loop.
 #[test]
 fn corrupted_model_streams_never_panic() {
     let mut rng = Rng::seed_from(99);
@@ -137,24 +143,7 @@ fn corrupted_model_streams_never_panic() {
         .params();
     for codec in ALL_CODECS {
         let bytes = encode_params(&params, codec).expect("encode");
-        // Every strict prefix errors (no partial decode is valid).
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_params(&bytes[..cut]).is_err(),
-                "{codec:?}: prefix of {cut} bytes decoded"
-            );
-        }
-        // Random multi-byte corruption: decode must return, not panic.
-        for trial in 0..200u64 {
-            let mut corrupt = bytes.clone();
-            let flips = 1 + (trial % 4) as usize;
-            for f in 0..flips {
-                let r = rng.next_u64() ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(f as u64);
-                let idx = (r as usize) % corrupt.len();
-                corrupt[idx] ^= (1u8) << (r >> 32 & 7);
-            }
-            let _ = decode_params(&corrupt); // Ok(garbage) or Err — both fine
-        }
+        corruption::assert_hardened(&format!("{codec:?}"), &bytes, 99, 200, decode_params);
     }
 }
 
