@@ -111,6 +111,9 @@ impl ShadowAttack {
                 ),
             });
         }
+        let make_opt = optim::by_name(cfg.optimizer).ok_or_else(|| AttackError::InvalidConfig {
+            reason: format!("unknown shadow optimizer `{}`", cfg.optimizer),
+        })?;
         let mut rng = Rng::seed_from(cfg.seed);
         let loss_fn = CrossEntropyLoss;
 
@@ -124,12 +127,7 @@ impl ShadowAttack {
 
             // Train the shadow on its member half.
             let mut shadow = model_fn(&mut rng)?;
-            let mut opt: Box<dyn Optimizer> =
-                optim::by_name(cfg.optimizer, cfg.lr).ok_or_else(|| {
-                    AttackError::InvalidConfig {
-                        reason: format!("unknown shadow optimizer `{}`", cfg.optimizer),
-                    }
-                })?;
+            let mut opt = make_opt(cfg.lr);
             for _ in 0..cfg.shadow_epochs {
                 for batch_idx in in_set.batch_indices(cfg.batch_size, &mut rng) {
                     let batch = in_set.batch(&batch_idx)?;
@@ -189,9 +187,9 @@ impl MembershipAttack for ShadowAttack {
         let logits = attack_model.forward(&features, false)?;
         let probs = softmax_rows(&logits)?;
         // P(member) = probability of class 1.
-        Ok((0..samples.len())
-            .map(|i| probs.get(&[i, 1]).expect("valid index"))
-            .collect())
+        (0..samples.len())
+            .map(|i| Ok(probs.get(&[i, 1]).map_err(dinar_nn::NnError::from)?))
+            .collect()
     }
 }
 

@@ -2,9 +2,8 @@
 //! `bench-results/BENCH_tensor.json` — the machine-readable perf trajectory
 //! for the hot kernels (op, size, ns/iter, threads).
 //!
-//! Same measurements as `cargo bench -p dinar-bench --bench tensor_ops`;
-//! this binary exists so the artifact can be regenerated without the bench
-//! profile. Set `DINAR_THREADS=1` for a single-thread baseline run.
+//! Set `DINAR_THREADS=1` for a single-thread baseline run; regeneration
+//! instructions live in `crates/bench/README.md`.
 
 use dinar_bench::report::write_json;
 use dinar_bench::tensor_suite;

@@ -13,7 +13,7 @@ use dinar_bench::report;
 use dinar_data::catalog::{self, Profile};
 use dinar_data::Dataset;
 use dinar_nn::ModelParams;
-use dinar_tensor::{Rng, Tensor};
+use dinar_tensor::{Rng, Tensor, TensorError};
 use dinar_bench::impl_to_json;
 
 
@@ -25,7 +25,7 @@ struct InversionRow {
 impl_to_json!(InversionRow { target, mean_prototype_similarity });
 
 /// Estimates each class's prototype as the mean of its training samples.
-fn class_prototypes(data: &Dataset) -> Vec<Tensor> {
+fn class_prototypes(data: &Dataset) -> Result<Vec<Tensor>, TensorError> {
     let d = data.feature_len();
     let mut sums = vec![vec![0.0f32; d]; data.num_classes()];
     let mut counts = vec![0usize; data.num_classes()];
@@ -43,7 +43,6 @@ fn class_prototypes(data: &Dataset) -> Vec<Tensor> {
                 s.into_iter().map(|v| v / c.max(1) as f32).collect(),
                 &[d],
             )
-            .expect("shape matches")
         })
         .collect()
 }
@@ -75,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = ExperimentSpec::mini_default(catalog::purchase100(Profile::Mini));
     let entry = spec.entry.clone();
     let env = prepare(spec)?;
-    let prototypes = class_prototypes(&env.split.train);
+    let prototypes = class_prototypes(&env.split.train)?;
     let sample_shape = env.split.train.sample_shape().to_vec();
     // Invert a subset of classes for speed (prototype structure is i.i.d.).
     let classes = 10usize;

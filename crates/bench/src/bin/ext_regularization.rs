@@ -87,9 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut local_sum = 0.0;
         let mut rng = Rng::seed_from(7);
         let mut template = fcnn_with_dropout(drop_p, &mut rng)?;
-        let cap =
-            |d: &Dataset| d.subset(&(0..d.len().min(200)).collect::<Vec<_>>()).unwrap();
-        let nonmembers = cap(&env.split.test);
+        let cap = |d: &Dataset| d.subset(&(0..d.len().min(200)).collect::<Vec<_>>());
+        let nonmembers = cap(&env.split.test)?;
         let mut uploads = Vec::new();
         for client in system.clients_mut() {
             client.receive_global(&global)?;
@@ -97,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             uploads.push(client.produce_update()?.params);
         }
         for (client, upload) in system.clients().iter().zip(&uploads) {
-            let members = cap(client.data());
+            let members = cap(client.data())?;
             local_sum += evaluate_attack(
                 &mut LossThresholdAttack,
                 upload,

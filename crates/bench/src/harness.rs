@@ -14,7 +14,7 @@ use dinar_defenses::{
 };
 use dinar_fl::{ClientMiddleware, FlConfig, FlSystem};
 use dinar_metrics::cost::CostSample;
-use dinar_nn::optim::{self, Optimizer};
+use dinar_nn::optim::{self, Adam, Optimizer};
 use dinar_nn::{Model, ModelParams};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::Rng;
@@ -424,6 +424,8 @@ pub fn train_defense_with_telemetry(
         _ => None,
     };
     let opt_seed = spec.seed;
+    let make_opt = optim::by_name(opt_name)
+        .ok_or_else(|| format!("unknown optimizer `{opt_name}` in the experiment spec"))?;
     let mut builder = FlSystem::builder(fl_config).clients_from_shards(
         env.shards.clone(),
         |rng| model_for(&entry, rng),
@@ -431,14 +433,13 @@ pub fn train_defense_with_telemetry(
             match ldp_eps {
                 Some(epsilon) => Box::new(
                     DpOptimizer::new(
-                        optim::by_name("adam", 1e-3).expect("adam exists"),
+                        Box::new(Adam::new(1e-3)),
                         DpParams::paper_default().with_epsilon(epsilon),
                         Rng::seed_from(opt_seed ^ 0xD9 ^ ((id as u64) << 16)),
                     )
                     .with_amortization_over(2),
                 ),
-                None => optim::by_name(opt_name, opt_lr)
-                    .expect("optimizer names are validated in specs"),
+                None => make_opt(opt_lr),
             }
         },
     )?;

@@ -10,11 +10,6 @@ pub enum ConsensusError {
         /// Human-readable description.
         reason: String,
     },
-    /// A node thread panicked or disconnected mid-protocol.
-    NodeFailure {
-        /// Index of the failed node.
-        node: usize,
-    },
 }
 
 impl fmt::Display for ConsensusError {
@@ -22,9 +17,6 @@ impl fmt::Display for ConsensusError {
         match self {
             ConsensusError::InvalidConfig { reason } => {
                 write!(f, "invalid vote configuration: {reason}")
-            }
-            ConsensusError::NodeFailure { node } => {
-                write!(f, "node {node} failed during the protocol")
             }
         }
     }
@@ -34,10 +26,19 @@ impl std::error::Error for ConsensusError {}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::network::{simulate_vote, NodeBehavior, SimConfig};
 
     #[test]
     fn display_mentions_node() {
-        assert!(ConsensusError::NodeFailure { node: 3 }.to_string().contains('3'));
+        let behaviors = [
+            NodeBehavior::Honest { proposal: 0 },
+            NodeBehavior::Honest { proposal: 3 },
+        ];
+        let config = SimConfig {
+            num_choices: 3,
+            seed: 0,
+        };
+        let err = simulate_vote(&behaviors, &config).unwrap_err();
+        assert!(err.to_string().contains("node 1 proposes 3"), "{err}");
     }
 }

@@ -14,9 +14,11 @@
 //!
 //! * [`vote`] — the pure decision rule (tally + absolute majority), used for
 //!   reasoning and property tests;
-//! * [`network`] — a full message-passing simulation where every node runs on
-//!   its own thread, exchanges votes over channels, and Byzantine nodes lie,
-//!   equivocate (tell different peers different values), or stay silent.
+//! * [`network`] — a message-passing simulation of one synchronous round:
+//!   every node's outbox is computed as a task on the shared worker pool,
+//!   delivered at a barrier, and decided from its inbox, while Byzantine
+//!   nodes lie, equivocate (tell different peers different values), or stay
+//!   silent. The outcome is identical at every pool width.
 //!
 //! **Agreement guarantee.** If every honest node proposes the same value `v`
 //! and honest nodes form a strict majority, every honest node decides `v`
@@ -47,13 +49,10 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod fault;
-pub mod gossip;
 pub mod network;
 pub mod vote;
 
 pub use error::ConsensusError;
-pub use fault::{FaultKind, FaultPlan};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ConsensusError>;

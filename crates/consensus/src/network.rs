@@ -19,6 +19,7 @@
 use crate::{vote, ConsensusError, Result};
 use dinar_telemetry::Telemetry;
 use dinar_tensor::par;
+use dinar_tensor::rng::splitmix64;
 
 /// A vote message broadcast between nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,14 +108,6 @@ impl VoteOutcome {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Computes node `i`'s outgoing messages: `(destination, message)` pairs in
 /// ascending-destination order. Byzantine RNG draws happen here, in the same
 /// per-node stream and peer order as the original threaded simulation.
@@ -139,12 +132,12 @@ fn outbox(i: usize, behavior: NodeBehavior, n: usize, config: &SimConfig) -> Vec
                 })
                 .collect(),
             ByzantineStrategy::Random => {
-                let v = (splitmix(&mut rng_state) % config.num_choices as u64) as usize;
+                let v = (splitmix64(&mut rng_state) % config.num_choices as u64) as usize;
                 peers.map(|j| (j, VoteMsg { from: i, value: v })).collect()
             }
             ByzantineStrategy::Equivocate => peers
                 .map(|j| {
-                    let v = (splitmix(&mut rng_state) % config.num_choices as u64) as usize;
+                    let v = (splitmix64(&mut rng_state) % config.num_choices as u64) as usize;
                     (j, VoteMsg { from: i, value: v })
                 })
                 .collect(),

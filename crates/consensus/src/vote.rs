@@ -60,12 +60,10 @@ pub fn decide(votes: &[usize], num_choices: usize) -> Result<usize> {
     if let Some(winner) = absolute_majority(votes, num_choices)? {
         return Ok(winner);
     }
+    // `tally` rejected `num_choices == 0`, so index 0 exists; the strict `>`
+    // keeps the lowest index among tied plurality winners.
     let counts = tally(votes, num_choices)?;
-    let best = *counts.iter().max().expect("num_choices > 0");
-    Ok(counts
-        .iter()
-        .position(|&c| c == best)
-        .expect("max exists"))
+    Ok((1..counts.len()).fold(0, |best, i| if counts[i] > counts[best] { i } else { best }))
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
-//! Property tests of the voting protocols — agreement, validity and
+//! Property tests of the voting protocol — agreement, validity and
 //! Byzantine tolerance across arbitrary configurations — driven by the
 //! workspace's own seeded RNG instead of `proptest` so the whole suite is
 //! deterministic and dependency-free.
 
-use dinar_consensus::gossip::gossip_vote;
 use dinar_consensus::network::{simulate_vote, ByzantineStrategy, NodeBehavior, SimConfig};
 use dinar_consensus::vote;
 use dinar_tensor::Rng;
@@ -72,24 +71,5 @@ fn absolute_majority_uniqueness() {
             assert!(count * 2 > votes.len(), "case {case}");
             assert_eq!(vote::decide(&votes, 4).unwrap(), winner, "case {case}");
         }
-    }
-}
-
-/// Gossip vote: a 3:1 supermajority converges to the majority value
-/// within the interaction budget for populations up to 30 nodes.
-#[test]
-fn gossip_supermajority_converges() {
-    for case in 0..CASES {
-        let mut rng = case_rng(4, case);
-        let minority = 1 + rng.below(5);
-        let value = rng.below(4);
-        let other = (value + 1 + rng.below(3)) % 4; // always != value
-        let seed = rng.next_u64() % 200;
-        let majority = minority * 3 + 1;
-        let mut proposals = vec![value; majority];
-        proposals.extend(vec![other; minority]);
-        let outcome = gossip_vote(&proposals, 4, 2_000_000, seed).unwrap();
-        assert!(outcome.converged, "case {case}");
-        assert_eq!(outcome.unanimous_value(), Some(value), "case {case}");
     }
 }

@@ -82,7 +82,10 @@ mod tests {
 
     #[test]
     fn conversions_chain_sources() {
-        let e: DinarError = ConsensusError::NodeFailure { node: 1 }.into();
+        let e: DinarError = ConsensusError::InvalidConfig {
+            reason: "no nodes".into(),
+        }
+        .into();
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("consensus"));
     }

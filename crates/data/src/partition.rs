@@ -31,7 +31,8 @@ pub enum Distribution {
 /// # Errors
 ///
 /// Returns [`DataError::InvalidSplit`] if `clients == 0`, there are fewer
-/// samples than clients, or α is not positive.
+/// samples than clients, or α is not positive, and
+/// [`DataError::LabelOutOfRange`] for a label `≥ num_classes`.
 pub fn partition_indices(
     labels: &[usize],
     num_classes: usize,
@@ -47,6 +48,12 @@ pub fn partition_indices(
     if labels.len() < clients {
         return Err(DataError::InvalidSplit {
             reason: format!("{} samples cannot cover {clients} clients", labels.len()),
+        });
+    }
+    if let Some(&label) = labels.iter().find(|&&l| l >= num_classes) {
+        return Err(DataError::LabelOutOfRange {
+            label,
+            classes: num_classes,
         });
     }
     if let Distribution::Dirichlet(alpha) = distribution {
@@ -97,18 +104,22 @@ pub fn partition_indices(
         }
     }
 
-    // Guarantee non-empty shards: move a sample from the largest shard.
-    loop {
-        let Some(empty) = shards.iter().position(Vec::is_empty) else {
-            break;
-        };
-        let largest = shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i)
-            .expect("at least one shard exists");
-        let moved = shards[largest].pop().expect("largest shard is non-empty");
+    // Guarantee non-empty shards: move a sample from the largest shard (the
+    // last one on ties). Every sample was placed and there are at least
+    // `clients` of them, so while a shard is empty the largest holds two.
+    while let Some(empty) = shards.iter().position(Vec::is_empty) {
+        let largest = (1..clients).fold(0, |best, i| {
+            if shards[i].len() >= shards[best].len() {
+                i
+            } else {
+                best
+            }
+        });
+        let moved = shards[largest]
+            .pop()
+            .ok_or_else(|| DataError::InvalidSplit {
+                reason: "no sample left to top up an empty shard".into(),
+            })?;
         shards[empty].push(moved);
     }
     Ok(shards)
@@ -244,6 +255,24 @@ mod tests {
         assert!(
             partition_indices(&l, 2, 2, Distribution::Dirichlet(f64::INFINITY), &mut rng)
                 .is_err()
+        );
+    }
+
+    #[test]
+    fn out_of_range_labels_are_rejected() {
+        let mut rng = Rng::seed_from(6);
+        // One stray label among placeable ones: the Dirichlet walk used to
+        // drop it and return 3 of 4 samples.
+        for distribution in [Distribution::Dirichlet(1.0), Distribution::Iid] {
+            assert_eq!(
+                partition_indices(&[0, 0, 0, 7], 1, 2, distribution, &mut rng),
+                Err(DataError::LabelOutOfRange { label: 7, classes: 1 })
+            );
+        }
+        // Nothing placeable: the top-up used to panic on an empty shard.
+        assert_eq!(
+            partition_indices(&[3, 4], 2, 2, Distribution::Dirichlet(1.0), &mut rng),
+            Err(DataError::LabelOutOfRange { label: 3, classes: 2 })
         );
     }
 

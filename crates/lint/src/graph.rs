@@ -9,7 +9,7 @@
 //! coincidentally named tensor/collection methods. The result over-connects
 //! where workspace names collide and under-connects through ambient names
 //! and function pointers; DESIGN.md §12 discusses why that trade is right
-//! for ratcheted invariants.
+//! for invariants gated at zero.
 //!
 //! The `bench` and `lint` crates are excluded from the model: no rule roots
 //! or sinks live there, and their free-name overlap with the library crates

@@ -4,10 +4,10 @@
 //! reproduction's claims (attack AUC, per-layer sensitivity, figure
 //! regeneration) depend on determinism, privacy-ordering and error-handling
 //! discipline that generic tooling cannot check, so this crate enforces
-//! fourteen repo-specific invariants. L001–L009 are token-level per-line
-//! rules; L010–L014 run on a semantic engine — a lexer ([`lex`]) over
-//! stripped sources, a lightweight item parser ([`sem`]), and a workspace
-//! symbol table with an approximate call graph ([`graph`]):
+//! eighteen repo-specific invariants. L001–L009, L017 and L018 are
+//! per-line rules ([`rules`]); L010–L016 run on a semantic engine — a lexer
+//! ([`lex`]) over stripped sources, a lightweight item parser ([`sem`]), and
+//! a workspace symbol table with an approximate call graph ([`graph`]):
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -25,36 +25,33 @@
 //! | L012 | panic-reachability: no `panic!`/`unwrap`/`expect` reachable through the call graph from the FL round loop or the threaded transport |
 //! | L013 | lock-order: nested `Mutex` acquisitions follow the global order `telemetry.spans < telemetry.registry < telemetry.histo < tensor.par` |
 //! | L014 | no arithmetic accumulation over unordered-container (`HashSet`/`HashMap`) iteration in the deterministic crates |
+//! | L015 | no scalar `.normal()`/`.normal_with()` draws inside loop bodies in the defenses and parameter plane — use the bulk `fill_normal`/`axpy_normal` |
+//! | L016 | ledger coverage: every defense transform entry point reaches `privacy_charge` (or `privacy_charge_zero`) through the call graph |
+//! | L017 | wire confinement: byte-level codecs only in `crates/tensor/src/wire.rs`, and no narrowing `as` casts inside it |
+//! | L018 | element confinement: bit-pattern reinterpretation only in `crates/tensor/src/storage.rs` (the audited `Element` impls) |
 //!
-//! Pre-existing violations live in a committed [`baseline::BASELINE_FILE`]
-//! and only *rising* counts fail (the ratchet), so the debt shrinks
-//! monotonically without blocking unrelated work. The semantic rules
-//! L010–L014 are ratcheted at zero by `tests/lint.rs`. Run the CLI with
-//! `cargo run -p dinar-lint`, regenerate the baseline after intentional
-//! fixes with `cargo run -p dinar-lint -- --update-baseline`, emit the
-//! machine-readable trend report with `-- --json`
-//! (`bench-results/LINT_report.json`), print a rule's rationale with
-//! `-- --explain L010`, and rely on the umbrella `tests/lint.rs` gate to
-//! enforce the ratchet in `cargo test`.
+//! Every rule gates at zero: there is no baseline of tolerated findings,
+//! and a `// lint: allow(RULE, reason)` on the offending line is the only
+//! exemption. Run the CLI with `cargo run -p dinar-lint` (exit 1 on any
+//! finding), print a rule's rationale with `-- --explain L010`, and rely on
+//! the umbrella `tests/lint.rs` gate to enforce the same in `cargo test`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lex;
 pub mod rules;
 pub mod sem;
 pub mod strip;
 
-pub use baseline::{Baseline, Regression, BASELINE_FILE};
 pub use rules::{Finding, Rule};
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Errors from the linter itself (I/O and baseline parsing).
+/// Errors from the linter itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LintError {
@@ -65,20 +62,12 @@ pub enum LintError {
         /// Underlying error text.
         reason: String,
     },
-    /// `lint-baseline.json` is malformed.
-    BadBaseline {
-        /// What was wrong with it.
-        reason: String,
-    },
 }
 
 impl fmt::Display for LintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LintError::Io { path, reason } => write!(f, "cannot read {path}: {reason}"),
-            LintError::BadBaseline { reason } => {
-                write!(f, "malformed lint baseline: {reason}")
-            }
         }
     }
 }
@@ -92,8 +81,7 @@ fn read(path: &Path) -> Result<String, LintError> {
     })
 }
 
-/// Repo-relative path with forward slashes (stable across platforms, used
-/// as the baseline key).
+/// Repo-relative path with forward slashes (stable across platforms).
 fn rel(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -211,18 +199,4 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, LintError> {
 
     findings.sort_by(|a, b| (a.rule, &a.file, a.line).cmp(&(b.rule, &b.file, b.line)));
     Ok(findings)
-}
-
-/// Runs the full ratchet check: lint the workspace and compare against the
-/// committed baseline. Returns the findings and any regressions.
-///
-/// # Errors
-///
-/// Returns [`LintError`] for unreadable trees or a malformed baseline.
-pub fn check_against_baseline(root: &Path) -> Result<(Vec<Finding>, Vec<Regression>), LintError> {
-    let findings = lint_workspace(root)?;
-    let recorded = Baseline::load(&root.join(BASELINE_FILE))?;
-    let current = Baseline::from_findings(&findings);
-    let regressions = recorded.regressions(&current);
-    Ok((findings, regressions))
 }

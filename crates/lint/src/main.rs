@@ -1,49 +1,33 @@
 //! CLI for the workspace linter.
 //!
 //! ```text
-//! cargo run -p dinar-lint                      # ratchet check (exit 1 on regressions)
-//! cargo run -p dinar-lint -- --verbose         # also list every current finding
-//! cargo run -p dinar-lint -- --update-baseline # re-record lint-baseline.json
-//! cargo run -p dinar-lint -- --json            # write bench-results/LINT_report.json
+//! cargo run -p dinar-lint                      # lint the workspace (exit 1 on any finding)
 //! cargo run -p dinar-lint -- --explain L010    # print one rule's full rationale
 //! cargo run -p dinar-lint -- --root <dir>      # lint another workspace root
 //! ```
+//!
+//! Exit codes: 0 no findings, 1 findings, 2 usage or I/O error.
 
-use dinar_lint::{check_against_baseline, lint_workspace, Baseline, Rule, BASELINE_FILE};
-use dinar_tensor::json::{Json, ToJson};
+use dinar_lint::{lint_workspace, Rule};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
-    update_baseline: bool,
-    verbose: bool,
-    json: bool,
     explain: Option<String>,
 }
 
-const USAGE: &str =
-    "usage: dinar-lint [--root DIR] [--update-baseline] [--verbose] [--json] [--explain RULE]";
-
-/// Repo-relative path of the machine-readable trend report written by
-/// `--json`.
-const REPORT_FILE: &str = "bench-results/LINT_report.json";
+const USAGE: &str = "usage: dinar-lint [--root DIR] [--explain RULE]";
 
 /// `Ok(None)` means `--help`: print usage and exit successfully.
 fn parse_args() -> Result<Option<Options>, String> {
     let mut options = Options {
         root: workspace_root(),
-        update_baseline: false,
-        verbose: false,
-        json: false,
         explain: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--update-baseline" => options.update_baseline = true,
-            "--verbose" | "-v" => options.verbose = true,
-            "--json" => options.json = true,
             "--explain" => {
                 options.explain = Some(
                     args.next().ok_or_else(|| "--explain requires a rule ID".to_string())?,
@@ -59,32 +43,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         }
     }
     Ok(Some(options))
-}
-
-/// Renders the per-rule trend report: total finding count plus each rule's
-/// current count and catalog description, in stable order.
-fn report_json(findings_total: usize, current: &Baseline) -> String {
-    let rules = Json::Obj(
-        Rule::all()
-            .into_iter()
-            .map(|rule| {
-                (
-                    rule.id().to_string(),
-                    Json::Obj(vec![
-                        ("count".to_string(), current.rule_total(rule.id()).to_json()),
-                        ("description".to_string(), rule.description().to_json()),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let report = Json::Obj(vec![
-        ("total".to_string(), findings_total.to_json()),
-        ("rules".to_string(), rules),
-    ]);
-    let mut text = report.dump_pretty();
-    text.push('\n');
-    text
 }
 
 /// The workspace root: this crate's manifest dir is `<root>/crates/lint`.
@@ -125,72 +83,29 @@ fn main() -> ExitCode {
         };
     }
 
-    if options.update_baseline {
-        let findings = match lint_workspace(&options.root) {
-            Ok(findings) => findings,
-            Err(e) => {
-                eprintln!("lint failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = Baseline::from_findings(&findings);
-        let path = options.root.join(BASELINE_FILE);
-        if let Err(e) = std::fs::write(&path, baseline.dump()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("recorded {} finding(s) in {}", findings.len(), path.display());
-        for rule in Rule::all() {
-            println!("  {:<5} {:>4}  {}", rule.id(), baseline.rule_total(rule.id()), rule.description());
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let (findings, regressions) = match check_against_baseline(&options.root) {
-        Ok(result) => result,
+    let findings = match lint_workspace(&options.root) {
+        Ok(findings) => findings,
         Err(e) => {
             eprintln!("lint failed: {e}");
             return ExitCode::from(2);
         }
     };
 
-    if options.verbose {
-        for finding in &findings {
-            println!("{finding}");
-        }
-    }
-    let current = Baseline::from_findings(&findings);
-    if options.json {
-        let path = options.root.join(REPORT_FILE);
-        if let Some(dir) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, report_json(findings.len(), &current)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", path.display());
-    }
-    println!("lint: {} finding(s) against baseline:", findings.len());
+    println!("lint: {} finding(s):", findings.len());
     for rule in Rule::all() {
-        println!("  {:<5} {:>4}  {}", rule.id(), current.rule_total(rule.id()), rule.description());
+        let count = findings.iter().filter(|f| f.rule == rule).count();
+        println!("  {:<5} {:>4}  {}", rule.id(), count, rule.description());
     }
-
-    if regressions.is_empty() {
-        println!("ratchet OK: no (rule, file) count rose above {BASELINE_FILE}");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nratchet FAILED — {} regression(s):", regressions.len());
-        for regression in &regressions {
-            eprintln!("  {regression}");
-        }
-        eprintln!(
-            "\nfix the new violations (or, for intentional changes, run \
-             `cargo run -p dinar-lint -- --update-baseline` and commit {BASELINE_FILE})"
-        );
-        ExitCode::FAILURE
+    if findings.is_empty() {
+        return ExitCode::SUCCESS;
     }
+    eprintln!();
+    for finding in &findings {
+        eprintln!("{finding}");
+    }
+    eprintln!(
+        "\nfix each finding, or document an invariant that cannot fail with \
+         `// lint: allow(RULE, reason)` on its line (`--explain RULE` says how)"
+    );
+    ExitCode::FAILURE
 }

@@ -568,20 +568,23 @@ impl Optimizer for Adgd {
     }
 }
 
-/// Constructs an optimizer by name — convenience for the ablation harness.
+/// Resolves an optimizer name to its constructor (taking the learning
+/// rate) — convenience for the ablation harness, which resolves a name once
+/// and then builds one optimizer per client.
 ///
 /// Recognized names: `"sgd"`, `"adagrad"`, `"adam"`, `"adamax"`, `"rmsprop"`,
 /// `"adgd"`. Returns `None` for anything else.
-pub fn by_name(name: &str, lr: f32) -> Option<Box<dyn Optimizer>> {
-    match name {
-        "sgd" => Some(Box::new(Sgd::new(lr))),
-        "adagrad" => Some(Box::new(Adagrad::new(lr))),
-        "adam" => Some(Box::new(Adam::new(lr))),
-        "adamax" => Some(Box::new(AdaMax::new(lr))),
-        "rmsprop" => Some(Box::new(RmsProp::new(lr))),
-        "adgd" => Some(Box::new(Adgd::new(lr))),
-        _ => None,
-    }
+pub fn by_name(name: &str) -> Option<fn(f32) -> Box<dyn Optimizer>> {
+    let make: fn(f32) -> Box<dyn Optimizer> = match name {
+        "sgd" => |lr| Box::new(Sgd::new(lr)),
+        "adagrad" => |lr| Box::new(Adagrad::new(lr)),
+        "adam" => |lr| Box::new(Adam::new(lr)),
+        "adamax" => |lr| Box::new(AdaMax::new(lr)),
+        "rmsprop" => |lr| Box::new(RmsProp::new(lr)),
+        "adgd" => |lr| Box::new(Adgd::new(lr)),
+        _ => return None,
+    };
+    Some(make)
 }
 
 #[cfg(test)]
@@ -659,10 +662,10 @@ mod tests {
     #[test]
     fn by_name_resolves_all_and_rejects_unknown() {
         for name in ["sgd", "adagrad", "adam", "adamax", "rmsprop", "adgd"] {
-            let opt = by_name(name, 0.01).unwrap();
+            let opt = by_name(name).unwrap()(0.01);
             assert_eq!(opt.name(), name);
         }
-        assert!(by_name("sophia", 0.01).is_none());
+        assert!(by_name("sophia").is_none());
     }
 
     #[test]
@@ -711,7 +714,7 @@ mod tests {
                 loss
             };
 
-            let mut opt = by_name(name, 0.01).unwrap();
+            let mut opt = by_name(name).unwrap()(0.01);
             for _ in 0..5 {
                 step(&mut model, opt.as_mut());
             }
@@ -726,7 +729,7 @@ mod tests {
             let mut rng2 = Rng::seed_from(1234);
             let mut resumed = models::mlp(&[2, 16, 3], Activation::ReLU, &mut rng2).unwrap();
             resumed.set_params(&params).unwrap();
-            let mut fresh = by_name(name, 0.01).unwrap();
+            let mut fresh = by_name(name).unwrap()(0.01);
             fresh.import_state(state).unwrap();
             let mut got = Vec::new();
             for _ in 0..3 {

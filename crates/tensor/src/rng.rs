@@ -53,7 +53,13 @@ pub struct RngState {
     pub gauss_cache: Option<f32>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of SplitMix64 (Steele, Lea & Flood 2014): advances `state` by
+/// the golden-ratio increment and returns the mixed output.
+///
+/// It expands seeds into [`Rng`] state here, and it is the workspace's one
+/// small counter-free mixer wherever a plain seeded `u64` stream suffices
+/// (fault schedules, Byzantine vote draws).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

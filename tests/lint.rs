@@ -1,209 +1,86 @@
-//! Workspace lint gate: runs the `dinar-lint` ratchet as part of
-//! `cargo test`, so a new violation of any repo invariant (L001–L018)
-//! fails CI even if nobody ran the CLI. The semantic rules L010–L016 and
-//! the confinement rules L017/L018 are ratcheted at zero here (not via
-//! the baseline), and the baseline file itself is checked for unknown
-//! rule IDs and stale paths.
+//! Workspace lint gate: runs `dinar-lint` as part of `cargo test`, so any
+//! violation of a repo invariant (L001–L018) fails CI even if nobody ran
+//! the CLI. Every rule gates at zero; a `// lint: allow(RULE, reason)` on
+//! the offending line is the only exemption. The tests below partition the
+//! rules between them, so together they cover every rule exactly once.
 
+use dinar_lint::rules::Rule;
 use std::path::Path;
+
+/// Rules with a dedicated test below; `lint_ratchet_holds` covers the rest.
+const DEDICATED: &[Rule] = &[
+    Rule::L008,
+    Rule::L009,
+    Rule::L010,
+    Rule::L011,
+    Rule::L012,
+    Rule::L013,
+    Rule::L014,
+    Rule::L015,
+    Rule::L016,
+    Rule::L017,
+    Rule::L018,
+];
+
+/// Runs the lint pass and fails, printing every finding with the first
+/// line of its rule's `explain()`, if any finding matches `selected`.
+fn assert_no_findings(what: &str, selected: impl Fn(Rule) -> bool) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let findings: Vec<_> = dinar_lint::lint_workspace(root)
+        .expect("lint pass should run")
+        .into_iter()
+        .filter(|f| selected(f.rule))
+        .collect();
+    assert!(
+        findings.is_empty(),
+        "\n{} {what} finding(s):\n{}\n\nFix each one, or document an invariant that \
+         cannot fail with `// lint: allow(RULE, reason)` on its line \
+         (`cargo run -p dinar-lint -- --explain RULE`).\n",
+        findings.len(),
+        findings
+            .iter()
+            .map(|f| {
+                let headline = f.rule.explain().lines().next().unwrap_or_default();
+                format!("  {f}\n      {headline}")
+            })
+            .collect::<Vec<_>>()
+            .join("\n"),
+    );
+}
 
 #[test]
 fn lint_ratchet_holds() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, regressions) =
-        dinar_lint::check_against_baseline(root).expect("lint pass should run");
-    assert!(
-        regressions.is_empty(),
-        "\nlint ratchet FAILED — {} (rule, file) count(s) rose above \
-         lint-baseline.json:\n{}\n\ntotal findings now: {}.\n\
-         Fix the new violations, or for intentional changes run\n    \
-         cargo run -p dinar-lint -- --update-baseline\nand commit the \
-         refreshed lint-baseline.json.\n",
-        regressions.len(),
-        regressions
-            .iter()
-            .map(|r| format!("  {r}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
-        findings.len(),
-    );
+    // The rules that used to carry debt in a baseline file (L001–L007 today,
+    // and any rule added later without a test of its own) now gate at zero.
+    assert_no_findings("lint", |r| !DEDICATED.contains(&r));
 }
 
 #[test]
 fn no_bare_recv_in_fl_at_all() {
-    // L008 rides the same ratchet as the other rules, but unlike the
-    // debt-carrying rules it starts — and must stay — at zero: the
-    // mid-round client-death hang was caused by exactly one bare `recv()`,
-    // and the fix routed every dinar-fl wait through the deadline helper.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, _) = dinar_lint::check_against_baseline(root).expect("lint pass should run");
-    let l008: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == dinar_lint::rules::Rule::L008)
-        .collect();
-    assert!(
-        l008.is_empty(),
-        "bare mpsc recv crept back into dinar-fl:\n{}",
-        l008.iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    // The mid-round client-death hang was caused by exactly one bare
+    // `recv()`; the fix routed every dinar-fl wait through the deadline
+    // helper.
+    assert_no_findings("bare mpsc recv (L008)", |r| r == Rule::L008);
 }
 
 #[test]
 fn no_param_clone_in_param_plane_at_all() {
-    // L009 starts — and must stay — at zero: the zero-copy parameter plane
-    // only holds if every snapshot in the defense/obfuscation/aggregation
-    // modules is an explicit O(1) `share()`. One unexamined `.clone()`
-    // silently reintroduces a full model copy per client per round.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, _) = dinar_lint::check_against_baseline(root).expect("lint pass should run");
-    let l009: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == dinar_lint::rules::Rule::L009)
-        .collect();
-    assert!(
-        l009.is_empty(),
-        "a deep params clone crept back into the parameter plane:\n{}",
-        l009.iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_no_findings("parameter-plane clone (L009)", |r| r == Rule::L009);
 }
 
 #[test]
 fn semantic_rules_stay_at_zero() {
-    // L010–L016 run on the call-graph engine and start — and must stay —
-    // at zero; they guard the invariants the paper's correctness rests on:
-    //   L010  clip-then-noise ordering (the DP sensitivity bound)
-    //   L011  every RNG stream derives from plumbed config
-    //   L012  no panic reachable from the round loop / transport
-    //   L013  one global Mutex acquisition order
-    //   L014  no float accumulation over unordered iteration
-    //   L015  no scalar normal() draws inside loops (use the bulk fills)
-    //   L016  every defense transform reports to the privacy ledger
-    use dinar_lint::rules::Rule;
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, _) = dinar_lint::check_against_baseline(root).expect("lint pass should run");
-    let semantic: Vec<_> = findings
-        .iter()
-        .filter(|f| {
-            matches!(
-                f.rule,
-                Rule::L010
-                    | Rule::L011
-                    | Rule::L012
-                    | Rule::L013
-                    | Rule::L014
-                    | Rule::L015
-                    | Rule::L016
-            )
-        })
-        .collect();
-    assert!(
-        semantic.is_empty(),
-        "semantic rule violation(s) (fix them or justify with a \
-         `lint: allow(RULE, reason)` at the site):\n{}",
-        semantic
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_no_findings("semantic (L010–L016)", |r| {
+        (Rule::L010..=Rule::L016).contains(&r)
+    });
 }
 
 #[test]
 fn wire_codecs_stay_confined_at_zero() {
-    // L017 starts — and must stay — at zero: every byte-level
-    // encode/decode lives in the sanctioned wire module
-    // (crates/tensor/src/wire.rs), whose codec paths convert integers with
-    // checked `try_from`, never a silently-wrapping `as`. A second codec
-    // elsewhere — or one wrapped cast inside the wire module — reopens the
-    // truncated-length-header class of bug the decoder hardening closed.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, _) = dinar_lint::check_against_baseline(root).expect("lint pass should run");
-    let l017: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == dinar_lint::rules::Rule::L017)
-        .collect();
-    assert!(
-        l017.is_empty(),
-        "wire confinement violated:\n{}",
-        l017.iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_no_findings("wire codec confinement (L017)", |r| r == Rule::L017);
 }
 
 #[test]
 fn bit_pattern_casts_stay_confined_at_zero() {
-    // L018 starts — and must stay — at zero: every bit-pattern
-    // reinterpretation between storage element types lives in the
-    // sanctioned generic-storage module (crates/tensor/src/storage.rs),
-    // whose Element impls are pinned by exact round-trip property tests.
-    // A second `to_bit_pattern`/`from_bit_pattern` spelling (or a
-    // `transmute`) elsewhere is an unaudited reinterpretation that can
-    // silently diverge from the canonical one and break the
-    // width-independent bit-identicality the checkpoint plane promises.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (findings, _) = dinar_lint::check_against_baseline(root).expect("lint pass should run");
-    let l018: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == dinar_lint::rules::Rule::L018)
-        .collect();
-    assert!(
-        l018.is_empty(),
-        "element confinement violated:\n{}",
-        l018.iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
-fn baseline_file_is_well_formed() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let path = root.join(dinar_lint::BASELINE_FILE);
-    assert!(
-        path.exists(),
-        "{} must be committed at the workspace root",
-        dinar_lint::BASELINE_FILE
-    );
-    dinar_lint::Baseline::load(&path).expect("committed baseline parses");
-}
-
-#[test]
-fn baseline_has_no_unknown_rules_or_stale_paths() {
-    // A typo'd rule ID would allowlist nothing, and an entry for a deleted
-    // or renamed file is dead debt that hides a real regression budget —
-    // both should fail loudly instead of rotting in the committed file.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let baseline = dinar_lint::Baseline::load(&root.join(dinar_lint::BASELINE_FILE))
-        .expect("committed baseline parses");
-    let mut problems = Vec::new();
-    for (rule, file, count) in baseline.iter() {
-        if dinar_lint::rules::Rule::from_id(rule).is_none() {
-            problems.push(format!("unknown rule ID `{rule}` (entry for {file})"));
-        }
-        if !root.join(file).exists() {
-            problems.push(format!("stale path `{file}` under `{rule}` no longer exists"));
-        }
-        if count == 0 {
-            problems.push(format!("zero-count entry `{rule}` / `{file}` should be dropped"));
-        }
-    }
-    assert!(
-        problems.is_empty(),
-        "lint-baseline.json needs attention (run `cargo run -p dinar-lint -- \
-         --update-baseline`):\n{}",
-        problems
-            .iter()
-            .map(|p| format!("  {p}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_no_findings("bit-pattern cast confinement (L018)", |r| r == Rule::L018);
 }
