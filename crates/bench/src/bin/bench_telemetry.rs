@@ -3,10 +3,10 @@
 //!
 //! Measures the cost of the observability plane itself, in two tiers:
 //!
-//! * **primitive throughput** — one armed flight-recorder event, one
-//!   deterministic counter bump, one span enter/exit pair, and one ledger
-//!   charge, each in ns/iter (the artifact also derives
-//!   `flight_events_per_sec`);
+//! * **primitive throughput** — one flight event, one deterministic
+//!   counter bump (registry update plus its `metric` event), one span
+//!   enter/exit pair, and one ledger charge, each in ns/iter (the artifact
+//!   also derives `flight_events_per_sec`);
 //! * **export latency** — rendering the Perfetto trace-event JSON and the
 //!   deterministic JSONL over a populated sink;
 //! * **end-to-end overhead** — a seeded 2-client FL training run timed
@@ -71,9 +71,9 @@ fn build_system() -> Result<FlSystem, Box<dyn std::error::Error>> {
 }
 
 /// One full training run, instrumented or not, returning wall nanoseconds.
-/// The flight recorder stays disarmed — that is the default-instrumented
-/// configuration the 5% overhead ratchet covers; armed postmortem runs pay
-/// extra per-metric hooks, priced separately by the `flight_record` row.
+/// The instrumented run records every event an enabled sink records —
+/// spans, counter updates and flight events — which is what the 5%
+/// overhead ratchet covers.
 fn timed_fl_run(instrument: bool) -> Result<f64, Box<dyn std::error::Error>> {
     let mut system = build_system()?;
     if instrument {
@@ -88,6 +88,27 @@ fn timed_fl_run(instrument: bool) -> Result<f64, Box<dyn std::error::Error>> {
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
+}
+
+/// Events recorded into one sink before a primitive loop moves on.
+const ROTATE: u64 = 4096;
+
+/// An enabled sink replaced every [`ROTATE`] events.
+#[derive(Default)]
+struct RotatingSink {
+    tel: Telemetry,
+    i: u64,
+}
+
+impl RotatingSink {
+    /// The sink for the next event, and that event's index.
+    fn next(&mut self) -> (&Telemetry, u64) {
+        if self.i % ROTATE == 0 {
+            self.tel = Telemetry::new();
+        }
+        self.i += 1;
+        (&self.tel, self.i)
+    }
 }
 
 /// A sink populated with a realistic span/metric population for the export
@@ -111,26 +132,25 @@ fn run_suite() -> Result<Vec<TensorBenchEntry>, Box<dyn std::error::Error>> {
     let mut entries = Vec::new();
 
     // Primitive throughput: the per-event cost every instrumented code
-    // path pays. The flight ring is armed so the measurement covers the
-    // real record path, not the disarmed early-out.
-    let tel = Telemetry::new();
-    tel.flight_arm();
-    let mut i = 0u64;
+    // path pays. An enabled sink keeps every event, so each loop moves to
+    // a fresh sink every `ROTATE` events: the cost of registering with and
+    // freeing a sink is amortised in, and the log never outgrows memory.
+    let mut sink = RotatingSink::default();
     let m = bench("flight_record", &config, || {
-        i = i.wrapping_add(1);
+        let (tel, i) = sink.next();
         tel.flight_record("bench", "event", i);
     });
     entries.push(entry("flight_record", "1", m.median_ns()));
 
-    let tel = Telemetry::new();
+    let mut sink = RotatingSink::default();
     let m = bench("counter_add", &config, || {
-        tel.counter_add("bench.counter", 1);
+        sink.next().0.counter_add("bench.counter", 1);
     });
     entries.push(entry("counter_add", "1", m.median_ns()));
 
-    let tel = Telemetry::new();
+    let mut sink = RotatingSink::default();
     let m = bench("span_enter_exit", &config, || {
-        drop(tel.span("bench"));
+        drop(sink.next().0.span("bench"));
     });
     entries.push(entry("span_enter_exit", "1", m.median_ns()));
 
@@ -152,7 +172,6 @@ fn run_suite() -> Result<Vec<TensorBenchEntry>, Box<dyn std::error::Error>> {
     entries.push(entry("jsonl_export", "1024_spans", m.median_ns()));
 
     let tel = Telemetry::new();
-    tel.flight_arm();
     for i in 0..4096 {
         tel.flight_record("bench", "event", i);
     }

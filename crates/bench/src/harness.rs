@@ -499,12 +499,13 @@ pub fn train_defense_with_telemetry(
 
     let mut system = builder.build()?;
     if telemetry.is_enabled() {
-        telemetry.flight_arm();
         system.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
     }
     let reports = system.run(spec.rounds)?;
     if telemetry.is_enabled() {
-        dinar_telemetry::export::write_trace_if_requested(telemetry);
+        if let Err(e) = dinar_telemetry::export::write_trace_if_requested(telemetry) {
+            eprintln!("trace export failed: {e}");
+        }
     }
     let cost = CostSample {
         client_train_s: reports.iter().map(|r| r.cost.client_train_s).sum::<f64>()

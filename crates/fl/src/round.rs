@@ -154,7 +154,9 @@ impl<'a> Round<'a> {
         if accepted.len() < required {
             let (client, cause) = first_failure.unwrap_or((0, "no client failure observed".into()));
             telemetry.flight_record("fault", "quorum_failed", accepted.len() as u64);
-            telemetry.flight_dump_if_requested("quorum");
+            if let Err(e) = telemetry.flight_dump_if_requested("quorum") {
+                eprintln!("flight dump failed: {e}");
+            }
             return Err(FlError::ClientFailure {
                 client,
                 round: server.rounds_completed() + 1,

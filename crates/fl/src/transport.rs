@@ -467,7 +467,9 @@ pub fn run_threaded_wire(
                             open_round.reject(id, "missed the round deadline".into());
                         }
                         telemetry.flight_record("fault", "deadline_expired", pending.len() as u64);
-                        telemetry.flight_dump_if_requested("deadline");
+                        if let Err(e) = telemetry.flight_dump_if_requested("deadline") {
+                            eprintln!("flight dump failed: {e}");
+                        }
                         pending.clear();
                     }
                     Step::Disconnected => {
@@ -533,7 +535,9 @@ pub fn run_threaded_wire(
             Ok(client) => clients.push(client),
             Err(_) => {
                 telemetry.flight_record("fault", "client_panic", id as u64);
-                telemetry.flight_dump_if_requested("panic");
+                if let Err(e) = telemetry.flight_dump_if_requested("panic") {
+                    eprintln!("flight dump failed: {e}");
+                }
                 error = error.or(Some(FlError::ClientFailure {
                     client: id,
                     round: attempted_rounds,

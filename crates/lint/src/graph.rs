@@ -57,8 +57,9 @@ pub const L012_ROOT_FNS: [&str; 6] = [
 /// The global mutex acquisition order, outermost first. Nested acquisitions
 /// must move strictly *down* this list; acquiring an earlier (or the same)
 /// class while holding a later one is an L013 violation.
-pub const LOCK_ORDER: [&str; 4] = [
-    "telemetry.spans",
+pub const LOCK_ORDER: [&str; 5] = [
+    "telemetry.event_threads",
+    "telemetry.event_log",
     "telemetry.registry",
     "telemetry.histo",
     "tensor.par",
@@ -69,12 +70,11 @@ pub const LOCK_ORDER: [&str; 4] = [
 /// class here.
 fn lock_class(file: &str, receiver: &str) -> Option<usize> {
     match (file, receiver) {
-        ("crates/telemetry/src/lib.rs", "spans") | ("crates/telemetry/src/span.rs", "sink") => {
-            Some(0)
-        }
-        ("crates/telemetry/src/registry.rs", "entries") => Some(1),
-        ("crates/telemetry/src/registry.rs", "inner") => Some(2),
-        ("crates/tensor/src/par.rs", "WIDTH_LOCK") => Some(3),
+        ("crates/telemetry/src/span.rs", "threads") => Some(0),
+        ("crates/telemetry/src/span.rs" | "crates/telemetry/src/recorder.rs", "log") => Some(1),
+        ("crates/telemetry/src/registry.rs", "entries") => Some(2),
+        ("crates/telemetry/src/registry.rs", "inner") => Some(3),
+        ("crates/tensor/src/par.rs", "WIDTH_LOCK") => Some(4),
         _ => None,
     }
 }
@@ -1026,6 +1026,39 @@ mod tests {
         assert_eq!(l013.len(), 1, "{l013:?}");
         assert!(l013[0].message.contains("telemetry.registry"));
         assert_eq!(l013[0].line, 4);
+    }
+
+    #[test]
+    fn l013_flags_event_log_locks_out_of_order() {
+        let sources = files(&[
+            (
+                "crates/telemetry/src/span.rs",
+                "impl EventLog {\n\
+                     pub fn bad(&self, log: &Log) {\n\
+                         let l = log.lock();\n\
+                         self.register();\n\
+                     }\n\
+                     fn register(&self) { let t = self.threads.lock(); }\n\
+                     pub fn good(&self, log: &Log) {\n\
+                         let t = self.threads.lock();\n\
+                         let l = log.lock();\n\
+                     }\n\
+                 }\n",
+            ),
+            (
+                "crates/telemetry/src/recorder.rs",
+                "fn view(a: &Thread, b: &Thread) {\n\
+                     let first = a.log.lock();\n\
+                     let second = b.log.lock();\n\
+                 }\n",
+            ),
+        ]);
+        let l013 = rule_findings(&sources, Rule::L013);
+        assert_eq!(l013.len(), 2, "{l013:?}");
+        assert!(l013.iter().any(|f| f.file.ends_with("span.rs")
+            && f.line == 4
+            && f.message.contains("acquires `telemetry.event_threads` while `telemetry.event_log`")));
+        assert!(l013.iter().any(|f| f.file.ends_with("recorder.rs") && f.line == 3));
     }
 
     #[test]

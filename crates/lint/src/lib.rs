@@ -23,7 +23,7 @@
 //! | L010 | clip-dominates-noise: in `dinar-defenses`, every call path reaching a Gaussian noise draw passes through a clip source (`clip_l2`/`clip_l2_with_count`/`clip_factor`) first |
 //! | L011 | seed-taint: no `seed_from(<integer literal>)` outside tests/benches — RNG streams derive from plumbed config |
 //! | L012 | panic-reachability: no `panic!`/`unwrap`/`expect` reachable through the call graph from the FL round loop or the threaded transport |
-//! | L013 | lock-order: nested `Mutex` acquisitions follow the global order `telemetry.spans < telemetry.registry < telemetry.histo < tensor.par` |
+//! | L013 | lock-order: nested `Mutex` acquisitions follow the global order `telemetry.event_threads < telemetry.event_log < telemetry.registry < telemetry.histo < tensor.par` |
 //! | L014 | no arithmetic accumulation over unordered-container (`HashSet`/`HashMap`) iteration in the deterministic crates |
 //! | L015 | no scalar `.normal()`/`.normal_with()` draws inside loop bodies in the defenses and parameter plane — use the bulk `fill_normal`/`axpy_normal` |
 //! | L016 | ledger coverage: every defense transform entry point reaches `privacy_charge` (or `privacy_charge_zero`) through the call graph |

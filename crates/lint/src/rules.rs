@@ -220,8 +220,9 @@ impl Rule {
                 "L013 — lock order (cross-file, call-graph).\n\n\
                  Two threads acquiring the same two mutexes in opposite orders deadlock\n\
                  under contention and pass every single-threaded test. The workspace\n\
-                 has one global acquisition order — telemetry.spans < telemetry.registry\n\
-                 < telemetry.histo < tensor.par — and nested acquisitions\n\
+                 has one global acquisition order — telemetry.event_threads <\n\
+                 telemetry.event_log < telemetry.registry < telemetry.histo < tensor.par\n\
+                 — and nested acquisitions\n\
                  (including those made by callees while a guard is held, with guards\n\
                  conservatively assumed held to end of function) must move strictly down\n\
                  it. Same-class re-entry is flagged too: std Mutex self-deadlocks."

@@ -46,13 +46,6 @@ pub fn record_alloc_gauges(tel: &Telemetry) {
     tel.gauge_max_volatile("tensor.alloc.peak_bytes", alloc::peak_bytes() as f64);
 }
 
-/// Records the peak extra bytes a [`MemoryScope`](alloc::MemoryScope)
-/// observed, under `name`, as a volatile high-water gauge (per-thread
-/// attribution shifts with the fan-out schedule).
-pub fn record_scope_peak(tel: &Telemetry, name: &str, scope: &alloc::MemoryScope) {
-    tel.gauge_max_volatile(name, scope.peak_extra_bytes() as f64);
-}
-
 /// Records one round of wire-plane traffic under the stable
 /// `fl.transport.*` names. Byte and frame counts are functions of the
 /// model architecture and the codec alone — independent of pool width,
@@ -106,7 +99,8 @@ mod tests {
         let scope = alloc::MemoryScope::enter();
         let _t = Tensor::zeros(&[1024]);
         record_alloc_gauges(&tel);
-        record_scope_peak(&tel, "client.peak_bytes", &scope);
+        // A scope's peak is published the same way, under its own name.
+        tel.gauge_max_volatile("client.peak_bytes", scope.peak_extra_bytes() as f64);
         for name in ["tensor.alloc.live_bytes", "tensor.alloc.peak_bytes", "client.peak_bytes"] {
             let m = tel
                 .metrics()

@@ -14,6 +14,7 @@ use crate::span::SpanRecord;
 use crate::Telemetry;
 use dinar_tensor::json::{Json, ToJson};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// All completed spans sorted by `(path, start_us, dur_us)` — the
 /// canonical order for cross-run comparison.
@@ -84,22 +85,13 @@ fn metric_line(metric: &MetricValue) -> Json {
     Json::obj(pairs)
 }
 
-/// Per-path aggregate of a span list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PathStats {
-    count: u64,
-    total_us: u64,
-}
-
-fn stats_by_path(tel: &Telemetry) -> BTreeMap<String, PathStats> {
-    let mut stats: BTreeMap<String, PathStats> = BTreeMap::new();
+/// Per-path `(calls, total_us)` aggregate of the span list.
+fn stats_by_path(tel: &Telemetry) -> BTreeMap<String, (u64, u64)> {
+    let mut stats: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for span in tel.spans() {
-        let entry = stats.entry(span.path).or_insert(PathStats {
-            count: 0,
-            total_us: 0,
-        });
-        entry.count += 1;
-        entry.total_us = entry.total_us.saturating_add(span.dur_us);
+        let (calls, total_us) = stats.entry(span.path).or_default();
+        *calls += 1;
+        *total_us = total_us.saturating_add(span.dur_us);
     }
     stats
 }
@@ -109,16 +101,13 @@ fn stats_by_path(tel: &Telemetry) -> BTreeMap<String, PathStats> {
 /// microseconds.
 pub fn summary_tree(tel: &Telemetry) -> String {
     let mut out = String::new();
-    for (path, stats) in stats_by_path(tel) {
+    for (path, (calls, total_us)) in stats_by_path(tel) {
         let depth = path.matches('/').count();
         let name = path.rsplit('/').next().unwrap_or(&path);
         for _ in 0..depth {
             out.push_str("  ");
         }
-        out.push_str(&format!(
-            "{name}  calls={} total_us={}\n",
-            stats.count, stats.total_us
-        ));
+        out.push_str(&format!("{name}  calls={calls} total_us={total_us}\n"));
     }
     out
 }
@@ -135,20 +124,20 @@ pub fn span_coverage(tel: &Telemetry) -> f64 {
     let stats = stats_by_path(tel);
     let mut root_total = 0u64;
     let mut covered = 0u64;
-    for (path, s) in &stats {
+    for (path, &(_, total_us)) in &stats {
         if path.contains('/') {
             continue;
         }
-        root_total += s.total_us;
+        root_total += total_us;
         let prefix = format!("{path}/");
         let child_sum: u64 = stats
             .iter()
             .filter(|(p, _)| {
                 p.starts_with(&prefix) && !p[prefix.len()..].contains('/')
             })
-            .map(|(_, cs)| cs.total_us)
+            .map(|(_, &(_, child_us))| child_us)
             .sum();
-        covered += child_sum.min(s.total_us);
+        covered += child_sum.min(total_us);
     }
     if root_total == 0 {
         return 1.0;
@@ -215,23 +204,19 @@ pub fn trace_events(tel: &Telemetry) -> String {
 }
 
 /// Writes [`trace_events`] to the path named by the `DINAR_TRACE`
-/// environment variable, if set (best-effort: IO errors are swallowed so
-/// an exporter can never fail the run it observed). Returns the path
-/// written.
-pub fn write_trace_if_requested(tel: &Telemetry) -> Option<std::path::PathBuf> {
+/// environment variable, if set. Returns the path written; an IO failure
+/// comes back as the error, for the caller to report and carry on — an
+/// exporter never fails the run it observed.
+pub fn write_trace_if_requested(tel: &Telemetry) -> std::io::Result<Option<PathBuf>> {
     let path = match std::env::var("DINAR_TRACE") {
-        Ok(p) if !p.is_empty() => std::path::PathBuf::from(p),
-        _ => return None,
+        Ok(p) if !p.is_empty() => PathBuf::from(p),
+        _ => return Ok(None),
     };
     if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
+        std::fs::create_dir_all(parent)?;
     }
-    match std::fs::write(&path, trace_events(tel)) {
-        Ok(()) => Some(path),
-        Err(_) => None,
-    }
+    std::fs::write(&path, trace_events(tel))?;
+    Ok(Some(path))
 }
 
 #[cfg(test)]
@@ -253,7 +238,7 @@ mod tests {
         drop(tel.span("b"));
         drop(tel.span("a"));
         tel.counter_add("z.counter", 3);
-        tel.gauge_set_volatile("a.volatile", 9.0);
+        tel.gauge_max_volatile("a.volatile", 9.0);
         let text = export_jsonl(&tel, false);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "volatile gauge must be filtered:\n{text}");

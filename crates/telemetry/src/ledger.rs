@@ -76,25 +76,15 @@ impl Accum {
     fn compose(&self, defense: &str, entity: &str) -> PrivacyAccount {
         let eps_basic = self.sum_eps;
         let delta_basic = self.sum_delta;
-        if self.sum_eps == 0.0 {
+        let slack = ADVANCED_COMPOSITION_SLACK;
+        let (eps_advanced, delta_advanced) = if self.sum_eps == 0.0 {
             // Pure zero-cost account (sa/gc): both bounds are exactly zero
             // and no δ′ slack is spent.
-            return PrivacyAccount {
-                defense: defense.to_string(),
-                entity: entity.to_string(),
-                charges: self.charges,
-                eps_basic,
-                delta_basic,
-                eps_advanced: 0.0,
-                delta_advanced: delta_basic,
-                eps_composed: 0.0,
-                delta_composed: delta_basic,
-            };
-        }
-        let slack = ADVANCED_COMPOSITION_SLACK;
-        let eps_advanced =
-            (2.0 * (1.0 / slack).ln() * self.sum_eps_sq).sqrt() + self.sum_eps_expm1;
-        let delta_advanced = self.sum_delta + slack;
+            (0.0, delta_basic)
+        } else {
+            let eps = (2.0 * (1.0 / slack).ln() * self.sum_eps_sq).sqrt() + self.sum_eps_expm1;
+            (eps, self.sum_delta + slack)
+        };
         let (eps_composed, delta_composed) = if eps_advanced < eps_basic {
             (eps_advanced, delta_advanced)
         } else {
@@ -121,10 +111,6 @@ pub(crate) struct PrivacyLedger {
 }
 
 impl PrivacyLedger {
-    pub(crate) fn new() -> Self {
-        PrivacyLedger::default()
-    }
-
     /// Charges (ε, δ) to the `(defense, entity)` account. Negative and
     /// non-finite charges are clamped to zero — the ledger only ever
     /// *under*-reports by refusing a bogus charge, never by dropping it.
@@ -198,7 +184,7 @@ mod tests {
 
     #[test]
     fn basic_composition_sums() {
-        let ledger = PrivacyLedger::new();
+        let ledger = PrivacyLedger::default();
         ledger.charge("ldp", "client[0]", 2.2, 1e-5);
         ledger.charge("ldp", "client[0]", 2.2, 1e-5);
         let acc = &ledger.accounts()[0];
@@ -209,7 +195,7 @@ mod tests {
 
     #[test]
     fn advanced_composition_wins_for_many_small_charges() {
-        let ledger = PrivacyLedger::new();
+        let ledger = PrivacyLedger::default();
         // 1000 steps of ε = 0.05: basic gives 50; advanced ~ √k scaling.
         for _ in 0..1000 {
             ledger.charge("dp-sgd", "client[3]", 0.05, 1e-7);
@@ -228,7 +214,7 @@ mod tests {
 
     #[test]
     fn basic_composition_wins_for_few_large_charges() {
-        let ledger = PrivacyLedger::new();
+        let ledger = PrivacyLedger::default();
         ledger.charge("cdp", "global", 2.2, 1e-5);
         let acc = &ledger.accounts()[0];
         // One charge: advanced pays the √(2 ln 1/δ′) factor, basic is ε.
@@ -239,7 +225,7 @@ mod tests {
 
     #[test]
     fn zero_cost_accounts_stay_exactly_zero() {
-        let ledger = PrivacyLedger::new();
+        let ledger = PrivacyLedger::default();
         ledger.charge("sa", "client[1]", 0.0, 0.0);
         ledger.charge("sa", "client[1]", 0.0, 0.0);
         let acc = &ledger.accounts()[0];
@@ -251,7 +237,7 @@ mod tests {
 
     #[test]
     fn bogus_charges_are_clamped_not_dropped() {
-        let ledger = PrivacyLedger::new();
+        let ledger = PrivacyLedger::default();
         ledger.charge("ldp", "client[0]", f64::NAN, -1.0);
         let acc = &ledger.accounts()[0];
         assert_eq!(acc.charges, 1);
@@ -261,7 +247,7 @@ mod tests {
 
     #[test]
     fn accounts_and_report_are_sorted() {
-        let ledger = PrivacyLedger::new();
+        let ledger = PrivacyLedger::default();
         ledger.charge("wdp", "client[1]", 1.0, 1e-5);
         ledger.charge("cdp", "global", 1.0, 1e-5);
         let accounts = ledger.accounts();

@@ -5,7 +5,8 @@
 //! [`registry`] (counters, gauges, histograms), a [`bridge`] from the
 //! `dinar-tensor` kernel/alloc counters, deterministic JSONL /
 //! summary-tree / trace-event [`export`]ers, a postmortem flight
-//! [`recorder`], and a privacy-budget [`ledger`].
+//! [`recorder`] view, and a privacy-budget [`ledger`]. Spans, counter
+//! updates and flight records share one per-thread event log ([`span`]).
 //!
 //! The paper's evaluation is built from per-phase measurements — per-round
 //! training time, per-layer cost, memory footprint (Figs 8–11, Tables 2–3)
@@ -14,7 +15,7 @@
 //! and middleware in spans, and `dinar-bench` dumps the result next to each
 //! figure's data. The audit plane rides the same handle: defenses charge
 //! their (ε, δ) spend to the [`ledger`], and the flight [`recorder`]
-//! keeps a bounded per-thread tape for crash postmortems.
+//! reads the last events of every thread back for crash postmortems.
 //!
 //! # The handle
 //!
@@ -62,24 +63,19 @@ pub use span::{SpanGuard, SpanRecord};
 
 use dinar_tensor::json::Json;
 use ledger::PrivacyLedger;
-use recorder::FlightRecorder;
-use span::TidAssigner;
-use std::sync::{Arc, Mutex, PoisonError};
+use span::EventLog;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct Inner {
-    clock: Arc<dyn Clock>,
-    /// Shared with live [`SpanGuard`]s, which outlive no handle but may be
-    /// held on pool threads.
-    spans: Arc<Mutex<Vec<SpanRecord>>>,
+    events: Arc<EventLog>,
     registry: Registry,
-    tids: TidAssigner,
-    flight: Arc<FlightRecorder>,
     ledger: PrivacyLedger,
 }
 
-/// Shared handle to one telemetry sink (spans + metrics + clock +
-/// flight recorder + privacy ledger).
+/// Shared handle to one telemetry sink (event log + metrics + clock +
+/// privacy ledger).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -96,12 +92,12 @@ impl Telemetry {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                clock,
-                spans: Arc::new(Mutex::new(Vec::new())),
+                events: Arc::new(EventLog {
+                    clock,
+                    threads: Default::default(),
+                }),
                 registry: Registry::new(),
-                tids: TidAssigner::new(),
-                flight: Arc::new(FlightRecorder::new()),
-                ledger: PrivacyLedger::new(),
+                ledger: PrivacyLedger::default(),
             })),
         }
     }
@@ -123,20 +119,10 @@ impl Telemetry {
     /// Opens a span named `name` under the innermost span already open on
     /// this thread (a root span if none is).
     pub fn span(&self, name: &str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
-            return SpanGuard::noop();
-        };
-        let path = match span::current_path() {
-            Some(parent) => format!("{parent}/{name}"),
-            None => name.to_string(),
-        };
-        SpanGuard::begin(
-            inner.spans.clone(),
-            inner.clock.clone(),
-            path,
-            inner.tids.current(),
-            self.armed_flight(),
-        )
+        match &self.inner {
+            None => SpanGuard::noop(),
+            Some(_) => self.span_at(&span::current_path().unwrap_or_default(), name),
+        }
     }
 
     /// Opens a span named `name` under the explicit `parent` path —
@@ -152,115 +138,81 @@ impl Telemetry {
         } else {
             format!("{parent}/{name}")
         };
-        SpanGuard::begin(
-            inner.spans.clone(),
-            inner.clock.clone(),
-            path,
-            inner.tids.current(),
-            self.armed_flight(),
-        )
+        SpanGuard::begin(&inner.events, path)
     }
 
-    /// Snapshot of all completed spans, in emission order (sort before
-    /// comparing across runs — see [`export::sorted_spans`]).
+    /// Snapshot of all completed spans, grouped by recording thread (sort
+    /// before comparing across runs — see [`export::sorted_spans`]).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => inner
-                .spans
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-        }
+        self.events().map_or_else(Vec::new, EventLog::spans)
+    }
+
+    /// The event log ([`None`] when disabled).
+    fn events(&self) -> Option<&EventLog> {
+        self.inner.as_ref().map(|i| &*i.events)
     }
 
     /// The clock driving this sink ([`None`] when disabled).
     pub fn clock(&self) -> Option<Arc<dyn Clock>> {
-        self.inner.as_ref().map(|i| i.clock.clone())
+        self.inner.as_ref().map(|i| i.events.clock.clone())
     }
 
     // ------------------------------------------------------------------
-    // Flight recorder
+    // Flight view
     // ------------------------------------------------------------------
 
-    /// The flight recorder, only when armed (the per-event fast path).
-    fn armed_flight(&self) -> Option<Arc<FlightRecorder>> {
-        match &self.inner {
-            Some(inner) if inner.flight.armed() => Some(inner.flight.clone()),
-            _ => None,
-        }
-    }
-
-    /// Arms the flight recorder: from now on spans, deterministic counter
-    /// updates and explicit [`flight_record`](Telemetry::flight_record)
-    /// calls append to the per-thread postmortem rings. Disarmed recording
-    /// costs one relaxed atomic load per event site.
-    pub fn flight_arm(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flight.arm();
-        }
-    }
-
-    /// `true` once [`flight_arm`](Telemetry::flight_arm) has been called.
-    pub fn flight_armed(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|inner| inner.flight.armed())
-    }
-
-    /// Records one structured event on the calling thread's flight ring
-    /// (no-op when disabled or disarmed). `kind` classifies the event
-    /// (`"fault"`, `"send"`, …); the scope is the innermost span open on
-    /// this thread; the timestamp comes from the sink clock.
+    /// Records one structured event on the calling thread's log (no-op
+    /// when disabled). `kind` classifies the event (`"fault"`, `"send"`,
+    /// …); the scope is the innermost span open on this thread; the
+    /// timestamp comes from the sink clock.
     pub fn flight_record(&self, kind: &'static str, name: &str, value: u64) {
-        if let Some(flight) = self.armed_flight() {
-            if let Some(inner) = &self.inner {
-                let scope = span::current_path().unwrap_or_default();
-                let t_us = u64::try_from(inner.clock.elapsed().as_micros()).unwrap_or(u64::MAX);
-                flight.record(&scope, kind, name, t_us, value);
-            }
+        if let Some(inner) = &self.inner {
+            inner.events.record(kind, name, value);
         }
     }
 
-    /// All retained flight events in canonical sorted order (empty when
-    /// disabled or disarmed).
+    /// Every thread's last [`RING_CAPACITY`](recorder::RING_CAPACITY)
+    /// flight events in canonical sorted order (empty when disabled).
     pub fn flight_events(&self) -> Vec<FlightEvent> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => inner.flight.events(),
-        }
+        self.events().map_or_else(Vec::new, |e| recorder::view(e).0)
+    }
+
+    /// How many older events fell outside the per-thread window of
+    /// [`flight_events`](Telemetry::flight_events). Scheduling-dependent:
+    /// it varies with how work was spread over threads.
+    pub fn flight_dropped(&self) -> u64 {
+        self.events().map_or(0, |e| recorder::view(e).1)
     }
 
     /// The sorted flight dump as JSONL — byte-identical across pool
     /// widths for deterministic programs (see [`recorder`] module docs).
     pub fn flight_dump_jsonl(&self) -> String {
-        match &self.inner {
-            None => String::new(),
-            Some(inner) => inner.flight.dump_jsonl(),
-        }
+        recorder::jsonl(&self.flight_events())
     }
 
     /// Writes the flight dump to `<dir>/FLIGHT_<reason>.jsonl` when the
     /// `DINAR_FLIGHT` environment variable is set (`1` means the default
-    /// `bench-results` directory; any other value names the directory).
-    /// Best-effort: IO failures are swallowed — a postmortem writer must
-    /// never take the process down with it. Returns the path written.
-    pub fn flight_dump_if_requested(&self, reason: &str) -> Option<std::path::PathBuf> {
-        if !self.flight_armed() {
-            return None;
-        }
+    /// `bench-results` directory; any other value names the directory) and
+    /// the sink is enabled, reporting events dropped from the per-thread
+    /// window on stderr. Returns the path written; an IO failure comes back
+    /// as the error, for the caller to report and carry on.
+    pub fn flight_dump_if_requested(&self, reason: &str) -> std::io::Result<Option<PathBuf>> {
         let dir = match std::env::var("DINAR_FLIGHT") {
-            Ok(v) if v == "1" => "bench-results".to_string(),
-            Ok(v) if !v.is_empty() => v,
-            _ => return None,
+            Ok(v) if v == "1" => PathBuf::from("bench-results"),
+            Ok(v) if !v.is_empty() => PathBuf::from(v),
+            _ => return Ok(None),
         };
-        let dump = self.flight_dump_jsonl();
-        let path = std::path::Path::new(&dir).join(format!("FLIGHT_{reason}.jsonl"));
-        let _ = std::fs::create_dir_all(&dir);
-        match std::fs::write(&path, dump) {
-            Ok(()) => Some(path),
-            Err(_) => None,
+        let Some(log) = self.events() else {
+            return Ok(None);
+        };
+        let (events, dropped) = recorder::view(log);
+        if dropped > 0 {
+            eprintln!("flight dump {reason}: {dropped} older events fell outside the window");
         }
+        std::fs::create_dir_all(&dir)?;
+        let path = dir.join(format!("FLIGHT_{reason}.jsonl"));
+        std::fs::write(&path, recorder::jsonl(&events))?;
+        Ok(Some(path))
     }
 
     // ------------------------------------------------------------------
@@ -302,10 +254,7 @@ impl Telemetry {
     /// The audit report as JSON — the payload of `AUDIT_privacy.json`.
     pub fn privacy_report(&self) -> Json {
         match &self.inner {
-            None => Json::obj([
-                ("slack", Json::Num(ledger::ADVANCED_COMPOSITION_SLACK)),
-                ("accounts", Json::Arr(Vec::new())),
-            ]),
+            None => PrivacyLedger::default().report(),
             Some(inner) => inner.ledger.report(),
         }
     }
@@ -314,21 +263,12 @@ impl Telemetry {
     // Metrics
     // ------------------------------------------------------------------
 
-    /// The metrics registry ([`None`] when disabled). Hot paths should
-    /// cache the typed handles this hands out.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_ref().map(|i| &i.registry)
-    }
-
-    /// Adds `v` to the deterministic counter `name`.
+    /// Adds `v` to the deterministic counter `name` and records it as a
+    /// `metric` event.
     pub fn counter_add(&self, name: &str, v: u64) {
         if let Some(inner) = &self.inner {
             inner.registry.counter(name, false).add(v);
-            if inner.flight.armed() {
-                let scope = span::current_path().unwrap_or_default();
-                let t_us = u64::try_from(inner.clock.elapsed().as_micros()).unwrap_or(u64::MAX);
-                inner.flight.record(&scope, "metric", name, t_us, v);
-            }
+            inner.events.record("metric", name, v);
         }
     }
 
@@ -355,25 +295,10 @@ impl Telemetry {
         }
     }
 
-    /// Overwrites the **volatile** gauge `name`.
-    pub fn gauge_set_volatile(&self, name: &str, v: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.gauge(name, true).set(v);
-        }
-    }
-
     /// Raises the **volatile** gauge `name` to `v` if larger.
     pub fn gauge_max_volatile(&self, name: &str, v: f64) {
         if let Some(inner) = &self.inner {
             inner.registry.gauge(name, true).maximize(v);
-        }
-    }
-
-    /// Records `x` into the deterministic histogram `name`, creating it
-    /// with `bins` bins over `[lo, hi]` on first touch.
-    pub fn observe(&self, name: &str, lo: f64, hi: f64, bins: usize, x: f32) {
-        if let Some(inner) = &self.inner {
-            inner.registry.histogram(name, lo, hi, bins, false).observe(x);
         }
     }
 
@@ -411,7 +336,6 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.counter_add("x", 1);
         tel.gauge_max("y", 1.0);
-        tel.observe("z", 0.0, 1.0, 4, 0.5);
         tel.privacy_charge("dp", "client[0]", 1.0, 1e-5);
         tel.flight_record("fault", "crash", 1);
         assert!(tel.metrics().is_empty());
@@ -449,28 +373,43 @@ mod tests {
     }
 
     #[test]
-    fn armed_flight_captures_spans_and_counters() {
+    fn flight_captures_spans_and_counters() {
         let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
-        // Disarmed: nothing captured.
-        drop(tel.span("warmup"));
-        tel.counter_add("ticks", 1);
-        assert!(tel.flight_events().is_empty());
-        tel.flight_arm();
-        assert!(tel.flight_armed());
         {
             let _r = tel.span("round[1]");
             tel.counter_add("ticks", 2);
+            tel.counter_add_volatile("pool", 1);
             tel.flight_record("fault", "client[0]", 7);
         }
         let events = tel.flight_events();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&"span_enter"));
-        assert!(kinds.contains(&"span_exit"));
-        assert!(kinds.contains(&"metric"));
-        assert!(kinds.contains(&"fault"));
+        assert_eq!(kinds, ["fault", "metric", "span_enter", "span_exit"]);
         let fault = events.iter().find(|e| e.kind == "fault").unwrap();
         assert_eq!(fault.scope, "round[1]");
         assert_eq!(fault.value, 7);
+    }
+
+    #[test]
+    fn dump_and_trace_writers_return_io_errors() {
+        // The only test in this crate that touches these two variables.
+        let dir = std::env::temp_dir().join(format!("dinar-tel-io-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("regular-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        tel.flight_record("fault", "crash", 1);
+        std::env::set_var("DINAR_FLIGHT", file.join("sub"));
+        std::env::set_var("DINAR_TRACE", file.join("sub/trace.json"));
+        assert!(tel.flight_dump_if_requested("crash").is_err());
+        assert!(export::write_trace_if_requested(&tel).is_err());
+        std::env::set_var("DINAR_FLIGHT", &dir);
+        let written = tel.flight_dump_if_requested("crash").unwrap().unwrap();
+        assert!(std::fs::read_to_string(&written).unwrap().contains("\"crash\""));
+        assert_eq!(Telemetry::disabled().flight_dump_if_requested("x").unwrap(), None);
+        std::env::remove_var("DINAR_FLIGHT");
+        std::env::remove_var("DINAR_TRACE");
+        assert_eq!(tel.flight_dump_if_requested("crash").unwrap(), None);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

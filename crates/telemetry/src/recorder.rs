@@ -1,48 +1,41 @@
-//! Flight recorder: bounded per-thread rings of structured events for
-//! postmortem dumps.
+//! The flight view: the event logs read back as a postmortem tape.
 //!
-//! The metrics registry and span sink answer "how much / how long", but
-//! when a threaded FL round dies mid-flight (a client panic, a missed
-//! deadline, a quorum failure) they say nothing about *what each thread
-//! was doing just before*. The flight recorder fills that gap: every
-//! thread that records through an armed [`Telemetry`](crate::Telemetry)
-//! handle appends [`FlightEvent`]s to its own bounded ring (oldest events
-//! fall off the front), and a dump emits the union of all rings as sorted
-//! JSONL — the black-box tape for the crash investigation.
+//! When a threaded FL round dies mid-flight (a client panic, a missed
+//! deadline, a quorum failure), the question is *what each thread was doing
+//! just before*. The flight view answers it from the per-thread event logs:
+//! each thread's events are replayed in recording order — a span as a
+//! `span_enter` where it opened and a `span_exit` where its guard dropped
+//! (none while it is still open) — and the last [`RING_CAPACITY`] are kept.
+//! The dump is the sorted union as JSONL.
 //!
 //! # Determinism
 //!
-//! A dump must be byte-identical across `DINAR_THREADS` widths so the
-//! postmortem itself can be regression-tested. Three properties make the
-//! sorted dump width-independent even though ring *assignment* follows
-//! threads:
+//! The dump is byte-identical across `DINAR_THREADS` widths, so the
+//! postmortem itself can be regression-tested:
 //!
-//! 1. every event carries a `scope` (the innermost span path open on the
-//!    recording thread), so logically-distinct work sites never collide;
-//! 2. the sequence number is a per-ring ordinal **per `(kind, scope,
-//!    name)` tuple**, not a global counter — repeats of one logical event
-//!    stream always happen on one thread (a client's whole round runs in
-//!    one task), so their ordinals are scheduling-independent;
-//! 3. the dump sorts by the full event tuple, erasing ring identity.
+//! 1. every event carries a `scope` (a span's path, or the innermost span
+//!    open on the recording thread), so distinct work sites never collide;
+//! 2. `seq` is a per-thread ordinal **per `(kind, scope, name)` tuple** —
+//!    one logical event stream always runs on one thread (a client's round
+//!    is one task), so the ordinals do not depend on scheduling;
+//! 3. the dump sorts by the full event tuple, erasing thread identity;
+//! 4. timestamps come from the sink's injectable [`Clock`](crate::Clock).
 //!
-//! Timestamps come from the sink's injectable [`Clock`](crate::Clock);
-//! under a [`ManualClock`](crate::ManualClock) they are deterministic too.
-//!
-//! Recording is **disarmed by default**: an armed check is one relaxed
-//! atomic load, so instrumented hot paths pay nothing until a postmortem
-//! consumer (a test, `DINAR_FLIGHT=…`) arms the recorder.
+//! Which events fall outside a thread's window depends on how work was
+//! spread over threads, so the dropped count
+//! ([`Telemetry::flight_dropped`](crate::Telemetry::flight_dropped)) is
+//! scheduling-dependent.
 
+use crate::span::{Event, EventLog, SPAN};
 use dinar_tensor::json::{Json, ToJson};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::PoisonError;
 
-/// Per-thread ring capacity: the "last N events" each thread keeps.
+/// Per-thread window: the "last N events" the view keeps of each thread.
 pub const RING_CAPACITY: usize = 4096;
 
-/// One recorded event. The derived order — `(scope, kind, name, seq,
-/// t_us, value)` — is the canonical dump order.
+/// One flight event. The derived order — `(scope, kind, name, seq, t_us,
+/// value)` — is the canonical dump order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlightEvent {
     /// Innermost span path open on the recording thread ("" at top level).
@@ -52,7 +45,7 @@ pub struct FlightEvent {
     pub kind: &'static str,
     /// Event name within the class (span leaf name, counter name, …).
     pub name: String,
-    /// Ordinal among events with this `(kind, scope, name)` on one ring.
+    /// Ordinal among events with this `(kind, scope, name)` on one thread.
     pub seq: u64,
     /// Clock reading when the event was recorded, in microseconds.
     pub t_us: u64,
@@ -60,223 +53,207 @@ pub struct FlightEvent {
     pub value: u64,
 }
 
-/// One thread's bounded tape plus its per-tuple ordinal counters.
-#[derive(Debug, Default)]
-struct ThreadRing {
-    events: VecDeque<FlightEvent>,
-    ordinals: BTreeMap<(&'static str, String, String), u64>,
+/// Every thread's last [`RING_CAPACITY`] flight events in canonical sorted
+/// order, and the number of older events left out.
+pub(crate) fn view(events: &EventLog) -> (Vec<FlightEvent>, u64) {
+    let mut out = Vec::new();
+    let mut dropped = 0;
+    for log in events.threads().iter() {
+        let tape = tape(&log.lock().unwrap_or_else(PoisonError::into_inner).events);
+        let skip = tape.len().saturating_sub(RING_CAPACITY);
+        dropped += skip as u64;
+        out.extend(tape.into_iter().skip(skip));
+    }
+    out.sort();
+    (out, dropped)
 }
 
-impl ThreadRing {
-    fn push(&mut self, scope: String, kind: &'static str, name: String, t_us: u64, value: u64) {
-        let seq = {
-            let slot = self
-                .ordinals
-                .entry((kind, scope.clone(), name.clone()))
-                .or_insert(0);
-            let seq = *slot;
-            *slot += 1;
-            seq
+/// One thread's log replayed in recording order: a span enters where its
+/// event was pushed and exits at the tick its guard dropped.
+fn tape(events: &[Event]) -> Vec<FlightEvent> {
+    let mut exits: Vec<(u64, &Event)> = events
+        .iter()
+        .filter_map(|e| e.closed.map(|tick| (tick, e)))
+        .collect();
+    exits.sort_unstable_by_key(|&(tick, _)| tick);
+    let mut exits = exits.into_iter().peekable();
+    let exit = |e: &Event| ("span_exit", e.t_us.saturating_add(e.value), e.value);
+    // Every push and every close took one tick, so the tape's length is
+    // the tick of the next entry.
+    let mut order = Vec::with_capacity(events.len() + exits.len());
+    for e in events {
+        while let Some((_, x)) = exits.next_if(|&(tick, _)| tick <= order.len() as u64) {
+            order.push((x, exit(x)));
+        }
+        let (kind, value) = match e.kind {
+            SPAN => ("span_enter", 0),
+            kind => (kind, e.value),
         };
-        if self.events.len() == RING_CAPACITY {
-            self.events.pop_front();
-        }
-        self.events.push_back(FlightEvent {
-            scope,
-            kind,
-            name,
-            seq,
-            t_us,
-            value,
-        });
+        order.push((e, (kind, e.t_us, value)));
     }
-}
-
-/// Hands out process-unique recorder ids so thread-local ring caches can
-/// key on a value that is never reused (an `Arc` address could be).
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's rings, one per recorder it has recorded into.
-    static RINGS: RefCell<Vec<(u64, Arc<Mutex<ThreadRing>>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// The per-thread-ring event recorder owned by an enabled telemetry sink.
-#[derive(Debug)]
-pub(crate) struct FlightRecorder {
-    id: u64,
-    armed: AtomicBool,
-    /// Every ring ever registered by a recording thread; dumps walk this.
-    registry: Mutex<Vec<Arc<Mutex<ThreadRing>>>>,
-}
-
-impl FlightRecorder {
-    pub(crate) fn new() -> Self {
-        FlightRecorder {
-            id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            armed: AtomicBool::new(false),
-            registry: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn arm(&self) {
-        self.armed.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
-    /// This thread's ring for this recorder, registering one on first use.
-    fn ring(&self) -> Arc<Mutex<ThreadRing>> {
-        RINGS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((_, ring)) = cache.iter().find(|(id, _)| *id == self.id) {
-                return ring.clone();
+    order.extend(exits.map(|(_, x)| (x, exit(x))));
+    let mut ordinals: BTreeMap<(&str, &str, &str), u64> = BTreeMap::new();
+    order
+        .into_iter()
+        .map(|(e, (kind, t_us, value))| {
+            let seq = ordinals.entry((kind, &e.scope, &e.name)).or_insert(0);
+            *seq += 1;
+            FlightEvent {
+                scope: e.scope.clone(),
+                kind,
+                name: e.name.clone(),
+                seq: *seq - 1,
+                t_us,
+                value,
             }
-            let ring = Arc::new(Mutex::new(ThreadRing::default()));
-            self.registry
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(ring.clone());
-            cache.push((self.id, ring.clone()));
-            ring
         })
-    }
+        .collect()
+}
 
-    /// Records one event on the calling thread's ring (no-op unless armed).
-    pub(crate) fn record(
-        &self,
-        scope: &str,
-        kind: &'static str,
-        name: &str,
-        t_us: u64,
-        value: u64,
-    ) {
-        if !self.armed() {
-            return;
-        }
-        let ring = self.ring();
-        ring.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(scope.to_string(), kind, name.to_string(), t_us, value);
+/// `events` as JSONL, one event per line with a fixed field order —
+/// byte-identical across pool widths (module docs).
+pub(crate) fn jsonl(events: &[FlightEvent]) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(
+            &Json::obj([
+                ("scope", e.scope.to_json()),
+                ("kind", e.kind.to_json()),
+                ("name", e.name.to_json()),
+                ("seq", e.seq.to_json()),
+                ("t_us", e.t_us.to_json()),
+                ("value", e.value.to_json()),
+            ])
+            .dump(),
+        );
+        out.push('\n');
     }
-
-    /// All retained events across every ring, in canonical sorted order.
-    pub(crate) fn events(&self) -> Vec<FlightEvent> {
-        let rings: Vec<Arc<Mutex<ThreadRing>>> = self
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let mut events = Vec::new();
-        for ring in rings {
-            let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-            events.extend(ring.events.iter().cloned());
-        }
-        events.sort();
-        events
-    }
-
-    /// The sorted dump as JSONL, one event per line with a fixed field
-    /// order — byte-identical across pool widths (module docs).
-    pub(crate) fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events() {
-            out.push_str(
-                &Json::obj([
-                    ("scope", e.scope.to_json()),
-                    ("kind", e.kind.to_json()),
-                    ("name", e.name.to_json()),
-                    ("seq", e.seq.to_json()),
-                    ("t_us", e.t_us.to_json()),
-                    ("value", e.value.to_json()),
-                ])
-                .dump(),
-            );
-            out.push('\n');
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ManualClock, Telemetry};
+    use std::sync::Arc;
 
-    #[test]
-    fn disarmed_recorder_records_nothing() {
-        let rec = FlightRecorder::new();
-        rec.record("", "metric", "x", 0, 1);
-        assert!(rec.events().is_empty());
-        assert_eq!(rec.dump_jsonl(), "");
+    use super::RING_CAPACITY;
+
+    fn sink() -> Telemetry {
+        Telemetry::with_clock(Arc::new(ManualClock::new()))
     }
 
     #[test]
     fn ordinals_count_per_tuple() {
-        let rec = FlightRecorder::new();
-        rec.arm();
-        rec.record("round[1]", "metric", "steps", 0, 1);
-        rec.record("round[1]", "metric", "steps", 0, 2);
-        rec.record("round[2]", "metric", "steps", 0, 3);
-        let events = rec.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!((events[0].seq, events[0].value), (0, 1));
-        assert_eq!((events[1].seq, events[1].value), (1, 2));
+        let tel = sink();
+        {
+            let _r = tel.span("round[1]");
+            tel.flight_record("metric", "steps", 1);
+            tel.flight_record("metric", "steps", 2);
+        }
+        {
+            let _r = tel.span("round[2]");
+            tel.flight_record("metric", "steps", 3);
+        }
+        let steps: Vec<_> = tel
+            .flight_events()
+            .into_iter()
+            .filter(|e| e.name == "steps")
+            .collect();
+        assert_eq!(steps.len(), 3);
+        assert_eq!((steps[0].seq, steps[0].value), (0, 1));
+        assert_eq!((steps[1].seq, steps[1].value), (1, 2));
         // Different scope restarts the ordinal stream.
-        assert_eq!((events[2].seq, events[2].value), (0, 3));
+        assert_eq!((steps[2].seq, steps[2].value), (0, 3));
     }
 
     #[test]
     fn dump_is_sorted_and_stable() {
-        let rec = FlightRecorder::new();
-        rec.arm();
-        rec.record("b", "fault", "crash", 7, 2);
-        rec.record("a", "send", "client[0]", 3, 1);
-        let dump = rec.dump_jsonl();
+        let tel = sink();
+        {
+            let _b = tel.span("b");
+            tel.flight_record("fault", "crash", 2);
+        }
+        tel.flight_record("send", "client[0]", 1);
+        let dump = tel.flight_dump_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"scope\":\"a\""), "{dump}");
-        assert!(lines[1].contains("\"scope\":\"b\""), "{dump}");
         assert_eq!(
-            lines[0],
-            r#"{"scope":"a","kind":"send","name":"client[0]","seq":0,"t_us":3,"value":1}"#
+            lines,
+            [
+                r#"{"scope":"","kind":"send","name":"client[0]","seq":0,"t_us":0,"value":1}"#,
+                r#"{"scope":"b","kind":"fault","name":"crash","seq":0,"t_us":0,"value":2}"#,
+                r#"{"scope":"b","kind":"span_enter","name":"b","seq":0,"t_us":0,"value":0}"#,
+                r#"{"scope":"b","kind":"span_exit","name":"b","seq":0,"t_us":0,"value":0}"#,
+            ],
+            "{dump}"
         );
     }
 
     #[test]
     fn ring_is_bounded() {
-        let rec = FlightRecorder::new();
-        rec.arm();
+        let tel = sink();
         for i in 0..(RING_CAPACITY as u64 + 10) {
-            rec.record("", "metric", "tick", i, i);
+            tel.flight_record("metric", "tick", i);
         }
-        let events = rec.events();
+        let events = tel.flight_events();
         assert_eq!(events.len(), RING_CAPACITY);
-        // The oldest 10 fell off the front.
+        // The oldest 10 fell off the front, and are counted.
         assert_eq!(events[0].seq, 10);
+        assert_eq!(tel.flight_dropped(), 10);
+    }
+
+    #[test]
+    fn window_keeps_the_exits_of_long_spans() {
+        let tel = sink();
+        {
+            let _r = tel.span("round[1]");
+            for i in 0..RING_CAPACITY as u64 {
+                tel.flight_record("metric", "tick", i);
+            }
+        }
+        // The enter and the first tick fell out; the exit, recorded last,
+        // is in the window.
+        let events = tel.flight_events();
+        assert_eq!(tel.flight_dropped(), 2);
+        assert!(events.iter().any(|e| e.kind == "span_exit"));
+        assert!(events.iter().all(|e| e.kind != "span_enter"));
+    }
+
+    #[test]
+    fn open_span_dumps_its_enter_and_no_exit() {
+        let tel = sink();
+        let _round = tel.span("round[1]");
+        drop(tel.span("train"));
+        tel.flight_record("fault", "quorum_failed", 1);
+        let dump = tel.flight_dump_jsonl();
+        assert!(dump.contains(r#""scope":"round[1]","kind":"span_enter","name":"round[1]""#));
+        assert!(
+            !dump.contains(r#""scope":"round[1]","kind":"span_exit""#),
+            "{dump}"
+        );
+        assert!(dump.contains(r#""scope":"round[1]/train","kind":"span_exit""#));
+        assert!(dump.contains(r#""scope":"round[1]","kind":"fault""#));
     }
 
     #[test]
     fn rings_from_many_threads_merge_into_one_dump() {
-        let rec = Arc::new({
-            let r = FlightRecorder::new();
-            r.arm();
-            r
-        });
-        // lint: allow(L006, dedicated test threads exercise per-thread rings)
+        let tel = sink();
+        // lint: allow(L006, dedicated test threads exercise per-thread logs)
         std::thread::scope(|s| {
-            for t in 0..3usize {
-                let rec = rec.clone();
+            for t in 0..3u64 {
+                let tel = tel.clone();
                 s.spawn(move || {
-                    rec.record(&format!("client[{t}]"), "send", "update", 0, t as u64);
+                    let _c = tel.span_at("", &format!("client[{t}]"));
+                    tel.flight_record("send", "update", t);
                 });
             }
         });
-        let events = rec.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].scope, "client[0]");
-        assert_eq!(events[2].scope, "client[2]");
+        let sends: Vec<_> = tel
+            .flight_events()
+            .into_iter()
+            .filter(|e| e.kind == "send")
+            .collect();
+        assert_eq!(sends.len(), 3);
+        assert_eq!(sends[0].scope, "client[0]");
+        assert_eq!(sends[2].scope, "client[2]");
     }
 }

@@ -246,19 +246,6 @@ impl Registry {
         }
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// `true` if no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshots every metric, in ascending name order.
     pub fn export(&self) -> Vec<MetricValue> {
         let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
@@ -298,7 +285,7 @@ mod tests {
         a.add(2);
         b.add(3);
         assert_eq!(a.get(), 5);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.export().len(), 1);
     }
 
     #[test]

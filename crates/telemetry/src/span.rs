@@ -1,35 +1,35 @@
-//! Hierarchical spans with scoped RAII timers.
+//! The one event record, its per-thread logs, and hierarchical spans.
 //!
-//! A span is a named interval on the injected [`Clock`],
-//! identified by its slash-separated **path** — e.g.
-//! `round[1]/client[0]/train/fwd[0:dense]`. Paths nest lexically: a
-//! [`SpanGuard`] pushes its path onto a thread-local stack at creation, so
-//! spans opened while it is alive (on the same thread) become its children,
-//! and pops it when dropped, appending a [`SpanRecord`] to the owning
-//! [`Telemetry`](crate::Telemetry) sink.
+//! Every span, deterministic counter update and
+//! [`flight_record`](crate::Telemetry::flight_record) call is one [`Event`]
+//! — scope, kind, name, start time, value or duration — in an enabled
+//! sink's [`EventLog`]. Each recording thread appends to its own log, and a
+//! thread's `tid` is its log's registration index in the sink. The span
+//! list ([`EventLog::spans`], behind [`export`](crate::export)) and the
+//! flight dump ([`recorder`](crate::recorder)) are views over those logs.
 //!
-//! Work fanned out to pool threads starts with an empty stack; callers seed
-//! the lineage explicitly with
-//! [`Telemetry::span_at`](crate::Telemetry::span_at), passing the parent
-//! path captured before the fan-out.
+//! A span is a named interval on the injected [`Clock`], identified by its
+//! slash-separated **path** — e.g. `round[1]/client[0]/train/fwd[0:dense]`.
+//! A [`SpanGuard`] pushes its path onto a thread-local stack, so spans
+//! opened while it is alive (on the same thread) become its children, and
+//! pushes its event when it opens; on drop it pops the stack and fills in
+//! the event's duration by index. An open span is thus visible to a flight
+//! dump taken inside it. Work fanned out to pool threads starts with an
+//! empty stack; callers seed the lineage with
+//! [`Telemetry::span_at`](crate::Telemetry::span_at).
 //!
 //! # Determinism
 //!
 //! Record *content* depends only on the program's call structure and the
-//! clock — except the [`tid`](SpanRecord::tid), a per-sink thread ordinal
-//! recorded for the trace-event exporter, which tracks scheduling by
+//! clock — except the [`tid`](SpanRecord::tid), which tracks scheduling by
 //! design. `tid` is the **last** field, so the derived sort order
 //! `(path, start_us, dur_us, tid)` and the deterministic exporters (which
-//! list fields explicitly and omit `tid`) are unaffected. Under a
-//! [`ManualClock`](crate::ManualClock) that nobody advances, every record
-//! is `(path, 0, 0, tid)`; emission *order* may vary with thread
-//! interleaving, so exports sort first ([`crate::export::sorted_spans`]).
+//! omit `tid`) are unaffected. Emission *order* follows the thread logs, so
+//! exports sort first ([`crate::export::sorted_spans`]).
 
 use crate::Clock;
-use crate::recorder::FlightRecorder;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// One completed span.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,17 +41,58 @@ pub struct SpanRecord {
     /// Time the span stayed open, in microseconds.
     pub dur_us: u64,
     /// Ordinal of the recording thread within this sink (0 = the first
-    /// thread that opened a span). Scheduling-dependent; used only by the
-    /// trace-event exporter, never by the deterministic ones.
+    /// thread that recorded an event). Scheduling-dependent; used only by
+    /// the trace-event exporter, never by the deterministic ones.
     pub tid: u64,
+}
+
+/// The one event record.
+#[derive(Debug)]
+pub(crate) struct Event {
+    /// A span's own path; otherwise the innermost span path open on the
+    /// recording thread ("" at top level).
+    pub(crate) scope: String,
+    /// [`SPAN`], `metric`, `fault`, `send`, or a caller-defined tag.
+    pub(crate) kind: &'static str,
+    /// Name within the kind (span leaf name, counter name, …).
+    pub(crate) name: String,
+    /// Clock reading when recorded (a span: when it opened), in µs.
+    pub(crate) t_us: u64,
+    /// Payload; a span's duration once its guard drops.
+    pub(crate) value: u64,
+    /// A closed span's close tick (see [`ThreadLog`]); `None` otherwise.
+    pub(crate) closed: Option<u64>,
+}
+
+/// [`Event::kind`] of a span.
+pub(crate) const SPAN: &str = "span";
+
+/// One thread's events within one sink, in push order.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadLog {
+    pub(crate) events: Vec<Event>,
+    /// Every push and every span close takes the next tick, so a close
+    /// tick places the span's exit among the pushes.
+    ticks: u64,
+}
+
+/// An enabled sink's event store: its clock and one log per thread.
+#[derive(Debug)]
+pub(crate) struct EventLog {
+    pub(crate) clock: Arc<dyn Clock>,
+    /// Registered logs; a log's index is its thread's `tid`.
+    pub(crate) threads: Mutex<Vec<Arc<Mutex<ThreadLog>>>>,
 }
 
 thread_local! {
     /// Paths of the spans currently open on this thread, innermost last.
     static PATH_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 
-    /// This thread's ordinal per telemetry sink, keyed by sink id.
-    static THREAD_ORDINALS: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+    /// This thread's log in each sink it recorded into. Both halves are
+    /// weak — the sink owns its logs — and entries of dropped sinks are
+    /// pruned whenever the thread registers with a new one.
+    static LOGS: RefCell<Vec<(Weak<EventLog>, Weak<Mutex<ThreadLog>>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 /// Path of the innermost span open on this thread, if any.
@@ -59,46 +100,80 @@ pub(crate) fn current_path() -> Option<String> {
     PATH_STACK.with(|s| s.borrow().last().cloned())
 }
 
-/// Process-unique assigner ids, never reused (unlike `Arc` addresses).
-static NEXT_ASSIGNER_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Hands each recording thread a small stable ordinal within one sink —
-/// the `tid` of every span that thread records.
-#[derive(Debug)]
-pub(crate) struct TidAssigner {
-    id: u64,
-    next: AtomicU64,
-}
-
-impl TidAssigner {
-    pub(crate) fn new() -> Self {
-        TidAssigner {
-            id: NEXT_ASSIGNER_ID.fetch_add(1, Ordering::Relaxed),
-            next: AtomicU64::new(0),
-        }
+impl EventLog {
+    fn now_us(&self) -> u64 {
+        u64::try_from(self.clock.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// The calling thread's ordinal, assigned on first use.
-    pub(crate) fn current(&self) -> u64 {
-        THREAD_ORDINALS.with(|cache| {
+    /// The registered logs, locked.
+    pub(crate) fn threads(&self) -> MutexGuard<'_, Vec<Arc<Mutex<ThreadLog>>>> {
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The calling thread's log in this sink, registered on first use.
+    fn thread_log(self: &Arc<Self>) -> Arc<Mutex<ThreadLog>> {
+        LOGS.with(|cache| {
             let mut cache = cache.borrow_mut();
-            if let Some(&(_, tid)) = cache.iter().find(|(id, _)| *id == self.id) {
-                return tid;
+            // A held `Weak` keeps the sink's allocation, so no later sink
+            // can reuse its address while the entry exists.
+            let hit = cache
+                .iter()
+                .find(|(sink, _)| Weak::as_ptr(sink) == Arc::as_ptr(self));
+            if let Some(log) = hit.and_then(|(_, log)| log.upgrade()) {
+                return log;
             }
-            let tid = self.next.fetch_add(1, Ordering::Relaxed);
-            cache.push((self.id, tid));
-            tid
+            cache.retain(|(sink, _)| sink.strong_count() > 0);
+            let log = Arc::new(Mutex::new(ThreadLog::default()));
+            self.threads().push(log.clone());
+            cache.push((Arc::downgrade(self), Arc::downgrade(&log)));
+            log
         })
     }
+
+    /// Appends `event` to the calling thread's log; returns that log and
+    /// the event's index in it.
+    fn push(self: &Arc<Self>, event: Event) -> (Arc<Mutex<ThreadLog>>, usize) {
+        let log = self.thread_log();
+        let mut guard = log.lock().unwrap_or_else(PoisonError::into_inner);
+        guard.ticks += 1;
+        guard.events.push(event);
+        let index = guard.events.len() - 1;
+        drop(guard);
+        (log, index)
+    }
+
+    /// Records a non-span event scoped to the innermost open span.
+    pub(crate) fn record(self: &Arc<Self>, kind: &'static str, name: &str, value: u64) {
+        self.push(Event {
+            scope: current_path().unwrap_or_default(),
+            kind,
+            name: name.to_string(),
+            t_us: self.now_us(),
+            value,
+            closed: None,
+        });
+    }
+
+    /// The span view: every closed span, log by log.
+    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
+        let mut spans = Vec::new();
+        for (tid, log) in (0u64..).zip(self.threads().iter()) {
+            let log = log.lock().unwrap_or_else(PoisonError::into_inner);
+            for e in log.events.iter().filter(|e| e.closed.is_some()) {
+                spans.push(SpanRecord {
+                    path: e.scope.clone(),
+                    start_us: e.t_us,
+                    dur_us: e.value,
+                    tid,
+                });
+            }
+        }
+        spans
+    }
 }
 
-/// Leaf name of a slash-separated span path.
-pub(crate) fn leaf(path: &str) -> &str {
-    path.rsplit('/').next().unwrap_or(path)
-}
-
-/// RAII guard for an open span; records on drop. Obtain one via
-/// [`Telemetry::span`](crate::Telemetry::span) or
+/// RAII guard for an open span; fills in its duration on drop. Obtain one
+/// via [`Telemetry::span`](crate::Telemetry::span) or
 /// [`Telemetry::span_at`](crate::Telemetry::span_at).
 #[must_use = "a span measures nothing unless the guard is held"]
 #[derive(Debug)]
@@ -108,16 +183,14 @@ pub struct SpanGuard {
 
 #[derive(Debug)]
 struct GuardInner {
-    sink: Arc<Mutex<Vec<SpanRecord>>>,
-    clock: Arc<dyn Clock>,
+    events: Arc<EventLog>,
+    /// The log holding this span's event, at `index`.
+    log: Arc<Mutex<ThreadLog>>,
+    index: usize,
     path: String,
-    start_us: u64,
-    tid: u64,
     /// Stack depth before this guard pushed; drop truncates back to it, so
     /// an out-of-order drop cannot leave stale ancestors behind.
     depth: usize,
-    /// Armed flight recorder to notify on exit, if any.
-    flight: Option<Arc<FlightRecorder>>,
 }
 
 impl SpanGuard {
@@ -126,33 +199,28 @@ impl SpanGuard {
         SpanGuard { inner: None }
     }
 
-    /// Opens a span at `path`, pushing it on this thread's stack.
-    pub(crate) fn begin(
-        sink: Arc<Mutex<Vec<SpanRecord>>>,
-        clock: Arc<dyn Clock>,
-        path: String,
-        tid: u64,
-        flight: Option<Arc<FlightRecorder>>,
-    ) -> Self {
+    /// Opens a span at `path` in `events`.
+    pub(crate) fn begin(events: &Arc<EventLog>, path: String) -> Self {
         let depth = PATH_STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            let depth = stack.len();
             stack.push(path.clone());
-            depth
+            stack.len() - 1
         });
-        let start_us = micros(&*clock);
-        if let Some(f) = &flight {
-            f.record(&path, "span_enter", leaf(&path), start_us, 0);
-        }
+        let (log, index) = events.push(Event {
+            scope: path.clone(),
+            kind: SPAN,
+            name: path.rsplit('/').next().unwrap_or(&path).to_string(),
+            t_us: events.now_us(),
+            value: 0,
+            closed: None,
+        });
         SpanGuard {
             inner: Some(GuardInner {
-                sink,
-                clock,
+                events: events.clone(),
+                log,
+                index,
                 path,
-                start_us,
-                tid,
                 depth,
-                flight,
             }),
         }
     }
@@ -168,36 +236,16 @@ impl Drop for SpanGuard {
         let Some(g) = self.inner.take() else {
             return;
         };
-        let end_us = micros(&*g.clock);
-        PATH_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let len = stack.len().min(g.depth);
-            stack.truncate(len);
-        });
-        let record = SpanRecord {
-            path: g.path,
-            start_us: g.start_us,
-            dur_us: end_us.saturating_sub(g.start_us),
-            tid: g.tid,
-        };
-        if let Some(f) = &g.flight {
-            f.record(
-                &record.path,
-                "span_exit",
-                leaf(&record.path),
-                end_us,
-                record.dur_us,
-            );
+        let end_us = g.events.now_us();
+        PATH_STACK.with(|s| s.borrow_mut().truncate(g.depth));
+        let mut log = g.log.lock().unwrap_or_else(PoisonError::into_inner);
+        let tick = log.ticks;
+        log.ticks += 1;
+        if let Some(event) = log.events.get_mut(g.index) {
+            event.value = end_us.saturating_sub(event.t_us);
+            event.closed = Some(tick);
         }
-        g.sink
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(record);
     }
-}
-
-fn micros(clock: &dyn Clock) -> u64 {
-    u64::try_from(clock.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -247,7 +295,10 @@ mod tests {
         .unwrap();
         let mut paths: Vec<String> = tel.spans().into_iter().map(|s| s.path).collect();
         paths.sort();
-        assert_eq!(paths, vec!["round[1]/client[3]", "round[1]/client[3]/train"]);
+        assert_eq!(
+            paths,
+            vec!["round[1]/client[3]", "round[1]/client[3]/train"]
+        );
     }
 
     #[test]
@@ -295,5 +346,24 @@ mod tests {
         assert_eq!(tid_of("main-a"), 0);
         assert_eq!(tid_of("main-b"), 0);
         assert_eq!(tid_of("other"), 1);
+    }
+
+    #[test]
+    fn thread_log_cache_forgets_dropped_sinks() {
+        let cached = || super::LOGS.with(|c| c.borrow().len());
+        let keep = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        drop(keep.span("kept"));
+        for i in 0..1000 {
+            let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
+            drop(tel.span("brief"));
+            tel.counter_add("n", i);
+        }
+        // Registering with one more sink prunes every dead entry.
+        let last = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        last.flight_record("fault", "x", 1);
+        let live_sinks = 2;
+        assert!(cached() <= live_sinks, "{} cached logs", cached());
+        drop(keep.span("still-recorded"));
+        assert_eq!(keep.spans().len(), 2);
     }
 }

@@ -8,6 +8,13 @@
 //! worker threads the failing run happened to use. Events are ordered by
 //! per-tuple sequence ordinals (not arrival order), so the sorted JSONL is
 //! stable even though threads interleave differently per width.
+//!
+//! The width-1 dump is also pinned byte-for-byte against a committed golden
+//! file; regenerate it (after reviewing the diff) with
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test flight_determinism
+//! ```
 
 use dinar_fl::clock::ManualClock as FlManualClock;
 use dinar_fl::{
@@ -17,7 +24,10 @@ use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
 use dinar_telemetry::{ManualClock, Telemetry};
 use dinar_tensor::{par, Rng, Tensor};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+const GOLDEN: &str = "tests/golden/flight_fl_round.jsonl";
 
 /// Serializes mutations of the process-global pool width across tests.
 static WIDTH_LOCK: Mutex<()> = Mutex::new(());
@@ -76,22 +86,25 @@ fn build_system() -> FlSystem {
     .expect("system")
 }
 
+/// Three wire rounds with client 1 crashing in round 2; returns the flight
+/// dump of the run.
+fn crash_run_dump() -> String {
+    let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
+    let mut system = build_system();
+    system.set_telemetry(tel.clone());
+    let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), None)
+        .with_faults(FaultPlan::new().crash(1, 2));
+    let clock = Arc::new(FlManualClock::new());
+    let run = run_threaded_wire(system, 3, clock, policy, WireConfig::default())
+        .expect("quorum run survives the crash");
+    assert_eq!(run.reports.len(), 3, "run did not complete all rounds");
+    assert_eq!(run.fault_stats[1].clients_dropped, 1, "crash did not fire");
+    tel.flight_dump_jsonl()
+}
+
 #[test]
 fn flight_dump_after_client_death_is_bit_identical_across_widths() {
-    let results = per_width(|| {
-        let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
-        tel.flight_arm();
-        let mut system = build_system();
-        system.set_telemetry(tel.clone());
-        let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), None)
-            .with_faults(FaultPlan::new().crash(1, 2));
-        let clock = Arc::new(FlManualClock::new());
-        let run = run_threaded_wire(system, 3, clock, policy, WireConfig::default())
-            .expect("quorum run survives the crash");
-        assert_eq!(run.reports.len(), 3, "run did not complete all rounds");
-        assert_eq!(run.fault_stats[1].clients_dropped, 1, "crash did not fire");
-        tel.flight_dump_jsonl()
-    });
+    let results = per_width(crash_run_dump);
 
     for (w, dump) in WIDTHS.iter().zip(&results).skip(1) {
         assert_eq!(
@@ -115,4 +128,33 @@ fn flight_dump_after_client_death_is_bit_identical_across_widths() {
             "flight dump line is not a JSON object: {line}"
         );
     }
+}
+
+#[test]
+fn flight_dump_matches_golden_snapshot() {
+    let actual = {
+        let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        par::set_threads(1);
+        let dump = crash_run_dump();
+        par::reset_threads();
+        dump
+    };
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
+        std::fs::write(&golden_path, &actual).unwrap();
+        eprintln!("regenerated {GOLDEN}");
+        return;
+    }
+
+    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1")
+    });
+    assert_eq!(
+        actual, expected,
+        "\nflight dump drifted from {GOLDEN}.\nIf the change is \
+         intentional, regenerate with\n    UPDATE_GOLDEN=1 cargo test --test \
+         flight_determinism\nand commit the diff.\n"
+    );
 }
