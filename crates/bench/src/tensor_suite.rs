@@ -122,10 +122,12 @@ pub fn run(config: &Config) -> dinar_nn::Result<Vec<TensorBenchEntry>> {
     });
     entries.push(entry("col2im2d", "8x8x16x16_k3", &m));
 
-    // One training step (forward + backward) of the first two vgg11_mini
-    // convolutions at the DP-SGD batch: lowering, the three products, the
-    // layout swaps and the gradient folds together.
-    for (c, hw, oc) in [(3, 16, 8), (8, 8, 12)] {
+    // One training step (forward + backward) of vgg11_mini convolutions at
+    // the DP-SGD batch: lowering, the three products, the layout swaps and
+    // the gradient folds together. The first two convolutions, and the 4×4
+    // and 2×2 maps, where a materialised patch matrix was copied in short
+    // runs.
+    for (c, hw, oc) in [(3, 16, 8), (8, 8, 12), (12, 4, 16), (16, 2, 24)] {
         let mut conv = Conv2d::new(c, oc, 3, 1, 1, &mut rng);
         let x = rng.randn(&[64, c, hw, hw]);
         let g = rng.randn(&[64, oc, hw, hw]);
@@ -235,14 +237,14 @@ mod tests {
             target_sample: Duration::from_millis(0),
         };
         let entries = run(&config).expect("static shapes are consistent");
-        assert_eq!(entries.len(), 19);
+        assert_eq!(entries.len(), 21);
         assert!(entries.iter().all(|e| e.ns_per_iter > 0.0));
         assert!(entries.iter().all(|e| e.threads == par::threads()));
 
         let json = to_json(&entries);
         let back = Json::parse(&json.dump_pretty()).expect("emitter output parses");
         let rows = back.get("entries").and_then(Json::as_arr).expect("entries");
-        assert_eq!(rows.len(), 19);
+        assert_eq!(rows.len(), 21);
         assert_eq!(
             rows[2].get("op").and_then(Json::as_str),
             Some("matmul"),

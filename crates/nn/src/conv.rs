@@ -1,8 +1,17 @@
 //! Convolutional layers (2-D for images, 1-D for waveforms) and the
 //! [`Flatten`] bridge into dense heads.
+//!
+//! Both layers multiply through the patch matrix as a view
+//! ([`dinar_tensor::conv::Patches`]): the forward product `W · cols` and the
+//! weight gradient `cols · gᵀ` gather their GEMM panels from the
+//! zero-padded input through one offset table, and the input gradient is
+//! `Wᵀ · g` folded back through the same table. No patch matrix is built or
+//! kept: a layer's cache is a copy-on-write share of its input (O(1)) and
+//! the geometry, and the padded image is rebuilt where it is read and
+//! dropped after the product.
 
 use crate::{init, Layer, NnError, Result};
-use dinar_tensor::conv::{col2im1d, col2im2d, im2col1d, im2col2d, Conv1dGeom, Conv2dGeom};
+use dinar_tensor::conv::{col2im1d, col2im2d, Conv1dGeom, Conv2dGeom, Patches};
 use dinar_tensor::{sanitize, Rng, Tensor};
 
 /// Copies `src`, viewed as `[a, b, run]`, into `[b, a, run]` order one
@@ -26,18 +35,18 @@ fn swap_blocks(src: &[f32], a: usize, b: usize, run: usize, bias: Option<&[f32]>
     out
 }
 
-/// The forward product both layers share: `W · cols + b` for the patch-major
-/// `cols` of `n` samples with `map` output positions each, returned flat in
-/// `[n, oc, map]` order.
+/// The forward product both layers share: `W · cols + b` for the patch
+/// matrix `cols` of `n` samples with `map` output positions each, returned
+/// flat in `[n, oc, map]` order.
 fn lowered_forward(
     weight: &Tensor,
     bias: &Tensor,
-    cols: &Tensor,
+    cols: &Patches,
     n: usize,
     map: usize,
 ) -> Result<Vec<f32>> {
     // `[oc, n·map]`: the long side runs along the register tile's 16 lanes.
-    let product = weight.matmul(cols)?;
+    let product = cols.left_matmul(weight)?;
     if bias.shape() != [product.shape()[0]] {
         return Err(dinar_tensor::TensorError::ShapeMismatch {
             lhs: product.shape().to_vec(),
@@ -57,7 +66,7 @@ fn lowered_forward(
 fn accumulate(
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
-    cols: &Tensor,
+    cols: &Patches,
     grad_output: &Tensor,
     n: usize,
     map: usize,
@@ -101,15 +110,16 @@ fn accumulate(
 /// 2-D convolution over `[batch, channels, height, width]` inputs.
 ///
 /// Weights are stored flattened as `[out_channels, in_channels * k * k]` so
-/// that the forward pass is a single matrix product against the `im2col`
-/// patch matrix. That matrix is patch-major, `[in_channels * k * k, batch *
-/// out_h * out_w]` (built by row-run copies, see [`dinar_tensor::conv`]), so
-/// every product of a training step has the long position axis on the
-/// kernel's 16-lane side: `W · cols` forward, `Wᵀ · g` for the input
-/// gradient, and `cols · gᵀ` for the weight gradient. Products come out as
-/// `[out_channels, batch, map]`; activations and gradients are `[batch,
-/// out_channels, map]`; one block swap of whole feature maps converts
-/// between the two (adding the bias on the way forward).
+/// that the forward pass is a single matrix product against the patch
+/// matrix. That matrix is patch-major, `[in_channels·k·k, batch·out_h·out_w]`,
+/// and never built: the products read it through an offset table
+/// into the zero-padded input (see [`dinar_tensor::conv`]). Every product of
+/// a training step has the long position axis on the kernel's 16-lane side:
+/// `W · cols` forward, `Wᵀ · g` for the input gradient, and `cols · gᵀ` for
+/// the weight gradient. Products come out as `[out_channels, batch, map]`;
+/// activations and gradients are `[batch, out_channels, map]`; one block
+/// swap of whole feature maps converts between the two (adding the bias on
+/// the way forward).
 ///
 /// # Example
 ///
@@ -140,7 +150,9 @@ pub struct Conv2d {
 
 #[derive(Debug)]
 struct ConvCache {
-    cols: Tensor,
+    /// A share of the forward input: the weight gradient views the patch
+    /// matrix through it again.
+    input: Tensor,
     geom: Conv2dGeom,
     batch: usize,
     /// Output positions per sample (`out_h * out_w`).
@@ -207,7 +219,7 @@ impl Conv2d {
         accumulate(
             &mut self.grad_weight,
             &mut self.grad_bias,
-            &cache.cols,
+            &cache.geom.patches(&cache.input)?,
             grad_output,
             cache.batch,
             cache.map,
@@ -220,10 +232,9 @@ impl Layer for Conv2d {
         let geom = self.geom_for(input.shape())?;
         let (oh, ow) = geom.output_size()?;
         let n = input.shape()[0];
-        let cols = im2col2d(input, &geom)?;
-        let out = lowered_forward(&self.weight, &self.bias, &cols, n, oh * ow)?;
+        let out = lowered_forward(&self.weight, &self.bias, &geom.patches(input)?, n, oh * ow)?;
         self.cached = Some(ConvCache {
-            cols,
+            input: input.clone(),
             geom,
             batch: n,
             map: oh * ow,
@@ -301,7 +312,8 @@ pub struct Conv1d {
 
 #[derive(Debug)]
 struct Conv1dCache {
-    cols: Tensor,
+    /// A share of the forward input (see [`ConvCache`]).
+    input: Tensor,
     geom: Conv1dGeom,
     batch: usize,
     out_len: usize,
@@ -342,7 +354,7 @@ impl Conv1d {
         accumulate(
             &mut self.grad_weight,
             &mut self.grad_bias,
-            &cache.cols,
+            &cache.geom.patches(&cache.input)?,
             grad_output,
             cache.batch,
             cache.out_len,
@@ -370,10 +382,9 @@ impl Layer for Conv1d {
         };
         let ol = geom.output_len()?;
         let n = shape[0];
-        let cols = im2col1d(input, &geom)?;
-        let out = lowered_forward(&self.weight, &self.bias, &cols, n, ol)?;
+        let out = lowered_forward(&self.weight, &self.bias, &geom.patches(input)?, n, ol)?;
         self.cached = Some(Conv1dCache {
-            cols,
+            input: input.clone(),
             geom,
             batch: n,
             out_len: ol,

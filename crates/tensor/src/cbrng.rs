@@ -112,6 +112,26 @@ impl CbRng {
         [x0, x1]
     }
 
+    /// The round keys [`CbRng::block`] walks through, computed once.
+    fn round_keys(&self) -> [u64; PHILOX_ROUNDS as usize] {
+        std::array::from_fn(|r| self.key0.wrapping_add(PHILOX_W.wrapping_mul(r as u64)))
+    }
+
+    /// Blocks `b..b + 4`, each exactly [`CbRng::block`]: the four advance
+    /// through the rounds in lockstep, so their independent multiplies
+    /// overlap instead of forming one latency chain.
+    #[inline(always)]
+    fn blocks4(&self, keys: &[u64; PHILOX_ROUNDS as usize], b: u64) -> [[u64; 2]; 4] {
+        let mut x0: [u64; 4] = std::array::from_fn(|i| b + i as u64);
+        let mut x1 = [self.key1; 4];
+        for &k in keys {
+            for (x0, x1) in x0.iter_mut().zip(&mut x1) {
+                (*x0, *x1) = philox_round(*x0, *x1, k);
+            }
+        }
+        std::array::from_fn(|i| [x0[i], x1[i]])
+    }
+
     // ------------------------------------------------------------------
     // Scalar reference path — the spec for the chunked fills
     // ------------------------------------------------------------------
@@ -138,16 +158,19 @@ impl CbRng {
     /// Fills `out` with uniform samples in `[0, 1)`: element `i` is
     /// [`CbRng::ref_uniform`]`(i)`, computed in autovectorizable chunks.
     pub fn fill_uniform(&self, out: &mut [f32]) {
+        let keys = self.round_keys();
         let mut chunks = out.chunks_exact_mut(CHUNK);
         let mut base = 0usize;
         for chunk in &mut chunks {
             let mut lanes = [0i32; CHUNK];
-            for (bi, quad) in lanes.chunks_exact_mut(4).enumerate() {
-                let y = self.block(((base / 4) + bi) as u64);
-                quad[0] = hi24_bits(y[0]);
-                quad[1] = mid24_bits(y[0]);
-                quad[2] = hi24_bits(y[1]);
-                quad[3] = mid24_bits(y[1]);
+            for (g, group) in lanes.chunks_exact_mut(16).enumerate() {
+                let ys = self.blocks4(&keys, (base / 4 + 4 * g) as u64);
+                for (quad, y) in group.chunks_exact_mut(4).zip(ys) {
+                    quad[0] = hi24_bits(y[0]);
+                    quad[1] = mid24_bits(y[0]);
+                    quad[2] = hi24_bits(y[1]);
+                    quad[3] = mid24_bits(y[1]);
+                }
             }
             for (o, &l) in chunk.iter_mut().zip(&lanes) {
                 *o = l as f32 * U24_SCALE;
@@ -166,15 +189,19 @@ impl CbRng {
     /// each caller fuses with its own write.
     #[inline(always)]
     fn pair_factors(&self, base: usize) -> ([f32; PAIRS], [f32; PAIRS], [f32; PAIRS]) {
-        // Stage 1 (scalar integer): Philox blocks -> 24-bit lanes.
+        // Stage 1 (scalar integer): Philox blocks -> 24-bit lanes, four
+        // blocks in lockstep.
+        let keys = self.round_keys();
         let mut u1 = [0i32; PAIRS];
         let mut u2 = [0i32; PAIRS];
-        for bi in 0..BLOCKS {
-            let y = self.block(((base / 4) + bi) as u64);
-            u1[2 * bi] = hi24_bits(y[0]);
-            u2[2 * bi] = mid24_bits(y[0]);
-            u1[2 * bi + 1] = hi24_bits(y[1]);
-            u2[2 * bi + 1] = mid24_bits(y[1]);
+        for g in (0..BLOCKS).step_by(4) {
+            let ys = self.blocks4(&keys, (base / 4 + g) as u64);
+            for (bi, y) in (g..).zip(ys) {
+                u1[2 * bi] = hi24_bits(y[0]);
+                u2[2 * bi] = mid24_bits(y[0]);
+                u1[2 * bi + 1] = hi24_bits(y[1]);
+                u2[2 * bi + 1] = mid24_bits(y[1]);
+            }
         }
         // Stage 2 (vectorizable): radius r = sqrt(-2 ln u1).
         let mut r = [0.0f32; PAIRS];
@@ -337,8 +364,12 @@ fn radius(u1_bits: i32) -> f32 {
 #[inline]
 fn cos_sin_turn(u2_bits: i32) -> (f32, f32) {
     // a = 4·u ∈ [0, 4): quadrant q plus fraction f, φ = f·π/2 ∈ [0, π/2).
+    // `a` is `u2_bits · 2⁻²²` exactly, so its floor is the lane's top two
+    // bits and `a − q` is exact. (A float→int `as` cast would saturate,
+    // which compiles to a scalar convert-and-select per lane and keeps this
+    // stage from vectorising.)
     let a = u2_bits as f32 * (4.0 * U24_SCALE);
-    let q = a as i32; // truncation == floor on [0, 4)
+    let q = u2_bits >> 22;
     let phi = (a - q as f32) * std::f32::consts::FRAC_PI_2;
     let (s, c) = (sin_poly(phi), cos_poly(phi));
     // θ = (q + f)·π/2: swap sin/cos on odd quadrants, flip signs by
@@ -543,6 +574,42 @@ mod tests {
             assert!(
                 (got - want).abs() <= 2e-6 * want.abs().max(1.0),
                 "x={x} got={got} want={want}"
+            );
+        }
+    }
+
+    #[test]
+    fn lockstep_blocks_are_the_scalar_blocks() {
+        for key in [0u64, 7, u64::MAX] {
+            let g = CbRng::new(key, !key);
+            for b in [0u64, 1, 1 << 40, u64::MAX - 3] {
+                let ys = g.blocks4(&g.round_keys(), b);
+                for (i, y) in (0..).zip(ys) {
+                    assert_eq!(y, g.block(b + i), "key={key} b={b} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quadrant_shift_matches_the_float_cast_on_every_lane() {
+        // The reduction as it was first written: quadrant by float→int cast.
+        fn cast_quadrant(u2_bits: i32) -> (f32, f32) {
+            let a = u2_bits as f32 * (4.0 * U24_SCALE);
+            let q = a as i32;
+            let phi = (a - q as f32) * std::f32::consts::FRAC_PI_2;
+            let (s, c) = (sin_poly(phi), cos_poly(phi));
+            let (cos_mag, sin_mag) = if q & 1 != 0 { (s, c) } else { (c, s) };
+            let cos_v = if (q + 1) & 2 != 0 { -cos_mag } else { cos_mag };
+            let sin_v = if q & 2 != 0 { -sin_mag } else { sin_mag };
+            (cos_v, sin_v)
+        }
+        for bits in 0..1 << 24 {
+            let (c, s) = cos_sin_turn(bits);
+            let (want_c, want_s) = cast_quadrant(bits);
+            assert!(
+                c.to_bits() == want_c.to_bits() && s.to_bits() == want_s.to_bits(),
+                "lane {bits}"
             );
         }
     }

@@ -1,39 +1,50 @@
-//! `im2col`/`col2im` lowering for convolutions.
+//! Convolution lowering: the patch matrix as a view.
 //!
 //! The CNN architectures of the paper (ResNet20 for CIFAR, VGG11 for
 //! GTSRB/CelebA, M18 for Speech Commands) are built on 2-D and 1-D
 //! convolutions. As in most CPU deep-learning stacks, convolution is lowered
-//! to matrix multiplication: [`im2col2d`] unfolds the input into a *patch
-//! matrix* so the convolution becomes one `matmul` of the flattened kernel
-//! bank against it, and [`col2im2d`] folds a gradient of that matrix back
-//! onto the input for the backward pass. [`im2col1d`]/[`col2im1d`] are the
-//! waveform (audio) counterparts: the same lowering over height-1 images.
+//! to matrix multiplication against a *patch matrix*: the convolution is one
+//! product of the flattened kernel bank with it, and the input gradient is
+//! the product's gradient folded back onto the input. A 1-D convolution is
+//! the 2-D one over height-1 images with a height-1 kernel and no vertical
+//! padding, so one private `Lowering` serves both dimensionalities.
 //!
 //! # Layout: patch-major
 //!
 //! The patch matrix has shape `[c·kh·kw, n·oh·ow]`. Row `q = (ch, ky, kx)` is
 //! one kernel tap; column `r = (i, oy, ox)` is one output position of one
-//! sample. Within a row, the `ow` columns of one `(i, oy)` read consecutive
-//! (or, at stride `s`, every `s`-th) cells of *one* input row, so the whole
-//! lowering is a sequence of row-run copies: the output range `lo..hi` a tap
-//! can reach without touching the zero padding is computed once per row of
-//! the matrix, and each run inside it is a `copy_from_slice` (a strided
-//! gather when `s > 1`). The long side `n·oh·ow` is the contiguous one, which
-//! is also the side the GEMM driver wants on its 16-wide register-tile axis
-//! (`W.matmul(cols)`, see `dinar_nn::conv`).
+//! sample. The long side `n·oh·ow` is the one the GEMM driver wants on its
+//! 16-wide register-tile axis (`W · cols`, see `dinar_nn::conv`).
 //!
-//! # Accumulation order of `col2im`
+//! # The matrix is a view (implicit GEMM)
 //!
-//! `col2im` is the transpose of the same copies — each run is *added* back —
-//! and overlapping patches make that a floating-point sum per input cell.
-//! The sum's order is part of the determinism contract: every input cell
-//! receives its contributions in ascending `(oy, ox)` order. An input cell
-//! `(iy, ix)` is reached from tap `(ky, kx)` at `oy = (iy + p − ky) / s`,
-//! `ox = (ix + p − kx) / s`, at most once per tap, so ascending `(oy, ox)`
-//! is exactly *descending* `(ky, kx)`: the fold walks the rows of the matrix
-//! from the last tap to the first.
+//! Element `(q, r)` is `padded[bases[r] + taps[q]]`, where `padded` is the
+//! input with its zero border written out, `bases[r]` is the offset of
+//! position `r`'s receptive-field origin in it (sample, row and column, with
+//! the stride folded in), and `taps[q]` is the offset of tap `(ch, ky, kx)`
+//! from that origin. [`Patches`] is exactly that triple: the products
+//! ([`Patches::left_matmul`] for `W · cols`, [`Patches::matmul_t`] for the
+//! weight gradient `cols · gᵀ`) hand it to the GEMM's packs, which gather
+//! their tile panels through the table, so no code path builds the
+//! `[patch, n·oh·ow]` matrix to multiply with it. The zero border stands in
+//! for every bounds test. [`im2col2d`]/[`im2col1d`] materialise the same view
+//! (for callers that want the matrix itself), and the fold
+//! [`col2im2d`]/[`col2im1d`] scatters through the same table.
+//!
+//! # Accumulation order of the fold
+//!
+//! The fold adds column `r` of row `q` onto `padded[bases[r] + taps[q]]` and
+//! then crops the border. Overlapping patches make that a floating-point
+//! sum per input cell, and the sum's order is part of the determinism
+//! contract: every input cell receives its contributions in ascending
+//! `(oy, ox)` order. An input cell `(iy, ix)` is reached from tap `(ky, kx)`
+//! at `oy = (iy + p − ky) / s`, `ox = (ix + p − kx) / s`, at most once per
+//! tap, so ascending `(oy, ox)` is exactly *descending* `(ky, kx)`: the fold
+//! walks the rows of the matrix from the last tap to the first.
 
+use crate::kernels::{run_len, Gather, Operand};
 use crate::{par, sanitize, Result, Tensor, TensorError};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Minimum output cells per parallel part for the lowering kernels; below
@@ -93,6 +104,18 @@ impl Conv2dGeom {
         self.channels * self.kernel_h * self.kernel_w
     }
 
+    /// The patch matrix `[c·kh·kw, n·oh·ow]` of `input` (`[n, c, h, w]`) as
+    /// a view (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `input` does not match the
+    /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
+    pub fn patches<'a>(&self, input: &'a Tensor) -> Result<Patches<'a>> {
+        let image = [self.channels, self.height, self.width];
+        self.lowering()?.patches("conv2d", input, &image)
+    }
+
     fn lowering(&self) -> Result<Lowering> {
         let (oh, ow) = self.output_size()?;
         Ok(Lowering {
@@ -126,67 +149,45 @@ struct Lowering {
     ow: usize,
 }
 
-/// Output positions `o` along one axis whose tap `k` reads inside the input,
-/// i.e. `0 <= o * stride + k - pad < len`.
-fn tap_range(len: usize, pad: usize, stride: usize, out: usize, k: usize) -> Range<usize> {
-    let lo = pad.saturating_sub(k).div_ceil(stride);
-    let hi = if len + pad > k {
-        ((len + pad - k - 1) / stride + 1).min(out)
-    } else {
-        0
-    };
-    lo.min(hi)..hi
-}
-
 impl Lowering {
-    fn patch(&self) -> usize {
-        self.c * self.kh * self.kw
+    /// Height and width of the zero-padded image.
+    fn padded(&self) -> (usize, usize) {
+        (self.h + 2 * self.pad_h, self.w + 2 * self.pad_w)
     }
 
-    /// Columns of the patch matrix for a batch of `n`.
-    fn positions(&self, n: usize) -> usize {
-        n * self.oh * self.ow
+    /// Offset of tap `q = (ch, ky, kx)` from a receptive-field origin in the
+    /// padded image: one entry per patch row.
+    fn taps(&self) -> Vec<usize> {
+        let (hp, wp) = self.padded();
+        let (kh, kw) = (self.kh, self.kw);
+        (0..self.c)
+            .flat_map(|ch| {
+                (0..kh).flat_map(move |ky| (0..kw).map(move |kx| (ch * hp + ky) * wp + kx))
+            })
+            .collect()
     }
 
-    /// Calls `f(image, col, len)` for every run of patch row `q` over
-    /// `samples`: columns `col..col + len` of that row correspond to the
-    /// input cells `image, image + stride, ..` (flat `[n, c, h, w]` indices).
-    /// Columns outside every run are padding.
-    fn for_each_run(
+    /// Offset of the receptive-field origin of output position `(i, oy, ox)`
+    /// in the padded batch of `n` images: one entry per patch column.
+    fn bases(&self, n: usize) -> Vec<usize> {
+        let (hp, wp) = self.padded();
+        let (s, ow, image) = (self.stride, self.ow, self.c * hp * wp);
+        let sample: Vec<usize> = (0..self.oh * ow).map(|r| (r / ow * wp + r % ow) * s).collect();
+        let mut bases = Vec::with_capacity(n * sample.len());
+        for i in 0..n {
+            bases.extend(sample.iter().map(|&b| i * image + b));
+        }
+        bases
+    }
+
+    /// The patch matrix of `input`, a batch of `n` images of shape `image`
+    /// (`[c, h, w]`, or `[c, len]` for waveforms), as a view.
+    fn patches<'a>(
         &self,
-        q: usize,
-        samples: Range<usize>,
-        mut f: impl FnMut(usize, usize, usize),
-    ) {
-        let (ch, ky, kx) = (q / (self.kh * self.kw), q / self.kw % self.kh, q % self.kw);
-        let ys = tap_range(self.h, self.pad_h, self.stride, self.oh, ky);
-        let xs = tap_range(self.w, self.pad_w, self.stride, self.ow, kx);
-        if xs.is_empty() {
-            return;
-        }
-        let ix = xs.start * self.stride + kx - self.pad_w;
-        // Normally a run is the part of one output row that reads inside one
-        // input row. A tap that maps whole input rows onto whole output rows
-        // at stride 1 has them back to back on both sides: its runs join
-        // into one per sample.
-        let whole_rows = self.stride == 1 && xs.len() == self.w && self.ow == self.w;
-        let (ys, len) = if whole_rows && !ys.is_empty() {
-            (ys.start..ys.start + 1, ys.len() * self.w)
-        } else {
-            (ys, xs.len())
-        };
-        for i in samples {
-            for oy in ys.clone() {
-                let iy = oy * self.stride + ky - self.pad_h;
-                let image = ((i * self.c + ch) * self.h + iy) * self.w + ix;
-                f(image, (i * self.oh + oy) * self.ow + xs.start, len);
-            }
-        }
-    }
-
-    /// The patch matrix `[patch, n·oh·ow]` of `input`, a batch of `n` images
-    /// of shape `image` (`[c, h, w]`, or `[c, len]` for waveforms).
-    fn unfold(&self, op: &'static str, input: &Tensor, image: &[usize]) -> Result<Tensor> {
+        op: &'static str,
+        input: &'a Tensor,
+        image: &[usize],
+    ) -> Result<Patches<'a>> {
         let shape = input.shape();
         if shape.len() != image.len() + 1 || shape[1..] != *image {
             return Err(TensorError::ShapeMismatch {
@@ -195,41 +196,52 @@ impl Lowering {
                 op,
             });
         }
-        let n = shape[0];
         sanitize::check_finite(op, "input", input);
-        let x = input.as_slice();
-        let (patch, positions, s) = (self.patch(), self.positions(n), self.stride);
-        let mut out = vec![0.0f32; patch * positions];
-        // Parallel over patch rows: each row is written by exactly one
-        // thread from its own tap coordinates, so the result is identical
-        // for any partition.
-        if !out.is_empty() {
-            let min_rows = (PAR_MIN_CELLS / positions).max(1);
-            par::for_each_part_mut(&mut out, positions, min_rows, |offset, rows| {
-                for (q, row) in (offset / positions..).zip(rows.chunks_exact_mut(positions)) {
-                    self.for_each_run(q, 0..n, |image, col, len| {
-                        let dst = &mut row[col..col + len];
-                        if s == 1 {
-                            dst.copy_from_slice(&x[image..image + len]);
-                        } else {
-                            for (d, &v) in dst.iter_mut().zip(x[image..].iter().step_by(s)) {
-                                *d = v;
-                            }
-                        }
-                    });
+        let n = shape[0];
+        let padded = if self.pad_h == 0 && self.pad_w == 0 {
+            Cow::Borrowed(input)
+        } else {
+            Cow::Owned(self.pad(input.as_slice(), n)?)
+        };
+        Ok(Patches {
+            image: padded,
+            taps: Cow::Owned(self.taps()),
+            bases: Cow::Owned(self.bases(n)),
+        })
+    }
+
+    /// `x` (`n` images) with its zero border written out.
+    fn pad(&self, x: &[f32], n: usize) -> Result<Tensor> {
+        let (hp, wp) = self.padded();
+        let mut out = vec![0.0f32; n * self.c * hp * wp];
+        if self.h * self.w > 0 {
+            let interior = self.pad_h * wp + self.pad_w;
+            for (src, dst) in x.chunks_exact(self.h * self.w).zip(out.chunks_exact_mut(hp * wp)) {
+                for (src, dst) in src.chunks_exact(self.w).zip(dst[interior..].chunks_mut(wp)) {
+                    dst[..self.w].copy_from_slice(src);
                 }
-            });
+            }
         }
-        let cols = Tensor::from_vec(out, &[patch, positions])?;
-        sanitize::check_shape_contract(op, &[patch, positions], cols.shape());
-        crate::profile::record_im2col(cols.len() as u64 * 4);
-        Ok(cols)
+        Tensor::from_vec(out, &[n, self.c, hp, wp])
+    }
+
+    /// The inverse of [`Lowering::pad`]: whole padded images into `out`
+    /// without their border.
+    fn crop(&self, padded: &[f32], out: &mut [f32]) {
+        let (hp, wp) = self.padded();
+        let interior = self.pad_h * wp + self.pad_w;
+        for (src, dst) in padded.chunks_exact(hp * wp).zip(out.chunks_exact_mut(self.h * self.w)) {
+            for (src, dst) in src[interior..].chunks(wp).zip(dst.chunks_exact_mut(self.w)) {
+                dst.copy_from_slice(&src[..self.w]);
+            }
+        }
     }
 
     /// Folds a patch-matrix gradient (`[patch, n·oh·ow]`) back onto `n`
     /// images of shape `image`, overlapping patches accumulated.
     fn fold(&self, op: &'static str, cols: &Tensor, n: usize, image: &[usize]) -> Result<Tensor> {
-        let (patch, positions, s) = (self.patch(), self.positions(n), self.stride);
+        let (taps, map) = (self.taps(), self.oh * self.ow);
+        let (patch, positions) = (taps.len(), n * map);
         if cols.shape() != [patch, positions] {
             return Err(TensorError::ShapeMismatch {
                 lhs: cols.shape().to_vec(),
@@ -239,36 +251,214 @@ impl Lowering {
         }
         sanitize::check_finite(op, "cols", cols);
         let g = cols.as_slice();
-        let sample = self.c * self.h * self.w;
+        let (hp, wp) = self.padded();
+        let (sample, padded) = (self.c * self.h * self.w, self.c * hp * wp);
+        let bases = self.bases(n);
         let mut out = vec![0.0f32; n * sample];
-        // Overlapping patches accumulate, but only within one sample's
-        // `[c, h, w]` block — so parallelizing over samples keeps every
-        // accumulation on a single thread. Rows are visited last tap first
-        // (see the module docs), each read as one sweep.
+        // Overlapping patches accumulate, but only within one sample, so
+        // parallelizing over samples keeps every sum on a single thread. A
+        // part's samples are scattered into a zero-bordered scratch batch,
+        // last tap first (see the module docs), and cropped into place.
         if !out.is_empty() && positions > 0 {
-            let min_samples = (PAR_MIN_CELLS / (self.oh * self.ow * patch).max(1)).max(1);
+            let min_samples = (PAR_MIN_CELLS / (map * patch).max(1)).max(1);
             par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-                let samples = offset / sample..(offset + part.len()) / sample;
-                for (q, row) in g.chunks_exact(positions).enumerate().rev() {
-                    self.for_each_run(q, samples.clone(), |image, col, len| {
-                        let src = &row[col..col + len];
-                        let dst = &mut part[image - offset..];
-                        if s == 1 {
-                            for (d, &v) in dst.iter_mut().zip(src) {
-                                *d += v;
-                            }
-                        } else {
-                            for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
-                                *d += v;
-                            }
-                        }
-                    });
+                let (first, count) = (offset / sample, part.len() / sample);
+                let columns = first * map..(first + count) * map;
+                // The part's origins, relative to its first padded image.
+                let local: Vec<usize> = bases[columns.clone()]
+                    .iter()
+                    .map(|b| b - first * padded)
+                    .collect();
+                let rows = taps.iter().zip(g.chunks_exact(positions)).rev();
+                let rows = rows.map(|(&tap, row)| (tap, &row[columns.clone()]));
+                let mut scratch = vec![0.0f32; count * padded];
+                match run_len(&local, RUN_MAX) {
+                    16 => scatter_add::<16>(&mut scratch, &local, rows),
+                    8 => scatter_add::<8>(&mut scratch, &local, rows),
+                    4 => scatter_add::<4>(&mut scratch, &local, rows),
+                    2 => scatter_add::<2>(&mut scratch, &local, rows),
+                    _ => scatter_add::<1>(&mut scratch, &local, rows),
                 }
+                self.crop(&scratch, part);
             });
         }
         sanitize::check_finite_slice(op, "output", &out);
         crate::profile::record_col2im(out.len() as u64 * 4);
         Tensor::from_vec(out, &[&[n], image].concat())
+    }
+}
+
+/// The longest run of adjacent origins the lowering kernels copy as one
+/// fixed-size block (see [`run_len`]): a `vgg11_mini` output row at most.
+const RUN_MAX: usize = 16;
+
+/// Adds each `(tap, row)` onto `scratch` in the given order: `row[r]` onto
+/// cell `tap + bases[r]`, `bases` in aligned runs of `L` adjacent cells.
+fn scatter_add<'a, const L: usize>(
+    scratch: &mut [f32],
+    bases: &[usize],
+    rows: impl Iterator<Item = (usize, &'a [f32])>,
+) {
+    let whole = bases.len() / L * L;
+    for (tap, row) in rows {
+        let cells = &mut scratch[tap..];
+        for (&base, run) in bases.iter().step_by(L).zip(row[..whole].chunks_exact(L)) {
+            for (d, &v) in cells[base..base + L].iter_mut().zip(run) {
+                *d += v;
+            }
+        }
+        for (&base, &v) in bases[whole..].iter().zip(&row[whole..]) {
+            cells[base] += v;
+        }
+    }
+}
+
+/// Fills each row `q` of `out` (rows of `bases.len()`) with
+/// `image[taps[q] + bases[r]]`, `bases` in aligned runs of `L` adjacent
+/// cells.
+fn gather_rows<const L: usize>(out: &mut [f32], image: &[f32], taps: &[usize], bases: &[usize]) {
+    let whole = bases.len() / L * L;
+    for (&tap, row) in taps.iter().zip(out.chunks_exact_mut(bases.len())) {
+        let cells = &image[tap..];
+        let (runs, tail) = row.split_at_mut(whole);
+        for (&base, run) in bases.iter().step_by(L).zip(runs.chunks_exact_mut(L)) {
+            run.copy_from_slice(&cells[base..base + L]);
+        }
+        for (&base, d) in bases[whole..].iter().zip(tail) {
+            *d = cells[base];
+        }
+    }
+}
+
+/// The patch matrix `[c·kh·kw, n·oh·ow]` of one batch as a view over its
+/// zero-padded input: element `(q, r)` is `image[bases[r] + taps[q]]` (see
+/// the module docs). Built by [`Conv2dGeom::patches`] or
+/// [`Conv1dGeom::patches`]; the products read it through the GEMM's packs.
+#[derive(Debug)]
+pub struct Patches<'a> {
+    /// The input with its zero border written out (the input itself when
+    /// the convolution has no padding).
+    image: Cow<'a, Tensor>,
+    /// Per patch row: offset of the tap from a receptive-field origin.
+    taps: Cow<'a, [usize]>,
+    /// Per patch column: offset of its receptive-field origin in `image`.
+    bases: Cow<'a, [usize]>,
+}
+
+impl Patches<'_> {
+    /// `[patch rows, positions]` of the matrix this view stands for.
+    pub fn shape(&self) -> [usize; 2] {
+        [self.taps.len(), self.bases.len()]
+    }
+
+    fn operand(&self) -> Operand<'_> {
+        Operand::Gathered(Gather {
+            data: self.image.as_slice(),
+            rows: &self.taps,
+            cols: &self.bases,
+        })
+    }
+
+    /// `lhs · P` for a `[m, patch]` matrix `lhs` (the convolution's forward
+    /// product `W · cols`), `[m, positions]`. Counted and computed as the
+    /// `matmul` of `lhs` with the materialised matrix, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`]
+    /// if `lhs` is not `[m, patch]`.
+    pub fn left_matmul(&self, lhs: &Tensor) -> Result<Tensor> {
+        let op = "patches left_matmul";
+        let (m, k, a) = lhs.operand(op, false)?;
+        let [patch, positions] = self.shape();
+        if k != patch {
+            return Err(TensorError::ShapeMismatch {
+                lhs: lhs.shape().to_vec(),
+                rhs: vec![patch, positions],
+                op,
+            });
+        }
+        sanitize::check_finite(op, "lhs", lhs);
+        Ok(crate::tensor::gemm(
+            op,
+            m,
+            k,
+            positions,
+            Operand::Strided(a),
+            self.operand(),
+        ))
+    }
+
+    /// `P · rhsᵀ` for a `[m, positions]` matrix `rhs` (the weight gradient
+    /// `cols · gᵀ`), `[patch, m]`. Counted and computed as the `matmul_t` of
+    /// the materialised matrix with `rhs`, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`]
+    /// if `rhs` is not `[m, positions]`.
+    pub fn matmul_t(&self, rhs: &Tensor) -> Result<Tensor> {
+        let op = "patches matmul_t";
+        let (k, n, b) = rhs.operand(op, true)?;
+        let [patch, positions] = self.shape();
+        if k != positions {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![patch, positions],
+                rhs: rhs.shape().to_vec(),
+                op,
+            });
+        }
+        sanitize::check_finite(op, "rhs", rhs);
+        Ok(crate::tensor::gemm(
+            op,
+            patch,
+            k,
+            n,
+            self.operand(),
+            Operand::Strided(b),
+        ))
+    }
+
+    /// Columns `positions` of this matrix (for example one sample's
+    /// `oh·ow` block), as a view of the same image and table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` reaches past the last column.
+    pub fn columns(&self, positions: Range<usize>) -> Patches<'_> {
+        Patches {
+            image: Cow::Borrowed(&*self.image),
+            taps: Cow::Borrowed(&*self.taps),
+            bases: Cow::Borrowed(&self.bases[positions]),
+        }
+    }
+
+    /// The matrix itself, `[patch, positions]`, row by row through the
+    /// table: a run of adjacent origins is one slice copy.
+    fn materialize(&self, op: &'static str) -> Result<Tensor> {
+        let [patch, positions] = self.shape();
+        let (x, bases) = (self.image.as_slice(), &*self.bases);
+        let mut out = vec![0.0f32; patch * positions];
+        // Parallel over patch rows: each row is written by exactly one
+        // thread, so the result is identical for any partition.
+        if !out.is_empty() {
+            let min_rows = (PAR_MIN_CELLS / positions).max(1);
+            let run = run_len(bases, RUN_MAX);
+            par::for_each_part_mut(&mut out, positions, min_rows, |offset, rows| {
+                let taps = &self.taps[offset / positions..];
+                match run {
+                    16 => gather_rows::<16>(rows, x, taps, bases),
+                    8 => gather_rows::<8>(rows, x, taps, bases),
+                    4 => gather_rows::<4>(rows, x, taps, bases),
+                    2 => gather_rows::<2>(rows, x, taps, bases),
+                    _ => gather_rows::<1>(rows, x, taps, bases),
+                }
+            });
+        }
+        let cols = Tensor::from_vec(out, &[patch, positions])?;
+        sanitize::check_shape_contract(op, &[patch, positions], cols.shape());
+        crate::profile::record_im2col(cols.len() as u64 * 4);
+        Ok(cols)
     }
 }
 
@@ -279,7 +469,7 @@ impl Lowering {
 /// column `(i, oy, ox)` holds the receptive field of output pixel `(oy, ox)`
 /// of sample `i`, so that `kernels.matmul(&cols)` (with `kernels` of shape
 /// `[out_c, c * kh * kw]`) computes the convolution as `[out_c, n * out_h *
-/// out_w]`.
+/// out_w]`. This materialises what [`Conv2dGeom::patches`] views.
 ///
 /// # Errors
 ///
@@ -287,7 +477,9 @@ impl Lowering {
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn im2col2d(input: &Tensor, geom: &Conv2dGeom) -> Result<Tensor> {
     let image = [geom.channels, geom.height, geom.width];
-    geom.lowering()?.unfold("im2col2d", input, &image)
+    geom.lowering()?
+        .patches("im2col2d", input, &image)?
+        .materialize("im2col2d")
 }
 
 /// Folds a patch-matrix gradient back onto the input (the adjoint of
@@ -343,6 +535,18 @@ impl Conv1dGeom {
         Ok((pl - self.kernel) / self.stride + 1)
     }
 
+    /// The patch matrix `[c·kernel, n·out_len]` of `input` (`[n, c, len]`)
+    /// as a view (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `input` does not match the
+    /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
+    pub fn patches<'a>(&self, input: &'a Tensor) -> Result<Patches<'a>> {
+        self.lowering()?
+            .patches("conv1d", input, &[self.channels, self.len])
+    }
+
     fn lowering(&self) -> Result<Lowering> {
         Ok(Lowering {
             c: self.channels,
@@ -367,7 +571,9 @@ impl Conv1dGeom {
 /// Returns [`TensorError::ShapeMismatch`] if `input` does not match the
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn im2col1d(input: &Tensor, geom: &Conv1dGeom) -> Result<Tensor> {
-    geom.lowering()?.unfold("im2col1d", input, &[geom.channels, geom.len])
+    geom.lowering()?
+        .patches("im2col1d", input, &[geom.channels, geom.len])?
+        .materialize("im2col1d")
 }
 
 /// 1-D analogue of [`col2im2d`].
@@ -377,7 +583,8 @@ pub fn im2col1d(input: &Tensor, geom: &Conv1dGeom) -> Result<Tensor> {
 /// Returns [`TensorError::ShapeMismatch`] if `cols` does not match the
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn col2im1d(cols: &Tensor, n: usize, geom: &Conv1dGeom) -> Result<Tensor> {
-    geom.lowering()?.fold("col2im1d", cols, n, &[geom.channels, geom.len])
+    geom.lowering()?
+        .fold("col2im1d", cols, n, &[geom.channels, geom.len])
 }
 
 #[cfg(test)]
@@ -509,6 +716,32 @@ mod tests {
         let lhs = cols.dot(&y).unwrap();
         let rhs = x.dot(&col2im1d(&y, 2, &g).unwrap()).unwrap();
         assert!((lhs - rhs).abs() < 1e-3);
+    }
+
+    #[test]
+    fn patch_products_are_the_products_of_the_materialised_matrix() {
+        let mut rng = crate::Rng::seed_from(11);
+        for (s, p) in [(1, 1), (2, 0), (1, 2)] {
+            let g = geom(3, 7, 6, 3, s, p);
+            let x = rng.randn(&[4, 3, 7, 6]);
+            let (patches, cols) = (g.patches(&x).unwrap(), im2col2d(&x, &g).unwrap());
+            assert_eq!(patches.shape(), [cols.shape()[0], cols.shape()[1]]);
+            let w = rng.randn(&[5, g.patch_len()]);
+            let gy = rng.randn(&[5, cols.shape()[1]]);
+            let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let forward = patches.left_matmul(&w).unwrap();
+            assert_eq!(bits(forward.clone()), bits(w.matmul(&cols).unwrap()));
+            assert_eq!(bits(patches.matmul_t(&gy).unwrap()), bits(cols.matmul_t(&gy).unwrap()));
+            // One sample's column block, read as a view of the same table.
+            let map = cols.shape()[1] / 4;
+            let sample = patches.columns(2 * map..3 * map).left_matmul(&w).unwrap();
+            for (o, row) in sample.as_slice().chunks(map).enumerate() {
+                let full = &forward.as_slice()[o * 4 * map + 2 * map..][..map];
+                assert_eq!(bits(Tensor::from_slice(row)), bits(Tensor::from_slice(full)));
+            }
+            assert!(patches.left_matmul(&rng.randn(&[5, 4])).is_err());
+            assert!(patches.matmul_t(&rng.randn(&[5, 3])).is_err());
+        }
     }
 
     #[test]

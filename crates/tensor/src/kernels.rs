@@ -3,12 +3,15 @@
 //! [`Tensor::matmul`](crate::Tensor::matmul),
 //! [`matmul_t`](crate::Tensor::matmul_t) and
 //! [`t_matmul`](crate::Tensor::t_matmul) are one product `out = A · B` over
-//! two strided [`View`]s: a transposed operand is the same buffer with its
-//! stride pair swapped. The driver in `tensor.rs` partitions output *rows*
-//! across the pool and hands each partition to [`gemm_row_block`], which
-//! packs both operands into contiguous tile-shaped scratch and runs every
-//! product through the single MR×NR register tile — operand layout is
-//! absorbed by the packing, never by the arithmetic.
+//! two [`Operand`]s. A stored matrix is a strided [`View`]: a transposed
+//! operand is the same buffer with its stride pair swapped. The lowered
+//! convolution operand ([`crate::conv::Patches`]) is a [`Gather`]: the patch
+//! matrix read through an offset table, never built. The driver in
+//! `tensor.rs` partitions output *rows* across the pool and hands each
+//! partition to [`gemm_row_block`], which packs both operands into
+//! contiguous tile-shaped scratch and runs every product through the single
+//! MR×NR register tile — operand layout is absorbed by the packing, never by
+//! the arithmetic.
 //!
 //! # Element spec (the determinism contract)
 //!
@@ -63,6 +66,21 @@ pub(crate) struct View<'a> {
     pub cs: usize,
 }
 
+/// Read-only gathered matrix: element `(r, c)` is `data[rows[r] + cols[c]]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a> {
+    pub data: &'a [f32],
+    pub rows: &'a [usize],
+    pub cols: &'a [usize],
+}
+
+/// One operand of the packed product: the packs read either form.
+#[derive(Clone, Copy)]
+pub(crate) enum Operand<'a> {
+    Strided(View<'a>),
+    Gathered(Gather<'a>),
+}
+
 /// Computes a block of output rows of `out = A · B` (`a` is `m × k`, `b` is
 /// `k × n`); `out_rows` holds rows `i0..` of the row-major output.
 ///
@@ -70,8 +88,8 @@ pub(crate) struct View<'a> {
 pub(crate) fn gemm_row_block(
     out_rows: &mut [f32],
     i0: usize,
-    a: View,
-    b: View,
+    a: Operand,
+    b: Operand,
     k: usize,
     n: usize,
 ) {
@@ -99,10 +117,14 @@ pub(crate) fn gemm_row_block(
 
 /// Packs columns `j..j + nr` (`nr ≤ NR`) of `B`, reduction steps `pc..`, into
 /// one panel; missing columns are zero.
-fn pack_b(panel: &mut [[f32; NR]], b: View, pc: usize, j: usize, nr: usize) {
+fn pack_b(panel: &mut [[f32; NR]], b: Operand, pc: usize, j: usize, nr: usize) {
     if nr < NR {
         panel.fill([0.0; NR]);
     }
+    let b = match b {
+        Operand::Strided(b) => b,
+        Operand::Gathered(g) => return gather_b(panel, g, pc, &g.cols[j..j + nr]),
+    };
     if b.cs == 1 {
         // Rows of `B` are contiguous: copy row segments.
         for (dst, p) in panel.iter_mut().zip(pc..) {
@@ -129,7 +151,11 @@ fn pack_b(panel: &mut [[f32; NR]], b: View, pc: usize, j: usize, nr: usize) {
 /// arithmetic and bounds checks: a quad is reused by only `n / NR` tiles, so
 /// for a narrow output (the conv `dW` product has `n` = 8…32) its pack
 /// otherwise costs as much as its FMAs.
-fn pack_a(pa: &mut [[f32; MR]], a: View, i: usize, mr: usize, pc: usize) {
+fn pack_a(pa: &mut [[f32; MR]], a: Operand, i: usize, mr: usize, pc: usize) {
+    let a = match a {
+        Operand::Strided(a) => a,
+        Operand::Gathered(g) => return gather_a(pa, g, i, mr, pc),
+    };
     let rows: [&[f32]; MR] =
         std::array::from_fn(|r| &a.data[(i + r.min(mr - 1)) * a.rs + pc * a.cs..]);
     if a.cs == 1 {
@@ -141,6 +167,65 @@ fn pack_a(pa: &mut [[f32; MR]], a: View, i: usize, mr: usize, pc: usize) {
         for (p, dst) in pa.iter_mut().enumerate() {
             *dst = rows.map(|row| row[p * a.cs]);
         }
+    }
+}
+
+/// The longest power-of-two `L ≤ max` such that every aligned run of `L`
+/// entries of `cols` holds adjacent offsets — one slice of the gathered
+/// buffer. A convolution's positions come in output rows of adjacent
+/// receptive-field origins at stride 1, so `L` is the row length there.
+pub(crate) fn run_len(cols: &[usize], max: usize) -> usize {
+    let adjacent = |run: &[usize]| run.windows(2).all(|w| w[1] == w[0] + 1);
+    let mut len = max;
+    while len > 1 && !cols.chunks(len).all(adjacent) {
+        len /= 2;
+    }
+    len
+}
+
+/// [`pack_b`] over a gathered `B`: each reduction step `p` reads the
+/// columns `cols` of row `rows[p]`, a run of adjacent columns as one
+/// fixed-size copy.
+fn gather_b(panel: &mut [[f32; NR]], b: Gather, pc: usize, cols: &[usize]) {
+    let rows = &b.rows[pc..pc + panel.len()];
+    let Some(cols) = cols.first_chunk::<NR>() else {
+        for (dst, &row) in panel.iter_mut().zip(rows) {
+            for (d, &c) in dst.iter_mut().zip(cols) {
+                *d = b.data[row + c];
+            }
+        }
+        return;
+    };
+    match run_len(cols, NR) {
+        16 => copy_runs::<16>(panel, b.data, rows, cols),
+        8 => copy_runs::<8>(panel, b.data, rows, cols),
+        4 => copy_runs::<4>(panel, b.data, rows, cols),
+        2 => copy_runs::<2>(panel, b.data, rows, cols),
+        _ => copy_runs::<1>(panel, b.data, rows, cols),
+    }
+}
+
+/// Fills a panel whose columns are aligned runs of `L` adjacent offsets.
+fn copy_runs<const L: usize>(
+    panel: &mut [[f32; NR]],
+    data: &[f32],
+    rows: &[usize],
+    cols: &[usize; NR],
+) {
+    for (dst, &row) in panel.iter_mut().zip(rows) {
+        for (run, &c) in dst.chunks_exact_mut(L).zip(cols.iter().step_by(L)) {
+            run.copy_from_slice(&data[row + c..][..L]);
+        }
+    }
+}
+
+/// [`pack_a`] over a gathered `A`: the reduction steps are the columns.
+/// (Streaming runs of adjacent columns as slices measured slower than this
+/// gather at every conv shape of `vgg11_mini`.)
+fn gather_a(pa: &mut [[f32; MR]], a: Gather, i: usize, mr: usize, pc: usize) {
+    let rows: [&[f32]; MR] = std::array::from_fn(|r| &a.data[a.rows[i + r.min(mr - 1)]..]);
+    for (dst, &c) in pa.iter_mut().zip(&a.cols[pc..]) {
+        *dst = rows.map(|row| row[c]);
     }
 }
 
@@ -225,15 +310,27 @@ mod tests {
             for a in [View { data: &da, rs: k, cs: 1 }, View { data: &da, rs: 1, cs: m }] {
                 for b in [View { data: &db, rs: n, cs: 1 }, View { data: &db, rs: 1, cs: k }] {
                     let want = reference_gemm(a, b, m, k, n);
-                    // Partitioned at every row boundary (0 = one whole-output
-                    // call): the tile an element lands in shifts, its bits
-                    // must not.
-                    for split in 0..m {
-                        let mut out = vec![0.0f32; m * n];
-                        let (lo, hi) = out.split_at_mut(split * n);
-                        gemm_row_block(lo, 0, a, b, k, n);
-                        gemm_row_block(hi, split, a, b, k, n);
-                        assert_eq!(out, want, "m={m} k={k} n={n} split={split}");
+                    // Each view also as the gather through its offset table
+                    // (a unit column stride makes consecutive columns).
+                    let tables = |v: View, r: usize, c: usize| {
+                        let rows: Vec<usize> = (0..r).map(|i| i * v.rs).collect();
+                        (rows, (0..c).map(|j| j * v.cs).collect::<Vec<usize>>())
+                    };
+                    let ((ra, ca), (rb, cb)) = (tables(a, m, k), tables(b, k, n));
+                    let gather = |data, rows, cols| Operand::Gathered(Gather { data, rows, cols });
+                    let a_forms = [Operand::Strided(a), gather(&da, &ra, &ca)];
+                    let b_forms = [Operand::Strided(b), gather(&db, &rb, &cb)];
+                    for (a, b) in a_forms.iter().flat_map(|&a| b_forms.map(|b| (a, b))) {
+                        // Partitioned at every row boundary (0 = one
+                        // whole-output call): the tile an element lands in
+                        // shifts, its bits must not.
+                        for split in 0..m {
+                            let mut out = vec![0.0f32; m * n];
+                            let (lo, hi) = out.split_at_mut(split * n);
+                            gemm_row_block(lo, 0, a, b, k, n);
+                            gemm_row_block(hi, split, a, b, k, n);
+                            assert_eq!(out, want, "m={m} k={k} n={n} split={split}");
+                        }
                     }
                 }
             }

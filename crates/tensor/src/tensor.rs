@@ -9,12 +9,27 @@ const PAR_MIN_FLOPS: usize = 32 * 1024;
 /// Minimum element count before an elementwise op fans out to the pool.
 const PAR_MIN_ELEMS: usize = 16 * 1024;
 
-use crate::kernels::{gemm_row_block, View};
+use crate::kernels::{gemm_row_block, Operand, View};
 
 /// Minimum rows per parallel part so each part clears [`PAR_MIN_FLOPS`]
 /// multiply-adds (`k * n` per row).
 fn min_rows_for(k: usize, n: usize) -> usize {
     (PAR_MIN_FLOPS / (k * n).max(1)).max(1)
+}
+
+/// The one driver behind every product: `A · B` (`a` is `m × k`, `b` is
+/// `k × n`) partitioned over output rows on the pool. Operands are
+/// shape-checked and finite-checked by the caller.
+pub(crate) fn gemm(op: &'static str, m: usize, k: usize, n: usize, a: Operand, b: Operand) -> Tensor {
+    profile::record_matmul(m, k, n);
+    let mut out = Tensor::zeros(&[m, n]);
+    if m > 0 && n > 0 {
+        par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
+            gemm_row_block(rows, offset / n, a, b, k, n);
+        });
+    }
+    sanitize::check_finite(op, "output", &out);
+    out
 }
 
 /// Reference-counted storage behind a [`Tensor`]: the copy-on-write unit.
@@ -733,7 +748,11 @@ impl Tensor {
 
     /// This matrix as a logical `(rows, cols, view)` operand: transposing a
     /// stored `[r, c]` swaps the dimensions and the stride pair, not the data.
-    fn operand(&self, op: &'static str, transposed: bool) -> Result<(usize, usize, View<'_>)> {
+    pub(crate) fn operand(
+        &self,
+        op: &'static str,
+        transposed: bool,
+    ) -> Result<(usize, usize, View<'_>)> {
         let (r, c) = self.expect_matrix(op)?;
         let data = self.buf.data.as_slice();
         Ok(if transposed {
@@ -743,8 +762,8 @@ impl Tensor {
         })
     }
 
-    /// The one driver behind the matmul family: `A · B` over two operand
-    /// views (see [`Tensor::operand`]).
+    /// The matmul family: `A · B` over two operand views (see
+    /// [`Tensor::operand`]).
     fn gemm(&self, op: &'static str, a_t: bool, other: &Tensor, b_t: bool) -> Result<Tensor> {
         let (m, k, a) = self.operand(op, a_t)?;
         let (k2, n, b) = other.operand(op, b_t)?;
@@ -757,15 +776,7 @@ impl Tensor {
         }
         sanitize::check_finite(op, "lhs", self);
         sanitize::check_finite(op, "rhs", other);
-        profile::record_matmul(m, k, n);
-        let mut out = Tensor::zeros(&[m, n]);
-        if m > 0 && n > 0 {
-            par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-                gemm_row_block(rows, offset / n, a, b, k, n);
-            });
-        }
-        sanitize::check_finite(op, "output", &out);
-        Ok(out)
+        Ok(gemm(op, m, k, n, Operand::Strided(a), Operand::Strided(b)))
     }
 
     /// Dot product of two tensors viewed as flat vectors.

@@ -16,6 +16,10 @@
 //! `matmul` 8×27×16384 (`W · cols`, positions along the register tile's
 //! lanes) within [`CONV_MATMUL_CAP`] of `matmul` 128³ per FLOP.
 //!
+//! Implicit-GEMM conv: the committed `conv2d_step` 64×12×4×4 → 16 row (a
+//! `vgg11_mini` conv at a 4×4 map) must stay ≥1.2× under the step that
+//! materialised and cached its patch matrix.
+//!
 //! Fused uplink: the committed `uplink_delta_quant_i8` row (one client's
 //! delta + error feedback + i8 encode at the `comm_wdp_i8` model) must stay
 //! ≥3× under the materialize-encode-decode-subtract pipeline it replaced.
@@ -59,6 +63,12 @@ const PRE_REWRITE_TANH_4096_NS: f64 = 56_000.0;
 /// row-major patch matrix: one output row per position, two signed compares
 /// per element (single thread, same runner; the last committed reading).
 const PRE_REWRITE_IM2COL_8X8X16X16_NS: f64 = 257_848.0;
+
+/// One forward + backward of `Conv2d(12 → 16, 3×3, stride 1, padding 1)` on a
+/// 64×12×4×4 batch while the layer built its `[108, 1024]` patch matrix by
+/// row-run copies, cached it, and folded the input gradient run by run
+/// (single thread, same runner; median of 20 samples).
+const PRE_IMPLICIT_CONV_STEP_4X4_NS: f64 = 489_270.0;
 
 /// One client's lossy uplink at the `comm_wdp_i8` model (717,924
 /// parameters, residual present) as it ran before the sweeps were fused:
@@ -187,6 +197,19 @@ fn run_copy_im2col_holds_2_5x_over_per_element_lowering() {
         "im2col2d 8x8x16x16_k3 at {ns:.0} ns/iter is not ≥2.5× under the \
          pre-rewrite {PRE_REWRITE_IM2COL_8X8X16X16_NS:.0} ns/iter — the lowering \
          is back to per-element gathers"
+    );
+}
+
+#[test]
+fn implicit_gemm_conv_step_holds_1_2x_at_a_4x4_map() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let ns = ns_for(&entries, "conv2d_step", "64x12x4x4_to_16");
+    assert!(
+        ns * 1.2 <= PRE_IMPLICIT_CONV_STEP_4X4_NS,
+        "conv2d_step 64x12x4x4_to_16 at {ns:.0} ns/iter is not ≥1.2× under the \
+         materialised-lowering {PRE_IMPLICIT_CONV_STEP_4X4_NS:.0} ns/iter — a conv \
+         layer is building its patch matrix again"
     );
 }
 

@@ -327,3 +327,72 @@ fn conv1d_matches_the_row_major_formulation_bit_for_bit() {
     par::reset_threads();
     assert!(checked >= 100, "only {checked} valid geometries");
 }
+
+/// Geometries that reach every blocking edge of the packed GEMM through the
+/// gathered operand: a patch longer than one 256-step reduction block
+/// (`c = 32`, k = 3 is `vgg11_mini`'s last conv), `oc` above one 16-wide
+/// panel and not a multiple of the 4-row quad, and position counts that are
+/// multiples of neither 16 nor 256.
+#[test]
+fn conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
+    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // (n, c, oc, h, w, kernel, stride, padding)
+    let cases = [
+        (64, 32, 32, 1, 1, 3, 1, 1),
+        (3, 32, 21, 5, 5, 3, 1, 1),
+        (13, 32, 18, 5, 5, 3, 1, 1),
+        (7, 30, 17, 6, 4, 3, 2, 1),
+        (5, 29, 23, 7, 9, 5, 1, 2),
+    ];
+    for (n, c, oc, h, w, kernel, stride, padding) in cases {
+        let case = Case {
+            n,
+            c,
+            oc,
+            h,
+            w,
+            kh: kernel,
+            kw: kernel,
+            stride,
+            pad_h: padding,
+            pad_w: padding,
+        };
+        let (oh, ow) = case.output().expect("valid geometry");
+        check(&case, &[n, c, h, w], &[n, oc, oh, ow], |rng| {
+            Box::new(Conv2d::new(c, oc, kernel, stride, padding, rng))
+        });
+    }
+    par::reset_threads();
+}
+
+/// The 1-D counterpart of [`conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit`].
+#[test]
+fn conv1d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
+    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // (n, c, oc, len, kernel, stride, padding)
+    let cases = [
+        (3, 32, 21, 50, 9, 1, 4),
+        (64, 32, 18, 4, 9, 1, 4),
+        (5, 64, 17, 37, 5, 2, 2),
+        (11, 40, 25, 23, 7, 3, 0),
+    ];
+    for (n, c, oc, len, kernel, stride, padding) in cases {
+        let case = Case {
+            n,
+            c,
+            oc,
+            h: 1,
+            w: len,
+            kh: 1,
+            kw: kernel,
+            stride,
+            pad_h: 0,
+            pad_w: padding,
+        };
+        let (_, ol) = case.output().expect("valid geometry");
+        check(&case, &[n, c, len], &[n, oc, ol], |rng| {
+            Box::new(Conv1d::new(c, oc, kernel, stride, padding, rng))
+        });
+    }
+    par::reset_threads();
+}
