@@ -10,7 +10,7 @@
 //! ground-truth class prototype is known, so reconstruction quality is
 //! directly measurable as the cosine similarity between the inversion and
 //! the prototype — giving a quantitative answer to "does DINAR also blunt
-//! inversion?" (see the `ext_inversion` experiment binary).
+//! inversion?" (see the `ext_inversion` artifact of the `paper` runner).
 
 use crate::{AttackError, Result};
 use dinar_nn::loss::CrossEntropyLoss;

@@ -355,8 +355,8 @@ pub struct TrainedRun {
 ///
 /// Opt-in profiling: setting `DINAR_PROFILE=1` attaches a fresh telemetry
 /// sink for the training run and prints the span summary tree and the
-/// privacy-ledger report to stderr afterwards, so any figure/table binary
-/// can be profiled without a rebuild. For programmatic access to the sink
+/// privacy-ledger report to stderr afterwards, so any paper artifact can be
+/// profiled without a rebuild. For programmatic access to the sink
 /// (audit artifacts, overhead benches) use
 /// [`train_defense_with_telemetry`] directly.
 ///
