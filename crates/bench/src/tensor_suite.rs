@@ -1,7 +1,7 @@
 //! The tensor micro-benchmark suite.
 //!
 //! The hot-kernel benchmarks (matmul family, im2col lowering, elementwise,
-//! RNG, wire codecs) that the `bench_tensor` binary prints and records in
+//! RNG, data generation, wire codecs) that the `bench_tensor` binary prints and records in
 //! `bench-results/BENCH_tensor.json`.
 //!
 //! Each measurement becomes a [`TensorBenchEntry`] row `(op, size,
@@ -11,10 +11,11 @@
 //! instructions live in `crates/bench/README.md`.
 
 use crate::timing::{bench, bench_batched, Config, Measurement};
+use dinar_data::catalog::{self, Profile};
 use dinar_nn::conv::Conv2d;
 use dinar_nn::models::{self, Activation};
 use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
-use dinar_nn::Layer;
+use dinar_nn::{Layer, NnError};
 use dinar_tensor::wire::Codec;
 use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
 use dinar_tensor::json::{Json, ToJson};
@@ -181,6 +182,20 @@ pub fn run(config: &Config) -> dinar_nn::Result<Vec<TensorBenchEntry>> {
     });
     entries.push(entry("fill_normal", "100k", &m));
 
+    // Data generation, the largest set-up cost of the round workloads: the
+    // tabular and image catalog datasets the `fcnn_dinar` and `vgg_ldp`
+    // benchmarks draw, from one seed.
+    for catalog_entry in [catalog::purchase100(Profile::Mini), catalog::gtsrb(Profile::Mini)] {
+        let size = format!("{}_mini", catalog_entry.name());
+        catalog_entry
+            .generate(&mut Rng::seed_from(7))
+            .map_err(|e| NnError::InvalidConfig { reason: e.to_string() })?;
+        let m = bench(&format!("generate_{size}"), config, || {
+            black_box(catalog_entry.generate(&mut Rng::seed_from(7)))
+        });
+        entries.push(entry("generate", &size, &m));
+    }
+
     // The wire plane at the `comm_wdp_i8` model (`mlp[600,1024,100]`,
     // 717,924 parameters): one client's whole lossy uplink — delta, error
     // feedback (residual present), i8 encode — the server's decode of it
@@ -237,14 +252,14 @@ mod tests {
             target_sample: Duration::from_millis(0),
         };
         let entries = run(&config).expect("static shapes are consistent");
-        assert_eq!(entries.len(), 21);
+        assert_eq!(entries.len(), 23);
         assert!(entries.iter().all(|e| e.ns_per_iter > 0.0));
         assert!(entries.iter().all(|e| e.threads == par::threads()));
 
         let json = to_json(&entries);
         let back = Json::parse(&json.dump_pretty()).expect("emitter output parses");
         let rows = back.get("entries").and_then(Json::as_arr).expect("entries");
-        assert_eq!(rows.len(), 21);
+        assert_eq!(rows.len(), 23);
         assert_eq!(
             rows[2].get("op").and_then(Json::as_str),
             Some("matmul"),

@@ -11,6 +11,12 @@
 //! experiment in the paper measures (membership inference exploits exactly
 //! the member/non-member loss gap).
 //!
+//! Generation is a pure function of the caller's [`dinar_tensor::Rng`] and
+//! fans out over the worker pool without changing a bit: image and tabular
+//! rows take a fixed number of draws, so each parallel part starts from a
+//! copy of the stream advanced to its first row, and every row is drawn
+//! straight into its shuffled place (see [`synth`]).
+//!
 //! The crate also implements the paper's data protocol:
 //!
 //! * the attacker-knowledge split of §5.1 (half the data to the attacker,

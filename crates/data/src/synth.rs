@@ -18,10 +18,24 @@
 //!   (stands in for Speech Commands),
 //! * [`Modality::BinaryTabular`] — per-class Bernoulli feature profiles with
 //!   flip noise (stands in for Purchase100 and Texas100's binary records).
+//!
+//! # Row offsets
+//!
+//! A dataset is the serial walk of one stream: class prototypes (or
+//! profiles), then rows `0..n` in order, then the shuffle. Image rows take
+//! `flen` scalar normals and tabular rows two raw draws per feature, so
+//! where row `i` starts in the stream is known without drawing the rows
+//! before it. Each parallel part therefore advances a copy of the stream to
+//! its first row ([`Rng::advance`]; for images, whether a part starts on the
+//! cached half of a Box–Muller pair follows from the count), the caller's
+//! stream is advanced past the last row, and the output — dataset and the
+//! caller's state after it — is the serial walk's at every pool width.
+//! Audio rows draw a rejection-sampled shift first, so their offsets depend
+//! on the data: they are walked serially through the same row function.
 
 use crate::{DataError, Dataset, Result};
 use dinar_tensor::json::{Json, ToJson};
-use dinar_tensor::{Rng, Tensor};
+use dinar_tensor::{par, Rng, Tensor};
 
 /// The feature modality of a synthetic task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +180,10 @@ impl SynthSpec {
     ///
     /// Labels are balanced (`num_samples / num_classes` each, up to
     /// remainder) and rows are shuffled. The same `rng` state always yields
-    /// the same dataset.
+    /// the same dataset, and leaves `rng` in the same state, at every pool
+    /// width: image and tabular rows take a fixed number of draws each, so
+    /// they are filled in parallel parts, each from a copy of the stream
+    /// advanced to its first row (see [`Rng::advance`]).
     ///
     /// # Errors
     ///
@@ -174,16 +191,15 @@ impl SynthSpec {
     pub fn generate(&self, rng: &mut Rng) -> Result<Dataset> {
         self.validate()?;
         match self.modality {
-            Modality::Image { .. } => self.generate_prototype(rng, false),
-            Modality::Audio { .. } => self.generate_prototype(rng, true),
             Modality::BinaryTabular { features } => self.generate_tabular(rng, features),
+            Modality::Image { .. } | Modality::Audio { .. } => self.generate_prototype(rng),
         }
     }
 
     /// Prototype-plus-noise generator for images and audio. For audio a
     /// random circular shift is applied so that models must learn
     /// shift-tolerant features (as convolutions with pooling do).
-    fn generate_prototype(&self, rng: &mut Rng, shift: bool) -> Result<Dataset> {
+    fn generate_prototype(&self, rng: &mut Rng) -> Result<Dataset> {
         let flen = self.modality.feature_len();
         // Per-class prototypes.
         let prototypes: Vec<Vec<f32>> = (0..self.num_classes)
@@ -192,76 +208,150 @@ impl SynthSpec {
                 _ => (0..flen).map(|_| rng.normal()).collect(),
             })
             .collect();
-        let n = self.num_samples;
-        let mut data = vec![0.0f32; n * flen];
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let class = i % self.num_classes;
-            labels.push(class);
-            let proto = &prototypes[class];
-            let offset = if shift && flen > 8 {
-                rng.below(flen / 8)
-            } else {
-                0
-            };
-            let row = &mut data[i * flen..(i + 1) * flen];
-            for (j, slot) in row.iter_mut().enumerate() {
-                let src = (j + offset) % flen;
-                *slot = proto[src] + self.noise * rng.normal();
+        let class_of = |row: usize| &prototypes[row % self.num_classes];
+        let noise = self.noise;
+        if let Modality::Audio { .. } = self.modality {
+            // The shift is rejection-sampled (`Rng::below`), so where a row's
+            // draws start depends on the rows before it: audio rows are
+            // walked serially, and shuffled once all are drawn.
+            let mut rows = vec![0.0f32; self.num_samples * flen];
+            for (i, row) in rows.chunks_exact_mut(flen).enumerate() {
+                let shift = if flen > 8 { rng.below(flen / 8) } else { 0 };
+                noisy_row(row, class_of(i), shift, noise, rng);
             }
+            let perm = rng.permutation(self.num_samples);
+            let data = perm.iter().flat_map(|&i| &rows[i * flen..][..flen]).copied().collect();
+            return self.dataset(data, &perm);
         }
-        self.finish(data, labels, rng)
+        // An image row is `flen` scalar normals.
+        self.shuffled_rows(
+            rng,
+            |stream, rows| skip_normals(stream, rows * flen),
+            |row, i, stream| noisy_row(row, class_of(i), 0, noise, stream),
+        )
     }
 
     /// Bernoulli-profile generator for binary tabular data.
     fn generate_tabular(&self, rng: &mut Rng, features: usize) -> Result<Dataset> {
         // Each class has its own activation probability per feature, drawn
         // around a sparse base rate (purchases / medical codes are sparse).
-        let profiles: Vec<Vec<f32>> = (0..self.num_classes)
+        let profiles: Vec<Vec<u64>> = (0..self.num_classes)
             .map(|_| {
                 (0..features)
                     .map(|_| {
-                        if rng.bernoulli(0.3) {
+                        let p = if rng.bernoulli(0.3) {
                             rng.uniform_in(0.5, 0.95) // class-marker feature
                         } else {
                             rng.uniform_in(0.02, 0.15) // background feature
-                        }
+                        };
+                        bernoulli_threshold(p)
                     })
                     .collect()
             })
             .collect();
-        let n = self.num_samples;
-        let mut data = vec![0.0f32; n * features];
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let class = i % self.num_classes;
-            labels.push(class);
-            let profile = &profiles[class];
-            let row = &mut data[i * features..(i + 1) * features];
-            for (slot, &p) in row.iter_mut().zip(profile) {
-                let mut bit = rng.bernoulli(p);
-                if rng.bernoulli(self.noise) {
-                    bit = !bit; // label-independent flip noise
+        let flip = bernoulli_threshold(self.noise);
+        // A tabular row is two raw draws per feature.
+        self.shuffled_rows(
+            rng,
+            |stream, rows| stream.advance(2 * (rows * features) as u64),
+            |row, i, stream| {
+                for (slot, &on) in row.iter_mut().zip(&profiles[i % self.num_classes]) {
+                    let bit = (stream.next_u64() >> 40) < on;
+                    let flipped = (stream.next_u64() >> 40) < flip; // label-independent flip noise
+                    *slot = f32::from(u8::from(bit ^ flipped));
                 }
-                *slot = if bit { 1.0 } else { 0.0 };
-            }
-        }
-        self.finish(data, labels, rng)
+            },
+        )
     }
 
-    fn finish(&self, data: Vec<f32>, labels: Vec<usize>, rng: &mut Rng) -> Result<Dataset> {
-        let flen = self.modality.feature_len();
-        let features = Tensor::from_vec(data, &[self.num_samples, flen])?;
-        let ds = Dataset::new(
+    /// Draws the rows of a generator whose rows take a fixed number of
+    /// draws, then shuffles them, as a serial walk over `rng` would — each
+    /// row drawn straight into its shuffled place, on the pool.
+    ///
+    /// `skip(stream, rows)` moves a stream past `rows` rows, and
+    /// `fill(row, i, stream)` draws row `i` from a stream at its first
+    /// draw. Each parallel part advances a copy of `rng` to its first row;
+    /// `rng` itself is advanced past the last row and then draws the
+    /// shuffle.
+    fn shuffled_rows(
+        &self,
+        rng: &mut Rng,
+        skip: impl Fn(&mut Rng, usize) + Sync,
+        fill: impl Fn(&mut [f32], usize, &mut Rng) + Sync,
+    ) -> Result<Dataset> {
+        let (n, flen) = (self.num_samples, self.modality.feature_len());
+        let start = rng.clone();
+        skip(rng, n);
+        let perm = rng.permutation(n);
+        let mut data = vec![0.0f32; n * flen];
+        // Shuffled row `r` is row `perm[r]`: order the slots by their row.
+        let mut slots: Vec<(usize, &mut [f32])> =
+            perm.iter().copied().zip(data.chunks_exact_mut(flen)).collect();
+        slots.sort_unstable_by_key(|&(i, _)| i);
+        par::for_each_part_mut(&mut slots, 1, min_rows(flen), |first, part| {
+            let mut stream = start.clone();
+            skip(&mut stream, first);
+            for (i, row) in part.iter_mut() {
+                fill(row, *i, &mut stream);
+            }
+        });
+        self.dataset(data, &perm)
+    }
+
+    /// The dataset whose row `r` is generated row `perm[r]` (`data` already
+    /// in that order); generated row `i` has label `i % num_classes`.
+    fn dataset(&self, data: Vec<f32>, perm: &[usize]) -> Result<Dataset> {
+        let labels = perm.iter().map(|&i| i % self.num_classes).collect();
+        let features = Tensor::from_vec(data, &[self.num_samples, self.modality.feature_len()])?;
+        Dataset::new(
             features,
             labels,
             &self.modality.sample_shape(),
             self.num_classes,
-        )?;
-        // Shuffle rows so class labels are not ordered.
-        let perm = rng.permutation(ds.len());
-        ds.subset(&perm)
+        )
     }
+}
+
+/// Elements a parallel part must fill before the generators fan out.
+const PAR_MIN_ELEMS: usize = 16 * 1024;
+
+/// Fewest rows of `flen` features per parallel part.
+fn min_rows(flen: usize) -> usize {
+    (PAR_MIN_ELEMS / flen).max(1)
+}
+
+/// One prototype-plus-noise row: element `j` is `proto[(j + shift) % flen]`
+/// plus `noise` times the next scalar normal of `rng` — `flen` normals,
+/// whatever the shift.
+fn noisy_row(row: &mut [f32], proto: &[f32], shift: usize, noise: f32, rng: &mut Rng) {
+    let rotated = proto[shift..].iter().chain(&proto[..shift]);
+    for (slot, &p) in row.iter_mut().zip(rotated) {
+        *slot = p + noise * rng.normal();
+    }
+}
+
+/// Moves `rng` past `count` scalar normals: the state `count` calls of
+/// [`Rng::normal`] leave. A call returns the cached half-sample if there is
+/// one; otherwise it draws a Box–Muller pair (two raw outputs) and caches
+/// the pair's second half.
+fn skip_normals(rng: &mut Rng, count: usize) {
+    if count == 0 {
+        return;
+    }
+    let mut state = rng.state();
+    let fresh = count - usize::from(state.gauss_cache.take().is_some());
+    *rng = Rng::from_state(state);
+    rng.advance(2 * (fresh / 2) as u64);
+    if fresh % 2 == 1 {
+        rng.normal();
+    }
+}
+
+/// `⌈p·2²⁴⌉`: a raw draw `d` passes [`Rng::bernoulli`]`(p)` exactly when
+/// `d >> 40` is below it, because `uniform()` is those 24 bits times 2⁻²⁴,
+/// which `f32` holds exactly — as it does `p·2²⁴`.
+fn bernoulli_threshold(p: f32) -> u64 {
+    (p * 16_777_216.0).ceil() as u64
 }
 
 /// A smooth per-class waveform: a mixture of a few random sinusoids.

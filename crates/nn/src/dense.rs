@@ -76,8 +76,6 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        // dx = dy · Wᵀ, allocated after `backward_params` has freed its
-        // weight-sized temporary, so the two never share the memory peak.
         self.backward_params(grad_output)?;
         Ok(grad_output.matmul_t(&self.weight)?)
     }
@@ -87,8 +85,9 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
-        // dW += xᵀ · dy ; db += column sums of dy.
-        self.grad_weight.add_assign(&input.t_matmul(grad_output)?)?;
+        // dW += xᵀ · dy, the product's chains resumed from dW in place (on
+        // zeroed gradients, `xᵀ · dy` bit for bit) ; db += column sums of dy.
+        self.grad_weight.add_t_matmul(input, grad_output)?;
         self.grad_bias.add_assign(&grad_output.sum_rows()?)?;
         Ok(())
     }

@@ -109,35 +109,39 @@ fn conv_relu(in_ch: usize, out_ch: usize, rng: &mut Rng) -> Vec<Box<dyn Layer>> 
     ]
 }
 
-/// Full VGG11 (Simonyan & Zisserman): 8 convolutional layers with max
-/// pooling, plus a 4096-4096-classes dense head. Expects square inputs of
-/// `input_hw` pixels (the paper uses 64×64 CelebA crops and 48×48 GTSRB; any
-/// multiple of 32 works).
+/// Full VGG11 (Simonyan & Zisserman): 8 convolutional layers with five 2×2
+/// max pools, plus a 4096-4096-classes dense head. Expects square inputs of
+/// `input_hw` pixels: the paper uses 64×64 CelebA crops (pooled to 2×2) and
+/// 48×48 GTSRB (pooled 24, 12, 6, 3, 1 — each pool drops an odd last row
+/// and column).
 ///
 /// # Errors
 ///
-/// Returns [`NnError::InvalidConfig`] if `input_hw` is not a multiple of 32.
+/// Returns [`NnError::InvalidConfig`] if `input_hw` is below 32, where the
+/// five pools leave no map.
 pub fn vgg11(in_channels: usize, classes: usize, input_hw: usize, rng: &mut Rng) -> Result<Model> {
-    if input_hw % 32 != 0 || input_hw == 0 {
+    // Five flooring halvings are one flooring division by 32.
+    let final_hw = input_hw / 32;
+    if final_hw == 0 {
         return Err(NnError::InvalidConfig {
-            reason: format!("vgg11 requires input size divisible by 32, got {input_hw}"),
+            reason: format!("vgg11 pools a {input_hw}×{input_hw} input to nothing; it needs ≥ 32"),
         });
     }
-    let final_hw = input_hw / 32;
+    let pool = || -> Box<dyn Layer> { Box::new(MaxPool2d::floor_mode(2)) };
     let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     layers.extend(conv_relu(in_channels, 64, rng));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(pool());
     layers.extend(conv_relu(64, 128, rng));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(pool());
     layers.extend(conv_relu(128, 256, rng));
     layers.extend(conv_relu(256, 256, rng));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(pool());
     layers.extend(conv_relu(256, 512, rng));
     layers.extend(conv_relu(512, 512, rng));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(pool());
     layers.extend(conv_relu(512, 512, rng));
     layers.extend(conv_relu(512, 512, rng));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(pool());
     layers.push(Box::new(Flatten::new()));
     layers.push(Box::new(Dense::he(512 * final_hw * final_hw, 4096, rng)));
     layers.push(Box::new(ReLU::new()));
@@ -249,7 +253,9 @@ pub fn resnet_mini(in_channels: usize, classes: usize, rng: &mut Rng) -> Result<
 /// Full M18 raw-waveform classifier (Dai et al. 2017): a long-stride input
 /// convolution followed by four groups of four 1-D convolutions at widths
 /// 64/128/256/512 with max pooling between groups, global average pooling
-/// and a linear classifier. Expects `[n, 1, 16000]` one-second waveforms.
+/// and a linear classifier. Expects `[n, 1, 16000]` one-second waveforms,
+/// which the pools take 4000 → 1000 → 250 → 62 → 15 → 3 (each dropping the
+/// samples past its last whole window).
 ///
 /// # Errors
 ///
@@ -258,7 +264,7 @@ pub fn m18(classes: usize, rng: &mut Rng) -> Result<Model> {
     let mut layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv1d::new(1, 64, 80, 4, 38, rng)), // 16000 -> 4000
         Box::new(ReLU::new()),
-        Box::new(MaxPool1d::new(4)), // -> 1000
+        Box::new(MaxPool1d::floor_mode(4)), // -> 1000
     ];
     let mut in_ch = 64;
     for &width in &[64usize, 128, 256, 512] {
@@ -267,7 +273,7 @@ pub fn m18(classes: usize, rng: &mut Rng) -> Result<Model> {
             layers.push(Box::new(ReLU::new()));
             in_ch = width;
         }
-        layers.push(Box::new(MaxPool1d::new(4)));
+        layers.push(Box::new(MaxPool1d::floor_mode(4)));
     }
     layers.push(Box::new(GlobalAvgPool::new()));
     layers.push(Box::new(Dense::he(512, classes, rng)));
@@ -381,6 +387,9 @@ mod tests {
         assert!(vgg11(3, 43, 31, &mut rng).is_err());
         let m = vgg11(3, 43, 32, &mut rng).unwrap();
         assert_eq!(m.num_trainable_layers(), 11); // 8 conv + 3 dense
+        // Table 3's 48×48 GTSRB pools to 1×1: the head reads 512 features.
+        let m = vgg11(3, 43, 48, &mut rng).unwrap();
+        assert_eq!(m.param_count(), vgg11(3, 43, 32, &mut rng).unwrap().param_count());
     }
 
     #[test]

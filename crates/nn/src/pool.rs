@@ -7,10 +7,12 @@ use dinar_tensor::Tensor;
 /// Non-overlapping 2-D max pooling over `[n, c, h, w]` inputs.
 ///
 /// Kernel and stride are equal (the configuration used by VGG-style
-/// networks). Input height/width must be divisible by the kernel.
+/// networks). Input height/width must be divisible by the kernel, unless
+/// the layer was built with [`MaxPool2d::floor_mode`].
 #[derive(Debug)]
 pub struct MaxPool2d {
     kernel: usize,
+    floor: bool,
     cached: Option<MaxPoolCache>,
 }
 
@@ -43,14 +45,19 @@ impl MaxPoolCache {
 }
 
 /// Max over the non-overlapping `kh × kw` windows of every `[h, w]` plane of
-/// `x` (`h`, `w` divisible by the window): the maxima in plane order and the
-/// flat input index of each. Within a window the first maximum wins (`>` is
+/// `x`: the maxima in plane order and the flat input index of each. A plane
+/// is `⌊h / kh⌋ × ⌊w / kw⌋` windows; rows and columns past the last whole
+/// window are never read. Within a window the first maximum wins (`>` is
 /// strict), and a NaN is only ever kept from the window's first cell.
 ///
 /// Each window is scanned row slice by row slice against a running maximum
 /// held in registers and updated by compare-select, so the scan carries no
 /// data-dependent branch.
-fn max_pool(x: &[f32], w: usize, kh: usize, kw: usize) -> Result<(Vec<f32>, Vec<u32>)> {
+fn max_pool(
+    x: &[f32],
+    (h, w): (usize, usize),
+    (kh, kw): (usize, usize),
+) -> Result<(Vec<f32>, Vec<u32>)> {
     if u32::try_from(x.len()).is_err() {
         return Err(NnError::InvalidConfig {
             reason: format!(
@@ -59,15 +66,18 @@ fn max_pool(x: &[f32], w: usize, kh: usize, kw: usize) -> Result<(Vec<f32>, Vec<
             ),
         });
     }
-    let mut out = vec![0.0f32; x.len() / (kh * kw)];
+    let (oh, ow) = (h / kh, w / kw);
+    let mut out = vec![0.0f32; (x.len() / (h * w).max(1)) * oh * ow];
     let mut argmax = vec![0u32; out.len()];
     if out.is_empty() {
         return Ok((out, argmax));
     }
-    // Heights are divisible by `kh`, so each output row of the stacked planes
-    // covers the next `kh` input rows whichever plane it is in.
-    let bands = out.chunks_exact_mut(w / kw).zip(argmax.chunks_exact_mut(w / kw));
-    for ((best_row, arg_row), (band_no, band)) in bands.zip(x.chunks_exact(kh * w).enumerate()) {
+    // Output row `r` is window row `r % oh` of plane `r / oh`: the `kh` input
+    // rows from its band start.
+    let rows = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
+    for (r, (best_row, arg_row)) in rows.enumerate() {
+        let start = (r / oh) * h * w + (r % oh) * kh * w;
+        let band = &x[start..start + kh * w];
         for (ox, (best_out, arg_out)) in best_row.iter_mut().zip(arg_row).enumerate() {
             let (mut best, mut arg) = (band[ox * kw], ox * kw);
             for (ky, row) in band.chunks_exact(w).enumerate() {
@@ -78,7 +88,7 @@ fn max_pool(x: &[f32], w: usize, kh: usize, kw: usize) -> Result<(Vec<f32>, Vec<
                     arg = if take { idx } else { arg };
                 }
             }
-            (*best_out, *arg_out) = (best, (band_no * kh * w + arg) as u32);
+            (*best_out, *arg_out) = (best, (start + arg) as u32);
         }
     }
     Ok((out, argmax))
@@ -92,24 +102,54 @@ impl MaxPool2d {
     /// Panics if `kernel == 0`.
     pub fn new(kernel: usize) -> Self {
         assert!(kernel > 0, "pooling kernel must be positive");
-        MaxPool2d { kernel, cached: None }
+        MaxPool2d {
+            kernel,
+            floor: false,
+            cached: None,
+        }
+    }
+
+    /// A max-pooling layer that accepts any map at least one window tall
+    /// and wide, and drops the rows and columns past its last whole window
+    /// (an `h × w` map pools to `⌊h/k⌋ × ⌊w/k⌋`) — how VGG11 pools a 48×48
+    /// image down to 1×1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel == 0`.
+    pub fn floor_mode(kernel: usize) -> Self {
+        MaxPool2d {
+            floor: true,
+            ..MaxPool2d::new(kernel)
+        }
+    }
+}
+
+/// Whether a pooling layer takes an input of `len` along a pooled axis:
+/// a multiple of `kernel`, or in floor mode at least one window.
+fn poolable(len: usize, kernel: usize, floor: bool) -> bool {
+    if floor {
+        len >= kernel
+    } else {
+        len.is_multiple_of(kernel)
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let shape = input.shape();
-        if shape.len() != 4 || shape[2] % self.kernel != 0 || shape[3] % self.kernel != 0 {
+        let k = self.kernel;
+        let poolable = |len| poolable(len, k, self.floor);
+        if shape.len() != 4 || !poolable(shape[2]) || !poolable(shape[3]) {
             return Err(NnError::InvalidConfig {
                 reason: format!(
-                    "maxpool2d(k={}) requires [n, c, h, w] with h, w divisible by k; got {shape:?}",
-                    self.kernel
+                    "maxpool2d(k={k}) requires [n, c, h, w] with h, w {}; got {shape:?}",
+                    if self.floor { "at least k" } else { "divisible by k" }
                 ),
             });
         }
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let k = self.kernel;
-        let (out, argmax) = max_pool(input.as_slice(), w, k, k)?;
+        let (out, argmax) = max_pool(input.as_slice(), (h, w), (k, k))?;
         self.cached = Some(MaxPoolCache {
             input_shape: shape.to_vec(),
             argmax,
@@ -134,10 +174,13 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Non-overlapping 1-D max pooling over `[n, c, len]` inputs (M18).
+/// Non-overlapping 1-D max pooling over `[n, c, len]` inputs (M18). The
+/// length must be divisible by the kernel, unless the layer was built with
+/// [`MaxPool1d::floor_mode`].
 #[derive(Debug)]
 pub struct MaxPool1d {
     kernel: usize,
+    floor: bool,
     cached: Option<MaxPoolCache>,
 }
 
@@ -149,23 +192,42 @@ impl MaxPool1d {
     /// Panics if `kernel == 0`.
     pub fn new(kernel: usize) -> Self {
         assert!(kernel > 0, "pooling kernel must be positive");
-        MaxPool1d { kernel, cached: None }
+        MaxPool1d {
+            kernel,
+            floor: false,
+            cached: None,
+        }
+    }
+
+    /// A 1-D max-pooling layer that accepts any length of at least one
+    /// window and drops the samples past its last whole window — how M18
+    /// pools a 16,000-sample waveform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel == 0`.
+    pub fn floor_mode(kernel: usize) -> Self {
+        MaxPool1d {
+            floor: true,
+            ..MaxPool1d::new(kernel)
+        }
     }
 }
 
 impl Layer for MaxPool1d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let shape = input.shape();
-        if shape.len() != 3 || shape[2] % self.kernel != 0 {
+        let k = self.kernel;
+        if shape.len() != 3 || !poolable(shape[2], k, self.floor) {
             return Err(NnError::InvalidConfig {
                 reason: format!(
-                    "maxpool1d(k={}) requires [n, c, len] with len divisible by k; got {shape:?}",
-                    self.kernel
+                    "maxpool1d(k={k}) requires [n, c, len] with len {}; got {shape:?}",
+                    if self.floor { "at least k" } else { "divisible by k" }
                 ),
             });
         }
         let (n, c, l) = (shape[0], shape[1], shape[2]);
-        let (out, argmax) = max_pool(input.as_slice(), l, 1, self.kernel)?;
+        let (out, argmax) = max_pool(input.as_slice(), (1, l), (1, k))?;
         self.cached = Some(MaxPoolCache {
             input_shape: shape.to_vec(),
             argmax,
@@ -326,7 +388,17 @@ mod tests {
     #[test]
     fn max_pool_matches_the_replaced_loop_on_ties_and_nans() {
         let mut rng = dinar_tensor::Rng::seed_from(6);
-        let cases = [(6, 8, 12, 2, 2), (4, 9, 6, 3, 3), (5, 1, 20, 1, 4), (3, 4, 4, 4, 4)];
+        // The last three leave rows, columns or samples past the last
+        // whole window, which floor mode drops.
+        let cases = [
+            (6, 8, 12, 2, 2),
+            (4, 9, 6, 3, 3),
+            (5, 1, 20, 1, 4),
+            (3, 4, 4, 4, 4),
+            (4, 3, 3, 2, 2),
+            (2, 7, 10, 3, 4),
+            (5, 1, 22, 1, 4),
+        ];
         for (planes, h, w, kh, kw) in cases {
             // Few distinct levels, so most windows hold a tie; NaNs land in
             // first and non-first window cells alike.
@@ -336,7 +408,7 @@ mod tests {
                 x[i] = f32::NAN;
             }
             let (want, want_arg) = replaced_max_pool(&x, planes, (h, w), (kh, kw));
-            let (got, got_arg) = max_pool(&x, w, kh, kw).unwrap();
+            let (got, got_arg) = max_pool(&x, (h, w), (kh, kw)).unwrap();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{planes}x{h}x{w} k={kh}x{kw}");
             assert_eq!(got_arg, want_arg, "{planes}x{h}x{w} k={kh}x{kw}");
@@ -376,6 +448,25 @@ mod tests {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::zeros(&[1, 1, 3, 4]);
         assert!(pool.forward(&x, true).is_err());
+    }
+
+    #[test]
+    fn floor_mode_pools_whole_windows_and_leaves_the_remainder_ungraded() {
+        let mut pool = MaxPool2d::floor_mode(2);
+        let x = Tensor::from_vec((0..15).map(|v| v as f32).collect(), &[1, 1, 3, 5]).unwrap();
+        let y = pool.forward(&x, true).unwrap();
+        assert_eq!(y.shape(), &[1, 1, 1, 2]);
+        assert_eq!(y.as_slice(), &[6.0, 8.0]);
+        let gx = pool.backward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]).unwrap()).unwrap();
+        let mut want = [0.0; 15];
+        (want[6], want[8]) = (1.0, 2.0);
+        assert_eq!(gx.as_slice(), &want);
+        assert!(pool.forward(&Tensor::zeros(&[1, 1, 1, 4]), true).is_err(), "no whole window");
+
+        let mut pool = MaxPool1d::floor_mode(4);
+        let x = Tensor::from_vec((0..10).map(|v| v as f32).collect(), &[1, 1, 10]).unwrap();
+        assert_eq!(pool.forward(&x, true).unwrap().as_slice(), &[3.0, 7.0]);
+        assert!(MaxPool1d::new(4).forward(&x, true).is_err(), "strict mode still rejects");
     }
 
     #[test]

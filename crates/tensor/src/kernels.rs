@@ -21,6 +21,9 @@
 //! acc = 0.0;  for p in 0..k { acc = a_ip.mul_add(b_pj, acc) }  out_ij = acc
 //! ```
 //!
+//! (The accumulating entry behind [`Tensor::add_t_matmul`](crate::Tensor::add_t_matmul)
+//! starts the chain from `out_ij` instead of `0.0`.)
+//!
 //! The tile is the only code that does arithmetic, and each of its MR×NR
 //! lanes is exactly this chain. Blocking never reorders it: a reduction
 //! block parks the chain in the output and the next block resumes from the
@@ -82,9 +85,13 @@ pub(crate) enum Operand<'a> {
 }
 
 /// Computes a block of output rows of `out = A · B` (`a` is `m × k`, `b` is
-/// `k × n`); `out_rows` holds rows `i0..` of the row-major output.
+/// `k × n`); `out_rows` holds rows `i0..` of the row-major output. With
+/// `accumulate` the chains resume from the values `out_rows` holds — the
+/// tile's path for every reduction block after the first, taken from the
+/// first — so the block becomes `out += A · B` with no temporary.
 ///
-/// With `k == 0` nothing is written: the driver's zero fill is the result.
+/// With `k == 0` nothing is written: the zero-filled output (or the
+/// accumulator) is the result.
 pub(crate) fn gemm_row_block(
     out_rows: &mut [f32],
     i0: usize,
@@ -92,6 +99,7 @@ pub(crate) fn gemm_row_block(
     b: Operand,
     k: usize,
     n: usize,
+    accumulate: bool,
 ) {
     if n == 0 {
         return;
@@ -108,7 +116,7 @@ pub(crate) fn gemm_row_block(
             for (quad, rows) in out_rows.chunks_mut(MR * n).enumerate() {
                 pack_a(&mut pa[..kc], a, i0 + quad * MR, rows.len() / n, pc);
                 for (panel, j) in pb.chunks_exact(kc).zip(panels()) {
-                    tile(rows, n, j, pc > 0, &pa[..kc], panel);
+                    tile(rows, n, j, accumulate || pc > 0, &pa[..kc], panel);
                 }
             }
         }
@@ -264,12 +272,13 @@ fn tile(rows: &mut [f32], n: usize, j: usize, resume: bool, pa: &[[f32; MR]], pb
 mod tests {
     use super::*;
 
-    /// The module-level element spec, written as the naive triple loop.
-    fn reference_gemm(a: View, b: View, m: usize, k: usize, n: usize) -> Vec<f32> {
+    /// The module-level element spec, written as the naive triple loop;
+    /// each chain starts from `prior`'s element.
+    fn reference_gemm(a: View, b: View, m: usize, k: usize, n: usize, prior: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = 0.0f32;
+                let mut acc = prior[i * n + j];
                 for p in 0..k {
                     acc = a.data[i * a.rs + p * a.cs].mul_add(b.data[p * b.rs + j * b.cs], acc);
                 }
@@ -309,7 +318,9 @@ mod tests {
             // buffer `matmul_t` / `t_matmul` hand in.
             for a in [View { data: &da, rs: k, cs: 1 }, View { data: &da, rs: 1, cs: m }] {
                 for b in [View { data: &db, rs: n, cs: 1 }, View { data: &db, rs: 1, cs: k }] {
-                    let want = reference_gemm(a, b, m, k, n);
+                    let want = reference_gemm(a, b, m, k, n, &vec![0.0; m * n]);
+                    let prior = fill_pattern(m * n, 3);
+                    let resumed = reference_gemm(a, b, m, k, n, &prior);
                     // Each view also as the gather through its offset table
                     // (a unit column stride makes consecutive columns).
                     let tables = |v: View, r: usize, c: usize| {
@@ -327,10 +338,15 @@ mod tests {
                         for split in 0..m {
                             let mut out = vec![0.0f32; m * n];
                             let (lo, hi) = out.split_at_mut(split * n);
-                            gemm_row_block(lo, 0, a, b, k, n);
-                            gemm_row_block(hi, split, a, b, k, n);
+                            gemm_row_block(lo, 0, a, b, k, n, false);
+                            gemm_row_block(hi, split, a, b, k, n, false);
                             assert_eq!(out, want, "m={m} k={k} n={n} split={split}");
                         }
+                        // Accumulating resumes each chain from the value the
+                        // output holds, across every reduction block.
+                        let mut out = prior.clone();
+                        gemm_row_block(&mut out, 0, a, b, k, n, true);
+                        assert_eq!(out, resumed, "accumulate m={m} k={k} n={n}");
                     }
                 }
             }

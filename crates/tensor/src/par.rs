@@ -59,6 +59,7 @@
 //! clients × threads oversubscription.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configured pool width; 0 means "not resolved yet".
@@ -309,38 +310,78 @@ where
 /// order of chunked reductions never depends on the thread count.
 const REDUCE_CHUNK: usize = 4096;
 
-/// Computes the per-chunk partials of a fixed-chunk reduction in parallel
-/// and returns them in chunk order. `partial(start, end)` must be a pure
-/// function of the chunk coordinates.
-fn chunk_partials<A, P>(len: usize, partial: P) -> Vec<A>
+/// Chunks a part folds side by side: four independent add chains hide the
+/// latency of each one's adds.
+const LOCKSTEP: usize = 4;
+
+/// The value type of a chunked reduction.
+trait Partial: Copy + Send + std::ops::Add<Output = Self> {
+    /// The start of [`Iterator::sum`]'s fold, which every chunk reproduces.
+    const NEG_ZERO: Self;
+}
+
+impl Partial for f32 {
+    const NEG_ZERO: f32 = -0.0;
+}
+
+impl Partial for f64 {
+    const NEG_ZERO: f64 = -0.0;
+}
+
+/// One chunk's fold: its terms added left to right from `-0.0`, the bits
+/// `Iterator::sum` gives over them.
+fn fold_chunk<A: Partial>(terms: impl Iterator<Item = A>) -> A {
+    terms.fold(A::NEG_ZERO, |acc, t| acc + t)
+}
+
+/// Computes the per-chunk folds of a fixed-chunk reduction in parallel and
+/// returns them in chunk order. `terms(range)` yields the terms of the
+/// elements in `range`, as a pure function of the range.
+///
+/// A part folds its whole chunks [`LOCKSTEP`] at a time, one term of each
+/// per step: every chunk still adds its own terms in ascending order, so
+/// the bits are [`fold_chunk`]'s.
+fn chunk_partials<A, I, T>(len: usize, terms: T) -> Vec<A>
 where
-    A: Send + Default + Clone,
-    P: Fn(usize, usize) -> A + Sync,
+    A: Partial,
+    I: Iterator<Item = A>,
+    T: Fn(Range<usize>) -> I + Sync,
 {
-    let chunks = len.div_ceil(REDUCE_CHUNK);
-    let mut partials = vec![A::default(); chunks];
+    let chunk = |c: usize| c * REDUCE_CHUNK..((c + 1) * REDUCE_CHUNK).min(len);
+    let mut partials = vec![A::NEG_ZERO; len.div_ceil(REDUCE_CHUNK)];
     for_each_part_mut(&mut partials, 1, 4, |first_chunk, part| {
-        for (c, slot) in part.iter_mut().enumerate() {
-            let start = (first_chunk + c) * REDUCE_CHUNK;
-            let end = (start + REDUCE_CHUNK).min(len);
-            *slot = partial(start, end);
+        for (g, group) in part.chunks_mut(LOCKSTEP).enumerate() {
+            let first = first_chunk + g * LOCKSTEP;
+            if group.len() == LOCKSTEP && chunk(first + LOCKSTEP - 1).len() == REDUCE_CHUNK {
+                let [t0, t1, t2, t3] = std::array::from_fn(|lane| terms(chunk(first + lane)));
+                let mut acc = [A::NEG_ZERO; LOCKSTEP];
+                for (((x0, x1), x2), x3) in t0.zip(t1).zip(t2).zip(t3) {
+                    acc = [acc[0] + x0, acc[1] + x1, acc[2] + x2, acc[3] + x3];
+                }
+                group.copy_from_slice(&acc);
+            } else {
+                for (c, slot) in (first..).zip(group.iter_mut()) {
+                    *slot = fold_chunk(terms(chunk(c)));
+                }
+            }
         }
     });
     partials
 }
 
-/// A fixed-chunk reduction over `len` elements: `partial(start, end)` folds
-/// one chunk. Inputs of at most one chunk are that single fold; above that
-/// the per-chunk folds are combined in ascending chunk order.
-fn chunked_reduce<A, P>(len: usize, partial: P) -> A
+/// A fixed-chunk reduction over `len` elements whose terms `terms(range)`
+/// yields. Inputs of at most one chunk are that single fold; above that the
+/// per-chunk folds are combined in ascending chunk order.
+fn chunked_reduce<A, I, T>(len: usize, terms: T) -> A
 where
-    A: Send + Default + Clone + for<'a> std::iter::Sum<&'a A>,
-    P: Fn(usize, usize) -> A + Sync,
+    A: Partial + for<'a> std::iter::Sum<&'a A>,
+    I: Iterator<Item = A>,
+    T: Fn(Range<usize>) -> I + Sync,
 {
     if len <= REDUCE_CHUNK {
-        return partial(0, len);
+        return fold_chunk(terms(0..len));
     }
-    chunk_partials(len, partial).iter().sum()
+    chunk_partials(len, terms).iter().sum()
 }
 
 /// Sum of `data` with a fixed-chunk association order (see module docs).
@@ -348,30 +389,21 @@ where
 /// For inputs of at most one chunk this is the plain left fold; above that,
 /// per-chunk left folds are combined in ascending chunk order.
 pub fn chunked_sum(data: &[f32]) -> f32 {
-    chunked_reduce(data.len(), |start, end| data[start..end].iter().sum::<f32>())
+    chunked_reduce(data.len(), |r| data[r].iter().copied())
 }
 
 /// Dot product of `a` and `b` (equal lengths) with fixed-chunk association
 /// order.
 pub fn chunked_dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "chunked_dot length mismatch");
-    chunked_reduce(a.len(), |start, end| {
-        a[start..end]
-            .iter()
-            .zip(&b[start..end])
-            .map(|(&x, &y)| x * y)
-            .sum::<f32>()
-    })
+    chunked_reduce(a.len(), |r| a[r.clone()].iter().zip(&b[r]).map(|(&x, &y)| x * y))
 }
 
 /// Sum of squares of `data`, accumulated in `f64`, with fixed-chunk
 /// association order. Backs [`crate::Tensor::norm_l2`].
 pub fn chunked_sumsq_f64(data: &[f32]) -> f64 {
-    chunked_reduce(data.len(), |start, end| {
-        data[start..end]
-            .iter()
-            .map(|&x| f64::from(x) * f64::from(x))
-            .sum::<f64>()
+    chunked_reduce(data.len(), |r| {
+        data[r].iter().map(|&x| f64::from(x) * f64::from(x))
     })
 }
 
@@ -381,15 +413,11 @@ pub fn chunked_sumsq_f64(data: &[f32]) -> f64 {
 /// [`crate::Tensor::diff_norm_l2`].
 pub fn chunked_sumsq_diff_f64(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "chunked_sumsq_diff_f64 length mismatch");
-    chunked_reduce(a.len(), |start, end| {
-        a[start..end]
-            .iter()
-            .zip(&b[start..end])
-            .map(|(&x, &y)| {
-                let d = f64::from(x - y);
-                d * d
-            })
-            .sum::<f64>()
+    chunked_reduce(a.len(), |r| {
+        a[r.clone()].iter().zip(&b[r]).map(|(&x, &y)| {
+            let d = f64::from(x - y);
+            d * d
+        })
     })
 }
 
@@ -572,6 +600,39 @@ mod tests {
                     );
                 });
             }
+        }
+    }
+
+    #[test]
+    fn lockstep_chunks_keep_each_chunks_serial_fold() {
+        // Nine whole chunks and a ragged tail: lockstep groups, a leftover
+        // whole chunk and the short last chunk, split across parts at
+        // every width. Each chunk must be its plain `Iterator::sum`.
+        let len = 9 * REDUCE_CHUNK + 17;
+        let a: Vec<f32> = (0..len).map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0).collect();
+        let b: Vec<f32> = (0..len).map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0).collect();
+        let per_chunk = |f: &dyn Fn(usize) -> f64| -> f64 {
+            let sums: Vec<f64> = (0..len)
+                .step_by(REDUCE_CHUNK)
+                .map(|s| (s..(s + REDUCE_CHUNK).min(len)).map(f).sum::<f64>())
+                .collect();
+            sums.iter().sum()
+        };
+        let want_sq = per_chunk(&|i| f64::from(a[i]) * f64::from(a[i]));
+        let want_diff = per_chunk(&|i| {
+            let d = f64::from(a[i] - b[i]);
+            d * d
+        });
+        let sums: Vec<f32> = a.chunks(REDUCE_CHUNK).map(|c| c.iter().sum::<f32>()).collect();
+        let want_sum: f32 = sums.iter().sum();
+        let negative_zeros = vec![-0.0f32; len];
+        for width in [1, 2, 4] {
+            with_width(width, || {
+                assert_eq!(chunked_sumsq_f64(&a).to_bits(), want_sq.to_bits());
+                assert_eq!(chunked_sumsq_diff_f64(&a, &b).to_bits(), want_diff.to_bits());
+                assert_eq!(chunked_sum(&a).to_bits(), want_sum.to_bits());
+                assert_eq!(chunked_sum(&negative_zeros).to_bits(), (-0.0f32).to_bits());
+            });
         }
     }
 

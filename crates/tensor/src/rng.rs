@@ -18,6 +18,12 @@
 //! still a pure function of the seed/split hierarchy, and **cache-free**:
 //! a bulk fill never consumes or leaves the scalar path's Box–Muller
 //! half-sample, so interleaving scalar and bulk draws stays reproducible.
+//!
+//! [`Rng::advance`] skips a stream ahead by any number of raw outputs in
+//! O(log n) time. A consumer whose items take a fixed number of draws can
+//! therefore hand each parallel part a copy of the stream already at its
+//! first item, and get the serial walk's output bit for bit at any pool
+//! width — how `dinar-data`'s generators fill their rows.
 
 use crate::cbrng::CbRng;
 use crate::{profile, Tensor};
@@ -65,6 +71,77 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The characteristic polynomial `P` of xoshiro256's state transition over
+/// GF(2), below its monic `x²⁵⁶` term: bit `j % 64` of word `j / 64` is the
+/// coefficient of `xʲ`. (Berlekamp–Massey over any state bit recovers it;
+/// `x^(2¹²⁸) mod P` is the reference implementation's `JUMP` constant, which
+/// a test checks.)
+const CHARPOLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// A polynomial over GF(2) of degree below 256, laid out as [`CHARPOLY`].
+type Poly256 = [u64; 4];
+
+/// `xⁿ mod P`, by left-to-right square-and-multiply-by-`x`.
+fn x_pow_mod_charpoly(n: u64) -> Poly256 {
+    let mut r: Poly256 = [1, 0, 0, 0];
+    for bit in (0..64 - n.leading_zeros()).rev() {
+        r = square_mod_charpoly(r);
+        if (n >> bit) & 1 == 1 {
+            let carry = r[3] >> 63;
+            r = [
+                r[0] << 1,
+                (r[1] << 1) | (r[0] >> 63),
+                (r[2] << 1) | (r[1] >> 63),
+                (r[3] << 1) | (r[2] >> 63),
+            ];
+            for (w, p) in r.iter_mut().zip(CHARPOLY) {
+                *w ^= p & carry.wrapping_neg();
+            }
+        }
+    }
+    r
+}
+
+/// `a² mod P`. Squaring over GF(2) spreads coefficient `i` to `2i`; each
+/// set coefficient `k ≥ 256` of the square is then replaced, from the top
+/// down, by `x^(k−256)·(P − x²⁵⁶)`, which only sets coefficients below `k`.
+fn square_mod_charpoly(a: Poly256) -> Poly256 {
+    /// The 32 bits of `half` at the even bit positions of a word.
+    fn spread(half: u64) -> u64 {
+        let mut x = half & 0xFFFF_FFFF;
+        x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+        x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+        x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+        x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+        (x | (x << 1)) & 0x5555_5555_5555_5555
+    }
+    let mut wide = [0u64; 8];
+    for (pair, &word) in wide.chunks_exact_mut(2).zip(&a) {
+        pair[0] = spread(word);
+        pair[1] = spread(word >> 32);
+    }
+    for top in (4..8).rev() {
+        while wide[top] != 0 {
+            let bit = 63 - wide[top].leading_zeros() as usize;
+            wide[top] ^= 1 << bit;
+            let shift = (top - 4) * 64 + bit;
+            let (words, bits) = (shift / 64, shift % 64);
+            for (i, &p) in CHARPOLY.iter().enumerate() {
+                wide[words + i] ^= p << bits;
+                if bits != 0 {
+                    wide[words + i + 1] ^= p >> (64 - bits);
+                }
+            }
+        }
+    }
+    [wide[0], wide[1], wide[2], wide[3]]
 }
 
 impl Rng {
@@ -144,6 +221,32 @@ impl Rng {
         s[3] = s[3].rotate_left(45);
         self.state = s;
         result
+    }
+
+    /// Skips the stream ahead by exactly `n` raw outputs: the xoshiro words
+    /// afterwards are those `n` calls of [`Rng::next_u64`] leave, and the
+    /// Box–Muller cache is untouched.
+    ///
+    /// The state transition `T` is linear over GF(2), so `Tⁿ = q(T)` with
+    /// `q = xⁿ mod P`, `P` its characteristic polynomial. `q` takes
+    /// O(log n) squarings of a 256-bit polynomial; evaluating it costs one
+    /// 256-step walk (the jump-ahead for F₂-linear generators of Haramoto et
+    /// al. 2008). This is what lets a generator whose rows take a fixed
+    /// number of draws hand each parallel part a stream already at its
+    /// first row.
+    pub fn advance(&mut self, n: u64) {
+        let q = x_pow_mod_charpoly(n);
+        let mut walker = self.clone();
+        let mut acc = [0u64; 4];
+        for coeff in 0..256 {
+            if (q[coeff / 64] >> (coeff % 64)) & 1 == 1 {
+                for (a, s) in acc.iter_mut().zip(walker.state) {
+                    *a ^= s;
+                }
+            }
+            walker.next_u64();
+        }
+        self.state = acc;
     }
 
     /// Uniform `f32` in `[0, 1)`.
@@ -435,6 +538,59 @@ mod tests {
         let mut c1 = root.split(1);
         assert_eq!(c0.next_u64(), c0_again.next_u64());
         assert_ne!(c0.next_u64(), c1.next_u64());
+    }
+
+    #[test]
+    fn advance_equals_stepping_on_root_and_split_streams() {
+        let root = Rng::seed_from(21);
+        for stream in [root.clone(), root.split(0), root.split(7)] {
+            for n in [0u64, 1, 63, 64, 255, 256, 257, (1 << 20) + 3] {
+                let mut stepped = stream.clone();
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                let mut jumped = stream.clone();
+                jumped.advance(n);
+                assert_eq!(jumped.state(), stepped.state(), "n = {n}");
+                assert_eq!(jumped.next_u64(), stepped.next_u64(), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_keeps_the_box_muller_half_sample() {
+        let mut rng = Rng::seed_from(22);
+        rng.normal();
+        let cached = rng.state().gauss_cache;
+        assert!(cached.is_some());
+        rng.advance(1_000);
+        assert_eq!(rng.state().gauss_cache, cached);
+    }
+
+    #[test]
+    fn charpoly_reproduces_the_reference_jump_polynomials() {
+        // xoshiro256's published `jump()` (2¹²⁸ steps) and `long_jump()`
+        // (2¹⁹² steps) are these powers of x reduced mod P: x squared 128
+        // and 192 times.
+        let x_to_2_pow = |k: usize| (0..k).fold([2, 0, 0, 0], |r, _| square_mod_charpoly(r));
+        assert_eq!(
+            x_to_2_pow(128),
+            [
+                0x180e_c6d3_3cfd_0aba,
+                0xd5a6_1266_f0c9_392c,
+                0xa958_2618_e03f_c9aa,
+                0x39ab_dc45_29b1_661c
+            ]
+        );
+        assert_eq!(
+            x_to_2_pow(192),
+            [
+                0x76e1_5d3e_fefd_cbbf,
+                0xc500_4e44_1c52_2fb3,
+                0x7771_0069_854e_e241,
+                0x3910_9bb0_2acb_e635
+            ]
+        );
     }
 
     #[test]

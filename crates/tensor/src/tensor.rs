@@ -21,15 +21,23 @@ fn min_rows_for(k: usize, n: usize) -> usize {
 /// `k × n`) partitioned over output rows on the pool. Operands are
 /// shape-checked and finite-checked by the caller.
 pub(crate) fn gemm(op: &'static str, m: usize, k: usize, n: usize, a: Operand, b: Operand) -> Tensor {
-    profile::record_matmul(m, k, n);
     let mut out = Tensor::zeros(&[m, n]);
+    gemm_onto(op, &mut out, k, a, b, false);
+    out
+}
+
+/// [`gemm`] into an existing `m × n` output: `out = A · B`, or with
+/// `accumulate` `out += A · B`, each element's chain resumed from the value
+/// `out` holds (a chain resumed from `+0.0` is the plain chain, bit for bit).
+fn gemm_onto(op: &'static str, out: &mut Tensor, k: usize, a: Operand, b: Operand, accumulate: bool) {
+    let (m, n) = (out.shape[0], out.shape[1]);
+    profile::record_matmul(m, k, n);
     if m > 0 && n > 0 {
         par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-            gemm_row_block(rows, offset / n, a, b, k, n);
+            gemm_row_block(rows, offset / n, a, b, k, n, accumulate);
         });
     }
-    sanitize::check_finite(op, "output", &out);
-    out
+    sanitize::check_finite(op, "output", out);
 }
 
 /// Reference-counted storage behind a [`Tensor`]: the copy-on-write unit.
@@ -744,6 +752,35 @@ impl Tensor {
     /// [`TensorError::ShapeMismatch`] if the row counts differ.
     pub fn t_matmul(&self, other: &Tensor) -> Result<Tensor> {
         self.gemm("t_matmul", true, other, false)
+    }
+
+    /// `self += aᵀ · b` in place, with no product-sized temporary: each
+    /// element's `mul_add` chain over the shared rows of `a` and `b`
+    /// resumes from the value `self` holds. On a zeroed `self` this is
+    /// [`Tensor::t_matmul`] bit for bit — how a dense layer accumulates its
+    /// weight gradient `xᵀ · dy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] for non-matrices and
+    /// [`TensorError::ShapeMismatch`] unless `a` is `[k, m]`, `b` is
+    /// `[k, n]` and `self` is `[m, n]`.
+    pub fn add_t_matmul(&mut self, a: &Tensor, b: &Tensor) -> Result<()> {
+        let op = "add_t_matmul";
+        let (m, k, av) = a.operand(op, true)?;
+        let (k2, n, bv) = b.operand(op, false)?;
+        let (rows, cols) = self.expect_matrix(op)?;
+        if k != k2 || (rows, cols) != (m, n) {
+            return Err(TensorError::ShapeMismatch {
+                lhs: a.shape.clone(),
+                rhs: b.shape.clone(),
+                op,
+            });
+        }
+        sanitize::check_finite(op, "lhs", a);
+        sanitize::check_finite(op, "rhs", b);
+        gemm_onto(op, self, k, Operand::Strided(av), Operand::Strided(bv), true);
+        Ok(())
     }
 
     /// This matrix as a logical `(rows, cols, view)` operand: transposing a

@@ -223,3 +223,104 @@ fn backward_before_forward_is_an_error_through_every_entry_point() {
         Err(NnError::BackwardBeforeForward { layer: "dense" })
     ));
 }
+
+#[test]
+fn dense_weight_gradient_accumulates_in_place_and_equals_the_product_from_zero() {
+    let _guard = lock();
+    // Batch 70 with 300 inputs: a reduction longer than one 256-step block,
+    // so the in-place chain also resumes across blocks.
+    let mut rng = Rng::seed_from(61);
+    let mut layer = Dense::xavier(300, 19, &mut rng);
+    let x = rng.randn(&[70, 300]);
+    let g = rng.randn(&[70, 19]);
+    for width in [1, 2, 4] {
+        par::set_threads(width);
+        layer.zero_grad();
+        layer.forward(&x, true).expect("forward");
+        layer.backward(&g).expect("backward");
+        // The product the gradient used to be added from: a chain resumed
+        // from `+0.0` equals `0.0 + chain`.
+        let product = x.t_matmul(&g).expect("t_matmul");
+        let added = Tensor::zeros(&[300, 19]).add(&product).expect("add");
+        assert_eq!(bits(layer.grads()[0]), bits(&product), "width {width}");
+        assert_eq!(bits(layer.grads()[0]), bits(&added), "width {width}");
+        // Without a zero in between, the second product's chains resume
+        // from the first one's values.
+        layer.backward(&g).expect("backward");
+        let mut resumed = product.clone();
+        resumed.add_t_matmul(&x, &g).expect("add_t_matmul");
+        assert_eq!(bits(layer.grads()[0]), bits(&resumed), "width {width}");
+    }
+    par::reset_threads();
+}
+
+/// Everything before `.backward(` / `.backward_input(` on `line` that names
+/// the receiver: `self.model` in `self.model.backward(&g)?;`.
+fn backward_receiver(line: &str) -> Option<&str> {
+    let call = line.find(".backward(").or_else(|| line.find(".backward_input("))?;
+    let head = &line[..call];
+    let start = head
+        .rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
+        .map_or(0, |i| i + 1);
+    Some(&head[start..])
+}
+
+#[test]
+fn every_backward_caller_zeroes_its_gradients_first() {
+    // Dense layers accumulate `dW` by resuming the product's chains from
+    // the gradient they hold, which is the old `0.0 + xᵀ·dy` bit for bit
+    // only on a zeroed gradient. So every model backward outside the layer
+    // crates runs right after its receiver's `zero_grad()`.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs = [
+        "crates/attacks/src",
+        "crates/core/src",
+        "crates/defenses/src",
+        "crates/fl/src",
+        "crates/bench/src/paper",
+        "examples",
+        "src",
+    ];
+    let mut callers = std::collections::BTreeSet::new();
+    let mut pending = dirs.map(|d| root.join(d)).to_vec();
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).expect("source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                pending.push(path);
+                continue;
+            }
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source file");
+            let lines: Vec<&str> = text.lines().map(str::trim).collect();
+            for (n, line) in lines.iter().enumerate() {
+                let Some(receiver) = backward_receiver(line) else {
+                    continue;
+                };
+                let file = path.strip_prefix(root).expect("under the root").display().to_string();
+                let zeroed = format!("{receiver}.zero_grad();");
+                assert!(
+                    n > 0 && lines[n - 1] == zeroed,
+                    "{file}:{}: `{line}` does not follow `{zeroed}`",
+                    n + 1
+                );
+                callers.insert(file);
+            }
+        }
+    }
+    for file in [
+        "crates/fl/src/client.rs",
+        "crates/defenses/src/dpsgd.rs",
+        "crates/core/src/init.rs",
+        "crates/core/src/sensitivity.rs",
+        "crates/attacks/src/shadow.rs",
+        "crates/attacks/src/threshold.rs",
+        "crates/attacks/src/gradient.rs",
+        "crates/attacks/src/repair.rs",
+        "crates/attacks/src/inversion.rs",
+    ] {
+        assert!(callers.contains(file), "no backward caller found in {file}");
+    }
+}

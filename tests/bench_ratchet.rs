@@ -24,6 +24,11 @@
 //! delta + error feedback + i8 encode at the `comm_wdp_i8` model) must stay
 //! ≥3× under the materialize-encode-decode-subtract pipeline it replaced.
 //!
+//! Row-parallel data generation: the committed `generate` purchase100-mini
+//! row must stay ≥1.5× under the serial generator it replaced, at width 1 —
+//! the branch-free Bernoulli test and the rows drawn straight into their
+//! shuffled places, not the fan-out, carry it there.
+//!
 //! Telemetry overhead: the committed `bench-results/BENCH_telemetry.json`
 //! must keep showing that a fully instrumented FL training run stays
 //! within [`TELEMETRY_OVERHEAD_CAP`] of the uninstrumented run —
@@ -76,6 +81,13 @@ const PRE_IMPLICIT_CONV_STEP_4X4_NS: f64 = 489_270.0;
 /// copy + residual add, scale scan, a `put_i8` per element, a decode of the
 /// frame just written, `sub` for the residual). Single thread, same runner.
 const PRE_REWRITE_UPLINK_718K_NS: f64 = 6_500_000.0;
+
+/// `catalog::purchase100(Profile::Mini).generate` (2,400 × 600 binary
+/// features) while one stream was walked serially, each Bernoulli test a
+/// branch on an `f32` compare and the rows shuffled by a copy (single
+/// thread, same runner; three runs read medians of 31.0–33.7 ms — frozen
+/// at the lowest).
+const PRE_PARALLEL_GENERATE_PURCHASE100_MINI_NS: f64 = 30_970_000.0;
 
 /// Cost per multiply-add the first-conv forward product `W · cols`
 /// (8×27×16384) may reach relative to `matmul` 128³: two row quads and a
@@ -228,6 +240,20 @@ fn fused_uplink_holds_3x_over_the_decode_own_frame_pipeline() {
     for op in ["decode_onto_quant_i8", "encode_f32", "decode_f32"] {
         assert!(ns_for(&entries, op, "717924") > 0.0, "{op} row is empty");
     }
+}
+
+#[test]
+fn tabular_generation_holds_1_5x_over_the_serial_walk() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_tensor.json"));
+    let ns = ns_for(&entries, "generate", "purchase100_mini");
+    assert!(
+        ns * 1.5 <= PRE_PARALLEL_GENERATE_PURCHASE100_MINI_NS,
+        "generate purchase100_mini at {ns:.0} ns/iter is not ≥1.5× under the \
+         serial {PRE_PARALLEL_GENERATE_PURCHASE100_MINI_NS:.0} ns/iter — the \
+         Bernoulli test branches again, or the rows are shuffled by a copy"
+    );
+    assert!(ns_for(&entries, "generate", "gtsrb_mini") > 0.0, "gtsrb_mini row is empty");
 }
 
 /// ns per multiply-add of a matmul-family row, from its `MxKxN` size label.

@@ -6,18 +6,23 @@
 //! order regardless of width; reductions fold fixed-size chunks in a fixed
 //! order. These tests pin that contract end to end: matmul-family kernels,
 //! conv forward/backward, and a full FL round must produce bit-identical
-//! results for threads ∈ {1, 2, 4}.
+//! results for threads ∈ {1, 2, 4}. The synthetic dataset generators fill
+//! their rows in parallel parts from advanced copies of one stream; they
+//! must reproduce the serial walk they replaced, datasets and caller's
+//! stream alike.
 //!
 //! The pool width is process-global, so the tests serialize their width
 //! changes through one mutex and restore the default afterwards.
 
 use dinar_data::catalog::{self, Profile};
 use dinar_data::partition::{partition_dataset, Distribution};
+use dinar_data::synth::{Modality, SynthSpec};
+use dinar_data::Dataset;
 use dinar_fl::{FlConfig, FlSystem};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::{Layer, Model};
 use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
-use dinar_tensor::{par, Rng, Tensor};
+use dinar_tensor::{par, Rng, RngState, Tensor};
 use std::sync::Mutex;
 
 /// Serializes mutations of the process-global pool width across tests.
@@ -270,5 +275,157 @@ fn fl_round_is_bit_identical_across_widths() {
             r.0, results[0].0,
             "FL round global params diverged at {w} threads"
         );
+    }
+}
+
+/// FNV-1a over a generated dataset (feature bits, then labels) and the
+/// generator's state afterwards (words, then the cached half-sample).
+fn dataset_digest(ds: &Dataset, after: RngState) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    ds.features().as_slice().iter().for_each(|x| eat(u64::from(x.to_bits())));
+    ds.labels().iter().for_each(|&l| eat(l as u64));
+    after.words.iter().for_each(|&w| eat(w));
+    eat(after.gauss_cache.map_or(u64::MAX, |z| u64::from(z.to_bits())));
+    h
+}
+
+#[test]
+fn catalog_mini_datasets_are_the_serial_generators_at_every_width() {
+    // Recorded from the serial generator (one stream walked row by row)
+    // before generation went row-parallel, seed 42.
+    let serial = [
+        ("cifar10", 0x2802_6431_94de_f5fa_u64),
+        ("cifar100", 0xc033_84d6_9d62_49bb),
+        ("gtsrb", 0x887a_d241_71e0_f258),
+        ("celeba", 0x8b8c_9e7f_d495_6b58),
+        ("speech_commands", 0x9165_db8f_6d3a_6835),
+        ("purchase100", 0xfd76_e68d_01e2_9c84),
+        ("texas100", 0xceae_a80e_62f1_15f0),
+    ];
+    let entries = catalog::all(Profile::Mini);
+    let results = per_width(|| {
+        entries
+            .iter()
+            .map(|entry| {
+                let mut rng = Rng::seed_from(42);
+                let ds = entry.generate(&mut rng).expect("catalog entries are valid");
+                (entry.name().to_string(), dataset_digest(&ds, rng.state()))
+            })
+            .collect::<Vec<_>>()
+    });
+    for (w, result) in WIDTHS.iter().zip(&results) {
+        for ((name, got), (want_name, want)) in result.iter().zip(serial) {
+            assert_eq!(name, want_name);
+            assert_eq!(*got, want, "{name} left the serial generator at {w} threads: {got:#018x}");
+        }
+    }
+}
+
+/// The serial walk the row-parallel generators replaced, for image and
+/// tabular specs: the shuffled features as bits, and the labels.
+fn serial_generate(spec: &SynthSpec, rng: &mut Rng) -> (Vec<u32>, Vec<usize>) {
+    let (n, classes, flen) = (spec.num_samples, spec.num_classes, spec.modality.feature_len());
+    let mut data = Vec::with_capacity(n * flen);
+    if let Modality::BinaryTabular { features } = spec.modality {
+        let profiles: Vec<Vec<f32>> = (0..classes)
+            .map(|_| {
+                (0..features)
+                    .map(|_| {
+                        if rng.bernoulli(0.3) {
+                            rng.uniform_in(0.5, 0.95)
+                        } else {
+                            rng.uniform_in(0.02, 0.15)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for i in 0..n {
+            for &p in &profiles[i % classes] {
+                let mut bit = rng.bernoulli(p);
+                if rng.bernoulli(spec.noise) {
+                    bit = !bit;
+                }
+                data.push(if bit { 1.0f32 } else { 0.0 });
+            }
+        }
+    } else {
+        let prototypes: Vec<Vec<f32>> = (0..classes)
+            .map(|_| (0..flen).map(|_| rng.normal()).collect())
+            .collect();
+        for i in 0..n {
+            for &p in &prototypes[i % classes] {
+                data.push(p + spec.noise * rng.normal());
+            }
+        }
+    }
+    let perm = rng.permutation(n);
+    let bits = perm
+        .iter()
+        .flat_map(|&i| data[i * flen..][..flen].iter().map(|x| x.to_bits()))
+        .collect();
+    (bits, perm.iter().map(|&i| i % classes).collect())
+}
+
+#[test]
+fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
+    let image = |classes, [channels, height, width]: [usize; 3]| SynthSpec {
+        name: "image".into(),
+        num_classes: classes,
+        num_samples: 1001,
+        modality: Modality::Image { channels, height, width },
+        noise: 0.7,
+    };
+    // An odd row length puts odd rows at odd normal counts, where a part
+    // starts on the cached half of a Box–Muller pair; odd and even
+    // `classes · flen` start the rows on either half. 1001 rows split at
+    // odd rows at widths 2 and 4.
+    let specs = [
+        image(3, [3, 5, 7]), // flen 105, classes·flen 315
+        image(4, [3, 5, 7]), // flen 105, classes·flen 420
+        image(3, [2, 4, 8]), // flen 64
+        SynthSpec {
+            name: "tabular".into(),
+            num_classes: 5,
+            num_samples: 2001,
+            modality: Modality::BinaryTabular { features: 33 },
+            noise: 0.05,
+        },
+    ];
+    // The caller's stream enters with and without a cached half-sample.
+    let callers = || {
+        let fresh = Rng::seed_from(3);
+        let mut cached = Rng::seed_from(4);
+        cached.normal();
+        [fresh, cached]
+    };
+    let mut want = Vec::new();
+    for spec in &specs {
+        for mut rng in callers() {
+            want.push((serial_generate(spec, &mut rng), rng.state()));
+        }
+    }
+    let results = per_width(|| {
+        let mut got = Vec::new();
+        for spec in &specs {
+            for mut rng in callers() {
+                let ds = spec.generate(&mut rng).expect("valid spec");
+                let bits = ds.features().as_slice().iter().map(|x| x.to_bits()).collect();
+                got.push(((bits, ds.labels().to_vec()), rng.state()));
+            }
+        }
+        got
+    });
+    for (w, got) in WIDTHS.iter().zip(&results) {
+        for (case, (g, want)) in got.iter().zip(&want).enumerate() {
+            assert!(g.0 == want.0, "case {case}: dataset left the serial walk at {w} threads");
+            assert_eq!(g.1, want.1, "case {case}: caller's stream left the serial walk at {w} threads");
+        }
     }
 }
