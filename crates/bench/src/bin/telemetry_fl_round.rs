@@ -1,10 +1,12 @@
 //! Telemetry profile of a small FL run: 2 clients, 2 rounds, synthetic
 //! Purchase100-mini data.
 //!
-//! Emits `bench-results/TELEMETRY_fl_round.json` with the full sorted span
-//! list (per-round / per-client / per-middleware / per-layer breakdowns),
-//! the deterministic metric values, the indented summary tree, and two
-//! health indicators:
+//! Emits `bench-results/TELEMETRY_fl_round.json`: the run's report
+//! (`export::run_document` — Perfetto trace events with per-round /
+//! per-client / per-middleware / per-layer spans, every metric, the
+//! summary tree, span coverage, privacy ledger and flight view, so the
+//! file opens in <https://ui.perfetto.dev> as-is) plus `clients`, `rounds`
+//! and two health indicators:
 //!
 //! * `span_coverage` — the fraction of each root span's wall time covered
 //!   by its direct children (the acceptance bar is ≥ 0.95: spans must
@@ -24,9 +26,9 @@ use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_fl::{FlConfig, FlSystem};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::Model;
-use dinar_tensor::json::Json;
+use dinar_telemetry::{export, Telemetry};
+use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::Rng;
-use dinar_telemetry::{export, MetricData, Telemetry};
 
 const CLIENTS: usize = 2;
 const ROUNDS: usize = 2;
@@ -90,50 +92,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("span coverage: {:.1}%", coverage * 100.0);
     println!("instrumented == uninstrumented: {bit_identical}");
 
-    let spans: Vec<Json> = export::sorted_spans(&tel)
-        .iter()
-        .map(|s| {
-            Json::obj(vec![
-                ("path", Json::Str(s.path.clone())),
-                ("start_us", Json::Num(s.start_us as f64)),
-                ("dur_us", Json::Num(s.dur_us as f64)),
-            ])
-        })
-        .collect();
-    let metrics: Vec<Json> = tel
-        .metrics()
-        .iter()
-        .map(|m| {
-            let data = match &m.data {
-                MetricData::Counter(v) => Json::Num(*v as f64),
-                MetricData::Gauge(v) => Json::Num(*v),
-                MetricData::Histogram { lo, hi, counts, total } => Json::obj(vec![
-                    ("lo", Json::Num(*lo)),
-                    ("hi", Json::Num(*hi)),
-                    ("total", Json::Num(*total as f64)),
-                    (
-                        "counts",
-                        Json::Arr(counts.iter().map(|&c| Json::Num(c as f64)).collect()),
-                    ),
-                ]),
-            };
-            Json::obj(vec![
-                ("name", Json::Str(m.name.clone())),
-                ("volatile", Json::Bool(m.volatile)),
-                ("value", data),
-            ])
-        })
-        .collect();
-
-    let doc = Json::obj(vec![
-        ("clients", Json::Num(CLIENTS as f64)),
-        ("rounds", Json::Num(ROUNDS as f64)),
-        ("span_coverage", Json::Num(coverage)),
-        ("bit_identical", Json::Bool(bit_identical)),
-        ("spans", Json::Arr(spans)),
-        ("metrics", Json::Arr(metrics)),
-        ("summary_tree", Json::Str(tree)),
-    ]);
+    let mut fields = vec![
+        ("clients".to_string(), CLIENTS.to_json()),
+        ("rounds".to_string(), ROUNDS.to_json()),
+        ("bit_identical".to_string(), bit_identical.to_json()),
+    ];
+    if let Json::Obj(run) = export::run_document(&tel) {
+        fields.extend(run);
+    }
+    let doc = Json::Obj(fields);
     let path = report::write_json("TELEMETRY_fl_round", &doc)?;
     println!("wrote {}", path.display());
 

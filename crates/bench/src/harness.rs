@@ -16,8 +16,11 @@ use dinar_fl::{ClientMiddleware, FlConfig, FlSystem};
 use dinar_metrics::cost::CostSample;
 use dinar_nn::optim::{self, Adam, Optimizer};
 use dinar_nn::{Model, ModelParams};
+use dinar_telemetry::{export, Telemetry};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::Rng;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum samples per side when estimating an attack AUC (keeps the
 /// evaluation fast without biasing the estimate).
@@ -353,12 +356,14 @@ pub struct TrainedRun {
 /// trained system for further inspection (loss distributions, per-layer
 /// experiments).
 ///
-/// Opt-in profiling: setting `DINAR_PROFILE=1` attaches a fresh telemetry
-/// sink for the training run and prints the span summary tree and the
-/// privacy-ledger report to stderr afterwards, so any paper artifact can be
-/// profiled without a rebuild. For programmatic access to the sink
-/// (audit artifacts, overhead benches) use
-/// [`train_defense_with_telemetry`] directly.
+/// Observation: when `DINAR_OBSERVE=<dir>` is set
+/// ([`dinar_telemetry::observe_dir`]), the run records on a fresh enabled
+/// sink and writes `<dir>/RUN_<nnn>_<dataset>_<defense>.json` afterwards
+/// ([`dinar_telemetry::export::run_document`]), naming the file on stderr;
+/// `nnn` counts observed runs in this process, so repeated labels (fig10's
+/// LDP at every ε) never overwrite each other. Any paper artifact can be
+/// observed without a rebuild. For programmatic access to the sink (audit
+/// artifacts, overhead benches) use [`train_defense_with_telemetry`].
 ///
 /// # Errors
 ///
@@ -367,33 +372,54 @@ pub fn train_defense(
     env: &Environment,
     defense: &Defense,
 ) -> Result<TrainedRun, Box<dyn std::error::Error>> {
-    let profiling = std::env::var_os("DINAR_PROFILE").is_some();
-    let telemetry = if profiling {
-        dinar_telemetry::Telemetry::new()
-    } else {
-        dinar_telemetry::Telemetry::disabled()
-    };
-    let run = train_defense_with_telemetry(env, defense, &telemetry)?;
-    if profiling {
-        eprintln!(
-            "DINAR_PROFILE [{} / {}]:\n{}",
-            env.spec.entry.name(),
-            defense.label(),
-            dinar_telemetry::export::summary_tree(&telemetry)
-        );
-        eprintln!("privacy ledger: {}", telemetry.privacy_report().dump());
+    match dinar_telemetry::observe_dir() {
+        Some(dir) => train_observed(env, defense, &dir, &Telemetry::new()),
+        None => train_defense_with_telemetry(env, defense, &Telemetry::disabled()),
     }
-    Ok(run)
+}
+
+/// Observed runs so far in this process: the `nnn` of each RUN file.
+static OBSERVED_RUNS: AtomicUsize = AtomicUsize::new(0);
+
+/// [`train_defense_with_telemetry`] on `telemetry`, then its RUN document
+/// written into `dir` — whether or not the run succeeded. A write failure
+/// is reported on stderr: an exporter never fails the run it observed.
+fn train_observed(
+    env: &Environment,
+    defense: &Defense,
+    dir: &Path,
+    telemetry: &Telemetry,
+) -> Result<TrainedRun, Box<dyn std::error::Error>> {
+    let run = train_defense_with_telemetry(env, defense, telemetry);
+    let nnn = OBSERVED_RUNS.fetch_add(1, Ordering::Relaxed) + 1;
+    // File-name safe: "No defense" becomes "No-defense".
+    let token = |s: &str| -> String {
+        s.chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+            .collect()
+    };
+    let id = format!(
+        "{nnn:03}_{}_{}",
+        token(env.spec.entry.name()),
+        token(&defense.label())
+    );
+    match export::write_run(telemetry, dir, &id) {
+        Ok(path) => eprintln!("observed run: {}", path.display()),
+        Err(e) => eprintln!(
+            "observed run {id}: writing into {} failed: {e}",
+            dir.display()
+        ),
+    }
+    run
 }
 
 /// [`train_defense`] with a caller-supplied telemetry sink.
 ///
 /// When `telemetry` is enabled it is attached to every client, optimizer
-/// and middleware before training (so defense transforms charge the
-/// privacy ledger and spans/metrics record), the flight recorder is armed,
-/// and after the run the Perfetto trace is written if `DINAR_TRACE` names
-/// a path. A [`Telemetry::disabled`] sink makes this identical to an
-/// unobserved run.
+/// and middleware before training, so defense transforms charge the
+/// privacy ledger and spans/metrics record; nothing is written — the
+/// caller owns the sink and what becomes of it. A
+/// [`Telemetry::disabled`] sink makes this identical to an unobserved run.
 ///
 /// # Errors
 ///
@@ -401,7 +427,7 @@ pub fn train_defense(
 pub fn train_defense_with_telemetry(
     env: &Environment,
     defense: &Defense,
-    telemetry: &dinar_telemetry::Telemetry,
+    telemetry: &Telemetry,
 ) -> Result<TrainedRun, Box<dyn std::error::Error>> {
     let spec = &env.spec;
     let entry = spec.entry.clone();
@@ -502,11 +528,6 @@ pub fn train_defense_with_telemetry(
         system.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
     }
     let reports = system.run(spec.rounds)?;
-    if telemetry.is_enabled() {
-        if let Err(e) = dinar_telemetry::export::write_trace_if_requested(telemetry) {
-            eprintln!("trace export failed: {e}");
-        }
-    }
     let cost = CostSample {
         client_train_s: reports.iter().map(|r| r.cost.client_train_s).sum::<f64>()
             / reports.len().max(1) as f64,
@@ -614,4 +635,76 @@ fn subsample(ds: &Dataset, cap: usize, rng: &mut Rng) -> dinar_data::Result<Data
     let mut perm = rng.permutation(ds.len());
     perm.truncate(cap);
     ds.subset(&perm)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dinar_data::catalog::{self, Profile};
+
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .map(|e| {
+                        e.expect("dir entry")
+                            .file_name()
+                            .to_string_lossy()
+                            .into_owned()
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
+
+    /// One observed run writes one RUN document whose trace is the sink's
+    /// trace export; an unobserved run and a caller-supplied sink write
+    /// nothing.
+    #[test]
+    fn an_observed_run_writes_one_run_document() {
+        let env = prepare_training_only(ExperimentSpec {
+            clients: 2,
+            rounds: 1,
+            local_epochs: 1,
+            ..ExperimentSpec::mini_default(catalog::purchase100(Profile::Mini))
+        })
+        .expect("environment");
+        let dir = std::env::temp_dir().join(format!("dinar-observe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        train_defense_with_telemetry(&env, &Defense::None, &Telemetry::disabled())
+            .expect("unobserved run");
+        train_defense_with_telemetry(&env, &Defense::None, &Telemetry::new())
+            .expect("caller-supplied sink");
+        assert!(files_in(&dir).is_empty());
+
+        let tel = Telemetry::new();
+        train_observed(&env, &Defense::None, &dir, &tel).expect("observed run");
+        let files = files_in(&dir);
+        assert_eq!(files.len(), 1, "{files:?}");
+        assert!(
+            files[0].starts_with("RUN_") && files[0].ends_with("_purchase100_No-defense.json"),
+            "{files:?}"
+        );
+        let text = std::fs::read_to_string(dir.join(&files[0])).expect("RUN file");
+        let doc = Json::parse(&text).expect("RUN file parses");
+        for key in [
+            "traceEvents",
+            "metrics",
+            "summary_tree",
+            "span_coverage",
+            "privacy",
+            "flight",
+            "flight_dropped",
+        ] {
+            assert!(doc.get(key).is_some(), "RUN file lacks `{key}`");
+        }
+        let trace = Json::parse(&export::trace_events(&tel)).expect("trace parses");
+        let events = trace.get("traceEvents").and_then(Json::as_arr);
+        assert!(events.is_some_and(|e| !e.is_empty()));
+        assert_eq!(doc.get("traceEvents").and_then(Json::as_arr), events);
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
 }

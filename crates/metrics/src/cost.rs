@@ -11,83 +11,7 @@
 use crate::clock::{Clock, WallClock};
 use dinar_tensor::alloc::MemoryScope;
 use dinar_tensor::json::{Json, ToJson};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// A running stopwatch accumulating durations across start/stop cycles.
-#[derive(Debug)]
-pub struct Stopwatch {
-    clock: Arc<dyn Clock>,
-    total: Duration,
-    started: Option<Duration>,
-    laps: u32,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Stopwatch::new()
-    }
-}
-
-impl Stopwatch {
-    /// Creates a stopped stopwatch at zero, timed by a fresh [`WallClock`].
-    pub fn new() -> Self {
-        Stopwatch::with_clock(Arc::new(WallClock::new()))
-    }
-
-    /// Creates a stopped stopwatch at zero timed by `clock` — inject a
-    /// [`ManualClock`](crate::clock::ManualClock) for deterministic lap
-    /// durations in tests.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        Stopwatch {
-            clock,
-            total: Duration::ZERO,
-            started: None,
-            laps: 0,
-        }
-    }
-
-    /// Starts (or restarts) timing. Calling `start` twice without `stop`
-    /// restarts the current lap.
-    pub fn start(&mut self) {
-        self.started = Some(self.clock.elapsed());
-    }
-
-    /// Stops timing and accumulates the lap. No-op if not started.
-    pub fn stop(&mut self) {
-        if let Some(t0) = self.started.take() {
-            self.total += self.clock.elapsed().saturating_sub(t0);
-            self.laps += 1;
-        }
-    }
-
-    /// Total accumulated time.
-    pub fn total(&self) -> Duration {
-        self.total
-    }
-
-    /// Number of completed laps.
-    pub fn laps(&self) -> u32 {
-        self.laps
-    }
-
-    /// Mean lap duration (zero if no laps completed).
-    pub fn mean_lap(&self) -> Duration {
-        if self.laps == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.laps
-        }
-    }
-
-    /// Times a closure as one lap and returns its output.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.start();
-        let out = f();
-        self.stop();
-        out
-    }
-}
 
 /// A cost sample for one FL configuration: the three Table 3 columns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -178,39 +102,6 @@ pub fn measure_with<T>(clock: &dyn Clock, f: impl FnOnce() -> T) -> (T, Duration
 mod tests {
     use super::*;
     use dinar_tensor::Tensor;
-
-    #[test]
-    fn stopwatch_accumulates_laps() {
-        let mut sw = Stopwatch::new();
-        sw.time(|| std::thread::sleep(Duration::from_millis(5)));
-        sw.time(|| std::thread::sleep(Duration::from_millis(5)));
-        assert_eq!(sw.laps(), 2);
-        assert!(sw.total() >= Duration::from_millis(10));
-        assert!(sw.mean_lap() >= Duration::from_millis(5));
-    }
-
-    #[test]
-    fn stop_without_start_is_noop() {
-        let mut sw = Stopwatch::new();
-        sw.stop();
-        assert_eq!(sw.laps(), 0);
-        assert_eq!(sw.total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn stopwatch_with_manual_clock_is_deterministic() {
-        let clock = Arc::new(crate::clock::ManualClock::new());
-        let mut sw = Stopwatch::with_clock(clock.clone());
-        sw.start();
-        clock.advance(Duration::from_millis(7));
-        sw.stop();
-        sw.start();
-        clock.advance(Duration::from_millis(3));
-        sw.stop();
-        assert_eq!(sw.laps(), 2);
-        assert_eq!(sw.total(), Duration::from_millis(10));
-        assert_eq!(sw.mean_lap(), Duration::from_millis(5));
-    }
 
     #[test]
     fn measure_with_manual_clock_is_deterministic() {

@@ -10,7 +10,7 @@
 //! * **Jensen–Shannon divergence over histograms** ([`histogram`]) — the
 //!   generalization-gap measure of §3 used to rank layers by privacy
 //!   sensitivity (Fig. 1/4).
-//! * **Cost tracking** ([`cost`]) — stopwatches and tensor-memory scopes
+//! * **Cost tracking** ([`cost`]) — wall-time and tensor-memory measurement
 //!   behind the Table 3 overhead columns, timed through the injectable
 //!   [`clock::Clock`].
 //! * **Summary statistics** ([`stats`]) — means, standard deviations and

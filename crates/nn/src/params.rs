@@ -9,7 +9,6 @@
 
 use crate::view::NestedNorm;
 use crate::{NnError, Result};
-use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::Tensor;
 
 /// The parameters of a single trainable layer (e.g. `[weight, bias]`, or
@@ -18,12 +17,6 @@ use dinar_tensor::Tensor;
 pub struct LayerParams {
     /// The layer's tensors, in the layer's canonical order.
     pub tensors: Vec<Tensor>,
-}
-
-impl ToJson for LayerParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("tensors", self.tensors.to_json())])
-    }
 }
 
 /// A layer is its tensor list to the model framing
@@ -43,28 +36,6 @@ impl From<Vec<Vec<Tensor>>> for ModelParams {
 }
 
 impl LayerParams {
-    /// Reconstructs layer parameters from their [`ToJson`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if the payload is not an object
-    /// with a `tensors` array of valid tensor payloads.
-    pub fn from_json(value: &Json) -> Result<Self> {
-        let tensors = value
-            .get("tensors")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| NnError::InvalidConfig {
-                reason: "layer payload missing `tensors` array".into(),
-            })?
-            .iter()
-            .map(|t| {
-                Tensor::from_json(t).map_err(|e| NnError::InvalidConfig {
-                    reason: format!("bad tensor in layer payload: {e}"),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(LayerParams { tensors })
-    }
     /// Creates a layer-parameter set from tensors.
     pub fn new(tensors: Vec<Tensor>) -> Self {
         LayerParams { tensors }
@@ -137,31 +108,7 @@ pub struct ModelParams {
     pub layers: Vec<LayerParams>,
 }
 
-impl ToJson for ModelParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("layers", self.layers.to_json())])
-    }
-}
-
 impl ModelParams {
-    /// Reconstructs model parameters from their [`ToJson`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if the payload is not an object
-    /// with a `layers` array of valid layer payloads.
-    pub fn from_json(value: &Json) -> Result<Self> {
-        let layers = value
-            .get("layers")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| NnError::InvalidConfig {
-                reason: "model payload missing `layers` array".into(),
-            })?
-            .iter()
-            .map(LayerParams::from_json)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ModelParams { layers })
-    }
     /// Creates a model-parameter set from per-layer entries.
     pub fn new(layers: Vec<LayerParams>) -> Self {
         ModelParams { layers }

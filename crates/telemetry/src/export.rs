@@ -1,4 +1,5 @@
-//! Deterministic profile emission: JSONL, summary trees and coverage.
+//! Profile emission: JSONL, summary trees, coverage, the Perfetto trace
+//! and the one report of an observed run ([`run_document`]).
 //!
 //! All emitters consume a [`Telemetry`] handle and are pure functions of
 //! its state. Spans are sorted by `(path, start_us, dur_us)` before
@@ -9,12 +10,13 @@
 //! drops every metric tagged volatile (pool fan-out, alloc high-water
 //! marks), which legitimately vary with `DINAR_THREADS`.
 
+use crate::recorder;
 use crate::registry::{MetricData, MetricValue};
 use crate::span::SpanRecord;
 use crate::Telemetry;
 use dinar_tensor::json::{Json, ToJson};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// All completed spans sorted by `(path, start_us, dur_us)` — the
 /// canonical order for cross-run comparison.
@@ -176,6 +178,12 @@ fn trace_pid(path: &str) -> u64 {
 /// byte-stable (the golden-snapshot contract); at wider pools `tid`
 /// legitimately tracks scheduling.
 pub fn trace_events(tel: &Telemetry) -> String {
+    Json::obj(trace_fields(tel)).dump()
+}
+
+/// The two fields of the trace-event object format: `traceEvents` and
+/// `displayTimeUnit`.
+fn trace_fields(tel: &Telemetry) -> [(&'static str, Json); 2] {
     let mut events = Vec::new();
     for span in sorted_spans(tel) {
         let name = span.path.rsplit('/').next().unwrap_or(&span.path);
@@ -196,27 +204,53 @@ pub fn trace_events(tel: &Telemetry) -> String {
         end.push(("ts", (span.start_us + span.dur_us).to_json()));
         events.push(Json::obj(end));
     }
-    Json::obj([
+    [
         ("traceEvents", Json::Arr(events)),
         ("displayTimeUnit", "ms".to_json()),
-    ])
-    .dump()
+    ]
 }
 
-/// Writes [`trace_events`] to the path named by the `DINAR_TRACE`
-/// environment variable, if set. Returns the path written; an IO failure
-/// comes back as the error, for the caller to report and carry on — an
-/// exporter never fails the run it observed.
-pub fn write_trace_if_requested(tel: &Telemetry) -> std::io::Result<Option<PathBuf>> {
-    let path = match std::env::var("DINAR_TRACE") {
-        Ok(p) if !p.is_empty() => PathBuf::from(p),
-        _ => return Ok(None),
-    };
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&path, trace_events(tel))?;
-    Ok(Some(path))
+/// The one report of an observed run: the [`trace_events`] object (so
+/// Perfetto and `chrome://tracing` open the document as-is; spans appear
+/// once, as the `B`/`E` pairs, each `B` carrying the full path in `args`)
+/// with the rest of the sink beside it —
+///
+/// * `metrics`: every metric in the [`export_jsonl`] line shape, volatile
+///   ones tagged `"volatile":true`;
+/// * `summary_tree` and `span_coverage`: [`summary_tree`] and
+///   [`span_coverage`];
+/// * `privacy`: the ledger report ([`Telemetry::privacy_report`]);
+/// * `flight` and `flight_dropped`: the flight view
+///   ([`Telemetry::flight_events`], [`Telemetry::flight_dropped`]).
+///
+/// Unlike the other emitters it is not deterministic as a whole: the
+/// volatile metrics and `flight_dropped` track scheduling.
+pub fn run_document(tel: &Telemetry) -> Json {
+    let (flight, flight_dropped) = tel.events().map_or_else(Default::default, recorder::view);
+    let mut fields = Vec::from(trace_fields(tel));
+    fields.extend([
+        (
+            "metrics",
+            Json::Arr(tel.metrics().iter().map(metric_line).collect()),
+        ),
+        ("summary_tree", summary_tree(tel).to_json()),
+        ("span_coverage", span_coverage(tel).to_json()),
+        ("privacy", tel.privacy_report()),
+        ("flight", flight.to_json()),
+        ("flight_dropped", flight_dropped.to_json()),
+    ]);
+    Json::obj(fields)
+}
+
+/// Writes [`run_document`] to `<dir>/RUN_<id>.json`, creating `dir`.
+/// Returns the path written; an IO failure comes back as the error, for
+/// the caller to report and carry on — an exporter never fails the run it
+/// observed.
+pub fn write_run(tel: &Telemetry, dir: &Path, id: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("RUN_{id}.json"));
+    std::fs::write(&path, run_document(tel).dump())?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -358,6 +392,51 @@ mod tests {
         );
         // All on one thread under width-1 style execution: tid 0.
         assert_eq!(events[0].get("tid").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn run_document_sets_the_sections_beside_the_trace() {
+        let (clock, tel) = manual();
+        {
+            let _r = tel.span("round[1]");
+            tel.counter_add("fl.rounds", 1);
+            tel.gauge_max_volatile("pool.width", 2.0);
+            tel.privacy_charge("ldp", "client[0]", 0.5, 1e-5);
+            clock.advance(Duration::from_micros(8));
+        }
+        let doc = run_document(&tel);
+        let keys: Vec<&str> = doc
+            .as_obj()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "traceEvents",
+                "displayTimeUnit",
+                "metrics",
+                "summary_tree",
+                "span_coverage",
+                "privacy",
+                "flight",
+                "flight_dropped"
+            ]
+        );
+        let trace = Json::parse(&trace_events(&tel)).unwrap();
+        assert_eq!(doc.get("traceEvents"), trace.get("traceEvents"));
+        let metrics = doc.get("metrics").and_then(Json::as_arr).unwrap();
+        assert_eq!(metrics.len(), tel.metrics().len());
+        assert!(metrics
+            .iter()
+            .any(|m| m.get("volatile").and_then(Json::as_bool) == Some(true)));
+        assert_eq!(doc.get("privacy"), Some(&tel.privacy_report()));
+        assert_eq!(
+            doc.get("flight").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(tel.flight_events().len())
+        );
+        assert_eq!(doc.get("flight_dropped").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

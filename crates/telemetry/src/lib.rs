@@ -12,10 +12,20 @@
 //! training time, per-layer cost, memory footprint (Figs 8–11, Tables 2–3)
 //! — and this crate is the one instrument all layers share: `dinar-nn`
 //! times every layer's forward/backward, `dinar-fl` wraps rounds, clients
-//! and middleware in spans, and `dinar-bench` dumps the result next to each
-//! figure's data. The audit plane rides the same handle: defenses charge
-//! their (ε, δ) spend to the [`ledger`], and the flight [`recorder`]
+//! and middleware in spans, and `dinar-bench` writes one report per
+//! observed training run. The audit plane rides the same handle: defenses
+//! charge their (ε, δ) spend to the [`ledger`], and the flight [`recorder`]
 //! reads the last events of every thread back for crash postmortems.
+//!
+//! # One switch
+//!
+//! `DINAR_OBSERVE=<dir>` is the only observability setting, read by
+//! [`observe_dir`] alone. Under it every harness training run records on
+//! an enabled sink and writes `<dir>/RUN_<nnn>_<dataset>_<defense>.json`
+//! ([`export::run_document`]: a Perfetto-loadable trace plus metrics,
+//! summary tree, coverage, privacy ledger and flight view), and the
+//! engine's failure exits write `<dir>/FLIGHT_<reason>.jsonl`. A caller
+//! that attaches its own sink gets no RUN file written behind its back.
 //!
 //! # The handle
 //!
@@ -64,8 +74,18 @@ pub use span::{SpanGuard, SpanRecord};
 use dinar_tensor::json::Json;
 use ledger::PrivacyLedger;
 use span::EventLog;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The observability switch (crate docs, "One switch"): the directory
+/// named by `DINAR_OBSERVE`, or [`None`] when it is unset or empty. This is
+/// the only place the workspace reads it; everything below takes the
+/// directory as an argument.
+pub fn observe_dir() -> Option<PathBuf> {
+    std::env::var_os("DINAR_OBSERVE")
+        .filter(|dir| !dir.is_empty())
+        .map(PathBuf::from)
+}
 
 #[derive(Debug)]
 struct Inner {
@@ -191,17 +211,21 @@ impl Telemetry {
     }
 
     /// Writes the flight dump to `<dir>/FLIGHT_<reason>.jsonl` when the
-    /// `DINAR_FLIGHT` environment variable is set (`1` means the default
-    /// `bench-results` directory; any other value names the directory) and
-    /// the sink is enabled, reporting events dropped from the per-thread
-    /// window on stderr. Returns the path written; an IO failure comes back
-    /// as the error, for the caller to report and carry on.
+    /// [`observe_dir`] switch names a `dir` and the sink is enabled,
+    /// reporting events dropped from the per-thread window on stderr. The
+    /// engine's failure exits (panic, deadline, quorum) call this. Returns
+    /// the path written; an IO failure comes back as the error, for the
+    /// caller to report and carry on.
     pub fn flight_dump_if_requested(&self, reason: &str) -> std::io::Result<Option<PathBuf>> {
-        let dir = match std::env::var("DINAR_FLIGHT") {
-            Ok(v) if v == "1" => PathBuf::from("bench-results"),
-            Ok(v) if !v.is_empty() => PathBuf::from(v),
-            _ => return Ok(None),
-        };
+        match observe_dir() {
+            Some(dir) => self.flight_dump_to(&dir, reason),
+            None => Ok(None),
+        }
+    }
+
+    /// [`flight_dump_if_requested`](Telemetry::flight_dump_if_requested)
+    /// into `dir`.
+    fn flight_dump_to(&self, dir: &Path, reason: &str) -> std::io::Result<Option<PathBuf>> {
         let Some(log) = self.events() else {
             return Ok(None);
         };
@@ -209,7 +233,7 @@ impl Telemetry {
         if dropped > 0 {
             eprintln!("flight dump {reason}: {dropped} older events fell outside the window");
         }
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("FLIGHT_{reason}.jsonl"));
         std::fs::write(&path, recorder::jsonl(&events))?;
         Ok(Some(path))
@@ -391,24 +415,23 @@ mod tests {
 
     #[test]
     fn dump_and_trace_writers_return_io_errors() {
-        // The only test in this crate that touches these two variables.
         let dir = std::env::temp_dir().join(format!("dinar-tel-io-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("regular-file");
         std::fs::write(&file, "not a directory").unwrap();
         let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
         tel.flight_record("fault", "crash", 1);
-        std::env::set_var("DINAR_FLIGHT", file.join("sub"));
-        std::env::set_var("DINAR_TRACE", file.join("sub/trace.json"));
-        assert!(tel.flight_dump_if_requested("crash").is_err());
-        assert!(export::write_trace_if_requested(&tel).is_err());
-        std::env::set_var("DINAR_FLIGHT", &dir);
-        let written = tel.flight_dump_if_requested("crash").unwrap().unwrap();
-        assert!(std::fs::read_to_string(&written).unwrap().contains("\"crash\""));
-        assert_eq!(Telemetry::disabled().flight_dump_if_requested("x").unwrap(), None);
-        std::env::remove_var("DINAR_FLIGHT");
-        std::env::remove_var("DINAR_TRACE");
-        assert_eq!(tel.flight_dump_if_requested("crash").unwrap(), None);
+        let blocked = file.join("sub");
+        assert!(tel.flight_dump_to(&blocked, "crash").is_err());
+        assert!(export::write_run(&tel, &blocked, "001").is_err());
+        let written = tel.flight_dump_to(&dir, "crash").unwrap().unwrap();
+        assert_eq!(written, dir.join("FLIGHT_crash.jsonl"));
+        let dump = std::fs::read_to_string(&written).unwrap();
+        assert!(dump.contains("\"crash\""));
+        let run = export::write_run(&tel, &dir, "001").unwrap();
+        assert_eq!(run, dir.join("RUN_001.json"));
+        let disabled = Telemetry::disabled();
+        assert_eq!(disabled.flight_dump_to(&dir, "x").unwrap(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -110,22 +110,26 @@ fn tape(events: &[Event]) -> Vec<FlightEvent> {
         .collect()
 }
 
-/// `events` as JSONL, one event per line with a fixed field order —
-/// byte-identical across pool widths (module docs).
+impl ToJson for FlightEvent {
+    /// One event as an object with a fixed field order.
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("scope", self.scope.to_json()),
+            ("kind", self.kind.to_json()),
+            ("name", self.name.to_json()),
+            ("seq", self.seq.to_json()),
+            ("t_us", self.t_us.to_json()),
+            ("value", self.value.to_json()),
+        ])
+    }
+}
+
+/// `events` as JSONL, one event per line — byte-identical across pool
+/// widths (module docs).
 pub(crate) fn jsonl(events: &[FlightEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(
-            &Json::obj([
-                ("scope", e.scope.to_json()),
-                ("kind", e.kind.to_json()),
-                ("name", e.name.to_json()),
-                ("seq", e.seq.to_json()),
-                ("t_us", e.t_us.to_json()),
-                ("value", e.value.to_json()),
-            ])
-            .dump(),
-        );
+        out.push_str(&e.to_json().dump());
         out.push('\n');
     }
     out

@@ -70,11 +70,6 @@ pub enum TensorError {
         /// Name of the conversion target type.
         target: &'static str,
     },
-    /// A serialized tensor payload was malformed.
-    InvalidPayload {
-        /// Human-readable description of the malformation.
-        reason: String,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -106,9 +101,6 @@ impl fmt::Display for TensorError {
             TensorError::Empty { op } => write!(f, "`{op}` requires a non-empty tensor"),
             TensorError::InvalidCast { value, target } => {
                 write!(f, "cannot convert {value} to {target} without loss")
-            }
-            TensorError::InvalidPayload { reason } => {
-                write!(f, "malformed tensor payload: {reason}")
             }
         }
     }

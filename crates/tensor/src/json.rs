@@ -1,12 +1,12 @@
 //! Minimal, dependency-free JSON tree with an emitter and a parser.
 //!
 //! The workspace builds hermetically (no registry dependencies), so the
-//! serialization needs of the reproduction — checkpoints, experiment
-//! artifacts, the lint baseline — are served by this hand-rolled module
-//! instead of `serde`. The surface is deliberately tiny: a [`Json`] value
-//! tree, compact and pretty emitters, a strict recursive-descent parser,
-//! and the [`ToJson`] conversion trait implemented for the primitives the
-//! repo serializes.
+//! serialization needs of the reproduction — experiment artifacts,
+//! telemetry exports, golden snapshots — are served by this hand-rolled
+//! module instead of `serde`. The surface is deliberately tiny: a [`Json`]
+//! value tree, compact and pretty emitters, a strict recursive-descent
+//! parser, and the [`ToJson`] conversion trait implemented for the
+//! primitives the repo serializes.
 //!
 //! Numbers are stored as `f64`. `f32` payloads round-trip exactly: the
 //! `f32 → f64` widening is lossless and the emitter prints the shortest

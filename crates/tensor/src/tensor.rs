@@ -1,4 +1,3 @@
-use crate::json::{Json, ToJson};
 use crate::{alloc, cast, par, profile, sanitize, Result, TensorError};
 use std::sync::Arc;
 
@@ -85,17 +84,6 @@ pub struct Tensor {
     shape: Vec<usize>,
 }
 
-impl ToJson for Tensor {
-    /// Serializes as `{"data": [...], "shape": [...]}` — the same envelope
-    /// the earlier `serde` derive produced, so old checkpoints keep loading.
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("data", self.buf.data.to_json()),
-            ("shape", self.shape.to_json()),
-        ])
-    }
-}
-
 impl Tensor {
     // ------------------------------------------------------------------
     // Constructors
@@ -149,39 +137,6 @@ impl Tensor {
     /// (pool reclamation); a shared buffer stays with its other owners.
     pub(crate) fn try_into_buffer(self) -> Option<Buf> {
         Arc::try_unwrap(self.buf).ok()
-    }
-
-    /// Deserializes a tensor from its JSON form (see [`ToJson`] impl),
-    /// routing through [`Tensor::from_vec`] so the buffer participates in
-    /// the allocation accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidPayload`] for a malformed tree and
-    /// [`TensorError::ShapeDataMismatch`] if data and shape disagree.
-    pub fn from_json(value: &Json) -> Result<Self> {
-        let malformed = |reason: &str| TensorError::InvalidPayload {
-            reason: reason.to_string(),
-        };
-        let data = value
-            .get("data")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| malformed("missing `data` array"))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .map(cast::f64_to_f32)
-                    .ok_or_else(|| malformed("non-numeric entry in `data`"))
-            })
-            .collect::<Result<Vec<f32>>>()?;
-        let shape = value
-            .get("shape")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| malformed("missing `shape` array"))?
-            .iter()
-            .map(|v| v.as_usize().ok_or_else(|| malformed("bad `shape` entry")))
-            .collect::<Result<Vec<usize>>>()?;
-        Tensor::from_vec(data, &shape)
     }
 
     /// Creates a rank-1 tensor from a slice.
@@ -1187,27 +1142,6 @@ mod tests {
         let a = Tensor::from_slice(&[1.0, 2.0, 3.0]);
         let b = Tensor::from_slice(&[4.0, 5.0, 6.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_bits_and_shape() {
-        let t = Tensor::from_vec(vec![0.1, -2.5, 3.0e-20, 7.0], &[2, 2]).unwrap();
-        let text = t.to_json().dump();
-        let back = Tensor::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_payloads() {
-        for bad in [
-            "{\"shape\": [2]}",
-            "{\"data\": [1, 2], \"shape\": [3]}",
-            "{\"data\": [\"x\"], \"shape\": [1]}",
-            "[1, 2, 3]",
-        ] {
-            let v = Json::parse(bad).unwrap();
-            assert!(Tensor::from_json(&v).is_err(), "accepted {bad}");
-        }
     }
 
     #[test]

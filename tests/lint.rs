@@ -3,9 +3,10 @@
 //! the CLI. Every rule gates at zero; a `// lint: allow(RULE, reason)` on
 //! the offending line is the only exemption. The tests below partition the
 //! rules between them, so together they cover every rule exactly once.
+//! `env_switches_stay_at_two` guards the workspace's knobs the same way.
 
 use dinar_lint::rules::Rule;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Rules with a dedicated test below; `lint_ratchet_holds` covers the rest.
 const DEDICATED: &[Rule] = &[
@@ -83,4 +84,58 @@ fn wire_codecs_stay_confined_at_zero() {
 #[test]
 fn bit_pattern_casts_stay_confined_at_zero() {
     assert_no_findings("bit-pattern cast confinement (L018)", |r| r == Rule::L018);
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn env_switches_stay_at_two() {
+    // The pool width and the observability directory are the only settings
+    // the library crates read from the environment; a new knob becomes a
+    // parameter of an existing mechanism instead.
+    const ALLOWED: [&str; 2] = ["DINAR_THREADS", "DINAR_OBSERVE"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&root).expect("crates dir") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rs_files(&src, &mut files);
+        }
+    }
+    let mut reads = Vec::new();
+    let mut stray = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for call in ["env::var(", "env::var_os("] {
+            for (at, _) in text.match_indices(call) {
+                let arg = text[at + call.len()..].trim_start();
+                let name = arg
+                    .strip_prefix('"')
+                    .and_then(|rest| rest.split('"').next())
+                    .unwrap_or(arg.lines().next().unwrap_or_default());
+                reads.push(name.to_string());
+                if !ALLOWED.contains(&name) {
+                    stray.push(format!("{}: {call}\"{name}\")", file.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "crates/*/src may read only {ALLOWED:?} from the environment:\n  {}",
+        stray.join("\n  ")
+    );
+    reads.sort();
+    reads.dedup();
+    assert_eq!(reads, ["DINAR_OBSERVE", "DINAR_THREADS"]);
 }
