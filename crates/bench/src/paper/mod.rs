@@ -273,7 +273,7 @@ pub enum Plan {
 /// Every artifact by name — its file stem under `bench-results/` and the
 /// runner's argument — in the order `paper all` regenerates them (fig6
 /// before fig7, which reads its JSON).
-pub const ARTIFACTS: [(&str, Plan); 15] = [
+pub const ARTIFACTS: [(&str, Plan); 16] = [
     ("table1", Plan::Procedure(procedures::table1)),
     ("table2", Plan::Procedure(procedures::table2)),
     ("table3", Plan::Grid(grids::table3)),
@@ -292,6 +292,7 @@ pub const ARTIFACTS: [(&str, Plan); 15] = [
         "ext_regularization",
         Plan::Procedure(procedures::ext_regularization),
     ),
+    ("step_profile", Plan::Procedure(procedures::step_profile)),
 ];
 
 /// The plan of the artifact called `name`.

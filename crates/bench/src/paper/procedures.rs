@@ -1,6 +1,7 @@
 //! The artifacts that are not grids: static tables, per-layer sweeps, loss
-//! distributions, the fig7 view over fig6 and the two extension
-//! experiments. Each returns its printed report and JSON for the runner.
+//! distributions, the fig7 view over fig6, the two extension experiments
+//! and the training-step profile. Each returns its printed report and JSON
+//! for the runner.
 
 use super::{grids, seeds, Output, Result, PROFILE};
 use crate::harness::{
@@ -417,6 +418,138 @@ pub fn fig7() -> Result<Output> {
         json: Some(outcomes.to_json()),
         seeds: seeds(grids::fig6().columns.iter().map(|c| &c.spec)),
     })
+}
+
+/// Training steps `step_profile` times per configuration, after
+/// [`PROFILE_WARMUP`] untimed ones.
+const PROFILE_STEPS: usize = 200;
+/// Untimed steps before `step_profile`'s timed ones (first-touch pages,
+/// optimizer state).
+const PROFILE_WARMUP: usize = 20;
+/// Independent runs of each `step_profile` configuration; the fastest one
+/// is reported, so a burst of load from elsewhere on the host drops out.
+const PROFILE_RUNS: usize = 3;
+
+/// Where one local training step's time goes, by layer kind: the `vgg11_mini`
+/// step on GTSRB (Table 3's model) and the `fcnn6` step on Purchase100 (the
+/// headline configuration), at pool widths 1 and 2. Each configuration runs
+/// [`PROFILE_STEPS`] batch-64 Adam steps as a client does (forward, loss
+/// gradient, backward, optimizer) under an enabled sink attached to the
+/// model, one `step` span per step, and keeps the fastest of
+/// [`PROFILE_RUNS`] runs; its rows are the `fwd[..]`/`bwd[..]`
+/// span totals summed per layer kind, plus the step's self time (batching,
+/// loss, optimizer and the sink's gradient-norm gauges), in µs per step and
+/// as a share of the step.
+pub fn step_profile() -> Result<Output> {
+    let mut text = format!(
+        "Step profile — µs per batch-64 local training step by layer kind \
+         ({PROFILE_STEPS} steps after {PROFILE_WARMUP} warm-up, fastest of {PROFILE_RUNS} runs)\n"
+    );
+    let mut rows = Vec::new();
+    let mut specs = Vec::new();
+    let width = dinar_tensor::par::threads();
+    for entry in [catalog::gtsrb(PROFILE), catalog::purchase100(PROFILE)] {
+        let spec = ExperimentSpec::mini_default(entry.clone());
+        let data = entry.generate(&mut Rng::seed_from(spec.seed))?;
+        for threads in [1, 2] {
+            dinar_tensor::par::set_threads(threads);
+            let runs: Result<Vec<_>> = (0..PROFILE_RUNS)
+                .map(|_| profile_steps(&entry, &data, spec.seed))
+                .collect();
+            dinar_tensor::par::set_threads(width);
+            let step_us = |parts: &[(String, &str, f64)]| parts.iter().map(|p| p.2).sum::<f64>();
+            let (model, parts) = runs?
+                .into_iter()
+                .min_by(|a, b| step_us(&a.1).total_cmp(&step_us(&b.1)))
+                .ok_or("no profile run")?;
+            let step_us = step_us(&parts);
+            writeln!(
+                text,
+                "\n{} / {model}, width {threads}: {step_us:.0} µs per step",
+                entry.name()
+            )?;
+            let mut table = Vec::new();
+            for (layer, pass, us) in parts {
+                let share = us / step_us;
+                table.push(vec![
+                    layer.clone(),
+                    pass.to_string(),
+                    format!("{us:.1}"),
+                    report::pct(share * 100.0),
+                ]);
+                rows.push(Json::obj(vec![
+                    ("dataset", entry.name().to_json()),
+                    ("model", model.to_json()),
+                    ("threads", threads.to_json()),
+                    ("layer", layer.to_json()),
+                    ("pass", pass.to_json()),
+                    ("us_per_step", us.to_json()),
+                    ("share", share.to_json()),
+                ]));
+            }
+            text.push_str(&report::table(&["layer", "pass", "µs/step", "share %"], &table));
+        }
+        specs.push(spec);
+    }
+    Ok(Output {
+        text,
+        json: Some(Json::Arr(rows)),
+        seeds: seeds(&specs),
+    })
+}
+
+/// One `step_profile` configuration: the model's name and, per layer kind
+/// and pass (first appearance order), then the step's self time, the µs per
+/// step.
+fn profile_steps(
+    entry: &CatalogEntry,
+    data: &Dataset,
+    seed: u64,
+) -> Result<(&'static str, Vec<(String, &'static str, f64)>)> {
+    let mut rng = Rng::seed_from(seed);
+    let mut model = model_for(entry, &mut rng)?;
+    let name = if entry.name() == "gtsrb" { "vgg11_mini" } else { "fcnn6" };
+    let mut opt = dinar_nn::optim::Adam::new(1e-3);
+    let tel = dinar_telemetry::Telemetry::new();
+    let mut batches = Vec::new();
+    for step in 0..PROFILE_WARMUP + PROFILE_STEPS {
+        if batches.is_empty() {
+            batches = data.batch_indices(64, &mut rng);
+            batches.retain(|b| b.len() == 64);
+        }
+        if step == PROFILE_WARMUP {
+            model.set_telemetry(tel.clone());
+        }
+        let _span = (step >= PROFILE_WARMUP).then(|| tel.span("step"));
+        let batch = data.batch(&batches.pop().ok_or("no full batch of 64")?)?;
+        let logits = model.forward(&batch.features, true)?;
+        let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &batch.labels)?;
+        model.zero_grad();
+        model.backward(&grad)?;
+        opt.step(&mut model)?;
+    }
+    let mut parts: Vec<(String, &'static str, f64)> = Vec::new();
+    let mut total_us = 0.0;
+    for span in tel.spans() {
+        let us = span.dur_us as f64 / PROFILE_STEPS as f64;
+        let Some(layer) = span.path.strip_prefix("step/") else {
+            total_us += us;
+            continue;
+        };
+        // `fwd[i:kind]` / `bwd[i:kind]`.
+        let pass = if layer.starts_with("fwd[") { "fwd" } else { "bwd" };
+        let kind = layer
+            .split_once(':')
+            .map_or(layer, |(_, rest)| rest.trim_end_matches(']'))
+            .to_string();
+        match parts.iter_mut().find(|(k, p, _)| *k == kind && *p == pass) {
+            Some(part) => part.2 += us,
+            None => parts.push((kind, pass, us)),
+        }
+        total_us -= us;
+    }
+    parts.push(("step".to_string(), "self", total_us));
+    Ok((name, parts))
 }
 
 /// Each class's prototype estimated as the mean of its training samples.
