@@ -117,33 +117,42 @@ impl ShadowAttack {
         let mut rng = Rng::seed_from(cfg.seed);
         let loss_fn = CrossEntropyLoss;
 
-        let mut feature_rows: Vec<Tensor> = Vec::new();
-        let mut labels: Vec<usize> = Vec::new();
-
+        // Every draw of the fit comes from one stream, in shadow order: a
+        // shadow's member split, its initial model and its batch orders.
+        // Training draws nothing, so taking the draws up front and training
+        // the shadows side by side leaves each shadow's bits as they are.
+        let mut shadows = Vec::with_capacity(cfg.num_shadows);
         for s in 0..cfg.num_shadows {
             let indices: Vec<usize> = (s * chunk..(s + 1) * chunk).collect();
             let shard = attacker_data.subset(&indices)?;
             let (in_set, out_set) = shard.split_fraction(0.5, &mut rng)?;
-
-            // Train the shadow on its member half.
-            let mut shadow = model_fn(&mut rng)?;
-            let mut opt = make_opt(cfg.lr);
-            for _ in 0..cfg.shadow_epochs {
-                for batch_idx in in_set.batch_indices(cfg.batch_size, &mut rng) {
-                    let batch = in_set.batch(&batch_idx)?;
-                    let logits = shadow.forward(&batch.features, true)?;
-                    let (_, grad) = loss_fn.loss_and_grad(&logits, &batch.labels)?;
-                    shadow.zero_grad();
-                    shadow.backward(&grad)?;
-                    opt.step(&mut shadow)?;
-                }
+            let model = model_fn(&mut rng)?;
+            let epochs: Vec<Vec<Vec<usize>>> = (0..cfg.shadow_epochs)
+                .map(|_| in_set.batch_indices(cfg.batch_size, &mut rng))
+                .collect();
+            shadows.push((in_set, out_set, model, make_opt(cfg.lr), epochs));
+        }
+        // Train each shadow on its member half and label its behaviour:
+        // members -> 1, non-members -> 0.
+        let fitted = dinar_tensor::par::map_items_mut(&mut shadows, |_, shadow| {
+            let (in_set, out_set, model, opt, epochs) = shadow;
+            for batch_idx in epochs.iter().flatten() {
+                let batch = in_set.batch(batch_idx)?;
+                let logits = model.forward(&batch.features, true)?;
+                let (_, grad) = loss_fn.loss_and_grad(&logits, &batch.labels)?;
+                model.zero_grad();
+                model.backward(&grad)?;
+                opt.step(model)?;
             }
-            // Label the shadow's behaviour: members -> 1, non-members -> 0.
-            let shadow_params = shadow.params();
-            let f_in = extract(&shadow_params, &mut shadow, &in_set)?;
-            let f_out = extract(&shadow_params, &mut shadow, &out_set)?;
-            labels.extend(std::iter::repeat(1).take(in_set.len()));
-            labels.extend(std::iter::repeat(0).take(out_set.len()));
+            let params = model.params();
+            Ok::<_, AttackError>((extract(&params, model, in_set)?, extract(&params, model, out_set)?))
+        });
+        let mut feature_rows: Vec<Tensor> = Vec::new();
+        let mut labels: Vec<usize> = Vec::new();
+        for ((in_set, out_set, ..), features) in shadows.iter().zip(fitted) {
+            let (f_in, f_out) = features?;
+            labels.extend(std::iter::repeat_n(1, in_set.len()));
+            labels.extend(std::iter::repeat_n(0, out_set.len()));
             feature_rows.push(f_in);
             feature_rows.push(f_out);
         }

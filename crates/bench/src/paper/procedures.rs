@@ -498,14 +498,16 @@ pub fn step_profile() -> Result<Output> {
     })
 }
 
-/// One `step_profile` configuration: the model's name and, per layer kind
-/// and pass (first appearance order), then the step's self time, the µs per
-/// step.
+/// µs per step by (layer kind, pass), in first-appearance order, then the
+/// step's self time as `("step", "self")`.
+type StepParts = Vec<(String, &'static str, f64)>;
+
+/// One `step_profile` configuration: the model's name and its [`StepParts`].
 fn profile_steps(
     entry: &CatalogEntry,
     data: &Dataset,
     seed: u64,
-) -> Result<(&'static str, Vec<(String, &'static str, f64)>)> {
+) -> Result<(&'static str, StepParts)> {
     let mut rng = Rng::seed_from(seed);
     let mut model = model_for(entry, &mut rng)?;
     let name = if entry.name() == "gtsrb" { "vgg11_mini" } else { "fcnn6" };
@@ -528,7 +530,7 @@ fn profile_steps(
         model.backward(&grad)?;
         opt.step(&mut model)?;
     }
-    let mut parts: Vec<(String, &'static str, f64)> = Vec::new();
+    let mut parts = StepParts::new();
     let mut total_us = 0.0;
     for span in tel.spans() {
         let us = span.dur_us as f64 / PROFILE_STEPS as f64;

@@ -11,7 +11,7 @@
 //! dropped after the product.
 
 use crate::{init, Layer, NnError, Result};
-use dinar_tensor::conv::{col2im1d, col2im2d, Conv1dGeom, Conv2dGeom, Patches};
+use dinar_tensor::conv::{Conv1dGeom, Conv2dGeom, Patches};
 use dinar_tensor::{sanitize, Rng, Tensor};
 
 /// Copies `src`, viewed as `[a, b, run]`, into `[b, a, run]` order one
@@ -82,10 +82,10 @@ fn accumulate(
     }
     let g = swap_blocks(grad_output.as_slice(), n, oc, map, None);
     let g = Tensor::from_vec(g, &[oc, n * map])?;
-    // Both operands have the reduction contiguous, so one is packed
-    // transposed: as `cols · gᵀ` that is `g`, the small one. The weight-sized
-    // temporaries are freed before the caller allocates the input product.
-    grad_weight.add_assign(&cols.matmul_t(&g)?.transpose()?)?;
+    // In place: every caller zeroes the gradients first, and a chain resumed
+    // from `+0.0` is the plain chain, so this is `dW += g · colsᵀ` with no
+    // weight-sized temporary.
+    cols.add_weight_grad(grad_weight, &g)?;
     // `db[o]` is the add chain along row `o` of `g`, i.e. in ascending
     // (sample, position) order. The chains are independent, so eight run
     // interleaved in registers; a lane past the last channel repeats it and
@@ -244,14 +244,11 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let g = self.accumulate(grad_output)?;
-        // d cols = Wᵀ · g ; fold back onto the input, with `g` freed first.
-        let g_cols = self.weight.t_matmul(&g)?;
-        drop(g);
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        Ok(col2im2d(&g_cols, cache.batch, &cache.geom)?)
+        Ok(cache.geom.input_grad(&self.weight, &g, cache.batch)?)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
@@ -394,13 +391,11 @@ impl Layer for Conv1d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let g = self.accumulate(grad_output)?;
-        let g_cols = self.weight.t_matmul(&g)?;
-        drop(g);
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
-        Ok(col2im1d(&g_cols, cache.batch, &cache.geom)?)
+        Ok(cache.geom.input_grad(&self.weight, &g, cache.batch)?)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {

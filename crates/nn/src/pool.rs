@@ -19,12 +19,16 @@ pub struct MaxPool2d {
 #[derive(Debug)]
 struct MaxPoolCache {
     input_shape: Vec<usize>,
-    /// Flat input index of the max element for every output element.
-    argmax: Vec<u32>,
+    windows: Windows,
+    /// Per output element, the offset of the input cell that won its window
+    /// within the window, in scan order (`ky·kw + kx`).
+    argmax: Vec<u8>,
 }
 
 impl MaxPoolCache {
-    /// Routes each output gradient to the input cell that won its window.
+    /// Routes each output gradient to the input cell that won its window:
+    /// the window's origin (a per-row base plus `kw` per window) plus the
+    /// offset of its winning cell.
     fn backward(&self, grad_output: &Tensor) -> Result<Tensor> {
         if grad_output.len() != self.argmax.len() {
             return Err(NnError::InvalidConfig {
@@ -37,61 +41,202 @@ impl MaxPoolCache {
         }
         let mut grad_in = Tensor::zeros(&self.input_shape);
         let gi = grad_in.as_mut_slice();
-        for (&idx, &g) in self.argmax.iter().zip(grad_output.as_slice()) {
-            gi[idx as usize] += g;
+        let win = &self.windows;
+        let mut cells = [0usize; 256];
+        for (c, &cell) in cells.iter_mut().zip(&win.cells()) {
+            *c = cell;
+        }
+        // A plane's window origins, in output order.
+        let map = win.oh * win.ow;
+        let origins: Vec<usize> = win.row_bases().take(win.oh).flat_map(|base| {
+            (0..win.ow).map(move |ox| base + ox * win.kw)
+        }).collect();
+        if map > 0 {
+            let planes = self.argmax.chunks_exact(map).zip(grad_output.as_slice().chunks_exact(map));
+            for ((args, grads), plane) in planes.zip(gi.chunks_exact_mut(win.h * win.w)) {
+                // Windows do not overlap, so each cell is written at most once:
+                // `0.0 + g` is the zeroed cell plus its gradient.
+                for ((&origin, &arg), &g) in origins.iter().zip(args).zip(grads) {
+                    plane[origin + cells[usize::from(arg)]] = 0.0 + g;
+                }
+            }
         }
         Ok(grad_in)
     }
 }
 
-/// Max over the non-overlapping `kh × kw` windows of every `[h, w]` plane of
-/// `x`: the maxima in plane order and the flat input index of each. A plane
-/// is `⌊h / kh⌋ × ⌊w / kw⌋` windows; rows and columns past the last whole
-/// window are never read. Within a window the first maximum wins (`>` is
-/// strict), and a NaN is only ever kept from the window's first cell.
-///
-/// Each window is scanned row slice by row slice against a running maximum
-/// held in registers and updated by compare-select, so the scan carries no
-/// data-dependent branch.
-fn max_pool(
-    x: &[f32],
-    (h, w): (usize, usize),
-    (kh, kw): (usize, usize),
-) -> Result<(Vec<f32>, Vec<u32>)> {
-    if u32::try_from(x.len()).is_err() {
-        return Err(NnError::InvalidConfig {
-            reason: format!(
-                "max pooling indexes its input with u32; {} elements is too many",
-                x.len()
-            ),
-        });
+/// Windows side by side in one pass of the max-pooling kernel, one per
+/// lane (an 8-wide AVX2 register of `f32`).
+const LANES: usize = 8;
+
+/// The non-overlapping `kh × kw` windows of a batch of `[h, w]` planes: a
+/// plane is `⌊h / kh⌋ × ⌊w / kw⌋` windows, and rows and columns past the
+/// last whole window are never read.
+#[derive(Debug, Clone, Copy)]
+struct Windows {
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Windows {
+    /// The windows of `(h, w)` planes; an offset within a window must fit
+    /// the `u8` argmax.
+    fn new((h, w): (usize, usize), (kh, kw): (usize, usize)) -> Result<Self> {
+        if kh * kw > 256 {
+            return Err(NnError::InvalidConfig {
+                reason: format!(
+                    "max pooling caches the argmax as a u8 window offset; a {kh}x{kw} window has {} cells",
+                    kh * kw
+                ),
+            });
+        }
+        Ok(Windows { h, w, kh, kw, oh: h / kh, ow: w / kw })
     }
-    let (oh, ow) = (h / kh, w / kw);
-    let mut out = vec![0.0f32; (x.len() / (h * w).max(1)) * oh * ow];
-    let mut argmax = vec![0u32; out.len()];
-    if out.is_empty() {
-        return Ok((out, argmax));
+
+    /// Offset of each window cell from the window's first cell, in scan
+    /// order (row by row): the cell a `u8` argmax names.
+    fn cells(&self) -> Vec<usize> {
+        (0..self.kh)
+            .flat_map(|ky| (0..self.kw).map(move |kx| ky * self.w + kx))
+            .collect()
     }
-    // Output row `r` is window row `r % oh` of plane `r / oh`: the `kh` input
-    // rows from its band start.
-    let rows = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
-    for (r, (best_row, arg_row)) in rows.enumerate() {
-        let start = (r / oh) * h * w + (r % oh) * kh * w;
-        let band = &x[start..start + kh * w];
-        for (ox, (best_out, arg_out)) in best_row.iter_mut().zip(arg_row).enumerate() {
-            let (mut best, mut arg) = (band[ox * kw], ox * kw);
-            for (ky, row) in band.chunks_exact(w).enumerate() {
-                let offset = ky * w + ox * kw;
-                for (idx, &v) in (offset..).zip(&row[ox * kw..][..kw]) {
-                    let take = v > best;
-                    best = if take { v } else { best };
-                    arg = if take { idx } else { arg };
-                }
-            }
-            (*best_out, *arg_out) = (best, (start + arg) as u32);
+
+    /// Input offset of the first cell of each output row's first window:
+    /// output row `r` is window row `r % oh` of plane `r / oh`.
+    fn row_bases(&self) -> impl Iterator<Item = usize> {
+        let (plane, band, oh) = (self.h * self.w, self.kh * self.w, self.oh);
+        std::iter::successors(Some((0, 0)), move |&(base, oy): &(usize, usize)| {
+            Some(match oy + 1 < oh {
+                true => (base + band, oy + 1),
+                false => (base + plane - oy * band, 0),
+            })
+        })
+        .map(|(base, _)| base)
+    }
+}
+
+/// One step of the walk over a batch's windows, in output order: `at` is
+/// the first window's output index, `x` the input offset of its first cell.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// [`LANES`] windows two cells wide: `ow` adjacent windows from each of
+    /// `LANES / ow` output rows.
+    Lanes { ow: usize, at: usize, x: usize },
+    /// One window.
+    One { at: usize, x: usize },
+}
+
+/// Walks the `count` windows of a batch, [`LANES`] at a time where they are
+/// two cells wide (every pooling layer of the VGG models). A plane's
+/// windows are flattened: when a row holds fewer than [`LANES`] windows and
+/// the planes have no rows past their last window (so consecutive output
+/// rows are `kh·w` apart), one step takes `LANES / ow` rows, and the 4×4
+/// and 2×2 maps of a small CNN fill the lanes too; a longer row is taken
+/// [`LANES`] windows at a time. Other windows, and those left over, are
+/// one step each.
+fn walk(win: &Windows, count: usize, mut visit: impl FnMut(Step)) {
+    let (ow, kw, band) = (win.ow, win.kw, win.kh * win.w);
+    if count == 0 {
+        return;
+    }
+    if kw == 2 && ow < LANES && win.h == win.oh * win.kh && LANES.is_multiple_of(ow) {
+        let per = LANES / ow;
+        let whole = count / LANES * LANES;
+        for (group, at) in (0..whole).step_by(LANES).enumerate() {
+            visit(Step::Lanes { ow, at, x: group * per * band });
+        }
+        for at in whole..count {
+            visit(Step::One { at, x: (at / ow) * band + (at % ow) * kw });
+        }
+        return;
+    }
+    let whole = if kw == 2 { ow / LANES * LANES } else { 0 };
+    for (first, base) in (0..count).step_by(ow).zip(win.row_bases()) {
+        for ox in (0..whole).step_by(LANES) {
+            visit(Step::Lanes { ow: LANES, at: first + ox, x: base + ox * kw });
+        }
+        for ox in whole..ow {
+            visit(Step::One { at: first + ox, x: base + ox * kw });
         }
     }
-    Ok((out, argmax))
+}
+
+/// The maximum of each window of `x` and the offset of the cell it came
+/// from within the window. Within a window the first maximum wins (`>` is
+/// strict), and a NaN is only ever kept from the window's first cell.
+///
+/// Windows are taken as [`walk`] hands them out: [`LANES`] at a time, one
+/// per lane, each window row one contiguous load split into its first and
+/// second cells and each cell a compare-select per lane, or one at a time
+/// in the same cell order.
+fn max_pool(x: &[f32], win: &Windows) -> (Vec<f32>, Vec<u8>) {
+    let mut out = vec![0.0f32; (x.len() / (win.h * win.w).max(1)) * win.oh * win.ow];
+    let mut argmax = vec![0u8; out.len()];
+    let cells = win.cells();
+    walk(win, out.len(), |step| match step {
+        Step::Lanes { ow, at, x: from } => {
+            let (best, arg) = (&mut out[at..at + LANES], &mut argmax[at..at + LANES]);
+            match ow {
+                1 => scan_pairs::<1>(&x[from..], win, best, arg),
+                2 => scan_pairs::<2>(&x[from..], win, best, arg),
+                4 => scan_pairs::<4>(&x[from..], win, best, arg),
+                _ => scan_pairs::<LANES>(&x[from..], win, best, arg),
+            }
+        }
+        Step::One { at, x: from } => (out[at], argmax[at]) = scan(&x[from..], &cells),
+    });
+    (out, argmax)
+}
+
+/// [`LANES`] windows two cells wide, one per lane: `OW` adjacent windows
+/// from each of `LANES / OW` output rows, the first starting at `x[0]` and
+/// the rows `kh·w` apart. Each window row is read as `LANES` pairs and split
+/// into its first and second cells.
+fn scan_pairs<const OW: usize>(x: &[f32], win: &Windows, best: &mut [f32], arg: &mut [u8]) {
+    let band = win.kh * win.w;
+    let (mut top, mut at) = ([0.0f32; LANES], [0u8; LANES]);
+    for (ky, cell) in (0..win.kh).zip((0u8..).step_by(2)) {
+        let mut pairs = [0.0f32; 2 * LANES];
+        for (r, dst) in pairs.chunks_exact_mut(2 * OW).enumerate() {
+            dst.copy_from_slice(&x[r * band + ky * win.w..][..2 * OW]);
+        }
+        let first: [f32; LANES] = std::array::from_fn(|l| pairs[2 * l]);
+        let second: [f32; LANES] = std::array::from_fn(|l| pairs[2 * l + 1]);
+        if ky == 0 {
+            top = first;
+        } else {
+            take_greater(&mut top, &mut at, &first, cell);
+        }
+        take_greater(&mut top, &mut at, &second, cell + 1);
+    }
+    best.copy_from_slice(&top);
+    arg.copy_from_slice(&at);
+}
+
+/// Lane by lane, takes `v` and offset `cell` where `v` is strictly greater.
+#[inline(always)]
+fn take_greater(top: &mut [f32; LANES], at: &mut [u8; LANES], v: &[f32; LANES], cell: u8) {
+    for ((t, a), &v) in top.iter_mut().zip(at.iter_mut()).zip(v) {
+        let take = v > *t;
+        *t = if take { v } else { *t };
+        *a = if take { cell } else { *a };
+    }
+}
+
+/// One window starting at `x[0]`, scanned cell by cell in `cells` order.
+fn scan(x: &[f32], cells: &[usize]) -> (f32, u8) {
+    let (mut top, mut at) = (x[0], 0u8);
+    for (c, &cell) in (0u8..).zip(cells).skip(1) {
+        let v = x[cell];
+        let take = v > top;
+        top = if take { v } else { top };
+        at = if take { c } else { at };
+    }
+    (top, at)
 }
 
 impl MaxPool2d {
@@ -149,9 +294,11 @@ impl Layer for MaxPool2d {
             });
         }
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (out, argmax) = max_pool(input.as_slice(), (h, w), (k, k))?;
+        let windows = Windows::new((h, w), (k, k))?;
+        let (out, argmax) = max_pool(input.as_slice(), &windows);
         self.cached = Some(MaxPoolCache {
             input_shape: shape.to_vec(),
+            windows,
             argmax,
         });
         Ok(Tensor::from_vec(out, &[n, c, h / k, w / k])?)
@@ -227,9 +374,11 @@ impl Layer for MaxPool1d {
             });
         }
         let (n, c, l) = (shape[0], shape[1], shape[2]);
-        let (out, argmax) = max_pool(input.as_slice(), (1, l), (1, k))?;
+        let windows = Windows::new((1, l), (1, k))?;
+        let (out, argmax) = max_pool(input.as_slice(), &windows);
         self.cached = Some(MaxPoolCache {
             input_shape: shape.to_vec(),
+            windows,
             argmax,
         });
         Ok(Tensor::from_vec(out, &[n, c, l / self.kernel])?)
@@ -388,16 +537,28 @@ mod tests {
     #[test]
     fn max_pool_matches_the_replaced_loop_on_ties_and_nans() {
         let mut rng = dinar_tensor::Rng::seed_from(6);
-        // The last three leave rows, columns or samples past the last
-        // whole window, which floor mode drops.
+        // Rows of 1, 2, 4 and 8 windows take the flattened lanes, 12 and 16
+        // whole lanes plus a scalar tail; 3×3 windows, 1-D windows, and
+        // the last four leave rows, columns or samples past the last whole
+        // window, which floor mode drops (and which take the per-row path).
         let cases = [
             (6, 8, 12, 2, 2),
+            (64, 2, 2, 2, 2),
+            (9, 4, 4, 2, 2),
+            (5, 8, 8, 2, 2),
+            (3, 16, 16, 2, 2),
+            (2, 4, 24, 2, 2),
+            (3, 2, 34, 2, 2),
             (4, 9, 6, 3, 3),
+            (3, 6, 27, 3, 3),
+            (7, 3, 3, 3, 3),
             (5, 1, 20, 1, 4),
+            (4, 1, 64, 1, 4),
             (3, 4, 4, 4, 4),
             (4, 3, 3, 2, 2),
             (2, 7, 10, 3, 4),
             (5, 1, 22, 1, 4),
+            (3, 5, 18, 2, 2),
         ];
         for (planes, h, w, kh, kw) in cases {
             // Few distinct levels, so most windows hold a tie; NaNs land in
@@ -408,11 +569,48 @@ mod tests {
                 x[i] = f32::NAN;
             }
             let (want, want_arg) = replaced_max_pool(&x, planes, (h, w), (kh, kw));
-            let (got, got_arg) = max_pool(&x, (h, w), (kh, kw)).unwrap();
+            let windows = Windows::new((h, w), (kh, kw)).unwrap();
+            let (got, got_arg) = max_pool(&x, &windows);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{planes}x{h}x{w} k={kh}x{kw}");
-            assert_eq!(got_arg, want_arg, "{planes}x{h}x{w} k={kh}x{kw}");
+            let case = format!("{planes}x{h}x{w} k={kh}x{kw}");
+            assert_eq!(bits(&got), bits(&want), "{case}");
+            // Each offset names the cell the replaced loop's flat index did.
+            let cells = windows.cells();
+            let (ow, oh) = (w / kw, h / kh);
+            let flat: Vec<u32> = got_arg
+                .chunks(ow)
+                .zip(windows.row_bases())
+                .flat_map(|(args, base)| {
+                    let cells = &cells;
+                    args.iter()
+                        .enumerate()
+                        .map(move |(ox, &a)| (base + ox * kw + cells[usize::from(a)]) as u32)
+                })
+                .collect();
+            assert_eq!(flat, want_arg, "{case}");
+            // Backward routes every gradient to the cell the u32 loop did.
+            let grads: Vec<f32> = (0..want.len()).map(|i| i as f32 + 1.0).collect();
+            let cache = MaxPoolCache {
+                input_shape: vec![planes, h, w],
+                windows,
+                argmax: got_arg,
+            };
+            let routed = cache
+                .backward(&Tensor::from_vec(grads.clone(), &[planes, oh, ow]).unwrap())
+                .unwrap();
+            let mut want_routed = vec![0.0f32; planes * h * w];
+            for (&idx, &g) in want_arg.iter().zip(&grads) {
+                want_routed[idx as usize] += g;
+            }
+            assert_eq!(bits(routed.as_slice()), bits(&want_routed), "{case}");
         }
+    }
+
+    #[test]
+    fn windows_of_more_than_256_cells_are_rejected() {
+        assert!(Windows::new((17, 17), (17, 17)).is_err());
+        assert!(Windows::new((16, 16), (16, 16)).is_ok());
+        assert!(MaxPool2d::new(17).forward(&Tensor::zeros(&[1, 1, 17, 17]), true).is_err());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! tap, so ascending `(oy, ox)` is exactly *descending* `(ky, kx)`: the fold
 //! walks the rows of the matrix from the last tap to the first.
 
-use crate::kernels::{run_len, Gather, Operand};
+use crate::kernels::{gemm_row_block, run_len, Gather, Operand, View};
 use crate::{par, sanitize, Result, Tensor, TensorError};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -113,7 +113,24 @@ impl Conv2dGeom {
     /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
     pub fn patches<'a>(&self, input: &'a Tensor) -> Result<Patches<'a>> {
         let image = [self.channels, self.height, self.width];
-        self.lowering()?.patches("conv2d", input, &image)
+        self.lowering()?.patches("conv2d", input, &image, true)
+    }
+
+    /// The input gradient of a convolution with weights `weight`
+    /// (`[oc, c·kh·kw]`) for the output gradient `grad` (`[oc, n·oh·ow]`):
+    /// `col2im2d(Wᵀ · grad)`, bit for bit, with the product computed and
+    /// folded a cache-sized block of samples at a time and the dead rows
+    /// skipped (see the module docs). `[n, c, h, w]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] or [`TensorError::NotAMatrix`]
+    /// if the operands do not match the geometry, or
+    /// [`TensorError::InvalidConv`] for invalid geometry.
+    pub fn input_grad(&self, weight: &Tensor, grad: &Tensor, n: usize) -> Result<Tensor> {
+        let image = [self.channels, self.height, self.width];
+        self.lowering()?
+            .input_grad("conv2d input_grad", weight, grad, n, &image)
     }
 
     fn lowering(&self) -> Result<Lowering> {
@@ -167,6 +184,27 @@ impl Lowering {
             .collect()
     }
 
+    /// The patch rows `q = (ch, ky, kx)` that read an interior cell for some
+    /// output position, ascending. A tap whose rows `oy·s + ky` or whose
+    /// columns `ox·s + kx` all fall in the zero border only ever reads zeros
+    /// (a *dead* tap, see the module docs); which taps are dead depends on
+    /// the geometry alone.
+    fn live_rows(&self) -> Vec<usize> {
+        let s = self.stride;
+        let reaches = |k: usize, len: usize, pad: usize, out: usize| {
+            (0..out).any(|o| (pad..pad + len).contains(&(o * s + k)))
+        };
+        let rows: Vec<bool> = (0..self.kh)
+            .map(|ky| reaches(ky, self.h, self.pad_h, self.oh))
+            .collect();
+        let cols: Vec<bool> = (0..self.kw)
+            .map(|kx| reaches(kx, self.w, self.pad_w, self.ow))
+            .collect();
+        (0..self.c * self.kh * self.kw)
+            .filter(|q| rows[q / self.kw % self.kh] && cols[q % self.kw])
+            .collect()
+    }
+
     /// Offset of the receptive-field origin of output position `(i, oy, ox)`
     /// in the padded batch of `n` images: one entry per patch column.
     fn bases(&self, n: usize) -> Vec<usize> {
@@ -181,12 +219,15 @@ impl Lowering {
     }
 
     /// The patch matrix of `input`, a batch of `n` images of shape `image`
-    /// (`[c, h, w]`, or `[c, len]` for waveforms), as a view.
+    /// (`[c, h, w]`, or `[c, len]` for waveforms), as a view: of its live
+    /// rows only when `prune`, as the products read it, or of every row, as
+    /// `im2col` writes it.
     fn patches<'a>(
         &self,
         op: &'static str,
         input: &'a Tensor,
         image: &[usize],
+        prune: bool,
     ) -> Result<Patches<'a>> {
         let shape = input.shape();
         if shape.len() != image.len() + 1 || shape[1..] != *image {
@@ -203,10 +244,18 @@ impl Lowering {
         } else {
             Cow::Owned(self.pad(input.as_slice(), n)?)
         };
+        let taps = self.taps();
+        let rows = if prune {
+            self.live_rows()
+        } else {
+            (0..taps.len()).collect()
+        };
         Ok(Patches {
             image: padded,
-            taps: Cow::Owned(self.taps()),
+            taps: Cow::Owned(rows.iter().map(|&q| taps[q]).collect()),
+            rows: Cow::Owned(rows),
             bases: Cow::Owned(self.bases(n)),
+            patch: taps.len(),
         })
     }
 
@@ -251,42 +300,124 @@ impl Lowering {
         }
         sanitize::check_finite(op, "cols", cols);
         let g = cols.as_slice();
-        let (hp, wp) = self.padded();
-        let (sample, padded) = (self.c * self.h * self.w, self.c * hp * wp);
-        let bases = self.bases(n);
-        let mut out = vec![0.0f32; n * sample];
-        // Overlapping patches accumulate, but only within one sample, so
-        // parallelizing over samples keeps every sum on a single thread. A
-        // part's samples are scattered into a zero-bordered scratch batch,
-        // last tap first (see the module docs), and cropped into place.
-        if !out.is_empty() && positions > 0 {
-            let min_samples = (PAR_MIN_CELLS / (map * patch).max(1)).max(1);
-            par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-                let (first, count) = (offset / sample, part.len() / sample);
-                let columns = first * map..(first + count) * map;
-                // The part's origins, relative to its first padded image.
-                let local: Vec<usize> = bases[columns.clone()]
-                    .iter()
-                    .map(|b| b - first * padded)
-                    .collect();
-                let rows = taps.iter().zip(g.chunks_exact(positions)).rev();
-                let rows = rows.map(|(&tap, row)| (tap, &row[columns.clone()]));
-                let mut scratch = vec![0.0f32; count * padded];
-                match run_len(&local, RUN_MAX) {
-                    16 => scatter_add::<16>(&mut scratch, &local, rows),
-                    8 => scatter_add::<8>(&mut scratch, &local, rows),
-                    4 => scatter_add::<4>(&mut scratch, &local, rows),
-                    2 => scatter_add::<2>(&mut scratch, &local, rows),
-                    _ => scatter_add::<1>(&mut scratch, &local, rows),
-                }
-                self.crop(&scratch, part);
-            });
-        }
+        let out = self.fold_parts(n, patch, |first, count, scatter| {
+            let columns = first * map..(first + count) * map;
+            let rows = taps.iter().zip(g.chunks_exact(positions)).rev();
+            scatter(count, &mut rows.map(|(&tap, row)| (tap, &row[columns.clone()])));
+        });
         sanitize::check_finite_slice(op, "output", &out);
         crate::profile::record_col2im(out.len() as u64 * 4);
         Tensor::from_vec(out, &[&[n], image].concat())
     }
+
+    /// The input gradient `Wᵀ · g` of a convolution over `n` images of shape
+    /// `image`, folded back onto them, with no `[patch, n·oh·ow]` matrix
+    /// built: each part of the batch computes its live rows of the product a
+    /// block of samples at a time, [`FOLD_BLOCK`] floats at most, and folds
+    /// the block before the next one overwrites it. Every element of the
+    /// product is the chain of `Tensor::t_matmul`, every input cell sums its
+    /// contributions in the order of `col2im` over the whole product (last
+    /// tap first), and a dead row folds only onto the cropped border, so the
+    /// result is `col2im(Wᵀ · g)` bit for bit.
+    fn input_grad(
+        &self,
+        op: &'static str,
+        weight: &Tensor,
+        grad: &Tensor,
+        n: usize,
+        image: &[usize],
+    ) -> Result<Tensor> {
+        let (oc, patch, w) = weight.operand(op, false)?;
+        let (rows, positions, g) = grad.operand(op, false)?;
+        let map = self.oh * self.ow;
+        if patch != self.c * self.kh * self.kw || rows != oc || positions != n * map {
+            return Err(TensorError::ShapeMismatch {
+                lhs: weight.shape().to_vec(),
+                rhs: grad.shape().to_vec(),
+                op,
+            });
+        }
+        sanitize::check_finite(op, "weight", weight);
+        sanitize::check_finite(op, "grad", grad);
+        let live = self.live_rows();
+        let taps: Vec<usize> = {
+            let all = self.taps();
+            live.iter().map(|&q| all[q]).collect()
+        };
+        crate::profile::record_matmul(live.len(), oc, positions);
+        // `Wᵀ` restricted to the live rows: row `q` of `Wᵀ` is column `q` of `W`.
+        let channels: Vec<usize> = (0..oc).map(|o| o * patch).collect();
+        let a = if live.len() == patch {
+            Operand::Strided(View { data: w.data, rs: 1, cs: patch })
+        } else {
+            Operand::Gathered(Gather { data: w.data, rows: &live, cols: &channels })
+        };
+        let out = self.fold_parts(n, live.len(), |first, count, scatter| {
+            let block = (FOLD_BLOCK / (live.len() * map).max(1)).clamp(1, count);
+            let mut product = vec![0.0f32; live.len() * block * map];
+            for start in (first..first + count).step_by(block) {
+                let samples = block.min(first + count - start);
+                let width = samples * map;
+                let product = &mut product[..live.len() * width];
+                let b = View { data: &g.data[start * map..], rs: positions, cs: 1 };
+                gemm_row_block(product, 0, a, Operand::Strided(b), oc, width, false);
+                let mut rows = taps.iter().copied().zip(product.chunks_exact(width)).rev();
+                scatter(samples, &mut rows);
+            }
+        });
+        sanitize::check_finite_slice(op, "output", &out);
+        crate::profile::record_col2im(out.len() as u64 * 4);
+        Tensor::from_vec(out, &[&[n], image].concat())
+    }
+
+    /// The fold's frame: `n` zeroed images, split into parts of whole
+    /// samples across the pool. Overlapping patches accumulate, but only
+    /// within one sample, so parallelizing over samples keeps every sum on a
+    /// single thread. `fill(first, count, scatter)` hands each part's samples
+    /// in consecutive runs to `scatter(samples, rows)`, which adds each
+    /// `(tap, row)` (a row of `samples·oh·ow` columns, in the order given)
+    /// onto a zero-bordered scratch batch and crops it into place. `rows` is
+    /// the patch rows a part reads per sample, the parallel grain.
+    fn fold_parts<F>(&self, n: usize, rows: usize, fill: F) -> Vec<f32>
+    where
+        F: Fn(usize, usize, &mut dyn FnMut(usize, &mut dyn Iterator<Item = (usize, &[f32])>))
+            + Sync,
+    {
+        let (hp, wp) = self.padded();
+        let (sample, padded, map) = (self.c * self.h * self.w, self.c * hp * wp, self.oh * self.ow);
+        let mut out = vec![0.0f32; n * sample];
+        if out.is_empty() || map == 0 {
+            return out;
+        }
+        let min_samples = (PAR_MIN_CELLS / (map * rows).max(1)).max(1);
+        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+            let (first, count) = (offset / sample, part.len() / sample);
+            let (mut scratch, mut bases, mut run) = (Vec::new(), Vec::new(), 1);
+            let mut done = 0;
+            fill(first, count, &mut |samples, rows| {
+                if bases.len() != samples * map {
+                    bases = self.bases(samples);
+                    run = run_len(&bases, RUN_MAX);
+                }
+                scratch.clear();
+                scratch.resize(samples * padded, 0.0);
+                match run {
+                    16 => scatter_add::<16>(&mut scratch, &bases, rows),
+                    8 => scatter_add::<8>(&mut scratch, &bases, rows),
+                    4 => scatter_add::<4>(&mut scratch, &bases, rows),
+                    2 => scatter_add::<2>(&mut scratch, &bases, rows),
+                    _ => scatter_add::<1>(&mut scratch, &bases, rows),
+                }
+                self.crop(&scratch, &mut part[done * sample..(done + samples) * sample]);
+                done += samples;
+            });
+        });
+        out
+    }
 }
+
+/// Floats of the input-gradient product one fold block holds (64 KiB).
+const FOLD_BLOCK: usize = 64 * 1024;
 
 /// The longest run of adjacent origins the lowering kernels copy as one
 /// fixed-size block (see [`run_len`]): a `vgg11_mini` output row at most.
@@ -294,10 +425,10 @@ const RUN_MAX: usize = 16;
 
 /// Adds each `(tap, row)` onto `scratch` in the given order: `row[r]` onto
 /// cell `tap + bases[r]`, `bases` in aligned runs of `L` adjacent cells.
-fn scatter_add<'a, const L: usize>(
+fn scatter_add<const L: usize>(
     scratch: &mut [f32],
     bases: &[usize],
-    rows: impl Iterator<Item = (usize, &'a [f32])>,
+    rows: &mut dyn Iterator<Item = (usize, &[f32])>,
 ) {
     let whole = bases.len() / L * L;
     for (tap, row) in rows {
@@ -333,22 +464,27 @@ fn gather_rows<const L: usize>(out: &mut [f32], image: &[f32], taps: &[usize], b
 /// The patch matrix `[c·kh·kw, n·oh·ow]` of one batch as a view over its
 /// zero-padded input: element `(q, r)` is `image[bases[r] + taps[q]]` (see
 /// the module docs). Built by [`Conv2dGeom::patches`] or
-/// [`Conv1dGeom::patches`]; the products read it through the GEMM's packs.
+/// [`Conv1dGeom::patches`]; the products read it through the GEMM's packs,
+/// and read only its live rows: a dead row is zero.
 #[derive(Debug)]
 pub struct Patches<'a> {
     /// The input with its zero border written out (the input itself when
     /// the convolution has no padding).
     image: Cow<'a, Tensor>,
-    /// Per patch row: offset of the tap from a receptive-field origin.
+    /// Per kept patch row: its index `q` among all `c·kh·kw` rows, ascending.
+    rows: Cow<'a, [usize]>,
+    /// Per kept patch row: offset of the tap from a receptive-field origin.
     taps: Cow<'a, [usize]>,
     /// Per patch column: offset of its receptive-field origin in `image`.
     bases: Cow<'a, [usize]>,
+    /// Rows of the matrix this view stands for, kept or not.
+    patch: usize,
 }
 
 impl Patches<'_> {
     /// `[patch rows, positions]` of the matrix this view stands for.
     pub fn shape(&self) -> [usize; 2] {
-        [self.taps.len(), self.bases.len()]
+        [self.patch, self.bases.len()]
     }
 
     fn operand(&self) -> Operand<'_> {
@@ -360,8 +496,9 @@ impl Patches<'_> {
     }
 
     /// `lhs · P` for a `[m, patch]` matrix `lhs` (the convolution's forward
-    /// product `W · cols`), `[m, positions]`. Counted and computed as the
-    /// `matmul` of `lhs` with the materialised matrix, bit for bit.
+    /// product `W · cols`), `[m, positions]`: the `matmul` of `lhs` with the
+    /// materialised matrix, bit for bit, computed and counted over the live
+    /// rows only (the columns of `lhs` they meet are gathered).
     ///
     /// # Errors
     ///
@@ -379,44 +516,100 @@ impl Patches<'_> {
             });
         }
         sanitize::check_finite(op, "lhs", lhs);
-        Ok(crate::tensor::gemm(
-            op,
-            m,
-            k,
-            positions,
-            Operand::Strided(a),
-            self.operand(),
-        ))
+        let starts: Vec<usize>;
+        let a = if self.rows.len() == patch {
+            Operand::Strided(a)
+        } else {
+            starts = (0..m).map(|i| i * a.rs).collect();
+            Operand::Gathered(Gather { data: a.data, rows: &starts, cols: &self.rows })
+        };
+        Ok(crate::tensor::gemm(op, m, self.rows.len(), positions, a, self.operand()))
     }
 
-    /// `P · rhsᵀ` for a `[m, positions]` matrix `rhs` (the weight gradient
-    /// `cols · gᵀ`), `[patch, m]`. Counted and computed as the `matmul_t` of
-    /// the materialised matrix with `rhs`, bit for bit.
+    /// `grad_weight += g · Pᵀ` in place for a `[m, positions]` gradient `g`
+    /// and a `[m, patch]` `grad_weight` (the convolution's weight gradient):
+    /// each element's chain over the positions resumes from the value
+    /// `grad_weight` holds, so on a zeroed `grad_weight` this is the
+    /// `matmul_t` of `g` with the materialised matrix, bit for bit. Only the
+    /// live columns are computed (and counted); a dead column is left as it
+    /// is, which on a zeroed gradient is what its chain of `±0` products
+    /// would have left.
+    ///
+    /// The kernel holds the chains of up to 12 patch rows × 8 lanes of
+    /// output channels in registers and runs them over one block of
+    /// positions at a time, with the block's patch rows built by run copies
+    /// (as `im2col` builds them) and its gradient transposed so that the
+    /// channels run along the lanes: every operand is streamed, none is
+    /// gathered element by element.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`]
-    /// if `rhs` is not `[m, positions]`.
-    pub fn matmul_t(&self, rhs: &Tensor) -> Result<Tensor> {
-        let op = "patches matmul_t";
-        let (k, n, b) = rhs.operand(op, true)?;
+    /// unless `g` is `[m, positions]` and `grad_weight` is `[m, patch]`.
+    pub fn add_weight_grad(&self, grad_weight: &mut Tensor, g: &Tensor) -> Result<()> {
+        let op = "patches add_weight_grad";
         let [patch, positions] = self.shape();
-        if k != positions {
+        let (oc, k, gv) = g.operand(op, false)?;
+        if k != positions || grad_weight.shape() != [oc, patch] {
             return Err(TensorError::ShapeMismatch {
-                lhs: vec![patch, positions],
-                rhs: rhs.shape().to_vec(),
+                lhs: grad_weight.shape().to_vec(),
+                rhs: g.shape().to_vec(),
                 op,
             });
         }
-        sanitize::check_finite(op, "rhs", rhs);
-        Ok(crate::tensor::gemm(
-            op,
-            patch,
-            k,
-            n,
-            self.operand(),
-            Operand::Strided(b),
-        ))
+        sanitize::check_finite(op, "rhs", g);
+        crate::profile::record_matmul(oc, positions, self.rows.len());
+        let lanes = oc.div_ceil(LANES) * LANES;
+        if self.rows.is_empty() || lanes == 0 {
+            return Ok(());
+        }
+        // The chains as `[live row, lanes]`, resumed from `grad_weight`.
+        let gw = grad_weight.as_mut_slice();
+        let mut chains = vec![0.0f32; self.rows.len() * lanes];
+        for (chain, &q) in chains.chunks_exact_mut(lanes).zip(self.rows.iter()) {
+            for (o, c) in chain[..oc].iter_mut().enumerate() {
+                *c = gw[o * patch + q];
+            }
+        }
+        let (x, run) = (self.image.as_slice(), run_len(&self.bases, RUN_MAX));
+        let min_rows = (PAR_MIN_CELLS / (positions * lanes / LANES).max(1)).max(1);
+        par::for_each_part_mut(&mut chains, lanes, min_rows, |offset, part| {
+            let taps = &self.taps[offset / lanes..][..part.len() / lanes];
+            // Positions per block: whole runs, and an L1-sized block of
+            // gathered rows when the runs are too short to read in place.
+            let block = if run >= DIRECT_RUN {
+                GRAD_POSITIONS
+            } else {
+                (GRAD_BLOCK / taps.len()).clamp(RUN_MAX, GRAD_POSITIONS) / RUN_MAX * RUN_MAX
+            };
+            let mut gt = vec![0.0f32; block * lanes];
+            let mut rows = Vec::new();
+            for start in (0..positions).step_by(block) {
+                let bases = &self.bases[start..positions.min(start + block)];
+                let len = bases.len();
+                let gt = &mut gt[..len * lanes];
+                transpose_lanes(gt, gv, oc, start, lanes);
+                let coeffs = if run >= DIRECT_RUN {
+                    Coeffs::Image { x, taps, bases, run }
+                } else {
+                    rows.resize(taps.len() * len, 0.0);
+                    match run {
+                        8 => gather_rows::<8>(&mut rows, x, taps, bases),
+                        4 => gather_rows::<4>(&mut rows, x, taps, bases),
+                        2 => gather_rows::<2>(&mut rows, x, taps, bases),
+                        _ => gather_rows::<1>(&mut rows, x, taps, bases),
+                    }
+                    Coeffs::Rows { rows: &rows, len }
+                };
+                weight_grad(part, lanes, coeffs, gt);
+            }
+        });
+        for (chain, &q) in chains.chunks_exact(lanes).zip(self.rows.iter()) {
+            for (o, &c) in chain[..oc].iter().enumerate() {
+                gw[o * patch + q] = c;
+            }
+        }
+        Ok(())
     }
 
     /// Columns `positions` of this matrix (for example one sample's
@@ -428,8 +621,10 @@ impl Patches<'_> {
     pub fn columns(&self, positions: Range<usize>) -> Patches<'_> {
         Patches {
             image: Cow::Borrowed(&*self.image),
+            rows: Cow::Borrowed(&*self.rows),
             taps: Cow::Borrowed(&*self.taps),
             bases: Cow::Borrowed(&self.bases[positions]),
+            patch: self.patch,
         }
     }
 
@@ -462,6 +657,192 @@ impl Patches<'_> {
     }
 }
 
+/// Lanes of one accumulator vector of the weight-gradient kernel (one
+/// 8-wide AVX2 register of `f32`).
+const LANES: usize = 8;
+
+/// Positions per weight-gradient block: its transposed gradient is at most
+/// `GRAD_POSITIONS × 32` floats (64 KiB).
+const GRAD_POSITIONS: usize = 512;
+
+/// Floats of the patch rows one weight-gradient block gathers (128 KiB).
+const GRAD_BLOCK: usize = 32 * 1024;
+
+/// The shortest run of adjacent origins the weight-gradient kernel reads
+/// straight from the padded image; shorter runs are gathered into rows
+/// first.
+const DIRECT_RUN: usize = 16;
+
+/// Columns `start..` of `g` (`[oc, positions]`) transposed into `gt`
+/// (`[len, lanes]`): the channels run along the lanes, lanes past `oc` are
+/// zero. Eight channels × eight positions at a time, through whole
+/// `8 × 8` blocks the compiler turns into register shuffles.
+fn transpose_lanes(gt: &mut [f32], g: View, oc: usize, start: usize, lanes: usize) {
+    let len = gt.len() / lanes;
+    let whole = len / LANES * LANES;
+    let (mut block, mut turned) = ([[0.0f32; LANES]; LANES], [[0.0f32; LANES]; LANES]);
+    for o0 in (0..lanes).step_by(LANES) {
+        let rows: [&[f32]; LANES] = std::array::from_fn(|o| match o0 + o < oc {
+            true => &g.data[(o0 + o) * g.rs + start..][..len],
+            false => &[],
+        });
+        for p0 in (0..whole).step_by(LANES) {
+            for (b, row) in block.iter_mut().zip(&rows) {
+                if let Some(run) = row.get(p0..).and_then(<[f32]>::first_chunk) {
+                    *b = *run;
+                }
+            }
+            transpose8(&block, &mut turned);
+            for (dst, src) in gt[p0 * lanes + o0..].chunks_mut(lanes).zip(&turned) {
+                if let Some(dst) = dst.first_chunk_mut() {
+                    *dst = *src;
+                }
+            }
+        }
+        for p in whole..len {
+            for (o, row) in rows.iter().enumerate() {
+                gt[p * lanes + o0 + o] = row.get(p).copied().unwrap_or(0.0);
+            }
+        }
+    }
+}
+
+/// `out = blockᵀ`.
+#[inline(never)]
+fn transpose8(block: &[[f32; LANES]; LANES], out: &mut [[f32; LANES]; LANES]) {
+    *out = std::array::from_fn(|i| std::array::from_fn(|j| block[j][i]));
+}
+
+/// Where the weight-gradient kernel reads the patch matrix.
+#[derive(Clone, Copy)]
+enum Coeffs<'a> {
+    /// Straight from the padded image `x`: every aligned run of `run`
+    /// positions is one slice of it per tap.
+    Image {
+        x: &'a [f32],
+        taps: &'a [usize],
+        bases: &'a [usize],
+        run: usize,
+    },
+    /// From patch rows gathered for a block of `len` positions
+    /// (`[taps, len]`).
+    Rows { rows: &'a [f32], len: usize },
+}
+
+/// Advances the chains of `part` (`[rows, lanes]`) over the positions of
+/// `coeffs`, whose gradient `gt` holds transposed (`[positions, lanes]`).
+/// Row groups of `R` rows × `V` vectors stay in registers; a short last
+/// group repeats its last row and stores only the rows that exist.
+fn weight_grad(part: &mut [f32], lanes: usize, coeffs: Coeffs, gt: &[f32]) {
+    let vectors = lanes / LANES;
+    for v0 in (0..vectors).step_by(4) {
+        let lane = v0 * LANES;
+        match vectors - v0 {
+            1 => weight_grad_rows::<8, 4, 1>(part, lanes, lane, coeffs, gt),
+            2 => weight_grad_rows::<6, 2, 2>(part, lanes, lane, coeffs, gt),
+            3 => weight_grad_rows::<4, 1, 3>(part, lanes, lane, coeffs, gt),
+            _ => weight_grad_rows::<3, 1, 4>(part, lanes, lane, coeffs, gt),
+        }
+    }
+}
+
+/// [`weight_grad`] for `V` vectors from lane `lane`: groups of `R` rows,
+/// then groups of `RT` for the rows left over.
+fn weight_grad_rows<const R: usize, const RT: usize, const V: usize>(
+    part: &mut [f32],
+    lanes: usize,
+    lane: usize,
+    coeffs: Coeffs,
+    gt: &[f32],
+) {
+    let count = part.len() / lanes;
+    let whole = count / R * R;
+    for first in (0..whole).step_by(R) {
+        weight_grad_tile::<R, V>(part, lanes, lane, coeffs, gt, first);
+    }
+    for first in (whole..count).step_by(RT) {
+        weight_grad_tile::<RT, V>(part, lanes, lane, coeffs, gt, first);
+    }
+}
+
+/// The weight-gradient register tile: the chains of rows `first..first + R`
+/// (the last one repeated past the end), lanes `lane..lane + V·8`, resumed
+/// from `part`, advanced over every position in order, and stored back.
+// Kept out of line, as the GEMM tile is, so the accumulators stay in
+// registers.
+#[inline(never)]
+fn weight_grad_tile<const R: usize, const V: usize>(
+    part: &mut [f32],
+    lanes: usize,
+    lane: usize,
+    coeffs: Coeffs,
+    gt: &[f32],
+    first: usize,
+) {
+    let count = part.len() / lanes;
+    let row = |r: usize| (first + r).min(count - 1);
+    let mut acc = [[[0.0f32; LANES]; V]; R];
+    for (r, accr) in acc.iter_mut().enumerate() {
+        let chains = &part[row(r) * lanes + lane..];
+        for (v, accv) in accr.iter_mut().enumerate() {
+            if let Some(stored) = chains[v * LANES..].first_chunk::<LANES>() {
+                *accv = *stored;
+            }
+        }
+    }
+    match coeffs {
+        Coeffs::Rows { rows, len } => {
+            let rows = std::array::from_fn(|r| &rows[row(r) * len..]);
+            weight_grad_steps::<R, V>(&mut acc, rows, gt, lanes, lane);
+        }
+        Coeffs::Image { x, taps, bases, run } => {
+            let taps: [usize; R] = std::array::from_fn(|r| taps[row(r)]);
+            for (&base, gt) in bases.iter().step_by(run).zip(gt.chunks(run * lanes)) {
+                let window = &x[base..];
+                let rows = taps.map(|tap| &window[tap..]);
+                weight_grad_steps::<R, V>(&mut acc, rows, gt, lanes, lane);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate().take(count - first) {
+        let chains = &mut part[(first + r) * lanes + lane..];
+        for (v, accv) in accr.iter().enumerate() {
+            if let Some(stored) = chains[v * LANES..].first_chunk_mut::<LANES>() {
+                *stored = *accv;
+            }
+        }
+    }
+}
+
+/// One segment of [`weight_grad_tile`]: position `p` of `gt` (`[len,
+/// lanes]`) meets element `p` of each row, in order.
+#[inline(always)]
+fn weight_grad_steps<const R: usize, const V: usize>(
+    acc: &mut [[[f32; LANES]; V]; R],
+    rows: [&[f32]; R],
+    gt: &[f32],
+    lanes: usize,
+    lane: usize,
+) {
+    let len = gt.len() / lanes;
+    let rows = rows.map(|row| &row[..len]);
+    let gt = &gt[lane..];
+    for p in 0..len {
+        let g = &gt[p * lanes..][..V * LANES];
+        let g: [[f32; LANES]; V] = std::array::from_fn(|v| {
+            g[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
+        });
+        for (accr, row) in acc.iter_mut().zip(&rows) {
+            let c = row[p];
+            for (accv, gv) in accr.iter_mut().zip(&g) {
+                for (a, &b) in accv.iter_mut().zip(gv) {
+                    *a = c.mul_add(b, *a);
+                }
+            }
+        }
+    }
+}
+
 /// Unfolds a batched image tensor into the patch matrix.
 ///
 /// `input` must have shape `[n, c, h, w]`. The result has shape
@@ -478,7 +859,7 @@ impl Patches<'_> {
 pub fn im2col2d(input: &Tensor, geom: &Conv2dGeom) -> Result<Tensor> {
     let image = [geom.channels, geom.height, geom.width];
     geom.lowering()?
-        .patches("im2col2d", input, &image)?
+        .patches("im2col2d", input, &image, false)?
         .materialize("im2col2d")
 }
 
@@ -544,7 +925,20 @@ impl Conv1dGeom {
     /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
     pub fn patches<'a>(&self, input: &'a Tensor) -> Result<Patches<'a>> {
         self.lowering()?
-            .patches("conv1d", input, &[self.channels, self.len])
+            .patches("conv1d", input, &[self.channels, self.len], true)
+    }
+
+    /// 1-D analogue of [`Conv2dGeom::input_grad`]: `col2im1d(Wᵀ · grad)`,
+    /// `[n, c, len]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] or [`TensorError::NotAMatrix`]
+    /// if the operands do not match the geometry, or
+    /// [`TensorError::InvalidConv`] for invalid geometry.
+    pub fn input_grad(&self, weight: &Tensor, grad: &Tensor, n: usize) -> Result<Tensor> {
+        self.lowering()?
+            .input_grad("conv1d input_grad", weight, grad, n, &[self.channels, self.len])
     }
 
     fn lowering(&self) -> Result<Lowering> {
@@ -572,7 +966,7 @@ impl Conv1dGeom {
 /// geometry, or [`TensorError::InvalidConv`] for invalid geometry.
 pub fn im2col1d(input: &Tensor, geom: &Conv1dGeom) -> Result<Tensor> {
     geom.lowering()?
-        .patches("im2col1d", input, &[geom.channels, geom.len])?
+        .patches("im2col1d", input, &[geom.channels, geom.len], false)?
         .materialize("im2col1d")
 }
 
@@ -721,26 +1115,52 @@ mod tests {
     #[test]
     fn patch_products_are_the_products_of_the_materialised_matrix() {
         let mut rng = crate::Rng::seed_from(11);
-        for (s, p) in [(1, 1), (2, 0), (1, 2)] {
-            let g = geom(3, 7, 6, 3, s, p);
-            let x = rng.randn(&[4, 3, 7, 6]);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The last three have dead taps: a 1×1 map at padding 1, a 2×2 map
+        // at padding 2, and stride 2 past a 2-cell border.
+        for (h, w, s, p) in [(7, 6, 1, 1), (7, 6, 2, 0), (7, 6, 1, 2), (1, 1, 1, 1), (2, 2, 1, 2), (3, 3, 2, 2)] {
+            let g = geom(3, h, w, 3, s, p);
+            let x = rng.randn(&[4, 3, h, w]);
             let (patches, cols) = (g.patches(&x).unwrap(), im2col2d(&x, &g).unwrap());
             assert_eq!(patches.shape(), [cols.shape()[0], cols.shape()[1]]);
-            let w = rng.randn(&[5, g.patch_len()]);
+            let wt = rng.randn(&[5, g.patch_len()]);
             let gy = rng.randn(&[5, cols.shape()[1]]);
-            let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            let forward = patches.left_matmul(&w).unwrap();
-            assert_eq!(bits(forward.clone()), bits(w.matmul(&cols).unwrap()));
-            assert_eq!(bits(patches.matmul_t(&gy).unwrap()), bits(cols.matmul_t(&gy).unwrap()));
+            let forward = patches.left_matmul(&wt).unwrap();
+            assert_eq!(bits(&forward), bits(&wt.matmul(&cols).unwrap()));
+            let mut dw = Tensor::zeros(&[5, g.patch_len()]);
+            patches.add_weight_grad(&mut dw, &gy).unwrap();
+            assert_eq!(bits(&dw), bits(&gy.matmul_t(&cols).unwrap()));
+            let dx = g.input_grad(&wt, &gy, 4).unwrap();
+            assert_eq!(bits(&dx), bits(&col2im2d(&wt.t_matmul(&gy).unwrap(), 4, &g).unwrap()));
             // One sample's column block, read as a view of the same table.
             let map = cols.shape()[1] / 4;
-            let sample = patches.columns(2 * map..3 * map).left_matmul(&w).unwrap();
+            let sample = patches.columns(2 * map..3 * map).left_matmul(&wt).unwrap();
             for (o, row) in sample.as_slice().chunks(map).enumerate() {
                 let full = &forward.as_slice()[o * 4 * map + 2 * map..][..map];
-                assert_eq!(bits(Tensor::from_slice(row)), bits(Tensor::from_slice(full)));
+                assert_eq!(bits(&Tensor::from_slice(row)), bits(&Tensor::from_slice(full)));
             }
             assert!(patches.left_matmul(&rng.randn(&[5, 4])).is_err());
-            assert!(patches.matmul_t(&rng.randn(&[5, 3])).is_err());
+            assert!(patches.add_weight_grad(&mut dw, &rng.randn(&[5, 3])).is_err());
+            assert!(g.input_grad(&wt, &rng.randn(&[5, 3]), 4).is_err());
+        }
+    }
+
+    #[test]
+    fn dead_weight_columns_are_left_as_they_are() {
+        // A 1×1 map at padding 1: only the centre tap of each channel reads
+        // the image.
+        let g = geom(2, 1, 1, 3, 1, 1);
+        let mut rng = crate::Rng::seed_from(12);
+        let x = rng.randn(&[3, 2, 1, 1]);
+        let patches = g.patches(&x).unwrap();
+        assert_eq!(patches.shape(), [18, 3]);
+        let gy = rng.randn(&[4, 3]);
+        let mut dw = Tensor::full(&[4, 18], 7.0);
+        patches.add_weight_grad(&mut dw, &gy).unwrap();
+        for q in 0..18 {
+            let live = q % 9 == 4;
+            let column: Vec<f32> = (0..4).map(|o| dw.as_slice()[o * 18 + q]).collect();
+            assert!(column.iter().all(|&v| (v == 7.0) != live), "column {q}: {column:?}");
         }
     }
 

@@ -365,6 +365,41 @@ fn conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
     par::reset_threads();
 }
 
+/// The channel counts the weight-gradient kernel's lanes and row groups
+/// turn on (`oc` from under one 8-lane vector to four of them, `c·9` rows
+/// from 27 to 216), at batch 64, over the `vgg11_mini` map sizes with their
+/// dead-tap geometries: a 1×1 map at padding 1 or 2 and a 2×2 map at
+/// padding 2 read only the zero border through most taps. Every `(c, oc)`
+/// pair meets two of the eight (map, padding) geometries.
+#[test]
+fn conv2d_tile_channel_counts_and_dead_taps_match_bit_for_bit() {
+    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (channels, outputs) = ([3, 8, 24], [5, 8, 12, 24, 32]);
+    let geometries = [16, 4, 2, 1].into_iter().flat_map(|hw| [(hw, 1), (hw, 2)]);
+    for (at, (hw, padding)) in geometries.enumerate() {
+        for k in [2 * at, 2 * at + 1] {
+            let (c, oc) = (channels[k % 3], outputs[k % 5]);
+            let case = Case {
+                n: 64,
+                c,
+                oc,
+                h: hw,
+                w: hw,
+                kh: 3,
+                kw: 3,
+                stride: 1,
+                pad_h: padding,
+                pad_w: padding,
+            };
+            let (oh, ow) = case.output().expect("valid geometry");
+            check(&case, &[64, c, hw, hw], &[64, oc, oh, ow], |rng| {
+                Box::new(Conv2d::new(c, oc, 3, 1, padding, rng))
+            });
+        }
+    }
+    par::reset_threads();
+}
+
 /// The 1-D counterpart of [`conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit`].
 #[test]
 fn conv1d_wide_patches_and_ragged_tiles_match_bit_for_bit() {

@@ -1,15 +1,18 @@
 //! What a convolutional training step holds: no patch matrix is built or
 //! cached, so the step's tensor peak is the activations, the layer caches
-//! (an O(1) share of each conv input) and the gradients.
+//! (an O(1) share of each conv input) and the gradients. The input
+//! gradient's product `Wᵀ · g` is computed and folded a cache-sized block
+//! of samples at a time, so it is never a tensor either.
 //!
 //! One training step (forward, loss gradient, `Model::backward`) of
 //! `vgg11_mini` and of `m18_mini` at batch 64, as a client runs it, under a
-//! [`MemoryScope`]. The bounds are the peaks the implicit-GEMM lowering
-//! reads, exactly: every tensor the step allocates has a shape-determined
-//! size, and the kernels' packing scratch is not a tensor. A lowering that
-//! materialises and caches the `[patch, n·oh·ow]` matrices reads 7,013,120 B
-//! and 812,288 B on the same steps, with 4,626,432 and 2,048,000 `im2col`
-//! bytes.
+//! [`MemoryScope`]. The bounds are the peaks the lowering reads, exactly:
+//! every tensor the step allocates has a shape-determined size, and the
+//! kernels' packing and blocking scratch is not a tensor. Built whole
+//! before the fold, the `[patch, n·oh·ow]` input-gradient products read
+//! 2,835,200 B and 649,472 B; a lowering that also materialises and caches
+//! the patch matrices reads 7,013,120 B and 812,288 B on the same steps,
+//! with 4,626,432 and 2,048,000 `im2col` bytes.
 
 use dinar_nn::loss::CrossEntropyLoss;
 use dinar_nn::{models, Model};
@@ -17,9 +20,9 @@ use dinar_tensor::alloc::MemoryScope;
 use dinar_tensor::{profile, Rng, Tensor};
 
 /// Peak extra tensor bytes of one batch-64 `vgg11_mini` training step.
-const VGG11_MINI_STEP_PEAK: u64 = 2_835_200;
+const VGG11_MINI_STEP_PEAK: u64 = 2_559_776;
 /// Peak extra tensor bytes of one batch-64 `m18_mini` training step.
-const M18_MINI_STEP_PEAK: u64 = 649_472;
+const M18_MINI_STEP_PEAK: u64 = 648_992;
 
 /// Peak extra tensor bytes of one step, and the `im2col` bytes it counted.
 fn step(model: &mut Model, x: &Tensor, classes: usize) -> (u64, u64) {

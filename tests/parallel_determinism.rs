@@ -204,6 +204,53 @@ fn conv2d_forward_backward_is_bit_identical_across_widths() {
     }
 }
 
+/// FNV-1a over `words`, continuing from `h`.
+fn fnv(mut h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+    for word in words {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// Three batch-64 Adam steps of `vgg11_mini` as a client takes them, pinned
+/// at every width to the digest recorded before the step's conv and pool
+/// kernels were rewritten (lane-parallel max-pool, dead-tap pruning, the
+/// in-place weight-gradient kernel, the blocked input-gradient fold): the
+/// logits, every gradient and every parameter after each step.
+#[test]
+fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
+    use dinar_nn::loss::CrossEntropyLoss;
+    use dinar_nn::optim::{Adam, Optimizer};
+    const RECORDED: u64 = 0x6acf_551e_df68_a613;
+    let results = per_width(|| {
+        let mut rng = Rng::seed_from(13);
+        let mut model = models::vgg11_mini(3, 43, &mut rng).expect("vgg11_mini");
+        let mut opt = Adam::new(1e-3);
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for _ in 0..3 {
+            let x = rng.randn(&[64, 3, 16, 16]);
+            let labels: Vec<usize> = (0..64).map(|i| (i * 7 + h as usize) % 43).collect();
+            let logits = model.forward(&x, true).expect("forward");
+            let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).expect("loss");
+            model.zero_grad();
+            model.backward(&grad).expect("backward");
+            h = fnv(h, bits(&logits));
+            for g in model.grads_mut() {
+                h = fnv(h, bits(g));
+            }
+            opt.step(&mut model).expect("adam");
+            h = fnv(h, model.params().to_flat().iter().map(|x| x.to_bits()));
+        }
+        h
+    });
+    for (w, &digest) in WIDTHS.iter().zip(&results) {
+        assert_eq!(digest, RECORDED, "vgg11_mini steps at {w} threads: {digest:#018x}");
+    }
+}
+
 #[test]
 fn model_forward_backward_is_bit_identical_across_widths() {
     let results = per_width(|| {
