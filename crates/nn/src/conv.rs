@@ -12,57 +12,11 @@
 
 use crate::{init, Layer, NnError, Result};
 use dinar_tensor::conv::{Conv1dGeom, Conv2dGeom, Patches};
-use dinar_tensor::{sanitize, Rng, Tensor};
-
-/// Copies `src`, viewed as `[a, b, run]`, into `[b, a, run]` order one
-/// contiguous run at a time, adding `bias[i]` to block `i` of `a` on the way
-/// if given. With `run` = one feature map this is the swap between the
-/// product layout `[oc, n, map]` and the activation layout `[n, oc, map]`,
-/// in either direction and for either dimensionality.
-fn swap_blocks(src: &[f32], a: usize, b: usize, run: usize, bias: Option<&[f32]>) -> Vec<f32> {
-    let mut out = vec![0.0f32; a * b * run];
-    if !out.is_empty() {
-        for (j, block) in out.chunks_exact_mut(a * run).enumerate() {
-            for (i, dst) in block.chunks_exact_mut(run).enumerate() {
-                let from = &src[(i * b + j) * run..][..run];
-                match bias {
-                    Some(bias) => dst.iter_mut().zip(from).for_each(|(d, &v)| *d = v + bias[i]),
-                    None => dst.copy_from_slice(from),
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The forward product both layers share: `W · cols + b` for the patch
-/// matrix `cols` of `n` samples with `map` output positions each, returned
-/// flat in `[n, oc, map]` order.
-fn lowered_forward(
-    weight: &Tensor,
-    bias: &Tensor,
-    cols: &Patches,
-    n: usize,
-    map: usize,
-) -> Result<Vec<f32>> {
-    // `[oc, n·map]`: the long side runs along the register tile's 16 lanes.
-    let product = cols.left_matmul(weight)?;
-    if bias.shape() != [product.shape()[0]] {
-        return Err(dinar_tensor::TensorError::ShapeMismatch {
-            lhs: product.shape().to_vec(),
-            rhs: bias.shape().to_vec(),
-            op: "conv bias",
-        }
-        .into());
-    }
-    sanitize::check_finite("conv", "bias", bias);
-    Ok(swap_blocks(product.as_slice(), bias.len(), n, map, Some(bias.as_slice())))
-}
+use dinar_tensor::{Rng, Tensor};
 
 /// The parameter half of the backward pass both layers share: `dW += g ·
-/// colsᵀ` and `db +=` the sums over (sample, position), returning
-/// `grad_output` (`[n, oc, map]`) block-swapped to the `[oc, n·map]` layout
-/// the input product consumes.
+/// colsᵀ` and `db +=` the sums over (sample, position), for `grad_output`
+/// in the activation layout `[n, oc, map]`.
 fn accumulate(
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
@@ -70,7 +24,7 @@ fn accumulate(
     grad_output: &Tensor,
     n: usize,
     map: usize,
-) -> Result<Tensor> {
+) -> Result<()> {
     let oc = grad_bias.len();
     if grad_output.len() != n * oc * map {
         return Err(NnError::InvalidConfig {
@@ -80,31 +34,31 @@ fn accumulate(
             ),
         });
     }
-    let g = swap_blocks(grad_output.as_slice(), n, oc, map, None);
-    let g = Tensor::from_vec(g, &[oc, n * map])?;
     // In place: every caller zeroes the gradients first, and a chain resumed
     // from `+0.0` is the plain chain, so this is `dW += g · colsᵀ` with no
     // weight-sized temporary.
-    cols.add_weight_grad(grad_weight, &g)?;
-    // `db[o]` is the add chain along row `o` of `g`, i.e. in ascending
+    cols.add_weight_grad(grad_weight, grad_output)?;
+    // `db[o]` is the add chain over plane `o` of every sample, in ascending
     // (sample, position) order. The chains are independent, so eight run
     // interleaved in registers; a lane past the last channel repeats it and
     // its sum is dropped.
-    let (mut db, positions) = (vec![0.0f32; oc], n * map);
-    for (group, rows) in db.chunks_mut(8).zip(g.as_slice().chunks(8 * positions.max(1))) {
-        let lanes: [&[f32]; 8] = std::array::from_fn(|lane| {
-            &rows[lane.min(group.len() - 1) * positions..][..positions]
-        });
+    let (mut db, planes) = (vec![0.0f32; oc], grad_output.as_slice());
+    for (g0, group) in (0..oc).step_by(8).zip(db.chunks_mut(8)) {
         let mut sums = [0.0f32; 8];
-        for r in 0..positions {
-            for (sum, row) in sums.iter_mut().zip(lanes) {
-                *sum += row[r];
+        for sample in planes.chunks_exact(oc * map) {
+            let lanes: [&[f32]; 8] = std::array::from_fn(|lane| {
+                &sample[(g0 + lane.min(group.len() - 1)) * map..][..map]
+            });
+            for r in 0..map {
+                for (sum, row) in sums.iter_mut().zip(lanes) {
+                    *sum += row[r];
+                }
             }
         }
         group.copy_from_slice(&sums[..group.len()]);
     }
     grad_bias.add_assign(&Tensor::from_vec(db, &[oc])?)?;
-    Ok(g)
+    Ok(())
 }
 
 /// 2-D convolution over `[batch, channels, height, width]` inputs.
@@ -211,7 +165,7 @@ impl Conv2d {
     }
 
     /// The parameter half of the backward pass (see [`accumulate`]).
-    fn accumulate(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn accumulate(&mut self, grad_output: &Tensor) -> Result<()> {
         let cache = self
             .cached
             .as_ref()
@@ -232,27 +186,27 @@ impl Layer for Conv2d {
         let geom = self.geom_for(input.shape())?;
         let (oh, ow) = geom.output_size()?;
         let n = input.shape()[0];
-        let out = lowered_forward(&self.weight, &self.bias, &geom.patches(input)?, n, oh * ow)?;
+        let out = geom.patches(input)?.convolve(&self.weight, &self.bias)?;
         self.cached = Some(ConvCache {
             input: input.clone(),
             geom,
             batch: n,
             map: oh * ow,
         });
-        Ok(Tensor::from_vec(out, &[n, self.out_channels, oh, ow])?)
+        Ok(out.reshape(&[n, self.out_channels, oh, ow])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g = self.accumulate(grad_output)?;
+        self.accumulate(grad_output)?;
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        Ok(cache.geom.input_grad(&self.weight, &g, cache.batch)?)
+        Ok(cache.geom.input_grad(&self.weight, grad_output, cache.batch)?)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.accumulate(grad_output).map(drop)
+        self.accumulate(grad_output)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -343,7 +297,7 @@ impl Conv1d {
     }
 
     /// The parameter half of the backward pass (see [`accumulate`]).
-    fn accumulate(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+    fn accumulate(&mut self, grad_output: &Tensor) -> Result<()> {
         let cache = self
             .cached
             .as_ref()
@@ -379,27 +333,27 @@ impl Layer for Conv1d {
         };
         let ol = geom.output_len()?;
         let n = shape[0];
-        let out = lowered_forward(&self.weight, &self.bias, &geom.patches(input)?, n, ol)?;
+        let out = geom.patches(input)?.convolve(&self.weight, &self.bias)?;
         self.cached = Some(Conv1dCache {
             input: input.clone(),
             geom,
             batch: n,
             out_len: ol,
         });
-        Ok(Tensor::from_vec(out, &[n, self.out_channels, ol])?)
+        Ok(out.reshape(&[n, self.out_channels, ol])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let g = self.accumulate(grad_output)?;
+        self.accumulate(grad_output)?;
         let cache = self
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
-        Ok(cache.geom.input_grad(&self.weight, &g, cache.batch)?)
+        Ok(cache.geom.input_grad(&self.weight, grad_output, cache.batch)?)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.accumulate(grad_output).map(drop)
+        self.accumulate(grad_output)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -256,6 +256,7 @@ impl Lowering {
             rows: Cow::Owned(rows),
             bases: Cow::Owned(self.bases(n)),
             patch: taps.len(),
+            map: self.oh * self.ow,
         })
     }
 
@@ -263,12 +264,13 @@ impl Lowering {
     fn pad(&self, x: &[f32], n: usize) -> Result<Tensor> {
         let (hp, wp) = self.padded();
         let mut out = vec![0.0f32; n * self.c * hp * wp];
-        if self.h * self.w > 0 {
-            let interior = self.pad_h * wp + self.pad_w;
-            for (src, dst) in x.chunks_exact(self.h * self.w).zip(out.chunks_exact_mut(hp * wp)) {
-                for (src, dst) in src.chunks_exact(self.w).zip(dst[interior..].chunks_mut(wp)) {
-                    dst[..self.w].copy_from_slice(src);
-                }
+        if self.w > 0 {
+            // Row `r` of the input is row `r % h` of plane `r / h`.
+            let (interior, skip) = (self.pad_h * wp + self.pad_w, 2 * self.pad_h * wp);
+            let mut at = interior;
+            for (r, src) in x.chunks_exact(self.w).enumerate() {
+                out[at..at + self.w].copy_from_slice(src);
+                at += if (r + 1) % self.h == 0 { wp + skip } else { wp };
             }
         }
         Tensor::from_vec(out, &[n, self.c, hp, wp])
@@ -311,11 +313,13 @@ impl Lowering {
     }
 
     /// The input gradient `Wᵀ · g` of a convolution over `n` images of shape
-    /// `image`, folded back onto them, with no `[patch, n·oh·ow]` matrix
+    /// `image`, folded back onto them, for the output gradient `grad` in the
+    /// activation layout (`[n, oc, oh·ow]`). No `[patch, n·oh·ow]` matrix is
     /// built: each part of the batch computes its live rows of the product a
-    /// block of samples at a time, [`FOLD_BLOCK`] floats at most, and folds
-    /// the block before the next one overwrites it. Every element of the
-    /// product is the chain of `Tensor::t_matmul`, every input cell sums its
+    /// block of samples at a time, [`FOLD_BLOCK`] floats at most, reading
+    /// `g`'s columns straight from `grad`'s planes, and folds the block
+    /// before the next one overwrites it. Every element of the product is
+    /// the chain of `Tensor::t_matmul`, every input cell sums its
     /// contributions in the order of `col2im` over the whole product (last
     /// tap first), and a dead row folds only onto the cropped border, so the
     /// result is `col2im(Wᵀ · g)` bit for bit.
@@ -328,9 +332,8 @@ impl Lowering {
         image: &[usize],
     ) -> Result<Tensor> {
         let (oc, patch, w) = weight.operand(op, false)?;
-        let (rows, positions, g) = grad.operand(op, false)?;
         let map = self.oh * self.ow;
-        if patch != self.c * self.kh * self.kw || rows != oc || positions != n * map {
+        if patch != self.c * self.kh * self.kw || grad.len() != n * oc * map {
             return Err(TensorError::ShapeMismatch {
                 lhs: weight.shape().to_vec(),
                 rhs: grad.shape().to_vec(),
@@ -344,7 +347,7 @@ impl Lowering {
             let all = self.taps();
             live.iter().map(|&q| all[q]).collect()
         };
-        crate::profile::record_matmul(live.len(), oc, positions);
+        crate::profile::record_matmul(live.len(), oc, n * map);
         // `Wᵀ` restricted to the live rows: row `q` of `Wᵀ` is column `q` of `W`.
         let channels: Vec<usize> = (0..oc).map(|o| o * patch).collect();
         let a = if live.len() == patch {
@@ -352,6 +355,11 @@ impl Lowering {
         } else {
             Operand::Gathered(Gather { data: w.data, rows: &live, cols: &channels })
         };
+        // `g = [oc, n·map]` read from the planes: row `o` starts at plane `o`,
+        // column `(i, pos)` at sample `i`'s planes.
+        let planes: Vec<usize> = (0..oc).map(|o| o * map).collect();
+        let columns: Vec<usize> = (0..n * map).map(|p| p / map * oc * map + p % map).collect();
+        let g = grad.as_slice();
         let out = self.fold_parts(n, live.len(), |first, count, scatter| {
             let block = (FOLD_BLOCK / (live.len() * map).max(1)).clamp(1, count);
             let mut product = vec![0.0f32; live.len() * block * map];
@@ -359,8 +367,9 @@ impl Lowering {
                 let samples = block.min(first + count - start);
                 let width = samples * map;
                 let product = &mut product[..live.len() * width];
-                let b = View { data: &g.data[start * map..], rs: positions, cs: 1 };
-                gemm_row_block(product, 0, a, Operand::Strided(b), oc, width, false);
+                let cols = &columns[start * map..][..width];
+                let b = Gather { data: g, rows: &planes, cols };
+                gemm_row_block(product, 0, a, Operand::Gathered(b), oc, width, false);
                 let mut rows = taps.iter().copied().zip(product.chunks_exact(width)).rev();
                 scatter(samples, &mut rows);
             }
@@ -479,6 +488,8 @@ pub struct Patches<'a> {
     bases: Cow<'a, [usize]>,
     /// Rows of the matrix this view stands for, kept or not.
     patch: usize,
+    /// Output positions per sample (`oh·ow`).
+    map: usize,
 }
 
 impl Patches<'_> {
@@ -526,43 +537,117 @@ impl Patches<'_> {
         Ok(crate::tensor::gemm(op, m, self.rows.len(), positions, a, self.operand()))
     }
 
-    /// `grad_weight += g · Pᵀ` in place for a `[m, positions]` gradient `g`
-    /// and a `[m, patch]` `grad_weight` (the convolution's weight gradient):
-    /// each element's chain over the positions resumes from the value
-    /// `grad_weight` holds, so on a zeroed `grad_weight` this is the
-    /// `matmul_t` of `g` with the materialised matrix, bit for bit. Only the
-    /// live columns are computed (and counted); a dead column is left as it
-    /// is, which on a zeroed gradient is what its chain of `±0` products
-    /// would have left.
-    ///
-    /// The kernel holds the chains of up to 12 patch rows × 8 lanes of
-    /// output channels in registers and runs them over one block of
-    /// positions at a time, with the block's patch rows built by run copies
-    /// (as `im2col` builds them) and its gradient transposed so that the
-    /// channels run along the lanes: every operand is streamed, none is
-    /// gathered element by element.
+    /// The convolution `W · P + b` of every sample, in the activation layout
+    /// `[n, m, oh·ow]`, for a `[m, patch]` weight `W` and an `[m]` bias `b`:
+    /// element `(i, o, pos)` is element `(o, (i, pos))` of
+    /// [`Patches::left_matmul`] plus `b[o]`, bit for bit. Each part of the
+    /// batch computes its product a block of samples at a time
+    /// ([`FOLD_BLOCK`] floats at most) and writes each block's planes, bias
+    /// added, straight into place, so the `[m, positions]` product is never
+    /// built.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`]
-    /// unless `g` is `[m, positions]` and `grad_weight` is `[m, patch]`.
-    pub fn add_weight_grad(&self, grad_weight: &mut Tensor, g: &Tensor) -> Result<()> {
-        let op = "patches add_weight_grad";
-        let [patch, positions] = self.shape();
-        let (oc, k, gv) = g.operand(op, false)?;
-        if k != positions || grad_weight.shape() != [oc, patch] {
+    /// unless `weight` is `[m, patch]`, `bias` is `[m]` and this view is
+    /// whole samples.
+    pub fn convolve(&self, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
+        let op = "patches convolve";
+        let (oc, k, w) = weight.operand(op, false)?;
+        let ([patch, positions], map) = (self.shape(), self.map);
+        if k != patch || bias.shape() != [oc] || !positions.is_multiple_of(map.max(1)) {
             return Err(TensorError::ShapeMismatch {
-                lhs: grad_weight.shape().to_vec(),
-                rhs: g.shape().to_vec(),
+                lhs: weight.shape().to_vec(),
+                rhs: bias.shape().to_vec(),
                 op,
             });
         }
-        sanitize::check_finite(op, "rhs", g);
+        sanitize::check_finite(op, "lhs", weight);
+        sanitize::check_finite(op, "bias", bias);
+        let live = self.rows.len();
+        crate::profile::record_matmul(oc, live, positions);
+        let starts: Vec<usize> = (0..oc).map(|o| o * w.rs).collect();
+        let a = if live == patch {
+            Operand::Strided(w)
+        } else {
+            Operand::Gathered(Gather { data: w.data, rows: &starts, cols: &self.rows })
+        };
+        let (bias, n, sample) = (bias.as_slice(), positions / map.max(1), oc * map);
+        let mut out = vec![0.0f32; n * sample];
+        if !out.is_empty() {
+            let min_samples = (PAR_MIN_CELLS / (map * live).max(1)).max(1);
+            par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+                let (first, count) = (offset / sample, part.len() / sample);
+                let block = (FOLD_BLOCK / sample).clamp(1, count);
+                let mut product = vec![0.0f32; oc * block * map];
+                for (start, planes) in (first..).step_by(block).zip(part.chunks_mut(block * sample)) {
+                    let width = planes.len() / oc;
+                    let product = &mut product[..oc * width];
+                    let b = Gather {
+                        data: self.image.as_slice(),
+                        rows: &self.taps,
+                        cols: &self.bases[start * map..][..width],
+                    };
+                    gemm_row_block(product, 0, a, Operand::Gathered(b), live, width, false);
+                    // `[oc, samples, map]` into `[samples, oc, map]`.
+                    for (s, planes) in planes.chunks_exact_mut(sample).enumerate() {
+                        for (o, plane) in planes.chunks_exact_mut(map).enumerate() {
+                            let row = &product[o * width + s * map..][..map];
+                            for (d, &v) in plane.iter_mut().zip(row) {
+                                *d = v + bias[o];
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        sanitize::check_finite_slice(op, "output", &out);
+        Tensor::from_vec(out, &[n, oc, map])
+    }
+
+    /// `grad_weight += g · Pᵀ` in place for the output gradient `grad` in the
+    /// activation layout (`[n, m, oh·ow]`, whole samples of this view's
+    /// positions; `g` is its `[m, positions]` matrix) and a `[m, patch]`
+    /// `grad_weight` (the convolution's weight gradient): each element's
+    /// chain over the positions resumes from the value `grad_weight` holds,
+    /// so on a zeroed `grad_weight` this is the `matmul_t` of `g` with the
+    /// materialised matrix, bit for bit. Only the live columns are computed
+    /// (and counted); a dead column is left as it is, which on a zeroed
+    /// gradient is what its chain of `±0` products would have left.
+    ///
+    /// The kernel holds the chains of up to 8 patch rows × 8 lanes of
+    /// output channels in registers and runs them over one block of
+    /// positions at a time. The block's patch rows are read from the padded
+    /// image run by run, or built by run copies where the runs are short
+    /// (as `im2col` builds them), and its gradient is transposed from the
+    /// planes so that the channels run along the lanes: every operand is
+    /// streamed, none is gathered element by element.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `grad_weight` is
+    /// `[m, patch]` and `grad` holds `m` planes per sample of this view.
+    pub fn add_weight_grad(&self, grad_weight: &mut Tensor, grad: &Tensor) -> Result<()> {
+        let op = "patches add_weight_grad";
+        let ([patch, positions], map) = (self.shape(), self.map);
+        let oc = grad_weight.shape().first().copied().unwrap_or(0);
+        if grad_weight.shape() != [oc, patch]
+            || grad.len() != oc * positions
+            || !positions.is_multiple_of(map.max(1))
+        {
+            return Err(TensorError::ShapeMismatch {
+                lhs: grad_weight.shape().to_vec(),
+                rhs: grad.shape().to_vec(),
+                op,
+            });
+        }
+        sanitize::check_finite(op, "grad", grad);
         crate::profile::record_matmul(oc, positions, self.rows.len());
         let lanes = oc.div_ceil(LANES) * LANES;
         if self.rows.is_empty() || lanes == 0 {
             return Ok(());
         }
+        let planes = grad.as_slice();
         // The chains as `[live row, lanes]`, resumed from `grad_weight`.
         let gw = grad_weight.as_mut_slice();
         let mut chains = vec![0.0f32; self.rows.len() * lanes];
@@ -588,7 +673,15 @@ impl Patches<'_> {
                 let bases = &self.bases[start..positions.min(start + block)];
                 let len = bases.len();
                 let gt = &mut gt[..len * lanes];
-                transpose_lanes(gt, gv, oc, start, lanes);
+                // The block's columns of `g`, one sample's planes at a time.
+                let mut p = start;
+                while p < start + len {
+                    let (i, pos) = (p / map, p % map);
+                    let run = (map - pos).min(start + len - p);
+                    let g = View { data: &planes[i * oc * map + pos..], rs: map, cs: 1 };
+                    transpose_lanes(&mut gt[(p - start) * lanes..][..run * lanes], g, oc, lanes);
+                    p += run;
+                }
                 let coeffs = if run >= DIRECT_RUN {
                     Coeffs::Image { x, taps, bases, run }
                 } else {
@@ -625,6 +718,7 @@ impl Patches<'_> {
             taps: Cow::Borrowed(&*self.taps),
             bases: Cow::Borrowed(&self.bases[positions]),
             patch: self.patch,
+            map: self.map,
         }
     }
 
@@ -673,17 +767,17 @@ const GRAD_BLOCK: usize = 32 * 1024;
 /// first.
 const DIRECT_RUN: usize = 16;
 
-/// Columns `start..` of `g` (`[oc, positions]`) transposed into `gt`
-/// (`[len, lanes]`): the channels run along the lanes, lanes past `oc` are
-/// zero. Eight channels × eight positions at a time, through whole
+/// The first `len` columns of `g` (`oc` rows `g.rs` apart) transposed
+/// into `gt` (`[len, lanes]`): the channels run along the lanes, lanes past
+/// `oc` are zero. Eight channels × eight positions at a time, through whole
 /// `8 × 8` blocks the compiler turns into register shuffles.
-fn transpose_lanes(gt: &mut [f32], g: View, oc: usize, start: usize, lanes: usize) {
+fn transpose_lanes(gt: &mut [f32], g: View, oc: usize, lanes: usize) {
     let len = gt.len() / lanes;
     let whole = len / LANES * LANES;
     let (mut block, mut turned) = ([[0.0f32; LANES]; LANES], [[0.0f32; LANES]; LANES]);
     for o0 in (0..lanes).step_by(LANES) {
         let rows: [&[f32]; LANES] = std::array::from_fn(|o| match o0 + o < oc {
-            true => &g.data[(o0 + o) * g.rs + start..][..len],
+            true => &g.data[(o0 + o) * g.rs..][..len],
             false => &[],
         });
         for p0 in (0..whole).step_by(LANES) {
@@ -1124,16 +1218,28 @@ mod tests {
             let (patches, cols) = (g.patches(&x).unwrap(), im2col2d(&x, &g).unwrap());
             assert_eq!(patches.shape(), [cols.shape()[0], cols.shape()[1]]);
             let wt = rng.randn(&[5, g.patch_len()]);
+            let b = rng.randn(&[5]);
             let gy = rng.randn(&[5, cols.shape()[1]]);
+            let map = cols.shape()[1] / 4;
+            // `gy` in the activation layout `[n, oc, map]`, and back.
+            let planes = |m: &Tensor| {
+                let m = m.as_slice();
+                let v = (0..m.len()).map(|e| (e / map / 5, e / map % 5, e % map));
+                Tensor::from_vec(v.map(|(i, o, p)| m[o * 4 * map + i * map + p]).collect(), &[4, 5, map])
+                    .unwrap()
+            };
             let forward = patches.left_matmul(&wt).unwrap();
             assert_eq!(bits(&forward), bits(&wt.matmul(&cols).unwrap()));
+            let positions = 4 * map;
+            let biased = forward.as_slice().iter().enumerate().map(|(e, v)| v + b.as_slice()[e / positions]);
+            let biased = Tensor::from_vec(biased.collect(), &[5, positions]).unwrap();
+            assert_eq!(bits(&patches.convolve(&wt, &b).unwrap()), bits(&planes(&biased)));
             let mut dw = Tensor::zeros(&[5, g.patch_len()]);
-            patches.add_weight_grad(&mut dw, &gy).unwrap();
+            patches.add_weight_grad(&mut dw, &planes(&gy)).unwrap();
             assert_eq!(bits(&dw), bits(&gy.matmul_t(&cols).unwrap()));
-            let dx = g.input_grad(&wt, &gy, 4).unwrap();
+            let dx = g.input_grad(&wt, &planes(&gy), 4).unwrap();
             assert_eq!(bits(&dx), bits(&col2im2d(&wt.t_matmul(&gy).unwrap(), 4, &g).unwrap()));
             // One sample's column block, read as a view of the same table.
-            let map = cols.shape()[1] / 4;
             let sample = patches.columns(2 * map..3 * map).left_matmul(&wt).unwrap();
             for (o, row) in sample.as_slice().chunks(map).enumerate() {
                 let full = &forward.as_slice()[o * 4 * map + 2 * map..][..map];
