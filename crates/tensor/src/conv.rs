@@ -260,32 +260,31 @@ impl Lowering {
         })
     }
 
+    /// Where the rows of an image sit in its zero-bordered copy.
+    fn frame(&self) -> Frame {
+        let wp = self.padded().1;
+        Frame {
+            rows: self.h,
+            w: self.w,
+            stride: wp,
+            skip: 2 * self.pad_h * wp,
+        }
+    }
+
     /// `x` (`n` images) with its zero border written out.
     fn pad(&self, x: &[f32], n: usize) -> Result<Tensor> {
         let (hp, wp) = self.padded();
         let mut out = vec![0.0f32; n * self.c * hp * wp];
-        if self.w > 0 {
-            // Row `r` of the input is row `r % h` of plane `r / h`.
-            let (interior, skip) = (self.pad_h * wp + self.pad_w, 2 * self.pad_h * wp);
-            let mut at = interior;
-            for (r, src) in x.chunks_exact(self.w).enumerate() {
-                out[at..at + self.w].copy_from_slice(src);
-                at += if (r + 1) % self.h == 0 { wp + skip } else { wp };
-            }
-        }
+        let interior = &mut out[self.pad_h * wp + self.pad_w..];
+        self.frame().copy(interior, x, x.len() / self.w.max(1), true);
         Tensor::from_vec(out, &[n, self.c, hp, wp])
     }
 
     /// The inverse of [`Lowering::pad`]: whole padded images into `out`
     /// without their border.
     fn crop(&self, padded: &[f32], out: &mut [f32]) {
-        let (hp, wp) = self.padded();
-        let interior = self.pad_h * wp + self.pad_w;
-        for (src, dst) in padded.chunks_exact(hp * wp).zip(out.chunks_exact_mut(self.h * self.w)) {
-            for (src, dst) in src[interior..].chunks(wp).zip(dst.chunks_exact_mut(self.w)) {
-                dst.copy_from_slice(&src[..self.w]);
-            }
-        }
+        let interior = &padded[self.pad_h * self.padded().1 + self.pad_w..];
+        self.frame().copy(out, interior, out.len() / self.w.max(1), false);
     }
 
     /// Folds a patch-matrix gradient (`[patch, n·oh·ow]`) back onto `n`
@@ -425,8 +424,55 @@ impl Lowering {
     }
 }
 
+/// Where packed image rows sit in their zero-bordered copies: planes of
+/// `rows` rows of `w` floats, rows `stride` apart, and `skip` more floats
+/// (the bottom and top border) between the last row of a plane and the
+/// first of the next.
+#[derive(Clone, Copy)]
+struct Frame {
+    rows: usize,
+    w: usize,
+    stride: usize,
+    skip: usize,
+}
+
+impl Frame {
+    /// Copies `count` rows into the frame (`dst` framed from its first
+    /// interior cell, `src` packed) when `inward`, or out of it. The rows of
+    /// small maps are a few floats long, where a `memcpy` call per row costs
+    /// more than the copy, so the common short widths are fixed-size moves.
+    fn copy(self, dst: &mut [f32], src: &[f32], count: usize, inward: bool) {
+        match self.w {
+            1 => self.copy_rows::<1>(dst, src, count, inward),
+            2 => self.copy_rows::<2>(dst, src, count, inward),
+            4 => self.copy_rows::<4>(dst, src, count, inward),
+            8 => self.copy_rows::<8>(dst, src, count, inward),
+            16 => self.copy_rows::<16>(dst, src, count, inward),
+            _ => self.copy_rows::<0>(dst, src, count, inward),
+        }
+    }
+
+    /// [`Frame::copy`] for rows of `W` floats (`W = 0`: of `w`).
+    fn copy_rows<const W: usize>(self, dst: &mut [f32], src: &[f32], count: usize, inward: bool) {
+        let w = if W == 0 { self.w } else { W };
+        let (mut at, mut y) = (0, 0);
+        for k in (0..count * w).step_by(w.max(1)) {
+            let (d, s) = if inward { (at, k) } else { (k, at) };
+            match (dst[d..].first_chunk_mut::<W>(), src[s..].first_chunk::<W>()) {
+                (Some(d), Some(s)) if W > 0 => *d = *s,
+                _ => dst[d..d + w].copy_from_slice(&src[s..s + w]),
+            }
+            y += 1;
+            at += self.stride;
+            if y == self.rows {
+                (y, at) = (0, at + self.skip);
+            }
+        }
+    }
+}
+
 /// Floats of the input-gradient product one fold block holds (64 KiB).
-const FOLD_BLOCK: usize = 64 * 1024;
+const FOLD_BLOCK: usize = 16 * 1024;
 
 /// The longest run of adjacent origins the lowering kernels copy as one
 /// fixed-size block (see [`run_len`]): a `vgg11_mini` output row at most.
@@ -834,8 +880,8 @@ fn weight_grad(part: &mut [f32], lanes: usize, coeffs: Coeffs, gt: &[f32]) {
         match vectors - v0 {
             1 => weight_grad_rows::<8, 4, 1>(part, lanes, lane, coeffs, gt),
             2 => weight_grad_rows::<6, 2, 2>(part, lanes, lane, coeffs, gt),
-            3 => weight_grad_rows::<4, 1, 3>(part, lanes, lane, coeffs, gt),
-            _ => weight_grad_rows::<3, 1, 4>(part, lanes, lane, coeffs, gt),
+            3 => weight_grad_rows::<3, 1, 3>(part, lanes, lane, coeffs, gt),
+            _ => weight_grad_rows::<2, 1, 4>(part, lanes, lane, coeffs, gt),
         }
     }
 }
