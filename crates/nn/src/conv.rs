@@ -2,11 +2,13 @@
 //! [`Flatten`] bridge into dense heads.
 //!
 //! Both layers multiply through the patch matrix as a view
-//! ([`dinar_tensor::conv::Patches`]): the forward product `W · cols` and the
-//! weight gradient `cols · gᵀ` gather their GEMM panels from the
-//! zero-padded input through one offset table, and the input gradient is
-//! `Wᵀ · g` folded back through the same table. No patch matrix is built or
-//! kept: a layer's cache is a copy-on-write share of its input (O(1)) and
+//! ([`dinar_tensor::conv::Patches`]), in the activation layout
+//! `[n, oc, map]` throughout: the forward product `W · cols` (plus the bias)
+//! is written plane by plane, the weight gradient `g · colsᵀ` accumulates in
+//! place into the zeroed `grad_weight`, and the input gradient is `Wᵀ · g`
+//! folded back through the same table a block of samples at a time. Taps
+//! that only ever read the zero border are skipped. No patch matrix is built
+//! or kept: a layer's cache is a copy-on-write share of its input (O(1)) and
 //! the geometry, and the padded image is rebuilt where it is read and
 //! dropped after the product.
 
@@ -67,13 +69,12 @@ fn accumulate(
 /// that the forward pass is a single matrix product against the patch
 /// matrix. That matrix is patch-major, `[in_channels·k·k, batch·out_h·out_w]`,
 /// and never built: the products read it through an offset table
-/// into the zero-padded input (see [`dinar_tensor::conv`]). Every product of
-/// a training step has the long position axis on the kernel's 16-lane side:
-/// `W · cols` forward, `Wᵀ · g` for the input gradient, and `cols · gᵀ` for
-/// the weight gradient. Products come out as `[out_channels, batch, map]`;
-/// activations and gradients are `[batch, out_channels, map]`; one block
-/// swap of whole feature maps converts between the two (adding the bias on
-/// the way forward).
+/// into the zero-padded input (see [`dinar_tensor::conv`]). `W · cols`
+/// forward and `Wᵀ · g` for the input gradient have the long position axis
+/// on the GEMM tile's 16-lane side; the weight gradient `g · colsᵀ` runs a
+/// tile with the output channels on its lanes. Activations and gradients
+/// are `[batch, out_channels, map]`, and every product reads and writes
+/// that layout directly.
 ///
 /// # Example
 ///

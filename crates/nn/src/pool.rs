@@ -1,5 +1,11 @@
 //! Pooling layers: max pooling (VGG11, M18) and global average pooling
 //! (ResNet20 head).
+//!
+//! Max pooling takes two-cell-wide windows eight at a time, one window per
+//! lane, over a plane's flattened windows (so a 4×4 or 2×2 map fills the
+//! lanes too), and caches each window's argmax as the winning cell's
+//! offset within the window (`u8`); backward maps the offset back through
+//! the window's origin.
 
 use crate::{Layer, NnError, Result};
 use dinar_tensor::Tensor;

@@ -14,7 +14,10 @@
 //! The patch matrix has shape `[c·kh·kw, n·oh·ow]`. Row `q = (ch, ky, kx)` is
 //! one kernel tap; column `r = (i, oy, ox)` is one output position of one
 //! sample. The long side `n·oh·ow` is the one the GEMM driver wants on its
-//! 16-wide register-tile axis (`W · cols`, see `dinar_nn::conv`).
+//! 16-wide register-tile axis. The products read and write the activation
+//! layout `[n, oc, oh·ow]` directly: [`Patches::convolve`] writes each block
+//! of samples' output planes in place, and the gradients read the output
+//! gradient's planes.
 //!
 //! # The matrix is a view (implicit GEMM)
 //!
@@ -23,13 +26,22 @@
 //! position `r`'s receptive-field origin in it (sample, row and column, with
 //! the stride folded in), and `taps[q]` is the offset of tap `(ch, ky, kx)`
 //! from that origin. [`Patches`] is exactly that triple: the products
-//! ([`Patches::left_matmul`] for `W · cols`, [`Patches::matmul_t`] for the
-//! weight gradient `cols · gᵀ`) hand it to the GEMM's packs, which gather
-//! their tile panels through the table, so no code path builds the
+//! ([`Patches::convolve`] and [`Patches::left_matmul`] for `W · cols`,
+//! [`Patches::add_weight_grad`] for the weight gradient `g · colsᵀ`) read
+//! their operands through the table, so no code path builds the
 //! `[patch, n·oh·ow]` matrix to multiply with it. The zero border stands in
-//! for every bounds test. [`im2col2d`]/[`im2col1d`] materialise the same view
-//! (for callers that want the matrix itself), and the fold
+//! for every bounds test. [`im2col2d`]/[`im2col1d`] materialise the same
+//! view (for callers that want the matrix itself), and the fold
 //! [`col2im2d`]/[`col2im1d`] scatters through the same table.
+//!
+//! # Dead taps
+//!
+//! A tap whose rows `oy·s + ky` or whose columns `ox·s + kx` all fall in the
+//! zero border (a 1×1 map at padding 1 leaves only the centre tap) reads
+//! nothing but zeros. Which taps those are is decided from the geometry
+//! alone, and the products keep only the live rows: for finite weights
+//! every skipped term is `fma(w, ±0, acc)` with `acc ≠ −0`, so no bit
+//! moves. `im2col*`/`col2im*` keep every row.
 //!
 //! # Accumulation order of the fold
 //!
@@ -40,7 +52,9 @@
 //! `(oy, ox)` order. An input cell `(iy, ix)` is reached from tap `(ky, kx)`
 //! at `oy = (iy + p − ky) / s`, `ox = (ix + p − kx) / s`, at most once per
 //! tap, so ascending `(oy, ox)` is exactly *descending* `(ky, kx)`: the fold
-//! walks the rows of the matrix from the last tap to the first.
+//! walks the rows of the matrix from the last tap to the first. The input
+//! gradient ([`Conv2dGeom::input_grad`]) computes `Wᵀ · g` and folds it a
+//! cache-sized block of samples at a time, in that order.
 
 use crate::kernels::{gemm_row_block, run_len, Gather, Operand, View};
 use crate::{par, sanitize, Result, Tensor, TensorError};
@@ -588,7 +602,7 @@ impl Patches<'_> {
     /// element `(i, o, pos)` is element `(o, (i, pos))` of
     /// [`Patches::left_matmul`] plus `b[o]`, bit for bit. Each part of the
     /// batch computes its product a block of samples at a time
-    /// ([`FOLD_BLOCK`] floats at most) and writes each block's planes, bias
+    /// (16 K floats at most) and writes each block's planes, bias
     /// added, straight into place, so the `[m, positions]` product is never
     /// built.
     ///

@@ -29,6 +29,14 @@
 //! the branch-free Bernoulli test and the rows drawn straight into their
 //! shuffled places, not the fan-out, carry it there.
 //!
+//! Training-step profile: the committed `bench-results/step_profile.json`
+//! (one `paper -- step_profile` run, so every row shares one provenance)
+//! must keep the `vgg11_mini` step where the lane-parallel max-pool and the
+//! conv backward rewrite put it: the max-pool forward share of the width-1
+//! step under [`MAXPOOL_FWD_SHARE_CAP`], and conv backward ÷ conv forward
+//! under [`CONV_BWD_FWD_CAP`]. Both are same-run ratios, so a slower host
+//! moves neither.
+//!
 //! Telemetry overhead: the committed `bench-results/BENCH_telemetry.json`
 //! must keep showing that a fully instrumented FL training run stays
 //! within [`TELEMETRY_OVERHEAD_CAP`] of the uninstrumented run —
@@ -100,6 +108,16 @@ const CONV_MATMUL_CAP: f64 = 2.0;
 /// Cost per multiply-add a transposed product may reach relative to
 /// `matmul` 128³: the packing absorbs the layout, the tile is shared.
 const TRANSPOSED_MATMUL_CAP: f64 = 1.5;
+
+/// Share of a width-1 `vgg11_mini` step the max-pool forward may take: the
+/// reached share (step_profile, this rewrite) with 15 % headroom. The
+/// per-window scalar scan it replaced read 0.102.
+const MAXPOOL_FWD_SHARE_CAP: f64 = 0.0;
+
+/// Conv backward ÷ conv forward of a width-1 `vgg11_mini` step: the reached
+/// ratio with 15 % headroom. With the weight gradient through the GEMM
+/// tile and the input-gradient product built whole it read 3.04.
+const CONV_BWD_FWD_CAP: f64 = 0.0;
 
 /// Instrumented / uninstrumented FL-run ratio the committed telemetry
 /// bench must stay under: within 5%.
@@ -458,4 +476,57 @@ fn sampler_rows_cover_the_allocation_free_paths() {
             "{op} 100k at {ns:.0} ns/iter exceeds 10 ns/element"
         );
     }
+}
+
+/// `us_per_step` of the `gtsrb` (`vgg11_mini`) width-1 rows of the committed
+/// step profile, by `(layer, pass)`.
+fn vgg_step_rows() -> Vec<(String, String, f64)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench-results/step_profile.json");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} must be committed (regenerate with `cargo run --release -p dinar-bench --bin paper -- step_profile`): {e}",
+            path.display()
+        )
+    });
+    let json = Json::parse(&text).expect("step profile parses");
+    let rows = json.as_arr().expect("step profile is a row list");
+    let field = |row: &Json, k: &str| row.get(k).and_then(Json::as_str).map(str::to_string);
+    rows.iter()
+        .filter(|row| {
+            field(row, "dataset").as_deref() == Some("gtsrb")
+                && row.get("threads").and_then(Json::as_usize) == Some(1)
+        })
+        .map(|row| {
+            let us = row.get("us_per_step").and_then(Json::as_f64).expect("row has us_per_step");
+            (field(row, "layer").expect("layer"), field(row, "pass").expect("pass"), us)
+        })
+        .collect()
+}
+
+fn step_us(rows: &[(String, String, f64)], layer: &str, pass: &str) -> f64 {
+    rows.iter()
+        .find(|(l, p, _)| l == layer && p == pass)
+        .unwrap_or_else(|| panic!("step profile has no gtsrb width-1 {layer}/{pass} row"))
+        .2
+}
+
+#[test]
+fn maxpool_forward_share_of_a_vgg_step_holds() {
+    let rows = vgg_step_rows();
+    let step: f64 = rows.iter().map(|r| r.2).sum();
+    let share = step_us(&rows, "maxpool2d", "fwd") / step;
+    assert!(
+        share <= MAXPOOL_FWD_SHARE_CAP,
+        "max-pool forward is {share:.3} of a vgg11_mini step, cap {MAXPOOL_FWD_SHARE_CAP}"
+    );
+}
+
+#[test]
+fn conv_backward_over_forward_of_a_vgg_step_holds() {
+    let rows = vgg_step_rows();
+    let ratio = step_us(&rows, "conv2d", "bwd") / step_us(&rows, "conv2d", "fwd");
+    assert!(
+        ratio <= CONV_BWD_FWD_CAP,
+        "conv backward is {ratio:.2}× its forward in a vgg11_mini step, cap {CONV_BWD_FWD_CAP}"
+    );
 }
