@@ -26,8 +26,8 @@
 //! position `r`'s receptive-field origin in it (sample, row and column, with
 //! the stride folded in), and `taps[q]` is the offset of tap `(ch, ky, kx)`
 //! from that origin. [`Patches`] is exactly that triple: the products
-//! ([`Patches::convolve`] and [`Patches::left_matmul`] for `W · cols`,
-//! [`Patches::add_weight_grad`] for the weight gradient `g · colsᵀ`) read
+//! ([`Patches::convolve`] for `W · cols`, [`Patches::add_weight_grad`] for
+//! the weight gradient `g · colsᵀ`) read
 //! their operands through the table, so no code path builds the
 //! `[patch, n·oh·ow]` matrix to multiply with it. The zero border stands in
 //! for every bounds test. [`im2col2d`]/[`im2col1d`] materialise the same
@@ -558,49 +558,12 @@ impl Patches<'_> {
         [self.patch, self.bases.len()]
     }
 
-    fn operand(&self) -> Operand<'_> {
-        Operand::Gathered(Gather {
-            data: self.image.as_slice(),
-            rows: &self.taps,
-            cols: &self.bases,
-        })
-    }
-
-    /// `lhs · P` for a `[m, patch]` matrix `lhs` (the convolution's forward
-    /// product `W · cols`), `[m, positions]`: the `matmul` of `lhs` with the
-    /// materialised matrix, bit for bit, computed and counted over the live
-    /// rows only (the columns of `lhs` they meet are gathered).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`]
-    /// if `lhs` is not `[m, patch]`.
-    pub fn left_matmul(&self, lhs: &Tensor) -> Result<Tensor> {
-        let op = "patches left_matmul";
-        let (m, k, a) = lhs.operand(op, false)?;
-        let [patch, positions] = self.shape();
-        if k != patch {
-            return Err(TensorError::ShapeMismatch {
-                lhs: lhs.shape().to_vec(),
-                rhs: vec![patch, positions],
-                op,
-            });
-        }
-        sanitize::check_finite(op, "lhs", lhs);
-        let starts: Vec<usize>;
-        let a = if self.rows.len() == patch {
-            Operand::Strided(a)
-        } else {
-            starts = (0..m).map(|i| i * a.rs).collect();
-            Operand::Gathered(Gather { data: a.data, rows: &starts, cols: &self.rows })
-        };
-        Ok(crate::tensor::gemm(op, m, self.rows.len(), positions, a, self.operand()))
-    }
-
     /// The convolution `W · P + b` of every sample, in the activation layout
     /// `[n, m, oh·ow]`, for a `[m, patch]` weight `W` and an `[m]` bias `b`:
-    /// element `(i, o, pos)` is element `(o, (i, pos))` of
-    /// [`Patches::left_matmul`] plus `b[o]`, bit for bit. Each part of the
+    /// element `(i, o, pos)` is element `(o, (i, pos))` of the `matmul` of
+    /// `W` with the materialised matrix plus `b[o]`, bit for bit, computed
+    /// and counted over the live rows only (the columns of `W` they meet are
+    /// gathered). Each part of the
     /// batch computes its product a block of samples at a time
     /// (16 K floats at most) and writes each block's planes, bias
     /// added, straight into place, so the `[m, positions]` product is never
@@ -1288,24 +1251,23 @@ mod tests {
                 Tensor::from_vec(v.map(|(i, o, p)| m[o * 4 * map + i * map + p]).collect(), &[4, 5, map])
                     .unwrap()
             };
-            let forward = patches.left_matmul(&wt).unwrap();
-            assert_eq!(bits(&forward), bits(&wt.matmul(&cols).unwrap()));
             let positions = 4 * map;
-            let biased = forward.as_slice().iter().enumerate().map(|(e, v)| v + b.as_slice()[e / positions]);
+            let product = wt.matmul(&cols).unwrap();
+            let biased = product.as_slice().iter().enumerate().map(|(e, v)| v + b.as_slice()[e / positions]);
             let biased = Tensor::from_vec(biased.collect(), &[5, positions]).unwrap();
-            assert_eq!(bits(&patches.convolve(&wt, &b).unwrap()), bits(&planes(&biased)));
+            let forward = patches.convolve(&wt, &b).unwrap();
+            assert_eq!(bits(&forward), bits(&planes(&biased)));
             let mut dw = Tensor::zeros(&[5, g.patch_len()]);
             patches.add_weight_grad(&mut dw, &planes(&gy)).unwrap();
             assert_eq!(bits(&dw), bits(&gy.matmul_t(&cols).unwrap()));
             let dx = g.input_grad(&wt, &planes(&gy), 4).unwrap();
             assert_eq!(bits(&dx), bits(&col2im2d(&wt.t_matmul(&gy).unwrap(), 4, &g).unwrap()));
             // One sample's column block, read as a view of the same table.
-            let sample = patches.columns(2 * map..3 * map).left_matmul(&wt).unwrap();
-            for (o, row) in sample.as_slice().chunks(map).enumerate() {
-                let full = &forward.as_slice()[o * 4 * map + 2 * map..][..map];
-                assert_eq!(bits(&Tensor::from_slice(row)), bits(&Tensor::from_slice(full)));
-            }
-            assert!(patches.left_matmul(&rng.randn(&[5, 4])).is_err());
+            let sample = patches.columns(2 * map..3 * map).convolve(&wt, &b).unwrap();
+            let full = &forward.as_slice()[2 * 5 * map..][..5 * map];
+            assert_eq!(bits(&sample), bits(&Tensor::from_slice(full)));
+            assert!(patches.convolve(&rng.randn(&[5, 4]), &b).is_err());
+            assert!(patches.convolve(&wt, &rng.randn(&[4])).is_err());
             assert!(patches.add_weight_grad(&mut dw, &rng.randn(&[5, 3])).is_err());
             assert!(g.input_grad(&wt, &rng.randn(&[5, 3]), 4).is_err());
         }
