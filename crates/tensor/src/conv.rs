@@ -361,6 +361,12 @@ impl Lowering {
             live.iter().map(|&q| all[q]).collect()
         };
         crate::profile::record_matmul(live.len(), oc, n * map);
+        if self.stride == 1 && self.interior_vectors() >= TRANSPOSED_MIN_VECTORS {
+            let out = self.transposed_conv(w.data, oc, grad.as_slice(), n, &live);
+            sanitize::check_finite_slice(op, "output", &out);
+            crate::profile::record_col2im(out.len() as u64 * 4);
+            return Tensor::from_vec(out, &[&[n], image].concat());
+        }
         // `Wᵀ` restricted to the live rows: row `q` of `Wᵀ` is column `q` of `W`.
         let channels: Vec<usize> = (0..oc).map(|o| o * patch).collect();
         let a = if live.len() == patch {
@@ -390,6 +396,116 @@ impl Lowering {
         sanitize::check_finite_slice(op, "output", &out);
         crate::profile::record_col2im(out.len() as u64 * 4);
         Tensor::from_vec(out, &[&[n], image].concat())
+    }
+
+    /// Vectors of [`LANES`] cells from a padded plane's first interior cell
+    /// to its last.
+    fn interior_vectors(&self) -> usize {
+        (self.h.saturating_sub(1) * self.padded().1 + self.w).div_ceil(LANES)
+    }
+
+    /// [`Lowering::input_grad`] at stride 1, as a transposed convolution:
+    /// no product is stored and nothing is scattered. Cell `t` of a padded
+    /// plane receives, from live tap `(ky, kx)`, the product row's element at
+    /// the output position `t − (ky·wp + kx)` (in row pitch `wp`), so each
+    /// sample's gradient planes are laid out at that pitch with a zero
+    /// margin (`grad` is zero wherever no position exists), and a run of
+    /// [`LANES`] cells reads one contiguous vector per output channel. Each
+    /// cell's product elements are the same `Wᵀ · g` chains, and it sums them
+    /// from the last tap to the first, as the fold does; an element the
+    /// fold never makes (no position) is a chain of `fma(w, 0, ·)` from
+    /// `+0.0`, which is `+0.0` for finite weights, and adding `+0.0` to a
+    /// sum that starts at `+0.0` moves no bit. Lanes over border cells are
+    /// computed and dropped.
+    fn transposed_conv(&self, w: &[f32], oc: usize, g: &[f32], n: usize, live: &[usize]) -> Vec<f32> {
+        let wp = self.padded().1;
+        let (kk, map) = (self.kh * self.kw, self.oh * self.ow);
+        let sample = self.c * self.h * self.w;
+        let mut out = vec![0.0f32; n * sample];
+        if out.is_empty() || map == 0 {
+            return out;
+        }
+        let (first, vectors) = (self.pad_h * wp + self.pad_w, self.interior_vectors());
+        let chunks = vectors.div_ceil(6);
+        let plan = Transposed {
+            oc,
+            patch: self.c * kk,
+            kk,
+            reach: (self.kh - 1) * wp + self.kw - 1,
+            first,
+            wp,
+            chunks,
+            // Live rows are the same kernel taps in every channel: channel
+            // 0's, last first, with their offsets in the padded plane.
+            taps: live[..live.partition_point(|&q| q < kk)]
+                .iter()
+                .rev()
+                .map(|&q| (q, q / self.kw * wp + q % self.kw))
+                .collect(),
+        };
+        let min_samples = (PAR_MIN_CELLS / (map * live.len()).max(1)).max(1);
+        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+            match vectors.div_ceil(chunks) {
+                1 => self.transposed_part::<8, 1>(&plan, w, g, offset / sample, part),
+                2 => self.transposed_part::<6, 2>(&plan, w, g, offset / sample, part),
+                3 => self.transposed_part::<4, 3>(&plan, w, g, offset / sample, part),
+                4 => self.transposed_part::<3, 4>(&plan, w, g, offset / sample, part),
+                5 => self.transposed_part::<2, 5>(&plan, w, g, offset / sample, part),
+                _ => self.transposed_part::<2, 6>(&plan, w, g, offset / sample, part),
+            }
+        });
+        out
+    }
+
+    /// [`Lowering::transposed_conv`] for the samples of `part` from sample
+    /// `first_sample` on, `C` channels × `V` vectors of cells at a time.
+    fn transposed_part<const C: usize, const V: usize>(
+        &self,
+        plan: &Transposed,
+        w: &[f32],
+        g: &[f32],
+        first_sample: usize,
+        part: &mut [f32],
+    ) {
+        let (oc, c, plane, wp) = (plan.oc, self.c, self.h * self.w, plan.wp);
+        let lanes = plan.chunks * V * LANES;
+        // Each output channel's plane at pitch `wp`, `reach` cells in: cell
+        // `t` meets tap offset `off` at `t + reach − off`. Only the rows of
+        // positions are ever written; everything else stays zero.
+        let glen = (plan.first + lanes).max(self.oh * wp) + plan.reach;
+        let embed = Frame {
+            rows: self.oh,
+            w: self.ow,
+            stride: wp,
+            skip: glen - self.oh * wp,
+        };
+        // A channel's sums at pitch `wp`, cropped as the fold crops.
+        let pitch = lanes.max(self.h * wp);
+        let crop = Frame {
+            rows: self.h,
+            w: self.w,
+            stride: wp,
+            skip: pitch - self.h * wp,
+        };
+        let mut planes = vec![0.0f32; oc * glen];
+        let mut sums = vec![0.0f32; C * pitch];
+        let sample = oc * self.oh * self.ow;
+        for (i, out) in (first_sample..).zip(part.chunks_exact_mut(c * plane)) {
+            embed.copy(&mut planes[plan.reach..], &g[i * sample..][..sample], oc * self.oh, true);
+            for ch0 in (0..c).step_by(C) {
+                // A group past the last channel repeats it; its sums are dropped.
+                let channels: [usize; C] = std::array::from_fn(|k| (ch0 + k).min(c - 1) * plan.kk);
+                for chunk in 0..plan.chunks {
+                    let at = plan.first + chunk * V * LANES + plan.reach;
+                    let acc = transposed_tile::<C, V>(plan, w, channels, &planes, glen, at);
+                    for (sum, acc) in sums.chunks_exact_mut(pitch).zip(&acc) {
+                        sum[chunk * V * LANES..][..V * LANES].copy_from_slice(acc.as_flattened());
+                    }
+                }
+                let channels = C.min(c - ch0);
+                crop.copy(&mut out[ch0 * plane..], &sums, channels * self.h, false);
+            }
+        }
     }
 
     /// The fold's frame: `n` zeroed images, split into parts of whole
@@ -483,6 +599,73 @@ impl Frame {
             }
         }
     }
+}
+
+/// The smallest plane interior, in vectors of cells, whose input gradient
+/// is a transposed convolution: on smaller maps most lanes would be border
+/// cells, and the product and fold cost less.
+const TRANSPOSED_MIN_VECTORS: usize = 3;
+
+/// The layout [`Lowering::transposed_conv`] works in.
+struct Transposed {
+    oc: usize,
+    /// Row length of `W` (`c·kh·kw`) and taps per channel (`kh·kw`).
+    patch: usize,
+    kk: usize,
+    /// Offset of the last tap from the first in a padded plane.
+    reach: usize,
+    /// The first interior cell of a padded plane, and the plane's pitch.
+    first: usize,
+    wp: usize,
+    /// Runs of `V` vectors of cells that cover a plane's interior.
+    chunks: usize,
+    /// The live kernel taps `(kernel index, offset)`, last first.
+    taps: Vec<(usize, usize)>,
+}
+
+/// The sums of `V` vectors of cells in `C` channels (`W` columns
+/// `channels[c] + k` for kernel tap `k`): for each live tap, last first,
+/// lane `l` of vector `v` adds the chain over the output channels `o` of
+/// `W[o, channels[c] + k] · planes[o·glen + at − off + 8v + l]`, the
+/// `t_matmul` chain of that product element, onto a sum from `+0.0`.
+// Kept out of line so the chains stay in registers.
+#[inline(never)]
+fn transposed_tile<const C: usize, const V: usize>(
+    plan: &Transposed,
+    w: &[f32],
+    channels: [usize; C],
+    planes: &[f32],
+    glen: usize,
+    at: usize,
+) -> [[[f32; LANES]; V]; C] {
+    let mut sums = [[[0.0f32; LANES]; V]; C];
+    for &(k, off) in &plan.taps {
+        let mut p = [[[0.0f32; LANES]; V]; C];
+        let cols = channels.map(|col| col + k);
+        for o in 0..plan.oc {
+            let cells = &planes[o * glen + at - off..][..V * LANES];
+            let gv: [[f32; LANES]; V] = std::array::from_fn(|v| {
+                cells[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
+            });
+            let wrow = &w[o * plan.patch..][..plan.patch];
+            for (pc, &col) in p.iter_mut().zip(&cols) {
+                let wc = wrow[col];
+                for (pv, gv) in pc.iter_mut().zip(&gv) {
+                    for (a, &b) in pv.iter_mut().zip(gv) {
+                        *a = wc.mul_add(b, *a);
+                    }
+                }
+            }
+        }
+        for (sc, pc) in sums.iter_mut().zip(&p) {
+            for (sv, pv) in sc.iter_mut().zip(pc) {
+                for (s, &v) in sv.iter_mut().zip(pv) {
+                    *s += v;
+                }
+            }
+        }
+    }
+    sums
 }
 
 /// Floats of the input-gradient product one fold block holds (64 KiB).
@@ -700,10 +883,10 @@ impl Patches<'_> {
                 let mut p = start;
                 while p < start + len {
                     let (i, pos) = (p / map, p % map);
-                    let run = (map - pos).min(start + len - p);
+                    let seg = (map - pos).min(start + len - p);
                     let g = View { data: &planes[i * oc * map + pos..], rs: map, cs: 1 };
-                    transpose_lanes(&mut gt[(p - start) * lanes..][..run * lanes], g, oc, lanes);
-                    p += run;
+                    transpose_lanes(&mut gt[(p - start) * lanes..][..seg * lanes], g, oc, lanes);
+                    p += seg;
                 }
                 let coeffs = if run >= DIRECT_RUN {
                     Coeffs::Image { x, taps, bases, run }
