@@ -425,33 +425,38 @@ impl Lowering {
         if out.is_empty() || map == 0 {
             return out;
         }
-        let (first, vectors) = (self.pad_h * wp + self.pad_w, self.interior_vectors());
-        let chunks = vectors.div_ceil(6);
+        let (first, reach) = (self.pad_h * wp + self.pad_w, (self.kh - 1) * wp + self.kw - 1);
+        let (chunks, v) = tile_shape(self.interior_vectors());
+        // Each output channel's plane at pitch `wp`, `reach` cells in: cell
+        // `t` meets tap offset `off` at `t + reach − off`.
+        let glen = (first + chunks * v * LANES).max(self.oh * wp) + reach;
+        // Live rows are the same kernel taps in every channel: channel 0's,
+        // last first. A tap's chain runs over the output channels.
+        let taps = &live[..live.partition_point(|&q| q < kk)];
+        let steps = taps.iter().rev().flat_map(|&q| {
+            let off = q / self.kw * wp + q % self.kw;
+            (0..oc).map(move |o| (o * self.c * kk + q, o * glen + reach - off))
+        });
         let plan = Transposed {
             oc,
-            patch: self.c * kk,
             kk,
-            reach: (self.kh - 1) * wp + self.kw - 1,
+            reach,
             first,
             wp,
+            glen,
             chunks,
-            // Live rows are the same kernel taps in every channel: channel
-            // 0's, last first, with their offsets in the padded plane.
-            taps: live[..live.partition_point(|&q| q < kk)]
-                .iter()
-                .rev()
-                .map(|&q| (q, q / self.kw * wp + q % self.kw))
-                .collect(),
+            steps: steps.collect(),
         };
         let min_samples = (PAR_MIN_CELLS / (map * live.len()).max(1)).max(1);
         par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            match vectors.div_ceil(chunks) {
-                1 => self.transposed_part::<8, 1>(&plan, w, g, offset / sample, part),
-                2 => self.transposed_part::<6, 2>(&plan, w, g, offset / sample, part),
-                3 => self.transposed_part::<4, 3>(&plan, w, g, offset / sample, part),
-                4 => self.transposed_part::<3, 4>(&plan, w, g, offset / sample, part),
-                5 => self.transposed_part::<2, 5>(&plan, w, g, offset / sample, part),
-                _ => self.transposed_part::<2, 6>(&plan, w, g, offset / sample, part),
+            let first_sample = offset / sample;
+            match v {
+                1 => self.transposed_part::<8, 1>(&plan, w, g, first_sample, part),
+                2 => self.transposed_part::<6, 2>(&plan, w, g, first_sample, part),
+                3 => self.transposed_part::<4, 3>(&plan, w, g, first_sample, part),
+                4 => self.transposed_part::<3, 4>(&plan, w, g, first_sample, part),
+                5 => self.transposed_part::<2, 5>(&plan, w, g, first_sample, part),
+                _ => self.transposed_part::<2, 6>(&plan, w, g, first_sample, part),
             }
         });
         out
@@ -467,12 +472,9 @@ impl Lowering {
         first_sample: usize,
         part: &mut [f32],
     ) {
-        let (oc, c, plane, wp) = (plan.oc, self.c, self.h * self.w, plan.wp);
+        let (oc, c, plane, wp, glen) = (plan.oc, self.c, self.h * self.w, plan.wp, plan.glen);
         let lanes = plan.chunks * V * LANES;
-        // Each output channel's plane at pitch `wp`, `reach` cells in: cell
-        // `t` meets tap offset `off` at `t + reach − off`. Only the rows of
-        // positions are ever written; everything else stays zero.
-        let glen = (plan.first + lanes).max(self.oh * wp) + plan.reach;
+        // Only the rows of positions are ever written; the margins stay zero.
         let embed = Frame {
             rows: self.oh,
             w: self.ow,
@@ -496,8 +498,8 @@ impl Lowering {
                 // A group past the last channel repeats it; its sums are dropped.
                 let channels: [usize; C] = std::array::from_fn(|k| (ch0 + k).min(c - 1) * plan.kk);
                 for chunk in 0..plan.chunks {
-                    let at = plan.first + chunk * V * LANES + plan.reach;
-                    let acc = transposed_tile::<C, V>(plan, w, channels, &planes, glen, at);
+                    let at = plan.first + chunk * V * LANES;
+                    let acc = transposed_tile::<C, V>(w, channels, &plan.steps, oc, &planes, at);
                     for (sum, acc) in sums.chunks_exact_mut(pitch).zip(&acc) {
                         sum[chunk * V * LANES..][..V * LANES].copy_from_slice(acc.as_flattened());
                     }
@@ -601,55 +603,64 @@ impl Frame {
     }
 }
 
-/// The smallest plane interior, in vectors of cells, whose input gradient
-/// is a transposed convolution: on smaller maps most lanes would be border
-/// cells, and the product and fold cost less.
-const TRANSPOSED_MIN_VECTORS: usize = 3;
-
 /// The layout [`Lowering::transposed_conv`] works in.
 struct Transposed {
     oc: usize,
-    /// Row length of `W` (`c·kh·kw`) and taps per channel (`kh·kw`).
-    patch: usize,
+    /// Taps per channel (`kh·kw`).
     kk: usize,
     /// Offset of the last tap from the first in a padded plane.
     reach: usize,
     /// The first interior cell of a padded plane, and the plane's pitch.
     first: usize,
     wp: usize,
+    /// Floats per embedded gradient plane.
+    glen: usize,
     /// Runs of `V` vectors of cells that cover a plane's interior.
     chunks: usize,
-    /// The live kernel taps `(kernel index, offset)`, last first.
-    taps: Vec<(usize, usize)>,
+    /// Per live tap, last first, its chain's `oc` steps (see
+    /// [`transposed_tile`]): `W[o, q]` against plane `o` at the tap's offset.
+    steps: Vec<(usize, usize)>,
 }
 
-/// The sums of `V` vectors of cells in `C` channels (`W` columns
-/// `channels[c] + k` for kernel tap `k`): for each live tap, last first,
-/// lane `l` of vector `v` adds the chain over the output channels `o` of
-/// `W[o, channels[c] + k] · planes[o·glen + at − off + 8v + l]`, the
-/// `t_matmul` chain of that product element, onto a sum from `+0.0`.
+/// The smallest plane interior, in vectors of cells, whose input gradient
+/// is a transposed convolution: on smaller maps most lanes would be border
+/// cells, and the product and fold cost less.
+const TRANSPOSED_MIN_VECTORS: usize = 3;
+
+/// How the transposed convolution covers a run of `vectors` vectors of cells:
+/// `(chunks, V)`, `chunks` runs of `V ≤ 6` vectors each.
+fn tile_shape(vectors: usize) -> (usize, usize) {
+    let chunks = vectors.div_ceil(6);
+    (chunks, vectors.div_ceil(chunks))
+}
+
+/// The input gradient's register tile: `V` vectors of cells in `C`
+/// channels (`W` columns `channels[c] + q` for kernel tap `q`). For each
+/// live tap, last first, the tap's `oc` steps `(o·patch + q, offset)` are
+/// the `t_matmul` chain of its product element: lane `l` of vector `v`
+/// multiplies `W[o, channels[c] + q]` with `planes[offset + at + 8v + l]`
+/// from `+0.0`, and the chain is added onto the cell's sum, which starts at
+/// `+0.0`.
 // Kept out of line so the chains stay in registers.
 #[inline(never)]
 fn transposed_tile<const C: usize, const V: usize>(
-    plan: &Transposed,
     w: &[f32],
     channels: [usize; C],
+    steps: &[(usize, usize)],
+    oc: usize,
     planes: &[f32],
-    glen: usize,
     at: usize,
 ) -> [[[f32; LANES]; V]; C] {
     let mut sums = [[[0.0f32; LANES]; V]; C];
-    for &(k, off) in &plan.taps {
+    for tap in steps.chunks_exact(oc.max(1)) {
         let mut p = [[[0.0f32; LANES]; V]; C];
-        let cols = channels.map(|col| col + k);
-        for o in 0..plan.oc {
-            let cells = &planes[o * glen + at - off..][..V * LANES];
+        for &(weight, offset) in tap {
+            let cells = &planes[offset + at..][..V * LANES];
             let gv: [[f32; LANES]; V] = std::array::from_fn(|v| {
                 cells[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
             });
-            let wrow = &w[o * plan.patch..][..plan.patch];
-            for (pc, &col) in p.iter_mut().zip(&cols) {
-                let wc = wrow[col];
+            for (pc, &channel) in p.iter_mut().zip(&channels) {
+                let wc = w[weight + channel];
                 for (pv, gv) in pc.iter_mut().zip(&gv) {
                     for (a, &b) in pv.iter_mut().zip(gv) {
                         *a = wc.mul_add(b, *a);
