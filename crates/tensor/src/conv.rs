@@ -52,9 +52,15 @@
 //! `(oy, ox)` order. An input cell `(iy, ix)` is reached from tap `(ky, kx)`
 //! at `oy = (iy + p − ky) / s`, `ox = (ix + p − kx) / s`, at most once per
 //! tap, so ascending `(oy, ox)` is exactly *descending* `(ky, kx)`: the fold
-//! walks the rows of the matrix from the last tap to the first. The input
-//! gradient ([`Conv2dGeom::input_grad`]) computes `Wᵀ · g` and folds it a
-//! cache-sized block of samples at a time, in that order.
+//! walks the rows of the matrix from the last tap to the first.
+//!
+//! The input gradient ([`Conv2dGeom::input_grad`]) is `col2im(Wᵀ · g)`
+//! without the product: each input cell computes only the product elements
+//! that reach it, each the chain of `Tensor::t_matmul` over the output
+//! channels, and sums them last tap first. On a stride-1 plane of eight
+//! vectors or more the cells run along the lanes (a transposed
+//! convolution over the gradient planes laid out at the padded pitch);
+//! otherwise the input channels do, a few samples at a time.
 
 use crate::kernels::{gemm_row_block, run_len, Gather, Operand, View};
 use crate::{par, sanitize, Result, Tensor, TensorError};
@@ -131,10 +137,10 @@ impl Conv2dGeom {
     }
 
     /// The input gradient of a convolution with weights `weight`
-    /// (`[oc, c·kh·kw]`) for the output gradient `grad` (`[oc, n·oh·ow]`):
-    /// `col2im2d(Wᵀ · grad)`, bit for bit, with the product computed and
-    /// folded a cache-sized block of samples at a time and the dead rows
-    /// skipped (see the module docs). `[n, c, h, w]`.
+    /// (`[oc, c·kh·kw]`) for the output gradient `grad` in the activation
+    /// layout (`[n, oc, oh·ow]`, whose `[oc, n·oh·ow]` matrix is `g`):
+    /// `col2im2d(Wᵀ · g)`, bit for bit, with no product built and nothing
+    /// scattered (see the module docs). `[n, c, h, w]`.
     ///
     /// # Errors
     ///
@@ -327,15 +333,14 @@ impl Lowering {
 
     /// The input gradient `Wᵀ · g` of a convolution over `n` images of shape
     /// `image`, folded back onto them, for the output gradient `grad` in the
-    /// activation layout (`[n, oc, oh·ow]`). No `[patch, n·oh·ow]` matrix is
-    /// built: each part of the batch computes its live rows of the product a
-    /// block of samples at a time, [`FOLD_BLOCK`] floats at most, reading
-    /// `g`'s columns straight from `grad`'s planes, and folds the block
-    /// before the next one overwrites it. Every element of the product is
-    /// the chain of `Tensor::t_matmul`, every input cell sums its
-    /// contributions in the order of `col2im` over the whole product (last
-    /// tap first), and a dead row folds only onto the cropped border, so the
-    /// result is `col2im(Wᵀ · g)` bit for bit.
+    /// activation layout (`[n, oc, oh·ow]`). No `[patch, n·oh·ow]` product
+    /// is built: each input cell computes the product elements that reach
+    /// it, each the chain of `Tensor::t_matmul`, and sums them in the order
+    /// of `col2im` over the whole product (last tap first), so the result is
+    /// `col2im(Wᵀ · g)` bit for bit. A stride-1 plane of
+    /// [`TRANSPOSED_MIN_VECTORS`] or more runs cells along the lanes
+    /// ([`Lowering::transposed_conv`]); any other runs input channels along
+    /// them ([`Lowering::channel_lanes`]).
     fn input_grad(
         &self,
         op: &'static str,
@@ -356,46 +361,132 @@ impl Lowering {
         sanitize::check_finite(op, "weight", weight);
         sanitize::check_finite(op, "grad", grad);
         let live = self.live_rows();
-        let taps: Vec<usize> = {
-            let all = self.taps();
-            live.iter().map(|&q| all[q]).collect()
-        };
         crate::profile::record_matmul(live.len(), oc, n * map);
-        if self.stride == 1 && self.interior_vectors() >= TRANSPOSED_MIN_VECTORS {
-            let out = self.transposed_conv(w.data, oc, grad.as_slice(), n, &live);
-            sanitize::check_finite_slice(op, "output", &out);
-            crate::profile::record_col2im(out.len() as u64 * 4);
-            return Tensor::from_vec(out, &[&[n], image].concat());
-        }
-        // `Wᵀ` restricted to the live rows: row `q` of `Wᵀ` is column `q` of `W`.
-        let channels: Vec<usize> = (0..oc).map(|o| o * patch).collect();
-        let a = if live.len() == patch {
-            Operand::Strided(View { data: w.data, rs: 1, cs: patch })
+        let (w, g) = (w.data, grad.as_slice());
+        let out = if self.stride == 1 && self.interior_vectors() >= TRANSPOSED_MIN_VECTORS {
+            self.transposed_conv(w, oc, g, n, &live)
         } else {
-            Operand::Gathered(Gather { data: w.data, rows: &live, cols: &channels })
+            self.channel_lanes(w, oc, g, n)
         };
-        // `g = [oc, n·map]` read from the planes: row `o` starts at plane `o`,
-        // column `(i, pos)` at sample `i`'s planes.
-        let planes: Vec<usize> = (0..oc).map(|o| o * map).collect();
-        let columns: Vec<usize> = (0..n * map).map(|p| p / map * oc * map + p % map).collect();
-        let g = grad.as_slice();
-        let out = self.fold_parts(n, live.len(), |first, count, scatter| {
-            let block = (FOLD_BLOCK / (live.len() * map).max(1)).clamp(1, count);
-            let mut product = vec![0.0f32; live.len() * block * map];
-            for start in (first..first + count).step_by(block) {
-                let samples = block.min(first + count - start);
-                let width = samples * map;
-                let product = &mut product[..live.len() * width];
-                let cols = &columns[start * map..][..width];
-                let b = Gather { data: g, rows: &planes, cols };
-                gemm_row_block(product, 0, a, Operand::Gathered(b), oc, width, false);
-                let mut rows = taps.iter().copied().zip(product.chunks_exact(width)).rev();
-                scatter(samples, &mut rows);
-            }
-        });
         sanitize::check_finite_slice(op, "output", &out);
         crate::profile::record_col2im(out.len() as u64 * 4);
         Tensor::from_vec(out, &[&[n], image].concat())
+    }
+
+    /// Per input cell `(iy, ix)`, the `(tap, position)` pairs that reach it,
+    /// last tap first: kernel tap `(ky, kx)` reaches it from output
+    /// position `((iy + p − ky) / s, (ix + p − kx) / s)` where that divides
+    /// and lies in the map. As compressed rows: cell `t`'s pairs are
+    /// `pairs[starts[t]..starts[t + 1]]`, each tap an index into `kernel`,
+    /// the kernel taps that reach some cell (the live ones), ascending.
+    fn cell_taps(&self) -> CellTaps {
+        let s = self.stride;
+        let reach = |i: usize, k: usize, pad: usize, out: usize| {
+            (i + pad).checked_sub(k).filter(|t| t % s == 0 && t / s < out).map(|t| t / s)
+        };
+        let kk = self.kh * self.kw;
+        let mut cells = Vec::with_capacity(self.h * self.w);
+        for iy in 0..self.h {
+            for ix in 0..self.w {
+                let pairs = (0..kk).rev().filter_map(|k| {
+                    let oy = reach(iy, k / self.kw, self.pad_h, self.oh)?;
+                    let ox = reach(ix, k % self.kw, self.pad_w, self.ow)?;
+                    Some((k, oy * self.ow + ox))
+                });
+                cells.push(pairs.collect::<Vec<_>>());
+            }
+        }
+        let mut kernel: Vec<usize> = cells.iter().flatten().map(|&(k, _)| k).collect();
+        kernel.sort_unstable();
+        kernel.dedup();
+        let mut starts = vec![0];
+        let mut pairs = Vec::new();
+        for cell in &cells {
+            pairs.extend(cell.iter().map(|&(k, pos)| (kernel.partition_point(|&t| t < k), pos)));
+            starts.push(pairs.len());
+        }
+        CellTaps { kernel, starts, pairs }
+    }
+
+    /// The input gradient with the input channels on the lanes: for each
+    /// input cell and `R` samples at a time, each pair `(k, pos)` that
+    /// reaches the cell, last tap first, is the `t_matmul` chain over the
+    /// output channels of `W[o, ch·kh·kw + k] · g[o, pos]`, added onto the
+    /// cell's sum from `+0.0`, as the fold adds it.
+    fn channel_lanes(&self, w: &[f32], oc: usize, g: &[f32], n: usize) -> Vec<f32> {
+        let (kk, map, plane) = (self.kh * self.kw, self.oh * self.ow, self.h * self.w);
+        let sample = self.c * plane;
+        let mut out = vec![0.0f32; n * sample];
+        if out.is_empty() || map == 0 {
+            return out;
+        }
+        let taps = self.cell_taps();
+        // `Wᵀ` live tap by live tap, channels on the lanes:
+        // `wt[(t·oc + o)·lanes + ch]` is `W[o, ch·kk + kernel[t]]`, zero past
+        // the last channel.
+        let lanes = self.c.div_ceil(LANES) * LANES;
+        let mut wt = vec![0.0f32; taps.kernel.len() * oc * lanes];
+        for (o, row) in w.chunks_exact(self.c * kk).enumerate() {
+            for (ch, kernel) in row.chunks_exact(kk).enumerate() {
+                for (t, &k) in taps.kernel.iter().enumerate() {
+                    wt[(t * oc + o) * lanes + ch] = kernel[k];
+                }
+            }
+        }
+        let plan = ChannelLanes { oc, map, lanes, taps };
+        let min_samples = (PAR_MIN_CELLS / (sample * kk).max(1)).max(1);
+        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+            let first = offset / sample;
+            for v0 in (0..lanes / LANES).step_by(4) {
+                match lanes / LANES - v0 {
+                    1 => self.channel_part::<8, 1>(&plan, &wt, v0 * LANES, g, first, part),
+                    2 => self.channel_part::<6, 2>(&plan, &wt, v0 * LANES, g, first, part),
+                    3 => self.channel_part::<3, 3>(&plan, &wt, v0 * LANES, g, first, part),
+                    _ => self.channel_part::<2, 4>(&plan, &wt, v0 * LANES, g, first, part),
+                }
+            }
+        });
+        out
+    }
+
+    /// [`Lowering::channel_lanes`] for channel lanes `lane..lane + 8·V` of
+    /// the samples of `part`, from sample `first` on, `R` samples at a time
+    /// (a group past the last sample repeats it; its sums are dropped).
+    fn channel_part<const R: usize, const V: usize>(
+        &self,
+        plan: &ChannelLanes,
+        wt: &[f32],
+        lane: usize,
+        g: &[f32],
+        first: usize,
+        part: &mut [f32],
+    ) {
+        let (plane, oc, map) = (self.h * self.w, plan.oc, plan.map);
+        let sample = self.c * plane;
+        let count = part.len() / sample;
+        let channels = self.c.saturating_sub(lane).min(V * LANES);
+        // The group's gradients interleaved, `[oc·map, R]`: one load finds a
+        // position's `R` samples.
+        let mut group = vec![0.0f32; oc * map * R];
+        for s0 in (0..count).step_by(R) {
+            for r in 0..R {
+                let i = first + (s0 + r).min(count - 1);
+                let src = &g[i * oc * map..][..oc * map];
+                for (dst, &v) in group.chunks_exact_mut(R).zip(src) {
+                    dst[r] = v;
+                }
+            }
+            for (cell, span) in plan.taps.starts.windows(2).enumerate() {
+                let pairs = &plan.taps.pairs[span[0]..span[1]];
+                let sums = channel_tile::<R, V>(wt, plan.lanes, lane, pairs, oc, map, &group);
+                for (r, sums) in sums.iter().enumerate().take(count - s0) {
+                    let out = &mut part[(s0 + r) * sample + lane * plane..];
+                    for (ch, &v) in sums.as_flattened().iter().enumerate().take(channels) {
+                        out[ch * plane + cell] = v;
+                    }
+                }
+            }
+        }
     }
 
     /// Vectors of [`LANES`] cells from a padded plane's first interior cell
@@ -623,9 +714,9 @@ struct Transposed {
 }
 
 /// The smallest plane interior, in vectors of cells, whose input gradient
-/// is a transposed convolution: on smaller maps most lanes would be border
-/// cells, and the product and fold cost less.
-const TRANSPOSED_MIN_VECTORS: usize = 3;
+/// is a transposed convolution: on smaller maps the border cells are too
+/// large a share of the lanes, and the channel lanes cost less.
+const TRANSPOSED_MIN_VECTORS: usize = 8;
 
 /// How the transposed convolution covers a run of `vectors` vectors of cells:
 /// `(chunks, V)`, `chunks` runs of `V ≤ 6` vectors each.
@@ -670,6 +761,69 @@ fn transposed_tile<const C: usize, const V: usize>(
         }
         for (sc, pc) in sums.iter_mut().zip(&p) {
             for (sv, pv) in sc.iter_mut().zip(pc) {
+                for (s, &v) in sv.iter_mut().zip(pv) {
+                    *s += v;
+                }
+            }
+        }
+    }
+    sums
+}
+
+/// The pairs `(tap, position)` that reach each input cell (see
+/// [`Lowering::cell_taps`]).
+struct CellTaps {
+    kernel: Vec<usize>,
+    starts: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
+}
+
+/// The layout [`Lowering::channel_lanes`] works in.
+struct ChannelLanes {
+    oc: usize,
+    /// Output positions per sample, and input channels rounded up to whole
+    /// vectors.
+    map: usize,
+    lanes: usize,
+    taps: CellTaps,
+}
+
+/// The channel-lane register tile: for one input cell, `R` samples × `V`
+/// vectors of channels from lane `lane`. Each pair `(t, pos)` is the chain
+/// over the output channels `o` of `wt[(t·oc + o)·lanes + ..] · g[o, pos]`
+/// (`group[(o·map + pos)·R + r]` for sample `r`) from `+0.0`, added onto
+/// the cell's sum from `+0.0`.
+// Kept out of line so the chains stay in registers.
+#[inline(never)]
+fn channel_tile<const R: usize, const V: usize>(
+    wt: &[f32],
+    lanes: usize,
+    lane: usize,
+    pairs: &[(usize, usize)],
+    oc: usize,
+    map: usize,
+    group: &[f32],
+) -> [[[f32; LANES]; V]; R] {
+    let mut sums = [[[0.0f32; LANES]; V]; R];
+    for &(t, pos) in pairs {
+        let mut p = [[[0.0f32; LANES]; V]; R];
+        let w = &wt[t * oc * lanes + lane..];
+        for o in 0..oc {
+            let wv = &w[o * lanes..][..V * LANES];
+            let wv: [[f32; LANES]; V] = std::array::from_fn(|v| {
+                wv[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
+            });
+            let gv = group[(o * map + pos) * R..].first_chunk::<R>().copied().unwrap_or([0.0; R]);
+            for (pr, &gv) in p.iter_mut().zip(&gv) {
+                for (pv, wv) in pr.iter_mut().zip(&wv) {
+                    for (a, &b) in pv.iter_mut().zip(wv) {
+                        *a = b.mul_add(gv, *a);
+                    }
+                }
+            }
+        }
+        for (sr, pr) in sums.iter_mut().zip(&p) {
+            for (sv, pv) in sr.iter_mut().zip(pr) {
                 for (s, &v) in sv.iter_mut().zip(pv) {
                     *s += v;
                 }
