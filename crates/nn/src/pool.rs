@@ -186,11 +186,15 @@ fn max_pool(x: &[f32], win: &Windows) -> (Vec<f32>, Vec<u8>) {
     walk(win, out.len(), |step| match step {
         Step::Lanes { ow, at, x: from } => {
             let (best, arg) = (&mut out[at..at + LANES], &mut argmax[at..at + LANES]);
-            match ow {
-                1 => scan_pairs::<1>(&x[from..], win, best, arg),
-                2 => scan_pairs::<2>(&x[from..], win, best, arg),
-                4 => scan_pairs::<4>(&x[from..], win, best, arg),
-                _ => scan_pairs::<LANES>(&x[from..], win, best, arg),
+            match (ow, win.kh) {
+                (1, 2) => scan_pairs::<1, 2>(&x[from..], win, best, arg),
+                (2, 2) => scan_pairs::<2, 2>(&x[from..], win, best, arg),
+                (4, 2) => scan_pairs::<4, 2>(&x[from..], win, best, arg),
+                (_, 2) => scan_pairs::<LANES, 2>(&x[from..], win, best, arg),
+                (1, _) => scan_pairs::<1, 0>(&x[from..], win, best, arg),
+                (2, _) => scan_pairs::<2, 0>(&x[from..], win, best, arg),
+                (4, _) => scan_pairs::<4, 0>(&x[from..], win, best, arg),
+                _ => scan_pairs::<LANES, 0>(&x[from..], win, best, arg),
             }
         }
         Step::One { at, x: from } => (out[at], argmax[at]) = scan(&x[from..], &cells),
@@ -201,11 +205,21 @@ fn max_pool(x: &[f32], win: &Windows) -> (Vec<f32>, Vec<u8>) {
 /// [`LANES`] windows two cells wide, one per lane: `OW` adjacent windows
 /// from each of `LANES / OW` output rows, the first starting at `x[0]` and
 /// the rows `kh·w` apart. Each window row is read as `LANES` pairs and split
-/// into its first and second cells.
-fn scan_pairs<const OW: usize>(x: &[f32], win: &Windows, best: &mut [f32], arg: &mut [u8]) {
-    let band = win.kh * win.w;
-    let (mut top, mut at) = ([0.0f32; LANES], [0u8; LANES]);
-    for (ky, cell) in (0..win.kh).zip((0u8..).step_by(2)) {
+/// into its first and second cells. `KH` fixes the window height when it is
+/// not 0 (two-row windows, the VGG case, unroll into straight-line code),
+/// or `KH = 0` reads it from `win`.
+fn scan_pairs<const OW: usize, const KH: usize>(
+    x: &[f32],
+    win: &Windows,
+    best: &mut [f32],
+    arg: &mut [u8],
+) {
+    let kh = if KH == 0 { win.kh } else { KH };
+    let band = kh * win.w;
+    // The offsets are selected in 32-bit lanes, the width of the compare's
+    // mask, and narrowed once at the store.
+    let (mut top, mut at) = ([0.0f32; LANES], [0u32; LANES]);
+    for (ky, cell) in (0..kh).zip((0u32..).step_by(2)) {
         let mut pairs = [0.0f32; 2 * LANES];
         for (r, dst) in pairs.chunks_exact_mut(2 * OW).enumerate() {
             dst.copy_from_slice(&x[r * band + ky * win.w..][..2 * OW]);
@@ -220,12 +234,14 @@ fn scan_pairs<const OW: usize>(x: &[f32], win: &Windows, best: &mut [f32], arg: 
         take_greater(&mut top, &mut at, &second, cell + 1);
     }
     best.copy_from_slice(&top);
-    arg.copy_from_slice(&at);
+    for (a, &cell) in arg.iter_mut().zip(&at) {
+        *a = cell as u8;
+    }
 }
 
 /// Lane by lane, takes `v` and offset `cell` where `v` is strictly greater.
 #[inline(always)]
-fn take_greater(top: &mut [f32; LANES], at: &mut [u8; LANES], v: &[f32; LANES], cell: u8) {
+fn take_greater(top: &mut [f32; LANES], at: &mut [u32; LANES], v: &[f32; LANES], cell: u32) {
     for ((t, a), &v) in top.iter_mut().zip(at.iter_mut()).zip(v) {
         let take = v > *t;
         *t = if take { v } else { *t };
@@ -565,6 +581,12 @@ mod tests {
             (2, 7, 10, 3, 4),
             (5, 1, 22, 1, 4),
             (3, 5, 18, 2, 2),
+            // Two-cell windows of other heights: one row (`MaxPool1d`) at
+            // every lane grouping, and three rows.
+            (5, 1, 32, 1, 2),
+            (6, 1, 8, 1, 2),
+            (9, 1, 2, 1, 2),
+            (3, 6, 4, 3, 2),
         ];
         for (planes, h, w, kh, kw) in cases {
             // Few distinct levels, so most windows hold a tie; NaNs land in

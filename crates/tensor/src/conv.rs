@@ -321,11 +321,32 @@ impl Lowering {
         }
         sanitize::check_finite(op, "cols", cols);
         let g = cols.as_slice();
-        let out = self.fold_parts(n, patch, |first, count, scatter| {
-            let columns = first * map..(first + count) * map;
-            let rows = taps.iter().zip(g.chunks_exact(positions)).rev();
-            scatter(count, &mut rows.map(|(&tap, row)| (tap, &row[columns.clone()])));
-        });
+        let (hp, wp) = self.padded();
+        let (sample, padded) = (self.c * self.h * self.w, self.c * hp * wp);
+        let mut out = vec![0.0f32; n * sample];
+        if !out.is_empty() && map > 0 {
+            // Overlapping patches accumulate, but only within one sample, so
+            // parts of whole samples keep every sum on a single thread. Each
+            // part adds its columns of every row, last tap first, onto a
+            // zero-bordered scratch batch and crops it into place.
+            let min_samples = (PAR_MIN_CELLS / (map * patch).max(1)).max(1);
+            par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+                let (first, count) = (offset / sample, part.len() / sample);
+                let bases = self.bases(count);
+                let mut scratch = vec![0.0f32; count * padded];
+                let columns = first * map..(first + count) * map;
+                let rows = taps.iter().zip(g.chunks_exact(positions)).rev();
+                let rows = &mut rows.map(|(&tap, row)| (tap, &row[columns.clone()]));
+                match run_len(&bases, RUN_MAX) {
+                    16 => scatter_add::<16>(&mut scratch, &bases, rows),
+                    8 => scatter_add::<8>(&mut scratch, &bases, rows),
+                    4 => scatter_add::<4>(&mut scratch, &bases, rows),
+                    2 => scatter_add::<2>(&mut scratch, &bases, rows),
+                    _ => scatter_add::<1>(&mut scratch, &bases, rows),
+                }
+                self.crop(&scratch, part);
+            });
+        }
         sanitize::check_finite_slice(op, "output", &out);
         crate::profile::record_col2im(out.len() as u64 * 4);
         Tensor::from_vec(out, &[&[n], image].concat())
@@ -600,51 +621,6 @@ impl Lowering {
             }
         }
     }
-
-    /// The fold's frame: `n` zeroed images, split into parts of whole
-    /// samples across the pool. Overlapping patches accumulate, but only
-    /// within one sample, so parallelizing over samples keeps every sum on a
-    /// single thread. `fill(first, count, scatter)` hands each part's samples
-    /// in consecutive runs to `scatter(samples, rows)`, which adds each
-    /// `(tap, row)` (a row of `samples·oh·ow` columns, in the order given)
-    /// onto a zero-bordered scratch batch and crops it into place. `rows` is
-    /// the patch rows a part reads per sample, the parallel grain.
-    fn fold_parts<F>(&self, n: usize, rows: usize, fill: F) -> Vec<f32>
-    where
-        F: Fn(usize, usize, &mut dyn FnMut(usize, &mut dyn Iterator<Item = (usize, &[f32])>))
-            + Sync,
-    {
-        let (hp, wp) = self.padded();
-        let (sample, padded, map) = (self.c * self.h * self.w, self.c * hp * wp, self.oh * self.ow);
-        let mut out = vec![0.0f32; n * sample];
-        if out.is_empty() || map == 0 {
-            return out;
-        }
-        let min_samples = (PAR_MIN_CELLS / (map * rows).max(1)).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
-            let (first, count) = (offset / sample, part.len() / sample);
-            let (mut scratch, mut bases, mut run) = (Vec::new(), Vec::new(), 1);
-            let mut done = 0;
-            fill(first, count, &mut |samples, rows| {
-                if bases.len() != samples * map {
-                    bases = self.bases(samples);
-                    run = run_len(&bases, RUN_MAX);
-                }
-                scratch.clear();
-                scratch.resize(samples * padded, 0.0);
-                match run {
-                    16 => scatter_add::<16>(&mut scratch, &bases, rows),
-                    8 => scatter_add::<8>(&mut scratch, &bases, rows),
-                    4 => scatter_add::<4>(&mut scratch, &bases, rows),
-                    2 => scatter_add::<2>(&mut scratch, &bases, rows),
-                    _ => scatter_add::<1>(&mut scratch, &bases, rows),
-                }
-                self.crop(&scratch, &mut part[done * sample..(done + samples) * sample]);
-                done += samples;
-            });
-        });
-        out
-    }
 }
 
 /// Where packed image rows sit in their zero-bordered copies: planes of
@@ -833,8 +809,8 @@ fn channel_tile<const R: usize, const V: usize>(
     sums
 }
 
-/// Floats of the input-gradient product one fold block holds (64 KiB).
-const FOLD_BLOCK: usize = 16 * 1024;
+/// Floats of the forward product one block of samples holds (64 KiB).
+const PRODUCT_BLOCK: usize = 16 * 1024;
 
 /// The longest run of adjacent origins the lowering kernels copy as one
 /// fixed-size block (see [`run_len`]): a `vgg11_mini` output row at most.
@@ -949,7 +925,7 @@ impl Patches<'_> {
             let min_samples = (PAR_MIN_CELLS / (map * live).max(1)).max(1);
             par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
                 let (first, count) = (offset / sample, part.len() / sample);
-                let block = (FOLD_BLOCK / sample).clamp(1, count);
+                let block = (PRODUCT_BLOCK / sample).clamp(1, count);
                 let mut product = vec![0.0f32; oc * block * map];
                 for (start, planes) in (first..).step_by(block).zip(part.chunks_mut(block * sample)) {
                     let width = planes.len() / oc;
