@@ -5,9 +5,10 @@
 //! ([`dinar_tensor::conv::Patches`]), in the activation layout
 //! `[n, oc, map]` throughout: the forward product `W · cols` (plus the bias)
 //! is written plane by plane, the weight gradient `g · colsᵀ` accumulates in
-//! place into the zeroed `grad_weight`, and the input gradient is `Wᵀ · g`
-//! folded back through the same table a block of samples at a time. Taps
-//! that only ever read the zero border are skipped. No patch matrix is built
+//! place into the zeroed `grad_weight`, and the input gradient is the fold
+//! of `Wᵀ · g` computed cell by cell, without the product: a transposed
+//! convolution on the larger stride-1 maps, input channels along the lanes
+//! on the others. Taps that only ever read the zero border are skipped. No patch matrix is built
 //! or kept: a layer's cache is a copy-on-write share of its input (O(1)) and
 //! the geometry, and the padded image is rebuilt where it is read and
 //! dropped after the product.
@@ -70,9 +71,10 @@ fn accumulate(
 /// matrix. That matrix is patch-major, `[in_channels·k·k, batch·out_h·out_w]`,
 /// and never built: the products read it through an offset table
 /// into the zero-padded input (see [`dinar_tensor::conv`]). `W · cols`
-/// forward and `Wᵀ · g` for the input gradient have the long position axis
-/// on the GEMM tile's 16-lane side; the weight gradient `g · colsᵀ` runs a
-/// tile with the output channels on its lanes. Activations and gradients
+/// forward has the long position axis on the GEMM tile's 16-lane side; the
+/// weight gradient `g · colsᵀ` runs a tile with the output channels on its
+/// lanes, and the input gradient one with input cells or input channels on
+/// them. Activations and gradients
 /// are `[batch, out_channels, map]`, and every product reads and writes
 /// that layout directly.
 ///

@@ -1,15 +1,15 @@
 //! What a convolutional training step holds: no patch matrix is built or
 //! cached, so the step's tensor peak is the activations, the layer caches
 //! (an O(1) share of each conv input) and the gradients. The input
-//! gradient's product `Wᵀ · g` is computed and folded a cache-sized block
-//! of samples at a time, so it is never a tensor either.
+//! gradient folds `Wᵀ · g` cell by cell without building the product, so
+//! that is never a tensor either.
 //!
 //! One training step (forward, loss gradient, `Model::backward`) of
 //! `vgg11_mini` and of `m18_mini` at batch 64, as a client runs it, under a
 //! [`MemoryScope`]. The bounds are the peaks the lowering reads, exactly:
 //! every tensor the step allocates has a shape-determined size, and the
-//! kernels' packing and blocking scratch is not a tensor. Built whole
-//! before the fold, the `[patch, n·oh·ow]` input-gradient products read
+//! kernels' packing scratch is not a tensor. Built whole before the fold,
+//! the `[patch, n·oh·ow]` input-gradient products read
 //! 2,835,200 B and 649,472 B; a lowering that also materialises and caches
 //! the patch matrices reads 7,013,120 B and 812,288 B on the same steps,
 //! with 4,626,432 and 2,048,000 `im2col` bytes.
