@@ -110,15 +110,15 @@ const CONV_MATMUL_CAP: f64 = 2.0;
 const TRANSPOSED_MATMUL_CAP: f64 = 1.5;
 
 /// Share of a width-1 `vgg11_mini` step the max-pool forward may take: the
-/// reached share, 0.0456 (174.5 of 3,826 µs), with 15 % headroom. The
+/// reached share, 0.0297 (87.5 of 2,948 µs), with 15 % headroom. The
 /// per-window scalar scan it replaced read 0.102.
-const MAXPOOL_FWD_SHARE_CAP: f64 = 0.052;
+const MAXPOOL_FWD_SHARE_CAP: f64 = 0.034;
 
 /// Conv backward ÷ conv forward of a width-1 `vgg11_mini` step: the reached
-/// ratio, 2.27 (2,079 / 914 µs), with 15 % headroom. With the weight
+/// ratio, 1.99 (1,624 / 815 µs), with 15 % headroom. With the weight
 /// gradient through the GEMM tile and the input-gradient product built
 /// whole it read 3.04.
-const CONV_BWD_FWD_CAP: f64 = 2.6;
+const CONV_BWD_FWD_CAP: f64 = 2.29;
 
 /// Instrumented / uninstrumented FL-run ratio the committed telemetry
 /// bench must stay under: within 5%.
