@@ -430,10 +430,11 @@ impl Lowering {
     }
 
     /// The input gradient with the input channels on the lanes: for each
-    /// input cell and `R` samples at a time, each pair `(k, pos)` that
-    /// reaches the cell, last tap first, is the `t_matmul` chain over the
-    /// output channels of `W[o, ch·kh·kw + k] · g[o, pos]`, added onto the
-    /// cell's sum from `+0.0`, as the fold adds it.
+    /// input cell and `R` samples at a time, each pair (kernel tap `k`,
+    /// position `pos`) that reaches the cell, last tap first, is the
+    /// `t_matmul` chain over the output channels of
+    /// `W[o, ch·kh·kw + k] · g[o, pos]`, added onto the cell's sum from
+    /// `+0.0`, as the fold adds it.
     fn channel_lanes(&self, w: &[f32], oc: usize, g: &[f32], n: usize) -> Vec<f32> {
         let (kk, map, plane) = (self.kh * self.kw, self.oh * self.ow, self.h * self.w);
         let sample = self.c * plane;
