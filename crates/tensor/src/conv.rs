@@ -539,7 +539,11 @@ impl Lowering {
             return out;
         }
         let (first, reach) = (self.pad_h * wp + self.pad_w, (self.kh - 1) * wp + self.kw - 1);
-        let (chunks, v) = tile_shape(self.interior_vectors());
+        // The interior in runs of `v ≤ 6` vectors (4 ≤ v: the interior is
+        // at least `TRANSPOSED_MIN_VECTORS`).
+        let vectors = self.interior_vectors();
+        let chunks = vectors.div_ceil(6);
+        let v = vectors.div_ceil(chunks);
         // Each output channel's plane at pitch `wp`, `reach` cells in: cell
         // `t` meets tap offset `off` at `t + reach − off`.
         let glen = (first + chunks * v * LANES).max(self.oh * wp) + reach;
@@ -564,10 +568,7 @@ impl Lowering {
         par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
             let first_sample = offset / sample;
             match v {
-                1 => self.transposed_part::<8, 1>(&plan, w, g, first_sample, part),
-                2 => self.transposed_part::<6, 2>(&plan, w, g, first_sample, part),
-                3 => self.transposed_part::<4, 3>(&plan, w, g, first_sample, part),
-                4 => self.transposed_part::<3, 4>(&plan, w, g, first_sample, part),
+                ..=4 => self.transposed_part::<3, 4>(&plan, w, g, first_sample, part),
                 5 => self.transposed_part::<2, 5>(&plan, w, g, first_sample, part),
                 _ => self.transposed_part::<2, 6>(&plan, w, g, first_sample, part),
             }
@@ -694,13 +695,6 @@ struct Transposed {
 /// is a transposed convolution: on smaller maps the border cells are too
 /// large a share of the lanes, and the channel lanes cost less.
 const TRANSPOSED_MIN_VECTORS: usize = 8;
-
-/// How the transposed convolution covers a run of `vectors` vectors of cells:
-/// `(chunks, V)`, `chunks` runs of `V ≤ 6` vectors each.
-fn tile_shape(vectors: usize) -> (usize, usize) {
-    let chunks = vectors.div_ceil(6);
-    (chunks, vectors.div_ceil(chunks))
-}
 
 /// The input gradient's register tile: `V` vectors of cells in `C`
 /// channels (`W` columns `channels[c] + q` for kernel tap `q`). For each
