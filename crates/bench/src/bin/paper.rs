@@ -1,11 +1,12 @@
-//! The paper runner: regenerates any table, figure or extension artifact of
-//! the evaluation under `bench-results/` (declared in
-//! `dinar_bench::paper`), recording each run in `PAPER_manifest.json`.
+//! The artifact runner: regenerates any committed artifact under
+//! `bench-results/` — a table, figure or extension of the evaluation, the
+//! step profile, or a kernel, plane or audit artifact (declared in
+//! `dinar_bench::paper`) — recording each run in `PAPER_manifest.json`.
 //!
 //! ```text
 //! cargo run --release -p dinar-bench --bin paper                     # list the artifacts
 //! cargo run --release -p dinar-bench --bin paper -- all              # regenerate every one, in order
-//! cargo run --release -p dinar-bench --bin paper -- fig6 table3      # regenerate the named ones
+//! cargo run --release -p dinar-bench --bin paper -- fig6 BENCH_wire  # regenerate the named ones
 //! cargo run --release -p dinar-bench --bin paper -- sweep cifar10    # lineup on one dataset, writes nothing
 //! ```
 

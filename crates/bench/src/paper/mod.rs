@@ -1,14 +1,17 @@
-//! The paper's evaluation (§5) as one registry of artifacts, run by the
-//! `paper` binary.
+//! Every committed artifact as one registry, run by the `paper` binary.
 //!
-//! Every table, figure and extension experiment is an entry of
-//! [`ARTIFACTS`], named after the files it writes under `bench-results/`
-//! (`<name>.txt` always, `<name>.json` when it has data). Most of them are *grids*: a list of
+//! Every table, figure and extension experiment of the paper's evaluation
+//! (§5), and every kernel, plane and audit artifact behind the perf and
+//! privacy claims, is an entry of [`ARTIFACTS`], named after the files it
+//! writes under `bench-results/` (`<name>.txt` always, `<name>.json` when it
+//! has data). Most paper artifacts are *grids*: a list of
 //! prepared environments (columns) × the defense configurations trained and
 //! attacked on each (cells), with a fixed set of measured fields per row.
 //! Those are [`Grid`] declarations in [`grids`], all run by [`run_grid`]. The
 //! rest — per-layer sweeps, loss distributions, static tables, the fig7 view
-//! over fig6 — are code of their own in [`procedures`].
+//! over fig6 — are code of their own in [`procedures`], and the `BENCH_*`,
+//! `AUDIT_privacy` and `TELEMETRY_fl_round` artifacts are code of their own
+//! in [`benches`].
 //!
 //! A grid row is the column's key fields, then the cell's key fields, then
 //! the declared [`Metric`]s, in that order: the same JSON the per-figure
@@ -17,6 +20,7 @@
 //! Each regeneration also records the revision, the pool width, the profile
 //! and the master seeds it ran with in `bench-results/PAPER_manifest.json`.
 
+pub mod benches;
 pub mod grids;
 pub mod procedures;
 
@@ -171,32 +175,60 @@ impl Grid {
 
     /// The rows as an aligned text table.
     pub fn render(&self, rows: &[Json]) -> String {
-        let Some(first) = rows.first().and_then(Json::as_obj) else {
-            return String::new();
-        };
-        let headers: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
-        let cells: Vec<Vec<String>> = rows
-            .iter()
-            .map(|row| {
-                row.as_obj()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(
-                        |(key, value)| match self.metrics.iter().find(|m| m.key() == key) {
-                            Some(m) => m.text(value),
-                            None => key_text(value),
-                        },
-                    )
-                    .collect()
-            })
-            .collect();
-        report::table(&headers, &cells)
+        table_of(rows, |key, value| {
+            match self.metrics.iter().find(|m| m.key() == key) {
+                Some(m) => m.text(value),
+                None => key_text(value),
+            }
+        })
     }
+}
+
+/// Rows of one shape as an aligned text table: the first row's keys are the
+/// headers, each cell is `cell(key, value)`, and `-` stands where a row
+/// lacks a key.
+fn table_of(rows: &[Json], cell: impl Fn(&str, &Json) -> String) -> String {
+    let Some(first) = rows.first().and_then(Json::as_obj) else {
+        return String::new();
+    };
+    let headers: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            headers
+                .iter()
+                .map(|&key| {
+                    row.get(key)
+                        .map_or_else(|| "-".to_string(), |v| cell(key, v))
+                })
+                .collect()
+        })
+        .collect();
+    report::table(&headers, &cells)
+}
+
+/// Measured rows as an aligned text table: whole numbers exact, fractions
+/// to four decimals, `null` as `-`, strings bare.
+pub fn render_rows(rows: &[Json]) -> String {
+    table_of(rows, |_, value| match value {
+        Json::Num(x) if x.fract() != 0.0 => format!("{x:.4}"),
+        Json::Null => "-".to_string(),
+        _ => key_text(value),
+    })
 }
 
 /// A key value as a table cell: strings bare, everything else as JSON.
 fn key_text(value: &Json) -> String {
     value.as_str().map_or_else(|| value.dump(), str::to_string)
+}
+
+/// Runs `f` at pool width `threads`, then restores the width it found.
+pub fn at_width<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let width = dinar_tensor::par::threads();
+    dinar_tensor::par::set_threads(threads);
+    let out = f();
+    dinar_tensor::par::set_threads(width);
+    out
 }
 
 /// What one artifact run produced.
@@ -206,7 +238,7 @@ pub struct Output {
     pub text: String,
     /// The data written to `<name>.json`, if the artifact has any.
     pub json: Option<Json>,
-    /// The master seeds of the experiment specs it ran.
+    /// The master seeds its data and models were drawn from.
     pub seeds: Vec<u64>,
 }
 
@@ -273,7 +305,7 @@ pub enum Plan {
 /// Every artifact by name — its file stem under `bench-results/` and the
 /// runner's argument — in the order `paper all` regenerates them (fig6
 /// before fig7, which reads its JSON).
-pub const ARTIFACTS: [(&str, Plan); 16] = [
+pub const ARTIFACTS: [(&str, Plan); 24] = [
     ("table1", Plan::Procedure(procedures::table1)),
     ("table2", Plan::Procedure(procedures::table2)),
     ("table3", Plan::Grid(grids::table3)),
@@ -293,6 +325,17 @@ pub const ARTIFACTS: [(&str, Plan); 16] = [
         Plan::Procedure(procedures::ext_regularization),
     ),
     ("step_profile", Plan::Procedure(procedures::step_profile)),
+    ("BENCH_tensor", Plan::Procedure(benches::bench_tensor)),
+    ("BENCH_wire", Plan::Procedure(benches::bench_wire)),
+    ("BENCH_serve", Plan::Procedure(benches::bench_serve)),
+    ("BENCH_params", Plan::Procedure(benches::bench_params)),
+    ("BENCH_dropout", Plan::Procedure(benches::bench_dropout)),
+    ("BENCH_telemetry", Plan::Procedure(benches::bench_telemetry)),
+    ("AUDIT_privacy", Plan::Procedure(benches::audit_privacy)),
+    (
+        "TELEMETRY_fl_round",
+        Plan::Procedure(benches::telemetry_fl_round),
+    ),
 ];
 
 /// The plan of the artifact called `name`.
@@ -429,8 +472,24 @@ mod tests {
         }
     }
 
+    /// Every `.json`/`.txt` under `bench-results/` is written by exactly one
+    /// registry entry, except the files named here, each with why.
     #[test]
     fn every_committed_paper_artifact_has_one_recipe() {
+        const NOT_ARTIFACTS: [(&str, &str); 3] = [
+            (
+                "PAPER_manifest.json",
+                "the runner's record of every regeneration, not an artifact",
+            ),
+            (
+                "BENCH_tensor_baseline.json",
+                "a frozen single-thread reference, copied from a BENCH_tensor run by hand",
+            ),
+            (
+                "BENCH_params_baseline.json",
+                "the frozen pre-copy-on-write counts, which no code produces any more",
+            ),
+        ];
         let mut names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
         names.sort_unstable();
         names.dedup();
@@ -441,7 +500,7 @@ mod tests {
             let Some((stem, "json" | "txt")) = name.rsplit_once('.') else {
                 continue;
             };
-            if ["fig", "table", "ext_"].iter().any(|p| stem.starts_with(p)) {
+            if NOT_ARTIFACTS.iter().all(|(exempt, _)| *exempt != name) {
                 assert!(artifact(stem).is_ok(), "{name} has no recipe in ARTIFACTS");
             }
         }

@@ -3,7 +3,7 @@
 //! and the training-step profile. Each returns its printed report and JSON
 //! for the runner.
 
-use super::{grids, seeds, Output, Result, PROFILE};
+use super::{at_width, grids, seeds, Output, Result, PROFILE};
 use crate::harness::{
     model_for, prepare, run_defense, train_defense, Defense, ExperimentSpec, Outcome,
 };
@@ -447,16 +447,15 @@ pub fn step_profile() -> Result<Output> {
     );
     let mut rows = Vec::new();
     let mut specs = Vec::new();
-    let width = dinar_tensor::par::threads();
     for entry in [catalog::gtsrb(PROFILE), catalog::purchase100(PROFILE)] {
         let spec = ExperimentSpec::mini_default(entry.clone());
         let data = entry.generate(&mut Rng::seed_from(spec.seed))?;
         for threads in [1, 2] {
-            dinar_tensor::par::set_threads(threads);
-            let runs: Result<Vec<_>> = (0..PROFILE_RUNS)
-                .map(|_| profile_steps(&entry, &data, spec.seed))
-                .collect();
-            dinar_tensor::par::set_threads(width);
+            let runs: Result<Vec<_>> = at_width(threads, || {
+                (0..PROFILE_RUNS)
+                    .map(|_| profile_steps(&entry, &data, spec.seed))
+                    .collect()
+            });
             let step_us = |parts: &[(String, &str, f64)]| parts.iter().map(|p| p.2).sum::<f64>();
             let (model, parts) = runs?
                 .into_iter()

@@ -1,10 +1,10 @@
-//! Terminal tables and JSON artifacts for experiment binaries.
+//! Terminal tables and JSON artifacts for the artifact runner.
 
 use dinar_tensor::json::ToJson;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Directory where experiment binaries drop their JSON artifacts.
+/// Directory the artifact runner writes every artifact to.
 pub const RESULTS_DIR: &str = "bench-results";
 
 /// Writes a [`ToJson`] result as pretty JSON under
@@ -19,21 +19,6 @@ pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) -> std::io::Result<
     let path = dir.join(format!("{name}.json"));
     fs::write(&path, value.to_json().dump_pretty())?;
     Ok(path)
-}
-
-/// Implements [`ToJson`] for a named-field struct by listing its fields —
-/// the replacement for `#[derive(Serialize)]` on experiment row types.
-#[macro_export]
-macro_rules! impl_to_json {
-    ($name:ty { $($field:ident),+ $(,)? }) => {
-        impl ::dinar_tensor::json::ToJson for $name {
-            fn to_json(&self) -> ::dinar_tensor::json::Json {
-                ::dinar_tensor::json::Json::obj(vec![
-                    $((stringify!($field), self.$field.to_json())),+
-                ])
-            }
-        }
-    };
 }
 
 /// Renders a simple aligned table to a string.
@@ -76,11 +61,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Formats a float as a fixed-precision percentage cell.
 pub fn pct(x: f64) -> String {
     format!("{x:.1}")
-}
-
-/// Formats seconds with millisecond precision.
-pub fn secs(x: f64) -> String {
-    format!("{:.4}", x)
 }
 
 /// Formats bytes as mebibytes.

@@ -1,8 +1,8 @@
 //! The tensor micro-benchmark suite.
 //!
 //! The hot-kernel benchmarks (matmul family, im2col lowering, elementwise,
-//! RNG, data generation, wire codecs) that the `bench_tensor` binary prints and records in
-//! `bench-results/BENCH_tensor.json`.
+//! RNG, data generation, wire codecs) that the `BENCH_tensor` artifact
+//! prints and records in `bench-results/BENCH_tensor.json`.
 //!
 //! Each measurement becomes a [`TensorBenchEntry`] row `(op, size,
 //! ns_per_iter, threads)`, plus `gflops` on the matmul-family rows; `threads`

@@ -45,9 +45,9 @@
 //!
 //! Like `tests/param_plane.rs`, this ratchets the committed artifact rather
 //! than timing inside the test — test-process timing is too noisy to gate
-//! on, while the artifact is regenerated deliberately (single-threaded:
-//! `DINAR_THREADS=1 cargo run --release -p dinar-bench --bin bench_tensor`)
-//! and reviewed when committed. [`load_entries`] rejects a row recorded at
+//! on, while the artifact is regenerated deliberately (`cargo run --release
+//! -p dinar-bench --bin paper -- BENCH_tensor`, which pins pool width 1
+//! itself) and reviewed when committed. [`load_entries`] rejects a row recorded at
 //! any other pool width: a kernel that fans out on a small host reads many
 //! times slower, which would trip or loosen every ratchet below. The
 //! reference constants are *not* read from `BENCH_tensor_baseline.json` on
@@ -125,10 +125,9 @@ const CONV_BWD_FWD_CAP: f64 = 2.29;
 const TELEMETRY_OVERHEAD_CAP: f64 = 1.05;
 
 fn load_entries(path: &Path) -> Vec<(String, String, f64)> {
-    let regenerate = format!(
-        "regenerate with `DINAR_THREADS=1 cargo run --release -p dinar-bench --bin bench_{}`",
-        if path.ends_with("BENCH_telemetry.json") { "telemetry" } else { "tensor" },
-    );
+    let stem = path.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
+    let regenerate =
+        format!("regenerate with `cargo run --release -p dinar-bench --bin paper -- {stem}`");
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{} must be committed ({regenerate}): {e}", path.display()));
     parse_entries(&text, &regenerate)
@@ -170,7 +169,7 @@ fn parse_entries(text: &str, regenerate: &str) -> Vec<(String, String, f64)> {
 fn rows_recorded_at_another_pool_width_are_rejected() {
     let report = r#"{"threads": 2, "entries": [
         {"op": "im2col2d", "size": "8x8x16x16_k3", "ns_per_iter": 898000.0, "threads": 2}]}"#;
-    parse_entries(report, "regenerate with `DINAR_THREADS=1 cargo run ..`");
+    parse_entries(report, "regenerate with `cargo run .. paper -- BENCH_tensor`");
 }
 
 fn ns_for(entries: &[(String, String, f64)], op: &str, size: &str) -> f64 {
@@ -372,7 +371,7 @@ fn wire_compression_ratio_holds_8x() {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "{} must be committed (regenerate with `cargo run --release -p \
-             dinar-bench --bin bench_wire`): {e}",
+             dinar-bench --bin paper -- BENCH_wire`): {e}",
             path.display()
         )
     });
@@ -421,8 +420,8 @@ fn i8_serving_halves_resident_weight_bytes() {
     let path = root.join("bench-results/BENCH_serve.json");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "{} must be committed (regenerate with `DINAR_THREADS=1 cargo run \
-             --release -p dinar-bench --bin bench_serve`): {e}",
+            "{} must be committed (regenerate with `cargo run --release -p \
+             dinar-bench --bin paper -- BENCH_serve`): {e}",
             path.display()
         )
     });

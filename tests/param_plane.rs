@@ -1,6 +1,6 @@
 //! Parameter-plane invariants: copy-on-write tensor storage, O(1) `share()`
 //! snapshots, O(model) aggregation memory, and the committed copy-reduction
-//! evidence from `bench_params`.
+//! evidence from the `BENCH_params` artifact.
 //!
 //! Like `tests/properties.rs`, the property tests are driven by the
 //! workspace's own seeded RNG (a pure function of the loop index) instead of
@@ -160,12 +160,12 @@ fn aggregation_peak_memory_does_not_scale_with_client_count() {
 }
 
 // ----------------------------------------------------------------------
-// Copy-reduction evidence: bench_params vs the committed baseline
+// Copy-reduction evidence: BENCH_params vs the committed baseline
 // ----------------------------------------------------------------------
 
 fn load_report(path: &Path) -> Json {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{} must be committed (regenerate with `cargo run --release -p dinar-bench --bin bench_params`): {e}", path.display()));
+        .unwrap_or_else(|e| panic!("{} must be committed (regenerate with `cargo run --release -p dinar-bench --bin paper -- BENCH_params`): {e}", path.display()));
     Json::parse(&text).expect("committed bench report parses")
 }
 
