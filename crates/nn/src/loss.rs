@@ -10,29 +10,14 @@
 use crate::{NnError, Result};
 use dinar_tensor::Tensor;
 
-/// Row-wise numerically stable softmax.
+/// Row-wise numerically stable softmax: [`Tensor::softmax_rows`] at scale 1,
+/// so every row sums to 1 within `cols · 2⁻²³` and no libm call is made.
 ///
 /// # Errors
 ///
 /// Returns an error if `logits` is not rank-2.
 pub fn softmax_rows(logits: &Tensor) -> Result<Tensor> {
-    let rows = logits.nrows()?;
-    let cols = logits.ncols()?;
-    let mut out = logits.clone();
-    let data = out.as_mut_slice();
-    for i in 0..rows {
-        let row = &mut data[i * cols..(i + 1) * cols];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-    Ok(out)
+    Ok(logits.softmax_rows(1.0, |_, _, _| {})?)
 }
 
 /// Categorical cross-entropy on logits (softmax + negative log-likelihood).
@@ -71,7 +56,8 @@ impl CrossEntropyLoss {
         Ok((rows, cols))
     }
 
-    /// Per-sample negative log-likelihoods.
+    /// Per-sample negative log-likelihoods, `log_z − x_label` per row from
+    /// the softmax kernel's log-partition (see [`Tensor::softmax_rows`]).
     ///
     /// # Errors
     ///
@@ -79,18 +65,19 @@ impl CrossEntropyLoss {
     /// inconsistent labels.
     pub fn per_sample(&self, logits: &Tensor, labels: &[usize]) -> Result<Vec<f32>> {
         let (rows, cols) = self.check(logits, labels)?;
-        let probs = softmax_rows(logits)?;
-        let p = probs.as_slice();
+        let x = logits.as_slice();
         let mut losses = Vec::with_capacity(rows);
-        for (i, &label) in labels.iter().enumerate() {
-            losses.push(-(p[i * cols + label].max(1e-12)).ln());
-        }
+        logits.softmax_rows(1.0, |i, _, log_z| {
+            losses.push(log_z - x[i * cols + labels[i]]);
+        })?;
         Ok(losses)
     }
 
     /// Batch-mean loss and the gradient with respect to the logits.
     ///
-    /// The gradient is `(softmax(logits) - onehot(labels)) / batch`.
+    /// The gradient is `(softmax(logits) - onehot(labels)) / batch`: one
+    /// softmax sweep scaled by `1/batch`, with the one-hot subtraction and
+    /// each row's loss term taken while the row is in cache.
     ///
     /// # Errors
     ///
@@ -98,16 +85,14 @@ impl CrossEntropyLoss {
     /// inconsistent labels.
     pub fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
         let (rows, cols) = self.check(logits, labels)?;
-        let mut grad = softmax_rows(logits)?;
+        let scale = 1.0 / rows as f32;
+        let x = logits.as_slice();
         let mut loss = 0.0f64;
-        {
-            let g = grad.as_mut_slice();
-            for (i, &label) in labels.iter().enumerate() {
-                loss -= (g[i * cols + label].max(1e-12) as f64).ln();
-                g[i * cols + label] -= 1.0;
-            }
-        }
-        grad.scale_inplace(1.0 / rows as f32);
+        let grad = logits.softmax_rows(scale, |i, row, log_z| {
+            let label = labels[i];
+            loss += f64::from(log_z - x[i * cols + label]);
+            row[label] -= scale;
+        })?;
         Ok(((loss / rows as f64) as f32, grad))
     }
 }

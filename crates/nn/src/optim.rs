@@ -221,17 +221,13 @@ impl Optimizer for Adagrad {
     fn step(&mut self, model: &mut Model) -> Result<()> {
         let mut pg = model.params_and_grads();
         ensure_state(&mut self.accum, &pg);
-        for (i, (p, g)) in pg.iter_mut().enumerate() {
-            // G += grad^2
-            let acc = self.accum[i].as_mut_slice();
-            for (a, &gv) in acc.iter_mut().zip(g.as_slice()) {
+        for ((p, g), acc) in pg.iter_mut().zip(&mut self.accum) {
+            // One sweep per tensor: G += grad², then θ −= lr·grad / √(G + ε)
+            // with the G just written.
+            let acc = acc.as_mut_slice();
+            for ((pv, &gv), a) in p.as_mut_slice().iter_mut().zip(g.as_slice()).zip(acc) {
                 *a += gv * gv;
-            }
-            // theta -= lr * grad / sqrt(G + eps)
-            let ps = p.as_mut_slice();
-            for ((pv, &gv), &a) in ps.iter_mut().zip(g.as_slice()).zip(self.accum[i].as_slice())
-            {
-                *pv -= self.lr * gv / (a + Self::EPS).sqrt();
+                *pv -= self.lr * gv / (*a + Self::EPS).sqrt();
             }
         }
         Ok(())
@@ -657,6 +653,47 @@ mod tests {
         let w1 = model.params().layers[0].tensors[0].as_slice()[0];
         let expected = w0 - 0.5 * g / (g * g + Adagrad::EPS).sqrt();
         assert!((w1 - expected).abs() < 1e-6, "w1={w1} expected={expected}");
+    }
+
+    #[test]
+    fn adagrad_one_sweep_is_the_two_loop_update_bit_for_bit() {
+        // The update as it was written before: all of G first, then all of θ.
+        fn two_loops(lr: f32, theta: &mut [Vec<f32>], accum: &mut [Vec<f32>], grads: &[Vec<f32>]) {
+            for ((p, acc), g) in theta.iter_mut().zip(accum.iter_mut()).zip(grads) {
+                for (a, &gv) in acc.iter_mut().zip(g) {
+                    *a += gv * gv;
+                }
+                for ((pv, &gv), &a) in p.iter_mut().zip(g).zip(acc.iter()) {
+                    *pv -= lr * gv / (a + Adagrad::EPS).sqrt();
+                }
+            }
+        }
+        let mut rng = Rng::seed_from(3);
+        let mut model = models::mlp(&[13, 9, 4], Activation::Tanh, &mut rng).unwrap();
+        let mut theta: Vec<Vec<f32>> =
+            model.params_and_grads().iter().map(|(p, _)| p.as_slice().to_vec()).collect();
+        let mut accum: Vec<Vec<f32>> = theta.iter().map(|p| vec![0.0; p.len()]).collect();
+        let mut opt = Adagrad::new(0.05);
+        for step in 0..5 {
+            let x = rng.randn(&[6, 13]);
+            let logits = model.forward(&x, true).unwrap();
+            let labels: Vec<usize> = (0..6).map(|i| (i + step) % 4).collect();
+            let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).unwrap();
+            model.zero_grad();
+            model.backward(&grad).unwrap();
+            let grads: Vec<Vec<f32>> =
+                model.params_and_grads().iter().map(|(_, g)| g.as_slice().to_vec()).collect();
+            two_loops(0.05, &mut theta, &mut accum, &grads);
+            opt.step(&mut model).unwrap();
+            for ((p, _), want) in model.params_and_grads().iter().zip(&theta) {
+                let got: Vec<u32> = p.as_slice().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "step {step}");
+            }
+            for (a, want) in opt.accum.iter().zip(&accum) {
+                assert!(a.as_slice().iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
     }
 
     #[test]

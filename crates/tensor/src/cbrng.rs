@@ -386,9 +386,10 @@ fn cos_sin_turn(u2_bits: i32) -> (f32, f32) {
 ///
 /// With `m` normalized to `[√½, √2)`, `s = (m-1)/(m+1)` stays in
 /// `[-0.172, 0.172]` and the degree-7 odd series is accurate to ~1 ulp —
-/// far below the 24-bit grid the inputs live on.
+/// far below the 24-bit grid the inputs live on. The softmax kernel
+/// (`Tensor::softmax_rows`) takes its row's `ln Σ` here too, on `[1, cols]`.
 #[inline]
-fn ln_unit(x: f32) -> f32 {
+pub(crate) fn ln_unit(x: f32) -> f32 {
     let bits = x.to_bits();
     let e_raw = ((bits >> 23) & 0xFF) as i32 - 127;
     let m_raw = f32::from_bits((bits & 0x007F_FFFF) | 0x3F80_0000); // [1, 2)
@@ -473,6 +474,72 @@ pub(crate) fn tanh(x: f32) -> f32 {
 /// Where [`tanh`] saturates: the rational evaluates to `1 − 2⁻²²` here, and
 /// the true value is within 2.7e-7 of 1 from here on.
 const TANH_CLAMP: f32 = 7.905_311;
+
+/// `eˣ`: `2ⁿ·eʳ` with `n = round(x·log₂e)`, `r = x − n·ln 2` (a two-part
+/// `ln 2`, so `r` is exact to the last bit), and Cephes' degree-7
+/// polynomial for `eʳ` on `|r| ≤ ½ ln 2`.
+///
+/// Like [`tanh`], it exists because glibc's `expf` is a scalar call and a
+/// host-dependent one: this is straight-line `f32` arithmetic (`mul_add`,
+/// integer adds and shifts on the bits, three selects), so a loop over it
+/// autovectorizes and its result is a function of the input bits alone.
+/// `n` is rounded by the `1.5·2²³` magic add and read back from the sum's
+/// low mantissa bits, not by an `as i32` cast, which saturates and keeps the
+/// loop scalar (see `cos_sin_turn`).
+///
+/// On `[EXP_LO, 0]` (the softmax domain) the relative error against
+/// `f64::exp` is ≤ 1.5e-7 (8.4e-8 at worst over a dense sweep, ≈ 1 ulp),
+/// and up to [`EXP_HI`] it is the same. `exp(0) == 1` exactly. Below
+/// [`EXP_LO`], where `eˣ` is no longer a normal `f32`, the result is exactly
+/// `+0` (no subnormals, and `−∞` maps to `+0`); above [`EXP_HI`] it is `+∞`
+/// (libm overflows at 88.72). NaN propagates: the clamps are compares, not
+/// `min`/`max`.
+#[inline]
+pub(crate) fn exp(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    // Cephes' split of ln 2: `n·LN2_HI` is exact for every reachable `n`.
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const P0: f32 = 1.987_569_1e-4;
+    const P1: f32 = 1.398_199_9e-3;
+    const P2: f32 = 8.333_452e-3;
+    const P3: f32 = 4.166_579_6e-2;
+    const P4: f32 = 1.666_666_5e-1;
+    const P5: f32 = 0.5;
+    // 1.5·2²³: adding it rounds to an integer (ties to even), and the sum
+    // stays in [2²³, 2²⁴) with `n` in its low mantissa bits.
+    const MAGIC: f32 = 12_582_912.0;
+    let xc = if x < EXP_LO { EXP_LO } else { x };
+    let xc = if xc > EXP_HI { EXP_HI } else { xc };
+    let t = xc.mul_add(LOG2E, MAGIC);
+    let n = t - MAGIC;
+    let r = n.mul_add(-LN2_HI, xc);
+    let r = n.mul_add(-LN2_LO, r);
+    let p = r.mul_add(P0, P1);
+    let p = r.mul_add(p, P2);
+    let p = r.mul_add(p, P3);
+    let p = r.mul_add(p, P4);
+    let p = r.mul_add(p, P5);
+    let er = p.mul_add(r * r, r) + 1.0;
+    // n ∈ [−126, 127] after the clamps, so `n + 127` is a normal exponent.
+    let n_bits = (t.to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32);
+    let scale = f32::from_bits(((n_bits + 127) << 23) as u32);
+    let y = er * scale;
+    let y = if x < EXP_LO { 0.0 } else { y };
+    if x > EXP_HI {
+        f32::INFINITY
+    } else {
+        y
+    }
+}
+
+/// Where [`exp`] flushes to `+0`: `ln(f32::MIN_POSITIVE)`, below which `eˣ`
+/// is subnormal.
+const EXP_LO: f32 = -87.336_54;
+
+/// Where [`exp`] overflows to `+∞`: `127.5·ln 2`, the last input whose `n`
+/// still fits a normal exponent.
+const EXP_HI: f32 = 88.376_26;
 
 /// Box–Muller from two 24-bit lanes (the per-pair spec).
 #[inline]
@@ -674,6 +741,72 @@ mod tests {
         assert!(tanh(f32::NAN).is_nan());
         assert!(tanh(-f32::NAN).is_nan());
         assert!(tanh(f32::from_bits(0x7F80_0001)).is_nan());
+    }
+
+    /// Relative error of [`exp`] against `f64::exp`.
+    fn exp_rel_err(x: f32) -> f64 {
+        let want = (x as f64).exp();
+        (exp(x) as f64 - want).abs() / want
+    }
+
+    #[test]
+    fn exp_stays_within_1_5e7_relative_over_the_softmax_domain() {
+        // A dense uniform sweep of [EXP_LO, 0], every float within 4096 ulps
+        // of both ends and of the rounding ties of n (x = (k + ½)·ln 2).
+        let mut xs: Vec<f32> = (0..=2_000_000).map(|i| EXP_LO * (i as f32 / 2e6)).collect();
+        for d in 0..=4096u32 {
+            xs.extend([f32::from_bits(EXP_LO.to_bits() - d), -f32::from_bits(d)]);
+        }
+        for k in -126..0 {
+            let tie = ((k as f64 + 0.5) * std::f64::consts::LN_2) as f32;
+            for d in -64i32..=64 {
+                xs.push(f32::from_bits(tie.to_bits().wrapping_add_signed(d)));
+            }
+        }
+        for x in xs {
+            let err = exp_rel_err(x);
+            assert!(err <= 1.5e-7, "x={x:e} got={} err={err:e}", exp(x));
+        }
+    }
+
+    #[test]
+    fn exp_is_accurate_up_to_its_overflow_clamp() {
+        for i in 0..=200_000 {
+            let x = EXP_HI * (i as f32 / 2e5);
+            let err = exp_rel_err(x);
+            assert!(err <= 1.5e-7, "x={x:e} got={} err={err:e}", exp(x));
+        }
+        assert!(exp(EXP_HI).is_finite());
+    }
+
+    #[test]
+    fn exp_edges_are_exact_and_explicit() {
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        // Underflow: the last input kept is a normal, everything below is +0.
+        assert!(exp(EXP_LO) >= f32::MIN_POSITIVE * 0.999_999);
+        let below = f32::from_bits(EXP_LO.to_bits() + 1);
+        for x in [below, -88.0, -103.9, -1e4, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0.0f32.to_bits(), "exp({x:e})");
+        }
+        let above = f32::from_bits(EXP_HI.to_bits() + 1);
+        for x in [above, 89.0, 1e4, f32::MAX, f32::INFINITY] {
+            assert_eq!(exp(x), f32::INFINITY, "exp({x:e})");
+        }
+        assert!(exp(f32::NAN).is_nan());
+        assert!(exp(-f32::NAN).is_nan());
+        assert!(exp(f32::from_bits(0x7F80_0001)).is_nan());
+    }
+
+    #[test]
+    fn ln_unit_is_accurate_on_a_softmax_partition() {
+        // The softmax kernel takes ln Σ with Σ ∈ [1, cols].
+        for i in 0..=1_000_000 {
+            let x = 1.0 + i as f32 * 1e-3;
+            let err = (ln_unit(x) as f64 - (x as f64).ln()).abs();
+            assert!(err <= 2.5e-7 * (x as f64).ln().max(1.0), "x={x} err={err:e}");
+        }
+        assert_eq!(ln_unit(1.0).to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -635,6 +635,47 @@ impl Tensor {
         self.unary_elementwise(crate::cbrng::tanh)
     }
 
+    /// `scale · softmax` of every row of a rank-2 tensor, through the
+    /// crate's own `exp` and `ln` (`cbrng.rs`), not libm: the result is a
+    /// pure function of the input bits on every host.
+    ///
+    /// Per row: the max, `exp(x − max)` written in place with 8-lane partial
+    /// sums, then one multiply by `scale / Σ`. Then `finish(i, row, log_z)`
+    /// sees the finished row `i` while it is still in cache, with its
+    /// log-partition `log_z = max + ln Σ`, so `−ln softmax(x)ⱼ = log_z − xⱼ`.
+    /// Rows run in order on the calling thread, so `finish` may fold across
+    /// them and the result is the same at every pool width.
+    ///
+    /// At `scale = 1` every row sums to 1 within `cols · 2⁻²³`. A NaN in a
+    /// row makes the whole row and its `log_z` NaN.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NotAMatrix`] if the tensor is not rank-2.
+    pub fn softmax_rows(
+        &self,
+        scale: f32,
+        mut finish: impl FnMut(usize, &mut [f32], f32),
+    ) -> Result<Tensor> {
+        let (_, c) = self.expect_matrix("softmax_rows")?;
+        let mut out = self.clone();
+        if c == 0 {
+            return Ok(out);
+        }
+        for (i, row) in out.data_mut().chunks_exact_mut(c).enumerate() {
+            let max = lane_max(row);
+            let sum = exp_shifted_in_place(row, max);
+            let k = scale / sum;
+            for v in row.iter_mut() {
+                *v *= k;
+            }
+            // `ln_unit` reads bits, so it would turn a NaN Σ into a number.
+            let ln_sum = if sum.is_nan() { sum } else { crate::cbrng::ln_unit(sum) };
+            finish(i, row, max + ln_sum);
+        }
+        Ok(out)
+    }
+
     /// Adds a rank-1 bias to every row of a rank-2 tensor, in place: the
     /// operand is consumed and its buffer returned (callers pass the fresh
     /// product they just computed, so nothing is copied).
@@ -862,13 +903,16 @@ impl Tensor {
     ///
     /// Returns [`TensorError::NotAMatrix`] if the tensor is not rank-2.
     pub fn sum_rows(&self) -> Result<Tensor> {
-        let (r, c) = self.expect_matrix("sum_rows")?;
+        let (_, c) = self.expect_matrix("sum_rows")?;
         let mut out = Tensor::zeros(&[c]);
-        let src = self.buf.data.as_slice();
-        let dst = out.data_mut();
-        for i in 0..r {
-            for j in 0..c {
-                dst[j] += src[i * c + j];
+        if c > 0 {
+            // Row after row into the output: each column still adds its rows
+            // in ascending order, so the sums are the index loop's bit for bit.
+            let dst = out.data_mut();
+            for row in self.buf.data.chunks_exact(c) {
+                for (d, &v) in dst.iter_mut().zip(row) {
+                    *d += v;
+                }
             }
         }
         Ok(out)
@@ -912,6 +956,47 @@ impl Tensor {
                 .zip(&other.buf.data)
                 .all(|(&a, &b)| (a - b).abs() <= tol)
     }
+}
+
+/// Lanes of the softmax row sweeps: one AVX2 register of `f32`.
+const ROW_LANES: usize = 8;
+
+/// Largest element of `row` (`−∞` if empty), in [`ROW_LANES`] running
+/// maxima. A NaN is skipped here; [`exp_shifted_in_place`] carries it.
+fn lane_max(row: &[f32]) -> f32 {
+    let pick = |m: f32, v: f32| if v > m { v } else { m };
+    let mut lanes = [f32::NEG_INFINITY; ROW_LANES];
+    let (chunks, tail) = row.as_chunks::<ROW_LANES>();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = pick(*m, v);
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(tail) {
+        *m = pick(*m, v);
+    }
+    lanes.into_iter().fold(f32::NEG_INFINITY, pick)
+}
+
+/// Replaces every `x` of `row` by `exp(x − max)` and returns their sum, kept
+/// in [`ROW_LANES`] partial sums folded pairwise at the end. The `exp` map
+/// is its own loop: fused with the sums, LLVM leaves it half scalar.
+fn exp_shifted_in_place(row: &mut [f32], max: f32) -> f32 {
+    for v in row.iter_mut() {
+        *v = crate::cbrng::exp(*v - max);
+    }
+    let mut lanes = [0.0f32; ROW_LANES];
+    let (chunks, tail) = row.as_chunks::<ROW_LANES>();
+    for chunk in chunks {
+        for (s, &v) in lanes.iter_mut().zip(chunk) {
+            *s += v;
+        }
+    }
+    for (s, &v) in lanes.iter_mut().zip(tail) {
+        *s += v;
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    ((a + b) + (c + d)) + ((e + f) + (g + h))
 }
 
 impl Clone for Tensor {
@@ -1076,6 +1161,81 @@ mod tests {
     fn sum_rows_sums_columns() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         assert_eq!(a.sum_rows().unwrap().as_slice(), &[4.0, 6.0]);
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one_within_cols_ulps() {
+        let mut rng = crate::Rng::seed_from(12);
+        for (r, c) in [(3, 1), (5, 2), (9, 7), (64, 8), (64, 100), (4, 1000), (2, 4099)] {
+            let x = rng.randn_with(&[r, c], 0.0, 8.0);
+            let p = x.softmax_rows(1.0, |_, _, _| {}).unwrap();
+            let bound = c as f64 * f64::from(f32::EPSILON);
+            for (i, row) in p.as_slice().chunks_exact(c).enumerate() {
+                let sum: f64 = row.iter().map(|&v| f64::from(v)).sum();
+                assert!((sum - 1.0).abs() <= bound, "{r}×{c} row {i}: Σ = {sum}");
+                assert!(row.iter().all(|&v| (0.0..=1.0).contains(&v)));
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_rows_match_an_f64_softmax_and_log_partition() {
+        let mut rng = crate::Rng::seed_from(13);
+        let (r, c) = (32, 37);
+        let x = rng.randn_with(&[r, c], 0.0, 6.0);
+        let scale = 1.0 / 3.0;
+        let mut seen = Vec::new();
+        let p = x
+            .softmax_rows(scale, |i, row, log_z| seen.push((i, row.len(), log_z)))
+            .unwrap();
+        assert_eq!(seen.len(), r);
+        for (i, row) in x.as_slice().chunks_exact(c).enumerate() {
+            let max = row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(f64::from(v)));
+            let z: f64 = row.iter().map(|&v| (f64::from(v) - max).exp()).sum();
+            let (at, len, log_z) = seen[i];
+            assert_eq!((at, len), (i, c));
+            let want_log_z = max + z.ln();
+            assert!((f64::from(log_z) - want_log_z).abs() <= 1e-6 * want_log_z.abs().max(1.0));
+            for (j, &v) in row.iter().enumerate() {
+                let want = f64::from(scale) * (f64::from(v) - max).exp() / z;
+                let got = f64::from(p.as_slice()[i * c + j]);
+                assert!((got - want).abs() <= 1e-6 * want + 1e-12, "[{i},{j}] {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_rows_carry_nan_and_reject_non_matrices() {
+        let x = Tensor::from_vec(vec![0.0, f32::NAN, 1.0, 0.5, 2.0, -1.0], &[2, 3]).unwrap();
+        let mut log_zs = Vec::new();
+        let p = x.softmax_rows(1.0, |_, _, log_z| log_zs.push(log_z)).unwrap();
+        assert!(p.as_slice()[..3].iter().all(|v| v.is_nan()) && log_zs[0].is_nan());
+        assert!(p.as_slice()[3..].iter().all(|v| v.is_finite()) && log_zs[1].is_finite());
+        assert!(Tensor::zeros(&[4]).softmax_rows(1.0, |_, _, _| {}).is_err());
+        let empty = Tensor::zeros(&[3, 0]).softmax_rows(1.0, |_, _, _| unreachable!()).unwrap();
+        assert_eq!(empty.shape(), &[3, 0]);
+    }
+
+    #[test]
+    fn sum_rows_is_the_index_loop_bit_for_bit() {
+        fn index_loop(a: &Tensor) -> Vec<f32> {
+            let (r, c) = (a.shape()[0], a.shape()[1]);
+            let src = a.as_slice();
+            let mut dst = vec![0.0f32; c];
+            for i in 0..r {
+                for j in 0..c {
+                    dst[j] += src[i * c + j];
+                }
+            }
+            dst
+        }
+        let mut rng = crate::Rng::seed_from(11);
+        for (r, c) in [(0, 5), (3, 0), (0, 0), (1, 1), (7, 3), (64, 48), (64, 100), (33, 17)] {
+            let a = rng.randn_with(&[r, c], 0.0, 10.0);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let got = bits(a.sum_rows().unwrap().as_slice());
+            assert_eq!(got, bits(&index_loop(&a)), "{r}×{c}");
+        }
     }
 
     #[test]

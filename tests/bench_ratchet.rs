@@ -34,8 +34,10 @@
 //! must keep the `vgg11_mini` step where the lane-parallel max-pool and the
 //! conv backward rewrite put it: the max-pool forward share of the width-1
 //! step under [`MAXPOOL_FWD_SHARE_CAP`], and conv backward ÷ conv forward
-//! under [`CONV_BWD_FWD_CAP`]. Both are same-run ratios, so a slower host
-//! moves neither.
+//! under [`CONV_BWD_FWD_CAP`] — and the `fcnn6` step's own work (loss,
+//! optimizer, batching) under [`FCNN_STEP_SELF_SHARE_CAP`] of its width-1
+//! step, where the libm-free softmax put it. All three are same-run ratios,
+//! so a slower host moves none of them.
 //!
 //! Telemetry overhead: the committed `bench-results/BENCH_telemetry.json`
 //! must keep showing that a fully instrumented FL training run stays
@@ -119,6 +121,14 @@ const MAXPOOL_FWD_SHARE_CAP: f64 = 0.034;
 /// gradient through the GEMM tile and the input-gradient product built
 /// whole it read 3.04.
 const CONV_BWD_FWD_CAP: f64 = 2.29;
+
+/// Share of a width-1 `fcnn6` step outside its layers (the loss, the
+/// optimizer, batching, span bookkeeping): the reached share, 0.281 (126.3
+/// of 450 µs), with 15 % headroom. With libm `expf`/`ln` in the loss it read
+/// 0.305 (146.7 of 481 µs), which is under this cap too: Adam's sweep, not
+/// the loss, is most of that self time, so the cap catches growth in the
+/// step's own work, not the return of the libm loss alone.
+const FCNN_STEP_SELF_SHARE_CAP: f64 = 0.323;
 
 /// Instrumented / uninstrumented FL-run ratio the committed telemetry
 /// bench must stay under: within 5%.
@@ -478,9 +488,9 @@ fn sampler_rows_cover_the_allocation_free_paths() {
     }
 }
 
-/// `us_per_step` of the `gtsrb` (`vgg11_mini`) width-1 rows of the committed
-/// step profile, by `(layer, pass)`.
-fn vgg_step_rows() -> Vec<(String, String, f64)> {
+/// `us_per_step` of one dataset's width-1 rows of the committed step profile
+/// (`gtsrb` is `vgg11_mini`, `purchase100` is `fcnn6`), by `(layer, pass)`.
+fn step_rows(dataset: &str) -> Vec<(String, String, f64)> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench-results/step_profile.json");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -493,7 +503,7 @@ fn vgg_step_rows() -> Vec<(String, String, f64)> {
     let field = |row: &Json, k: &str| row.get(k).and_then(Json::as_str).map(str::to_string);
     rows.iter()
         .filter(|row| {
-            field(row, "dataset").as_deref() == Some("gtsrb")
+            field(row, "dataset").as_deref() == Some(dataset)
                 && row.get("threads").and_then(Json::as_usize) == Some(1)
         })
         .map(|row| {
@@ -506,13 +516,13 @@ fn vgg_step_rows() -> Vec<(String, String, f64)> {
 fn step_us(rows: &[(String, String, f64)], layer: &str, pass: &str) -> f64 {
     rows.iter()
         .find(|(l, p, _)| l == layer && p == pass)
-        .unwrap_or_else(|| panic!("step profile has no gtsrb width-1 {layer}/{pass} row"))
+        .unwrap_or_else(|| panic!("step profile has no width-1 {layer}/{pass} row"))
         .2
 }
 
 #[test]
 fn maxpool_forward_share_of_a_vgg_step_holds() {
-    let rows = vgg_step_rows();
+    let rows = step_rows("gtsrb");
     let step: f64 = rows.iter().map(|r| r.2).sum();
     let share = step_us(&rows, "maxpool2d", "fwd") / step;
     assert!(
@@ -522,8 +532,20 @@ fn maxpool_forward_share_of_a_vgg_step_holds() {
 }
 
 #[test]
+fn self_share_of_an_fcnn6_step_holds() {
+    let rows = step_rows("purchase100");
+    let step: f64 = rows.iter().map(|r| r.2).sum();
+    let share = step_us(&rows, "step", "self") / step;
+    assert!(
+        share <= FCNN_STEP_SELF_SHARE_CAP,
+        "the step's own work (loss, optimizer, batching) is {share:.3} of an fcnn6 step, \
+         cap {FCNN_STEP_SELF_SHARE_CAP}"
+    );
+}
+
+#[test]
 fn conv_backward_over_forward_of_a_vgg_step_holds() {
-    let rows = vgg_step_rows();
+    let rows = step_rows("gtsrb");
     let ratio = step_us(&rows, "conv2d", "bwd") / step_us(&rows, "conv2d", "fwd");
     assert!(
         ratio <= CONV_BWD_FWD_CAP,

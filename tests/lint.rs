@@ -3,7 +3,8 @@
 //! the CLI. Every rule gates at zero; a `// lint: allow(RULE, reason)` on
 //! the offending line is the only exemption. The tests below partition the
 //! rules between them, so together they cover every rule exactly once.
-//! `env_switches_stay_at_two` guards the workspace's knobs the same way.
+//! `env_switches_stay_at_two` guards the workspace's knobs the same way, and
+//! `nn_calls_no_libm_transcendental` keeps a training step off the host's libm.
 
 use dinar_lint::rules::Rule;
 use std::path::{Path, PathBuf};
@@ -138,4 +139,59 @@ fn env_switches_stay_at_two() {
     reads.sort();
     reads.dedup();
     assert_eq!(reads, ["DINAR_OBSERVE", "DINAR_THREADS"]);
+}
+
+#[test]
+fn nn_calls_no_libm_transcendental() {
+    // A training step's transcendentals run through dinar-tensor's own
+    // kernels (`Tensor::tanh`, `Tensor::softmax_rows`), so every trained
+    // digest is a function of the input bits alone, not of the host's libm.
+    // The float methods below are libm calls; `sqrt` and `powi` are not.
+    const LIBM: [&str; 13] = [
+        "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "sin", "cos", "sin_cos",
+        "tanh", "powf",
+    ];
+    // Calls by those names whose receiver is a `Tensor`, not a float.
+    const TENSOR_CALLS: [(&str, &str); 1] = [("activation.rs", "input.tanh(")];
+    let mut files = Vec::new();
+    rs_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/nn/src"), &mut files);
+    let mut stray = Vec::new();
+    let mut tensor_calls = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        let stripped = dinar_lint::strip::strip(&text);
+        let name = file.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        for (at_line, line) in stripped.lines.iter().enumerate() {
+            if stripped.is_test_line(at_line + 1) {
+                continue;
+            }
+            for f in LIBM {
+                for call in [format!(".{f}("), format!("f32::{f}("), format!("f64::{f}(")] {
+                    for (at, _) in line.match_indices(&call) {
+                        let receiver = line[..at]
+                            .rsplit(|c: char| !(c.is_alphanumeric() || c == '_'))
+                            .next()
+                            .unwrap_or_default();
+                        let site = format!("{receiver}{call}");
+                        if TENSOR_CALLS.contains(&(name, site.as_str())) {
+                            tensor_calls.push(site);
+                        } else {
+                            let at = format!("{}:{}", file.display(), at_line + 1);
+                            stray.push(format!("{at}: {}", line.trim()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "crates/nn/src calls libm outside its tests; use dinar-tensor's kernels:\n  {}",
+        stray.join("\n  ")
+    );
+    assert_eq!(
+        tensor_calls.len(),
+        TENSOR_CALLS.len(),
+        "a listed Tensor call is gone: {tensor_calls:?}"
+    );
 }

@@ -216,15 +216,17 @@ fn fnv(mut h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
 }
 
 /// Three batch-64 Adam steps of `vgg11_mini` as a client takes them, pinned
-/// at every width to the digest recorded before the step's conv and pool
-/// kernels were rewritten (lane-parallel max-pool, dead-tap pruning, the
-/// in-place weight-gradient kernel, the blocked input-gradient fold): the
-/// logits, every gradient and every parameter after each step.
+/// at every width to one recorded digest: the logits, every gradient and
+/// every parameter after each step. The conv and pool kernel rewrites
+/// (lane-parallel max-pool, dead-tap pruning, the in-place weight-gradient
+/// kernel, the blocked input-gradient fold) kept it bit for bit; it was
+/// re-recorded once when the loss moved off libm `exp`/`ln` onto the
+/// tensor crate's own softmax kernel.
 #[test]
 fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
     use dinar_nn::loss::CrossEntropyLoss;
     use dinar_nn::optim::{Adam, Optimizer};
-    const RECORDED: u64 = 0x6acf_551e_df68_a613;
+    const RECORDED: u64 = 0xa67a_1ef0_0414_2a10;
     let results = per_width(|| {
         let mut rng = Rng::seed_from(13);
         let mut model = models::vgg11_mini(3, 43, &mut rng).expect("vgg11_mini");
@@ -248,6 +250,28 @@ fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
     });
     for (w, &digest) in WIDTHS.iter().zip(&results) {
         assert_eq!(digest, RECORDED, "vgg11_mini steps at {w} threads: {digest:#018x}");
+    }
+}
+
+#[test]
+fn cross_entropy_is_bit_identical_across_widths() {
+    use dinar_nn::loss::CrossEntropyLoss;
+    // Batch-64 × 100 classes is the fcnn6 step's shape; 300 × 43 clears the
+    // elementwise fan-out threshold, 5 × 7 leaves ragged lanes.
+    for (rows, cols) in [(64, 100), (300, 43), (5, 7)] {
+        let mut rng = Rng::seed_from(rows as u64);
+        let logits = rng.randn_with(&[rows, cols], 0.0, 4.0);
+        let labels: Vec<usize> = (0..rows).map(|i| (i * 13) % cols).collect();
+        let results = per_width(|| {
+            let (loss, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).expect("loss");
+            let per = CrossEntropyLoss.per_sample(&logits, &labels).expect("per-sample");
+            let probs = dinar_nn::loss::softmax_rows(&logits).expect("softmax");
+            let per: Vec<u32> = per.iter().map(|x| x.to_bits()).collect();
+            (loss.to_bits(), bits(&grad), per, bits(&probs))
+        });
+        for r in &results[1..] {
+            assert_eq!(r, &results[0], "{rows}×{cols}");
+        }
     }
 }
 
