@@ -23,7 +23,6 @@
 //! upload) or the client side (scoring the global model) — both are just
 //! parameter sets passed to [`MembershipAttack::score`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -525,7 +525,7 @@ pub fn train_defense_with_telemetry(
 
     let mut system = builder.build()?;
     if telemetry.is_enabled() {
-        system.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
+        system.set_telemetry(telemetry.clone());
     }
     let reports = system.run(spec.rounds)?;
     let cost = CostSample {
@@ -544,7 +544,7 @@ pub fn train_defense_with_telemetry(
     // produces one more upload; this gives us (a) the per-client uploads the
     // server-side attacker sees and (b) personalized client models for the
     // utility metric.
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     let mut uploads: Vec<ModelParams> = Vec::new();
     for client in system.clients_mut() {
         client.receive_global(&global)?;

@@ -359,11 +359,11 @@ pub fn bench_params() -> Result<Output> {
         .enumerate()
         .map(|(id, client)| ClientUpdate {
             client_id: id,
-            params: system.global_params().clone(),
+            params: system.global_params().share(),
             num_samples: client.data().len(),
         })
         .collect();
-    let mut server = FlServer::new(system.global_params().clone());
+    let mut server = FlServer::new(system.global_params().share());
     let agg = bench("fedavg_aggregate_8", &Config::default(), || {
         server
             .aggregate(&updates)

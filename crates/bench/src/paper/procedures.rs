@@ -220,9 +220,9 @@ pub fn fig3() -> Result<Output> {
         // upload; its personalized counterpart is the client's live model.
         let is_dinar = matches!(defense, Defense::Dinar { .. });
         let target = if is_dinar {
-            run.uploads[0].clone()
+            run.uploads[0].share()
         } else {
-            run.system.global_params().clone()
+            run.system.global_params().share()
         };
         let member_losses = losses_of_params(&target, &mut template, &members)?;
         let nonmember_losses = losses_of_params(&target, &mut template, &env.split.test)?;
@@ -279,7 +279,7 @@ pub fn fig4() -> Result<Output> {
 
     // Train an unprotected run; take client 0's upload as the attacked model.
     let mut run = train_defense(&env, &Defense::None)?;
-    let upload = run.uploads[0].clone();
+    let upload = run.uploads[0].share();
     let members = run.system.clients()[0].data().clone();
     let nonmembers = env.split.test.clone();
 
@@ -324,7 +324,7 @@ pub fn fig4() -> Result<Output> {
     let mut naive_aucs = Vec::new();
     let mut repair_aucs = Vec::new();
     for p in 0..divergences.len() {
-        let mut obf = upload.clone();
+        let mut obf = upload.share();
         let mut obf_rng = Rng::seed_from(0x0bf ^ p as u64);
         obfuscate_layer(&mut obf, p, ObfuscationStrategy::Random, &mut obf_rng)?;
         let naive = evaluate_attack(
@@ -697,7 +697,7 @@ pub fn ext_regularization() -> Result<Output> {
         )?
         .build()?;
         system.run(spec.rounds)?;
-        let global = system.global_params().clone();
+        let global = system.global_params().share();
         let mut local_sum = 0.0;
         let mut rng = Rng::seed_from(7);
         let mut template = fcnn_with_dropout(drop_p, &mut rng)?;

@@ -45,7 +45,6 @@
 //! # Ok::<(), dinar_consensus::ConsensusError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -50,7 +50,7 @@ impl DinarMiddleware {
         sorted.dedup();
         assert_eq!(sorted.len(), layers.len(), "duplicate layer indices");
         DinarMiddleware {
-            stored: vec![None; layers.len()],
+            stored: layers.iter().map(|_| None).collect(),
             layers,
             strategy: config.strategy,
             rng: Rng::seed_from(seed ^ 0xD1AA_4000_0000_0000),
@@ -92,7 +92,7 @@ impl ClientMiddleware for DinarMiddleware {
         for (&p, stored) in self.layers.iter().zip(&self.stored) {
             if let Some(own) = stored {
                 // Restore θᵢᵖ*: the client's own non-obfuscated layer.
-                params.layers[p] = own.clone();
+                params.layers[p] = own.share();
             }
         }
         Ok(())
@@ -122,7 +122,7 @@ impl ClientMiddleware for DinarMiddleware {
     fn export_state(&self) -> Option<MiddlewareState> {
         Some(MiddlewareState {
             rng: Some(self.rng.state()),
-            stored: self.stored.clone(),
+            stored: self.stored.iter().map(|s| s.as_ref().map(LayerParams::share)).collect(),
         })
     }
 
@@ -189,7 +189,7 @@ mod tests {
     fn first_download_is_identity() {
         let mut mw = DinarMiddleware::new(1, DinarConfig::default(), 7);
         let mut download = params(&[5.0, 9.0]);
-        let before = download.clone();
+        let before = download.share();
         mw.transform_download(0, &mut download).unwrap();
         assert_eq!(download, before);
     }

@@ -45,7 +45,7 @@ fn obfuscation_isolates_the_target_layer() {
         ][rng.below(3)];
         let seed = rng.next_u64();
         let original = arbitrary_params(layers, seed);
-        let mut mutated = original.clone();
+        let mut mutated = original.share();
         let mut obf_rng = Rng::seed_from(seed ^ 0xF00);
         let returned = obfuscate_layer(&mut mutated, target, strategy, &mut obf_rng).unwrap();
         assert_eq!(&returned, &original.layers[target], "case {case}");
@@ -78,11 +78,11 @@ fn personalization_roundtrip_invariant() {
         for round in 0..rounds {
             // Locally trained parameters this round.
             let trained = arbitrary_params(layers, seed ^ (round as u64 + 1));
-            let mut upload = trained.clone();
+            let mut upload = trained.share();
             mw.transform_upload(0, &mut upload).unwrap();
             // Private layer never leaves the client.
             assert_ne!(&upload.layers[target], &trained.layers[target], "case {case}");
-            let last_private = trained.layers[target].clone();
+            let last_private = trained.layers[target].share();
 
             // Arbitrary global model comes back.
             let mut download = arbitrary_params(layers, seed ^ 0xABCD ^ round as u64);
@@ -138,7 +138,7 @@ fn zeros_strategy_leaks_nothing_but_shape() {
 #[test]
 fn random_obfuscation_changes_values() {
     let mut params = arbitrary_params(2, 7);
-    let before = params.clone();
+    let before = params.share();
     let mut rng = Rng::seed_from(1);
     obfuscate_layer(&mut params, 0, ObfuscationStrategy::Random, &mut rng).unwrap();
     assert_ne!(params.layers[0], before.layers[0]);

@@ -38,7 +38,6 @@
 //! # Ok::<(), dinar_data::DataError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

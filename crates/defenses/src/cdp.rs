@@ -86,7 +86,7 @@ impl ServerMiddleware for CentralDp {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = telemetry.clone(); // lint: allow(L009, telemetry handle, not params)
+        self.telemetry = telemetry.clone();
     }
 }
 

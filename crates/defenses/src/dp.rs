@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn zero_std_is_identity() {
         let mut p = params(1.0, 8);
-        let before = p.clone();
+        let before = p.share();
         add_gaussian_noise(&mut p, 0.0, &mut Rng::seed_from(0));
         assert_eq!(p, before);
     }

@@ -111,7 +111,7 @@ impl Optimizer for DpOptimizer {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry, client_id: usize) {
-        self.telemetry = telemetry.clone(); // lint: allow(L009, telemetry handle, not params)
+        self.telemetry = telemetry.clone();
         self.client_id = client_id;
         self.inner.attach_telemetry(telemetry, client_id);
     }

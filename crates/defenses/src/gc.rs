@@ -187,7 +187,7 @@ impl ClientMiddleware for GradientCompression {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry, client_id: usize) {
-        self.telemetry = telemetry.clone(); // lint: allow(L009, telemetry handle, not params)
+        self.telemetry = telemetry.clone();
         self.client_id = client_id;
     }
 }
@@ -235,7 +235,7 @@ mod tests {
         let mut global = params(&[1.0, 2.0, 3.0]);
         mw.transform_download(0, &mut global).unwrap();
         let mut trained = params(&[1.5, 1.0, 3.25]);
-        let expect = trained.clone();
+        let expect = trained.share();
         mw.transform_upload(0, &mut trained).unwrap();
         assert!(trained.max_abs_diff(&expect).unwrap() < 1e-6);
     }

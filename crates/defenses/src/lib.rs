@@ -20,7 +20,6 @@
 //! paper's experiments rely on — noise ∝ 1/ε, privacy improving and utility
 //! collapsing as ε shrinks (Fig. 10) — is preserved exactly.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cdp;

@@ -148,7 +148,7 @@ impl ClientMiddleware for SecureAggregation {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry, _client_id: usize) {
-        self.telemetry = telemetry.clone(); // lint: allow(L009, telemetry handle, not params)
+        self.telemetry = telemetry.clone();
     }
 }
 
@@ -181,7 +181,7 @@ mod tests {
         // Masked uploads, then the same weighted sum.
         let mut sum = originals[0].zeros_like();
         for (i, (p, &c)) in originals.iter().zip(&counts).enumerate() {
-            let mut masked = p.clone();
+            let mut masked = p.share();
             SecureAggregation::new(Arc::clone(&group))
                 .transform_upload(i, &mut masked)
                 .unwrap();

@@ -100,7 +100,7 @@ impl ClientMiddleware for WeakDp {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry, client_id: usize) {
-        self.telemetry = telemetry.clone(); // lint: allow(L009, telemetry handle, not params)
+        self.telemetry = telemetry.clone();
         self.client_id = client_id;
     }
 }

@@ -41,7 +41,7 @@ use std::fs;
 use std::path::Path;
 
 /// One client's mutable state inside a resume image.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClientCkpt {
     /// The client's id (must match the rebuilt client on restore).
     pub id: usize,
@@ -58,14 +58,23 @@ pub struct ClientCkpt {
 /// The already-finished portion of an interrupted round: each entry is the
 /// `(mean training loss, update)` a client produced, in client order
 /// (clients `0..completed.len()` are done; the rest have not started).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PendingRound {
     /// Finished `(loss, update)` pairs, in client order.
     pub completed: Vec<(f32, ClientUpdate)>,
 }
 
+impl PendingRound {
+    /// An O(1) snapshot of the finished portion (see [`ClientUpdate::share`]).
+    pub fn share(&self) -> PendingRound {
+        PendingRound {
+            completed: self.completed.iter().map(|(loss, u)| (*loss, u.share())).collect(),
+        }
+    }
+}
+
 /// A complete FL resume image.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlCheckpoint {
     /// Rounds fully completed before the image was taken.
     pub rounds_run: usize,

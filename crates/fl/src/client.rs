@@ -11,7 +11,7 @@ use dinar_tensor::Rng;
 
 /// The parameter set a client uploads after local training, with the sample
 /// count the server uses as its FedAvg weight.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClientUpdate {
     /// Uploading client's id.
     pub client_id: usize,
@@ -19,6 +19,17 @@ pub struct ClientUpdate {
     pub params: ModelParams,
     /// Number of local training samples (FedAvg weight).
     pub num_samples: usize,
+}
+
+impl ClientUpdate {
+    /// An O(1) snapshot of the update (see [`ModelParams::share`]).
+    pub fn share(&self) -> ClientUpdate {
+        ClientUpdate {
+            client_id: self.client_id,
+            params: self.params.share(),
+            num_samples: self.num_samples,
+        }
+    }
 }
 
 /// One federated learning participant.
@@ -87,7 +98,7 @@ impl FlClient {
     /// them — and every defense in the stack charges the sink's privacy
     /// ledger.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.model.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
+        self.model.set_telemetry(telemetry.clone());
         self.optimizer.attach_telemetry(&telemetry, self.id);
         for mw in &mut self.middleware {
             mw.attach_telemetry(&telemetry, self.id);

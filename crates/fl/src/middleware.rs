@@ -25,7 +25,7 @@ use dinar_tensor::RngState;
 /// rounds: an RNG stream (obfuscation/noise randomness) and per-layer
 /// stored parameters (DINAR's private layer(s) `θᵢᵖ*`). A middleware with
 /// richer state can fold it into `stored` as extra layer entries.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct MiddlewareState {
     /// The middleware's RNG stream position, if it holds one.
     pub rng: Option<RngState>,
@@ -156,7 +156,7 @@ mod tests {
     fn passthrough_is_identity() {
         let mut mw = Passthrough;
         let mut params = ModelParams::new(vec![LayerParams::new(vec![Tensor::ones(&[3])])]);
-        let before = params.clone();
+        let before = params.share();
         ClientMiddleware::transform_download(&mut mw, 0, &mut params).unwrap();
         ClientMiddleware::transform_upload(&mut mw, 0, &mut params).unwrap();
         ServerMiddleware::transform_aggregate(&mut mw, &mut params).unwrap();

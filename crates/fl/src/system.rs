@@ -128,9 +128,9 @@ impl FlSystem {
     /// privacy ledger. See `dinar-telemetry` for the export side.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for client in &mut self.clients {
-            client.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
+            client.set_telemetry(telemetry.clone());
         }
-        self.server.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
+        self.server.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -325,8 +325,7 @@ impl FlSystem {
             rounds_run: self.server.rounds_completed(),
             global: self.server.global_params().share(),
             clients: self.clients.iter().map(FlClient::export_state).collect(),
-            // lint: allow(L009, PendingRound's derived Clone bumps COW refcounts, O(1) like share())
-            pending: self.pending.clone(),
+            pending: self.pending.as_ref().map(PendingRound::share),
         }
     }
 
@@ -582,7 +581,7 @@ pub(crate) mod tests {
         system.run(1).unwrap();
         // The aggregate should be a mixture, not equal to one client's model
         // (clients trained on different shards).
-        let global = system.global_params().clone();
+        let global = system.global_params().share();
         for c in system.clients() {
             assert!(c.model().params().max_abs_diff(&global).unwrap() > 1e-6);
         }

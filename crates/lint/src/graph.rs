@@ -1,5 +1,5 @@
 //! Workspace symbol table, approximate call graph and the cross-file rules
-//! L010–L016.
+//! L010–L013, L015 and L016.
 //!
 //! Resolution is **name-based** (no type inference): free calls resolve to
 //! every workspace free function of that name, `Type::method` resolves
@@ -15,7 +15,7 @@
 //! or sinks live there, and their free-name overlap with the library crates
 //! (`run`, `measure`, …) would only add false edges.
 
-use crate::rules::{Finding, Rule, DETERMINISTIC_CRATES, L009_FILES};
+use crate::rules::{Finding, Rule};
 use crate::sem::{parse_file, CallKind, EventKind, FnInfo};
 use crate::strip::{strip, Stripped};
 use std::collections::{BTreeMap, BTreeSet};
@@ -180,7 +180,6 @@ pub fn check_semantic(sources: &[(String, String)]) -> Vec<Finding> {
     check_l016(&ws, &mut findings);
     for (path, source) in sources {
         let stripped = strip(source);
-        check_l014(path, &stripped, &mut findings);
         check_l015(path, &stripped, &mut findings);
     }
     findings
@@ -500,177 +499,32 @@ fn check_l013(ws: &Workspace, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// L014: nondeterministic iteration
-// ---------------------------------------------------------------------
-
-const L014_UNORDERED: [&str; 2] = ["HashSet", "HashMap"];
-const L014_ITER_METHODS: [&str; 6] = ["iter", "iter_mut", "into_iter", "values", "keys", "drain"];
-const L014_FOLDS: [&str; 3] = ["sum", "fold", "product"];
-
-/// L014: in the deterministic crates, arithmetic must not accumulate over
-/// unordered-container iteration — float addition is not associative, so a
-/// `HashSet`/`HashMap` visit order leaks into figures. (L002 already bans
-/// `HashMap` there wholesale; this closes the `HashSet` + allow-annotated
-/// gap and documents the invariant the engine actually cares about.)
-fn check_l014(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
-    let in_deterministic = DETERMINISTIC_CRATES
-        .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")));
-    if !in_deterministic {
-        return;
-    }
-    let toks = crate::lex::lex(stripped);
-
-    let mut report = |line: usize, via: &str| {
-        if stripped.is_test_line(line) || stripped.is_allowed("L014", line) {
-            return;
-        }
-        findings.push(Finding {
-            rule: Rule::L014,
-            file: path.to_string(),
-            line,
-            message: format!(
-                "arithmetic accumulation over unordered-container iteration ({via}); \
-                 float addition is order-sensitive — use a BTreeMap/BTreeSet or a \
-                 sorted Vec, or annotate `lint: allow(L014, reason)`"
-            ),
-        });
-    };
-
-    // One forward scan: `let` bindings register (or, via shadowing, clear)
-    // unordered-container names; uses are checked against the names bound
-    // so far, which keeps same-named ordered bindings in earlier functions
-    // from tainting later ones.
-    let mut unordered: BTreeSet<String> = BTreeSet::new();
-    let mut i = 0;
-    while i < toks.len() {
-        // Binding: `let [mut] name … ;` — unordered RHS registers the name,
-        // any other RHS shadows it back out.
-        if toks[i].is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            if let Some(name) = toks.get(j).filter(|t| t.kind == crate::lex::TokKind::Ident) {
-                let mut k = j + 1;
-                let mut is_unordered = false;
-                while let Some(tok) = toks.get(k) {
-                    if tok.is_punct(';') {
-                        break;
-                    }
-                    if L014_UNORDERED.iter().any(|u| tok.is_ident(u)) {
-                        is_unordered = true;
-                        break;
-                    }
-                    k += 1;
-                }
-                if is_unordered {
-                    unordered.insert(name.text.clone());
-                } else {
-                    unordered.remove(&name.text);
-                }
-            }
-            i += 1;
-            continue;
-        }
-
-        // Iterator chain: `x.iter()….sum()/fold()/product()` before `;`.
-        if toks[i].kind == crate::lex::TokKind::Ident
-            && unordered.contains(&toks[i].text)
-            && toks.get(i + 1).is_some_and(|d| d.is_punct('.'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|m| L014_ITER_METHODS.iter().any(|im| m.is_ident(im)))
-        {
-            let mut k = i + 3;
-            while let Some(tok) = toks.get(k) {
-                if tok.is_punct(';') {
-                    break;
-                }
-                if L014_FOLDS.iter().any(|f| tok.is_ident(f))
-                    && toks.get(k + 1).is_some_and(|p| p.is_punct('('))
-                {
-                    report(
-                        toks[i].line,
-                        &format!("`{}.{}()…{}(…)`", toks[i].text, toks[i + 2].text, tok.text),
-                    );
-                    break;
-                }
-                k += 1;
-            }
-            i += 1;
-            continue;
-        }
-
-        // `for … in <unordered> … { … += … }` loops.
-        if !toks[i].is_ident("for") {
-            i += 1;
-            continue;
-        }
-        // Header: up to the loop body `{`.
-        let mut header_hit = None;
-        let mut j = i + 1;
-        while let Some(tok) = toks.get(j) {
-            if tok.is_punct('{') {
-                break;
-            }
-            if tok.kind == crate::lex::TokKind::Ident && unordered.contains(tok.text.as_str()) {
-                header_hit = Some(tok.text.clone());
-            }
-            j += 1;
-        }
-        let Some(var) = header_hit else {
-            i = j;
-            continue;
-        };
-        // Body: matching brace; flag compound-assignment accumulation.
-        let mut depth = 0i64;
-        let mut k = j;
-        while let Some(tok) = toks.get(k) {
-            match tok.kind {
-                crate::lex::TokKind::Punct('{') => depth += 1,
-                crate::lex::TokKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                crate::lex::TokKind::Punct(op @ ('+' | '*')) => {
-                    if toks.get(k + 1).is_some_and(|n| n.is_punct('=')) {
-                        report(toks[i].line, &format!("`for … in {var}` with `{op}=`"));
-                        // One report per loop is enough.
-                        while let Some(t2) = toks.get(k) {
-                            match t2.kind {
-                                crate::lex::TokKind::Punct('{') => depth += 1,
-                                crate::lex::TokKind::Punct('}') => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            k += 1;
-                        }
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        i = k + 1;
-    }
-}
-
-// ---------------------------------------------------------------------
 // L015: scalar noise draws inside loops
 // ---------------------------------------------------------------------
 
 const L015_SCALAR_DRAWS: [&str; 2] = ["normal", "normal_with"];
 
+/// L015's own list of the parameter-plane files it polices beside the
+/// whole defenses crate: the modules that move or noise whole parameter
+/// sets every round.
+pub const L015_FILES: [&str; 13] = [
+    "crates/defenses/src/dp.rs",
+    "crates/defenses/src/ldp.rs",
+    "crates/defenses/src/wdp.rs",
+    "crates/defenses/src/cdp.rs",
+    "crates/defenses/src/gc.rs",
+    "crates/defenses/src/sa.rs",
+    "crates/core/src/obfuscation.rs",
+    "crates/nn/src/view.rs",
+    "crates/fl/src/server.rs",
+    "crates/fl/src/client.rs",
+    "crates/fl/src/system.rs",
+    "crates/fl/src/round.rs",
+    "crates/fl/src/middleware.rs",
+];
+
 /// L015: in the defenses crate and the parameter-plane modules
-/// ([`L009_FILES`]), scalar `.normal()`/`.normal_with()` draws must not sit
+/// ([`L015_FILES`]), scalar `.normal()`/`.normal_with()` draws must not sit
 /// inside `for`/`while`/`loop` bodies. A per-element Box–Muller draw walks
 /// the sequential generator one sample at a time — an order of magnitude
 /// slower than the chunked counter-based fills — and a loop over parameters
@@ -678,7 +532,7 @@ const L015_SCALAR_DRAWS: [&str; 2] = ["normal", "normal_with"];
 /// time. Use `fill_normal`/`fill_normal_with`/`axpy_normal` on the whole
 /// slice instead; they are also cache-free and telemetry-counted.
 fn check_l015(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
-    let in_scope = path.starts_with("crates/defenses/src/") || L009_FILES.contains(&path);
+    let in_scope = path.starts_with("crates/defenses/src/") || L015_FILES.contains(&path);
     if !in_scope {
         return;
     }
@@ -1081,78 +935,6 @@ mod tests {
         assert_eq!(l013[0].line, 4);
     }
 
-    // ----- L014 ------------------------------------------------------
-
-    #[test]
-    fn l014_flags_sum_over_hashset_iteration() {
-        let sources = files(&[(
-            "crates/metrics/src/agg.rs",
-            "fn f(xs: &[u64]) -> f32 {\n\
-                 let seen: HashSet<u64> = xs.iter().copied().collect();\n\
-                 let total: f32 = seen.iter().map(|x| *x as f32).sum();\n\
-                 total\n\
-             }\n",
-        )]);
-        let l014 = rule_findings(&sources, Rule::L014);
-        assert_eq!(l014.len(), 1, "{l014:?}");
-        assert_eq!(l014[0].line, 3);
-    }
-
-    #[test]
-    fn l014_flags_compound_assignment_loops_over_hashmap() {
-        let sources = files(&[(
-            "crates/fl/src/agg.rs",
-            "fn f() {\n\
-                 let mut weights = HashMap::new();\n\
-                 let mut acc = 0.0;\n\
-                 for (_, w) in &weights { acc += w; }\n\
-             }\n",
-        )]);
-        let l014 = rule_findings(&sources, Rule::L014);
-        assert_eq!(l014.len(), 1, "{l014:?}");
-        assert_eq!(l014[0].line, 4);
-    }
-
-    #[test]
-    fn l014_ignores_ordered_containers_counts_tests_and_allows() {
-        let sources = files(&[(
-            "crates/metrics/src/agg.rs",
-            "fn ordered(xs: &[u64]) -> f32 {\n\
-                 let seen: BTreeSet<u64> = xs.iter().copied().collect();\n\
-                 seen.iter().map(|x| *x as f32).sum()\n\
-             }\n\
-             fn counting() {\n\
-                 let seen: HashSet<u64> = HashSet::new();\n\
-                 let n = seen.iter().count();\n\
-             }\n\
-             fn allowed(seen2: &X) {\n\
-                 let seen: HashSet<u64> = HashSet::new();\n\
-                 // lint: allow(L014, summation is order-independent here by construction)\n\
-                 let t: f32 = seen.iter().map(f).sum();\n\
-             }\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-                 fn t() {\n\
-                     let seen: HashSet<u64> = HashSet::new();\n\
-                     let t: f32 = seen.iter().map(f).sum();\n\
-                 }\n\
-             }\n",
-        )]);
-        assert!(rule_findings(&sources, Rule::L014).is_empty());
-    }
-
-    #[test]
-    fn l014_only_polices_deterministic_crates() {
-        let sources = files(&[(
-            "crates/bench/src/agg.rs",
-            "fn f() {\n\
-                 let seen: HashSet<u64> = HashSet::new();\n\
-                 let t: f32 = seen.iter().map(f).sum();\n\
-             }\n",
-        )]);
-        assert!(rule_findings(&sources, Rule::L014).is_empty());
-    }
-
     // ----- L015 ------------------------------------------------------
 
     #[test]
@@ -1236,6 +1018,21 @@ mod tests {
              }\n",
         )]);
         assert!(rule_findings(&sources, Rule::L015).is_empty());
+    }
+
+    #[test]
+    fn l015_polices_the_param_plane_outside_defenses() {
+        let sources = files(&[(
+            "crates/fl/src/round.rs",
+            "fn f(rng: &mut Rng, xs: &mut [f32]) {\n\
+                 for x in xs.iter_mut() {\n\
+                     *x = rng.normal();\n\
+                 }\n\
+             }\n",
+        )]);
+        let l015 = rule_findings(&sources, Rule::L015);
+        assert_eq!(l015.len(), 1, "{l015:?}");
+        assert_eq!(l015[0].line, 3);
     }
 
     #[test]

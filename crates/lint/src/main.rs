@@ -94,7 +94,8 @@ fn main() -> ExitCode {
     println!("lint: {} finding(s):", findings.len());
     for rule in Rule::all() {
         let count = findings.iter().filter(|f| f.rule == rule).count();
-        println!("  {:<5} {:>4}  {}", rule.id(), count, rule.description());
+        let headline = rule.explain().lines().next().unwrap_or_default();
+        println!("  {count:>4}  {headline}");
     }
     if findings.is_empty() {
         return ExitCode::SUCCESS;

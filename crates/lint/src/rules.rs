@@ -1,10 +1,11 @@
-//! The rule catalog: eighteen repo-specific invariants (L001–L018).
+//! The rule catalog: eighteen repo-specific invariants (L001–L021; the IDs of
+//! retired rules L009, L014 and L018 are never reused).
 //!
-//! L001–L009, L017 and L018 are per-line rules: pure functions from preprocessed
-//! sources (or manifests) to [`Finding`]s. L010–L016 are cross-file/token-level
-//! semantic rules that run on the engine in [`crate::graph`]. Both layers are
-//! driven with inline fixtures by unit tests and with the real workspace by
-//! the CLI/umbrella gate.
+//! L001–L008, L017 and L019–L021 are per-line rules: pure functions from
+//! preprocessed sources (or manifests) to [`Finding`]s. L010–L013, L015 and
+//! L016 are cross-file/token-level semantic rules that run on the engine in
+//! [`crate::graph`]. Both layers are driven with inline fixtures by unit
+//! tests and with the real workspace by the CLI/umbrella gate.
 
 use crate::strip::{strip, Stripped};
 use std::collections::BTreeSet;
@@ -21,7 +22,8 @@ pub enum Rule {
     L003,
     /// No bare `as` numeric casts in the tensor hot paths.
     L004,
-    /// Workspace manifests declare only in-repo dependencies.
+    /// Workspace manifests declare only in-repo dependencies, and every
+    /// package opts into the workspace lints.
     L005,
     /// No raw thread spawning outside the worker pool and the threaded
     /// transport.
@@ -31,9 +33,6 @@ pub enum Rule {
     /// No bare mpsc `recv()`/`recv_timeout()` in `dinar-fl` outside the
     /// sanctioned deadline helper.
     L008,
-    /// No `.clone()` in the parameter-plane modules: snapshot parameters
-    /// with `share()` (an explicit O(1) copy-on-write share) instead.
-    L009,
     /// Clip dominates noise: in `dinar-defenses`, every path reaching a
     /// Gaussian noise draw must first pass through an L2 clip source.
     L010,
@@ -45,9 +44,6 @@ pub enum Rule {
     /// Lock order: nested `Mutex` acquisitions must follow the one global
     /// order.
     L013,
-    /// Nondeterministic iteration: no arithmetic accumulation over
-    /// unordered-container iteration in the deterministic crates.
-    L014,
     /// No scalar `rng.normal()`/`normal_with()` draws inside loops in the
     /// defenses/param-plane modules: use the bulk fill API.
     L015,
@@ -58,9 +54,13 @@ pub enum Rule {
     /// sanctioned wire modules, which in turn use no silently-wrapping
     /// `as` integer narrowing.
     L017,
-    /// Element confinement: bit-pattern reinterpretation between storage
-    /// element types stays inside the sanctioned generic-storage module.
-    L018,
+    /// Env switches: the library crates read only `DINAR_THREADS` and
+    /// `DINAR_OBSERVE` from the environment, and still read both.
+    L019,
+    /// No libm: `dinar-nn` calls no float transcendental outside its tests.
+    L020,
+    /// Stale allows: every `lint: allow(RULE, …)` names a live rule.
+    L021,
 }
 
 impl Rule {
@@ -76,45 +76,23 @@ impl Rule {
             Rule::L006 => "L006",
             Rule::L007 => "L007",
             Rule::L008 => "L008",
-            Rule::L009 => "L009",
             Rule::L010 => "L010",
             Rule::L011 => "L011",
             Rule::L012 => "L012",
             Rule::L013 => "L013",
-            Rule::L014 => "L014",
             Rule::L015 => "L015",
             Rule::L016 => "L016",
             Rule::L017 => "L017",
-            Rule::L018 => "L018",
-        }
-    }
-
-    /// One-line description for CLI output.
-    pub fn description(self) -> &'static str {
-        match self {
-            Rule::L001 => "no unwrap()/expect() in non-test library code",
-            Rule::L002 => "no nondeterminism sources in deterministic crates",
-            Rule::L003 => "public Error enums must implement Display + std::error::Error",
-            Rule::L004 => "no bare `as` numeric casts in tensor hot paths",
-            Rule::L005 => "manifests may declare only in-repo dependencies",
-            Rule::L006 => "no raw thread spawning outside the worker pool",
-            Rule::L007 => "no Instant::now() outside the sanctioned clock modules",
-            Rule::L008 => "no bare mpsc recv in dinar-fl outside the sanctioned deadline helper",
-            Rule::L009 => "no .clone() in parameter-plane modules; snapshot params with share()",
-            Rule::L010 => "clip-dominates-noise: defenses must clip before drawing DP noise",
-            Rule::L011 => "seed-taint: no integer-literal RNG seeds outside tests/benches",
-            Rule::L012 => "panic-reachability: no panics reachable from the round loop/transport",
-            Rule::L013 => "lock-order: nested Mutex acquisitions must follow the global order",
-            Rule::L014 => "no arithmetic accumulation over unordered-container iteration",
-            Rule::L015 => "no scalar normal() draws inside loops in defenses/param-plane code",
-            Rule::L016 => "ledger-coverage: defense transforms must report to the privacy ledger",
-            Rule::L017 => "wire-confinement: byte codecs only in wire modules; no `as` narrowing there",
-            Rule::L018 => "element-confinement: bit-pattern casts only in the generic-storage module",
+            Rule::L019 => "L019",
+            Rule::L020 => "L020",
+            Rule::L021 => "L021",
         }
     }
 
     /// Multi-paragraph rationale for `--explain <RULE>`: what the rule
     /// checks, why the invariant is load-bearing, and how to satisfy it.
+    /// The first line is the rule's headline, as the CLI table and the
+    /// `tests/lint.rs` gate print it.
     pub fn explain(self) -> &'static str {
         match self {
             Rule::L001 => {
@@ -129,10 +107,11 @@ impl Rule {
             Rule::L002 => {
                 "L002 — no nondeterminism sources in the deterministic crates.\n\n\
                  Every figure in the paper reproduction must replay bit-identically from\n\
-                 its seeds. `thread_rng`, `SystemTime::now`, `Instant::now` and `HashMap`\n\
-                 (whose iteration order varies per process) all leak ambient state into\n\
-                 results. Use the seeded `dinar_tensor::rng`, the injectable `Clock`, and\n\
-                 `BTreeMap`/`Vec`."
+                 its seeds. `thread_rng`, `SystemTime::now`, `HashMap` and `HashSet`\n\
+                 (whose iteration orders vary per process, so a float sum over one\n\
+                 leaks the hash seed into figures) all leak ambient state into results.\n\
+                 Use the seeded `dinar_tensor::rng`, the injectable `Clock`, and\n\
+                 `BTreeMap`/`BTreeSet`/`Vec`. `Instant::now` is L007's, workspace-wide."
             }
             Rule::L003 => {
                 "L003 — public `*Error` enums implement Display + std::error::Error.\n\n\
@@ -148,10 +127,12 @@ impl Rule {
                  helpers in `dinar_tensor::cast`."
             }
             Rule::L005 => {
-                "L005 — manifests declare only in-repo dependencies.\n\n\
+                "L005 — manifests declare only in-repo deps and opt into the workspace lints.\n\n\
                  The build must stay hermetic: every dependency is a path dependency on\n\
                  a workspace crate, so the repo builds offline and the supply chain is\n\
-                 the repo itself."
+                 the repo itself. Every package manifest also opts into the workspace\n\
+                 lints (`[lints] workspace = true`), which forbid `unsafe` — and so\n\
+                 `transmute` — on every target."
             }
             Rule::L006 => {
                 "L006 — no raw thread spawning outside the worker pool.\n\n\
@@ -166,7 +147,8 @@ impl Rule {
                  Direct wall-clock reads cannot be replayed. Telemetry spans, cost\n\
                  accounting and bench profiles must flow through an injectable `Clock`\n\
                  (swap in `ManualClock` for bit-identical reruns) or the bench `timing`\n\
-                 helpers."
+                 helpers; `WallClock` (`crates/metrics/src/clock.rs`) and\n\
+                 `crates/bench/src/timing.rs` are the only files that read it."
             }
             Rule::L008 => {
                 "L008 — no bare mpsc recv in `dinar-fl` outside the deadline helper.\n\n\
@@ -175,15 +157,8 @@ impl Rule {
                  budgets waits against the injectable `Clock` and surfaces ticks for\n\
                  liveness checks; every wait routes through it."
             }
-            Rule::L009 => {
-                "L009 — no `.clone()` in the parameter-plane modules.\n\n\
-                 Model parameters move through defenses and aggregation every round; a\n\
-                 stray `.clone()` is a full deep copy that silently regresses the\n\
-                 zero-copy plane. Snapshot with `share()` (O(1) copy-on-write) and keep\n\
-                 genuine deep copies at the two sanctioned sites."
-            }
             Rule::L010 => {
-                "L010 — clip dominates noise (cross-file, call-graph).\n\n\
+                "L010 — clip dominates noise: defenses clip before drawing DP noise (call graph).\n\n\
                  The DP guarantee of the Gaussian mechanism holds only for bounded\n\
                  sensitivity: the update must be L2-clipped before noise scaled to the\n\
                  clip bound is added. Noising an unclipped update spends privacy budget\n\
@@ -197,7 +172,7 @@ impl Rule {
                  sum) carries `// lint: allow(L010, reason)` at the draw."
             }
             Rule::L011 => {
-                "L011 — seed taint (cross-file, call-graph).\n\n\
+                "L011 — seed taint: no integer-literal RNG seeds outside tests/benches.\n\n\
                  Every RNG stream must derive from plumbed configuration\n\
                  (`cfg.seed ^ salt`), so one config seed replays the whole system and\n\
                  sweeps vary it centrally. `seed_from(<integer literal>)` in library\n\
@@ -206,7 +181,7 @@ impl Rule {
                  `// lint: allow(L011, reason)`."
             }
             Rule::L012 => {
-                "L012 — panic reachability (cross-file, call-graph).\n\n\
+                "L012 — panic reachability: no panic reachable from the round loop/transport.\n\n\
                  L001 sees panic sites line by line; L012 extends it transitively: no\n\
                  `panic!`/`.unwrap()`/`.expect(` may be reachable through the call graph\n\
                  from the threaded transport or the server round loop, because a panic\n\
@@ -217,7 +192,7 @@ impl Rule {
                  finding message prints one concrete root→site call chain."
             }
             Rule::L013 => {
-                "L013 — lock order (cross-file, call-graph).\n\n\
+                "L013 — lock order: nested Mutex acquisitions follow the one global order.\n\n\
                  Two threads acquiring the same two mutexes in opposite orders deadlock\n\
                  under contention and pass every single-threaded test. The workspace\n\
                  has one global acquisition order — telemetry.event_threads <\n\
@@ -227,20 +202,8 @@ impl Rule {
                  conservatively assumed held to end of function) must move strictly down\n\
                  it. Same-class re-entry is flagged too: std Mutex self-deadlocks."
             }
-            Rule::L014 => {
-                "L014 — nondeterministic iteration (token-level, deterministic crates).\n\n\
-                 Float addition is not associative, so summing over a `HashSet`/`HashMap`\n\
-                 visit order leaks per-process hash seeds into figures. L002 already\n\
-                 bans `HashMap` wholesale in the deterministic crates; L014 closes the\n\
-                 `HashSet` gap and the allow-annotated residue by flagging iterator\n\
-                 chains that fold (`sum`/`fold`/`product`) over an unordered container\n\
-                 and `for` loops over one whose body compound-accumulates (`+=`, `*=`).\n\
-                 Use `BTreeMap`/`BTreeSet` or a sorted `Vec`; order-independent\n\
-                 accumulation can be annotated `// lint: allow(L014, reason)`."
-            }
             Rule::L015 => {
-                "L015 — no scalar normal() draws inside loops (token-level, \
-                 defenses/param-plane).\n\n\
+                "L015 — no scalar normal() draws inside loops in defenses/param-plane code.\n\n\
                  A `rng.normal()`/`normal_with()` call inside a loop walks the\n\
                  sequential xoshiro stream one sample at a time through a scalar\n\
                  f64 Box–Muller — roughly an order of magnitude slower per element\n\
@@ -255,7 +218,7 @@ impl Rule {
                  `// lint: allow(L015, reason)`."
             }
             Rule::L016 => {
-                "L016 — ledger coverage (cross-file, call-graph).\n\n\
+                "L016 — ledger coverage: defense transforms report to the privacy ledger.\n\n\
                  The privacy-budget ledger is only an audit surface if its coverage is\n\
                  total: a defense transform that silently skips reporting makes the\n\
                  audit read \"spends nothing\" when the truth is \"forgot to say\". Every\n\
@@ -269,7 +232,7 @@ impl Rule {
                  `// lint: allow(L016, reason)`."
             }
             Rule::L017 => {
-                "L017 — wire confinement (per-line).\n\n\
+                "L017 — wire confinement: byte codecs only in `wire.rs`, no `as` narrowing there.\n\n\
                  The wire format's safety story rests on one audited trust boundary:\n\
                  every byte-level encode/decode lives in the sanctioned wire module\n\
                  (`crates/tensor/src/wire.rs`), where length headers are bounds-checked\n\
@@ -282,23 +245,33 @@ impl Rule {
                  inside them, convert with `try_from` or the checked `cast` helpers. A\n\
                  genuinely-safe site can be annotated `// lint: allow(L017, reason)`."
             }
-            Rule::L018 => {
-                "L018 — element confinement (per-line).\n\n\
-                 The generic storage backend keeps exactly one audited site where a\n\
-                 value is reinterpreted as raw bits: the `Element` impls in\n\
-                 `crates/tensor/src/storage.rs`, where `to_bit_pattern` /\n\
-                 `from_bit_pattern` define each dtype's canonical u32 image (IEEE-754\n\
-                 bits for f32, sign-extended for i8, the half-precision bit pattern\n\
-                 for F16) and the property tests pin every one of them to an exact\n\
-                 round-trip. A second spelling elsewhere is an unaudited\n\
-                 reinterpretation that can silently disagree with the canonical one —\n\
-                 the exact class of bug that breaks the width-independent\n\
-                 bit-identicality the checkpoint and wire planes promise. `transmute`\n\
-                 is banned with the same fence (the workspace is `forbid(unsafe_code)`\n\
-                 in the core crates, but the lint also covers the crates that are\n\
-                 not). Outside the storage module, convert through the safe `Element`\n\
-                 API or `f32::to_bits`-family methods behind it; a genuinely-safe\n\
-                 site can be annotated `// lint: allow(L018, reason)`."
+            Rule::L019 => {
+                "L019 — env switches: library crates read only DINAR_THREADS and DINAR_OBSERVE.\n\n\
+                 The pool width (`DINAR_THREADS`) and the observability directory\n\
+                 (`DINAR_OBSERVE`) are the only settings the library crates read from\n\
+                 the environment. A new knob becomes a parameter of an existing\n\
+                 mechanism instead: every other `env::var(`/`env::var_os(` in\n\
+                 `crates/*/src` is a finding, and so is either switch no longer being\n\
+                 read (the list would be stale)."
+            }
+            Rule::L020 => {
+                "L020 — no libm: `dinar-nn` calls no float transcendental outside its tests.\n\n\
+                 A training step's transcendentals run through dinar-tensor's own\n\
+                 kernels (`Tensor::tanh`, `Tensor::softmax_rows`), so every trained\n\
+                 digest is a function of the input bits alone, not of the host's libm.\n\
+                 Outside its tests, `crates/nn/src` may not call a float\n\
+                 `exp`/`exp2`/`exp_m1`/`ln`/`ln_1p`/`log*`/`sin`/`cos`/`sin_cos`/`tanh`/\n\
+                 `powf` (`sqrt` and `powi` are not libm calls). A call by one of those\n\
+                 names whose receiver is a `Tensor` carries\n\
+                 `// lint: allow(L020, reason)`; an L020 allow that covers no such call\n\
+                 is itself a finding, so the exemptions cannot go stale."
+            }
+            Rule::L021 => {
+                "L021 — stale allows: every `lint: allow(RULE, …)` names a live rule.\n\n\
+                 `// lint: allow(RULE, reason)` is the engine's only exemption, so an\n\
+                 annotation naming a rule that no longer exists (a retired L009, L014\n\
+                 or L018) documents an invariant nothing checks. Delete it, or name the\n\
+                 live rule it meant. This finding cannot itself be allowed."
             }
         }
     }
@@ -314,16 +287,16 @@ impl Rule {
             Rule::L006,
             Rule::L007,
             Rule::L008,
-            Rule::L009,
             Rule::L010,
             Rule::L011,
             Rule::L012,
             Rule::L013,
-            Rule::L014,
             Rule::L015,
             Rule::L016,
             Rule::L017,
-            Rule::L018,
+            Rule::L019,
+            Rule::L020,
+            Rule::L021,
         ]
     }
 
@@ -384,10 +357,12 @@ pub const DETERMINISTIC_CRATES: [&str; 10] = [
 /// Tensor hot-path files subject to L004.
 pub const HOT_PATHS: [&str; 2] = ["crates/tensor/src/tensor.rs", "crates/tensor/src/conv.rs"];
 
-/// Nondeterminism tokens banned by L002. `HashMap` is banned wholesale:
-/// its iteration order varies per process, so deterministic crates use
-/// `BTreeMap`/`Vec` (or carry an `// lint: allow(L002, reason)`).
-const L002_TOKENS: [&str; 4] = ["thread_rng", "SystemTime::now", "Instant::now", "HashMap"];
+/// Nondeterminism tokens banned by L002. `HashMap` and `HashSet` are
+/// banned wholesale: their iteration order varies per process, so a float
+/// sum over one leaks the hash seed into figures, and deterministic crates
+/// use `BTreeMap`/`BTreeSet`/`Vec` (or carry an `// lint: allow(L002,
+/// reason)`). `Instant::now` is [`L007_TOKEN`]'s alone.
+const L002_TOKENS: [&str; 4] = ["thread_rng", "SystemTime::now", "HashMap", "HashSet"];
 
 /// Bare-cast tokens banned by L004 in the hot paths. Lossless widenings
 /// (`as f64`, `as u64` from `u32`, …) are allowed; these four either
@@ -404,12 +379,15 @@ const L006_TOKENS: [&str; 2] = ["thread::spawn", "thread::scope"];
 /// long-lived client threads included, through `par::spawn_worker`.
 pub const L006_EXEMPT: [&str; 1] = ["crates/tensor/src/par.rs"];
 
-/// The wall-clock token banned by L007 everywhere except the sanctioned
-/// clock modules. Unlike L002 (which covers only the deterministic crates),
+/// The wall-clock token banned by L007 everywhere except [`L007_EXEMPT`].
 /// L007 is repo-wide: even benchmarks must read time through an injectable
 /// [`Clock`](../../metrics/src/clock.rs) or the bench timing helpers so
 /// profiles replay under `ManualClock`.
 const L007_TOKEN: &str = "Instant::now";
+
+/// The two files that read the wall clock: `WallClock` (the one `Clock`
+/// over real time) and the bench measurement loop.
+pub const L007_EXEMPT: [&str; 2] = ["crates/metrics/src/clock.rs", "crates/bench/src/timing.rs"];
 
 /// The one `dinar-fl` module allowed to call mpsc `recv()`/`recv_timeout()`
 /// directly: the deadline helper every other wait must route through. A
@@ -417,30 +395,6 @@ const L007_TOKEN: &str = "Instant::now";
 /// one dead client thread hangs the server forever — the exact bug L008
 /// exists to keep fixed.
 pub const L008_EXEMPT: &str = "crates/fl/src/deadline.rs";
-
-/// Parameter-plane modules subject to L009. These files move whole model
-/// parameter sets around every round, so an unexamined `.clone()` is a full
-/// deep copy waiting to regress the zero-copy plane: snapshots must be the
-/// explicit O(1) `ModelParams::share()`/`LayerParams::share()` spelling (or
-/// carry an `// lint: allow(L009, reason)` for non-parameter clones such as
-/// telemetry handles). The sanctioned copy sites live elsewhere:
-/// `crates/fl/src/transport.rs` (per-client message snapshots) and
-/// `crates/nn/src/params.rs` (which defines `share()` itself).
-pub const L009_FILES: [&str; 13] = [
-    "crates/defenses/src/dp.rs",
-    "crates/defenses/src/ldp.rs",
-    "crates/defenses/src/wdp.rs",
-    "crates/defenses/src/cdp.rs",
-    "crates/defenses/src/gc.rs",
-    "crates/defenses/src/sa.rs",
-    "crates/core/src/obfuscation.rs",
-    "crates/nn/src/view.rs",
-    "crates/fl/src/server.rs",
-    "crates/fl/src/client.rs",
-    "crates/fl/src/system.rs",
-    "crates/fl/src/round.rs",
-    "crates/fl/src/middleware.rs",
-];
 
 /// The sanctioned byte-codec modules: the only `/src/` files allowed to
 /// spell byte-level serialization (`to_le_bytes`/`from_le_bytes` and the
@@ -465,26 +419,18 @@ const L017_NARROWING_TOKENS: [&str; 7] = [
     "as u8", "as u16", "as u32", "as i8", "as i16", "as i32", "as usize",
 ];
 
-/// The sanctioned generic-storage module: the only `/src/` file allowed to
-/// spell bit-pattern reinterpretation between storage element types. The
-/// `Element` impls here define each dtype's canonical u32 bit image, and
-/// the property tests pin them; a second spelling elsewhere is an
-/// unaudited reinterpretation that can silently diverge from the
-/// canonical one.
-pub const L018_STORAGE_FILES: [&str; 1] = ["crates/tensor/src/storage.rs"];
+/// The environment variables the library crates may read (L019).
+pub const ENV_SWITCHES: [&str; 2] = ["DINAR_THREADS", "DINAR_OBSERVE"];
 
-/// Reinterpretation tokens confined to [`L018_STORAGE_FILES`] by L018.
-const L018_TOKENS: [&str; 3] = ["to_bit_pattern", "from_bit_pattern", "transmute"];
+/// The environment reads L019 inspects.
+const L019_CALLS: [&str; 2] = ["env::var(", "env::var_os("];
 
-/// Is `path` one of the sanctioned wall-clock modules exempt from L007?
-/// `clock.rs` files (the `Clock` implementations), `timing.rs` (the bench
-/// measurement loop), and the telemetry crate (which owns the clock
-/// abstraction) may call `Instant::now` directly.
-fn l007_exempt(path: &str) -> bool {
-    path.ends_with("/clock.rs")
-        || path.ends_with("/timing.rs")
-        || path.starts_with("crates/telemetry/")
-}
+/// Float methods that are libm calls, banned from `dinar-nn` by L020
+/// (`sqrt` and `powi` are not libm calls).
+const L020_LIBM: [&str; 13] = [
+    "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "sin", "cos", "sin_cos",
+    "tanh", "powf",
+];
 
 /// Is the byte at `idx` the start of a word-bounded occurrence of `needle`?
 fn word_bounded(line: &str, idx: usize, needle: &str) -> bool {
@@ -503,16 +449,9 @@ fn word_bounded(line: &str, idx: usize, needle: &str) -> bool {
 
 /// All word-bounded occurrences of `needle` in `line`.
 fn occurrences(line: &str, needle: &str) -> usize {
-    let mut count = 0;
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(needle) {
-        let idx = start + pos;
-        if word_bounded(line, idx, needle) {
-            count += 1;
-        }
-        start = idx + needle.len();
-    }
-    count
+    line.match_indices(needle)
+        .filter(|&(idx, _)| word_bounded(line, idx, needle))
+        .count()
 }
 
 /// Runs every per-file rule against one preprocessed source file.
@@ -525,10 +464,47 @@ pub fn check_source(path: &str, source: &str) -> Vec<Finding> {
     check_l006(path, &stripped, &mut findings);
     check_l007(path, &stripped, &mut findings);
     check_l008(path, &stripped, &mut findings);
-    check_l009(path, &stripped, &mut findings);
     check_l017(path, &stripped, &mut findings);
-    check_l018(path, &stripped, &mut findings);
+    check_l020(path, &stripped, &mut findings);
+    check_l021(path, &stripped, &mut findings);
     findings
+}
+
+/// The per-line loop every line rule shares: one `rule` finding per message
+/// `hits` returns for a line, skipping `#[cfg(test)]` code and lines an
+/// allow for `rule` covers.
+fn scan(
+    path: &str,
+    stripped: &Stripped,
+    rule: Rule,
+    findings: &mut Vec<Finding>,
+    hits: impl Fn(&str) -> Vec<String>,
+) {
+    for (i, line) in stripped.lines.iter().enumerate() {
+        let n = i + 1;
+        if stripped.is_test_line(n) || stripped.is_allowed(rule.id(), n) {
+            continue;
+        }
+        for message in hits(line) {
+            findings.push(Finding {
+                rule,
+                file: path.to_string(),
+                line: n,
+                message,
+            });
+        }
+    }
+}
+
+/// One message per word-bounded occurrence of any of `tokens` in `line`.
+fn token_hits(line: &str, tokens: &[&str], message: impl Fn(&str) -> String) -> Vec<String> {
+    let mut hits = Vec::new();
+    for &token in tokens {
+        for _ in 0..occurrences(line, token) {
+            hits.push(message(token));
+        }
+    }
+    hits
 }
 
 /// L001: `.unwrap()` / `.expect(` in non-test library code.
@@ -536,23 +512,12 @@ fn check_l001(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
     if !path.contains("/src/") {
         return; // integration tests and examples are exempt
     }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L001", n) {
-            continue;
-        }
+    scan(path, stripped, Rule::L001, findings, |line| {
         let hits = line.matches(".unwrap()").count() + line.matches(".expect(").count();
-        for _ in 0..hits {
-            findings.push(Finding {
-                rule: Rule::L001,
-                file: path.to_string(),
-                line: n,
-                message: "unwrap()/expect() in library code; return a Result or document \
-                          the invariant with `lint: allow(L001, reason)`"
-                    .to_string(),
-            });
-        }
-    }
+        let message = "unwrap()/expect() in library code; return a Result or document \
+                       the invariant with `lint: allow(L001, reason)`";
+        vec![message.to_string(); hits]
+    });
 }
 
 /// L002: nondeterminism sources in deterministic crates.
@@ -563,25 +528,14 @@ fn check_l002(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
     if !in_deterministic {
         return;
     }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L002", n) {
-            continue;
-        }
-        for token in L002_TOKENS {
-            for _ in 0..occurrences(line, token) {
-                findings.push(Finding {
-                    rule: Rule::L002,
-                    file: path.to_string(),
-                    line: n,
-                    message: format!(
-                        "`{token}` is a nondeterminism source; inject a seeded/manual \
-                         substitute or annotate `lint: allow(L002, reason)`"
-                    ),
-                });
-            }
-        }
-    }
+    scan(path, stripped, Rule::L002, findings, |line| {
+        token_hits(line, &L002_TOKENS, |token| {
+            format!(
+                "`{token}` is a nondeterminism source; inject a seeded/manual \
+                 substitute or annotate `lint: allow(L002, reason)`"
+            )
+        })
+    });
 }
 
 /// L004: bare numeric casts in the tensor hot paths.
@@ -589,25 +543,14 @@ fn check_l004(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
     if !HOT_PATHS.contains(&path) {
         return;
     }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L004", n) {
-            continue;
-        }
-        for token in L004_TOKENS {
-            for _ in 0..occurrences(line, token) {
-                findings.push(Finding {
-                    rule: Rule::L004,
-                    file: path.to_string(),
-                    line: n,
-                    message: format!(
-                        "bare `{token}` cast in a tensor hot path; use the checked \
-                         helpers in dinar_tensor::cast"
-                    ),
-                });
-            }
-        }
-    }
+    scan(path, stripped, Rule::L004, findings, |line| {
+        token_hits(line, &L004_TOKENS, |token| {
+            format!(
+                "bare `{token}` cast in a tensor hot path; use the checked \
+                 helpers in dinar_tensor::cast"
+            )
+        })
+    });
 }
 
 /// L006: raw thread spawning outside the worker pool. Ad-hoc threads
@@ -618,25 +561,14 @@ fn check_l006(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
     if !path.contains("/src/") || L006_EXEMPT.contains(&path) {
         return;
     }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L006", n) {
-            continue;
-        }
-        for token in L006_TOKENS {
-            for _ in 0..occurrences(line, token) {
-                findings.push(Finding {
-                    rule: Rule::L006,
-                    file: path.to_string(),
-                    line: n,
-                    message: format!(
-                        "`{token}` outside the worker pool; route parallelism through \
-                         dinar_tensor::par or annotate `lint: allow(L006, reason)`"
-                    ),
-                });
-            }
-        }
-    }
+    scan(path, stripped, Rule::L006, findings, |line| {
+        token_hits(line, &L006_TOKENS, |token| {
+            format!(
+                "`{token}` outside the worker pool; route parallelism through \
+                 dinar_tensor::par or annotate `lint: allow(L006, reason)`"
+            )
+        })
+    });
 }
 
 /// L007: ambient `Instant::now()` outside the sanctioned clock modules.
@@ -644,25 +576,16 @@ fn check_l006(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
 /// profiles must flow through an injectable `Clock` (swap in `ManualClock`
 /// for bit-identical reruns) or the bench `timing` helpers.
 fn check_l007(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
-    if !path.contains("/src/") || l007_exempt(path) {
+    if !path.contains("/src/") || L007_EXEMPT.contains(&path) {
         return;
     }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L007", n) {
-            continue;
-        }
-        for _ in 0..occurrences(line, L007_TOKEN) {
-            findings.push(Finding {
-                rule: Rule::L007,
-                file: path.to_string(),
-                line: n,
-                message: "`Instant::now` outside a sanctioned clock module; inject a \
-                          `Clock` (dinar_telemetry) or annotate `lint: allow(L007, reason)`"
-                    .to_string(),
-            });
-        }
-    }
+    scan(path, stripped, Rule::L007, findings, |line| {
+        token_hits(line, &[L007_TOKEN], |_| {
+            "`Instant::now` outside a sanctioned clock module; inject a \
+             `Clock` (dinar_telemetry) or annotate `lint: allow(L007, reason)`"
+                .to_string()
+        })
+    });
 }
 
 /// L008: bare mpsc receives in `dinar-fl` outside the deadline helper.
@@ -675,53 +598,13 @@ fn check_l008(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
     if !path.starts_with("crates/fl/src/") || path == L008_EXEMPT {
         return;
     }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L008", n) {
-            continue;
-        }
+    scan(path, stripped, Rule::L008, findings, |line| {
         let hits = line.matches(".recv()").count() + line.matches(".recv_timeout(").count();
-        for _ in 0..hits {
-            findings.push(Finding {
-                rule: Rule::L008,
-                file: path.to_string(),
-                line: n,
-                message: "bare mpsc recv in dinar-fl; wait through \
-                          dinar_fl::deadline::{DeadlineReceiver, recv_blocking} or \
-                          annotate `lint: allow(L008, reason)`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// L009: `.clone()` in a parameter-plane module (see [`L009_FILES`]).
-/// Matched as a plain substring like L001's `.unwrap()`: the leading `.`
-/// defeats word-bounding. `Arc::clone(&x)` and `clone_from` are not matched
-/// — the rule targets the method-call spelling that silently deep-copies a
-/// parameter set.
-fn check_l009(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
-    if !L009_FILES.contains(&path) {
-        return;
-    }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L009", n) {
-            continue;
-        }
-        let hits = line.matches(".clone()").count();
-        for _ in 0..hits {
-            findings.push(Finding {
-                rule: Rule::L009,
-                file: path.to_string(),
-                line: n,
-                message: "`.clone()` in a parameter-plane module; snapshot params with \
-                          `share()` (O(1) copy-on-write) or annotate \
-                          `lint: allow(L009, reason)` for non-parameter clones"
-                    .to_string(),
-            });
-        }
-    }
+        let message = "bare mpsc recv in dinar-fl; wait through \
+                       dinar_fl::deadline::{DeadlineReceiver, recv_blocking} or \
+                       annotate `lint: allow(L008, reason)`";
+        vec![message.to_string(); hits]
+    });
 }
 
 /// L017: byte-level encode/decode confined to the sanctioned wire modules
@@ -732,76 +615,146 @@ fn check_l017(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
         return; // integration tests, benches and examples are exempt
     }
     let in_wire = L017_WIRE_FILES.contains(&path);
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L017", n) {
-            continue;
-        }
+    scan(path, stripped, Rule::L017, findings, |line| {
         if in_wire {
-            for token in L017_NARROWING_TOKENS {
-                for _ in 0..occurrences(line, token) {
-                    findings.push(Finding {
-                        rule: Rule::L017,
-                        file: path.to_string(),
-                        line: n,
-                        message: format!(
-                            "silently-wrapping `{token}` in a wire codec path; convert \
-                             with `try_from` or the checked `cast` helpers, or annotate \
-                             `lint: allow(L017, reason)`"
-                        ),
-                    });
-                }
-            }
+            token_hits(line, &L017_NARROWING_TOKENS, |token| {
+                format!(
+                    "silently-wrapping `{token}` in a wire codec path; convert \
+                     with `try_from` or the checked `cast` helpers, or annotate \
+                     `lint: allow(L017, reason)`"
+                )
+            })
         } else {
-            for token in L017_BYTE_TOKENS {
-                for _ in 0..occurrences(line, token) {
-                    findings.push(Finding {
-                        rule: Rule::L017,
-                        file: path.to_string(),
-                        line: n,
-                        message: format!(
-                            "`{token}` outside the sanctioned wire module; byte-level \
-                             serialization belongs in dinar_tensor::wire (ByteWriter/\
-                             ByteReader), or annotate `lint: allow(L017, reason)`"
-                        ),
-                    });
-                }
-            }
+            token_hits(line, &L017_BYTE_TOKENS, |token| {
+                format!(
+                    "`{token}` outside the sanctioned wire module; byte-level \
+                     serialization belongs in dinar_tensor::wire (ByteWriter/\
+                     ByteReader), or annotate `lint: allow(L017, reason)`"
+                )
+            })
+        }
+    });
+}
+
+/// The libm calls on one line: `.f(`, `f32::f(` and `f64::f(` for each
+/// name in [`L020_LIBM`], as plain substrings like L008's.
+fn libm_calls(line: &str) -> Vec<String> {
+    let mut calls = Vec::new();
+    for f in L020_LIBM {
+        for call in [format!(".{f}("), format!("f32::{f}("), format!("f64::{f}(")] {
+            calls.extend(line.matches(&call).map(|_| call.clone()));
+        }
+    }
+    calls
+}
+
+/// L020: float transcendentals in `dinar-nn` outside its tests. An L020
+/// allow marks a call whose receiver is a `Tensor`; one that covers no such
+/// call (on its line or the next) is reported too, so the exemptions cannot
+/// go stale.
+fn check_l020(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
+    if !path.starts_with("crates/nn/src/") {
+        return;
+    }
+    scan(path, stripped, Rule::L020, findings, |line| {
+        let message = |call: &String| {
+            format!(
+                "`{call}` is a libm call; use dinar-tensor's kernels, or \
+                 annotate a `Tensor` receiver with `lint: allow(L020, reason)`"
+            )
+        };
+        libm_calls(line).iter().map(message).collect()
+    });
+    let covers = |n: usize| !stripped.is_test_line(n) && !libm_calls(stripped.line(n)).is_empty();
+    for (&n, rules) in &stripped.allows {
+        if rules.contains("L020") && !covers(n) && !covers(n + 1) {
+            findings.push(Finding {
+                rule: Rule::L020,
+                file: path.to_string(),
+                line: n,
+                message: "`lint: allow(L020, …)` covers no libm call; delete it".to_string(),
+            });
         }
     }
 }
 
-/// L018: bit-pattern reinterpretation confined to the sanctioned
-/// generic-storage module ([`L018_STORAGE_FILES`]). A word-bounded token
-/// scan, like L017's byte half.
-fn check_l018(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
-    if !path.contains("/src/") {
-        return; // integration tests, benches and examples are exempt
-    }
-    if L018_STORAGE_FILES.contains(&path) {
-        return; // the audited Element impls live here
-    }
-    for (i, line) in stripped.lines.iter().enumerate() {
-        let n = i + 1;
-        if stripped.is_test_line(n) || stripped.is_allowed("L018", n) {
-            continue;
-        }
-        for token in L018_TOKENS {
-            for _ in 0..occurrences(line, token) {
+/// L021: an allow annotation naming a rule ID (`L` and three digits) that
+/// is not in [`Rule::all`]. Placeholders such as `allow(RULE, reason)` in
+/// prose are not IDs and pass.
+fn check_l021(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
+    for (&n, rules) in &stripped.allows {
+        for rule in rules {
+            let is_id = rule.len() == 4
+                && rule.starts_with('L')
+                && rule[1..].bytes().all(|b| b.is_ascii_digit());
+            if is_id && Rule::from_id(rule).is_none() {
                 findings.push(Finding {
-                    rule: Rule::L018,
+                    rule: Rule::L021,
                     file: path.to_string(),
                     line: n,
                     message: format!(
-                        "`{token}` outside the sanctioned storage module; bit-pattern \
-                         reinterpretation belongs in dinar_tensor::storage (the \
-                         audited Element impls), or annotate \
-                         `lint: allow(L018, reason)`"
+                        "`lint: allow({rule}, …)` names no live rule; delete it or name \
+                         the rule it means"
                     ),
                 });
             }
         }
     }
+}
+
+/// L019: the library crates read only [`ENV_SWITCHES`] from the
+/// environment, and still read each of them. The scan is per line over
+/// `crates/*/src` (test modules included: a test's env read is a knob too);
+/// the tally needs the whole workspace, so it takes every source at once,
+/// like [`check_l003`].
+pub fn check_l019(sources: &[(String, String)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut read = BTreeSet::new();
+    for (path, source) in sources {
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        let stripped = strip(source);
+        for ((i, line), raw) in stripped.lines.iter().enumerate().zip(source.lines()) {
+            for call in L019_CALLS {
+                for (at, _) in line.match_indices(call) {
+                    // The stripped line blanks the string literal; read the
+                    // name from the raw line at the same character column.
+                    let column = line[..at].chars().count() + call.len();
+                    let rest: String = raw.chars().skip(column).collect();
+                    let arg = rest.trim_start();
+                    let name = arg
+                        .strip_prefix('"')
+                        .and_then(|quoted| quoted.split('"').next())
+                        .unwrap_or(arg);
+                    if ENV_SWITCHES.contains(&name) {
+                        read.insert(name.to_string());
+                    } else if !stripped.is_allowed("L019", i + 1) {
+                        findings.push(Finding {
+                            rule: Rule::L019,
+                            file: path.clone(),
+                            line: i + 1,
+                            message: format!(
+                                "reads `{name}` from the environment; the library \
+                                 crates read only {ENV_SWITCHES:?}"
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    for switch in ENV_SWITCHES {
+        if !read.contains(switch) {
+            findings.push(Finding {
+                rule: Rule::L019,
+                file: "crates".to_string(),
+                line: 0,
+                message: format!("no library crate reads `{switch}` any more; drop it"),
+            });
+        }
+    }
+    findings
 }
 
 /// L003: every `pub enum *Error` must have `Display` and `std::error::Error`
@@ -851,16 +804,25 @@ pub fn check_l003(sources: &[(String, String)]) -> Vec<Finding> {
 }
 
 /// L005: a manifest may declare only dependencies whose names appear in
-/// `in_repo` (the set of workspace package names), and `[workspace.dependencies]`
-/// entries must be `path` dependencies.
+/// `in_repo` (the set of workspace package names), `[workspace.dependencies]`
+/// entries must be `path` dependencies, and a package manifest must opt into
+/// the workspace lints (`[lints] workspace = true`, which forbid `unsafe`).
 pub fn check_manifest(path: &str, manifest: &str, in_repo: &BTreeSet<String>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut section = String::new();
+    let mut package_line = None;
+    let mut opts_into_lints = false;
     for (i, raw) in manifest.lines().enumerate() {
         let line = raw.trim();
         if line.starts_with('[') {
             section = line.trim_matches(['[', ']']).to_string();
+            if section == "package" {
+                package_line = Some(i + 1);
+            }
             continue;
+        }
+        if section == "lints" && line.replace(' ', "") == "workspace=true" {
+            opts_into_lints = true;
         }
         let dep_section = matches!(
             section.as_str(),
@@ -895,6 +857,16 @@ pub fn check_manifest(path: &str, manifest: &str, in_repo: &BTreeSet<String>) ->
             });
         }
     }
+    if let Some(line) = package_line.filter(|_| !opts_into_lints) {
+        findings.push(Finding {
+            rule: Rule::L005,
+            file: path.to_string(),
+            line,
+            message: "package does not opt into the workspace lints; add `[lints]` with \
+                      `workspace = true`"
+                .to_string(),
+        });
+    }
     findings
 }
 
@@ -921,26 +893,26 @@ mod tests {
 
     #[test]
     fn l002_flags_nondeterminism_in_deterministic_crates_only() {
-        let src = "fn f() { let t = Instant::now(); let m: HashMap<u32, u32> = HashMap::new(); }";
+        let src = "fn f() { let s: HashSet<u32> = xs; let m: HashMap<u32, u32> = HashMap::new(); }";
         let hits = check_source("crates/fl/src/x.rs", src)
             .iter()
             .filter(|f| f.rule == Rule::L002)
             .count();
-        assert_eq!(hits, 3); // Instant::now + 2×HashMap
+        assert_eq!(hits, 3); // HashSet + 2×HashMap
         let bench = check_source("crates/bench/src/x.rs", src);
         assert!(bench.iter().all(|f| f.rule != Rule::L002));
     }
 
     #[test]
     fn l002_allow_annotation_suppresses() {
-        let src = "// lint: allow(L002, timer by design)\nlet t = Instant::now();\n";
+        let src = "// lint: allow(L002, order-free by design)\nlet s = HashSet::new();\n";
         let findings = check_source("crates/metrics/src/cost.rs", src);
         assert!(findings.iter().all(|f| f.rule != Rule::L002), "{findings:?}");
     }
 
     #[test]
     fn l002_ignores_comments_and_strings() {
-        let src = "// Instant::now is banned\nlet s = \"Instant::now\";\n";
+        let src = "// HashMap is banned\nlet s = \"HashMap\";\n";
         let findings = check_source("crates/tensor/src/x.rs", src);
         assert!(findings.iter().all(|f| f.rule != Rule::L002));
     }
@@ -1016,17 +988,19 @@ mod tests {
     #[test]
     fn l007_flags_ambient_wall_clock_outside_clock_modules() {
         let src = "fn f() { let t = Instant::now(); }";
-        let hits = check_source("crates/metrics/src/cost.rs", src)
-            .iter()
-            .filter(|f| f.rule == Rule::L007)
-            .count();
-        assert_eq!(hits, 1);
-        for exempt in [
+        // Only the two sanctioned files are exempt: not any other `clock.rs`
+        // or the telemetry crate. L002 no longer doubles the finding.
+        for path in [
+            "crates/metrics/src/cost.rs",
+            "crates/telemetry/src/x.rs",
             "crates/fl/src/clock.rs",
-            "crates/bench/src/timing.rs",
-            "crates/metrics/src/clock.rs",
-            "crates/telemetry/src/span.rs",
         ] {
+            let findings = check_source(path, src);
+            let l007 = findings.iter().filter(|f| f.rule == Rule::L007).count();
+            assert_eq!(l007, 1, "{path}");
+            assert!(findings.iter().all(|f| f.rule != Rule::L002), "{path}");
+        }
+        for exempt in L007_EXEMPT {
             let findings = check_source(exempt, src);
             assert!(findings.iter().all(|f| f.rule != Rule::L007), "{exempt}");
         }
@@ -1062,36 +1036,6 @@ mod tests {
                    #[cfg(test)]\nmod tests { fn t() { let m = rx.recv(); } }\n";
         let findings = check_source("crates/fl/src/system.rs", src);
         assert!(findings.iter().all(|f| f.rule != Rule::L008), "{findings:?}");
-    }
-
-    #[test]
-    fn l009_flags_clone_in_param_plane_files_only() {
-        let src = "fn f(p: &ModelParams) { let a = p.clone(); let b = p.share(); \
-                   let c = other.clone(); }";
-        for file in L009_FILES {
-            let hits = check_source(file, src)
-                .iter()
-                .filter(|f| f.rule == Rule::L009)
-                .count();
-            assert_eq!(hits, 2, "{file}");
-        }
-        // The sanctioned copy sites and unrelated files are exempt.
-        for exempt in [
-            "crates/fl/src/transport.rs",
-            "crates/nn/src/params.rs",
-            "crates/tensor/src/tensor.rs",
-        ] {
-            let findings = check_source(exempt, src);
-            assert!(findings.iter().all(|f| f.rule != Rule::L009), "{exempt}");
-        }
-    }
-
-    #[test]
-    fn l009_skips_tests_and_allows() {
-        let src = "let t = telemetry.clone(); // lint: allow(L009, telemetry handle, not params)\n\
-                   #[cfg(test)]\nmod tests { fn t() { let c = p.clone(); } }\n";
-        let findings = check_source("crates/fl/src/client.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L009), "{findings:?}");
     }
 
     #[test]
@@ -1140,31 +1084,70 @@ mod tests {
     }
 
     #[test]
-    fn l018_confines_bit_patterns_to_the_storage_module() {
-        let src = "fn f(x: f32) { let b = x.to_bit_pattern(); \
-                   let y = f32::from_bit_pattern(b); \
-                   let z = std::mem::transmute::<f32, u32>(x); }";
-        let hits = check_source("crates/nn/src/ckpt.rs", src)
-            .iter()
-            .filter(|f| f.rule == Rule::L018)
-            .count();
-        assert_eq!(hits, 3);
-        // The sanctioned storage module may reinterpret freely.
-        for storage in L018_STORAGE_FILES {
-            let findings = check_source(storage, src);
-            assert!(findings.iter().all(|f| f.rule != Rule::L018), "{storage}");
-        }
-        // Integration tests are exempt (they exercise corrupt images).
-        let findings = check_source("tests/ckpt_plane.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L018));
+    fn l019_allows_only_the_two_switches_and_requires_both() {
+        let lib = |body: &str| ("crates/tensor/src/par.rs".to_string(), body.to_string());
+        let both = [
+            lib("let w = std::env::var(\"DINAR_THREADS\");"),
+            lib("let d = env::var_os(\"DINAR_OBSERVE\"); // env::var(\"X\") in a comment"),
+        ];
+        assert!(check_l019(&both).is_empty());
+
+        let mut stray = both.to_vec();
+        stray.push(lib(
+            "let a = env::var(\"DINAR_FAST\");\n#[cfg(test)]\nmod t { fn f() { env::var_os(K); } }",
+        ));
+        // Tests outside crates/*/src may read what they like.
+        stray.push(("tests/golden.rs".to_string(), "env::var_os(\"UPDATE_GOLDEN\");".to_string()));
+        let findings = check_l019(&stray);
+        let lines: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, [(Rule::L019, 1), (Rule::L019, 3)], "{findings:?}");
+
+        let missing = check_l019(&both[..1]);
+        assert_eq!(missing.len(), 1, "{missing:?}");
+        assert!(missing[0].message.contains("DINAR_OBSERVE"));
     }
 
     #[test]
-    fn l018_skips_tests_and_allows() {
-        let src = "let b = x.to_bit_pattern(); // lint: allow(L018, fixture builder)\n\
-                   #[cfg(test)]\nmod tests { fn t() { let b = x.to_bit_pattern(); } }\n";
-        let findings = check_source("crates/fl/src/ckpt.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L018), "{findings:?}");
+    fn l020_flags_libm_calls_in_nn_outside_tests() {
+        let src = "fn f(x: f32) -> f32 { x.exp() + f32::ln(x) + f64::powf(2.0, 3.0) as f32 }\n\
+                   fn g(x: f32) -> f32 { x.sqrt() + x.powi(2) + x.exp_m1() }\n\
+                   #[cfg(test)]\nmod tests { fn t(x: f32) -> f32 { x.tanh() } }\n";
+        let l020 = |path| -> Vec<usize> {
+            check_source(path, src)
+                .iter()
+                .filter(|f| f.rule == Rule::L020)
+                .map(|f| f.line)
+                .collect()
+        };
+        assert_eq!(l020("crates/nn/src/loss.rs"), [1, 1, 1, 2]);
+        assert!(l020("crates/tensor/src/cbrng.rs").is_empty());
+    }
+
+    #[test]
+    fn l020_allows_must_cover_a_call() {
+        let src = "let out = input.tanh(); // lint: allow(L020, Tensor::tanh, not libm)\n\
+                   // lint: allow(L020, Tensor::exp, not libm)\n\
+                   let e = t.exp();\n\
+                   let s = x.sqrt(); // lint: allow(L020, left behind)\n";
+        let findings = check_source("crates/nn/src/activation.rs", src);
+        let l020: Vec<_> = findings.iter().filter(|f| f.rule == Rule::L020).collect();
+        assert_eq!(l020.len(), 1, "{l020:?}");
+        assert_eq!(l020[0].line, 4);
+        assert!(l020[0].message.contains("covers no"));
+    }
+
+    #[test]
+    fn l021_flags_allows_naming_retired_rules() {
+        let src = "let t = h.clone(); // lint: allow(L009, telemetry handle)\n\
+                   let u = x.unwrap(); // lint: allow(L001, checked above)\n\
+                   // Prose: annotate with `lint: allow(RULE, reason)`.\n\
+                   #[cfg(test)]\nmod t { fn f() {} } // lint: allow(L014, old)\n";
+        let findings = check_source("crates/fl/src/system.rs", src);
+        let l021: Vec<_> = findings.iter().filter(|f| f.rule == Rule::L021).collect();
+        assert_eq!(l021.len(), 2, "{l021:?}");
+        assert_eq!((l021[0].line, l021[1].line), (1, 5));
+        assert!(l021[0].message.contains("L009"));
+        assert!(findings.iter().all(|f| f.rule != Rule::L001), "{findings:?}");
     }
 
     #[test]
@@ -1172,7 +1155,8 @@ mod tests {
         let mut in_repo = BTreeSet::new();
         in_repo.insert("dinar-tensor".to_string());
         let manifest = "[package]\nname = \"x\"\n[dependencies]\n\
-                        dinar-tensor.workspace = true\nserde = \"1\"\n";
+                        dinar-tensor.workspace = true\nserde = \"1\"\n\
+                        [lints]\nworkspace = true\n";
         let findings = check_manifest("crates/x/Cargo.toml", manifest, &in_repo);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("serde"));
@@ -1186,5 +1170,21 @@ mod tests {
         assert!(check_manifest("Cargo.toml", good, &in_repo).is_empty());
         let bad = "[workspace.dependencies]\ndinar-tensor = \"0.1\"\n";
         assert_eq!(check_manifest("Cargo.toml", bad, &in_repo).len(), 1);
+    }
+
+    #[test]
+    fn l005_requires_packages_to_opt_into_workspace_lints() {
+        let in_repo = BTreeSet::new();
+        let bare = "[package]\nname = \"x\"\n";
+        let findings = check_manifest("crates/x/Cargo.toml", bare, &in_repo);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 1);
+        let other = "[package]\nname = \"x\"\n[lints]\nworkspace = false\n";
+        assert_eq!(check_manifest("crates/x/Cargo.toml", other, &in_repo).len(), 1);
+        let opted = "[package]\nname = \"x\"\n[lints]\nworkspace = true\n";
+        assert!(check_manifest("crates/x/Cargo.toml", opted, &in_repo).is_empty());
+        // A virtual workspace manifest has no package to opt in.
+        let virt = "[workspace]\nmembers = [\"crates/*\"]\n";
+        assert!(check_manifest("Cargo.toml", virt, &in_repo).is_empty());
     }
 }

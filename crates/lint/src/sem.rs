@@ -44,8 +44,8 @@ pub struct Event {
     pub kind: EventKind,
     /// 1-based line of the event.
     pub line: usize,
-    /// The semantic rules (`"L010"`–`"L014"`) a `lint: allow(...)` covers on
-    /// this line. Panic sites also honor an L001 allow (recorded here as
+    /// The semantic rules (`"L010"`–`"L013"`, `"L016"`) a `lint: allow(...)`
+    /// covers on this line. Panic sites also honor an L001 allow (recorded here as
     /// `"L012"`): a documented per-line invariant covers the transitive
     /// rule too.
     pub allows: std::collections::BTreeSet<&'static str>,
@@ -376,7 +376,7 @@ fn literal_arg(toks: &[Tok], open: usize) -> bool {
 
 fn event(kind: EventKind, line: usize, stripped: &Stripped) -> Event {
     let mut allows = std::collections::BTreeSet::new();
-    for rule in ["L010", "L011", "L012", "L013", "L014", "L016"] {
+    for rule in ["L010", "L011", "L012", "L013", "L016"] {
         if stripped.is_allowed(rule, line) {
             allows.insert(rule);
         }

@@ -186,7 +186,13 @@ pub fn strip(source: &str) -> Stripped {
                 }
             }
             State::Str => {
-                if c == '\\' {
+                if c == '\\' && next == Some('\n') {
+                    // A line continuation: keep the newline, so stripped
+                    // line numbers stay the source's.
+                    out.push_str(" \n");
+                    line += 1;
+                    i += 2;
+                } else if c == '\\' {
                     out.push_str("  ");
                     i += 2;
                 } else if c == '"' {
@@ -360,6 +366,13 @@ mod tests {
         assert_eq!(s.lines.len(), src.lines().count());
         assert_eq!(s.line(1), "a");
         assert!(s.line(5).contains('c'));
+    }
+
+    #[test]
+    fn line_continuations_keep_line_numbers() {
+        let s = strip("let a = \"one \\\n two\";\nlet b = x.unwrap();\n");
+        assert_eq!(s.lines.len(), 3);
+        assert!(s.line(3).contains("unwrap"));
     }
 
     #[test]

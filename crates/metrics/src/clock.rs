@@ -1,8 +1,8 @@
 //! Injectable time sources for the whole stack.
 //!
-//! Lint rules L002/L007 ban ambient wall-clock reads (`Instant::now`) in the
-//! deterministic crates: a trace, span, cost sample or transport that reads
-//! the real clock cannot be replayed bit-identically. All timing therefore
+//! Lint rule L007 bans ambient wall-clock reads (`Instant::now`) outside
+//! this file and the bench timing loop: a trace, span, cost sample or
+//! transport that reads the real clock cannot be replayed bit-identically. All timing therefore
 //! goes through the [`Clock`] trait — production code uses [`WallClock`]
 //! (the one sanctioned wall-clock read in the workspace), while tests and
 //! replay harnesses inject a [`ManualClock`] they advance explicitly.
@@ -33,7 +33,6 @@ impl WallClock {
     /// Creates a wall clock whose epoch is "now".
     pub fn new() -> Self {
         WallClock {
-            // lint: allow(L002, the single sanctioned wall-clock source; inject ManualClock for determinism)
             epoch: Instant::now(),
         }
     }

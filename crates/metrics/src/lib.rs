@@ -16,7 +16,6 @@
 //! * **Summary statistics** ([`stats`]) — means, standard deviations and
 //!   quantiles used across the experiment reports.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -59,7 +59,7 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let out = input.tanh();
+        let out = input.tanh(); // lint: allow(L020, Tensor::tanh, not libm)
         self.cached_output = Some(out.clone());
         Ok(out)
     }

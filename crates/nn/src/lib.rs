@@ -42,7 +42,6 @@
 //! # Ok::<(), dinar_nn::NnError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;

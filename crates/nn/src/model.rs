@@ -609,7 +609,7 @@ mod tests {
         let mut model = models::mlp(&[3, 5, 2], Activation::Tanh, &mut rng).unwrap();
         let snapshot = model.params();
         // Perturb, then restore.
-        let mut perturbed = snapshot.clone();
+        let mut perturbed = snapshot.share();
         perturbed.map_inplace(|x| x + 1.0);
         model.set_params(&perturbed).unwrap();
         assert!(model.params().max_abs_diff(&snapshot).unwrap() > 0.9);

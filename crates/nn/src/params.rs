@@ -6,6 +6,12 @@
 //! [`LayerParams`] entry (the privacy-sensitive layer) before upload. Keeping
 //! the per-layer structure — instead of a flat vector — is what makes the
 //! paper's fine-grained approach expressible.
+//!
+//! Neither container is `Clone`. Every hop of the protocol snapshots
+//! parameters with the O(1) [`ModelParams::share`]/[`LayerParams::share`],
+//! which bump tensor refcounts; bytes are copied only when a writer
+//! materializes them. A `.clone()` that looks like a deep copy does not
+//! compile, so no lint has to look for one.
 
 use crate::view::NestedNorm;
 use crate::{NnError, Result};
@@ -13,7 +19,7 @@ use dinar_tensor::Tensor;
 
 /// The parameters of a single trainable layer (e.g. `[weight, bias]`, or
 /// `[gamma, beta, running_mean, running_var]` for batch-norm).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct LayerParams {
     /// The layer's tensors, in the layer's canonical order.
     pub tensors: Vec<Tensor>,
@@ -58,14 +64,22 @@ impl LayerParams {
             .sqrt() as f32
     }
 
-    /// An O(1) snapshot of this layer's parameters.
+    /// An O(1) snapshot of this layer's parameters: each tensor's clone only
+    /// bumps its buffer refcount (and the share counter), and bytes are
+    /// copied only when a writer materializes them.
     ///
-    /// Under copy-on-write tensor storage a clone only bumps buffer
-    /// refcounts; `share` is the semantically honest name for that, and the
-    /// sanctioned spelling in the parameter plane (lint rule L009 bans bare
-    /// `.clone()` there).
+    /// This is the only way to copy a layer: `LayerParams` is not `Clone`,
+    /// so a deep-looking `.clone()` does not compile.
+    ///
+    /// ```compile_fail
+    /// # use dinar_nn::params::LayerParams;
+    /// let layer = LayerParams::new(vec![]);
+    /// let copy = layer.clone();
+    /// ```
     pub fn share(&self) -> LayerParams {
-        self.clone()
+        LayerParams {
+            tensors: self.tensors.clone(),
+        }
     }
 
     /// Concatenates all tensors into one flat vector.
@@ -102,7 +116,7 @@ impl LayerParams {
 /// assert_eq!(params.num_layers(), 2); // two dense layers
 /// # Ok::<(), dinar_nn::NnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ModelParams {
     /// Per-trainable-layer parameters.
     pub layers: Vec<LayerParams>,
@@ -140,8 +154,18 @@ impl ModelParams {
     /// [`LayerParams::share`]): every hop of the FL protocol — broadcast,
     /// upload, defense bookkeeping — snapshots parameters this way and pays
     /// for actual bytes only when a writer materializes them.
+    ///
+    /// `ModelParams` is not `Clone`, so `share` is the only spelling:
+    ///
+    /// ```compile_fail
+    /// # use dinar_nn::params::ModelParams;
+    /// let params = ModelParams::new(vec![]);
+    /// let copy = params.clone();
+    /// ```
     pub fn share(&self) -> ModelParams {
-        self.clone()
+        ModelParams {
+            layers: self.layers.iter().map(LayerParams::share).collect(),
+        }
     }
 
     /// A structurally identical parameter set filled with zeros.
@@ -358,7 +382,7 @@ mod tests {
         let mut b = params2();
         b.scale(3.0);
         let diff = b.sub(&a).unwrap();
-        let mut rebuilt = a.clone();
+        let mut rebuilt = a.share();
         rebuilt.add_assign(&diff).unwrap();
         assert!(rebuilt.max_abs_diff(&b).unwrap() < 1e-6);
     }

@@ -305,7 +305,7 @@ mod tests {
         let (model, x) = trained_mlp();
         let mut serve = serving(&model, Dtype::F32);
         let telemetry = Telemetry::new();
-        serve.set_telemetry(telemetry.clone()); // lint: allow(L009, telemetry handle, not params)
+        serve.set_telemetry(telemetry.clone());
         serve.infer(&x).unwrap();
         serve.infer(&x).unwrap();
         assert_eq!(telemetry.counter_value("serve.batches"), 2);

@@ -77,7 +77,7 @@ fn params_roundtrip() {
         let mut model =
             models::mlp(&[inputs, hidden, classes], Activation::Tanh, &mut rng).unwrap();
         let original = model.params();
-        let mut perturbed = original.clone();
+        let mut perturbed = original.share();
         perturbed.map_inplace(|x| x * 2.0 + 1.0);
         model.set_params(&perturbed).unwrap();
         model.set_params(&original).unwrap();

@@ -55,7 +55,6 @@
 //! [`export`] for the sorted, volatile-filtered emission, and
 //! [`recorder`] for why flight dumps are width-independent too.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bridge;

@@ -29,7 +29,6 @@
 //! # Ok::<(), dinar_tensor::TensorError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

@@ -4,8 +4,8 @@
 //! Every figure in the paper's evaluation is gated on the same hot path —
 //! `im2col` + `matmul` inside each client's local epochs — so the kernels in
 //! [`crate::Tensor`] and [`crate::conv`] fan work out across OS threads. The
-//! workspace builds hermetically (no rayon), so this module provides the
-//! minimal std-only substitute: [`std::thread::scope`]-based fork-join over
+//! workspace builds hermetically (no rayon) and forbids `unsafe` on every
+//! target, so this module provides the minimal safe, std-only substitute: [`std::thread::scope`]-based fork-join over
 //! contiguous partitions of an output buffer, plus [`spawn_worker`] for the
 //! long-lived threads of the threaded FL engine. No other file creates a
 //! thread (lint L006).
@@ -34,7 +34,8 @@
 //!
 //! The pool width defaults to [`std::thread::available_parallelism`] and can
 //! be pinned with the `DINAR_THREADS` environment variable (CI determinism
-//! tests set it to exercise fixed widths) or programmatically with
+//! tests set it to exercise fixed widths; it is one of the two variables
+//! the library crates may read, lint L019) or programmatically with
 //! [`set_threads`].
 //!
 //! # Thread model

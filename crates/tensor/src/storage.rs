@@ -6,10 +6,10 @@
 //!
 //! * [`Element`] — the closed set of storable scalar types (`f32`, `i8`, and
 //!   the bit-pattern half float [`F16`]), each tagged with a [`Dtype`] and
-//!   convertible to/from `f32` and to/from its raw bit pattern. The raw
-//!   bit-pattern conversions are the one sanctioned punning point in the
-//!   workspace: lint rule L018 confines the `to_bit_pattern` /
-//!   `from_bit_pattern` spellings (and `transmute`) to this file.
+//!   convertible to/from `f32`. No element hands out its raw bits: the one
+//!   reinterpretation, [`F16`]'s software conversion, goes through
+//!   `f32::to_bits`/`from_bits` in this file, and `unsafe` (hence
+//!   `transmute`) is forbidden on every target of the workspace.
 //! * [`Buffer`] — the owned, dtype-generic storage unit. Construction,
 //!   copy-on-write materialization (`Clone`) and `Drop` register with the
 //!   two-ledger [`alloc`](crate::alloc) accounting exactly as the old
@@ -104,8 +104,13 @@ impl fmt::Display for Dtype {
 ///
 /// The trait is the storage/backend seam: everything above it (tensor ops,
 /// wire codecs, checkpoints) manipulates elements through `to_f32`/`from_f32`
-/// or whole-buffer views, while the raw bit-pattern accessors exist for the
-/// serialization plane and are confined to this module by lint rule L018.
+/// or whole-buffer views. It has no raw bit-pattern accessor, so no second
+/// spelling of a dtype's bits can exist outside this module:
+///
+/// ```compile_fail
+/// use dinar_tensor::storage::Element;
+/// let bits = 1.0f32.to_bit_pattern();
+/// ```
 pub trait Element: Copy + PartialEq + Send + Sync + fmt::Debug + 'static {
     /// The runtime dtype tag for this element type.
     const DTYPE: Dtype;
@@ -116,12 +121,6 @@ pub trait Element: Copy + PartialEq + Send + Sync + fmt::Debug + 'static {
     /// Narrows/encodes from `f32` (round-to-nearest-even for [`F16`],
     /// saturating for `i8`).
     fn from_f32(x: f32) -> Self;
-
-    /// The element's raw bits, zero-extended into a `u32`.
-    fn to_bit_pattern(self) -> u32;
-
-    /// Rebuilds an element from raw bits (low `width()*8` bits used).
-    fn from_bit_pattern(bits: u32) -> Self;
 }
 
 impl Element for f32 {
@@ -134,14 +133,6 @@ impl Element for f32 {
     fn from_f32(x: f32) -> Self {
         x
     }
-
-    fn to_bit_pattern(self) -> u32 {
-        self.to_bits()
-    }
-
-    fn from_bit_pattern(bits: u32) -> Self {
-        f32::from_bits(bits)
-    }
 }
 
 impl Element for i8 {
@@ -153,14 +144,6 @@ impl Element for i8 {
 
     fn from_f32(x: f32) -> Self {
         crate::cast::f32_to_i8_sat(x)
-    }
-
-    fn to_bit_pattern(self) -> u32 {
-        u32::from(self as u8)
-    }
-
-    fn from_bit_pattern(bits: u32) -> Self {
-        (bits & 0xFF) as u8 as i8
     }
 }
 
@@ -195,19 +178,11 @@ impl Element for F16 {
     fn from_f32(x: f32) -> Self {
         F16(f32_to_f16_bits(x))
     }
-
-    fn to_bit_pattern(self) -> u32 {
-        u32::from(self.0)
-    }
-
-    fn from_bit_pattern(bits: u32) -> Self {
-        F16((bits & 0xFFFF) as u16)
-    }
 }
 
 /// Narrows an `f32` to binary16 bits with round-to-nearest-even.
 fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bit_pattern();
+    let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xFF) as i32;
     let mant = bits & 0x007F_FFFF;
@@ -279,7 +254,7 @@ fn f16_bits_to_f32(h: u16) -> f32 {
     } else {
         sign | ((exp + 112) << 23) | (mant << 13)
     };
-    f32::from_bit_pattern(bits)
+    f32::from_bits(bits)
 }
 
 // ---------------------------------------------------------------------------
@@ -659,15 +634,17 @@ mod tests {
 
     #[test]
     fn element_bit_patterns_roundtrip() {
-        for x in [0.0f32, -1.5, f32::MIN_POSITIVE, f32::MAX] {
-            assert_eq!(f32::from_bit_pattern(x.to_bit_pattern()).to_bits(), x.to_bits());
+        for x in [0.0f32, -0.0, -1.5, f32::MIN_POSITIVE, f32::MAX] {
+            assert_eq!(f32::from_f32(x.to_f32()).to_bits(), x.to_bits());
         }
-        for l in [-128i8, -1, 0, 1, 127] {
-            assert_eq!(i8::from_bit_pattern(l.to_bit_pattern()), l);
+        // The i8 grid is symmetric: -128 saturates to -127 on the way back.
+        for l in [-127i8, -1, 0, 1, 127] {
+            assert_eq!(i8::from_f32(l.to_f32()), l);
         }
+        assert_eq!(i8::from_f32((-128i8).to_f32()), -127);
         for bits in [0u16, 0x3C00, 0xFC00, 0x8001] {
             let h = F16::from_u16(bits);
-            assert_eq!(F16::from_bit_pattern(h.to_bit_pattern()).to_u16(), bits);
+            assert_eq!(F16::from_f32(h.to_f32()).to_u16(), bits);
         }
     }
 

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The curious server intercepts bank 0's next upload and runs a MIA
         // against that bank's customers.
-        let global = system.global_params().clone();
+        let global = system.global_params().share();
         let bank = &mut system.clients_mut()[0];
         bank.receive_global(&global)?;
         bank.train_local()?;

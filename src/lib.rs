@@ -24,7 +24,6 @@
 //! dataset, train undefended FL, attack it, then attach DINAR and attack
 //! again.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dinar as core;

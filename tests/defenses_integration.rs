@@ -57,7 +57,7 @@ fn secure_aggregation_preserves_the_aggregate_exactly() {
         }
         let mut system = builder.build().unwrap();
         system.run(2).unwrap();
-        system.global_params().clone()
+        system.global_params().share()
     };
     let clear = run(false);
     let masked = run(true);
@@ -79,7 +79,7 @@ fn secure_aggregation_masks_individual_uploads() {
         })
         .build()
         .unwrap();
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     let client = &mut system.clients_mut()[0];
     client.receive_global(&global).unwrap();
     client.train_local().unwrap();
@@ -102,7 +102,7 @@ fn gradient_compression_uploads_are_sparse_updates() {
         })
         .build()
         .unwrap();
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     let client = &mut system.clients_mut()[0];
     client.receive_global(&global).unwrap();
     client.train_local().unwrap();
@@ -131,7 +131,7 @@ fn wdp_bounds_every_upload() {
         .build()
         .unwrap();
     system.run(1).unwrap();
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     for client in system.clients_mut() {
         client.receive_global(&global).unwrap();
         client.train_local().unwrap();

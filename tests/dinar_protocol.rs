@@ -53,7 +53,7 @@ fn shards() -> Vec<Dataset> {
 fn uploads_never_contain_the_private_layer()  {
     let mut system = build_dinar_system(shards());
     system.run(2).unwrap();
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     for client in system.clients_mut() {
         client.receive_global(&global).unwrap();
         client.train_local().unwrap();
@@ -87,11 +87,11 @@ fn personalization_restores_the_clients_own_layer() {
     let before: Vec<_> = system
         .clients()
         .iter()
-        .map(|c| c.model().params().layers[PRIVATE_LAYER].clone())
+        .map(|c| c.model().params().layers[PRIVATE_LAYER].share())
         .collect();
 
     // Deliver the new global model; the private layer must be restored.
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     for (client, own) in system.clients_mut().iter_mut().zip(&before) {
         client.receive_global(&global).unwrap();
         let after = client.model().params();

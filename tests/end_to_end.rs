@@ -50,7 +50,7 @@ fn run_pipeline(with_dinar: bool) -> PipelineResult {
     system.run(8).expect("training succeeds");
 
     // Capture one more client upload (what the server-side attacker sees).
-    let global = system.global_params().clone();
+    let global = system.global_params().share();
     let client = &mut system.clients_mut()[0];
     client.receive_global(&global).expect("download");
     client.train_local().expect("local training");

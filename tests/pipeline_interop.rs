@@ -94,7 +94,7 @@ fn checkpoint_resume_is_equivalent_for_stateless_baseline() {
         .server_mut()
         .aggregate(&[dinar_fl::ClientUpdate {
             client_id: 0,
-            params: restored.clone(),
+            params: restored.share(),
             num_samples: 1,
         }])
         .unwrap();
