@@ -23,12 +23,9 @@ pub const NUM_FEATURES: usize = 6;
 /// # Errors
 ///
 /// Propagates model-evaluation errors.
-pub fn extract(
-    target: &ModelParams,
-    template: &mut Model,
-    samples: &Dataset,
-) -> Result<Tensor> {
-    let confs = confidences_of_params(target, template, samples).map_err(crate::AttackError::from)?;
+pub fn extract(target: &ModelParams, template: &mut Model, samples: &Dataset) -> Result<Tensor> {
+    let confs =
+        confidences_of_params(target, template, samples).map_err(crate::AttackError::from)?;
     let n = samples.len();
     let classes = samples.num_classes();
     let labels = samples.labels();
@@ -41,11 +38,7 @@ pub fn extract(
         let top1 = sorted.first().copied().unwrap_or(0.0);
         let top2 = sorted.get(1).copied().unwrap_or(0.0);
         let top3 = sorted.get(2).copied().unwrap_or(0.0);
-        let entropy: f32 = row
-            .iter()
-            .filter(|&&x| x > 0.0)
-            .map(|&x| -x * x.ln())
-            .sum();
+        let entropy: f32 = row.iter().filter(|&&x| x > 0.0).map(|&x| -x * x.ln()).sum();
         let true_p = row[labels[i]].max(1e-12);
         let loss = -true_p.ln();
         let correct = if row
@@ -85,8 +78,13 @@ mod tests {
         let model = models::mlp(&[4, 8, 3], Activation::ReLU, &mut rng).unwrap();
         let params = model.params();
         let mut template = models::mlp(&[4, 8, 3], Activation::ReLU, &mut rng).unwrap();
-        let ds = Dataset::new(rng.randn(&[12, 4]), (0..12).map(|i| i % 3).collect(), &[4], 3)
-            .unwrap();
+        let ds = Dataset::new(
+            rng.randn(&[12, 4]),
+            (0..12).map(|i| i % 3).collect(),
+            &[4],
+            3,
+        )
+        .unwrap();
         let f = extract(&params, &mut template, &ds).unwrap();
         assert_eq!(f.shape(), &[12, NUM_FEATURES]);
         for i in 0..12 {
@@ -112,8 +110,13 @@ mod tests {
         let model = models::mlp(&[4, 16, 2], Activation::ReLU, &mut rng).unwrap();
         let params = model.params();
         let mut template = models::mlp(&[4, 16, 2], Activation::ReLU, &mut rng).unwrap();
-        let ds = Dataset::new(rng.randn(&[64, 4]), (0..64).map(|i| i % 2).collect(), &[4], 2)
-            .unwrap();
+        let ds = Dataset::new(
+            rng.randn(&[64, 4]),
+            (0..64).map(|i| i % 2).collect(),
+            &[4],
+            2,
+        )
+        .unwrap();
         let f = extract(&params, &mut template, &ds).unwrap();
         // For binary classes: when the prediction is correct, loss < ln 2.
         for i in 0..64 {

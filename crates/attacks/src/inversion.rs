@@ -141,9 +141,14 @@ mod tests {
         let params = model.params();
         let mut template = models::mlp(&[d, 32, 2], Activation::ReLU, &mut rng).unwrap();
         for class in 0..2 {
-            let inv =
-                invert_class(&params, &mut template, &[d], class, &InversionConfig::default())
-                    .unwrap();
+            let inv = invert_class(
+                &params,
+                &mut template,
+                &[d],
+                class,
+                &InversionConfig::default(),
+            )
+            .unwrap();
             let own = cosine_similarity(&inv, &proto[class]);
             let other = cosine_similarity(&inv, &proto[1 - class]);
             assert!(

@@ -129,8 +129,8 @@ impl<A: MembershipAttack> MembershipAttack for RepairAttack<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threshold::LossThresholdAttack;
     use crate::evaluate_attack;
+    use crate::threshold::LossThresholdAttack;
     use dinar_nn::models::{self, Activation};
     use dinar_nn::optim::{Optimizer, Sgd};
     use dinar_tensor::Tensor;
@@ -196,12 +196,8 @@ mod tests {
         }
         let mut template = arch(&mut rng).unwrap();
         // Before repair: garbage predictions.
-        let acc_before = dinar_fl::eval::accuracy_of_params(
-            &obfuscated,
-            &mut template,
-            &members,
-        )
-        .unwrap();
+        let acc_before =
+            dinar_fl::eval::accuracy_of_params(&obfuscated, &mut template, &members).unwrap();
         let attack = RepairAttack::new(
             LossThresholdAttack,
             RepairConfig {

@@ -145,7 +145,10 @@ impl ShadowAttack {
                 opt.step(model)?;
             }
             let params = model.params();
-            Ok::<_, AttackError>((extract(&params, model, in_set)?, extract(&params, model, out_set)?))
+            Ok::<_, AttackError>((
+                extract(&params, model, in_set)?,
+                extract(&params, model, out_set)?,
+            ))
         });
         let mut feature_rows: Vec<Tensor> = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
@@ -161,8 +164,7 @@ impl ShadowAttack {
         let features = Tensor::vstack(&refs).map_err(dinar_nn::NnError::from)?;
 
         // Train the attack classifier (member vs non-member).
-        let mut attack_model =
-            models::mlp(&[NUM_FEATURES, 24, 2], Activation::ReLU, &mut rng)?;
+        let mut attack_model = models::mlp(&[NUM_FEATURES, 24, 2], Activation::ReLU, &mut rng)?;
         let mut opt = Sgd::new(0.1);
         let attack_ds = Dataset::new(features, labels, &[NUM_FEATURES], 2)?;
         for _ in 0..cfg.attack_epochs {

@@ -94,7 +94,9 @@ mod tests {
         let batch = members.full_batch().unwrap();
         for _ in 0..300 {
             let logits = model.forward(&batch.features, true).unwrap();
-            let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &batch.labels).unwrap();
+            let (_, grad) = CrossEntropyLoss
+                .loss_and_grad(&logits, &batch.labels)
+                .unwrap();
             model.zero_grad();
             model.backward(&grad).unwrap();
             opt.step(&mut model).unwrap();

@@ -3,8 +3,8 @@
 
 use dinar::middleware::DinarMiddleware;
 use dinar::{DinarConfig, ObfuscationStrategy};
-use dinar_attacks::shadow::{ShadowAttack, ShadowConfig};
 use dinar_attacks::evaluate_attack;
+use dinar_attacks::shadow::{ShadowAttack, ShadowConfig};
 use dinar_data::catalog::CatalogEntry;
 use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_data::split::{attack_split, AttackSplit};
@@ -486,16 +486,19 @@ pub fn train_defense_with_telemetry(
         Defense::Ldp { .. } => {}
         Defense::Gc { keep_ratio } => {
             builder = builder.with_client_middleware(move |_| {
-                vec![Box::new(
-                    GradientCompression::new(keep_ratio).with_error_feedback(false),
-                ) as Box<dyn ClientMiddleware>]
+                vec![
+                    Box::new(GradientCompression::new(keep_ratio).with_error_feedback(false))
+                        as Box<dyn ClientMiddleware>,
+                ]
             });
         }
         Defense::Sa => {
             let group = SaGroup::from_sample_counts(&sample_counts, seed ^ 0x5A);
             builder = builder.with_client_middleware(move |_| {
-                vec![Box::new(SecureAggregation::new(std::sync::Arc::clone(&group)))
-                    as Box<dyn ClientMiddleware>]
+                vec![
+                    Box::new(SecureAggregation::new(std::sync::Arc::clone(&group)))
+                        as Box<dyn ClientMiddleware>,
+                ]
             });
         }
         Defense::Dinar { layers, strategy } => {

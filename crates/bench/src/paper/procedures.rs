@@ -486,7 +486,10 @@ pub fn step_profile() -> Result<Output> {
                     ("share", share.to_json()),
                 ]));
             }
-            text.push_str(&report::table(&["layer", "pass", "µs/step", "share %"], &table));
+            text.push_str(&report::table(
+                &["layer", "pass", "µs/step", "share %"],
+                &table,
+            ));
         }
         specs.push(spec);
     }
@@ -509,7 +512,11 @@ fn profile_steps(
 ) -> Result<(&'static str, StepParts)> {
     let mut rng = Rng::seed_from(seed);
     let mut model = model_for(entry, &mut rng)?;
-    let name = if entry.name() == "gtsrb" { "vgg11_mini" } else { "fcnn6" };
+    let name = if entry.name() == "gtsrb" {
+        "vgg11_mini"
+    } else {
+        "fcnn6"
+    };
     let mut opt = dinar_nn::optim::Adam::new(1e-3);
     let tel = dinar_telemetry::Telemetry::new();
     let mut batches = Vec::new();
@@ -538,7 +545,11 @@ fn profile_steps(
             continue;
         };
         // `fwd[i:kind]` / `bwd[i:kind]`.
-        let pass = if layer.starts_with("fwd[") { "fwd" } else { "bwd" };
+        let pass = if layer.starts_with("fwd[") {
+            "fwd"
+        } else {
+            "bwd"
+        };
         let kind = layer
             .split_once(':')
             .map_or(layer, |(_, rest)| rest.trim_end_matches(']'))

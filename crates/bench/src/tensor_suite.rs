@@ -16,9 +16,9 @@ use dinar_nn::conv::Conv2d;
 use dinar_nn::models::{self, Activation};
 use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
 use dinar_nn::{Layer, NnError};
-use dinar_tensor::wire::Codec;
 use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
 use dinar_tensor::json::{Json, ToJson};
+use dinar_tensor::wire::Codec;
 use dinar_tensor::{par, Rng, Tensor};
 use std::hint::black_box;
 
@@ -94,7 +94,9 @@ pub fn run(config: &Config) -> dinar_nn::Result<Vec<TensorBenchEntry>> {
         let b = rng.randn(&if op == "matmul_t" { [n, k] } else { [k, n] });
         product(&a, &b)?; // shape-check once; the timed closure cannot fail
         let size = format!("{m}x{k}x{n}");
-        let timed = bench(&format!("{op}_{size}"), config, || black_box(product(&a, &b)));
+        let timed = bench(&format!("{op}_{size}"), config, || {
+            black_box(product(&a, &b))
+        });
         entries.push(TensorBenchEntry {
             gflops: Some(2.0 * (m * k * n) as f64 / timed.median_ns()),
             ..entry(op, &size, &timed)
@@ -185,11 +187,16 @@ pub fn run(config: &Config) -> dinar_nn::Result<Vec<TensorBenchEntry>> {
     // Data generation, the largest set-up cost of the round workloads: the
     // tabular and image catalog datasets the `fcnn_dinar` and `vgg_ldp`
     // benchmarks draw, from one seed.
-    for catalog_entry in [catalog::purchase100(Profile::Mini), catalog::gtsrb(Profile::Mini)] {
+    for catalog_entry in [
+        catalog::purchase100(Profile::Mini),
+        catalog::gtsrb(Profile::Mini),
+    ] {
         let size = format!("{}_mini", catalog_entry.name());
         catalog_entry
             .generate(&mut Rng::seed_from(7))
-            .map_err(|e| NnError::InvalidConfig { reason: e.to_string() })?;
+            .map_err(|e| NnError::InvalidConfig {
+                reason: e.to_string(),
+            })?;
         let m = bench(&format!("generate_{size}"), config, || {
             black_box(catalog_entry.generate(&mut Rng::seed_from(7)))
         });
@@ -265,7 +272,10 @@ mod tests {
             Some("matmul"),
             "third row is matmul/128"
         );
-        assert_eq!(rows[2].get("size").and_then(Json::as_str), Some("128x128x128"));
+        assert_eq!(
+            rows[2].get("size").and_then(Json::as_str),
+            Some("128x128x128")
+        );
         // `gflops` rides on the six matmul-family rows only.
         let with_gflops = rows.iter().filter(|r| r.get("gflops").is_some()).count();
         assert_eq!(with_gflops, 6);

@@ -199,12 +199,7 @@ mod tests {
     #[test]
     fn batched_times_only_the_routine() {
         let config = Config::heavy();
-        let m = bench_batched(
-            "batched-noop",
-            &config,
-            || vec![0u8; 16],
-            |v| v.len(),
-        );
+        let m = bench_batched("batched-noop", &config, || vec![0u8; 16], |v| v.len());
         assert_eq!(m.per_iter_ns.len(), 10);
         assert_eq!(m.iters, 1);
     }

@@ -116,7 +116,15 @@ fn outbox(i: usize, behavior: NodeBehavior, n: usize, config: &SimConfig) -> Vec
     let mut rng_state = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
     match behavior {
         NodeBehavior::Honest { proposal } => peers
-            .map(|j| (j, VoteMsg { from: i, value: proposal }))
+            .map(|j| {
+                (
+                    j,
+                    VoteMsg {
+                        from: i,
+                        value: proposal,
+                    },
+                )
+            })
             .collect(),
         NodeBehavior::Byzantine(strategy) => match strategy {
             ByzantineStrategy::Silent => Vec::new(),
@@ -202,8 +210,7 @@ pub fn simulate_vote_with_telemetry(
     let _round_span = telemetry.span("consensus.vote");
 
     // Phase 1: every node computes its outbox in parallel.
-    let mut senders: Vec<(usize, NodeBehavior)> =
-        behaviors.iter().copied().enumerate().collect();
+    let mut senders: Vec<(usize, NodeBehavior)> = behaviors.iter().copied().enumerate().collect();
     let outboxes: Vec<Vec<(usize, VoteMsg)>> = {
         let _span = telemetry.span("broadcast");
         par::map_items_mut(&mut senders, |_, &mut (i, behavior)| {
@@ -339,9 +346,30 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(simulate_vote(&[], &SimConfig { num_choices: 3, seed: 0 }).is_err());
-        assert!(simulate_vote(&honest(2, 5), &SimConfig { num_choices: 3, seed: 0 }).is_err());
-        assert!(simulate_vote(&honest(2, 0), &SimConfig { num_choices: 0, seed: 0 }).is_err());
+        assert!(simulate_vote(
+            &[],
+            &SimConfig {
+                num_choices: 3,
+                seed: 0
+            }
+        )
+        .is_err());
+        assert!(simulate_vote(
+            &honest(2, 5),
+            &SimConfig {
+                num_choices: 3,
+                seed: 0
+            }
+        )
+        .is_err());
+        assert!(simulate_vote(
+            &honest(2, 0),
+            &SimConfig {
+                num_choices: 0,
+                seed: 0
+            }
+        )
+        .is_err());
     }
 
     #[test]
@@ -377,8 +405,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.agreed_value(), Some(1));
-        let paths: Vec<String> =
-            telemetry.spans().iter().map(|s| s.path.clone()).collect();
+        let paths: Vec<String> = telemetry.spans().iter().map(|s| s.path.clone()).collect();
         for expect in [
             "consensus.vote",
             "consensus.vote/broadcast",

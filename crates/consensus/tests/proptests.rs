@@ -40,8 +40,12 @@ fn broadcast_agreement_under_byzantine_minority() {
         behaviors.extend(vec![NodeBehavior::Byzantine(strategy); byzantine]);
         let outcome = simulate_vote(
             &behaviors,
-            &SimConfig { num_choices: 5, seed },
-        ).unwrap();
+            &SimConfig {
+                num_choices: 5,
+                seed,
+            },
+        )
+        .unwrap();
         assert_eq!(outcome.agreed_value(), Some(value), "case {case}");
     }
 }

@@ -58,7 +58,9 @@ pub fn client_proposal(
     for _ in 0..cfg.warmup_epochs {
         for indices in members.batch_indices(cfg.batch_size, rng) {
             let batch = members.batch(&indices).map_err(DinarError::from)?;
-            let logits = model.forward(&batch.features, true).map_err(DinarError::from)?;
+            let logits = model
+                .forward(&batch.features, true)
+                .map_err(DinarError::from)?;
             let (_, grad) = loss_fn
                 .loss_and_grad(&logits, &batch.labels)
                 .map_err(DinarError::from)?;

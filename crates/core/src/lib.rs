@@ -62,8 +62,8 @@ pub mod sensitivity;
 
 pub use error::DinarError;
 pub use middleware::DinarMiddleware;
-pub use pipeline::Dinar;
 pub use obfuscation::ObfuscationStrategy;
+pub use pipeline::Dinar;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DinarError>;

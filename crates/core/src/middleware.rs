@@ -105,10 +105,12 @@ impl ClientMiddleware for DinarMiddleware {
     ) -> dinar_fl::Result<()> {
         self.check_range(params)?;
         for (&p, slot) in self.layers.iter().zip(&mut self.stored) {
-            let original = obfuscate_layer(params, p, self.strategy, &mut self.rng)
-                .map_err(|e| FlError::Middleware {
-                    name: "dinar",
-                    reason: e.to_string(),
+            let original =
+                obfuscate_layer(params, p, self.strategy, &mut self.rng).map_err(|e| {
+                    FlError::Middleware {
+                        name: "dinar",
+                        reason: e.to_string(),
+                    }
                 })?;
             *slot = Some(original);
         }
@@ -122,7 +124,11 @@ impl ClientMiddleware for DinarMiddleware {
     fn export_state(&self) -> Option<MiddlewareState> {
         Some(MiddlewareState {
             rng: Some(self.rng.state()),
-            stored: self.stored.iter().map(|s| s.as_ref().map(LayerParams::share)).collect(),
+            stored: self
+                .stored
+                .iter()
+                .map(|s| s.as_ref().map(LayerParams::share))
+                .collect(),
         })
     }
 
@@ -172,10 +178,7 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&x| x != 2.0));
-        assert_eq!(
-            mw.stored_layer(0).unwrap().tensors[0].as_slice(),
-            &[2.0; 4]
-        );
+        assert_eq!(mw.stored_layer(0).unwrap().tensors[0].as_slice(), &[2.0; 4]);
 
         // Round 2 download: the global layer 1 (a garbage average, say 9.0)
         // is replaced by the stored 2.0; layer 0 comes from the global.
@@ -200,9 +203,15 @@ mod tests {
         let mut upload = params(&[1.0, 2.0, 3.0]);
         mw.transform_upload(0, &mut upload).unwrap();
         // Layers 0 and 2 obfuscated, layer 1 intact.
-        assert!(upload.layers[0].tensors[0].as_slice().iter().all(|&x| x != 1.0));
+        assert!(upload.layers[0].tensors[0]
+            .as_slice()
+            .iter()
+            .all(|&x| x != 1.0));
         assert_eq!(upload.layers[1].tensors[0].as_slice(), &[2.0; 4]);
-        assert!(upload.layers[2].tensors[0].as_slice().iter().all(|&x| x != 3.0));
+        assert!(upload.layers[2].tensors[0]
+            .as_slice()
+            .iter()
+            .all(|&x| x != 3.0));
 
         let mut download = params(&[7.0, 8.0, 9.0]);
         mw.transform_download(0, &mut download).unwrap();

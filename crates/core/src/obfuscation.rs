@@ -118,15 +118,26 @@ mod tests {
     #[test]
     fn zeros_strategy() {
         let mut p = params();
-        obfuscate_layer(&mut p, 0, ObfuscationStrategy::Zeros, &mut Rng::seed_from(1)).unwrap();
+        obfuscate_layer(
+            &mut p,
+            0,
+            ObfuscationStrategy::Zeros,
+            &mut Rng::seed_from(1),
+        )
+        .unwrap();
         assert!(p.layers[0].tensors[0].as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn gaussian_strategy_has_unit_scale() {
         let mut p = ModelParams::new(vec![LayerParams::new(vec![Tensor::zeros(&[20_000])])]);
-        obfuscate_layer(&mut p, 0, ObfuscationStrategy::Gaussian, &mut Rng::seed_from(2))
-            .unwrap();
+        obfuscate_layer(
+            &mut p,
+            0,
+            ObfuscationStrategy::Gaussian,
+            &mut Rng::seed_from(2),
+        )
+        .unwrap();
         let flat = p.to_flat();
         let var = flat.iter().map(|x| x * x).sum::<f32>() / flat.len() as f32;
         assert!((var - 1.0).abs() < 0.05);
@@ -135,9 +146,13 @@ mod tests {
     #[test]
     fn multi_layer_obfuscation() {
         let mut p = params();
-        let originals =
-            obfuscate_layers(&mut p, &[0, 2], ObfuscationStrategy::Zeros, &mut Rng::seed_from(3))
-                .unwrap();
+        let originals = obfuscate_layers(
+            &mut p,
+            &[0, 2],
+            ObfuscationStrategy::Zeros,
+            &mut Rng::seed_from(3),
+        )
+        .unwrap();
         assert_eq!(originals.len(), 2);
         assert!(p.layers[0].tensors[0].as_slice().iter().all(|&x| x == 0.0));
         assert!(p.layers[2].tensors[0].as_slice().iter().all(|&x| x == 0.0));
@@ -148,7 +163,12 @@ mod tests {
     fn out_of_range_rejected() {
         let mut p = params();
         assert!(matches!(
-            obfuscate_layer(&mut p, 3, ObfuscationStrategy::Random, &mut Rng::seed_from(4)),
+            obfuscate_layer(
+                &mut p,
+                3,
+                ObfuscationStrategy::Random,
+                &mut Rng::seed_from(4)
+            ),
             Err(DinarError::InvalidConfig { .. })
         ));
     }
@@ -157,8 +177,20 @@ mod tests {
     fn obfuscation_is_deterministic_per_seed() {
         let mut a = params();
         let mut b = params();
-        obfuscate_layer(&mut a, 1, ObfuscationStrategy::Random, &mut Rng::seed_from(5)).unwrap();
-        obfuscate_layer(&mut b, 1, ObfuscationStrategy::Random, &mut Rng::seed_from(5)).unwrap();
+        obfuscate_layer(
+            &mut a,
+            1,
+            ObfuscationStrategy::Random,
+            &mut Rng::seed_from(5),
+        )
+        .unwrap();
+        obfuscate_layer(
+            &mut b,
+            1,
+            ObfuscationStrategy::Random,
+            &mut Rng::seed_from(5),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 }

@@ -114,7 +114,10 @@ mod tests {
         ]);
         mw.transform_upload(0, &mut params).unwrap();
         assert_eq!(params.layers[0].tensors[0].as_slice(), &[1.0; 4]);
-        assert!(params.layers[1].tensors[0].as_slice().iter().all(|&x| x != 2.0));
+        assert!(params.layers[1].tensors[0]
+            .as_slice()
+            .iter()
+            .all(|&x| x != 2.0));
     }
 
     #[test]

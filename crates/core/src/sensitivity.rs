@@ -52,7 +52,9 @@ fn gradient_population(
             break;
         }
         let batch = data.batch(&indices).map_err(DinarError::from)?;
-        let logits = model.forward(&batch.features, true).map_err(DinarError::from)?;
+        let logits = model
+            .forward(&batch.features, true)
+            .map_err(DinarError::from)?;
         let (_, grad) = loss_fn
             .loss_and_grad(&logits, &batch.labels)
             .map_err(DinarError::from)?;
@@ -157,8 +159,7 @@ mod tests {
         // Before training: member and non-member gradients are i.i.d., so
         // divergences should be small.
         let cfg = SensitivityConfig::default();
-        let before =
-            layer_divergences(&mut model, &members, &nonmembers, &cfg, &mut rng).unwrap();
+        let before = layer_divergences(&mut model, &members, &nonmembers, &cfg, &mut rng).unwrap();
         assert_eq!(before.len(), 3);
 
         // Overfit on the members.
@@ -172,8 +173,7 @@ mod tests {
             model.backward(&grad).unwrap();
             opt.step(&mut model).unwrap();
         }
-        let after =
-            layer_divergences(&mut model, &members, &nonmembers, &cfg, &mut rng).unwrap();
+        let after = layer_divergences(&mut model, &members, &nonmembers, &cfg, &mut rng).unwrap();
         let max_before = before.iter().copied().fold(0.0, f64::max);
         let max_after = after.iter().copied().fold(0.0, f64::max);
         assert!(

@@ -20,12 +20,7 @@ fn arbitrary_params(layers: usize, seed: u64) -> ModelParams {
     let mut rng = Rng::seed_from(seed);
     ModelParams::new(
         (0..layers)
-            .map(|i| {
-                LayerParams::new(vec![
-                    rng.randn(&[4 + i, 3]),
-                    rng.randn(&[3]),
-                ])
-            })
+            .map(|i| LayerParams::new(vec![rng.randn(&[4 + i, 3]), rng.randn(&[3])]))
             .collect(),
     )
 }
@@ -81,7 +76,10 @@ fn personalization_roundtrip_invariant() {
             let mut upload = trained.share();
             mw.transform_upload(0, &mut upload).unwrap();
             // Private layer never leaves the client.
-            assert_ne!(&upload.layers[target], &trained.layers[target], "case {case}");
+            assert_ne!(
+                &upload.layers[target], &trained.layers[target],
+                "case {case}"
+            );
             let last_private = trained.layers[target].share();
 
             // Arbitrary global model comes back.
@@ -126,7 +124,13 @@ fn zeros_strategy_leaks_nothing_but_shape() {
         let mut params = arbitrary_params(layers, seed);
         let target = (seed as usize) % layers;
         let mut obf_rng = Rng::seed_from(0);
-        obfuscate_layer(&mut params, target, ObfuscationStrategy::Zeros, &mut obf_rng).unwrap();
+        obfuscate_layer(
+            &mut params,
+            target,
+            ObfuscationStrategy::Zeros,
+            &mut obf_rng,
+        )
+        .unwrap();
         for t in &params.layers[target].tensors {
             assert!(t.as_slice().iter().all(|&x| x == 0.0), "case {case}");
         }

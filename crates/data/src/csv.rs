@@ -15,7 +15,11 @@ use std::path::Path;
 /// Serializes a dataset to the CSV format described in the module docs.
 pub fn to_csv(dataset: &Dataset) -> String {
     let mut out = String::new();
-    let shape: Vec<String> = dataset.sample_shape().iter().map(|d| d.to_string()).collect();
+    let shape: Vec<String> = dataset
+        .sample_shape()
+        .iter()
+        .map(|d| d.to_string())
+        .collect();
     let _ = writeln!(
         out,
         "# dinar-dataset v1 classes={} shape={}",
@@ -103,8 +107,7 @@ fn parse_header(header: &str) -> Result<(usize, Vec<usize>)> {
         if let Some(v) = token.strip_prefix("classes=") {
             classes = Some(v.parse().map_err(|_| err("bad classes"))?);
         } else if let Some(v) = token.strip_prefix("shape=") {
-            let dims: std::result::Result<Vec<usize>, _> =
-                v.split('x').map(str::parse).collect();
+            let dims: std::result::Result<Vec<usize>, _> = v.split('x').map(str::parse).collect();
             shape = Some(dims.map_err(|_| err("bad shape"))?);
         }
     }
@@ -144,13 +147,7 @@ mod tests {
 
     fn toy() -> Dataset {
         let mut rng = Rng::seed_from(0);
-        Dataset::new(
-            rng.randn(&[6, 4]),
-            vec![0, 1, 2, 0, 1, 2],
-            &[2, 2],
-            3,
-        )
-        .unwrap()
+        Dataset::new(rng.randn(&[6, 4]), vec![0, 1, 2, 0, 1, 2], &[2, 2], 3).unwrap()
     }
 
     #[test]
@@ -160,9 +157,7 @@ mod tests {
         assert_eq!(restored.labels(), original.labels());
         assert_eq!(restored.num_classes(), original.num_classes());
         assert_eq!(restored.sample_shape(), original.sample_shape());
-        assert!(restored
-            .features()
-            .approx_eq(original.features(), 1e-5));
+        assert!(restored.features().approx_eq(original.features(), 1e-5));
     }
 
     #[test]

@@ -163,7 +163,10 @@ mod tests {
         .unwrap();
         let out = standardizer.transform(&shifted).unwrap();
         // Feature 0 was centred at 100: the shifted data lands around +20 std.
-        let mean0: f32 = (0..50).map(|i| out.features().as_slice()[i * 3]).sum::<f32>() / 50.0;
+        let mean0: f32 = (0..50)
+            .map(|i| out.features().as_slice()[i * 3])
+            .sum::<f32>()
+            / 50.0;
         assert!(mean0 > 10.0, "test mean {mean0} should reflect train stats");
     }
 

@@ -215,8 +215,7 @@ mod tests {
     fn dirichlet_preserves_every_sample() {
         let l = labels(200, 10);
         let mut rng = Rng::seed_from(2);
-        let shards =
-            partition_indices(&l, 10, 5, Distribution::Dirichlet(0.5), &mut rng).unwrap();
+        let shards = partition_indices(&l, 10, 5, Distribution::Dirichlet(0.5), &mut rng).unwrap();
         let mut all: Vec<usize> = shards.concat();
         all.sort_unstable();
         assert_eq!(all, (0..200).collect::<Vec<_>>());
@@ -228,8 +227,7 @@ mod tests {
         let l = labels(2000, 10);
         let mut rng = Rng::seed_from(3);
         let het = |alpha: f64, rng: &mut Rng| {
-            let shards =
-                partition_indices(&l, 10, 5, Distribution::Dirichlet(alpha), rng).unwrap();
+            let shards = partition_indices(&l, 10, 5, Distribution::Dirichlet(alpha), rng).unwrap();
             heterogeneity(&shards, &l, 10)
         };
         let spiky = het(0.1, &mut rng);
@@ -253,8 +251,7 @@ mod tests {
         assert!(partition_indices(&l, 2, 11, Distribution::Iid, &mut rng).is_err());
         assert!(partition_indices(&l, 2, 2, Distribution::Dirichlet(0.0), &mut rng).is_err());
         assert!(
-            partition_indices(&l, 2, 2, Distribution::Dirichlet(f64::INFINITY), &mut rng)
-                .is_err()
+            partition_indices(&l, 2, 2, Distribution::Dirichlet(f64::INFINITY), &mut rng).is_err()
         );
     }
 
@@ -266,13 +263,19 @@ mod tests {
         for distribution in [Distribution::Dirichlet(1.0), Distribution::Iid] {
             assert_eq!(
                 partition_indices(&[0, 0, 0, 7], 1, 2, distribution, &mut rng),
-                Err(DataError::LabelOutOfRange { label: 7, classes: 1 })
+                Err(DataError::LabelOutOfRange {
+                    label: 7,
+                    classes: 1
+                })
             );
         }
         // Nothing placeable: the top-up used to panic on an empty shard.
         assert_eq!(
             partition_indices(&[3, 4], 2, 2, Distribution::Dirichlet(1.0), &mut rng),
-            Err(DataError::LabelOutOfRange { label: 3, classes: 2 })
+            Err(DataError::LabelOutOfRange {
+                label: 3,
+                classes: 2
+            })
         );
     }
 

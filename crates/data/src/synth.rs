@@ -220,7 +220,11 @@ impl SynthSpec {
                 noisy_row(row, class_of(i), shift, noise, rng);
             }
             let perm = rng.permutation(self.num_samples);
-            let data = perm.iter().flat_map(|&i| &rows[i * flen..][..flen]).copied().collect();
+            let data = perm
+                .iter()
+                .flat_map(|&i| &rows[i * flen..][..flen])
+                .copied()
+                .collect();
             return self.dataset(data, &perm);
         }
         // An image row is `flen` scalar normals.
@@ -285,8 +289,11 @@ impl SynthSpec {
         let perm = rng.permutation(n);
         let mut data = vec![0.0f32; n * flen];
         // Shuffled row `r` is row `perm[r]`: order the slots by their row.
-        let mut slots: Vec<(usize, &mut [f32])> =
-            perm.iter().copied().zip(data.chunks_exact_mut(flen)).collect();
+        let mut slots: Vec<(usize, &mut [f32])> = perm
+            .iter()
+            .copied()
+            .zip(data.chunks_exact_mut(flen))
+            .collect();
         slots.sort_unstable_by_key(|&(i, _)| i);
         par::for_each_part_mut(&mut slots, 1, min_rows(flen), |first, part| {
             let mut stream = start.clone();
@@ -360,9 +367,9 @@ fn waveform_prototype(rng: &mut Rng, len: usize) -> Vec<f32> {
     let components: Vec<(f32, f32, f32)> = (0..n_components)
         .map(|_| {
             (
-                rng.uniform_in(1.0, 24.0),                       // frequency (cycles per window)
-                rng.uniform_in(0.0, std::f32::consts::TAU),      // phase
-                rng.uniform_in(0.5, 1.0),                        // amplitude
+                rng.uniform_in(1.0, 24.0),                  // frequency (cycles per window)
+                rng.uniform_in(0.0, std::f32::consts::TAU), // phase
+                rng.uniform_in(0.5, 1.0),                   // amplitude
             )
         })
         .collect();

@@ -54,8 +54,8 @@ impl ServerMiddleware for CentralDp {
     fn transform_aggregate(&mut self, params: &mut ModelParams) -> Result<()> {
         if let Some(prev) = &self.previous_global {
             let d = params.param_count().max(1) as f32;
-            let std_dev = self.dp.noise_multiplier() * self.dp.clip_norm
-                / (self.clients as f32 * d.sqrt());
+            let std_dev =
+                self.dp.noise_multiplier() * self.dp.clip_norm / (self.clients as f32 * d.sqrt());
             // Clip, noise and the add-back of the previous global in one
             // pass over the never-materialized update.
             let released =
@@ -143,19 +143,25 @@ mod tests {
 
             mw.transform_aggregate(&mut aggregate).unwrap();
             assert_eq!(bits(&aggregate), bits(&want), "round {round} step {step}");
-            assert_eq!(mw.rng.state(), rng_ref.state(), "round {round}: stream position");
+            assert_eq!(
+                mw.rng.state(),
+                rng_ref.state(),
+                "round {round}: stream position"
+            );
             prev = aggregate;
         }
         let accounts = telemetry.privacy_accounts();
         assert_eq!(accounts.len(), 1);
-        assert_eq!((accounts[0].defense.as_str(), accounts[0].charges), ("cdp", 4));
+        assert_eq!(
+            (accounts[0].defense.as_str(), accounts[0].charges),
+            ("cdp", 4)
+        );
     }
 
     #[test]
     fn more_clients_means_less_noise() {
         let noise_norm = |clients: usize| {
-            let mut mw =
-                CentralDp::new(DpParams::paper_default(), clients, Rng::seed_from(1));
+            let mut mw = CentralDp::new(DpParams::paper_default(), clients, Rng::seed_from(1));
             let mut first = params(1.0);
             mw.transform_aggregate(&mut first).unwrap();
             let mut second = params(1.0); // zero true update -> pure noise

@@ -142,7 +142,9 @@ pub fn clip_noise_onto(
     let (trained, base) = (ParamView::of_model(trained), ParamView::of_model(base));
     let mut operands = trained.slices().zip(base.slices());
     ParamViewMut::of_model(&mut out).for_each_slice_mut(|out| {
-        let Some((t, b)) = operands.next() else { return };
+        let Some((t, b)) = operands.next() else {
+            return;
+        };
         if std_dev > 0.0 {
             rng.zip_normal(out, t, b, |t, b, z| ((t - b) * factor + z * std_dev) + b);
         } else {

@@ -164,12 +164,23 @@ mod tests {
                 want.add_assign(&global).unwrap();
 
                 let got = round_trip(&mut mw, 0.5, trained_value);
-                assert_eq!(bits(&got), bits(&want), "value {trained_value} round {round}");
-                assert_eq!(mw.rng.state(), rng_ref.state(), "round {round}: stream position");
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "value {trained_value} round {round}"
+                );
+                assert_eq!(
+                    mw.rng.state(),
+                    rng_ref.state(),
+                    "round {round}: stream position"
+                );
             }
             let accounts = telemetry.privacy_accounts();
             assert_eq!(accounts.len(), 1);
-            assert_eq!((accounts[0].defense.as_str(), accounts[0].charges), ("ldp", 3));
+            assert_eq!(
+                (accounts[0].defense.as_str(), accounts[0].charges),
+                ("ldp", 3)
+            );
         }
     }
 

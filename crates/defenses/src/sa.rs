@@ -41,10 +41,7 @@ impl SaGroup {
     pub fn new(num_clients: usize, weights: Vec<f32>, seed: u64) -> Arc<Self> {
         assert!(num_clients > 0, "group needs at least one client");
         assert_eq!(weights.len(), num_clients, "one weight per client");
-        assert!(
-            weights.iter().all(|&w| w > 0.0),
-            "weights must be positive"
-        );
+        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         Arc::new(SaGroup {
             num_clients,
             weights,
@@ -160,8 +157,8 @@ mod tests {
 
     fn params(value: f32) -> ModelParams {
         ModelParams::new(vec![
-        LayerParams::new(vec![Tensor::full(&[32], value), Tensor::full(&[4], value)]),
-        LayerParams::new(vec![Tensor::full(&[8], value)]),
+            LayerParams::new(vec![Tensor::full(&[32], value), Tensor::full(&[4], value)]),
+            LayerParams::new(vec![Tensor::full(&[8], value)]),
         ])
     }
 

@@ -68,7 +68,11 @@ impl PendingRound {
     /// An O(1) snapshot of the finished portion (see [`ClientUpdate::share`]).
     pub fn share(&self) -> PendingRound {
         PendingRound {
-            completed: self.completed.iter().map(|(loss, u)| (*loss, u.share())).collect(),
+            completed: self
+                .completed
+                .iter()
+                .map(|(loss, u)| (*loss, u.share()))
+                .collect(),
         }
     }
 }
@@ -113,7 +117,10 @@ fn read_rng(r: &mut ByteReader<'_>) -> WireResult<RngState> {
     for word in &mut words {
         *word = r.read_u64()?;
     }
-    let gauss_cache = r.read_flag("resume gauss-cache flag")?.then(|| r.read_f32()).transpose()?;
+    let gauss_cache = r
+        .read_flag("resume gauss-cache flag")?
+        .then(|| r.read_f32())
+        .transpose()?;
     Ok(RngState { words, gauss_cache })
 }
 
@@ -126,25 +133,38 @@ fn write_middleware(w: &mut ByteWriter, state: &Option<MiddlewareState>) -> Wire
     if let Some(rng) = &state.rng {
         write_rng(w, rng);
     }
-    write_seq(w, state.stored.iter(), "resume middleware slot count", |_, slot, w| {
-        w.put_flag(slot.is_some());
-        let Some(layer) = slot else {
-            return Ok(());
-        };
-        write_seq(w, layer.tensors.iter(), "resume slot tensor count", |_, t, w| {
-            encode_section(t, Dtype::F32, w)
-        })
-    })
+    write_seq(
+        w,
+        state.stored.iter(),
+        "resume middleware slot count",
+        |_, slot, w| {
+            w.put_flag(slot.is_some());
+            let Some(layer) = slot else {
+                return Ok(());
+            };
+            write_seq(
+                w,
+                layer.tensors.iter(),
+                "resume slot tensor count",
+                |_, t, w| encode_section(t, Dtype::F32, w),
+            )
+        },
+    )
 }
 
 fn read_middleware(r: &mut ByteReader<'_>) -> WireResult<Option<MiddlewareState>> {
     if !r.read_flag("resume middleware flag")? {
         return Ok(None);
     }
-    let rng = r.read_flag("resume middleware rng flag")?.then(|| read_rng(r)).transpose()?;
+    let rng = r
+        .read_flag("resume middleware rng flag")?
+        .then(|| read_rng(r))
+        .transpose()?;
     let stored = read_seq(r, |r| {
         let present = r.read_flag("resume middleware slot flag")?;
-        present.then(|| read_seq(r, dense_section).map(LayerParams::new)).transpose()
+        present
+            .then(|| read_seq(r, dense_section).map(LayerParams::new))
+            .transpose()
     })?;
     Ok(Some(MiddlewareState { rng, stored }))
 }
@@ -160,25 +180,38 @@ pub fn encode_resume(ckpt: &FlCheckpoint) -> Result<Vec<u8>> {
     write_header(&mut w, CkptKind::FlResume);
     w.put_u64(u64::try_from(ckpt.rounds_run).unwrap_or(u64::MAX));
     write_f32_layers(&mut w, &ckpt.global.layers)?;
-    write_seq(&mut w, ckpt.clients.iter(), "resume client count", |_, client, w| {
-        w.put_u64(u64::try_from(client.id).unwrap_or(u64::MAX));
-        write_rng(w, &client.rng);
-        write_f32_layers(w, &client.params.layers)?;
-        w.put_f32s(&client.optim.scalars, "resume optim scalar count")?;
-        write_f32_layers(w, &client.optim.groups)?;
-        write_seq(w, client.middleware.iter(), "resume middleware count", |_, mw, w| {
-            write_middleware(w, mw)
-        })
-    })?;
+    write_seq(
+        &mut w,
+        ckpt.clients.iter(),
+        "resume client count",
+        |_, client, w| {
+            w.put_u64(u64::try_from(client.id).unwrap_or(u64::MAX));
+            write_rng(w, &client.rng);
+            write_f32_layers(w, &client.params.layers)?;
+            w.put_f32s(&client.optim.scalars, "resume optim scalar count")?;
+            write_f32_layers(w, &client.optim.groups)?;
+            write_seq(
+                w,
+                client.middleware.iter(),
+                "resume middleware count",
+                |_, mw, w| write_middleware(w, mw),
+            )
+        },
+    )?;
     w.put_flag(ckpt.pending.is_some());
     if let Some(pending) = &ckpt.pending {
         let completed = pending.completed.iter();
-        write_seq(&mut w, completed, "resume completed count", |_, (loss, update), w| {
-            w.put_u64(u64::try_from(update.client_id).unwrap_or(u64::MAX));
-            w.put_f32(*loss);
-            w.put_u64(u64::try_from(update.num_samples).unwrap_or(u64::MAX));
-            write_f32_layers(w, &update.params.layers)
-        })?;
+        write_seq(
+            &mut w,
+            completed,
+            "resume completed count",
+            |_, (loss, update), w| {
+                w.put_u64(u64::try_from(update.client_id).unwrap_or(u64::MAX));
+                w.put_f32(*loss);
+                w.put_u64(u64::try_from(update.num_samples).unwrap_or(u64::MAX));
+                write_f32_layers(w, &update.params.layers)
+            },
+        )?;
     }
     Ok(w.into_bytes())
 }
@@ -193,9 +226,18 @@ fn read_client(r: &mut ByteReader<'_>) -> WireResult<ClientCkpt> {
     let rng = read_rng(r)?;
     let params = read_layers(r, dense_section)?.into();
     let scalars = r.read_f32s("resume optim scalar count")?;
-    let optim = OptimState { scalars, groups: read_layers(r, dense_section)? };
+    let optim = OptimState {
+        scalars,
+        groups: read_layers(r, dense_section)?,
+    };
     let middleware = read_seq(r, read_middleware)?;
-    Ok(ClientCkpt { id, params, rng, optim, middleware })
+    Ok(ClientCkpt {
+        id,
+        params,
+        rng,
+        optim,
+        middleware,
+    })
 }
 
 fn read_completed(r: &mut ByteReader<'_>) -> WireResult<(f32, ClientUpdate)> {
@@ -203,7 +245,14 @@ fn read_completed(r: &mut ByteReader<'_>) -> WireResult<(f32, ClientUpdate)> {
     let loss = r.read_f32()?;
     let num_samples = read_file_usize(r, "resume update samples")?;
     let params = read_layers(r, dense_section)?.into();
-    Ok((loss, ClientUpdate { client_id, params, num_samples }))
+    Ok((
+        loss,
+        ClientUpdate {
+            client_id,
+            params,
+            num_samples,
+        },
+    ))
 }
 
 /// Decodes a resume image. The whole buffer must be consumed.
@@ -220,11 +269,18 @@ pub fn decode_resume(bytes: &[u8]) -> Result<FlCheckpoint> {
     let global = read_layers(&mut r, dense_section)?.into();
     let clients = read_seq(&mut r, read_client)?;
     let pending = match r.read_flag("resume pending-round flag")? {
-        true => Some(PendingRound { completed: read_seq(&mut r, read_completed)? }),
+        true => Some(PendingRound {
+            completed: read_seq(&mut r, read_completed)?,
+        }),
         false => None,
     };
     r.finish()?;
-    Ok(FlCheckpoint { rounds_run, global, clients, pending })
+    Ok(FlCheckpoint {
+        rounds_run,
+        global,
+        clients,
+        pending,
+    })
 }
 
 /// Saves a resume image to `path`.
@@ -300,7 +356,11 @@ mod tests {
             pending: Some(PendingRound {
                 completed: vec![(
                     0.25,
-                    ClientUpdate { client_id: 0, params: params(3.0), num_samples: 64 },
+                    ClientUpdate {
+                        client_id: 0,
+                        params: params(3.0),
+                        num_samples: 64,
+                    },
                 )],
             }),
         }
@@ -348,7 +408,10 @@ mod tests {
     fn truncation_and_trailing_bytes_are_typed_errors() {
         let bytes = encode_resume(&image()).unwrap();
         for cut in [0, 5, 7, 20, bytes.len() - 1] {
-            assert!(decode_resume(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+            assert!(
+                decode_resume(&bytes[..cut]).is_err(),
+                "prefix {cut} decoded"
+            );
         }
         let mut extended = bytes.clone();
         extended.push(0);

@@ -103,9 +103,15 @@ mod tests {
         tx.send(7u32).unwrap();
         let drx = DeadlineReceiver::new(&rx, &clock);
         // Deadline long past, but the message is already queued.
-        assert!(matches!(drx.step(Some(Duration::from_secs(1))), Step::Msg(7)));
+        assert!(matches!(
+            drx.step(Some(Duration::from_secs(1))),
+            Step::Msg(7)
+        ));
         // Now the queue is empty: the deadline fires.
-        assert!(matches!(drx.step(Some(Duration::from_secs(1))), Step::Expired));
+        assert!(matches!(
+            drx.step(Some(Duration::from_secs(1))),
+            Step::Expired
+        ));
     }
 
     #[test]
@@ -115,7 +121,10 @@ mod tests {
         let drx = DeadlineReceiver::new(&rx, &clock);
         // The clock sits at zero, so even a tiny deadline never expires;
         // the step degrades to a tick (after one real poll slice).
-        assert!(matches!(drx.step(Some(Duration::from_nanos(1))), Step::Tick));
+        assert!(matches!(
+            drx.step(Some(Duration::from_nanos(1))),
+            Step::Tick
+        ));
     }
 
     #[test]

@@ -154,9 +154,9 @@ impl FaultPlan {
     /// `true` if any scheduled fault is of `kind` (ignoring payloads for
     /// [`FaultKind::Transient`]).
     pub fn contains_kind(&self, kind: FaultKind) -> bool {
-        self.faults.values().any(|&k| {
-            std::mem::discriminant(&k) == std::mem::discriminant(&kind)
-        })
+        self.faults
+            .values()
+            .any(|&k| std::mem::discriminant(&k) == std::mem::discriminant(&kind))
     }
 
     /// A seeded independent-dropout schedule: each of `nodes × rounds`
@@ -359,7 +359,10 @@ mod tests {
         assert_eq!(plan.action(0, 1), Some(FaultKind::DropUpdate));
         assert_eq!(plan.action(2, 2), Some(FaultKind::Delay));
         assert_eq!(plan.action(3, 1), Some(FaultKind::Stall));
-        assert_eq!(plan.action(4, 5), Some(FaultKind::Transient { failures: 2 }));
+        assert_eq!(
+            plan.action(4, 5),
+            Some(FaultKind::Transient { failures: 2 })
+        );
         assert_eq!(plan.action(4, 4), None);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
@@ -418,9 +421,7 @@ mod tests {
         assert!(FaultPlan::seeded_dropout(1, 5, 5, 0.0).is_empty());
         let all = FaultPlan::seeded_dropout(1, 5, 5, 1.0);
         assert_eq!(all.len(), 25);
-        assert!(all
-            .iter()
-            .all(|(_, _, k)| k == FaultKind::DropUpdate));
+        assert!(all.iter().all(|(_, _, k)| k == FaultKind::DropUpdate));
     }
 
     #[test]

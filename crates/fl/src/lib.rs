@@ -65,8 +65,8 @@ pub mod transport;
 pub use ckpt::{ClientCkpt, FlCheckpoint, PendingRound};
 pub use client::{ClientUpdate, FlClient};
 pub use error::FlError;
-pub use middleware::MiddlewareState;
 pub use fault::{FaultKind, FaultPlan, Quorum, RetryPolicy, RoundFaultStats, RoundPolicy};
+pub use middleware::MiddlewareState;
 pub use middleware::{ClientMiddleware, ServerMiddleware};
 pub use netsim::{ClientLink, LinkModel, NetworkModel, RoundWireStats, WireConfig};
 pub use server::FlServer;

@@ -58,8 +58,9 @@ impl LinkModel {
             return self.latency;
         }
         let nanos = (u128::from(bytes) * 1_000_000_000u128) / u128::from(self.bytes_per_s);
-        self.latency
-            .saturating_add(Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX)))
+        self.latency.saturating_add(Duration::from_nanos(
+            u64::try_from(nanos).unwrap_or(u64::MAX),
+        ))
     }
 }
 
@@ -229,7 +230,11 @@ impl<'a> RoundMeter<'a> {
         self.bytes_up += bytes;
         self.frames += 1;
         let up = self.net.link(client).up.transfer_time(bytes);
-        let down = self.down_time.get(&client).copied().unwrap_or(Duration::ZERO);
+        let down = self
+            .down_time
+            .get(&client)
+            .copied()
+            .unwrap_or(Duration::ZERO);
         self.max_path = self.max_path.max(down.saturating_add(up));
     }
 

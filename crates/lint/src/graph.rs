@@ -24,13 +24,70 @@ use std::collections::{BTreeMap, BTreeSet};
 /// primitive-receiver methods whose workspace homonyms (e.g. `Tensor::map`,
 /// `Tensor::get`) would create edges from nearly every function.
 pub const AMBIENT_METHODS: [&str; 64] = [
-    "abs", "all", "any", "as_mut_slice", "as_slice", "ceil", "chain", "chars", "chunks",
-    "clone", "cloned", "collect", "contains", "copied", "count", "drain", "entry", "enumerate",
-    "eq", "exp", "extend", "fill", "filter", "find", "first", "flatten", "floor", "fold",
-    "get", "get_mut", "insert", "into_iter", "is_empty", "iter", "iter_mut", "join", "last",
-    "len", "ln", "map", "max", "min", "next", "parse", "pop", "position", "powi", "product",
-    "push", "remove", "resize", "rev", "round", "skip", "sort", "split", "sqrt", "sum",
-    "swap", "take", "to_string", "to_vec", "truncate", "zip",
+    "abs",
+    "all",
+    "any",
+    "as_mut_slice",
+    "as_slice",
+    "ceil",
+    "chain",
+    "chars",
+    "chunks",
+    "clone",
+    "cloned",
+    "collect",
+    "contains",
+    "copied",
+    "count",
+    "drain",
+    "entry",
+    "enumerate",
+    "eq",
+    "exp",
+    "extend",
+    "fill",
+    "filter",
+    "find",
+    "first",
+    "flatten",
+    "floor",
+    "fold",
+    "get",
+    "get_mut",
+    "insert",
+    "into_iter",
+    "is_empty",
+    "iter",
+    "iter_mut",
+    "join",
+    "last",
+    "len",
+    "ln",
+    "map",
+    "max",
+    "min",
+    "next",
+    "parse",
+    "pop",
+    "position",
+    "powi",
+    "product",
+    "push",
+    "remove",
+    "resize",
+    "rev",
+    "round",
+    "skip",
+    "sort",
+    "split",
+    "sqrt",
+    "sum",
+    "swap",
+    "take",
+    "to_string",
+    "to_vec",
+    "truncate",
+    "zip",
 ];
 
 /// Functions recognized as L2-clip sources by L010.
@@ -206,8 +263,8 @@ fn check_l010(ws: &Workspace, findings: &mut Vec<Finding>) {
     // Per function: direct unclipped noise sites, and unclipped calls into
     // other in-scope functions.
     struct Local {
-        sites: Vec<(usize, String)>,      // (line, what)
-        deps: Vec<(usize, usize, String)> // (callee, line, name)
+        sites: Vec<(usize, String)>,       // (line, what)
+        deps: Vec<(usize, usize, String)>, // (callee, line, name)
     }
     let mut locals: BTreeMap<usize, Local> = BTreeMap::new();
     for &i in &in_scope {
@@ -640,9 +697,7 @@ fn check_l016(ws: &Workspace, findings: &mut Vec<Finding>) {
         .copied()
         .filter(|&i| {
             ws.fns[i].events.iter().any(|e| match &e.kind {
-                EventKind::Call(call) => {
-                    L016_SINK_FNS.contains(&Workspace::call_name(call))
-                }
+                EventKind::Call(call) => L016_SINK_FNS.contains(&Workspace::call_name(call)),
                 _ => false,
             })
         })
@@ -655,9 +710,9 @@ fn check_l016(ws: &Workspace, findings: &mut Vec<Finding>) {
             }
             let callee_reaches = ws.fns[i].events.iter().any(|e| {
                 matches!(&e.kind, EventKind::Call(call)
-                    if ws.resolve(call).iter().any(|t| {
-                        scope_set.contains(t) && reaches.contains(t)
-                    }))
+                if ws.resolve(call).iter().any(|t| {
+                    scope_set.contains(t) && reaches.contains(t)
+                }))
             });
             if callee_reaches {
                 reaches.insert(i);
@@ -911,8 +966,11 @@ mod tests {
         assert_eq!(l013.len(), 2, "{l013:?}");
         assert!(l013.iter().any(|f| f.file.ends_with("span.rs")
             && f.line == 4
-            && f.message.contains("acquires `telemetry.event_threads` while `telemetry.event_log`")));
-        assert!(l013.iter().any(|f| f.file.ends_with("recorder.rs") && f.line == 3));
+            && f.message
+                .contains("acquires `telemetry.event_threads` while `telemetry.event_log`")));
+        assert!(l013
+            .iter()
+            .any(|f| f.file.ends_with("recorder.rs") && f.line == 3));
     }
 
     #[test]

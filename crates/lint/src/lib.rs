@@ -160,22 +160,31 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, LintError> {
     // L003 needs whole-crate visibility (impls may live away from the enum).
     for dir in &dirs {
         let src = format!("{}/src/", rel(root, dir));
-        let krate: Vec<_> =
-            sources.iter().filter(|(p, _)| p.starts_with(&src)).cloned().collect();
+        let krate: Vec<_> = sources
+            .iter()
+            .filter(|(p, _)| p.starts_with(&src))
+            .cloned()
+            .collect();
         findings.extend(rules::check_l003(&krate));
     }
 
     // L005 over every manifest, including the workspace root; the first
     // `name =` of each is a package name, the allow-list of in-repo deps.
     let mut manifests = Vec::new();
-    for path in dirs.iter().map(|d| d.join("Cargo.toml")).chain([root.join("Cargo.toml")]) {
+    for path in dirs
+        .iter()
+        .map(|d| d.join("Cargo.toml"))
+        .chain([root.join("Cargo.toml")])
+    {
         let text = std::fs::read_to_string(&path).map_err(io_error(&path))?;
         manifests.push((rel(root, &path), text));
     }
     let in_repo: BTreeSet<String> = manifests
         .iter()
         .filter_map(|(_, text)| {
-            let name = text.lines().find_map(|l| l.trim().strip_prefix("name = "))?;
+            let name = text
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name = "))?;
             Some(name.trim_matches('"').to_string())
         })
         .collect();

@@ -30,12 +30,14 @@ fn parse_args() -> Result<Option<Options>, String> {
         match arg.as_str() {
             "--explain" => {
                 options.explain = Some(
-                    args.next().ok_or_else(|| "--explain requires a rule ID".to_string())?,
+                    args.next()
+                        .ok_or_else(|| "--explain requires a rule ID".to_string())?,
                 );
             }
             "--root" => {
                 options.root = PathBuf::from(
-                    args.next().ok_or_else(|| "--root requires a path".to_string())?,
+                    args.next()
+                        .ok_or_else(|| "--root requires a path".to_string())?,
                 );
             }
             "--help" | "-h" => return Ok(None),

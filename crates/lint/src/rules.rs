@@ -907,7 +907,10 @@ mod tests {
     fn l002_allow_annotation_suppresses() {
         let src = "// lint: allow(L002, order-free by design)\nlet s = HashSet::new();\n";
         let findings = check_source("crates/metrics/src/cost.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L002), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L002),
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -947,7 +950,8 @@ mod tests {
 
     #[test]
     fn l004_flags_bare_casts_in_hot_paths_only() {
-        let src = "fn f(x: f32, n: usize) { let a = x as usize; let b = n as f32; let c = n as f64; }";
+        let src =
+            "fn f(x: f32, n: usize) { let a = x as usize; let b = n as f32; let c = n as f64; }";
         let hot = check_source("crates/tensor/src/tensor.rs", src);
         assert_eq!(hot.iter().filter(|f| f.rule == Rule::L004).count(), 2);
         let cold = check_source("crates/tensor/src/rng.rs", src);
@@ -964,7 +968,10 @@ mod tests {
     #[test]
     fn l006_flags_raw_threads_outside_the_pool() {
         let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| {}); }";
-        for path in ["crates/consensus/src/network.rs", "crates/fl/src/transport.rs"] {
+        for path in [
+            "crates/consensus/src/network.rs",
+            "crates/fl/src/transport.rs",
+        ] {
             let hits = check_source(path, src)
                 .iter()
                 .filter(|f| f.rule == Rule::L006)
@@ -982,7 +989,10 @@ mod tests {
         let src = "let h = thread::spawn(f); // lint: allow(L006, watchdog by design)\n\
                    #[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| {}); } }\n";
         let findings = check_source("crates/fl/src/clock.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L006), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L006),
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -1011,7 +1021,10 @@ mod tests {
         let src = "// lint: allow(L007, wall time by design)\nlet t = Instant::now();\n\
                    #[cfg(test)]\nmod tests { fn t() { let x = Instant::now(); } }\n";
         let findings = check_source("crates/bench/src/harness.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L007), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L007),
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -1023,7 +1036,7 @@ mod tests {
             .filter(|f| f.rule == Rule::L008)
             .count();
         assert_eq!(hits, 2); // try_recv is non-blocking and allowed
-        // The sanctioned helper and other crates are exempt.
+                             // The sanctioned helper and other crates are exempt.
         let helper = check_source(L008_EXEMPT, src);
         assert!(helper.iter().all(|f| f.rule != Rule::L008));
         let elsewhere = check_source("crates/consensus/src/network.rs", src);
@@ -1035,7 +1048,10 @@ mod tests {
         let src = "let m = rx.recv(); // lint: allow(L008, shutdown path has no deadline)\n\
                    #[cfg(test)]\nmod tests { fn t() { let m = rx.recv(); } }\n";
         let findings = check_source("crates/fl/src/system.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L008), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L008),
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -1066,7 +1082,7 @@ mod tests {
             .filter(|f| f.rule == Rule::L017)
             .count();
         assert_eq!(hits, 3); // `as u64` widens and is allowed
-        // Outside the wire module, narrowing is L004's (hot-path) concern.
+                             // Outside the wire module, narrowing is L004's (hot-path) concern.
         let findings = check_source("crates/fl/src/netsim.rs", src);
         assert!(findings.iter().all(|f| f.rule != Rule::L017));
     }
@@ -1076,11 +1092,17 @@ mod tests {
         let src = "let b = x.to_le_bytes(); // lint: allow(L017, test fixture builder)\n\
                    #[cfg(test)]\nmod tests { fn t() { let b = x.to_le_bytes(); } }\n";
         let findings = check_source("crates/metrics/src/trace.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L017), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L017),
+            "{findings:?}"
+        );
         let src = "let n = len as usize; // lint: allow(L017, bounded just above)\n\
                    #[cfg(test)]\nmod tests { fn t() { let n = len as u32; } }\n";
         let findings = check_source("crates/tensor/src/wire.rs", src);
-        assert!(findings.iter().all(|f| f.rule != Rule::L017), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L017),
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -1097,7 +1119,10 @@ mod tests {
             "let a = env::var(\"DINAR_FAST\");\n#[cfg(test)]\nmod t { fn f() { env::var_os(K); } }",
         ));
         // Tests outside crates/*/src may read what they like.
-        stray.push(("tests/golden.rs".to_string(), "env::var_os(\"UPDATE_GOLDEN\");".to_string()));
+        stray.push((
+            "tests/golden.rs".to_string(),
+            "env::var_os(\"UPDATE_GOLDEN\");".to_string(),
+        ));
         let findings = check_l019(&stray);
         let lines: Vec<_> = findings.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(lines, [(Rule::L019, 1), (Rule::L019, 3)], "{findings:?}");
@@ -1147,7 +1172,10 @@ mod tests {
         assert_eq!(l021.len(), 2, "{l021:?}");
         assert_eq!((l021[0].line, l021[1].line), (1, 5));
         assert!(l021[0].message.contains("L009"));
-        assert!(findings.iter().all(|f| f.rule != Rule::L001), "{findings:?}");
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::L001),
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -1180,7 +1208,10 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 1);
         let other = "[package]\nname = \"x\"\n[lints]\nworkspace = false\n";
-        assert_eq!(check_manifest("crates/x/Cargo.toml", other, &in_repo).len(), 1);
+        assert_eq!(
+            check_manifest("crates/x/Cargo.toml", other, &in_repo).len(),
+            1
+        );
         let opted = "[package]\nname = \"x\"\n[lints]\nworkspace = true\n";
         assert!(check_manifest("crates/x/Cargo.toml", opted, &in_repo).is_empty());
         // A virtual workspace manifest has no package to opt in.

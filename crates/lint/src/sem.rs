@@ -324,9 +324,7 @@ fn collect_events(
                 }
                 "expect" => Some(EventKind::Panic(".expect(")),
                 "lock" => Some(EventKind::Lock(receiver_of(toks, i))),
-                _ if NOISE_METHODS.contains(&name) => {
-                    Some(EventKind::NoiseDraw(name.to_string()))
-                }
+                _ if NOISE_METHODS.contains(&name) => Some(EventKind::NoiseDraw(name.to_string())),
                 _ => Some(EventKind::Call(CallKind::Method(name.to_string()))),
             }
         } else if prev_path {
@@ -423,9 +421,7 @@ mod tests {
 
     #[test]
     fn cfg_test_fns_are_excluded() {
-        let fns = parse(
-            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n",
-        );
+        let fns = parse("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n");
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "lib");
     }

@@ -290,10 +290,7 @@ fn record_allows(comment: &str, line: usize, allows: &mut BTreeMap<usize, BTreeS
     let mut rest = comment;
     while let Some(pos) = rest.find("lint: allow(") {
         let after = &rest[pos + "lint: allow(".len()..];
-        let rule: String = after
-            .chars()
-            .take_while(|c| c.is_alphanumeric())
-            .collect();
+        let rule: String = after.chars().take_while(|c| c.is_alphanumeric()).collect();
         if !rule.is_empty() {
             allows.entry(line).or_default().insert(rule);
         }
@@ -403,7 +400,8 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_marked() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn lib2() {}\n";
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn lib2() {}\n";
         let s = strip(src);
         assert!(!s.is_test_line(1));
         assert!(s.is_test_line(2));

@@ -4,7 +4,6 @@
 //! non-IID experiments (Fig. 8), where skewed client shards produce models
 //! that are accurate only on their majority classes.
 
-
 /// A `classes × classes` confusion matrix (`rows = truth`, `cols =
 /// prediction`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +46,10 @@ impl ConfusionMatrix {
     ///
     /// Panics if either label is out of range.
     pub fn record(&mut self, truth: usize, predicted: usize) {
-        assert!(truth < self.classes && predicted < self.classes, "label out of range");
+        assert!(
+            truth < self.classes && predicted < self.classes,
+            "label out of range"
+        );
         self.counts[truth * self.classes + predicted] += 1;
     }
 

@@ -29,7 +29,10 @@ impl ToJson for CostSample {
         Json::obj(vec![
             ("client_train_s", self.client_train_s.to_json()),
             ("server_agg_s", self.server_agg_s.to_json()),
-            ("client_peak_mem_bytes", self.client_peak_mem_bytes.to_json()),
+            (
+                "client_peak_mem_bytes",
+                self.client_peak_mem_bytes.to_json(),
+            ),
         ])
     }
 }

@@ -6,7 +6,6 @@
 //! We realize that as the JS divergence between *histograms* of the two
 //! gradient populations over a shared binning.
 
-
 /// A fixed-width histogram over a closed range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -26,7 +25,10 @@ impl Histogram {
     /// Panics if `bins == 0`, `lo >= hi`, or either bound is not finite.
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range [{lo}, {hi}]");
+        assert!(
+            lo.is_finite() && hi.is_finite() && lo < hi,
+            "bad range [{lo}, {hi}]"
+        );
         Histogram {
             lo,
             hi,

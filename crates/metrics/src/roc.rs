@@ -6,7 +6,6 @@
 //! every possible decision threshold, which is why the paper prefers it to
 //! accuracy at a single threshold.
 
-
 /// Computes the AUC of a scoring attacker.
 ///
 /// `member_scores` are the attack scores of true members, `nonmember_scores`

@@ -53,7 +53,9 @@ pub struct Tanh {
 impl Tanh {
     /// Creates a Tanh activation layer.
     pub fn new() -> Self {
-        Tanh { cached_output: None }
+        Tanh {
+            cached_output: None,
+        }
     }
 }
 

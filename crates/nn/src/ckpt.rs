@@ -99,7 +99,10 @@ pub fn write_header(w: &mut ByteWriter, kind: CkptKind) {
 /// kind differs from `expected`.
 pub fn expect_header(r: &mut ByteReader<'_>, expected: CkptKind) -> Result<()> {
     let tag = wire::read_header(r, MAGIC)?;
-    let kind = CkptKind::from_tag(tag).ok_or(WireError::UnknownTag { what: "DNCK kind", tag })?;
+    let kind = CkptKind::from_tag(tag).ok_or(WireError::UnknownTag {
+        what: "DNCK kind",
+        tag,
+    })?;
     if kind != expected {
         return Err(NnError::InvalidConfig {
             reason: format!(
@@ -173,7 +176,9 @@ pub fn encoded_checkpoint_len(params: &ModelParams, dtype: Dtype) -> usize {
 pub fn encode_checkpoint(params: &ModelParams, dtype: Dtype) -> Result<Vec<u8>> {
     let mut w = ByteWriter::with_capacity(encoded_checkpoint_len(params, dtype));
     write_header(&mut w, CkptKind::Model);
-    write_layers(&mut w, &params.layers, |_, _, t, w| encode_section(t, dtype, w))?;
+    write_layers(&mut w, &params.layers, |_, _, t, w| {
+        encode_section(t, dtype, w)
+    })?;
     Ok(w.into_bytes())
 }
 
@@ -188,7 +193,9 @@ pub fn encode_checkpoint(params: &ModelParams, dtype: Dtype) -> Result<Vec<u8>> 
 pub fn decode_checkpoint_raw(bytes: &[u8]) -> Result<RawCheckpoint> {
     let mut r = ByteReader::new(bytes);
     expect_header(&mut r, CkptKind::Model)?;
-    let layers = read_layers(&mut r, |r| decode_section(r, CkptTensor::Dense, CkptTensor::Quant))?;
+    let layers = read_layers(&mut r, |r| {
+        decode_section(r, CkptTensor::Dense, CkptTensor::Quant)
+    })?;
     r.finish()?;
     Ok(RawCheckpoint { layers })
 }
@@ -286,8 +293,7 @@ mod tests {
         let p = ModelParams::new(vec![crate::params::LayerParams::new(vec![
             Tensor::from_vec(vec![1.0, -0.5, 0.25, 0.0], &[2, 2]).unwrap(),
         ])]);
-        let back =
-            decode_checkpoint(&encode_checkpoint(&p, Dtype::F16).unwrap()).unwrap();
+        let back = decode_checkpoint(&encode_checkpoint(&p, Dtype::F16).unwrap()).unwrap();
         assert_eq!(bits(&p), bits(&back));
     }
 
@@ -303,7 +309,8 @@ mod tests {
                 };
                 let mut w = ByteWriter::new();
                 wire::encode_tensor(t, wire::Codec::QuantI8, &mut w).unwrap();
-                let expect = wire::decode_tensor_quant(&mut ByteReader::new(&w.into_bytes())).unwrap();
+                let expect =
+                    wire::decode_tensor_quant(&mut ByteReader::new(&w.into_bytes())).unwrap();
                 assert_eq!(q.levels(), expect.levels());
                 assert_eq!(q.scale().to_bits(), expect.scale().to_bits());
             }
@@ -339,7 +346,8 @@ mod tests {
             let back = load(&path).unwrap();
             assert!(back.same_shape(&p), "{dtype}");
             // What is loaded installs into a model of the same architecture.
-            let mut model = models::mlp(&[4, 6, 3], Activation::Tanh, &mut Rng::seed_from(7)).unwrap();
+            let mut model =
+                models::mlp(&[4, 6, 3], Activation::Tanh, &mut Rng::seed_from(7)).unwrap();
             model.set_params(&back).unwrap();
             if dtype == Dtype::F32 {
                 assert_eq!(back, p);
@@ -356,21 +364,33 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         let err = decode_checkpoint(&bad).unwrap_err();
-        assert!(matches!(err, NnError::Wire(WireError::BadMagic { expected: MAGIC, .. })));
+        assert!(matches!(
+            err,
+            NnError::Wire(WireError::BadMagic {
+                expected: MAGIC,
+                ..
+            })
+        ));
         assert!(err.to_string().contains("DNCK"), "{err}");
         // Bad version.
         let mut bad = bytes.clone();
         bad[4] = 0xFF;
         assert!(matches!(
             decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::UnsupportedVersion { magic: MAGIC, .. }))
+            Err(NnError::Wire(WireError::UnsupportedVersion {
+                magic: MAGIC,
+                ..
+            }))
         ));
         // Unknown kind tag.
         let mut bad = bytes.clone();
         bad[6] = 0x7F;
         assert!(matches!(
             decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::UnknownTag { what: "DNCK kind", tag: 0x7F }))
+            Err(NnError::Wire(WireError::UnknownTag {
+                what: "DNCK kind",
+                tag: 0x7F
+            }))
         ));
         // Wrong kind (an fl-resume header on a model loader).
         let mut bad = bytes.clone();
@@ -384,7 +404,10 @@ mod tests {
         bad[HEADER_LEN + 8] = 0x7F;
         assert!(matches!(
             decode_checkpoint(&bad),
-            Err(NnError::Wire(WireError::UnknownTag { what: "DNCK dtype", tag: 0x7F }))
+            Err(NnError::Wire(WireError::UnknownTag {
+                what: "DNCK dtype",
+                tag: 0x7F
+            }))
         ));
         // Every strict prefix fails.
         for cut in [0, 3, HEADER_LEN, HEADER_LEN + 5, bytes.len() - 1] {
@@ -415,6 +438,9 @@ mod tests {
         std::fs::write(&path, b"{not a checkpoint").unwrap();
         let err = load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert!(matches!(err, NnError::Wire(WireError::BadMagic { .. })), "got {err:?}");
+        assert!(
+            matches!(err, NnError::Wire(WireError::BadMagic { .. })),
+            "got {err:?}"
+        );
     }
 }

@@ -205,7 +205,9 @@ impl Layer for Conv2d {
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        Ok(cache.geom.input_grad(&self.weight, grad_output, cache.batch)?)
+        Ok(cache
+            .geom
+            .input_grad(&self.weight, grad_output, cache.batch)?)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
@@ -352,7 +354,9 @@ impl Layer for Conv1d {
             .cached
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "conv1d" })?;
-        Ok(cache.geom.input_grad(&self.weight, grad_output, cache.batch)?)
+        Ok(cache
+            .geom
+            .input_grad(&self.weight, grad_output, cache.batch)?)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {

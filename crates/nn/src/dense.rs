@@ -33,7 +33,11 @@ pub struct Dense {
 impl Dense {
     /// Creates a dense layer with He-normal weights (use before ReLU).
     pub fn he(in_features: usize, out_features: usize, rng: &mut Rng) -> Self {
-        Self::with_weight(init::he_normal(rng, &[in_features, out_features], in_features))
+        Self::with_weight(init::he_normal(
+            rng,
+            &[in_features, out_features],
+            in_features,
+        ))
     }
 
     /// Creates a dense layer with Xavier-uniform weights (use before Tanh).

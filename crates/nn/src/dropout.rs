@@ -28,7 +28,10 @@ impl Dropout {
     ///
     /// Panics if `p` is outside `[0, 1)`.
     pub fn new(p: f32, rng: Rng) -> Self {
-        assert!((0.0..1.0).contains(&p), "drop probability {p} outside [0, 1)");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "drop probability {p} outside [0, 1)"
+        );
         Dropout {
             p,
             rng,
@@ -133,11 +136,11 @@ mod tests {
 
     #[test]
     fn dropout_reduces_overfitting_gap() {
+        use crate::activation::ReLU;
         use crate::dense::Dense;
         use crate::loss::CrossEntropyLoss;
         use crate::model::Model;
         use crate::optim::{Optimizer, Sgd};
-        use crate::activation::ReLU;
 
         // Tiny noisy task; train with and without dropout and compare the
         // train/test accuracy gap.
@@ -159,10 +162,8 @@ mod tests {
         let (test_x, test_y) = make_data(&mut rng, 200);
 
         let gap = |dropout_p: f32, rng: &mut Rng| {
-            let mut layers: Vec<Box<dyn Layer>> = vec![
-                Box::new(Dense::he(6, 64, rng)),
-                Box::new(ReLU::new()),
-            ];
+            let mut layers: Vec<Box<dyn Layer>> =
+                vec![Box::new(Dense::he(6, 64, rng)), Box::new(ReLU::new())];
             if dropout_p > 0.0 {
                 layers.push(Box::new(Dropout::new(dropout_p, rng.split(7))));
             }

@@ -58,13 +58,19 @@ impl fmt::Display for NnError {
             }
             NnError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             NnError::LabelMismatch { batch, labels } => {
-                write!(f, "batch has {batch} rows but {labels} labels were provided")
+                write!(
+                    f,
+                    "batch has {batch} rows but {labels} labels were provided"
+                )
             }
             NnError::LabelOutOfRange { label, classes } => {
                 write!(f, "label {label} out of range for {classes} classes")
             }
             NnError::NoSuchLayer { index, trainable } => {
-                write!(f, "layer index {index} invalid: model has {trainable} trainable layers")
+                write!(
+                    f,
+                    "layer index {index} invalid: model has {trainable} trainable layers"
+                )
             }
             NnError::ParamShapeMismatch { reason } => {
                 write!(f, "parameter shape mismatch: {reason}")

@@ -191,7 +191,10 @@ mod tests {
         ));
         assert!(matches!(
             CrossEntropyLoss.loss_and_grad(&logits, &[0, 3]),
-            Err(NnError::LabelOutOfRange { label: 3, classes: 3 })
+            Err(NnError::LabelOutOfRange {
+                label: 3,
+                classes: 3
+            })
         ));
     }
 

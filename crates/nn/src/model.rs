@@ -1,8 +1,8 @@
 //! Sequential model container and the residual block used by ResNet20.
 
 use crate::{Layer, LayerParams, ModelParams, NnError, Result};
-use dinar_tensor::Tensor;
 use dinar_telemetry::Telemetry;
+use dinar_tensor::Tensor;
 
 /// A feed-forward model: an ordered sequence of [`Layer`]s.
 ///
@@ -204,8 +204,10 @@ impl Model {
                 .iter()
                 .map(|g| dinar_tensor::par::chunked_sumsq_f64(g.as_slice()))
                 .sum();
-            self.telemetry
-                .gauge_max(&format!("nn.grad_l2[{slot}:{}]", layer.name()), sumsq.sqrt());
+            self.telemetry.gauge_max(
+                &format!("nn.grad_l2[{slot}:{}]", layer.name()),
+                sumsq.sqrt(),
+            );
         }
     }
 
@@ -269,8 +271,7 @@ impl Model {
             .iter()
             .map(|&i| {
                 let layer = &self.layers[i];
-                let mut tensors: Vec<Tensor> =
-                    layer.params().into_iter().cloned().collect();
+                let mut tensors: Vec<Tensor> = layer.params().into_iter().cloned().collect();
                 tensors.extend(layer.buffers().into_iter().cloned());
                 LayerParams::new(tensors)
             })
@@ -307,13 +308,10 @@ impl Model {
     ///
     /// Returns [`NnError::NoSuchLayer`] if `index` is out of range.
     pub fn layer_params(&self, index: usize) -> Result<LayerParams> {
-        let &i = self
-            .trainable
-            .get(index)
-            .ok_or(NnError::NoSuchLayer {
-                index,
-                trainable: self.trainable.len(),
-            })?;
+        let &i = self.trainable.get(index).ok_or(NnError::NoSuchLayer {
+            index,
+            trainable: self.trainable.len(),
+        })?;
         let layer = &self.layers[i];
         let mut tensors: Vec<Tensor> = layer.params().into_iter().cloned().collect();
         tensors.extend(layer.buffers().into_iter().cloned());
@@ -331,13 +329,10 @@ impl Model {
     /// Returns [`NnError::NoSuchLayer`] for a bad index or
     /// [`NnError::ParamShapeMismatch`] if tensor shapes differ.
     pub fn set_layer_params(&mut self, index: usize, params: &LayerParams) -> Result<()> {
-        let &i = self
-            .trainable
-            .get(index)
-            .ok_or(NnError::NoSuchLayer {
-                index,
-                trainable: self.trainable.len(),
-            })?;
+        let &i = self.trainable.get(index).ok_or(NnError::NoSuchLayer {
+            index,
+            trainable: self.trainable.len(),
+        })?;
         self.set_trainable_layer(i, params)
     }
 
@@ -360,11 +355,7 @@ impl Model {
         for (dst, src) in layer.params_mut().into_iter().zip(&params.tensors) {
             if dst.shape() != src.shape() {
                 return Err(NnError::ParamShapeMismatch {
-                    reason: format!(
-                        "parameter shape {:?} != {:?}",
-                        dst.shape(),
-                        src.shape()
-                    ),
+                    reason: format!("parameter shape {:?} != {:?}", dst.shape(), src.shape()),
                 });
             }
             *dst = src.clone();
@@ -391,17 +382,11 @@ impl Model {
     /// # Errors
     ///
     /// Returns [`NnError::NoSuchLayer`] if `index` is out of range.
-    pub fn layer_params_and_grads(
-        &mut self,
-        index: usize,
-    ) -> Result<Vec<(&mut Tensor, &Tensor)>> {
-        let &i = self
-            .trainable
-            .get(index)
-            .ok_or(NnError::NoSuchLayer {
-                index,
-                trainable: self.trainable.len(),
-            })?;
+    pub fn layer_params_and_grads(&mut self, index: usize) -> Result<Vec<(&mut Tensor, &Tensor)>> {
+        let &i = self.trainable.get(index).ok_or(NnError::NoSuchLayer {
+            index,
+            trainable: self.trainable.len(),
+        })?;
         Ok(self.layers[i].params_and_grads())
     }
 
@@ -413,9 +398,7 @@ impl Model {
     pub fn layer_gradients(&self) -> Vec<LayerParams> {
         self.trainable
             .iter()
-            .map(|&i| {
-                LayerParams::new(self.layers[i].grads().into_iter().cloned().collect())
-            })
+            .map(|&i| LayerParams::new(self.layers[i].grads().into_iter().cloned().collect()))
             .collect()
     }
 
@@ -630,7 +613,10 @@ mod tests {
         let after = model.params();
         // Layer 0 untouched, layer 1 replaced.
         assert_eq!(after.layers[0], before.layers[0]);
-        assert!(after.layers[1].tensors[0].as_slice().iter().all(|&x| x == 9.0));
+        assert!(after.layers[1].tensors[0]
+            .as_slice()
+            .iter()
+            .all(|&x| x == 9.0));
     }
 
     #[test]
@@ -683,9 +669,7 @@ mod tests {
     fn residual_block_gradcheck() {
         use crate::conv::Conv2d;
         let mut rng = Rng::seed_from(8);
-        let body: Vec<Box<dyn Layer>> = vec![
-            Box::new(Conv2d::new(2, 2, 3, 1, 1, &mut rng)),
-        ];
+        let body: Vec<Box<dyn Layer>> = vec![Box::new(Conv2d::new(2, 2, 3, 1, 1, &mut rng))];
         let mut block = Residual::identity(body);
         let x = rng.randn(&[1, 2, 4, 4]);
         let y = block.forward(&x, true).unwrap();

@@ -93,7 +93,12 @@ pub fn fcnn_paper(in_features: usize, classes: usize, rng: &mut Rng) -> Result<M
 /// # Errors
 ///
 /// Propagates [`mlp`] errors.
-pub fn fcnn6(in_features: usize, classes: usize, base_width: usize, rng: &mut Rng) -> Result<Model> {
+pub fn fcnn6(
+    in_features: usize,
+    classes: usize,
+    base_width: usize,
+    rng: &mut Rng,
+) -> Result<Model> {
     let w = base_width.max(16);
     mlp(
         &[in_features, w, w * 3 / 4, w / 2, w * 3 / 8, w / 4, classes],
@@ -217,7 +222,11 @@ pub fn resnet20(in_channels: usize, classes: usize, rng: &mut Rng) -> Result<Mod
     for (stage, &width) in [16usize, 32, 64].iter().enumerate() {
         for block in 0..3 {
             let in_ch = if block == 0 {
-                if stage == 0 { 16 } else { width / 2 }
+                if stage == 0 {
+                    16
+                } else {
+                    width / 2
+                }
             } else {
                 width
             };
@@ -387,9 +396,12 @@ mod tests {
         assert!(vgg11(3, 43, 31, &mut rng).is_err());
         let m = vgg11(3, 43, 32, &mut rng).unwrap();
         assert_eq!(m.num_trainable_layers(), 11); // 8 conv + 3 dense
-        // Table 3's 48×48 GTSRB pools to 1×1: the head reads 512 features.
+                                                  // Table 3's 48×48 GTSRB pools to 1×1: the head reads 512 features.
         let m = vgg11(3, 43, 48, &mut rng).unwrap();
-        assert_eq!(m.param_count(), vgg11(3, 43, 32, &mut rng).unwrap().param_count());
+        assert_eq!(
+            m.param_count(),
+            vgg11(3, 43, 32, &mut rng).unwrap().param_count()
+        );
     }
 
     #[test]

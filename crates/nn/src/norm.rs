@@ -209,8 +209,7 @@ impl Layer for BatchNorm {
                 let mean_dy = sum_dy[ch] / m;
                 let mean_dy_xhat = sum_dy_xhat[ch] / m;
                 for s in 0..spatial {
-                    grad_in[base + s] =
-                        k * (dy[base + s] - mean_dy - xh[base + s] * mean_dy_xhat);
+                    grad_in[base + s] = k * (dy[base + s] - mean_dy - xh[base + s] * mean_dy_xhat);
                 }
             }
         }

@@ -122,7 +122,10 @@ fn ensure_state(state: &mut Vec<Tensor>, params: &[(&mut Tensor, &Tensor)]) {
             .zip(params)
             .any(|(s, (p, _))| s.shape() != p.shape())
     {
-        *state = params.iter().map(|(p, _)| Tensor::zeros(p.shape())).collect();
+        *state = params
+            .iter()
+            .map(|(p, _)| Tensor::zeros(p.shape()))
+            .collect();
     }
 }
 
@@ -293,8 +296,11 @@ impl Optimizer for Adam {
         for (i, (p, g)) in pg.iter_mut().enumerate() {
             let (m, v) = (self.m[i].as_mut_slice(), self.v[i].as_mut_slice());
             let ps = p.as_mut_slice();
-            for (((pv, &gv), mv), vv) in
-                ps.iter_mut().zip(g.as_slice()).zip(m.iter_mut()).zip(v.iter_mut())
+            for (((pv, &gv), mv), vv) in ps
+                .iter_mut()
+                .zip(g.as_slice())
+                .zip(m.iter_mut())
+                .zip(v.iter_mut())
             {
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
                 *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
@@ -370,8 +376,11 @@ impl Optimizer for AdaMax {
         for (i, (p, g)) in pg.iter_mut().enumerate() {
             let (m, u) = (self.m[i].as_mut_slice(), self.u[i].as_mut_slice());
             let ps = p.as_mut_slice();
-            for (((pv, &gv), mv), uv) in
-                ps.iter_mut().zip(g.as_slice()).zip(m.iter_mut()).zip(u.iter_mut())
+            for (((pv, &gv), mv), uv) in ps
+                .iter_mut()
+                .zip(g.as_slice())
+                .zip(m.iter_mut())
+                .zip(u.iter_mut())
             {
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
                 *uv = (self.beta2 * *uv).max(gv.abs());
@@ -644,7 +653,9 @@ mod tests {
         let mut model = models::mlp(&[1, 1], Activation::ReLU, &mut rng).unwrap();
         let x = Tensor::from_vec(vec![1.0], &[1, 1]).unwrap();
         model.forward(&x, true).unwrap();
-        model.backward(&Tensor::from_vec(vec![1.0], &[1, 1]).unwrap()).unwrap();
+        model
+            .backward(&Tensor::from_vec(vec![1.0], &[1, 1]).unwrap())
+            .unwrap();
         let grads = model.layer_gradients();
         let g = grads[0].tensors[0].as_slice()[0];
         let w0 = model.params().layers[0].tensors[0].as_slice()[0];
@@ -670,8 +681,11 @@ mod tests {
         }
         let mut rng = Rng::seed_from(3);
         let mut model = models::mlp(&[13, 9, 4], Activation::Tanh, &mut rng).unwrap();
-        let mut theta: Vec<Vec<f32>> =
-            model.params_and_grads().iter().map(|(p, _)| p.as_slice().to_vec()).collect();
+        let mut theta: Vec<Vec<f32>> = model
+            .params_and_grads()
+            .iter()
+            .map(|(p, _)| p.as_slice().to_vec())
+            .collect();
         let mut accum: Vec<Vec<f32>> = theta.iter().map(|p| vec![0.0; p.len()]).collect();
         let mut opt = Adagrad::new(0.05);
         for step in 0..5 {
@@ -681,8 +695,11 @@ mod tests {
             let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).unwrap();
             model.zero_grad();
             model.backward(&grad).unwrap();
-            let grads: Vec<Vec<f32>> =
-                model.params_and_grads().iter().map(|(_, g)| g.as_slice().to_vec()).collect();
+            let grads: Vec<Vec<f32>> = model
+                .params_and_grads()
+                .iter()
+                .map(|(_, g)| g.as_slice().to_vec())
+                .collect();
             two_loops(0.05, &mut theta, &mut accum, &grads);
             opt.step(&mut model).unwrap();
             for ((p, _), want) in model.params_and_grads().iter().zip(&theta) {
@@ -691,7 +708,11 @@ mod tests {
                 assert_eq!(got, want, "step {step}");
             }
             for (a, want) in opt.accum.iter().zip(&accum) {
-                assert!(a.as_slice().iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits()));
+                assert!(a
+                    .as_slice()
+                    .iter()
+                    .zip(want)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()));
             }
         }
     }
@@ -779,7 +800,10 @@ mod tests {
     #[test]
     fn import_rejects_mismatched_arity() {
         let mut opt = Adam::new(0.01);
-        let bad = OptimState { scalars: Vec::new(), groups: vec![Vec::new()] };
+        let bad = OptimState {
+            scalars: Vec::new(),
+            groups: vec![Vec::new()],
+        };
         assert!(opt.import_state(bad).is_err());
         // A fresh optimizer's own export always round-trips.
         let fresh = Adam::new(0.01).export_state();

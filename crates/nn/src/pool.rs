@@ -54,11 +54,16 @@ impl MaxPoolCache {
         }
         // A plane's window origins, in output order.
         let map = win.oh * win.ow;
-        let origins: Vec<usize> = win.row_bases().take(win.oh).flat_map(|base| {
-            (0..win.ow).map(move |ox| base + ox * win.kw)
-        }).collect();
+        let origins: Vec<usize> = win
+            .row_bases()
+            .take(win.oh)
+            .flat_map(|base| (0..win.ow).map(move |ox| base + ox * win.kw))
+            .collect();
         if map > 0 {
-            let planes = self.argmax.chunks_exact(map).zip(grad_output.as_slice().chunks_exact(map));
+            let planes = self
+                .argmax
+                .chunks_exact(map)
+                .zip(grad_output.as_slice().chunks_exact(map));
             for ((args, grads), plane) in planes.zip(gi.chunks_exact_mut(win.h * win.w)) {
                 // Windows do not overlap, so each cell is written at most once:
                 // `0.0 + g` is the zeroed cell plus its gradient.
@@ -100,7 +105,14 @@ impl Windows {
                 ),
             });
         }
-        Ok(Windows { h, w, kh, kw, oh: h / kh, ow: w / kw })
+        Ok(Windows {
+            h,
+            w,
+            kh,
+            kw,
+            oh: h / kh,
+            ow: w / kw,
+        })
     }
 
     /// Offset of each window cell from the window's first cell, in scan
@@ -153,20 +165,34 @@ fn walk(win: &Windows, count: usize, mut visit: impl FnMut(Step)) {
         let per = LANES / ow;
         let whole = count / LANES * LANES;
         for (group, at) in (0..whole).step_by(LANES).enumerate() {
-            visit(Step::Lanes { ow, at, x: group * per * band });
+            visit(Step::Lanes {
+                ow,
+                at,
+                x: group * per * band,
+            });
         }
         for at in whole..count {
-            visit(Step::One { at, x: (at / ow) * band + (at % ow) * kw });
+            visit(Step::One {
+                at,
+                x: (at / ow) * band + (at % ow) * kw,
+            });
         }
         return;
     }
     let whole = if kw == 2 { ow / LANES * LANES } else { 0 };
     for (first, base) in (0..count).step_by(ow).zip(win.row_bases()) {
         for ox in (0..whole).step_by(LANES) {
-            visit(Step::Lanes { ow: LANES, at: first + ox, x: base + ox * kw });
+            visit(Step::Lanes {
+                ow: LANES,
+                at: first + ox,
+                x: base + ox * kw,
+            });
         }
         for ox in whole..ow {
-            visit(Step::One { at: first + ox, x: base + ox * kw });
+            visit(Step::One {
+                at: first + ox,
+                x: base + ox * kw,
+            });
         }
     }
 }
@@ -311,7 +337,11 @@ impl Layer for MaxPool2d {
             return Err(NnError::InvalidConfig {
                 reason: format!(
                     "maxpool2d(k={k}) requires [n, c, h, w] with h, w {}; got {shape:?}",
-                    if self.floor { "at least k" } else { "divisible by k" }
+                    if self.floor {
+                        "at least k"
+                    } else {
+                        "divisible by k"
+                    }
                 ),
             });
         }
@@ -391,7 +421,11 @@ impl Layer for MaxPool1d {
             return Err(NnError::InvalidConfig {
                 reason: format!(
                     "maxpool1d(k={k}) requires [n, c, len] with len {}; got {shape:?}",
-                    if self.floor { "at least k" } else { "divisible by k" }
+                    if self.floor {
+                        "at least k"
+                    } else {
+                        "divisible by k"
+                    }
                 ),
             });
         }
@@ -464,7 +498,9 @@ impl Layer for GlobalAvgPool {
         let shape = self
             .cached_shape
             .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "global_avg_pool" })?;
+            .ok_or(NnError::BackwardBeforeForward {
+                layer: "global_avg_pool",
+            })?;
         let (n, c) = (shape[0], shape[1]);
         let spatial: usize = shape[2..].iter().product();
         let mut grad_in = Tensor::zeros(shape);
@@ -638,7 +674,9 @@ mod tests {
     fn windows_of_more_than_256_cells_are_rejected() {
         assert!(Windows::new((17, 17), (17, 17)).is_err());
         assert!(Windows::new((16, 16), (16, 16)).is_ok());
-        assert!(MaxPool2d::new(17).forward(&Tensor::zeros(&[1, 1, 17, 17]), true).is_err());
+        assert!(MaxPool2d::new(17)
+            .forward(&Tensor::zeros(&[1, 1, 17, 17]), true)
+            .is_err());
     }
 
     #[test]
@@ -665,7 +703,9 @@ mod tests {
         let mut pool = MaxPool1d::new(3);
         let x = Tensor::from_vec(vec![1.0, 4.0, 4.0, 2.0, 2.0, 2.0], &[1, 1, 6]).unwrap();
         assert_eq!(pool.forward(&x, true).unwrap().as_slice(), &[4.0, 2.0]);
-        let gx = pool.backward(&Tensor::from_vec(vec![5.0, 6.0], &[1, 1, 2]).unwrap()).unwrap();
+        let gx = pool
+            .backward(&Tensor::from_vec(vec![5.0, 6.0], &[1, 1, 2]).unwrap())
+            .unwrap();
         assert_eq!(gx.as_slice(), &[0.0, 5.0, 0.0, 6.0, 0.0, 0.0]);
     }
 
@@ -683,16 +723,24 @@ mod tests {
         let y = pool.forward(&x, true).unwrap();
         assert_eq!(y.shape(), &[1, 1, 1, 2]);
         assert_eq!(y.as_slice(), &[6.0, 8.0]);
-        let gx = pool.backward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]).unwrap()).unwrap();
+        let gx = pool
+            .backward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]).unwrap())
+            .unwrap();
         let mut want = [0.0; 15];
         (want[6], want[8]) = (1.0, 2.0);
         assert_eq!(gx.as_slice(), &want);
-        assert!(pool.forward(&Tensor::zeros(&[1, 1, 1, 4]), true).is_err(), "no whole window");
+        assert!(
+            pool.forward(&Tensor::zeros(&[1, 1, 1, 4]), true).is_err(),
+            "no whole window"
+        );
 
         let mut pool = MaxPool1d::floor_mode(4);
         let x = Tensor::from_vec((0..10).map(|v| v as f32).collect(), &[1, 1, 10]).unwrap();
         assert_eq!(pool.forward(&x, true).unwrap().as_slice(), &[3.0, 7.0]);
-        assert!(MaxPool1d::new(4).forward(&x, true).is_err(), "strict mode still rejects");
+        assert!(
+            MaxPool1d::new(4).forward(&x, true).is_err(),
+            "strict mode still rejects"
+        );
     }
 
     #[test]

@@ -55,7 +55,9 @@ pub fn write_layers<L: AsRef<[Tensor]>, E: From<WireError>>(
     mut section: impl FnMut(usize, usize, &Tensor, &mut ByteWriter) -> std::result::Result<(), E>,
 ) -> std::result::Result<(), E> {
     write_seq(w, layers.iter(), "layer count", |li, layer, w| {
-        write_seq(w, layer.as_ref().iter(), "tensor count", |ti, t, w| section(li, ti, t, w))
+        write_seq(w, layer.as_ref().iter(), "tensor count", |ti, t, w| {
+            section(li, ti, t, w)
+        })
     })
 }
 
@@ -135,7 +137,10 @@ fn decode_frame(bytes: &[u8], base: Option<&ModelParams>) -> Result<ModelParams>
     let mismatch = || NnError::ParamShapeMismatch {
         reason: "delta frame does not have the architecture of its base".into(),
     };
-    let mut onto = base.into_iter().flat_map(|b| &b.layers).flat_map(|l| &l.tensors);
+    let mut onto = base
+        .into_iter()
+        .flat_map(|b| &b.layers)
+        .flat_map(|l| &l.tensors);
     let mut r = ByteReader::new(bytes);
     let codec = Codec::from_tag(read_header(&mut r, MAGIC)?)?;
     let layers = read_layers(&mut r, |r| {
@@ -385,12 +390,19 @@ mod tests {
                 fb.compress_delta(&other, &other, codec),
             ] {
                 assert!(matches!(result, Err(NnError::ParamShapeMismatch { .. })));
-                assert_eq!(flat_bits(fb.residual.as_ref().unwrap()), carried, "{codec:?}");
+                assert_eq!(
+                    flat_bits(fb.residual.as_ref().unwrap()),
+                    carried,
+                    "{codec:?}"
+                );
             }
             // The next good round is compensated as if nothing had happened.
             let mut twin = ErrorFeedback::new();
             twin.compress(&p, codec).unwrap();
-            assert_eq!(fb.compress(&p, codec).unwrap(), twin.compress(&p, codec).unwrap());
+            assert_eq!(
+                fb.compress(&p, codec).unwrap(),
+                twin.compress(&p, codec).unwrap()
+            );
         }
         // With nothing carried, a refused delta leaves nothing behind.
         let mut fresh = ErrorFeedback::new();
@@ -420,7 +432,11 @@ mod tests {
                 let mut server = decode_params(&want).unwrap();
                 server.add_assign(&base).unwrap();
                 let onto = decode_params_onto(&got, &base).unwrap();
-                assert_eq!(flat_bits(&onto), flat_bits(&server), "{codec:?} round {round}");
+                assert_eq!(
+                    flat_bits(&onto),
+                    flat_bits(&server),
+                    "{codec:?} round {round}"
+                );
             }
         }
     }
@@ -430,8 +446,12 @@ mod tests {
         let p = small_params();
         let bytes = encode_params(&p, Codec::QuantI8).unwrap();
         let mut rng = Rng::seed_from(3);
-        let reshaped = models::mlp(&[4, 5, 3], Activation::ReLU, &mut rng).unwrap().params();
-        let deeper = models::mlp(&[4, 6, 3, 2], Activation::ReLU, &mut rng).unwrap().params();
+        let reshaped = models::mlp(&[4, 5, 3], Activation::ReLU, &mut rng)
+            .unwrap()
+            .params();
+        let deeper = models::mlp(&[4, 6, 3, 2], Activation::ReLU, &mut rng)
+            .unwrap()
+            .params();
         let shallower = ModelParams::new(vec![p.layers[0].share()]);
         assert!(matches!(
             decode_params_onto(&bytes, &reshaped),
@@ -444,7 +464,10 @@ mod tests {
             ));
         }
         for cut in [0, HEADER_LEN, bytes.len() - 1] {
-            assert!(decode_params_onto(&bytes[..cut], &p).is_err(), "prefix {cut} decoded");
+            assert!(
+                decode_params_onto(&bytes[..cut], &p).is_err(),
+                "prefix {cut} decoded"
+            );
         }
     }
 
@@ -454,7 +477,10 @@ mod tests {
         let bytes = encode_params(&p, Codec::F32).unwrap();
         // Every strict prefix fails.
         for cut in [0, 3, HEADER_LEN, HEADER_LEN + 2, bytes.len() - 1] {
-            assert!(decode_params(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+            assert!(
+                decode_params(&bytes[..cut]).is_err(),
+                "prefix {cut} decoded"
+            );
         }
         // Trailing garbage fails.
         let mut extended = bytes.clone();

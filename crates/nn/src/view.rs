@@ -174,10 +174,7 @@ mod tests {
         let p = params2();
         let v = ParamView::of_model(&p);
         assert_eq!(v.param_count(), p.param_count());
-        assert_eq!(
-            v.slices().map(<[f32]>::len).sum::<usize>(),
-            p.param_count()
-        );
+        assert_eq!(v.slices().map(<[f32]>::len).sum::<usize>(), p.param_count());
     }
 
     #[test]

@@ -144,7 +144,10 @@ fn sgd_step_is_exact() {
         Sgd::new(lr).step(&mut model).unwrap();
         let after = model.params().to_flat();
         for ((b, a), gr) in before.iter().zip(&after).zip(&grads) {
-            assert!((b - lr * gr - a).abs() < 1e-5 * (1.0 + a.abs()), "case {case}");
+            assert!(
+                (b - lr * gr - a).abs() < 1e-5 * (1.0 + a.abs()),
+                "case {case}"
+            );
         }
     }
 }

@@ -101,7 +101,11 @@ mod tests {
         record_alloc_gauges(&tel);
         // A scope's peak is published the same way, under its own name.
         tel.gauge_max_volatile("client.peak_bytes", scope.peak_extra_bytes() as f64);
-        for name in ["tensor.alloc.live_bytes", "tensor.alloc.peak_bytes", "client.peak_bytes"] {
+        for name in [
+            "tensor.alloc.live_bytes",
+            "tensor.alloc.peak_bytes",
+            "client.peak_bytes",
+        ] {
             let m = tel
                 .metrics()
                 .into_iter()

@@ -74,7 +74,12 @@ fn metric_line(metric: &MetricValue) -> Json {
     match &metric.data {
         MetricData::Counter(v) => pairs.push(("value", v.to_json())),
         MetricData::Gauge(v) => pairs.push(("value", v.to_json())),
-        MetricData::Histogram { lo, hi, counts, total } => {
+        MetricData::Histogram {
+            lo,
+            hi,
+            counts,
+            total,
+        } => {
             pairs.push(("lo", lo.to_json()));
             pairs.push(("hi", hi.to_json()));
             pairs.push(("total", total.to_json()));
@@ -134,9 +139,7 @@ pub fn span_coverage(tel: &Telemetry) -> f64 {
         let prefix = format!("{path}/");
         let child_sum: u64 = stats
             .iter()
-            .filter(|(p, _)| {
-                p.starts_with(&prefix) && !p[prefix.len()..].contains('/')
-            })
+            .filter(|(p, _)| p.starts_with(&prefix) && !p[prefix.len()..].contains('/'))
             .map(|(_, &(_, child_us))| child_us)
             .sum();
         covered += child_sum.min(total_us);
@@ -377,11 +380,17 @@ mod tests {
         assert_eq!(events.len(), 4, "two spans, one B/E pair each");
         // Sorted-span order: round[1] first, then round[1]/client[2].
         assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("B"));
-        assert_eq!(events[0].get("name").and_then(Json::as_str), Some("round[1]"));
+        assert_eq!(
+            events[0].get("name").and_then(Json::as_str),
+            Some("round[1]")
+        );
         assert_eq!(events[0].get("pid").and_then(Json::as_u64), Some(0));
         assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("E"));
         assert_eq!(events[1].get("ts").and_then(Json::as_u64), Some(15));
-        assert_eq!(events[2].get("name").and_then(Json::as_str), Some("client[2]"));
+        assert_eq!(
+            events[2].get("name").and_then(Json::as_str),
+            Some("client[2]")
+        );
         assert_eq!(events[2].get("pid").and_then(Json::as_u64), Some(3));
         assert_eq!(
             events[2]
@@ -444,7 +453,9 @@ mod tests {
         let text = trace_events(&Telemetry::disabled());
         let json = Json::parse(&text).expect("parses");
         assert_eq!(
-            json.get("traceEvents").and_then(Json::as_arr).map(|a| a.len()),
+            json.get("traceEvents")
+                .and_then(Json::as_arr)
+                .map(|a| a.len()),
             Some(0)
         );
     }

@@ -115,12 +115,17 @@ impl PrivacyLedger {
     /// non-finite charges are clamped to zero — the ledger only ever
     /// *under*-reports by refusing a bogus charge, never by dropping it.
     pub(crate) fn charge(&self, defense: &str, entity: &str, eps: f64, delta: f64) {
-        let eps = if eps.is_finite() && eps > 0.0 { eps } else { 0.0 };
-        let delta = if delta.is_finite() && delta > 0.0 { delta } else { 0.0 };
-        let mut accounts = self
-            .accounts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let eps = if eps.is_finite() && eps > 0.0 {
+            eps
+        } else {
+            0.0
+        };
+        let delta = if delta.is_finite() && delta > 0.0 {
+            delta
+        } else {
+            0.0
+        };
+        let mut accounts = self.accounts.lock().unwrap_or_else(PoisonError::into_inner);
         let acc = accounts
             .entry((defense.to_string(), entity.to_string()))
             .or_default();

@@ -707,7 +707,12 @@ mod tests {
             let x = f32::from_bits(TANH_CLAMP.to_bits().wrapping_add_signed(d));
             xs.extend([x, -x]);
         }
-        xs.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(1)]);
+        xs.extend([
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+        ]);
         xs
     }
 
@@ -804,7 +809,10 @@ mod tests {
         for i in 0..=1_000_000 {
             let x = 1.0 + i as f32 * 1e-3;
             let err = (ln_unit(x) as f64 - (x as f64).ln()).abs();
-            assert!(err <= 2.5e-7 * (x as f64).ln().max(1.0), "x={x} err={err:e}");
+            assert!(
+                err <= 2.5e-7 * (x as f64).ln().max(1.0),
+                "x={x} err={err:e}"
+            );
         }
         assert_eq!(ln_unit(1.0).to_bits(), 0.0f32.to_bits());
     }

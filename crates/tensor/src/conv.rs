@@ -230,7 +230,9 @@ impl Lowering {
     fn bases(&self, n: usize) -> Vec<usize> {
         let (hp, wp) = self.padded();
         let (s, ow, image) = (self.stride, self.ow, self.c * hp * wp);
-        let sample: Vec<usize> = (0..self.oh * ow).map(|r| (r / ow * wp + r % ow) * s).collect();
+        let sample: Vec<usize> = (0..self.oh * ow)
+            .map(|r| (r / ow * wp + r % ow) * s)
+            .collect();
         let mut bases = Vec::with_capacity(n * sample.len());
         for i in 0..n {
             bases.extend(sample.iter().map(|&b| i * image + b));
@@ -296,7 +298,8 @@ impl Lowering {
         let (hp, wp) = self.padded();
         let mut out = vec![0.0f32; n * self.c * hp * wp];
         let interior = &mut out[self.pad_h * wp + self.pad_w..];
-        self.frame().copy(interior, x, x.len() / self.w.max(1), true);
+        self.frame()
+            .copy(interior, x, x.len() / self.w.max(1), true);
         Tensor::from_vec(out, &[n, self.c, hp, wp])
     }
 
@@ -304,7 +307,8 @@ impl Lowering {
     /// without their border.
     fn crop(&self, padded: &[f32], out: &mut [f32]) {
         let interior = &padded[self.pad_h * self.padded().1 + self.pad_w..];
-        self.frame().copy(out, interior, out.len() / self.w.max(1), false);
+        self.frame()
+            .copy(out, interior, out.len() / self.w.max(1), false);
     }
 
     /// Folds a patch-matrix gradient (`[patch, n·oh·ow]`) back onto `n`
@@ -403,7 +407,10 @@ impl Lowering {
     fn cell_taps(&self) -> CellTaps {
         let s = self.stride;
         let reach = |i: usize, k: usize, pad: usize, out: usize| {
-            (i + pad).checked_sub(k).filter(|t| t % s == 0 && t / s < out).map(|t| t / s)
+            (i + pad)
+                .checked_sub(k)
+                .filter(|t| t % s == 0 && t / s < out)
+                .map(|t| t / s)
         };
         let kk = self.kh * self.kw;
         let mut cells = Vec::with_capacity(self.h * self.w);
@@ -423,10 +430,17 @@ impl Lowering {
         let mut starts = vec![0];
         let mut pairs = Vec::new();
         for cell in &cells {
-            pairs.extend(cell.iter().map(|&(k, pos)| (kernel.partition_point(|&t| t < k), pos)));
+            pairs.extend(
+                cell.iter()
+                    .map(|&(k, pos)| (kernel.partition_point(|&t| t < k), pos)),
+            );
             starts.push(pairs.len());
         }
-        CellTaps { kernel, starts, pairs }
+        CellTaps {
+            kernel,
+            starts,
+            pairs,
+        }
     }
 
     /// The input gradient with the input channels on the lanes: for each
@@ -455,7 +469,12 @@ impl Lowering {
                 }
             }
         }
-        let plan = ChannelLanes { oc, map, lanes, taps };
+        let plan = ChannelLanes {
+            oc,
+            map,
+            lanes,
+            taps,
+        };
         let min_samples = (PAR_MIN_CELLS / (sample * kk).max(1)).max(1);
         par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
             let first = offset / sample;
@@ -530,7 +549,14 @@ impl Lowering {
     /// `+0.0`, which is `+0.0` for finite weights, and adding `+0.0` to a
     /// sum that starts at `+0.0` moves no bit. Lanes over border cells are
     /// computed and dropped.
-    fn transposed_conv(&self, w: &[f32], oc: usize, g: &[f32], n: usize, live: &[usize]) -> Vec<f32> {
+    fn transposed_conv(
+        &self,
+        w: &[f32],
+        oc: usize,
+        g: &[f32],
+        n: usize,
+        live: &[usize],
+    ) -> Vec<f32> {
         let wp = self.padded().1;
         let (kk, map) = (self.kh * self.kw, self.oh * self.ow);
         let sample = self.c * self.h * self.w;
@@ -538,7 +564,10 @@ impl Lowering {
         if out.is_empty() || map == 0 {
             return out;
         }
-        let (first, reach) = (self.pad_h * wp + self.pad_w, (self.kh - 1) * wp + self.kw - 1);
+        let (first, reach) = (
+            self.pad_h * wp + self.pad_w,
+            (self.kh - 1) * wp + self.kw - 1,
+        );
         // The interior in runs of `v ≤ 6` vectors (4 ≤ v: the interior is
         // at least `TRANSPOSED_MIN_VECTORS`).
         let vectors = self.interior_vectors();
@@ -607,7 +636,12 @@ impl Lowering {
         let mut sums = vec![0.0f32; C * pitch];
         let sample = oc * self.oh * self.ow;
         for (i, out) in (first_sample..).zip(part.chunks_exact_mut(c * plane)) {
-            embed.copy(&mut planes[plan.reach..], &g[i * sample..][..sample], oc * self.oh, true);
+            embed.copy(
+                &mut planes[plan.reach..],
+                &g[i * sample..][..sample],
+                oc * self.oh,
+                true,
+            );
             for ch0 in (0..c).step_by(C) {
                 // A group past the last channel repeats it; its sums are dropped.
                 let channels: [usize; C] = std::array::from_fn(|k| (ch0 + k).min(c - 1) * plan.kk);
@@ -719,7 +753,10 @@ fn transposed_tile<const C: usize, const V: usize>(
         for &(weight, offset) in tap {
             let cells = &planes[offset + at..][..V * LANES];
             let gv: [[f32; LANES]; V] = std::array::from_fn(|v| {
-                cells[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
+                cells[v * LANES..]
+                    .first_chunk::<LANES>()
+                    .copied()
+                    .unwrap_or([0.0; LANES])
             });
             for (pc, &channel) in p.iter_mut().zip(&channels) {
                 let wc = w[weight + channel];
@@ -782,9 +819,15 @@ fn channel_tile<const R: usize, const V: usize>(
         for o in 0..oc {
             let wv = &w[o * lanes..][..V * LANES];
             let wv: [[f32; LANES]; V] = std::array::from_fn(|v| {
-                wv[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
+                wv[v * LANES..]
+                    .first_chunk::<LANES>()
+                    .copied()
+                    .unwrap_or([0.0; LANES])
             });
-            let gv = group[(o * map + pos) * R..].first_chunk::<R>().copied().unwrap_or([0.0; R]);
+            let gv = group[(o * map + pos) * R..]
+                .first_chunk::<R>()
+                .copied()
+                .unwrap_or([0.0; R]);
             for (pr, &gv) in p.iter_mut().zip(&gv) {
                 for (pv, wv) in pr.iter_mut().zip(&wv) {
                     for (a, &b) in pv.iter_mut().zip(wv) {
@@ -912,7 +955,11 @@ impl Patches<'_> {
         let a = if live == patch {
             Operand::Strided(w)
         } else {
-            Operand::Gathered(Gather { data: w.data, rows: &starts, cols: &self.rows })
+            Operand::Gathered(Gather {
+                data: w.data,
+                rows: &starts,
+                cols: &self.rows,
+            })
         };
         let (bias, n, sample) = (bias.as_slice(), positions / map.max(1), oc * map);
         let mut out = vec![0.0f32; n * sample];
@@ -922,7 +969,10 @@ impl Patches<'_> {
                 let (first, count) = (offset / sample, part.len() / sample);
                 let block = (PRODUCT_BLOCK / sample).clamp(1, count);
                 let mut product = vec![0.0f32; oc * block * map];
-                for (start, planes) in (first..).step_by(block).zip(part.chunks_mut(block * sample)) {
+                for (start, planes) in (first..)
+                    .step_by(block)
+                    .zip(part.chunks_mut(block * sample))
+                {
                     let width = planes.len() / oc;
                     let product = &mut product[..oc * width];
                     let b = Gather {
@@ -1020,12 +1070,21 @@ impl Patches<'_> {
                 while p < start + len {
                     let (i, pos) = (p / map, p % map);
                     let seg = (map - pos).min(start + len - p);
-                    let g = View { data: &planes[i * oc * map + pos..], rs: map, cs: 1 };
+                    let g = View {
+                        data: &planes[i * oc * map + pos..],
+                        rs: map,
+                        cs: 1,
+                    };
                     transpose_lanes(&mut gt[(p - start) * lanes..][..seg * lanes], g, oc, lanes);
                     p += seg;
                 }
                 let coeffs = if run >= DIRECT_RUN {
-                    Coeffs::Image { x, taps, bases, run }
+                    Coeffs::Image {
+                        x,
+                        taps,
+                        bases,
+                        run,
+                    }
                 } else {
                     rows.resize(taps.len() * len, 0.0);
                     match run {
@@ -1231,7 +1290,12 @@ fn weight_grad_tile<const R: usize, const V: usize>(
             let rows = std::array::from_fn(|r| &rows[row(r) * len..]);
             weight_grad_steps::<R, V>(&mut acc, rows, gt, lanes, lane);
         }
-        Coeffs::Image { x, taps, bases, run } => {
+        Coeffs::Image {
+            x,
+            taps,
+            bases,
+            run,
+        } => {
             let taps: [usize; R] = std::array::from_fn(|r| taps[row(r)]);
             for (&base, gt) in bases.iter().step_by(run).zip(gt.chunks(run * lanes)) {
                 let window = &x[base..];
@@ -1266,7 +1330,10 @@ fn weight_grad_steps<const R: usize, const V: usize>(
     for p in 0..len {
         let g = &gt[p * lanes..][..V * LANES];
         let g: [[f32; LANES]; V] = std::array::from_fn(|v| {
-            g[v * LANES..].first_chunk::<LANES>().copied().unwrap_or([0.0; LANES])
+            g[v * LANES..]
+                .first_chunk::<LANES>()
+                .copied()
+                .unwrap_or([0.0; LANES])
         });
         for (accr, row) in acc.iter_mut().zip(&rows) {
             let c = row[p];
@@ -1373,8 +1440,13 @@ impl Conv1dGeom {
     /// if the operands do not match the geometry, or
     /// [`TensorError::InvalidConv`] for invalid geometry.
     pub fn input_grad(&self, weight: &Tensor, grad: &Tensor, n: usize) -> Result<Tensor> {
-        self.lowering()?
-            .input_grad("conv1d input_grad", weight, grad, n, &[self.channels, self.len])
+        self.lowering()?.input_grad(
+            "conv1d input_grad",
+            weight,
+            grad,
+            n,
+            &[self.channels, self.len],
+        )
     }
 
     fn lowering(&self) -> Result<Lowering> {
@@ -1465,7 +1537,7 @@ mod tests {
         let kernel = Tensor::from_fn(&[1, 9], |i| (i % 2) as f32); // alternating 0/1
         let cols = im2col2d(&x, &g).unwrap();
         let y = kernel.matmul(&cols).unwrap(); // [1, 4]
-        // Direct convolution.
+                                               // Direct convolution.
         for oy in 0..2 {
             for ox in 0..2 {
                 let mut acc = 0.0;
@@ -1554,7 +1626,14 @@ mod tests {
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // The last three have dead taps: a 1×1 map at padding 1, a 2×2 map
         // at padding 2, and stride 2 past a 2-cell border.
-        for (h, w, s, p) in [(7, 6, 1, 1), (7, 6, 2, 0), (7, 6, 1, 2), (1, 1, 1, 1), (2, 2, 1, 2), (3, 3, 2, 2)] {
+        for (h, w, s, p) in [
+            (7, 6, 1, 1),
+            (7, 6, 2, 0),
+            (7, 6, 1, 2),
+            (1, 1, 1, 1),
+            (2, 2, 1, 2),
+            (3, 3, 2, 2),
+        ] {
             let g = geom(3, h, w, 3, s, p);
             let x = rng.randn(&[4, 3, h, w]);
             let (patches, cols) = (g.patches(&x).unwrap(), im2col2d(&x, &g).unwrap());
@@ -1567,12 +1646,19 @@ mod tests {
             let planes = |m: &Tensor| {
                 let m = m.as_slice();
                 let v = (0..m.len()).map(|e| (e / map / 5, e / map % 5, e % map));
-                Tensor::from_vec(v.map(|(i, o, p)| m[o * 4 * map + i * map + p]).collect(), &[4, 5, map])
-                    .unwrap()
+                Tensor::from_vec(
+                    v.map(|(i, o, p)| m[o * 4 * map + i * map + p]).collect(),
+                    &[4, 5, map],
+                )
+                .unwrap()
             };
             let positions = 4 * map;
             let product = wt.matmul(&cols).unwrap();
-            let biased = product.as_slice().iter().enumerate().map(|(e, v)| v + b.as_slice()[e / positions]);
+            let biased = product
+                .as_slice()
+                .iter()
+                .enumerate()
+                .map(|(e, v)| v + b.as_slice()[e / positions]);
             let biased = Tensor::from_vec(biased.collect(), &[5, positions]).unwrap();
             let forward = patches.convolve(&wt, &b).unwrap();
             assert_eq!(bits(&forward), bits(&planes(&biased)));
@@ -1580,14 +1666,19 @@ mod tests {
             patches.add_weight_grad(&mut dw, &planes(&gy)).unwrap();
             assert_eq!(bits(&dw), bits(&gy.matmul_t(&cols).unwrap()));
             let dx = g.input_grad(&wt, &planes(&gy), 4).unwrap();
-            assert_eq!(bits(&dx), bits(&col2im2d(&wt.t_matmul(&gy).unwrap(), 4, &g).unwrap()));
+            assert_eq!(
+                bits(&dx),
+                bits(&col2im2d(&wt.t_matmul(&gy).unwrap(), 4, &g).unwrap())
+            );
             // One sample's column block, read as a view of the same table.
             let sample = patches.columns(2 * map..3 * map).convolve(&wt, &b).unwrap();
             let full = &forward.as_slice()[2 * 5 * map..][..5 * map];
             assert_eq!(bits(&sample), bits(&Tensor::from_slice(full)));
             assert!(patches.convolve(&rng.randn(&[5, 4]), &b).is_err());
             assert!(patches.convolve(&wt, &rng.randn(&[4])).is_err());
-            assert!(patches.add_weight_grad(&mut dw, &rng.randn(&[5, 3])).is_err());
+            assert!(patches
+                .add_weight_grad(&mut dw, &rng.randn(&[5, 3]))
+                .is_err());
             assert!(g.input_grad(&wt, &rng.randn(&[5, 3]), 4).is_err());
         }
     }
@@ -1607,7 +1698,10 @@ mod tests {
         for q in 0..18 {
             let live = q % 9 == 4;
             let column: Vec<f32> = (0..4).map(|o| dw.as_slice()[o * 18 + q]).collect();
-            assert!(column.iter().all(|&v| (v == 7.0) != live), "column {q}: {column:?}");
+            assert!(
+                column.iter().all(|&v| (v == 7.0) != live),
+                "column {q}: {column:?}"
+            );
         }
     }
 

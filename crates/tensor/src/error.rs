@@ -90,7 +90,10 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")
             }
             TensorError::InvalidReshape { from, to } => {
-                write!(f, "cannot reshape {from:?} into {to:?}: element counts differ")
+                write!(
+                    f,
+                    "cannot reshape {from:?} into {to:?}: element counts differ"
+                )
             }
             TensorError::InvalidAxis { axis, rank } => {
                 write!(f, "axis {axis} invalid for tensor of rank {rank}")

@@ -514,12 +514,12 @@ impl<'a> Parser<'a> {
             if self.pos > start {
                 // The input is valid UTF-8 and we only stopped at ASCII
                 // boundaries, so the run is valid UTF-8.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(
-                    |_| JsonError {
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError {
                         at: start,
                         reason: "invalid UTF-8 in string".to_string(),
-                    },
-                )?);
+                    })?,
+                );
             }
             match self.peek() {
                 Some(b'"') => {
@@ -569,7 +569,9 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut code = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let digit = match b {
                 b'0'..=b'9' => u32::from(b - b'0'),
                 b'a'..=b'f' => u32::from(b - b'a') + 10,
@@ -629,10 +631,7 @@ mod tests {
             ("flag", true.to_json()),
             ("nothing", Json::Null),
             ("list", vec![1.0f32, -2.5, 0.0].to_json()),
-            (
-                "pairs",
-                vec![(1usize, 2usize), (3, 4)].to_json(),
-            ),
+            ("pairs", vec![(1usize, 2usize), (3, 4)].to_json()),
         ]);
         for text in [v.dump(), v.dump_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), v);
@@ -658,13 +657,23 @@ mod tests {
             .iter()
             .map(|v| v.as_f64().unwrap() as f32)
             .collect();
-        assert_eq!(parsed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                   values.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        assert_eq!(
+            parsed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            values.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn parser_rejects_malformed_input() {
-        for bad in ["{not json", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2", ""] {
+        for bad in [
+            "{not json",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }

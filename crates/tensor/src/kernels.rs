@@ -316,8 +316,30 @@ mod tests {
             let (da, db) = (fill_pattern(m * k, 1), fill_pattern(k * n, 2));
             // Each operand row-major and as the transposed view of the
             // buffer `matmul_t` / `t_matmul` hand in.
-            for a in [View { data: &da, rs: k, cs: 1 }, View { data: &da, rs: 1, cs: m }] {
-                for b in [View { data: &db, rs: n, cs: 1 }, View { data: &db, rs: 1, cs: k }] {
+            for a in [
+                View {
+                    data: &da,
+                    rs: k,
+                    cs: 1,
+                },
+                View {
+                    data: &da,
+                    rs: 1,
+                    cs: m,
+                },
+            ] {
+                for b in [
+                    View {
+                        data: &db,
+                        rs: n,
+                        cs: 1,
+                    },
+                    View {
+                        data: &db,
+                        rs: 1,
+                        cs: k,
+                    },
+                ] {
                     let want = reference_gemm(a, b, m, k, n, &vec![0.0; m * n]);
                     let prior = fill_pattern(m * n, 3);
                     let resumed = reference_gemm(a, b, m, k, n, &prior);

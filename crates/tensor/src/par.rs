@@ -183,9 +183,7 @@ where
 fn split_counts(granules: usize, parts: usize) -> Vec<usize> {
     let base = granules / parts;
     let extra = granules % parts;
-    (0..parts)
-        .map(|p| base + usize::from(p < extra))
-        .collect()
+    (0..parts).map(|p| base + usize::from(p < extra)).collect()
 }
 
 /// Runs `f` over a balanced contiguous partition of `data`, in parallel.
@@ -217,9 +215,7 @@ where
         data.len()
     );
     let granules = data.len() / granule;
-    let parts = threads()
-        .min(granules / min_granules.max(1))
-        .max(1);
+    let parts = threads().min(granules / min_granules.max(1)).max(1);
     if parts <= 1 || in_parallel_region() {
         if !data.is_empty() {
             f(0, data);
@@ -397,7 +393,9 @@ pub fn chunked_sum(data: &[f32]) -> f32 {
 /// order.
 pub fn chunked_dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "chunked_dot length mismatch");
-    chunked_reduce(a.len(), |r| a[r.clone()].iter().zip(&b[r]).map(|(&x, &y)| x * y))
+    chunked_reduce(a.len(), |r| {
+        a[r.clone()].iter().zip(&b[r]).map(|(&x, &y)| x * y)
+    })
 }
 
 /// Sum of squares of `data`, accumulated in `f64`, with fixed-chunk
@@ -444,7 +442,10 @@ mod tests {
         assert_eq!(split_counts(3, 3), vec![1, 1, 1]);
         assert_eq!(split_counts(2, 4), vec![1, 1, 0, 0]);
         for (granules, parts) in [(17, 4), (100, 7), (1, 1)] {
-            assert_eq!(split_counts(granules, parts).iter().sum::<usize>(), granules);
+            assert_eq!(
+                split_counts(granules, parts).iter().sum::<usize>(),
+                granules
+            );
         }
     }
 
@@ -530,9 +531,14 @@ mod tests {
             // Other tests fan out concurrently on the same global counters:
             // this region alone accounts for one region of four parts.
             let delta = crate::profile::snapshot().delta_since(&before);
-            assert!(delta.pool_regions >= 1 && delta.pool_tasks >= 4, "{delta:?}");
+            assert!(
+                delta.pool_regions >= 1 && delta.pool_tasks >= 4,
+                "{delta:?}"
+            );
             assert_eq!(ran_on[0], Some(caller));
-            assert!(ran_on[1..].iter().all(|id| id.is_some() && *id != Some(caller)));
+            assert!(ran_on[1..]
+                .iter()
+                .all(|id| id.is_some() && *id != Some(caller)));
             assert!(!in_parallel_region(), "the caller's mark outlived its part");
         });
     }
@@ -572,10 +578,18 @@ mod tests {
 
     #[test]
     fn chunked_reductions_are_width_invariant() {
-        let data: Vec<f32> = (0..20_000).map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0).collect();
-        let other: Vec<f32> = (0..20_000).map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0).collect();
+        let data: Vec<f32> = (0..20_000)
+            .map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0)
+            .collect();
+        let other: Vec<f32> = (0..20_000)
+            .map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0)
+            .collect();
         let (base_sum, base_dot, base_sq) = with_width(1, || {
-            (chunked_sum(&data), chunked_dot(&data, &other), chunked_sumsq_f64(&data))
+            (
+                chunked_sum(&data),
+                chunked_dot(&data, &other),
+                chunked_sumsq_f64(&data),
+            )
         });
         for width in [2, 4, 7] {
             with_width(width, || {
@@ -589,8 +603,12 @@ mod tests {
     #[test]
     fn sumsq_of_a_difference_equals_sumsq_of_the_subtracted_buffer() {
         for len in [0usize, 1, 100, REDUCE_CHUNK, REDUCE_CHUNK + 1, 20_000] {
-            let a: Vec<f32> = (0..len).map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0).collect();
-            let b: Vec<f32> = (0..len).map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0).collect();
+            let a: Vec<f32> = (0..len)
+                .map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0)
+                .collect();
+            let b: Vec<f32> = (0..len)
+                .map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0)
+                .collect();
             let diff: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
             for width in [1, 2, 4] {
                 with_width(width, || {
@@ -610,8 +628,12 @@ mod tests {
         // whole chunk and the short last chunk, split across parts at
         // every width. Each chunk must be its plain `Iterator::sum`.
         let len = 9 * REDUCE_CHUNK + 17;
-        let a: Vec<f32> = (0..len).map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0).collect();
-        let b: Vec<f32> = (0..len).map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0).collect();
+        let a: Vec<f32> = (0..len)
+            .map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0)
+            .collect();
+        let b: Vec<f32> = (0..len)
+            .map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0)
+            .collect();
         let per_chunk = |f: &dyn Fn(usize) -> f64| -> f64 {
             let sums: Vec<f64> = (0..len)
                 .step_by(REDUCE_CHUNK)
@@ -624,13 +646,19 @@ mod tests {
             let d = f64::from(a[i] - b[i]);
             d * d
         });
-        let sums: Vec<f32> = a.chunks(REDUCE_CHUNK).map(|c| c.iter().sum::<f32>()).collect();
+        let sums: Vec<f32> = a
+            .chunks(REDUCE_CHUNK)
+            .map(|c| c.iter().sum::<f32>())
+            .collect();
         let want_sum: f32 = sums.iter().sum();
         let negative_zeros = vec![-0.0f32; len];
         for width in [1, 2, 4] {
             with_width(width, || {
                 assert_eq!(chunked_sumsq_f64(&a).to_bits(), want_sq.to_bits());
-                assert_eq!(chunked_sumsq_diff_f64(&a, &b).to_bits(), want_diff.to_bits());
+                assert_eq!(
+                    chunked_sumsq_diff_f64(&a, &b).to_bits(),
+                    want_diff.to_bits()
+                );
                 assert_eq!(chunked_sum(&a).to_bits(), want_sum.to_bits());
                 assert_eq!(chunked_sum(&negative_zeros).to_bits(), (-0.0f32).to_bits());
             });

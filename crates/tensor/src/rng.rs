@@ -414,7 +414,10 @@ impl Rng {
     ///
     /// Panics if `lo > hi`.
     pub fn fill_uniform_in(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        assert!(lo <= hi, "fill_uniform_in requires lo <= hi, got {lo} > {hi}");
+        assert!(
+            lo <= hi,
+            "fill_uniform_in requires lo <= hi, got {lo} > {hi}"
+        );
         self.fill_uniform(out);
         for x in out {
             *x = lo + (hi - lo) * *x;
@@ -748,19 +751,11 @@ mod tests {
         // Low alpha -> spiky distributions; high alpha -> near-uniform.
         let mut rng = Rng::seed_from(10);
         let spiky: f64 = (0..200)
-            .map(|_| {
-                rng.dirichlet(0.1, 10)
-                    .into_iter()
-                    .fold(0.0f64, f64::max)
-            })
+            .map(|_| rng.dirichlet(0.1, 10).into_iter().fold(0.0f64, f64::max))
             .sum::<f64>()
             / 200.0;
         let flat: f64 = (0..200)
-            .map(|_| {
-                rng.dirichlet(100.0, 10)
-                    .into_iter()
-                    .fold(0.0f64, f64::max)
-            })
+            .map(|_| rng.dirichlet(100.0, 10).into_iter().fold(0.0f64, f64::max))
             .sum::<f64>()
             / 200.0;
         assert!(

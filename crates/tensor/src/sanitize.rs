@@ -57,9 +57,7 @@ pub fn check_finite_slice(op: &str, role: &str, values: &[f32]) {
     {
         if let Some((i, x)) = values.iter().enumerate().find(|(_, x)| !x.is_finite()) {
             // lint: allow(L012, the sanitize contract: fail loudly at the op that produced the NaN)
-            panic!(
-                "sanitize: `{op}` {role} contains non-finite value {x} at flat index {i}"
-            );
+            panic!("sanitize: `{op}` {role} contains non-finite value {x} at flat index {i}");
         }
     }
     #[cfg(not(feature = "sanitize"))]

@@ -589,14 +589,18 @@ mod tests {
             (1.0, 0x3C00),
             (-2.0, 0xC000),
             (0.5, 0x3800),
-            (65504.0, 0x7BFF),        // largest finite half
+            (65504.0, 0x7BFF), // largest finite half
             (f32::INFINITY, 0x7C00),
             (f32::NEG_INFINITY, 0xFC00),
             (6.103_515_6e-5, 0x0400), // smallest normal half
             (5.960_464_5e-8, 0x0001), // smallest subnormal half
         ] {
             assert_eq!(F16::from_f32(x).to_u16(), bits, "encode {x}");
-            assert_eq!(f16_bits_to_f32(bits).to_bits(), x.to_bits(), "decode {bits:#06x}");
+            assert_eq!(
+                f16_bits_to_f32(bits).to_bits(),
+                x.to_bits(),
+                "decode {bits:#06x}"
+            );
         }
         assert!(F16::from_f32(f32::NAN).to_f32().is_nan());
         // Overflow saturates to infinity, underflow to signed zero.
@@ -612,7 +616,10 @@ mod tests {
         // 1 + 3·2^-11 ties between 1+2^-10 and 1+2^-9: even is 1+2^-9.
         assert_eq!(F16::from_f32(1.0 + 3.0 * 2f32.powi(-11)).to_u16(), 0x3C02);
         // Anything past the tie rounds up.
-        assert_eq!(F16::from_f32(1.0 + 2f32.powi(-11) + 2f32.powi(-20)).to_u16(), 0x3C01);
+        assert_eq!(
+            F16::from_f32(1.0 + 2f32.powi(-11) + 2f32.powi(-20)).to_u16(),
+            0x3C01
+        );
     }
 
     #[test]
@@ -688,7 +695,10 @@ mod tests {
         let b = pool.acquire(200); // fits in the parked 256-capacity vec
         assert_eq!((pool.hits(), pool.misses()), (1, 1));
         assert_eq!(thread_live_bytes(), base + 800);
-        assert!(b.as_slice().iter().all(|&x| x == 0.0), "reused scratch must be zeroed");
+        assert!(
+            b.as_slice().iter().all(|&x| x == 0.0),
+            "reused scratch must be zeroed"
+        );
         pool.release(b);
         let c = pool.acquire(512); // does not fit: fresh allocation
         assert_eq!((pool.hits(), pool.misses()), (1, 2));

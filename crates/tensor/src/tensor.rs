@@ -19,7 +19,14 @@ fn min_rows_for(k: usize, n: usize) -> usize {
 /// The one driver behind every product: `A · B` (`a` is `m × k`, `b` is
 /// `k × n`) partitioned over output rows on the pool. Operands are
 /// shape-checked and finite-checked by the caller.
-pub(crate) fn gemm(op: &'static str, m: usize, k: usize, n: usize, a: Operand, b: Operand) -> Tensor {
+pub(crate) fn gemm(
+    op: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand,
+    b: Operand,
+) -> Tensor {
     let mut out = Tensor::zeros(&[m, n]);
     gemm_onto(op, &mut out, k, a, b, false);
     out
@@ -28,7 +35,14 @@ pub(crate) fn gemm(op: &'static str, m: usize, k: usize, n: usize, a: Operand, b
 /// [`gemm`] into an existing `m × n` output: `out = A · B`, or with
 /// `accumulate` `out += A · B`, each element's chain resumed from the value
 /// `out` holds (a chain resumed from `+0.0` is the plain chain, bit for bit).
-fn gemm_onto(op: &'static str, out: &mut Tensor, k: usize, a: Operand, b: Operand, accumulate: bool) {
+fn gemm_onto(
+    op: &'static str,
+    out: &mut Tensor,
+    k: usize,
+    a: Operand,
+    b: Operand,
+    accumulate: bool,
+) {
     let (m, n) = (out.shape[0], out.shape[1]);
     profile::record_matmul(m, k, n);
     if m > 0 && n > 0 {
@@ -305,9 +319,7 @@ impl Tensor {
     }
 
     fn flat_index(&self, index: &[usize]) -> Result<usize> {
-        if index.len() != self.shape.len()
-            || index.iter().zip(&self.shape).any(|(i, d)| i >= d)
-        {
+        if index.len() != self.shape.len() || index.iter().zip(&self.shape).any(|(i, d)| i >= d) {
             return Err(TensorError::IndexOutOfBounds {
                 index: index.to_vec(),
                 shape: self.shape.clone(),
@@ -386,7 +398,10 @@ impl Tensor {
                 shape: self.shape.clone(),
             });
         }
-        Tensor::from_vec(self.buf.data[start * c..end * c].to_vec(), &[end - start, c])
+        Tensor::from_vec(
+            self.buf.data[start * c..end * c].to_vec(),
+            &[end - start, c],
+        )
     }
 
     /// Copies a single row of a rank-2 tensor as a rank-1 tensor.
@@ -670,7 +685,11 @@ impl Tensor {
                 *v *= k;
             }
             // `ln_unit` reads bits, so it would turn a NaN Σ into a number.
-            let ln_sum = if sum.is_nan() { sum } else { crate::cbrng::ln_unit(sum) };
+            let ln_sum = if sum.is_nan() {
+                sum
+            } else {
+                crate::cbrng::ln_unit(sum)
+            };
             finish(i, row, max + ln_sum);
         }
         Ok(out)
@@ -775,7 +794,14 @@ impl Tensor {
         }
         sanitize::check_finite(op, "lhs", a);
         sanitize::check_finite(op, "rhs", b);
-        gemm_onto(op, self, k, Operand::Strided(av), Operand::Strided(bv), true);
+        gemm_onto(
+            op,
+            self,
+            k,
+            Operand::Strided(av),
+            Operand::Strided(bv),
+            true,
+        );
         Ok(())
     }
 
@@ -1166,7 +1192,15 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one_within_cols_ulps() {
         let mut rng = crate::Rng::seed_from(12);
-        for (r, c) in [(3, 1), (5, 2), (9, 7), (64, 8), (64, 100), (4, 1000), (2, 4099)] {
+        for (r, c) in [
+            (3, 1),
+            (5, 2),
+            (9, 7),
+            (64, 8),
+            (64, 100),
+            (4, 1000),
+            (2, 4099),
+        ] {
             let x = rng.randn_with(&[r, c], 0.0, 8.0);
             let p = x.softmax_rows(1.0, |_, _, _| {}).unwrap();
             let bound = c as f64 * f64::from(f32::EPSILON);
@@ -1190,7 +1224,9 @@ mod tests {
             .unwrap();
         assert_eq!(seen.len(), r);
         for (i, row) in x.as_slice().chunks_exact(c).enumerate() {
-            let max = row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(f64::from(v)));
+            let max = row
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &v| m.max(f64::from(v)));
             let z: f64 = row.iter().map(|&v| (f64::from(v) - max).exp()).sum();
             let (at, len, log_z) = seen[i];
             assert_eq!((at, len), (i, c));
@@ -1199,7 +1235,10 @@ mod tests {
             for (j, &v) in row.iter().enumerate() {
                 let want = f64::from(scale) * (f64::from(v) - max).exp() / z;
                 let got = f64::from(p.as_slice()[i * c + j]);
-                assert!((got - want).abs() <= 1e-6 * want + 1e-12, "[{i},{j}] {got} vs {want}");
+                assert!(
+                    (got - want).abs() <= 1e-6 * want + 1e-12,
+                    "[{i},{j}] {got} vs {want}"
+                );
             }
         }
     }
@@ -1208,11 +1247,15 @@ mod tests {
     fn softmax_rows_carry_nan_and_reject_non_matrices() {
         let x = Tensor::from_vec(vec![0.0, f32::NAN, 1.0, 0.5, 2.0, -1.0], &[2, 3]).unwrap();
         let mut log_zs = Vec::new();
-        let p = x.softmax_rows(1.0, |_, _, log_z| log_zs.push(log_z)).unwrap();
+        let p = x
+            .softmax_rows(1.0, |_, _, log_z| log_zs.push(log_z))
+            .unwrap();
         assert!(p.as_slice()[..3].iter().all(|v| v.is_nan()) && log_zs[0].is_nan());
         assert!(p.as_slice()[3..].iter().all(|v| v.is_finite()) && log_zs[1].is_finite());
         assert!(Tensor::zeros(&[4]).softmax_rows(1.0, |_, _, _| {}).is_err());
-        let empty = Tensor::zeros(&[3, 0]).softmax_rows(1.0, |_, _, _| unreachable!()).unwrap();
+        let empty = Tensor::zeros(&[3, 0])
+            .softmax_rows(1.0, |_, _, _| unreachable!())
+            .unwrap();
         assert_eq!(empty.shape(), &[3, 0]);
     }
 
@@ -1230,7 +1273,16 @@ mod tests {
             dst
         }
         let mut rng = crate::Rng::seed_from(11);
-        for (r, c) in [(0, 5), (3, 0), (0, 0), (1, 1), (7, 3), (64, 48), (64, 100), (33, 17)] {
+        for (r, c) in [
+            (0, 5),
+            (3, 0),
+            (0, 0),
+            (1, 1),
+            (7, 3),
+            (64, 48),
+            (64, 100),
+            (33, 17),
+        ] {
             let a = rng.randn_with(&[r, c], 0.0, 10.0);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let got = bits(a.sum_rows().unwrap().as_slice());

@@ -155,13 +155,20 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::Truncated { need, have } => {
-                write!(f, "truncated wire buffer: read needs {need} bytes, {have} remain")
+                write!(
+                    f,
+                    "truncated wire buffer: read needs {need} bytes, {have} remain"
+                )
             }
             WireError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after the final wire frame")
             }
             WireError::BadMagic { found, expected } => {
-                write!(f, "bad magic {found:02x?}: not a {} image", expected.escape_ascii())
+                write!(
+                    f,
+                    "bad magic {found:02x?}: not a {} image",
+                    expected.escape_ascii()
+                )
             }
             WireError::UnsupportedVersion { magic, found } => write!(
                 f,
@@ -183,7 +190,10 @@ impl fmt::Display for WireError {
                 write!(f, "nonzero padding bit(s) at payload byte {at}")
             }
             WireError::BaseMismatch { declared, base } => {
-                write!(f, "delta frame of shape {declared:?} decoded onto a base of shape {base:?}")
+                write!(
+                    f,
+                    "delta frame of shape {declared:?} decoded onto a base of shape {base:?}"
+                )
             }
         }
     }
@@ -225,7 +235,10 @@ impl Codec {
             0x00 => Ok(Codec::F32),
             0x01 => Ok(Codec::Sign1),
             0x02 => Ok(Codec::QuantI8),
-            _ => Err(WireError::UnknownTag { what: "DNWR codec", tag }),
+            _ => Err(WireError::UnknownTag {
+                what: "DNWR codec",
+                tag,
+            }),
         }
     }
 
@@ -281,7 +294,10 @@ impl From<Dtype> for Payload {
 
 /// `a × b` for a length header, checked ([`WireError::LengthOverflow`] naming `what`).
 fn checked_mul(a: usize, b: usize, what: &'static str) -> WireResult<usize> {
-    a.checked_mul(b).ok_or(WireError::LengthOverflow { what, value: u64::MAX })
+    a.checked_mul(b).ok_or(WireError::LengthOverflow {
+        what,
+        value: u64::MAX,
+    })
 }
 
 /// An append-only little-endian byte sink for wire frames.
@@ -478,7 +494,10 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u32` length field as a count ([`ByteWriter::put_len`]).
     pub fn read_len(&mut self, what: &'static str) -> WireResult<usize> {
         let x = self.read_u32()?;
-        usize::try_from(x).map_err(|_| WireError::LengthOverflow { what, value: u64::from(x) })
+        usize::try_from(x).map_err(|_| WireError::LengthOverflow {
+            what,
+            value: u64::from(x),
+        })
     }
 
     /// Reads a presence flag. A byte other than 0 or 1 is corruption
@@ -533,11 +552,17 @@ pub const HEADER_LEN: usize = 7;
 pub fn read_header(r: &mut ByteReader<'_>, magic: [u8; 4]) -> WireResult<u8> {
     let found = r.array()?;
     if found != magic {
-        return Err(WireError::BadMagic { found, expected: magic });
+        return Err(WireError::BadMagic {
+            found,
+            expected: magic,
+        });
     }
     let version = r.read_u16()?;
     if version != FORMAT_VERSION {
-        return Err(WireError::UnsupportedVersion { magic, found: version });
+        return Err(WireError::UnsupportedVersion {
+            magic,
+            found: version,
+        });
     }
     r.read_u8()
 }
@@ -649,13 +674,13 @@ pub fn encode_tensor(t: &Tensor, codec: Codec, w: &mut ByteWriter) -> WireResult
 /// # Errors
 ///
 /// As [`encode_tensor`].
-pub fn encode_tensor_feedback(
-    v: &mut Tensor,
-    codec: Codec,
-    w: &mut ByteWriter,
-) -> WireResult<()> {
+pub fn encode_tensor_feedback(v: &mut Tensor, codec: Codec, w: &mut ByteWriter) -> WireResult<()> {
     write_shape(v.shape(), w)?;
-    encode_payload(Cell::from_mut(v.as_mut_slice()).as_slice_of_cells(), codec.into(), w);
+    encode_payload(
+        Cell::from_mut(v.as_mut_slice()).as_slice_of_cells(),
+        codec.into(),
+        w,
+    );
     Ok(())
 }
 
@@ -790,7 +815,10 @@ pub fn decode_section<T>(
     match Dtype::from_tag(tag) {
         Some(Dtype::I8) => decode_tensor_quant(r).map(quant),
         Some(dtype) => decode_frame(r, dtype.into(), None).map(dense),
-        None => Err(WireError::UnknownTag { what: "DNCK dtype", tag }),
+        None => Err(WireError::UnknownTag {
+            what: "DNCK dtype",
+            tag,
+        }),
     }
 }
 
@@ -887,7 +915,11 @@ fn collect_onto(values: impl Iterator<Item = f32>, len: usize, base: Option<&[f3
 pub fn decode_tensor_quant(r: &mut ByteReader<'_>) -> WireResult<QuantTensor> {
     let (shape, len) = read_shape(r)?;
     let scale = r.read_f32()?;
-    let levels: Vec<i8> = r.take(len)?.iter().map(|&b| i8::from_le_bytes([b])).collect();
+    let levels: Vec<i8> = r
+        .take(len)?
+        .iter()
+        .map(|&b| i8::from_le_bytes([b]))
+        .collect();
     let actual = levels.len();
     QuantTensor::from_levels(levels, scale, &shape).map_err(|_| WireError::ShapeMismatch {
         declared: len,
@@ -924,7 +956,11 @@ fn quant_scale<L: Lane>(xs: &[L]) -> f32 {
     let mut maxima = [0.0f32; SCAN_LANES];
     let mut fold = |chunk: &[L]| {
         for (m, x) in maxima.iter_mut().zip(chunk) {
-            let a = if x.get().is_finite() { x.get().abs() } else { 0.0 };
+            let a = if x.get().is_finite() {
+                x.get().abs()
+            } else {
+                0.0
+            };
             *m = if a > *m { a } else { *m };
         }
     };
@@ -934,7 +970,10 @@ fn quant_scale<L: Lane>(xs: &[L]) -> f32 {
     let tail = chunks.remainder();
     chunks.for_each(&mut fold);
     fold(tail);
-    maxima.iter().fold(0.0f32, |m, &a| if a > m { a } else { m }) / 127.0
+    maxima
+        .iter()
+        .fold(0.0f32, |m, &a| if a > m { a } else { m })
+        / 127.0
 }
 
 #[cfg(test)]
@@ -979,7 +1018,10 @@ mod tests {
             WireError::Truncated { need: 4, have: 3 }
         );
         assert_eq!(r.read_u8().unwrap(), 1);
-        assert_eq!(r.finish().unwrap_err(), WireError::TrailingBytes { extra: 2 });
+        assert_eq!(
+            r.finish().unwrap_err(),
+            WireError::TrailingBytes { extra: 2 }
+        );
     }
 
     #[test]
@@ -990,21 +1032,39 @@ mod tests {
             let bytes = w.into_bytes();
             assert_eq!(bytes.len(), HEADER_LEN);
             let mut r = ByteReader::new(&bytes);
-            assert_eq!(Codec::from_tag(read_header(&mut r, MAGIC).unwrap()).unwrap(), codec);
+            assert_eq!(
+                Codec::from_tag(read_header(&mut r, MAGIC).unwrap()).unwrap(),
+                codec
+            );
         }
         let mut bad_magic = vec![b'X', b'N', b'W', b'R', 1, 0, 0];
         let mut r = ByteReader::new(&bad_magic);
         let err = read_header(&mut r, MAGIC).unwrap_err();
-        assert_eq!(err, WireError::BadMagic { found: *b"XNWR", expected: MAGIC });
+        assert_eq!(
+            err,
+            WireError::BadMagic {
+                found: *b"XNWR",
+                expected: MAGIC
+            }
+        );
         assert!(err.to_string().contains("DNWR"), "{err}");
         // The same bytes checked against another format name that format.
         let err = read_header(&mut ByteReader::new(&bad_magic), *b"DNCK").unwrap_err();
-        assert!(err.to_string().contains("DNCK") && !err.to_string().contains("DNWR"), "{err}");
+        assert!(
+            err.to_string().contains("DNCK") && !err.to_string().contains("DNWR"),
+            "{err}"
+        );
         bad_magic[..4].copy_from_slice(&MAGIC);
         bad_magic[4] = 99;
         let mut r = ByteReader::new(&bad_magic);
         let err = read_header(&mut r, MAGIC).unwrap_err();
-        assert_eq!(err, WireError::UnsupportedVersion { magic: MAGIC, found: 99 });
+        assert_eq!(
+            err,
+            WireError::UnsupportedVersion {
+                magic: MAGIC,
+                found: 99
+            }
+        );
         assert!(err.to_string().contains("DNWR format version 99"), "{err}");
         let mut w = ByteWriter::new();
         write_header(&mut w, MAGIC, 0x7F);
@@ -1012,7 +1072,10 @@ mod tests {
         let tag = read_header(&mut ByteReader::new(&bad_codec), MAGIC).unwrap();
         assert_eq!(
             Codec::from_tag(tag).unwrap_err(),
-            WireError::UnknownTag { what: "DNWR codec", tag: 0x7F }
+            WireError::UnknownTag {
+                what: "DNWR codec",
+                tag: 0x7F
+            }
         );
     }
 
@@ -1030,10 +1093,18 @@ mod tests {
             let back = decode_section(&mut r, |t| t, |q| q.to_tensor()).unwrap();
             r.finish().unwrap();
             let resident = decode_section(&mut ByteReader::new(&bytes), |_| false, |_| true);
-            assert_eq!(resident.unwrap(), dtype == Dtype::I8, "{dtype}: only i8 stays resident");
+            assert_eq!(
+                resident.unwrap(),
+                dtype == Dtype::I8,
+                "{dtype}: only i8 stays resident"
+            );
             let want: Vec<u32> = match dtype {
                 Dtype::F32 => bits(&t),
-                Dtype::F16 => t.as_slice().iter().map(|&x| F16::from_f32(x).to_f32().to_bits()).collect(),
+                Dtype::F16 => t
+                    .as_slice()
+                    .iter()
+                    .map(|&x| F16::from_f32(x).to_f32().to_bits())
+                    .collect(),
                 // The i8 section is the quant_i8 frame behind a tag byte.
                 Dtype::I8 => {
                     let mut w = ByteWriter::new();
@@ -1050,7 +1121,10 @@ mod tests {
         }
         assert_eq!(
             decode_section(&mut ByteReader::new(&[0x7F]), |_| (), |_| ()).unwrap_err(),
-            WireError::UnknownTag { what: "DNCK dtype", tag: 0x7F }
+            WireError::UnknownTag {
+                what: "DNCK dtype",
+                tag: 0x7F
+            }
         );
     }
 
@@ -1059,7 +1133,8 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_flag(true);
         w.put_flag(false);
-        w.put_f32s(&[1.5, -0.0, f32::from_bits(0x7FC0_0042)], "scalars").unwrap();
+        w.put_f32s(&[1.5, -0.0, f32::from_bits(0x7FC0_0042)], "scalars")
+            .unwrap();
         write_seq(&mut w, [3u8, 5].iter(), "items", |i, &x, w| {
             w.put_u8(x + u8::try_from(i).unwrap());
             Ok::<(), WireError>(())
@@ -1069,21 +1144,37 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert!(r.read_flag("a").unwrap());
         assert!(!r.read_flag("b").unwrap());
-        let scalars: Vec<u32> = r.read_f32s("scalars").unwrap().iter().map(|x| x.to_bits()).collect();
+        let scalars: Vec<u32> = r
+            .read_f32s("scalars")
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
         assert_eq!(scalars, [1.5f32.to_bits(), 0x8000_0000, 0x7FC0_0042]);
         let items: Vec<u8> = read_seq(&mut r, |r| r.read_u8()).unwrap();
         assert_eq!(items, [3, 6]);
         r.finish().unwrap();
         // A flag is 0 or 1; anything else is a typed error, not "present".
         assert_eq!(
-            ByteReader::new(&[2]).read_flag("gauss cache flag").unwrap_err(),
-            WireError::UnknownTag { what: "gauss cache flag", tag: 2 }
+            ByteReader::new(&[2])
+                .read_flag("gauss cache flag")
+                .unwrap_err(),
+            WireError::UnknownTag {
+                what: "gauss cache flag",
+                tag: 2
+            }
         );
         // A hostile count runs into truncation, never a reservation.
         let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 1]);
-        assert!(matches!(read_seq(&mut r, |r| r.read_u8()), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            read_seq(&mut r, |r| r.read_u8()),
+            Err(WireError::Truncated { .. })
+        ));
         let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF]);
-        assert!(matches!(r.read_f32s("scalars"), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            r.read_f32s("scalars"),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -1123,7 +1214,15 @@ mod tests {
     fn empty_and_odd_length_tensors_roundtrip_under_all_codecs() {
         let mut rng = Rng::seed_from(7);
         for codec in Codec::all() {
-            for shape in [vec![], vec![0], vec![1], vec![3], vec![7], vec![31], vec![3, 0, 5]] {
+            for shape in [
+                vec![],
+                vec![0],
+                vec![1],
+                vec![3],
+                vec![7],
+                vec![31],
+                vec![3, 0, 5],
+            ] {
                 let t = rng.randn(&shape);
                 let back = roundtrip(&t, codec);
                 assert_eq!(back.shape(), t.shape(), "{codec:?} {shape:?}");
@@ -1241,7 +1340,10 @@ mod tests {
                     max_abs = max_abs.max(x.abs());
                 }
             }
-            assert_eq!(quant_scale(t.as_slice()).to_bits(), (max_abs / 127.0).to_bits());
+            assert_eq!(
+                quant_scale(t.as_slice()).to_bits(),
+                (max_abs / 127.0).to_bits()
+            );
         }
     }
 
@@ -1272,11 +1374,14 @@ mod tests {
         encode_tensor(&t, Codec::QuantI8, &mut w).unwrap();
         let bytes = w.into_bytes();
         let other = Tensor::zeros(&[3, 2]);
-        let err = decode_tensor_onto(&mut ByteReader::new(&bytes), Codec::QuantI8, &other)
-            .unwrap_err();
+        let err =
+            decode_tensor_onto(&mut ByteReader::new(&bytes), Codec::QuantI8, &other).unwrap_err();
         assert_eq!(
             err,
-            WireError::BaseMismatch { declared: vec![2, 3], base: vec![3, 2] }
+            WireError::BaseMismatch {
+                declared: vec![2, 3],
+                base: vec![3, 2]
+            }
         );
         // Truncation is still reported as such when the shapes agree.
         let cut = &bytes[..bytes.len() - 1];
@@ -1320,7 +1425,10 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(
             decode_tensor(&mut r, Codec::F32).unwrap_err(),
-            WireError::LengthOverflow { what: "rank", value: 1_000_000 }
+            WireError::LengthOverflow {
+                what: "rank",
+                value: 1_000_000
+            }
         );
 
         // Element-count overflow from plausible dims.

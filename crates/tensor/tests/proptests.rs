@@ -76,9 +76,7 @@ fn norm_axioms() {
     for case in 0..CASES {
         let mut rng = case_rng(4, case);
         let len = dim(&mut rng, 63);
-        let v: Vec<f32> = (0..len)
-            .map(|_| (rng.uniform() - 0.5) * 100.0)
-            .collect();
+        let v: Vec<f32> = (0..len).map(|_| (rng.uniform() - 0.5) * 100.0).collect();
         let k = (rng.uniform() - 0.5) * 8.0;
         let a = Tensor::from_slice(&v);
         let b = a.mul_scalar(k);
@@ -157,7 +155,10 @@ fn dirichlet_is_simplex() {
         let k = dim(&mut rng, 19);
         let p = rng.dirichlet(alpha, k);
         assert_eq!(p.len(), k);
-        assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-9).contains(&x)), "case {case}");
+        assert!(
+            p.iter().all(|&x| (0.0..=1.0 + 1e-9).contains(&x)),
+            "case {case}"
+        );
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9, "case {case}");
     }
 }

@@ -33,9 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = catalog::purchase100(Profile::Mini).generate(&mut rng)?;
     let split = attack_split(&dataset, &mut rng)?;
     let shards = partition_dataset(&split.train, banks, Distribution::Iid, &mut rng)?;
-    let arch = |rng: &mut Rng| -> dinar_suite::nn::Result<Model> {
-        models::fcnn6(600, 100, 64, rng)
-    };
+    let arch =
+        |rng: &mut Rng| -> dinar_suite::nn::Result<Model> { models::fcnn6(600, 100, 64, rng) };
 
     println!("5 banks, {} transactions each (approx.)\n", shards[0].len());
     println!("  setup       | server attack AUC on a bank's upload | bank accuracy");

@@ -31,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = attack_split(&dataset, &mut rng)?;
 
     // Hospitals serve different populations: Dirichlet(2) non-IID shards.
-    let shards = partition_dataset(&split.train, hospitals, Distribution::Dirichlet(2.0), &mut rng)?;
+    let shards = partition_dataset(
+        &split.train,
+        hospitals,
+        Distribution::Dirichlet(2.0),
+        &mut rng,
+    )?;
     for (i, shard) in shards.iter().enumerate() {
         let hist = shard.class_histogram();
         let top = hist.iter().enumerate().max_by_key(|(_, &c)| c).unwrap();
@@ -70,7 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })
     .clients_from_shards(shards, arch, |_| Box::new(Adagrad::new(0.05)))?
     .with_client_middleware(|id| {
-        vec![Box::new(DinarMiddleware::new(voted_layer, dinar_config, id as u64))]
+        vec![Box::new(DinarMiddleware::new(
+            voted_layer,
+            dinar_config,
+            id as u64,
+        ))]
     })
     .build()?;
 

@@ -62,7 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("\nper-layer membership-leakage profile:");
     for (i, d) in divergences.iter().enumerate() {
-        println!("  layer {i}: {d:.4} {}", "#".repeat((d * 100.0).round() as usize));
+        println!(
+            "  layer {i}: {d:.4} {}",
+            "#".repeat((d * 100.0).round() as usize)
+        );
     }
     let p = divergences
         .iter()

@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dinar_suite::attacks::threshold::LossThresholdAttack;
 use dinar_suite::attacks::evaluate_attack;
+use dinar_suite::attacks::threshold::LossThresholdAttack;
 use dinar_suite::core::middleware::DinarMiddleware;
 use dinar_suite::core::DinarConfig;
 use dinar_suite::data::catalog::{self, Profile};

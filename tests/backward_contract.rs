@@ -158,7 +158,11 @@ fn taps_are_unchanged_by_the_early_stop() {
     let tapped = grad_bits(&model);
     assert_eq!(taps.len(), 3);
     assert_eq!(taps[0].shape(), &[2, 3, 4, 4], "δ entering the conv");
-    assert_eq!(bits(&taps[2]), bits(&g), "δ entering the classifier is the loss gradient");
+    assert_eq!(
+        bits(&taps[2]),
+        bits(&g),
+        "δ entering the classifier is the loss gradient"
+    );
 
     model.zero_grad();
     model.forward(&x, true).expect("forward");
@@ -257,7 +261,9 @@ fn dense_weight_gradient_accumulates_in_place_and_equals_the_product_from_zero()
 /// Everything before `.backward(` / `.backward_input(` on `line` that names
 /// the receiver: `self.model` in `self.model.backward(&g)?;`.
 fn backward_receiver(line: &str) -> Option<&str> {
-    let call = line.find(".backward(").or_else(|| line.find(".backward_input("))?;
+    let call = line
+        .find(".backward(")
+        .or_else(|| line.find(".backward_input("))?;
     let head = &line[..call];
     let start = head
         .rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
@@ -299,7 +305,11 @@ fn every_backward_caller_zeroes_its_gradients_first() {
                 let Some(receiver) = backward_receiver(line) else {
                     continue;
                 };
-                let file = path.strip_prefix(root).expect("under the root").display().to_string();
+                let file = path
+                    .strip_prefix(root)
+                    .expect("under the root")
+                    .display()
+                    .to_string();
                 let zeroed = format!("{receiver}.zero_grad();");
                 assert!(
                     n > 0 && lines[n - 1] == zeroed,

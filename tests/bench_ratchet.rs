@@ -135,7 +135,9 @@ const FCNN_STEP_SELF_SHARE_CAP: f64 = 0.323;
 const TELEMETRY_OVERHEAD_CAP: f64 = 1.05;
 
 fn load_entries(path: &Path) -> Vec<(String, String, f64)> {
-    let stem = path.file_stem().map_or_else(String::new, |s| s.to_string_lossy().into_owned());
+    let stem = path
+        .file_stem()
+        .map_or_else(String::new, |s| s.to_string_lossy().into_owned());
     let regenerate =
         format!("regenerate with `cargo run --release -p dinar-bench --bin paper -- {stem}`");
     let text = std::fs::read_to_string(path)
@@ -179,7 +181,10 @@ fn parse_entries(text: &str, regenerate: &str) -> Vec<(String, String, f64)> {
 fn rows_recorded_at_another_pool_width_are_rejected() {
     let report = r#"{"threads": 2, "entries": [
         {"op": "im2col2d", "size": "8x8x16x16_k3", "ns_per_iter": 898000.0, "threads": 2}]}"#;
-    parse_entries(report, "regenerate with `cargo run .. paper -- BENCH_tensor`");
+    parse_entries(
+        report,
+        "regenerate with `cargo run .. paper -- BENCH_tensor`",
+    );
 }
 
 fn ns_for(entries: &[(String, String, f64)], op: &str, size: &str) -> f64 {
@@ -281,7 +286,10 @@ fn tabular_generation_holds_1_5x_over_the_serial_walk() {
          serial {PRE_PARALLEL_GENERATE_PURCHASE100_MINI_NS:.0} ns/iter — the \
          Bernoulli test branches again, or the rows are shuffled by a copy"
     );
-    assert!(ns_for(&entries, "generate", "gtsrb_mini") > 0.0, "gtsrb_mini row is empty");
+    assert!(
+        ns_for(&entries, "generate", "gtsrb_mini") > 0.0,
+        "gtsrb_mini row is empty"
+    );
 }
 
 /// ns per multiply-add of a matmul-family row, from its `MxKxN` size label.
@@ -507,8 +515,15 @@ fn step_rows(dataset: &str) -> Vec<(String, String, f64)> {
                 && row.get("threads").and_then(Json::as_usize) == Some(1)
         })
         .map(|row| {
-            let us = row.get("us_per_step").and_then(Json::as_f64).expect("row has us_per_step");
-            (field(row, "layer").expect("layer"), field(row, "pass").expect("pass"), us)
+            let us = row
+                .get("us_per_step")
+                .and_then(Json::as_f64)
+                .expect("row has us_per_step");
+            (
+                field(row, "layer").expect("layer"),
+                field(row, "pass").expect("pass"),
+                us,
+            )
         })
         .collect()
 }

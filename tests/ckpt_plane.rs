@@ -10,7 +10,9 @@
 
 use dinar_fl::ckpt::{decode_resume, encode_resume, load_resume, save_resume, FlCheckpoint};
 use dinar_fl::{FlConfig, FlError, FlSystem, MiddlewareState};
-use dinar_nn::ckpt::{self, CkptKind, CkptTensor, RawCheckpoint, FORMAT_VERSION, HEADER_LEN, MAGIC};
+use dinar_nn::ckpt::{
+    self, CkptKind, CkptTensor, RawCheckpoint, FORMAT_VERSION, HEADER_LEN, MAGIC,
+};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Adam;
 use dinar_nn::serve::ServingModel;
@@ -135,7 +137,11 @@ fn truncated_model_checkpoints_error_at_every_cut() {
     let params = test_params();
     for dtype in ALL_DTYPES {
         let bytes = ckpt::encode_checkpoint(&params, dtype).expect("encode");
-        corruption::assert_every_prefix_fails(&format!("{dtype:?}"), &bytes, ckpt::decode_checkpoint);
+        corruption::assert_every_prefix_fails(
+            &format!("{dtype:?}"),
+            &bytes,
+            ckpt::decode_checkpoint,
+        );
     }
     let mixed = mixed_width_checkpoint(&params);
     corruption::assert_every_prefix_fails("mixed", &mixed, ckpt::decode_checkpoint_raw);
@@ -154,7 +160,10 @@ fn header_corruption_is_typed() {
 
     let mut bad_version = bytes.clone();
     bad_version[4] = (FORMAT_VERSION + 1) as u8;
-    assert!(ckpt::decode_checkpoint(&bad_version).is_err(), "bad version");
+    assert!(
+        ckpt::decode_checkpoint(&bad_version).is_err(),
+        "bad version"
+    );
 
     let mut bad_kind = bytes.clone();
     bad_kind[6] = CkptKind::FlResume.tag();
@@ -165,7 +174,10 @@ fn header_corruption_is_typed() {
 
     let mut bad_dtype = bytes.clone();
     bad_dtype[HEADER_LEN + 8] = 0x7F; // first tensor's dtype tag
-    assert!(ckpt::decode_checkpoint(&bad_dtype).is_err(), "bad dtype tag");
+    assert!(
+        ckpt::decode_checkpoint(&bad_dtype).is_err(),
+        "bad dtype tag"
+    );
 
     let mut trailing = bytes;
     trailing.push(0);
@@ -182,7 +194,12 @@ fn corrupted_model_checkpoints_never_panic() {
         let bytes = ckpt::encode_checkpoint(&params, dtype).expect("encode");
         corruption::assert_bit_flips_return(&bytes, 99, 200, ckpt::decode_checkpoint);
     }
-    corruption::assert_bit_flips_return(&mixed_width_checkpoint(&params), 98, 200, ckpt::decode_checkpoint_raw);
+    corruption::assert_bit_flips_return(
+        &mixed_width_checkpoint(&params),
+        98,
+        200,
+        ckpt::decode_checkpoint_raw,
+    );
 }
 
 /// The FL resume image survives the same treatment: file round-trip,
@@ -253,10 +270,16 @@ mod parent {
     use dinar_tensor::{cast, Dtype, Element, QuantTensor, RngState, Tensor, F16};
 
     fn quantise(xs: &[f32]) -> (f32, Vec<i8>) {
-        let max = xs.iter().filter(|x| x.is_finite()).fold(0.0f32, |m, x| m.max(x.abs()));
+        let max = xs
+            .iter()
+            .filter(|x| x.is_finite())
+            .fold(0.0f32, |m, x| m.max(x.abs()));
         let scale = max / 127.0;
         let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-        (scale, xs.iter().map(|&x| cast::f32_to_i8_sat(x * inv)).collect())
+        (
+            scale,
+            xs.iter().map(|&x| cast::f32_to_i8_sat(x * inv)).collect(),
+        )
     }
 
     fn shape(w: &mut ByteWriter, t: &Tensor) {
@@ -272,7 +295,10 @@ mod parent {
         shape(w, t);
         match dtype {
             Dtype::F32 => t.as_slice().iter().for_each(|&x| w.put_f32(x)),
-            Dtype::F16 => t.as_slice().iter().for_each(|&x| w.put_u16(F16::from_f32(x).to_u16())),
+            Dtype::F16 => t
+                .as_slice()
+                .iter()
+                .for_each(|&x| w.put_u16(F16::from_f32(x).to_u16())),
             Dtype::I8 => {
                 let (scale, levels) = quantise(t.as_slice());
                 w.put_f32(scale);
@@ -293,8 +319,16 @@ mod parent {
                 levels.iter().for_each(|&l| w.put_u8(l.to_le_bytes()[0]));
             }
             Codec::Sign1 => {
-                let sum: f64 = xs.iter().filter(|x| x.is_finite()).map(|&x| f64::from(x).abs()).sum();
-                let scale = if xs.is_empty() { 0.0 } else { (sum / xs.len() as f64) as f32 };
+                let sum: f64 = xs
+                    .iter()
+                    .filter(|x| x.is_finite())
+                    .map(|&x| f64::from(x).abs())
+                    .sum();
+                let scale = if xs.is_empty() {
+                    0.0
+                } else {
+                    (sum / xs.len() as f64) as f32
+                };
                 w.put_f32(scale);
                 for chunk in xs.chunks(8) {
                     let bits = chunk.iter().enumerate();
@@ -304,7 +338,11 @@ mod parent {
         }
     }
 
-    fn layers(w: &mut ByteWriter, p: &ModelParams, mut tensor: impl FnMut(&mut ByteWriter, &Tensor)) {
+    fn layers(
+        w: &mut ByteWriter,
+        p: &ModelParams,
+        mut tensor: impl FnMut(&mut ByteWriter, &Tensor),
+    ) {
         w.put_u32(p.layers.len() as u32);
         for layer in &p.layers {
             w.put_u32(layer.tensors.len() as u32);
@@ -378,7 +416,10 @@ mod parent {
                 group.iter().for_each(|t| section(&mut w, t, Dtype::F32));
             }
             w.put_u32(client.middleware.len() as u32);
-            client.middleware.iter().for_each(|m| middleware(&mut w, flags, m));
+            client
+                .middleware
+                .iter()
+                .for_each(|m| middleware(&mut w, flags, m));
         }
         flag(&mut w, flags, image.pending.is_some());
         if let Some(pending) = &image.pending {
@@ -402,14 +443,29 @@ mod parent {
             let mut layer = Vec::new();
             for _ in 0..r.read_u32().unwrap() {
                 let dtype = Dtype::from_tag(r.read_u8().unwrap()).unwrap();
-                let shape: Vec<usize> = (0..r.read_u32().unwrap()).map(|_| r.read_u32().unwrap() as usize).collect();
+                let shape: Vec<usize> = (0..r.read_u32().unwrap())
+                    .map(|_| r.read_u32().unwrap() as usize)
+                    .collect();
                 let len = shape.iter().product();
                 layer.push(match dtype {
-                    Dtype::F32 => CkptTensor::Dense(Tensor::from_vec((0..len).map(|_| r.read_f32().unwrap()).collect(), &shape).unwrap()),
-                    Dtype::F16 => CkptTensor::Dense(Tensor::from_vec((0..len).map(|_| F16::from_u16(r.read_u16().unwrap()).to_f32()).collect(), &shape).unwrap()),
+                    Dtype::F32 => CkptTensor::Dense(
+                        Tensor::from_vec((0..len).map(|_| r.read_f32().unwrap()).collect(), &shape)
+                            .unwrap(),
+                    ),
+                    Dtype::F16 => CkptTensor::Dense(
+                        Tensor::from_vec(
+                            (0..len)
+                                .map(|_| F16::from_u16(r.read_u16().unwrap()).to_f32())
+                                .collect(),
+                            &shape,
+                        )
+                        .unwrap(),
+                    ),
                     Dtype::I8 => {
                         let scale = r.read_f32().unwrap();
-                        let levels = (0..len).map(|_| i8::from_le_bytes([r.read_u8().unwrap()])).collect();
+                        let levels = (0..len)
+                            .map(|_| i8::from_le_bytes([r.read_u8().unwrap()]))
+                            .collect();
                         CkptTensor::Quant(QuantTensor::from_levels(levels, scale, &shape).unwrap())
                     }
                 });
@@ -430,7 +486,11 @@ fn section_bits(section: &CkptTensor) -> (bool, Vec<usize>, Vec<u32>) {
     match section {
         CkptTensor::Dense(t) => (false, t.shape().to_vec(), tensor_bits(t)),
         CkptTensor::Quant(q) => {
-            let mut bits: Vec<u32> = q.levels().iter().map(|&l| u32::from(l.to_le_bytes()[0])).collect();
+            let mut bits: Vec<u32> = q
+                .levels()
+                .iter()
+                .map(|&l| u32::from(l.to_le_bytes()[0]))
+                .collect();
             bits.push(q.scale().to_bits());
             (true, q.shape().to_vec(), bits)
         }
@@ -438,7 +498,9 @@ fn section_bits(section: &CkptTensor) -> (bool, Vec<usize>, Vec<u32>) {
 }
 
 fn raw_bits(raw: &[Vec<CkptTensor>]) -> Vec<Vec<(bool, Vec<usize>, Vec<u32>)>> {
-    raw.iter().map(|l| l.iter().map(section_bits).collect()).collect()
+    raw.iter()
+        .map(|l| l.iter().map(section_bits).collect())
+        .collect()
 }
 
 /// Parameters with every awkward value a payload can meet: both zeros,
@@ -447,13 +509,26 @@ fn raw_bits(raw: &[Vec<CkptTensor>]) -> Vec<Vec<(bool, Vec<usize>, Vec<u32>)>> {
 fn awkward_params() -> ModelParams {
     let mut rng = Rng::seed_from(0xB17E);
     let mut odd = rng.randn(&[5, 7]);
-    let special = [0.0, -0.0, f32::NAN, f32::INFINITY, -f32::INFINITY, f32::from_bits(1), 7e4, 1.0 + 2f32.powi(-11)];
+    let special = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        -f32::INFINITY,
+        f32::from_bits(1),
+        7e4,
+        1.0 + 2f32.powi(-11),
+    ];
     for (x, s) in odd.as_mut_slice().iter_mut().step_by(3).zip(special) {
         *x = s;
     }
     ModelParams::new(vec![
         LayerParams::new(vec![odd, rng.randn(&[7])]),
-        LayerParams::new(vec![Tensor::zeros(&[0]), rng.randn(&[2, 3, 2]), Tensor::zeros(&[9])]),
+        LayerParams::new(vec![
+            Tensor::zeros(&[0]),
+            rng.randn(&[2, 3, 2]),
+            Tensor::zeros(&[9]),
+        ]),
         LayerParams::new(vec![]),
     ])
 }
@@ -473,9 +548,15 @@ fn full_resume_image() -> FlCheckpoint {
         None,
         Some(MiddlewareState {
             rng: Some(Rng::seed_from(4).state()),
-            stored: vec![None, Some(LayerParams::new(vec![Tensor::full(&[2, 2], 0.5)]))],
+            stored: vec![
+                None,
+                Some(LayerParams::new(vec![Tensor::full(&[2, 2], 0.5)])),
+            ],
         }),
-        Some(MiddlewareState { rng: None, stored: vec![] }),
+        Some(MiddlewareState {
+            rng: None,
+            stored: vec![],
+        }),
     ];
     image
 }
@@ -492,8 +573,17 @@ fn codecs_write_the_parents_bytes() {
         assert_eq!(bytes, parent::dnwr(&params, codec), "DNWR {codec:?}");
         let back = decode_params(&bytes).expect("decode");
         if codec == Codec::F32 {
-            assert_eq!(back.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                params.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            assert_eq!(
+                back.to_flat()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>(),
+                params
+                    .to_flat()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            );
         }
     }
     let trained = test_params();
@@ -503,7 +593,11 @@ fn codecs_write_the_parents_bytes() {
             assert_eq!(bytes, parent::dnck(p, dtype), "DNCK {dtype:?}");
             assert_eq!(bytes.len(), ckpt::encoded_checkpoint_len(p, dtype));
             let RawCheckpoint { layers } = ckpt::decode_checkpoint_raw(&bytes).expect("decode");
-            assert_eq!(raw_bits(&layers), raw_bits(&parent::read_model(&bytes)), "DNCK {dtype:?}");
+            assert_eq!(
+                raw_bits(&layers),
+                raw_bits(&parent::read_model(&bytes)),
+                "DNCK {dtype:?}"
+            );
         }
     }
     let mixed = mixed_width_checkpoint(&params);
@@ -521,9 +615,17 @@ fn codecs_write_the_parents_bytes() {
 
     let image = full_resume_image();
     let bytes = encode_resume(&image).expect("encode");
-    assert_eq!(bytes, parent::resume(&image, &mut Vec::new()), "resume image");
+    assert_eq!(
+        bytes,
+        parent::resume(&image, &mut Vec::new()),
+        "resume image"
+    );
     let back = decode_resume(&bytes).expect("decode");
-    assert_eq!(encode_resume(&back).expect("re-encode"), bytes, "resume decode is exact");
+    assert_eq!(
+        encode_resume(&back).expect("re-encode"),
+        bytes,
+        "resume decode is exact"
+    );
     assert_eq!(back.clients[1].middleware, image.clients[1].middleware);
     assert_eq!(back.clients[0].rng, image.clients[0].rng);
 }
@@ -566,10 +668,14 @@ fn checkpoint_errors_name_the_dnck_format() {
     assert!(err.contains("DNCK") && !err.contains("DNWR"), "{err}");
     bytes[0] = b'D';
     bytes[4] = 9;
-    let err = ckpt::decode_checkpoint(&bytes).expect_err("bad version").to_string();
+    let err = ckpt::decode_checkpoint(&bytes)
+        .expect_err("bad version")
+        .to_string();
     assert!(err.contains("DNCK format version 9"), "{err}");
     bytes[4] = 1;
     bytes[6] = 0x7F;
-    let err = ckpt::decode_checkpoint(&bytes).expect_err("bad kind").to_string();
+    let err = ckpt::decode_checkpoint(&bytes)
+        .expect_err("bad kind")
+        .to_string();
     assert!(err.contains("DNCK kind"), "{err}");
 }

@@ -30,7 +30,9 @@ fn step(model: &mut Model, x: &Tensor, classes: usize) -> (u64, u64) {
     let before = profile::snapshot();
     let scope = MemoryScope::enter();
     let logits = model.forward(x, true).expect("forward");
-    let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).expect("loss");
+    let (_, grad) = CrossEntropyLoss
+        .loss_and_grad(&logits, &labels)
+        .expect("loss");
     drop(logits);
     model.backward(&grad).expect("backward");
     let peak = scope.peak_extra_bytes();
@@ -44,7 +46,10 @@ fn vgg11_mini_step_builds_no_patch_matrix() {
     let x = rng.randn(&[64, 3, 16, 16]);
     let (peak, im2col) = step(&mut model, &x, 43);
     assert_eq!(im2col, 0, "a conv layer materialised a patch matrix");
-    assert!(peak <= VGG11_MINI_STEP_PEAK, "step peak {peak} B > {VGG11_MINI_STEP_PEAK} B");
+    assert!(
+        peak <= VGG11_MINI_STEP_PEAK,
+        "step peak {peak} B > {VGG11_MINI_STEP_PEAK} B"
+    );
 }
 
 #[test]
@@ -54,5 +59,8 @@ fn m18_mini_step_builds_no_patch_matrix() {
     let x = rng.randn(&[64, 1, 256]);
     let (peak, im2col) = step(&mut model, &x, 35);
     assert_eq!(im2col, 0, "a conv layer materialised a patch matrix");
-    assert!(peak <= M18_MINI_STEP_PEAK, "step peak {peak} B > {M18_MINI_STEP_PEAK} B");
+    assert!(
+        peak <= M18_MINI_STEP_PEAK,
+        "step peak {peak} B > {M18_MINI_STEP_PEAK} B"
+    );
 }

@@ -74,8 +74,7 @@ fn secure_aggregation_masks_individual_uploads() {
         .clients_from_shards(shards, arch, |_| Box::new(Adagrad::new(0.05)))
         .unwrap()
         .with_client_middleware(move |_| {
-            vec![Box::new(SecureAggregation::new(Arc::clone(&group)))
-                as Box<dyn ClientMiddleware>]
+            vec![Box::new(SecureAggregation::new(Arc::clone(&group))) as Box<dyn ClientMiddleware>]
         })
         .build()
         .unwrap();
@@ -97,8 +96,10 @@ fn gradient_compression_uploads_are_sparse_updates() {
         .clients_from_shards(shards, arch, |_| Box::new(Adagrad::new(0.05)))
         .unwrap()
         .with_client_middleware(|_| {
-            vec![Box::new(GradientCompression::new(0.1).with_error_feedback(false))
-                as Box<dyn ClientMiddleware>]
+            vec![
+                Box::new(GradientCompression::new(0.1).with_error_feedback(false))
+                    as Box<dyn ClientMiddleware>,
+            ]
         })
         .build()
         .unwrap();
@@ -169,7 +170,11 @@ fn wdp_fold_matches_the_reference_composition_bit_for_bit() {
     // Scaling every weight by 1 ± step moves the model by step·‖global‖.
     let global_norm = global.l2_norm();
     for (step, clipped) in [(0.5, true), (1e-3, false)] {
-        assert_eq!(step * global_norm > 5.0, clipped, "‖global‖ = {global_norm}");
+        assert_eq!(
+            step * global_norm > 5.0,
+            clipped,
+            "‖global‖ = {global_norm}"
+        );
         let telemetry = Telemetry::new();
         let mut mw = WeakDp::paper_default(Rng::seed_from(23));
         mw.attach_telemetry(&telemetry, 0);
@@ -189,11 +194,18 @@ fn wdp_fold_matches_the_reference_composition_bit_for_bit() {
 
             let direct = clip_noise_onto(&trained, &global, 5.0, 0.025, &mut rng_fused).unwrap();
             assert_eq!(param_bits(&direct), param_bits(&want), "round {round}");
-            assert_eq!(rng_fused.state(), rng_ref.state(), "round {round}: stream position");
+            assert_eq!(
+                rng_fused.state(),
+                rng_ref.state(),
+                "round {round}: stream position"
+            );
         }
         let accounts = telemetry.privacy_accounts();
         assert_eq!(accounts.len(), 1);
-        assert_eq!((accounts[0].defense.as_str(), accounts[0].charges), ("wdp", 3));
+        assert_eq!(
+            (accounts[0].defense.as_str(), accounts[0].charges),
+            ("wdp", 3)
+        );
     }
 }
 

@@ -50,7 +50,7 @@ fn shards() -> Vec<Dataset> {
 /// The server must never see a client's true private-layer parameters: every
 /// upload's layer `p` differs from the client's live model layer `p`.
 #[test]
-fn uploads_never_contain_the_private_layer()  {
+fn uploads_never_contain_the_private_layer() {
     let mut system = build_dinar_system(shards());
     system.run(2).unwrap();
     let global = system.global_params().share();

@@ -15,8 +15,8 @@ use dinar_fl::{
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
 use dinar_nn::ModelParams;
-use dinar_tensor::{par, Rng, Tensor};
 use dinar_telemetry::Telemetry;
+use dinar_tensor::{par, Rng, Tensor};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -190,7 +190,11 @@ fn delayed_and_dropped_updates_aggregate_identically() {
     // without checking msg.round).
     assert_eq!(delayed.fault_stats[2].stale_discarded, 1);
     assert_eq!(
-        dropped.fault_stats.iter().map(|s| s.stale_discarded).sum::<usize>(),
+        dropped
+            .fault_stats
+            .iter()
+            .map(|s| s.stale_discarded)
+            .sum::<usize>(),
         0
     );
     // Every round still aggregated: stale updates never count as fresh.
@@ -247,7 +251,14 @@ fn exhausted_retries_drop_the_client() {
     )
     .expect_err("full participation cannot survive exhausted retries");
     assert!(
-        matches!(err, FlError::ClientFailure { client: 1, round: 2, .. }),
+        matches!(
+            err,
+            FlError::ClientFailure {
+                client: 1,
+                round: 2,
+                ..
+            }
+        ),
         "{err}"
     );
 }
@@ -265,8 +276,14 @@ fn fault_paths_hold_on_a_model_large_enough_to_fan_out() {
     let results = per_width(|| {
         let quorum = |deadline| RoundPolicy::with_quorum(Quorum::AtLeast(2), deadline);
         let manual = || Arc::new(ManualClock::new());
-        let crashed = wide(quorum(None).with_faults(FaultPlan::new().crash(1, 2)), manual());
-        let dropped = wide(quorum(None).with_faults(FaultPlan::new().drop_update(1, 2)), manual());
+        let crashed = wide(
+            quorum(None).with_faults(FaultPlan::new().crash(1, 2)),
+            manual(),
+        );
+        let dropped = wide(
+            quorum(None).with_faults(FaultPlan::new().drop_update(1, 2)),
+            manual(),
+        );
         let stalled = wide(
             quorum(Some(Duration::from_millis(500))).with_faults(FaultPlan::new().stall(1, 2)),
             Arc::new(WallClock::new()),
@@ -280,10 +297,17 @@ fn fault_paths_hold_on_a_model_large_enough_to_fan_out() {
         assert!(stalled.fault_stats[1].deadline_expired);
         // A stalled client neither trains nor uploads in round 2; a client
         // whose upload is lost trains on — so the two diverge in round 3.
-        [global_bits(&crashed), global_bits(&dropped), global_bits(&stalled)]
+        [
+            global_bits(&crashed),
+            global_bits(&dropped),
+            global_bits(&stalled),
+        ]
     });
     for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
-        assert!(r == &results[0], "a wide-model fault run diverged at {w} threads");
+        assert!(
+            r == &results[0],
+            "a wide-model fault run diverged at {w} threads"
+        );
     }
 }
 
@@ -294,7 +318,10 @@ struct WorkerProbe(Arc<Mutex<Vec<bool>>>);
 
 impl ClientMiddleware for WorkerProbe {
     fn transform_upload(&mut self, _: usize, _: &mut ModelParams) -> dinar_fl::Result<()> {
-        self.0.lock().expect("probe lock").push(par::in_parallel_region());
+        self.0
+            .lock()
+            .expect("probe lock")
+            .push(par::in_parallel_region());
         Ok(())
     }
 
@@ -323,9 +350,14 @@ fn both_engines_run_clients_on_pool_workers() {
         in_process.run(2).expect("in-process rounds");
         let in_process_marks = take();
         let clock = Arc::new(ManualClock::new());
-        let threaded =
-            run_threaded_wire(probed(), 2, clock, RoundPolicy::strict(), WireConfig::default())
-                .expect("threaded rounds");
+        let threaded = run_threaded_wire(
+            probed(),
+            2,
+            clock,
+            RoundPolicy::strict(),
+            WireConfig::default(),
+        )
+        .expect("threaded rounds");
         let threaded_marks = take();
 
         let global = param_bits(in_process.global_params());
@@ -337,9 +369,15 @@ fn both_engines_run_clients_on_pool_workers() {
         assert_eq!((in_process.len(), threaded.len()), (6, 6), "width {width}");
         // At width 1 the in-process engine has nothing to fan out to: the
         // clients take turns on the calling thread, which is no worker.
-        assert!(in_process.iter().all(|&m| m == (width > 1)), "width {width}: {in_process:?}");
+        assert!(
+            in_process.iter().all(|&m| m == (width > 1)),
+            "width {width}: {in_process:?}"
+        );
         assert!(threaded.iter().all(|&m| m), "width {width}: {threaded:?}");
-        assert!(global == &results[0].2, "global model diverged at {width} threads");
+        assert!(
+            global == &results[0].2,
+            "global model diverged at {width} threads"
+        );
     }
 }
 
@@ -355,7 +393,10 @@ fn stalled_client_is_cut_off_by_the_deadline() {
         .expect("quorum run survives a stall");
     assert_eq!(run.reports.len(), 3);
     let s = &run.fault_stats[1];
-    assert!(s.deadline_expired, "deadline should have expired in round 2");
+    assert!(
+        s.deadline_expired,
+        "deadline should have expired in round 2"
+    );
     assert_eq!(s.participants, 2);
     assert_eq!(s.clients_dropped, 1);
     // The stalled client is still alive and serves later rounds.
@@ -403,7 +444,12 @@ fn lenient_policy_without_faults_matches_sequential() {
         .expect("diff");
     assert!(diff < 1e-7, "lenient healthy run diverged by {diff}");
     for s in &run.fault_stats {
-        assert_eq!((s.participants, s.clients_dropped), (3, 0), "round {}", s.round);
+        assert_eq!(
+            (s.participants, s.clients_dropped),
+            (3, 0),
+            "round {}",
+            s.round
+        );
     }
 }
 
@@ -416,7 +462,12 @@ fn telemetry_counts_faults_per_round() {
     system.set_telemetry(telemetry.clone());
     let policy = RoundPolicy::with_quorum(Quorum::AtLeast(2), None)
         .with_retry(RetryPolicy::retries(1))
-        .with_faults(FaultPlan::new().drop_update(1, 1).transient(2, 2, 1).delay(0, 2));
+        .with_faults(
+            FaultPlan::new()
+                .drop_update(1, 1)
+                .transient(2, 2, 1)
+                .delay(0, 2),
+        );
     let clock = Arc::new(ManualClock::new());
     let run = run_threaded_wire(system, 3, clock, policy, WireConfig::default())
         .expect("faulty quorum run");
@@ -426,7 +477,10 @@ fn telemetry_counts_faults_per_round() {
     assert_eq!(telemetry.counter_value("fl.transport.stale_updates"), 1);
     assert_eq!(
         telemetry.counter_value("fl.transport.updates"),
-        run.fault_stats.iter().map(|s| s.participants as u64).sum::<u64>()
+        run.fault_stats
+            .iter()
+            .map(|s| s.participants as u64)
+            .sum::<u64>()
     );
     // The run's telemetry handle survives the thread round trip.
     assert!(run.system.telemetry().is_enabled());

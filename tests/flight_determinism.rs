@@ -17,9 +17,7 @@
 //! ```
 
 use dinar_fl::clock::ManualClock as FlManualClock;
-use dinar_fl::{
-    run_threaded_wire, FaultPlan, FlConfig, FlSystem, Quorum, RoundPolicy, WireConfig,
-};
+use dinar_fl::{run_threaded_wire, FaultPlan, FlConfig, FlSystem, Quorum, RoundPolicy, WireConfig};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Sgd;
 use dinar_telemetry::{ManualClock, Telemetry};
@@ -148,9 +146,8 @@ fn flight_dump_matches_golden_snapshot() {
         return;
     }
 
-    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1")
-    });
+    let expected = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1"));
     assert_eq!(
         actual, expected,
         "\nflight dump drifted from {GOLDEN}.\nIf the change is \

@@ -6,8 +6,8 @@
 use dinar_data::catalog::{self, CatalogEntry, Profile};
 use dinar_data::partition::{partition_dataset, Distribution};
 use dinar_data::split::attack_split;
-use dinar_fl::{FlConfig, FlSystem};
 use dinar_data::synth::Modality;
+use dinar_fl::{FlConfig, FlSystem};
 use dinar_nn::loss::CrossEntropyLoss;
 use dinar_nn::{models, optim::Sgd, Model};
 use dinar_tensor::Rng;
@@ -40,9 +40,11 @@ fn one_round(entry: CatalogEntry) {
         batch_size: 32,
         seed: 1,
     })
-    .clients_from_shards(shards, move |rng| model_for(&e2, rng), |_| {
-        Box::new(Sgd::new(0.01))
-    })
+    .clients_from_shards(
+        shards,
+        move |rng| model_for(&e2, rng),
+        |_| Box::new(Sgd::new(0.01)),
+    )
     .expect("build clients")
     .build()
     .expect("build system");
@@ -101,9 +103,12 @@ fn full_model_for(entry: &CatalogEntry, rng: &mut Rng) -> dinar_nn::Result<Model
     let classes = entry.spec.num_classes;
     match (entry.paper.model, entry.spec.modality) {
         ("ResNet20", Modality::Image { channels, .. }) => models::resnet20(channels, classes, rng),
-        ("VGG11", Modality::Image { channels, height, .. }) => {
-            models::vgg11(channels, classes, height, rng)
-        }
+        (
+            "VGG11",
+            Modality::Image {
+                channels, height, ..
+            },
+        ) => models::vgg11(channels, classes, height, rng),
         ("M18", Modality::Audio { .. }) => models::m18(classes, rng),
         (_, modality) => models::fcnn_paper(modality.feature_len(), classes, rng),
     }
@@ -122,13 +127,23 @@ fn every_full_table2_pairing_takes_a_training_step_at_batch_2() {
         let x = rng.randn(&shape);
         let logits = model.forward(&x, true).expect("forward");
         assert_eq!(logits.shape(), &[2, entry.spec.num_classes], "{name}");
-        let (loss, grad) = CrossEntropyLoss.loss_and_grad(&logits, &[0, 1]).expect("loss");
+        let (loss, grad) = CrossEntropyLoss
+            .loss_and_grad(&logits, &[0, 1])
+            .expect("loss");
         assert!(loss.is_finite() && loss > 0.0, "{name}: loss {loss}");
         model.zero_grad();
         model.backward(&grad).expect("backward");
         let grads = model.layer_gradients();
-        let values = || grads.iter().flat_map(|l| &l.tensors).flat_map(|t| t.as_slice());
-        assert!(values().all(|v| v.is_finite()), "{name}: non-finite gradient");
+        let values = || {
+            grads
+                .iter()
+                .flat_map(|l| &l.tensors)
+                .flat_map(|t| t.as_slice())
+        };
+        assert!(
+            values().all(|v| v.is_finite()),
+            "{name}: non-finite gradient"
+        );
         assert!(values().any(|&v| v != 0.0), "{name}: all-zero gradients");
     }
 }

@@ -156,10 +156,19 @@ fn im2col_and_reductions_are_bit_identical_across_widths() {
         let sum = v.sum();
         let dot = v.dot(&u).expect("dot");
         let norm = v.norm_l2();
-        (bits(&cols), bits(&folded), sum.to_bits(), dot.to_bits(), norm.to_bits())
+        (
+            bits(&cols),
+            bits(&folded),
+            sum.to_bits(),
+            dot.to_bits(),
+            norm.to_bits(),
+        )
     });
     for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
-        assert_eq!(r, &results[0], "im2col/col2im/reductions diverged at {w} threads");
+        assert_eq!(
+            r, &results[0],
+            "im2col/col2im/reductions diverged at {w} threads"
+        );
     }
 }
 
@@ -236,7 +245,9 @@ fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
             let x = rng.randn(&[64, 3, 16, 16]);
             let labels: Vec<usize> = (0..64).map(|i| (i * 7 + h as usize) % 43).collect();
             let logits = model.forward(&x, true).expect("forward");
-            let (_, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).expect("loss");
+            let (_, grad) = CrossEntropyLoss
+                .loss_and_grad(&logits, &labels)
+                .expect("loss");
             model.zero_grad();
             model.backward(&grad).expect("backward");
             h = fnv(h, bits(&logits));
@@ -249,7 +260,10 @@ fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
         h
     });
     for (w, &digest) in WIDTHS.iter().zip(&results) {
-        assert_eq!(digest, RECORDED, "vgg11_mini steps at {w} threads: {digest:#018x}");
+        assert_eq!(
+            digest, RECORDED,
+            "vgg11_mini steps at {w} threads: {digest:#018x}"
+        );
     }
 }
 
@@ -263,8 +277,12 @@ fn cross_entropy_is_bit_identical_across_widths() {
         let logits = rng.randn_with(&[rows, cols], 0.0, 4.0);
         let labels: Vec<usize> = (0..rows).map(|i| (i * 13) % cols).collect();
         let results = per_width(|| {
-            let (loss, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels).expect("loss");
-            let per = CrossEntropyLoss.per_sample(&logits, &labels).expect("per-sample");
+            let (loss, grad) = CrossEntropyLoss
+                .loss_and_grad(&logits, &labels)
+                .expect("loss");
+            let per = CrossEntropyLoss
+                .per_sample(&logits, &labels)
+                .expect("per-sample");
             let probs = dinar_nn::loss::softmax_rows(&logits).expect("softmax");
             let per: Vec<u32> = per.iter().map(|x| x.to_bits()).collect();
             (loss.to_bits(), bits(&grad), per, bits(&probs))
@@ -294,7 +312,11 @@ fn model_forward_backward_is_bit_identical_across_widths() {
         );
         assert_eq!(
             r.2.iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
-            results[0].2.iter().map(|x| x.to_bits()).collect::<Vec<u32>>(),
+            results[0]
+                .2
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<u32>>(),
             "model params diverged at {w} threads"
         );
     }
@@ -359,10 +381,15 @@ fn dataset_digest(ds: &Dataset, after: RngState) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    ds.features().as_slice().iter().for_each(|x| eat(u64::from(x.to_bits())));
+    ds.features()
+        .as_slice()
+        .iter()
+        .for_each(|x| eat(u64::from(x.to_bits())));
     ds.labels().iter().for_each(|&l| eat(l as u64));
     after.words.iter().for_each(|&w| eat(w));
-    eat(after.gauss_cache.map_or(u64::MAX, |z| u64::from(z.to_bits())));
+    eat(after
+        .gauss_cache
+        .map_or(u64::MAX, |z| u64::from(z.to_bits())));
     h
 }
 
@@ -393,7 +420,10 @@ fn catalog_mini_datasets_are_the_serial_generators_at_every_width() {
     for (w, result) in WIDTHS.iter().zip(&results) {
         for ((name, got), (want_name, want)) in result.iter().zip(serial) {
             assert_eq!(name, want_name);
-            assert_eq!(*got, want, "{name} left the serial generator at {w} threads: {got:#018x}");
+            assert_eq!(
+                *got, want,
+                "{name} left the serial generator at {w} threads: {got:#018x}"
+            );
         }
     }
 }
@@ -401,7 +431,11 @@ fn catalog_mini_datasets_are_the_serial_generators_at_every_width() {
 /// The serial walk the row-parallel generators replaced, for image and
 /// tabular specs: the shuffled features as bits, and the labels.
 fn serial_generate(spec: &SynthSpec, rng: &mut Rng) -> (Vec<u32>, Vec<usize>) {
-    let (n, classes, flen) = (spec.num_samples, spec.num_classes, spec.modality.feature_len());
+    let (n, classes, flen) = (
+        spec.num_samples,
+        spec.num_classes,
+        spec.modality.feature_len(),
+    );
     let mut data = Vec::with_capacity(n * flen);
     if let Modality::BinaryTabular { features } = spec.modality {
         let profiles: Vec<Vec<f32>> = (0..classes)
@@ -450,7 +484,11 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
         name: "image".into(),
         num_classes: classes,
         num_samples: 1001,
-        modality: Modality::Image { channels, height, width },
+        modality: Modality::Image {
+            channels,
+            height,
+            width,
+        },
         noise: 0.7,
     };
     // An odd row length puts odd rows at odd normal counts, where a part
@@ -487,7 +525,12 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
         for spec in &specs {
             for mut rng in callers() {
                 let ds = spec.generate(&mut rng).expect("valid spec");
-                let bits = ds.features().as_slice().iter().map(|x| x.to_bits()).collect();
+                let bits = ds
+                    .features()
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
                 got.push(((bits, ds.labels().to_vec()), rng.state()));
             }
         }
@@ -495,8 +538,14 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
     });
     for (w, got) in WIDTHS.iter().zip(&results) {
         for (case, (g, want)) in got.iter().zip(&want).enumerate() {
-            assert!(g.0 == want.0, "case {case}: dataset left the serial walk at {w} threads");
-            assert_eq!(g.1, want.1, "case {case}: caller's stream left the serial walk at {w} threads");
+            assert!(
+                g.0 == want.0,
+                "case {case}: dataset left the serial walk at {w} threads"
+            );
+            assert_eq!(
+                g.1, want.1,
+                "case {case}: caller's stream left the serial walk at {w} threads"
+            );
         }
     }
 }

@@ -82,7 +82,11 @@ fn transpose_preserves_matmul() {
         let a = rng.randn(&[m, k]);
         let b = rng.randn(&[k, n]);
         let lhs = a.matmul(&b).unwrap().transpose().unwrap();
-        let rhs = b.transpose().unwrap().matmul(&a.transpose().unwrap()).unwrap();
+        let rhs = b
+            .transpose()
+            .unwrap()
+            .matmul(&a.transpose().unwrap())
+            .unwrap();
         assert!(lhs.approx_eq(&rhs, 1e-3), "case {case}");
     }
 }
@@ -114,9 +118,11 @@ fn fedavg_stays_within_convex_hull() {
         let w = rng.uniform();
         let n = a.len();
         let pa = ModelParams::new(vec![LayerParams::new(vec![Tensor::from_slice(&a)])]);
-        let pb = ModelParams::new(vec![LayerParams::new(vec![
-            rng.rand_uniform(&[n], -50.0, 50.0),
-        ])]);
+        let pb = ModelParams::new(vec![LayerParams::new(vec![rng.rand_uniform(
+            &[n],
+            -50.0,
+            50.0,
+        )])]);
         let mut avg = pa.zeros_like();
         avg.scaled_add_assign(w, &pa).unwrap();
         avg.scaled_add_assign(1.0 - w, &pb).unwrap();

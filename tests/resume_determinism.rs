@@ -152,7 +152,9 @@ fn between_round_checkpoints_resume_bit_identically() {
     drop(first);
 
     let mut second = build_system();
-    second.restore(decode_resume(&bytes).expect("decode")).expect("restore");
+    second
+        .restore(decode_resume(&bytes).expect("decode"))
+        .expect("restore");
     assert!(!second.has_pending_round());
     second.run(1).expect("final round");
     assert_eq!(reference, global_bits(&second));
@@ -221,7 +223,10 @@ fn every_way_of_running_a_round_agrees_bit_for_bit() {
             WireConfig::default(),
         )
         .expect("threaded wire run");
-        ways.push(("run_threaded_wire".into(), outcome(&run.system, &run.reports)));
+        ways.push((
+            "run_threaded_wire".into(),
+            outcome(&run.system, &run.reports),
+        ));
         ways
     });
 

@@ -7,9 +7,16 @@ use dinar_tensor::Rng;
 
 /// Every strict prefix of a valid encoding must fail to decode: no
 /// partial decode is valid.
-pub fn assert_every_prefix_fails<T, E>(label: &str, bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
+pub fn assert_every_prefix_fails<T, E>(
+    label: &str,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
     for cut in 0..bytes.len() {
-        assert!(decode(&bytes[..cut]).is_err(), "{label}: prefix of {cut} bytes decoded");
+        assert!(
+            decode(&bytes[..cut]).is_err(),
+            "{label}: prefix of {cut} bytes decoded"
+        );
     }
 }
 

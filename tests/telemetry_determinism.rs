@@ -84,10 +84,7 @@ fn instrumented_fl_round_is_deterministic_across_widths() {
         let mut system = build_system();
         system.set_telemetry(tel.clone());
         system.run_round().expect("round");
-        (
-            export::export_jsonl(&tel, false),
-            global_bits(&system),
-        )
+        (export::export_jsonl(&tel, false), global_bits(&system))
     });
 
     // The instrumented run must also match a run with no telemetry at all.
@@ -103,10 +100,7 @@ fn instrumented_fl_round_is_deterministic_across_widths() {
             jsonl, &results[0].0,
             "deterministic telemetry export diverged at {w} threads"
         );
-        assert_eq!(
-            bits, &results[0].1,
-            "global params diverged at {w} threads"
-        );
+        assert_eq!(bits, &results[0].1, "global params diverged at {w} threads");
     }
     assert_eq!(
         results[0].1, baseline,

@@ -72,9 +72,8 @@ fn telemetry_jsonl_matches_golden_snapshot() {
         return;
     }
 
-    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1")
-    });
+    let expected = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1"));
     assert_eq!(
         actual, expected,
         "\ntelemetry export drifted from {GOLDEN}.\nIf the change is \

@@ -73,9 +73,8 @@ fn trace_events_match_golden_snapshot() {
         return;
     }
 
-    let expected = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1")
-    });
+    let expected = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("cannot read {GOLDEN} ({e}); regenerate with UPDATE_GOLDEN=1"));
     assert_eq!(
         actual, expected,
         "\ntrace export drifted from {GOLDEN}.\nIf the change is \

@@ -52,7 +52,8 @@ fn tensor_roundtrip(t: &Tensor, codec: Codec) -> Tensor {
     encode_tensor(t, codec, &mut w).expect("encode");
     let bytes = w.into_bytes();
     let mut r = ByteReader::new(&bytes);
-    let decoded_codec = Codec::from_tag(read_header(&mut r, MAGIC).expect("header")).expect("codec");
+    let decoded_codec =
+        Codec::from_tag(read_header(&mut r, MAGIC).expect("header")).expect("codec");
     assert_eq!(decoded_codec, codec);
     let back = decode_tensor(&mut r, codec).expect("decode");
     r.finish().expect("no trailing bytes");
@@ -240,8 +241,16 @@ fn fused_uplink_matches_the_reference_pipeline_bit_for_bit() {
                     assert_eq!(split.compress(&delta, codec).expect("split"), want, "{tag}");
 
                     let carried = param_bits(reference.residual.as_ref().expect("residual"));
-                    assert_eq!(param_bits(fused.residual().expect("carried")), carried, "{tag}");
-                    assert_eq!(param_bits(split.residual().expect("carried")), carried, "{tag}");
+                    assert_eq!(
+                        param_bits(fused.residual().expect("carried")),
+                        carried,
+                        "{tag}"
+                    );
+                    assert_eq!(
+                        param_bits(split.residual().expect("carried")),
+                        carried,
+                        "{tag}"
+                    );
 
                     let server = param_bits(&ReferenceUplink::receive(&want, &base));
                     let onto = decode_params_onto(&got, &base).expect("decode onto");
@@ -252,8 +261,14 @@ fn fused_uplink_matches_the_reference_pipeline_bit_for_bit() {
         }
         seen
     });
-    assert_eq!(per_width_bits[0], per_width_bits[1], "width 1 vs 2 diverged");
-    assert_eq!(per_width_bits[1], per_width_bits[2], "width 2 vs 4 diverged");
+    assert_eq!(
+        per_width_bits[0], per_width_bits[1],
+        "width 1 vs 2 diverged"
+    );
+    assert_eq!(
+        per_width_bits[1], per_width_bits[2],
+        "width 2 vs 4 diverged"
+    );
 }
 
 /// Once the residual buffer exists, an upload through the delta entry
@@ -268,11 +283,19 @@ fn delta_entry_allocates_no_tensor_bytes_after_the_first_round() {
     for codec in [Codec::QuantI8, Codec::Sign1] {
         let mut feedback = ErrorFeedback::new();
         let scope = MemoryScope::enter();
-        feedback.compress_delta(&trained, &base, codec).expect("round 1");
-        assert_eq!(scope.peak_extra_bytes(), 4 * base.param_count() as u64, "{codec:?}");
+        feedback
+            .compress_delta(&trained, &base, codec)
+            .expect("round 1");
+        assert_eq!(
+            scope.peak_extra_bytes(),
+            4 * base.param_count() as u64,
+            "{codec:?}"
+        );
         for round in 2..=3 {
             let scope = MemoryScope::enter();
-            feedback.compress_delta(&trained, &base, codec).expect("upload");
+            feedback
+                .compress_delta(&trained, &base, codec)
+                .expect("upload");
             assert_eq!(scope.peak_extra_bytes(), 0, "{codec:?} round {round}");
         }
     }
@@ -423,8 +446,8 @@ fn simulated_network_prices_rounds_deterministically() {
         let frame = s.bytes_down / 3;
         // Straggler path: down 20ms + B/500k, up 40ms + B/250k — strictly
         // the slowest, so it is the makespan.
-        let expect = Duration::from_millis(60)
-            + Duration::from_nanos(frame * 2_000 + frame * 4_000);
+        let expect =
+            Duration::from_millis(60) + Duration::from_nanos(frame * 2_000 + frame * 4_000);
         assert_eq!(s.sim_elapsed, expect, "round {}", s.round);
     }
     // Identical rounds price identically.
