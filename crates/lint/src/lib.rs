@@ -4,8 +4,8 @@
 //! reproduction's claims (attack AUC, per-layer sensitivity, figure
 //! regeneration) depend on determinism, privacy-ordering and error-handling
 //! discipline that generic tooling cannot check, so this crate enforces
-//! eighteen repo-specific invariants — only those the compiler cannot hold.
-//! L001–L008, L017 and L019–L021 are per-line rules ([`rules`]); L010–L013,
+//! nineteen repo-specific invariants — only those the compiler cannot hold.
+//! L001–L008, L017 and L019–L022 are per-line rules ([`rules`]); L010–L013,
 //! L015 and L016 run on a semantic engine — a lexer ([`lex`]) over stripped
 //! sources, a lightweight item parser ([`sem`]), and a workspace symbol
 //! table with an approximate call graph ([`graph`]):
@@ -30,6 +30,7 @@
 //! | L019 | env switches: `crates/*/src` reads only `DINAR_THREADS` and `DINAR_OBSERVE` from the environment, and still reads both |
 //! | L020 | no libm: `crates/nn/src` calls no float `exp`/`ln`/`log*`/`sin`/`cos`/`tanh`/`powf` outside its tests |
 //! | L021 | stale allows: every `lint: allow(RULE, …)` names a live rule |
+//! | L022 | no `unsafe` in the fenced Rust examples of `///`/`//!` doc comments in `crates/*/src`, which doctests would compile despite `[workspace.lints]` |
 //!
 //! Three retired IDs are never reused. The compiler now holds what they
 //! checked: `ModelParams`/`LayerParams` are not `Clone`, so `share()` is the

@@ -1,7 +1,7 @@
-//! The rule catalog: eighteen repo-specific invariants (L001–L021; the IDs of
+//! The rule catalog: nineteen repo-specific invariants (L001–L022; the IDs of
 //! retired rules L009, L014 and L018 are never reused).
 //!
-//! L001–L008, L017 and L019–L021 are per-line rules: pure functions from
+//! L001–L008, L017 and L019–L022 are per-line rules: pure functions from
 //! preprocessed sources (or manifests) to [`Finding`]s. L010–L013, L015 and
 //! L016 are cross-file/token-level semantic rules that run on the engine in
 //! [`crate::graph`]. Both layers are driven with inline fixtures by unit
@@ -61,6 +61,8 @@ pub enum Rule {
     L020,
     /// Stale allows: every `lint: allow(RULE, …)` names a live rule.
     L021,
+    /// No `unsafe` in the code of a doc comment in `crates/*/src`.
+    L022,
 }
 
 impl Rule {
@@ -86,6 +88,7 @@ impl Rule {
             Rule::L019 => "L019",
             Rule::L020 => "L020",
             Rule::L021 => "L021",
+            Rule::L022 => "L022",
         }
     }
 
@@ -273,11 +276,21 @@ impl Rule {
                  or L018) documents an invariant nothing checks. Delete it, or name the\n\
                  live rule it meant. This finding cannot itself be allowed."
             }
+            Rule::L022 => {
+                "L022 — no `unsafe` in the code of a doc comment in `crates/*/src`.\n\n\
+                 Every target forbids `unsafe` through `[workspace.lints]`, but this\n\
+                 toolchain does not apply those lints to doctests, so an `unsafe`\n\
+                 block in a fenced example under `///` or `//!` compiles and runs.\n\
+                 The rule reads the fenced code of every doc comment (a fence ends\n\
+                 with its comment block) and flags the word `unsafe` there; prose\n\
+                 outside a fence may name it. An example that needs `unsafe` has no\n\
+                 place in a workspace that forbids it."
+            }
         }
     }
 
     /// All rules, in catalog order.
-    pub fn all() -> [Rule; 18] {
+    pub fn all() -> [Rule; 19] {
         [
             Rule::L001,
             Rule::L002,
@@ -297,6 +310,7 @@ impl Rule {
             Rule::L019,
             Rule::L020,
             Rule::L021,
+            Rule::L022,
         ]
     }
 
@@ -467,6 +481,7 @@ pub fn check_source(path: &str, source: &str) -> Vec<Finding> {
     check_l017(path, &stripped, &mut findings);
     check_l020(path, &stripped, &mut findings);
     check_l021(path, &stripped, &mut findings);
+    check_l022(path, source, &stripped, &mut findings);
     findings
 }
 
@@ -700,6 +715,57 @@ fn check_l021(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// L022: the word `unsafe` inside a fenced Rust block of a `///` or `//!`
+/// doc comment in `crates/*/src` — the blocks rustdoc compiles as doctests.
+/// Comments are gone from the stripped lines, so this reads the raw source;
+/// a fence closes at its closing ```` ``` ```` or where its comment block
+/// ends.
+fn check_l022(path: &str, source: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
+    if !(path.starts_with("crates/") && path.contains("/src/")) {
+        return;
+    }
+    // `None` outside a fence, else whether the open fence holds Rust.
+    let mut fence: Option<bool> = None;
+    for (i, line) in source.lines().enumerate() {
+        let n = i + 1;
+        let trimmed = line.trim_start();
+        let doc = trimmed
+            .strip_prefix("///")
+            .or_else(|| trimmed.strip_prefix("//!"))
+            .filter(|doc| !doc.starts_with('/'));
+        let Some(doc) = doc else {
+            fence = None;
+            continue;
+        };
+        if let Some(info) = doc.trim_start().strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(info.split(',').all(|tag| is_rust_fence_tag(tag.trim()))),
+            };
+        } else if fence == Some(true)
+            && occurrences(doc, "unsafe") > 0
+            && !stripped.is_test_line(n)
+            && !stripped.is_allowed(Rule::L022.id(), n)
+        {
+            findings.push(Finding {
+                rule: Rule::L022,
+                file: path.to_string(),
+                line: n,
+                message: "`unsafe` in a doc example; doctests escape the workspace's \
+                          `unsafe_code = \"forbid\"`, so the example must not need it"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// Whether a fence's info-string tag leaves the block a Rust doctest: no
+/// tag, `rust`, or one of rustdoc's test attributes.
+fn is_rust_fence_tag(tag: &str) -> bool {
+    const ATTRIBUTES: [&str; 5] = ["rust", "ignore", "no_run", "should_panic", "compile_fail"];
+    tag.is_empty() || ATTRIBUTES.contains(&tag) || tag.starts_with("edition")
 }
 
 /// L019: the library crates read only [`ENV_SWITCHES`] from the
@@ -1159,6 +1225,33 @@ mod tests {
         assert_eq!(l020.len(), 1, "{l020:?}");
         assert_eq!(l020[0].line, 4);
         assert!(l020[0].message.contains("covers no"));
+    }
+
+    #[test]
+    fn l022_flags_unsafe_in_doc_examples_only() {
+        let src = "//! Prose may say unsafe.\n\
+                   //! ```\n\
+                   //! let x = unsafe { f() };\n\
+                   //! ```\n\
+                   /// ```text\n\
+                   /// unsafe in a text block is prose\n\
+                   /// ```\n\
+                   /// ```rust,no_run\n\
+                   /// unsafe fn g() {}\n\
+                   fn h() {}\n\
+                   /// unsafe_code is another word; a fence ends with its comment\n\
+                   //// ```\n\
+                   //// unsafe in a plain comment\n\
+                   // unsafe in a line comment\n";
+        let findings = check_source("crates/tensor/src/kernels.rs", src);
+        let lines: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::L022)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [3, 9]);
+        let outside = check_source("tests/lint.rs", src);
+        assert!(outside.iter().all(|f| f.rule != Rule::L022));
     }
 
     #[test]

@@ -31,21 +31,38 @@ pub struct Model {
     layers: Vec<Box<dyn Layer>>,
     trainable: Vec<usize>,
     telemetry: Telemetry,
+    /// The telemetry names, built once: per layer its `fwd[i:name]` and
+    /// `bwd[i:name]` spans, per trainable layer its `nn.grad_l2[slot:name]`
+    /// gauge.
+    span_names: Vec<[String; 2]>,
+    gauge_names: Vec<String>,
 }
 
 impl Model {
     /// Creates a model from a sequence of layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        let trainable = layers
+        let trainable: Vec<usize> = layers
             .iter()
             .enumerate()
             .filter(|(_, l)| l.is_trainable())
             .map(|(i, _)| i)
             .collect();
+        let span_names = layers
+            .iter()
+            .enumerate()
+            .map(|(i, l)| ["fwd", "bwd"].map(|pass| format!("{pass}[{i}:{}]", l.name())))
+            .collect();
+        let gauge_names = trainable
+            .iter()
+            .enumerate()
+            .map(|(slot, &i)| format!("nn.grad_l2[{slot}:{}]", layers[i].name()))
+            .collect();
         Model {
             layers,
             trainable,
             telemetry: Telemetry::disabled(),
+            span_names,
+            gauge_names,
         }
     }
 
@@ -85,7 +102,7 @@ impl Model {
         let mut x = input.clone();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let _span = if self.telemetry.is_enabled() {
-                Some(self.telemetry.span(&format!("fwd[{i}:{}]", layer.name())))
+                Some(self.telemetry.span(&self.span_names[i][0]))
             } else {
                 None
             };
@@ -144,7 +161,7 @@ impl Model {
         let mut g = grad_logits.clone();
         for (i, layer) in self.layers.iter_mut().enumerate().skip(stop).rev() {
             let _span = if self.telemetry.is_enabled() {
-                Some(self.telemetry.span(&format!("bwd[{i}:{}]", layer.name())))
+                Some(self.telemetry.span(&self.span_names[i][1]))
             } else {
                 None
             };
@@ -197,17 +214,13 @@ impl Model {
         if !self.telemetry.is_enabled() {
             return;
         }
-        for (slot, &i) in self.trainable.iter().enumerate() {
-            let layer = &self.layers[i];
-            let sumsq: f64 = layer
+        for (&i, name) in self.trainable.iter().zip(&self.gauge_names) {
+            let sumsq: f64 = self.layers[i]
                 .grads()
                 .iter()
                 .map(|g| dinar_tensor::par::chunked_sumsq_f64(g.as_slice()))
                 .sum();
-            self.telemetry.gauge_max(
-                &format!("nn.grad_l2[{slot}:{}]", layer.name()),
-                sumsq.sqrt(),
-            );
+            self.telemetry.gauge_max(name, sumsq.sqrt());
         }
     }
 

@@ -8,7 +8,7 @@ const PAR_MIN_FLOPS: usize = 32 * 1024;
 /// Minimum element count before an elementwise op fans out to the pool.
 const PAR_MIN_ELEMS: usize = 16 * 1024;
 
-use crate::kernels::{gemm_row_block, Operand, View};
+use crate::kernels::{gemm_row_block, indicator_form, Operand, View};
 
 /// Minimum rows per parallel part so each part clears [`PAR_MIN_FLOPS`]
 /// multiply-adds (`k * n` per row).
@@ -35,6 +35,8 @@ pub(crate) fn gemm(
 /// [`gemm`] into an existing `m × n` output: `out = A · B`, or with
 /// `accumulate` `out += A · B`, each element's chain resumed from the value
 /// `out` holds (a chain resumed from `+0.0` is the plain chain, bit for bit).
+/// A 0/1 `A` takes the indicator form, bit for bit the same product (see
+/// the indicator lemma in [`crate::kernels`]).
 fn gemm_onto(
     op: &'static str,
     out: &mut Tensor,
@@ -46,8 +48,13 @@ fn gemm_onto(
     let (m, n) = (out.shape[0], out.shape[1]);
     profile::record_matmul(m, k, n);
     if m > 0 && n > 0 {
+        let resumed = accumulate.then(|| out.as_slice());
+        let indicator = indicator_form(a, b, (m, k, n), resumed);
         par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-            gemm_row_block(rows, offset / n, a, b, k, n, accumulate);
+            match &indicator {
+                Some(indicator) => indicator.rows(rows, offset / n, k, n, accumulate),
+                None => gemm_row_block(rows, offset / n, a, b, k, n, accumulate),
+            }
         });
     }
     sanitize::check_finite(op, "output", out);

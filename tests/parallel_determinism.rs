@@ -70,18 +70,30 @@ fn matmul_family_is_bit_identical_across_widths() {
     }
 }
 
-/// The kernels' element spec: one serial ascending-`p` FMA chain from 0.0.
-fn serial_fma_product(a: &Tensor, b: &Tensor) -> Vec<u32> {
+/// The kernels' element spec resumed from `prior`: `prior + a · b` as one
+/// serial ascending-`p` FMA chain per element.
+fn serial_fma_onto(prior: &[f32], a: &Tensor, b: &Tensor) -> Vec<f32> {
     let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
     let (a, b) = (a.as_slice(), b.as_slice());
-    let mut out = Vec::with_capacity(m * n);
+    let mut out = prior.to_vec();
     for i in 0..m {
         for j in 0..n {
-            let chain = (0..k).fold(0.0f32, |acc, p| a[i * k + p].mul_add(b[p * n + j], acc));
-            out.push(chain.to_bits());
+            let acc = &mut out[i * n + j];
+            for p in 0..k {
+                *acc = a[i * k + p].mul_add(b[p * n + j], *acc);
+            }
         }
     }
     out
+}
+
+/// The kernels' element spec: one serial ascending-`p` FMA chain from 0.0.
+fn serial_fma_product(a: &Tensor, b: &Tensor) -> Vec<u32> {
+    let zeros = vec![0.0; a.shape()[0] * b.shape()[1]];
+    serial_fma_onto(&zeros, a, b)
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
 }
 
 #[test]
@@ -126,6 +138,116 @@ fn matmul_family_is_the_serial_fma_chain_at_every_tile_edge() {
                     b.shape()
                 );
             }
+        }
+    }
+}
+
+/// A 0/1 matrix of density ≈ 0.29, as the binary-feature datasets hold:
+/// every eighth zero is −0, row 0 is all zeros and the last row (when
+/// there is more than one) all ones.
+fn indicator_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Tensor {
+    let mut data: Vec<f32> = (0..rows * cols)
+        .map(|i| match (rng.uniform() < 0.29, i % 8) {
+            (true, _) => 1.0,
+            (false, 0) => -0.0,
+            (false, _) => 0.0,
+        })
+        .collect();
+    data[..cols].fill(0.0);
+    if rows > 1 {
+        data[(rows - 1) * cols..].fill(1.0);
+    }
+    Tensor::from_vec(data, &[rows, cols]).expect("shape")
+}
+
+/// Bit equality, with any NaN matching any NaN.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
+/// `a · b` through `matmul` and `prior + a · b` through `add_t_matmul` (over
+/// the stored transpose of `a`), at every pool width, against the serial
+/// chain.
+fn assert_products_are_the_chain(a: &Tensor, b: &Tensor, prior: &Tensor, case: &str) {
+    let want = serial_fma_onto(&vec![0.0; prior.len()], a, b);
+    let want_resumed = serial_fma_onto(prior.as_slice(), a, b);
+    let at = a.transpose().expect("2-d");
+    let results = per_width(|| {
+        let mut resumed = prior.clone();
+        resumed.add_t_matmul(&at, b).expect("add_t_matmul");
+        (a.matmul(b).expect("matmul"), resumed)
+    });
+    for (w, (product, resumed)) in WIDTHS.iter().zip(&results) {
+        assert!(
+            same_bits(product.as_slice(), &want),
+            "matmul {case} left the serial chain at {w} threads"
+        );
+        assert!(
+            same_bits(resumed.as_slice(), &want_resumed),
+            "add_t_matmul {case} left the serial chain at {w} threads"
+        );
+    }
+}
+
+#[test]
+fn indicator_products_are_the_serial_fma_chain_at_every_width() {
+    // 0/1 left operands take the skip kernel; the sizes straddle its mask
+    // word (64 reduction steps) and register block (64 columns), and the
+    // pool's row partition.
+    let mut rng = Rng::seed_from(13);
+    for k in [1, 63, 64, 65, 130, 600] {
+        for n in [1, 7, 16, 17, 64, 65, 100, 1024] {
+            let mut b = rng.randn(&[k, n]).as_slice().to_vec();
+            b[0] = -0.0;
+            let b = Tensor::from_vec(b, &[k, n]).expect("shape");
+            for m in [1, 3, 4, 5, 64, 67] {
+                let a = indicator_matrix(&mut rng, m, k);
+                let prior = rng.randn(&[m, n]);
+                assert_products_are_the_chain(&a, &b, &prior, &format!("{m}x{k}x{n}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn indicator_fallbacks_are_the_serial_fma_chain() {
+    // Each case breaks one precondition of the skip kernel, so the product
+    // takes the packed path; a kernel that skipped anyway would differ
+    // from the chain at the marked element's row or column.
+    let mut rng = Rng::seed_from(17);
+    let (m, k, n) = (67, 130, 65);
+    let a = indicator_matrix(&mut rng, m, k);
+    let b = rng.randn(&[k, n]);
+    let prior = rng.randn(&[m, n]);
+    // A 0.5 in `A`: in its first row, its last row, and its last word.
+    for at in [0, (m - 1) * k, m * k - 1] {
+        let mut half = a.as_slice().to_vec();
+        half[at] = 0.5;
+        let half = Tensor::from_vec(half, &[m, k]).expect("shape");
+        assert_products_are_the_chain(&half, &b, &prior, &format!("0.5 at {at}"));
+    }
+    // A −0 in the resumed output, in the all-zero row 0 of `A`, where every
+    // term is skipped.
+    let mut signed = prior.as_slice().to_vec();
+    signed[1] = -0.0;
+    let signed = Tensor::from_vec(signed, &[m, n]).expect("shape");
+    assert_products_are_the_chain(&a, &b, &signed, "-0 in the resumed output");
+    // A non-finite `B`. The sanitizer rejects such an operand before any
+    // kernel runs, so these cases run without it.
+    if !cfg!(feature = "sanitize") {
+        for (at, bad) in [
+            (0, f32::INFINITY),
+            (k * n / 2, f32::NEG_INFINITY),
+            (k * n - 1, f32::NAN),
+        ] {
+            let mut poisoned = b.as_slice().to_vec();
+            poisoned[at] = bad;
+            let poisoned = Tensor::from_vec(poisoned, &[k, n]).expect("shape");
+            assert_products_are_the_chain(&a, &poisoned, &prior, &format!("{bad} in B at {at}"));
         }
     }
 }
