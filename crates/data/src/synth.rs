@@ -295,7 +295,8 @@ impl SynthSpec {
             .zip(data.chunks_exact_mut(flen))
             .collect();
         slots.sort_unstable_by_key(|&(i, _)| i);
-        par::for_each_part_mut(&mut slots, 1, min_rows(flen), |first, part| {
+        let row_bytes = flen * std::mem::size_of::<f32>();
+        par::for_each_part_mut(&mut slots, 1, row_bytes, |first, part| {
             let mut stream = start.clone();
             skip(&mut stream, first);
             for (i, row) in part.iter_mut() {
@@ -317,14 +318,6 @@ impl SynthSpec {
             self.num_classes,
         )
     }
-}
-
-/// Elements a parallel part must fill before the generators fan out.
-const PAR_MIN_ELEMS: usize = 16 * 1024;
-
-/// Fewest rows of `flen` features per parallel part.
-fn min_rows(flen: usize) -> usize {
-    (PAR_MIN_ELEMS / flen).max(1)
 }
 
 /// One prototype-plus-noise row: element `j` is `proto[(j + shift) % flen]`

@@ -63,13 +63,10 @@
 //! otherwise the input channels do, a few samples at a time.
 
 use crate::kernels::{gemm_row_block, run_len, Gather, Operand, View};
+use crate::tensor::F32;
 use crate::{par, sanitize, Result, Tensor, TensorError};
 use std::borrow::Cow;
 use std::ops::Range;
-
-/// Minimum output cells per parallel part for the lowering kernels; below
-/// this the whole buffer is filled inline.
-const PAR_MIN_CELLS: usize = 16 * 1024;
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,8 +330,8 @@ impl Lowering {
             // parts of whole samples keep every sum on a single thread. Each
             // part adds its columns of every row, last tap first, onto a
             // zero-bordered scratch batch and crops it into place.
-            let min_samples = (PAR_MIN_CELLS / (map * patch).max(1)).max(1);
-            par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+            let bytes = F32 * (map * patch + sample);
+            par::for_each_part_mut(&mut out, sample, bytes, |offset, part| {
                 let (first, count) = (offset / sample, part.len() / sample);
                 let bases = self.bases(count);
                 let mut scratch = vec![0.0f32; count * padded];
@@ -469,14 +466,14 @@ impl Lowering {
                 }
             }
         }
+        let madds = taps.pairs.len() * oc * self.c;
         let plan = ChannelLanes {
             oc,
             map,
             lanes,
             taps,
         };
-        let min_samples = (PAR_MIN_CELLS / (sample * kk).max(1)).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+        par::for_each_part_mut(&mut out, sample, madds, |offset, part| {
             let first = offset / sample;
             for v0 in (0..lanes / LANES).step_by(4) {
                 match lanes / LANES - v0 {
@@ -593,8 +590,8 @@ impl Lowering {
             chunks,
             steps: steps.collect(),
         };
-        let min_samples = (PAR_MIN_CELLS / (map * live.len()).max(1)).max(1);
-        par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+        let madds = sample * plan.steps.len();
+        par::for_each_part_mut(&mut out, sample, madds, |offset, part| {
             let first_sample = offset / sample;
             match v {
                 ..=4 => self.transposed_part::<3, 4>(&plan, w, g, first_sample, part),
@@ -964,8 +961,7 @@ impl Patches<'_> {
         let (bias, n, sample) = (bias.as_slice(), positions / map.max(1), oc * map);
         let mut out = vec![0.0f32; n * sample];
         if !out.is_empty() {
-            let min_samples = (PAR_MIN_CELLS / (map * live).max(1)).max(1);
-            par::for_each_part_mut(&mut out, sample, min_samples, |offset, part| {
+            par::for_each_part_mut(&mut out, sample, sample * live, |offset, part| {
                 let (first, count) = (offset / sample, part.len() / sample);
                 let block = (PRODUCT_BLOCK / sample).clamp(1, count);
                 let mut product = vec![0.0f32; oc * block * map];
@@ -1049,8 +1045,7 @@ impl Patches<'_> {
             }
         }
         let (x, run) = (self.image.as_slice(), run_len(&self.bases, RUN_MAX));
-        let min_rows = (PAR_MIN_CELLS / (positions * lanes / LANES).max(1)).max(1);
-        par::for_each_part_mut(&mut chains, lanes, min_rows, |offset, part| {
+        par::for_each_part_mut(&mut chains, lanes, positions * oc, |offset, part| {
             let taps = &self.taps[offset / lanes..][..part.len() / lanes];
             // Positions per block: whole runs, and an L1-sized block of
             // gathered rows when the runs are too short to read in place.
@@ -1132,9 +1127,8 @@ impl Patches<'_> {
         // Parallel over patch rows: each row is written by exactly one
         // thread, so the result is identical for any partition.
         if !out.is_empty() {
-            let min_rows = (PAR_MIN_CELLS / positions).max(1);
             let run = run_len(bases, RUN_MAX);
-            par::for_each_part_mut(&mut out, positions, min_rows, |offset, rows| {
+            par::for_each_part_mut(&mut out, positions, 2 * F32 * positions, |offset, rows| {
                 let taps = &self.taps[offset / positions..];
                 match run {
                     16 => gather_rows::<16>(rows, x, taps, bases),

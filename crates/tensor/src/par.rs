@@ -30,6 +30,16 @@
 //! for threads ∈ {1, 2, 4} over matmul, conv forward/backward and a full FL
 //! round.
 //!
+//! # Grain rule
+//!
+//! Whether a region fans out is decided here and nowhere else. A caller
+//! states what one granule of its region costs, in one unit — a
+//! multiply-add for products, a byte read or written for elementwise, copy,
+//! reduction and generation loops — and [`parts`] grants one part per whole
+//! [`GRAIN`] of work, capped at the pool width. Below two grains the region
+//! runs inline. A part count never changes a bit (the contract above), so
+//! the rule decides speed only.
+//!
 //! # Thread count
 //!
 //! The pool width defaults to [`std::thread::available_parallelism`] and can
@@ -54,10 +64,11 @@
 //! * a [`spawn_worker`] thread, from its first instruction — the threaded
 //!   engine's client threads in `dinar-fl`.
 //!
-//! So the in-process fan-out (`map_items_mut` over clients) and the threaded
-//! engine (one `spawn_worker` thread per client) both run every kernel of a
-//! client on that client's own thread, and neither multiplies into
-//! clients × threads oversubscription.
+//! So the in-process fan-out (`map_items_mut` over clients, which gives
+//! each item a grain and so a part of its own) and the threaded engine (one
+//! `spawn_worker` thread per client) both run every kernel of a client on
+//! that client's own thread, and neither multiplies into clients × threads
+//! oversubscription.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -92,50 +103,28 @@ impl Drop for WorkerMark {
     }
 }
 
-/// Explicit pool configuration.
-///
-/// Most callers never construct one: the kernels consult the process-wide
-/// width via [`threads`]. `ParConfig` exists so tests and harnesses can
-/// resolve or override the width explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    /// Number of worker threads a parallel region may fan out to (≥ 1).
-    pub threads: usize,
-}
-
-impl ParConfig {
-    /// Resolves the default width: `DINAR_THREADS` if set to a positive
-    /// integer, otherwise [`std::thread::available_parallelism`], clamped
-    /// to at least 1.
-    pub fn from_env() -> Self {
-        let from_var = std::env::var("DINAR_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        let threads = from_var.unwrap_or_else(|| {
+/// The width `DINAR_THREADS` asks for if it is a positive integer,
+/// otherwise [`std::thread::available_parallelism`], and at least 1.
+fn width_from_env() -> usize {
+    std::env::var("DINAR_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        });
-        ParConfig { threads }
-    }
-
-    /// A configuration with an explicit width (clamped to at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        ParConfig {
-            threads: threads.max(1),
-        }
-    }
+        })
 }
 
-/// The process-wide pool width, resolving [`ParConfig::from_env`] on first
-/// use.
+/// The process-wide pool width, resolved from the environment on first
+/// use (see the module docs).
 pub fn threads() -> usize {
     let current = THREADS.load(Ordering::Relaxed);
     if current != 0 {
         return current;
     }
-    let resolved = ParConfig::from_env().threads;
+    let resolved = width_from_env();
     // A racing resolver writes the same value; last store wins harmlessly.
     THREADS.store(resolved, Ordering::Relaxed);
     resolved
@@ -149,9 +138,9 @@ pub fn set_threads(threads: usize) {
     THREADS.store(threads.max(1), Ordering::Relaxed);
 }
 
-/// Restores the pool width to the [`ParConfig::from_env`] default.
+/// Restores the pool width to the environment's default.
 pub fn reset_threads() {
-    THREADS.store(ParConfig::from_env().threads, Ordering::Relaxed);
+    THREADS.store(width_from_env(), Ordering::Relaxed);
 }
 
 /// `true` while the current thread is a pool worker (nested regions run
@@ -186,16 +175,31 @@ fn split_counts(granules: usize, parts: usize) -> Vec<usize> {
     (0..parts).map(|p| base + usize::from(p < extra)).collect()
 }
 
+/// The least work one part of a region must carry to repay the thread it
+/// needs, in multiply-adds or bytes read plus written (the module docs),
+/// sized against the measured cost of a fan-out (DESIGN §8).
+pub const GRAIN: usize = 1 << 21;
+
+/// The grain rule: how many parts a region of `granules` granules, each
+/// `work_per_granule` units of work (see [`GRAIN`]), splits into — one per
+/// whole [`GRAIN`] of work, at most [`threads`] and at most `granules`, and
+/// at least 1. [`for_each_part_mut`] asks nothing else.
+pub fn parts(granules: usize, work_per_granule: usize) -> usize {
+    let grains = granules.saturating_mul(work_per_granule) / GRAIN;
+    threads().min(granules).min(grains).max(1)
+}
+
 /// Runs `f` over a balanced contiguous partition of `data`, in parallel.
 ///
 /// `data` is split at multiples of `granule` elements (a "granule" is the
-/// indivisible unit — e.g. one output row of length `n`). Each part is
-/// passed to `f` together with the element offset of its first element:
-/// the first non-empty part on the calling thread, which is a pool worker
-/// for exactly that call, and every other part on its own scoped thread.
-/// The partition uses at most [`threads`] parts and at least `min_granules`
-/// granules per part; below that (or on a call from a worker thread) the
-/// whole slice is processed inline with `f(0, data)`.
+/// indivisible unit — e.g. one output row of length `n`), and the caller
+/// states what one granule costs, `work_per_granule`, in [`GRAIN`]'s unit.
+/// Each part is passed to `f` together with the element offset of its
+/// first element: the first non-empty part on the calling thread, which is
+/// a pool worker for exactly that call, and every other part on its own
+/// scoped thread. The partition has [`parts`] parts; at one part (or on a
+/// call from a worker thread) the whole slice is processed inline with
+/// `f(0, data)`.
 ///
 /// Determinism: `f` must compute each element of its part from `data`'s
 /// coordinates alone (same FP order wherever the partition boundary falls);
@@ -203,7 +207,7 @@ fn split_counts(granules: usize, parts: usize) -> Vec<usize> {
 ///
 /// A panic in any part (e.g. a `sanitize` check), the caller's own
 /// included, propagates to the caller once the scope has joined the rest.
-pub fn for_each_part_mut<T, F>(data: &mut [T], granule: usize, min_granules: usize, f: F)
+pub fn for_each_part_mut<T, F>(data: &mut [T], granule: usize, work_per_granule: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -215,7 +219,7 @@ where
         data.len()
     );
     let granules = data.len() / granule;
-    let parts = threads().min(granules / min_granules.max(1)).max(1);
+    let parts = parts(granules, work_per_granule);
     if parts <= 1 || in_parallel_region() {
         if !data.is_empty() {
             f(0, data);
@@ -276,22 +280,14 @@ where
 {
     let mut results: Vec<Option<R>> = Vec::new();
     results.resize_with(items.len(), || None);
-    {
-        let results_slice = results.as_mut_slice();
-        let f2 = |offset: usize, part: &mut [(Option<&mut Option<R>>, &mut T)]| {
-            for (local, (slot, item)) in part.iter_mut().enumerate() {
-                if let Some(slot) = slot.as_mut() {
-                    **slot = Some(f(offset + local, item));
-                }
-            }
-        };
-        let mut zipped: Vec<(Option<&mut Option<R>>, &mut T)> = results_slice
-            .iter_mut()
-            .map(Some)
-            .zip(items.iter_mut())
-            .collect();
-        for_each_part_mut(&mut zipped, 1, 1, f2);
-    }
+    let mut slots: Vec<(&mut Option<R>, &mut T)> = results.iter_mut().zip(items).collect();
+    // An item is a whole task (a client's round): a grain at least, so
+    // every item may have a part of its own.
+    for_each_part_mut(&mut slots, 1, GRAIN, |offset, part| {
+        for (local, (slot, item)) in part.iter_mut().enumerate() {
+            **slot = Some(f(offset + local, item));
+        }
+    });
     results
         .into_iter()
         .map(|r| match r {
@@ -331,22 +327,27 @@ fn fold_chunk<A: Partial>(terms: impl Iterator<Item = A>) -> A {
     terms.fold(A::NEG_ZERO, |acc, t| acc + t)
 }
 
-/// Computes the per-chunk folds of a fixed-chunk reduction in parallel and
-/// returns them in chunk order. `terms(range)` yields the terms of the
-/// elements in `range`, as a pure function of the range.
+/// A fixed-chunk reduction over `len` elements of `bytes` bytes each, whose
+/// terms `terms(range)` yields as a pure function of the range. Inputs of
+/// at most one chunk are that single fold; above that the per-chunk folds
+/// are computed in parallel and combined in ascending chunk order.
 ///
 /// A part folds its whole chunks [`LOCKSTEP`] at a time, one term of each
 /// per step: every chunk still adds its own terms in ascending order, so
 /// the bits are [`fold_chunk`]'s.
-fn chunk_partials<A, I, T>(len: usize, terms: T) -> Vec<A>
+fn chunked_reduce<A, I, T>(len: usize, bytes: usize, terms: T) -> A
 where
-    A: Partial,
+    A: Partial + for<'a> std::iter::Sum<&'a A>,
     I: Iterator<Item = A>,
     T: Fn(Range<usize>) -> I + Sync,
 {
+    if len <= REDUCE_CHUNK {
+        return fold_chunk(terms(0..len));
+    }
     let chunk = |c: usize| c * REDUCE_CHUNK..((c + 1) * REDUCE_CHUNK).min(len);
     let mut partials = vec![A::NEG_ZERO; len.div_ceil(REDUCE_CHUNK)];
-    for_each_part_mut(&mut partials, 1, 4, |first_chunk, part| {
+    let chunk_bytes = REDUCE_CHUNK * bytes;
+    for_each_part_mut(&mut partials, 1, chunk_bytes, |first_chunk, part| {
         for (g, group) in part.chunks_mut(LOCKSTEP).enumerate() {
             let first = first_chunk + g * LOCKSTEP;
             if group.len() == LOCKSTEP && chunk(first + LOCKSTEP - 1).len() == REDUCE_CHUNK {
@@ -363,22 +364,7 @@ where
             }
         }
     });
-    partials
-}
-
-/// A fixed-chunk reduction over `len` elements whose terms `terms(range)`
-/// yields. Inputs of at most one chunk are that single fold; above that the
-/// per-chunk folds are combined in ascending chunk order.
-fn chunked_reduce<A, I, T>(len: usize, terms: T) -> A
-where
-    A: Partial + for<'a> std::iter::Sum<&'a A>,
-    I: Iterator<Item = A>,
-    T: Fn(Range<usize>) -> I + Sync,
-{
-    if len <= REDUCE_CHUNK {
-        return fold_chunk(terms(0..len));
-    }
-    chunk_partials(len, terms).iter().sum()
+    partials.iter().sum()
 }
 
 /// Sum of `data` with a fixed-chunk association order (see module docs).
@@ -386,14 +372,14 @@ where
 /// For inputs of at most one chunk this is the plain left fold; above that,
 /// per-chunk left folds are combined in ascending chunk order.
 pub fn chunked_sum(data: &[f32]) -> f32 {
-    chunked_reduce(data.len(), |r| data[r].iter().copied())
+    chunked_reduce(data.len(), 4, |r| data[r].iter().copied())
 }
 
 /// Dot product of `a` and `b` (equal lengths) with fixed-chunk association
 /// order.
 pub fn chunked_dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "chunked_dot length mismatch");
-    chunked_reduce(a.len(), |r| {
+    chunked_reduce(a.len(), 8, |r| {
         a[r.clone()].iter().zip(&b[r]).map(|(&x, &y)| x * y)
     })
 }
@@ -401,7 +387,7 @@ pub fn chunked_dot(a: &[f32], b: &[f32]) -> f32 {
 /// Sum of squares of `data`, accumulated in `f64`, with fixed-chunk
 /// association order. Backs [`crate::Tensor::norm_l2`].
 pub fn chunked_sumsq_f64(data: &[f32]) -> f64 {
-    chunked_reduce(data.len(), |r| {
+    chunked_reduce(data.len(), 4, |r| {
         data[r].iter().map(|&x| f64::from(x) * f64::from(x))
     })
 }
@@ -412,7 +398,7 @@ pub fn chunked_sumsq_f64(data: &[f32]) -> f64 {
 /// [`crate::Tensor::diff_norm_l2`].
 pub fn chunked_sumsq_diff_f64(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "chunked_sumsq_diff_f64 length mismatch");
-    chunked_reduce(a.len(), |r| {
+    chunked_reduce(a.len(), 8, |r| {
         a[r.clone()].iter().zip(&b[r]).map(|(&x, &y)| {
             let d = f64::from(x - y);
             d * d
@@ -454,7 +440,7 @@ mod tests {
         for width in [1, 2, 4, 9] {
             with_width(width, || {
                 let mut data = vec![0u32; 103];
-                for_each_part_mut(&mut data, 1, 1, |offset, part| {
+                for_each_part_mut(&mut data, 1, GRAIN, |offset, part| {
                     for (i, x) in part.iter_mut().enumerate() {
                         *x += (offset + i) as u32;
                     }
@@ -470,7 +456,7 @@ mod tests {
     fn granule_boundaries_are_respected() {
         with_width(3, || {
             let mut data = vec![0usize; 7 * 5];
-            for_each_part_mut(&mut data, 5, 1, |offset, part| {
+            for_each_part_mut(&mut data, 5, GRAIN, |offset, part| {
                 assert_eq!(offset % 5, 0, "part starts mid-granule");
                 assert_eq!(part.len() % 5, 0, "part splits a granule");
                 for x in part.iter_mut() {
@@ -481,35 +467,48 @@ mod tests {
     }
 
     #[test]
-    fn min_granules_forces_serial() {
-        with_width(8, || {
-            let mut calls = vec![0u8; 4];
-            // 4 granules, min 16 per part -> must run as one inline call.
-            for_each_part_mut(&mut calls, 1, 16, |offset, part| {
-                assert_eq!(offset, 0);
-                assert_eq!(part.len(), 4);
-                for x in part.iter_mut() {
-                    *x = 1;
+    fn a_region_takes_one_part_per_whole_grain_up_to_the_width() {
+        // (width, granules, work per granule, parts): inline below two
+        // grains, a part per whole grain above, at most the width and at
+        // most the granule count.
+        let cases = [
+            (8, 1000, 0, 1),
+            (8, 1000, (2 * GRAIN - 1) / 1000, 1),
+            (8, 1, 2 * GRAIN - 1, 1),
+            (8, 1000, 2 * GRAIN / 1000 + 1, 2),
+            (8, 1000, 3 * GRAIN / 1000 + 1, 3),
+            (3, 1000, GRAIN, 3),
+            (3, usize::MAX, usize::MAX, 3),
+            (8, 5, 100 * GRAIN, 5),
+            (1, 1000, GRAIN, 1),
+        ];
+        for (width, granules, work, want) in cases {
+            with_width(width, || {
+                assert_eq!(parts(granules, work), want, "{granules} × {work}");
+                if granules <= 1000 {
+                    let calls = AtomicUsize::new(0);
+                    for_each_part_mut(&mut vec![0u8; granules], 1, work, |_, _| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(calls.into_inner(), want, "{granules} × {work}");
                 }
             });
-            assert_eq!(calls, vec![1; 4]);
-        });
+        }
     }
 
     #[test]
     fn nested_regions_run_inline() {
         with_width(4, || {
             let mut outer = vec![false; 4];
-            for_each_part_mut(&mut outer, 1, 1, |_, part| {
+            for_each_part_mut(&mut outer, 1, GRAIN, |_, part| {
                 assert!(in_parallel_region());
-                let mut inner = vec![0u8; 64];
-                // Inner region must not spawn (and must still compute).
-                for_each_part_mut(&mut inner, 1, 1, |o, p| {
-                    for (i, x) in p.iter_mut().enumerate() {
-                        *x = ((o + i) % 251) as u8;
-                    }
+                // Work enough for four parts, yet one inline call.
+                let calls = AtomicUsize::new(0);
+                for_each_part_mut(&mut [0u8; 64], 1, GRAIN, |offset, inner| {
+                    assert_eq!((offset, inner.len()), (0, 64));
+                    calls.fetch_add(1, Ordering::Relaxed);
                 });
-                assert!(inner.iter().enumerate().all(|(i, &x)| x == (i % 251) as u8));
+                assert_eq!(calls.into_inner(), 1);
                 for x in part.iter_mut() {
                     *x = true;
                 }
@@ -524,7 +523,7 @@ mod tests {
             let caller = std::thread::current().id();
             let mut ran_on = vec![None; 4];
             let before = crate::profile::snapshot();
-            for_each_part_mut(&mut ran_on, 1, 1, |_, part| {
+            for_each_part_mut(&mut ran_on, 1, GRAIN, |_, part| {
                 assert!(in_parallel_region());
                 part[0] = Some(std::thread::current().id());
             });
@@ -550,7 +549,7 @@ mod tests {
                 assert!(in_parallel_region());
                 let me = std::thread::current().id();
                 let calls = Mutex::new(Vec::new());
-                for_each_part_mut(&mut [0u8; 64], 1, 1, |offset, part| {
+                for_each_part_mut(&mut [0u8; 64], 1, GRAIN, |offset, part| {
                     let here = std::thread::current().id();
                     calls.lock().unwrap().push((offset, part.len(), here == me));
                 });
@@ -576,12 +575,23 @@ mod tests {
         }
     }
 
+    /// Asserts that a reduction over `len` elements of `bytes` bytes each
+    /// fans out at width 2, so a width test of it partitions.
+    fn assert_reduction_splits(len: usize, bytes: usize) {
+        with_width(2, || {
+            let chunks = len.div_ceil(REDUCE_CHUNK);
+            assert_eq!(parts(chunks, REDUCE_CHUNK * bytes), 2, "len {len}");
+        });
+    }
+
     #[test]
     fn chunked_reductions_are_width_invariant() {
-        let data: Vec<f32> = (0..20_000)
+        let len = 300 * REDUCE_CHUNK + 5;
+        assert_reduction_splits(len, 4);
+        let data: Vec<f32> = (0..len)
             .map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0)
             .collect();
-        let other: Vec<f32> = (0..20_000)
+        let other: Vec<f32> = (0..len)
             .map(|i| ((i * 53) % 97) as f32 * 0.11 - 5.0)
             .collect();
         let (base_sum, base_dot, base_sq) = with_width(1, || {
@@ -624,10 +634,11 @@ mod tests {
 
     #[test]
     fn lockstep_chunks_keep_each_chunks_serial_fold() {
-        // Nine whole chunks and a ragged tail: lockstep groups, a leftover
+        // 257 whole chunks and a ragged tail: lockstep groups, a leftover
         // whole chunk and the short last chunk, split across parts at
-        // every width. Each chunk must be its plain `Iterator::sum`.
-        let len = 9 * REDUCE_CHUNK + 17;
+        // widths 2 and 4. Each chunk must be its plain `Iterator::sum`.
+        let len = 257 * REDUCE_CHUNK + 17;
+        assert_reduction_splits(len, 4);
         let a: Vec<f32> = (0..len)
             .map(|i| ((i * 37) % 101) as f32 * 0.37 - 18.0)
             .collect();
@@ -676,7 +687,7 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             with_width(2, || {
                 let mut data = vec![0u8; 8];
-                for_each_part_mut(&mut data, 1, 1, |offset, _| {
+                for_each_part_mut(&mut data, 1, GRAIN, |offset, _| {
                     assert!(offset < 4, "synthetic failure in a worker");
                 });
             });
@@ -689,7 +700,7 @@ mod tests {
         with_width(2, || {
             let result = std::panic::catch_unwind(|| {
                 let mut data = vec![0u8; 8];
-                for_each_part_mut(&mut data, 1, 1, |offset, _| {
+                for_each_part_mut(&mut data, 1, GRAIN, |offset, _| {
                     assert!(offset != 0, "synthetic failure in the caller's part");
                 });
             });
@@ -698,7 +709,7 @@ mod tests {
         });
         // A worker that opens a (then inline) region keeps its own mark.
         let still_marked = spawn_worker(|| {
-            for_each_part_mut(&mut [0u8; 8], 1, 1, |_, _| {});
+            for_each_part_mut(&mut [0u8; 8], 1, GRAIN, |_, _| {});
             in_parallel_region()
         });
         assert!(still_marked.join().unwrap());
@@ -706,7 +717,7 @@ mod tests {
 
     #[test]
     fn config_from_env_is_positive() {
-        assert!(ParConfig::from_env().threads >= 1);
-        assert_eq!(ParConfig::with_threads(0).threads, 1);
+        assert!(width_from_env() >= 1);
+        with_width(0, || assert_eq!(threads(), 1));
     }
 }

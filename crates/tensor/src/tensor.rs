@@ -1,20 +1,10 @@
+use crate::kernels::{gemm_row_block, indicator_form, Operand, View};
 use crate::{alloc, cast, par, profile, sanitize, Result, TensorError};
 use std::sync::Arc;
 
-/// Minimum multiply-add count before a matmul-family kernel fans out to the
-/// pool; below this the spawn cost dominates the arithmetic.
-const PAR_MIN_FLOPS: usize = 32 * 1024;
-
-/// Minimum element count before an elementwise op fans out to the pool.
-const PAR_MIN_ELEMS: usize = 16 * 1024;
-
-use crate::kernels::{gemm_row_block, indicator_form, Operand, View};
-
-/// Minimum rows per parallel part so each part clears [`PAR_MIN_FLOPS`]
-/// multiply-adds (`k * n` per row).
-fn min_rows_for(k: usize, n: usize) -> usize {
-    (PAR_MIN_FLOPS / (k * n).max(1)).max(1)
-}
+/// Bytes of one element: elementwise regions declare their work to
+/// [`par::parts`] in bytes read plus bytes written.
+pub(crate) const F32: usize = std::mem::size_of::<f32>();
 
 /// The one driver behind every product: `A · B` (`a` is `m × k`, `b` is
 /// `k × n`) partitioned over output rows on the pool. Operands are
@@ -50,11 +40,9 @@ fn gemm_onto(
     if m > 0 && n > 0 {
         let resumed = accumulate.then(|| out.as_slice());
         let indicator = indicator_form(a, b, (m, k, n), resumed);
-        par::for_each_part_mut(out.data_mut(), n, min_rows_for(k, n), |offset, rows| {
-            match &indicator {
-                Some(indicator) => indicator.rows(rows, offset / n, k, n, accumulate),
-                None => gemm_row_block(rows, offset / n, a, b, k, n, accumulate),
-            }
+        par::for_each_part_mut(out.data_mut(), n, k * n, |offset, rows| match &indicator {
+            Some(indicator) => indicator.rows(rows, offset / n, k, n, accumulate),
+            None => gemm_row_block(rows, offset / n, a, b, k, n, accumulate),
         });
     }
     sanitize::check_finite(op, "output", out);
@@ -497,7 +485,7 @@ impl Tensor {
         let mut out = Tensor::zeros(&self.shape);
         let a = self.buf.data.as_slice();
         let b = other.buf.data.as_slice();
-        par::for_each_part_mut(out.data_mut(), 1, PAR_MIN_ELEMS, |offset, part| {
+        par::for_each_part_mut(out.data_mut(), 1, 3 * F32, |offset, part| {
             let a_part = &a[offset..offset + part.len()];
             let b_part = &b[offset..offset + part.len()];
             for ((o, &x), &y) in part.iter_mut().zip(a_part).zip(b_part) {
@@ -511,7 +499,7 @@ impl Tensor {
     fn unary_elementwise(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let mut out = Tensor::zeros(&self.shape);
         let a = self.buf.data.as_slice();
-        par::for_each_part_mut(out.data_mut(), 1, PAR_MIN_ELEMS, |offset, part| {
+        par::for_each_part_mut(out.data_mut(), 1, 2 * F32, |offset, part| {
             let a_part = &a[offset..offset + part.len()];
             for (o, &x) in part.iter_mut().zip(a_part) {
                 *o = f(x);
@@ -590,7 +578,7 @@ impl Tensor {
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         self.zip_check(other, "add_assign")?;
         let b = other.buf.data.as_slice();
-        par::for_each_part_mut(self.data_mut(), 1, PAR_MIN_ELEMS, |offset, part| {
+        par::for_each_part_mut(self.data_mut(), 1, 3 * F32, |offset, part| {
             let b_part = &b[offset..offset + part.len()];
             for (a, &bv) in part.iter_mut().zip(b_part) {
                 *a += bv;
@@ -607,7 +595,7 @@ impl Tensor {
     pub fn scaled_add_assign(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
         self.zip_check(other, "scaled_add_assign")?;
         let b = other.buf.data.as_slice();
-        par::for_each_part_mut(self.data_mut(), 1, PAR_MIN_ELEMS, |offset, part| {
+        par::for_each_part_mut(self.data_mut(), 1, 3 * F32, |offset, part| {
             let b_part = &b[offset..offset + part.len()];
             for (a, &bv) in part.iter_mut().zip(b_part) {
                 *a += alpha * bv;
@@ -643,7 +631,7 @@ impl Tensor {
 
     /// Multiplies every element by `s` in place.
     pub fn scale_inplace(&mut self, s: f32) {
-        par::for_each_part_mut(self.data_mut(), 1, PAR_MIN_ELEMS, |_, part| {
+        par::for_each_part_mut(self.data_mut(), 1, 2 * F32, |_, part| {
             for x in part.iter_mut() {
                 *x *= s;
             }
@@ -724,8 +712,7 @@ impl Tensor {
         sanitize::check_finite("add_row_broadcast", "bias", bias);
         if c > 0 {
             let bias = bias.buf.data.as_slice();
-            let min_rows = (PAR_MIN_ELEMS / c.max(1)).max(1);
-            par::for_each_part_mut(self.data_mut(), c, min_rows, |_, rows| {
+            par::for_each_part_mut(self.data_mut(), c, 2 * F32 * c, |_, rows| {
                 for row in rows.chunks_exact_mut(c) {
                     for (o, &bv) in row.iter_mut().zip(bias) {
                         *o += bv;

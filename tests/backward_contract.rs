@@ -232,20 +232,22 @@ fn backward_before_forward_is_an_error_through_every_entry_point() {
 fn dense_weight_gradient_accumulates_in_place_and_equals_the_product_from_zero() {
     let _guard = lock();
     // Batch 70 with 300 inputs: a reduction longer than one 256-step block,
-    // so the in-place chain also resumes across blocks.
+    // so the in-place chain also resumes across blocks. The 300 gradient
+    // rows of 70 × 211 multiply-adds each split at widths 2 and 4.
     let mut rng = Rng::seed_from(61);
-    let mut layer = Dense::xavier(300, 19, &mut rng);
+    let mut layer = Dense::xavier(300, 211, &mut rng);
     let x = rng.randn(&[70, 300]);
-    let g = rng.randn(&[70, 19]);
+    let g = rng.randn(&[70, 211]);
     for width in [1, 2, 4] {
         par::set_threads(width);
+        assert!(width == 1 || par::parts(300, 70 * 211) == 2);
         layer.zero_grad();
         layer.forward(&x, true).expect("forward");
         layer.backward(&g).expect("backward");
         // The product the gradient used to be added from: a chain resumed
         // from `+0.0` equals `0.0 + chain`.
         let product = x.t_matmul(&g).expect("t_matmul");
-        let added = Tensor::zeros(&[300, 19]).add(&product).expect("add");
+        let added = Tensor::zeros(&[300, 211]).add(&product).expect("add");
         assert_eq!(bits(layer.grads()[0]), bits(&product), "width {width}");
         assert_eq!(bits(layer.grads()[0]), bits(&added), "width {width}");
         // Without a zero in between, the second product's chains resume

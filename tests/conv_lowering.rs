@@ -12,6 +12,9 @@
 //!
 //! This file keeps the old formulation as a test-only reference and compares
 //! `y`, `dW`, `db` and `dX` over a grid of geometries at pool widths 1/2/4.
+//! A region runs inline unless its declared work clears the grain rule
+//! (`par::parts`), so each test asserts that one of its cases splits at
+//! width 2.
 
 use dinar_nn::conv::{Conv1d, Conv2d};
 use dinar_nn::Layer;
@@ -51,6 +54,19 @@ impl Case {
 
     fn patch(&self) -> usize {
         self.c * self.kh * self.kw
+    }
+
+    /// Whether every kernel tap reads an input cell at some output position
+    /// (the lowering prunes none of the patch).
+    fn all_taps_live(&self) -> bool {
+        let Some((oh, ow)) = self.output() else {
+            return false;
+        };
+        let live = |out: usize, k: usize, pad: usize, len: usize| {
+            (0..out).any(|o| Self::tap(o, self.stride, k, pad, len).is_some())
+        };
+        (0..self.kh).all(|k| live(oh, k, self.pad_h, self.h))
+            && (0..self.kw).all(|k| live(ow, k, self.pad_w, self.w))
     }
 
     /// Input coordinate of tap `k` at output `o`, if inside `0..len`.
@@ -226,6 +242,19 @@ fn layer_pass(
     ]
 }
 
+/// The parts `par::parts` gives the forward product of `case` at width 2,
+/// for a case whose every kernel tap is live: each sample is `oc` planes of
+/// `oh·ow` positions over the whole patch, one multiply-add per term. The
+/// caller holds [`WIDTH_LOCK`].
+fn forward_parts_at_width_2(case: &Case) -> usize {
+    assert!(case.all_taps_live(), "{case:?} prunes taps");
+    let (oh, ow) = case.output().expect("valid geometry");
+    par::set_threads(2);
+    let parts = par::parts(case.n, case.oc * oh * ow * case.patch());
+    par::reset_threads();
+    parts
+}
+
 /// Runs `case` through the reference once and through `build()`'s layer at
 /// every pool width, and demands identical bits.
 fn check(
@@ -262,8 +291,6 @@ fn conv2d_matches_the_row_major_formulation_bit_for_bit() {
         for kernel in [1, 3, 5] {
             for stride in [1, 2, 3] {
                 for padding in [0, 1, 2] {
-                    // Batch 64 clears the fan-out threshold of the lowering
-                    // kernels, so widths 2 and 4 do partition.
                     let n = [1, 5, 64][(case_no + kernel + stride + padding) % 3];
                     let case = Case {
                         n,
@@ -288,6 +315,25 @@ fn conv2d_matches_the_row_major_formulation_bit_for_bit() {
             }
         }
     }
+    // The grid's products all run inline; this batch of 24×20 images (every
+    // tap live at padding 0) splits its forward product, its weight
+    // gradient and its input gradient at widths 2 and 4.
+    let case = Case {
+        n: 64,
+        c: 3,
+        oc: 5,
+        h: 24,
+        w: 20,
+        kh: 5,
+        kw: 5,
+        stride: 1,
+        pad_h: 0,
+        pad_w: 0,
+    };
+    assert_eq!(forward_parts_at_width_2(&case), 2);
+    check(&case, &[64, 3, 24, 20], &[64, 5, 20, 16], |rng| {
+        Box::new(Conv2d::new(3, 5, 5, 1, 0, rng))
+    });
     par::reset_threads();
     assert!(checked >= 80, "only {checked} valid geometries");
 }
@@ -324,6 +370,24 @@ fn conv1d_matches_the_row_major_formulation_bit_for_bit() {
             }
         }
     }
+    // The grid's products all run inline; this batch of length-2000
+    // signals (every tap live at padding 0) splits at widths 2 and 4.
+    let case = Case {
+        n: 64,
+        c: 2,
+        oc: 6,
+        h: 1,
+        w: 2000,
+        kh: 1,
+        kw: 5,
+        stride: 1,
+        pad_h: 0,
+        pad_w: 0,
+    };
+    assert_eq!(forward_parts_at_width_2(&case), 2);
+    check(&case, &[64, 2, 2000], &[64, 6, 1996], |rng| {
+        Box::new(Conv1d::new(2, 6, 5, 1, 0, rng))
+    });
     par::reset_threads();
     assert!(checked >= 100, "only {checked} valid geometries");
 }
@@ -344,6 +408,7 @@ fn conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
         (7, 30, 17, 6, 4, 3, 2, 1),
         (5, 29, 23, 7, 9, 5, 1, 2),
     ];
+    let mut split = false;
     for (n, c, oc, h, w, kernel, stride, padding) in cases {
         let case = Case {
             n,
@@ -358,11 +423,15 @@ fn conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
             pad_w: padding,
         };
         let (oh, ow) = case.output().expect("valid geometry");
+        if case.all_taps_live() {
+            split |= forward_parts_at_width_2(&case) == 2;
+        }
         check(&case, &[n, c, h, w], &[n, oc, oh, ow], |rng| {
             Box::new(Conv2d::new(c, oc, kernel, stride, padding, rng))
         });
     }
     par::reset_threads();
+    assert!(split, "no case splits at width 2");
 }
 
 /// The channel counts the weight-gradient kernel's lanes and row groups
@@ -376,6 +445,7 @@ fn conv2d_tile_channel_counts_and_dead_taps_match_bit_for_bit() {
     let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (channels, outputs) = ([3, 8, 24], [5, 8, 12, 24, 32]);
     let geometries = [16, 4, 2, 1].into_iter().flat_map(|hw| [(hw, 1), (hw, 2)]);
+    let mut split = false;
     for (at, (hw, padding)) in geometries.enumerate() {
         for k in [2 * at, 2 * at + 1] {
             let (c, oc) = (channels[k % 3], outputs[k % 5]);
@@ -392,12 +462,16 @@ fn conv2d_tile_channel_counts_and_dead_taps_match_bit_for_bit() {
                 pad_w: padding,
             };
             let (oh, ow) = case.output().expect("valid geometry");
+            if case.all_taps_live() {
+                split |= forward_parts_at_width_2(&case) == 2;
+            }
             check(&case, &[64, c, hw, hw], &[64, oc, oh, ow], |rng| {
                 Box::new(Conv2d::new(c, oc, 3, 1, padding, rng))
             });
         }
     }
     par::reset_threads();
+    assert!(split, "no case splits at width 2");
 }
 
 /// The 1-D counterpart of [`conv2d_wide_patches_and_ragged_tiles_match_bit_for_bit`].
@@ -406,11 +480,12 @@ fn conv1d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
     let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // (n, c, oc, len, kernel, stride, padding)
     let cases = [
-        (3, 32, 21, 50, 9, 1, 4),
+        (17, 32, 21, 50, 9, 1, 4),
         (64, 32, 18, 4, 9, 1, 4),
         (5, 64, 17, 37, 5, 2, 2),
         (11, 40, 25, 23, 7, 3, 0),
     ];
+    let mut split = false;
     for (n, c, oc, len, kernel, stride, padding) in cases {
         let case = Case {
             n,
@@ -425,9 +500,13 @@ fn conv1d_wide_patches_and_ragged_tiles_match_bit_for_bit() {
             pad_w: padding,
         };
         let (_, ol) = case.output().expect("valid geometry");
+        if case.all_taps_live() {
+            split |= forward_parts_at_width_2(&case) == 2;
+        }
         check(&case, &[n, c, len], &[n, oc, ol], |rng| {
             Box::new(Conv1d::new(c, oc, kernel, stride, padding, rng))
         });
     }
     par::reset_threads();
+    assert!(split, "no case splits at width 2");
 }

@@ -42,12 +42,22 @@ fn per_width<T>(f: impl Fn() -> T) -> Vec<T> {
     results
 }
 
-/// The tiny model most of the matrix runs on: no kernel of it crosses the
-/// pool's fan-out threshold (16,384 elements).
+/// The tiny model most of the matrix runs on: no kernel of it clears the
+/// pool's grain rule (`par::parts`).
 const TINY: [usize; 3] = [2, 8, 2];
-/// A model whose first weight matrix (65,536 elements) does: its parameter
+/// A model whose first weight matrix (524,288 elements) does: its parameter
 /// sweeps fan out on any thread that is not a pool worker.
-const WIDE: [usize; 3] = [64, 1024, 10];
+const WIDE: [usize; 3] = [64, 8192, 10];
+
+/// The parts `par::parts` gives a region of `granules` granules of
+/// `work_per_granule` units each at width 2.
+fn parts_at_width_2(granules: usize, work_per_granule: usize) -> usize {
+    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_threads(2);
+    let parts = par::parts(granules, work_per_granule);
+    par::reset_threads();
+    parts
+}
 
 /// `n` samples in `features` dimensions, one Gaussian blob per class with
 /// the class centres spread evenly over [-2, 2].
@@ -269,6 +279,9 @@ fn exhausted_retries_drop_the_client() {
 /// on the tiny model — to the same bits at every pool width.
 #[test]
 fn fault_paths_hold_on_a_model_large_enough_to_fan_out() {
+    // The server's FedAvg `axpy` over the first weight (12 bytes read and
+    // written per element) splits at widths 2 and 4.
+    assert_eq!(parts_at_width_2(WIDE[0] * WIDE[1], 12), 2);
     let wide = |policy: RoundPolicy, clock: Arc<dyn dinar_fl::clock::Clock>| {
         let system = build_system_of(&WIDE, |_| Vec::new());
         run_threaded_wire(system, 3, clock, policy, WireConfig::default()).expect("wide run")

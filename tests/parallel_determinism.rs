@@ -13,6 +13,10 @@
 //!
 //! The pool width is process-global, so the tests serialize their width
 //! changes through one mutex and restore the default afterwards.
+//!
+//! A region runs inline unless its declared work clears the grain rule
+//! (`par::parts`), so each width test asserts that one of its cases splits
+//! at width 2: otherwise widths 2 and 4 would silently rerun width 1.
 
 use dinar_data::catalog::{self, Profile};
 use dinar_data::partition::{partition_dataset, Distribution};
@@ -45,6 +49,18 @@ fn per_width<T>(f: impl Fn() -> T) -> Vec<T> {
     results
 }
 
+/// The parts `par::parts` gives a region of `granules` granules of
+/// `work_per_granule` units each at width 2. The work is what the kernel
+/// declares: `k·n` multiply-adds per output row of a product, bytes read
+/// plus written per element or row of an elementwise or copy loop.
+fn parts_at_width_2(granules: usize, work_per_granule: usize) -> usize {
+    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_threads(2);
+    let parts = par::parts(granules, work_per_granule);
+    par::reset_threads();
+    parts
+}
+
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|x| x.to_bits()).collect()
 }
@@ -52,21 +68,26 @@ fn bits(t: &Tensor) -> Vec<u32> {
 #[test]
 fn matmul_family_is_bit_identical_across_widths() {
     // Odd, non-multiple-of-block sizes exercise partition remainders and the
-    // 4-row/4-column kernel tails.
-    let mut rng = Rng::seed_from(7);
-    let a = rng.randn(&[97, 61]);
-    let b = rng.randn(&[61, 33]);
-    let bt = rng.randn(&[33, 61]); // for matmul_t: [m,k]·[n,k]ᵀ
-    let at = rng.randn(&[61, 97]); // for t_matmul: [k,m]ᵀ·[k,n]
+    // 4-row/4-column kernel tails; the larger product splits its rows at
+    // widths 2 and 4.
+    let (m, k, n) = (301, 131, 129);
+    assert_eq!(parts_at_width_2(m, k * n), 2, "{m}x{k}x{n} runs inline");
+    for (m, k, n) in [(97, 61, 33), (m, k, n)] {
+        let mut rng = Rng::seed_from(7);
+        let a = rng.randn(&[m, k]);
+        let b = rng.randn(&[k, n]);
+        let bt = rng.randn(&[n, k]); // for matmul_t: [m,k]·[n,k]ᵀ
+        let at = rng.randn(&[k, m]); // for t_matmul: [k,m]ᵀ·[k,n]
 
-    let results = per_width(|| {
-        let mm = a.matmul(&b).expect("matmul");
-        let mmt = a.matmul_t(&bt).expect("matmul_t");
-        let tmm = at.t_matmul(&b).expect("t_matmul");
-        (bits(&mm), bits(&mmt), bits(&tmm))
-    });
-    for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
-        assert_eq!(r, &results[0], "matmul family diverged at {w} threads");
+        let results = per_width(|| {
+            let mm = a.matmul(&b).expect("matmul");
+            let mmt = a.matmul_t(&bt).expect("matmul_t");
+            let tmm = at.t_matmul(&b).expect("t_matmul");
+            (bits(&mm), bits(&mmt), bits(&tmm))
+        });
+        for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
+            assert_eq!(r, &results[0], "{m}x{k}x{n} diverged at {w} threads");
+        }
     }
 }
 
@@ -100,7 +121,8 @@ fn serial_fma_product(a: &Tensor, b: &Tensor) -> Vec<u32> {
 fn matmul_family_is_the_serial_fma_chain_at_every_tile_edge() {
     // Shapes straddle every edge of the packed driver: the 4-row quad, the
     // 16-column panel (conv widths 8/12/24/27 included), the 128-column
-    // block and the 256-step reduction block.
+    // block and the 256-step reduction block. The largest splits its rows.
+    assert_eq!(parts_at_width_2(67, 300 * 600), 2);
     let mut rng = Rng::seed_from(11);
     let mut cases = Vec::new();
     for m in [1, 3, 4, 5, 67] {
@@ -198,6 +220,7 @@ fn indicator_products_are_the_serial_fma_chain_at_every_width() {
     // 0/1 left operands take the skip kernel; the sizes straddle its mask
     // word (64 reduction steps) and register block (64 columns), and the
     // pool's row partition.
+    assert_eq!(parts_at_width_2(67, 600 * 1024), 2);
     let mut rng = Rng::seed_from(13);
     for k in [1, 63, 64, 65, 130, 600] {
         for n in [1, 7, 16, 17, 64, 65, 100, 1024] {
@@ -217,9 +240,11 @@ fn indicator_products_are_the_serial_fma_chain_at_every_width() {
 fn indicator_fallbacks_are_the_serial_fma_chain() {
     // Each case breaks one precondition of the skip kernel, so the product
     // takes the packed path; a kernel that skipped anyway would differ
-    // from the chain at the marked element's row or column.
+    // from the chain at the marked element's row or column. The rows split
+    // at widths 2 and 4.
     let mut rng = Rng::seed_from(17);
-    let (m, k, n) = (67, 130, 65);
+    let (m, k, n) = (67, 130, 513);
+    assert_eq!(parts_at_width_2(m, k * n), 2);
     let a = indicator_matrix(&mut rng, m, k);
     let b = rng.randn(&[k, n]);
     let prior = rng.randn(&[m, n]);
@@ -255,25 +280,38 @@ fn indicator_fallbacks_are_the_serial_fma_chain() {
 #[test]
 fn im2col_and_reductions_are_bit_identical_across_widths() {
     // A batch large enough that the lowering fans out at widths 2 and 4:
-    // im2col partitions the 45 patch rows, col2im the 64 samples. Stride 2
-    // takes the strided-gather form of the run copy.
+    // im2col partitions the 45 patch rows (each a copy of its 64·19·15
+    // positions), col2im the 64 samples (each reads its 45 rows of 19·15
+    // positions and writes 5·37·29 cells). Stride 2 takes the
+    // strided-gather form of the run copy.
+    let (patch, map, sample) = (5 * 3 * 3, 19 * 15, 5 * 37 * 29);
+    assert_eq!(parts_at_width_2(patch, 8 * 64 * map), 2, "im2col");
+    assert_eq!(
+        parts_at_width_2(64, 4 * (map * patch + sample)),
+        2,
+        "col2im"
+    );
     let mut rng = Rng::seed_from(8);
-    let x = rng.randn(&[64, 5, 13, 11]);
+    let x = rng.randn(&[64, 5, 37, 29]);
     let geom = Conv2dGeom {
         channels: 5,
-        height: 13,
-        width: 11,
+        height: 37,
+        width: 29,
         kernel_h: 3,
         kernel_w: 3,
         stride: 2,
         padding: 1,
     };
-    let v = rng.randn(&[100_001]); // odd length: partial trailing chunk
-    let u = rng.randn(&[100_001]);
+    // Odd length: a partial trailing chunk. The sum reads 4 bytes per
+    // element, in the reductions' fixed 4096-element chunks.
+    let len: usize = 1_100_001;
+    assert_eq!(parts_at_width_2(len.div_ceil(4096), 4 * 4096), 2, "sum");
+    let v = rng.randn(&[len]);
+    let u = rng.randn(&[len]);
 
     let results = per_width(|| {
         let cols = im2col2d(&x, &geom).expect("im2col2d");
-        assert_eq!(cols.shape(), &[5 * 3 * 3, 64 * 7 * 6], "patch-major");
+        assert_eq!(cols.shape(), &[patch, 64 * map], "patch-major");
         let folded = col2im2d(&cols, 64, &geom).expect("col2im2d");
         let sum = v.sum();
         let dot = v.dot(&u).expect("dot");
@@ -296,9 +334,11 @@ fn im2col_and_reductions_are_bit_identical_across_widths() {
 
 #[test]
 fn tanh_is_bit_identical_across_widths() {
-    // 40k elements: above the elementwise fan-out threshold, and not a
-    // multiple of any partition or vector width.
-    let x = Rng::seed_from(12).randn_with(&[40_003], 0.0, 3.0);
+    // Enough elements (4 bytes read and 4 written each) to split at widths
+    // 2 and 4, and not a multiple of any partition or vector width.
+    let len = 600_011;
+    assert_eq!(parts_at_width_2(len, 8), 2);
+    let x = Rng::seed_from(12).randn_with(&[len], 0.0, 3.0);
     let results = per_width(|| bits(&x.tanh()));
     for (w, r) in WIDTHS.iter().zip(&results).skip(1) {
         assert_eq!(r, &results[0], "tanh diverged at {w} threads");
@@ -314,14 +354,19 @@ fn tanh_is_bit_identical_across_widths() {
 
 #[test]
 fn conv2d_forward_backward_is_bit_identical_across_widths() {
+    // Every tap is live, so each of the 20 samples' forward products is
+    // 8 output planes of 31·37 positions over 27 rows; the weight gradient
+    // and the input gradient are as large, and all three split.
+    let (n, map) = (20, 31 * 37);
+    assert_eq!(parts_at_width_2(n, 8 * map * 27), 2);
     let results = per_width(|| {
         // Fresh layer per width from the same seed: identical weights, so
         // any divergence comes from the kernels, not the setup.
         let mut rng = Rng::seed_from(9);
         let mut conv = dinar_nn::conv::Conv2d::new(3, 8, 3, 1, 1, &mut rng);
-        let x = rng.randn(&[2, 3, 9, 9]);
+        let x = rng.randn(&[n, 3, 31, 37]);
         let y = conv.forward(&x, true).expect("forward");
-        let g = rng.randn(&[2, 8, 9, 9]);
+        let g = rng.randn(&[n, 8, 31, 37]);
         let gx = conv.backward(&g).expect("backward");
         let grads = conv.grads();
         (
@@ -353,19 +398,28 @@ fn fnv(mut h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
 /// kernel, the blocked input-gradient fold) kept it bit for bit; it was
 /// re-recorded once when the loss moved off libm `exp`/`ln` onto the
 /// tensor crate's own softmax kernel.
+///
+/// A batch-64 step runs every kernel inline, so a fourth step at batch 192,
+/// whose conv1 forward product (8 planes of 16·16 positions over 27 rows
+/// per sample) splits at widths 2 and 4, must agree across widths too.
 #[test]
 fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
     use dinar_nn::loss::CrossEntropyLoss;
     use dinar_nn::optim::{Adam, Optimizer};
     const RECORDED: u64 = 0xa67a_1ef0_0414_2a10;
+    assert_eq!(parts_at_width_2(192, 8 * 16 * 16 * 27), 2);
     let results = per_width(|| {
         let mut rng = Rng::seed_from(13);
         let mut model = models::vgg11_mini(3, 43, &mut rng).expect("vgg11_mini");
         let mut opt = Adam::new(1e-3);
         let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for _ in 0..3 {
-            let x = rng.randn(&[64, 3, 16, 16]);
-            let labels: Vec<usize> = (0..64).map(|i| (i * 7 + h as usize) % 43).collect();
+        let mut recorded = 0;
+        for (step, batch) in [64, 64, 64, 192].into_iter().enumerate() {
+            if step == 3 {
+                recorded = h;
+            }
+            let x = rng.randn(&[batch, 3, 16, 16]);
+            let labels: Vec<usize> = (0..batch).map(|i| (i * 7 + h as usize) % 43).collect();
             let logits = model.forward(&x, true).expect("forward");
             let (_, grad) = CrossEntropyLoss
                 .loss_and_grad(&logits, &labels)
@@ -379,21 +433,24 @@ fn vgg11_mini_adam_steps_are_the_recorded_digest_at_every_width() {
             opt.step(&mut model).expect("adam");
             h = fnv(h, model.params().to_flat().iter().map(|x| x.to_bits()));
         }
-        h
+        (recorded, h)
     });
-    for (w, &digest) in WIDTHS.iter().zip(&results) {
+    for (w, &(digest, wide)) in WIDTHS.iter().zip(&results) {
         assert_eq!(
             digest, RECORDED,
             "vgg11_mini steps at {w} threads: {digest:#018x}"
         );
+        assert_eq!(wide, results[0].1, "batch-192 step at {w} threads");
     }
 }
 
 #[test]
 fn cross_entropy_is_bit_identical_across_widths() {
     use dinar_nn::loss::CrossEntropyLoss;
-    // Batch-64 × 100 classes is the fcnn6 step's shape; 300 × 43 clears the
-    // elementwise fan-out threshold, 5 × 7 leaves ragged lanes.
+    // The loss opens no parallel region (its rows run in order on the
+    // caller), so no case splits; this pins that its bits ignore the width.
+    // Batch-64 × 100 classes is the fcnn6 step's shape, 300 × 43 a taller
+    // batch, and 5 × 7 leaves ragged lanes.
     for (rows, cols) in [(64, 100), (300, 43), (5, 7)] {
         let mut rng = Rng::seed_from(rows as u64);
         let logits = rng.randn_with(&[rows, cols], 0.0, 4.0);
@@ -417,12 +474,14 @@ fn cross_entropy_is_bit_identical_across_widths() {
 
 #[test]
 fn model_forward_backward_is_bit_identical_across_widths() {
+    // The first layer's 37 × 601 · 601 × 263 product splits its rows.
+    assert_eq!(parts_at_width_2(37, 601 * 263), 2);
     let results = per_width(|| {
         let mut rng = Rng::seed_from(10);
-        let mut model = models::mlp(&[37, 29, 11], Activation::ReLU, &mut rng).expect("mlp");
-        let x = rng.randn(&[5, 37]);
+        let mut model = models::mlp(&[601, 263, 11], Activation::ReLU, &mut rng).expect("mlp");
+        let x = rng.randn(&[37, 601]);
         let y = model.forward(&x, true).expect("forward");
-        let g = rng.randn(&[5, 11]);
+        let g = rng.randn(&[37, 11]);
         let gx = model.backward_input(&g).expect("backward");
         (bits(&y), bits(&gx), model.params().to_flat())
     });
@@ -446,6 +505,8 @@ fn model_forward_backward_is_bit_identical_across_widths() {
 
 #[test]
 fn fl_round_is_bit_identical_across_widths() {
+    // Each client is an item of `par::map_items_mut`: a grain at least.
+    assert_eq!(parts_at_width_2(3, par::GRAIN), 2);
     let results = per_width(|| {
         // A fresh system per width from the same seeds; the concurrent
         // client fan-out must not change the aggregated round result.
@@ -518,7 +579,9 @@ fn dataset_digest(ds: &Dataset, after: RngState) -> u64 {
 #[test]
 fn catalog_mini_datasets_are_the_serial_generators_at_every_width() {
     // Recorded from the serial generator (one stream walked row by row)
-    // before generation went row-parallel, seed 42.
+    // before generation went row-parallel, seed 42. Purchase100's 2400
+    // rows of 600 features (4 bytes written each) split.
+    assert_eq!(parts_at_width_2(2400, 4 * 600), 2);
     let serial = [
         ("cifar10", 0x2802_6431_94de_f5fa_u64),
         ("cifar100", 0xc033_84d6_9d62_49bb),
@@ -605,7 +668,7 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
     let image = |classes, [channels, height, width]: [usize; 3]| SynthSpec {
         name: "image".into(),
         num_classes: classes,
-        num_samples: 1001,
+        num_samples: 20_001,
         modality: Modality::Image {
             channels,
             height,
@@ -615,8 +678,9 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
     };
     // An odd row length puts odd rows at odd normal counts, where a part
     // starts on the cached half of a Box–Muller pair; odd and even
-    // `classes · flen` start the rows on either half. 1001 rows split at
-    // odd rows at widths 2 and 4.
+    // `classes · flen` start the rows on either half. 20,001 rows of 105
+    // features (4 bytes written each) split at odd rows at widths 2 and 4.
+    assert_eq!(parts_at_width_2(20_001, 4 * 105), 2);
     let specs = [
         image(3, [3, 5, 7]), // flen 105, classes·flen 315
         image(4, [3, 5, 7]), // flen 105, classes·flen 420
