@@ -16,8 +16,14 @@
 //!   and fits an attack classifier on confidence-vector features. Scoring a
 //!   target model then requires only black-box predictions.
 //!
+//! [`repair::RepairAttack`] wraps either of them for layer-obfuscated
+//! targets: it re-trains the obfuscated layer on the attacker's data before
+//! scoring. [`inversion`] is the model-inversion extension.
+//!
 //! Attack quality is reported as **attack AUC** via [`evaluate_attack`],
-//! where 50% (random guessing) is the optimum a defense can force.
+//! where 50% (random guessing) is the optimum a defense can force;
+//! [`report::AttackReport`] adds TPR at low FPR and the best balanced
+//! accuracy from the same scores.
 //!
 //! The attacker can sit on the server side (scoring an individual client
 //! upload) or the client side (scoring the global model) — both are just
@@ -27,7 +33,6 @@
 
 mod error;
 pub mod features;
-pub mod gradient;
 pub mod inversion;
 pub mod repair;
 pub mod report;

@@ -1,9 +1,9 @@
-//! Threshold attacks: score membership directly from the target model's
-//! per-sample behaviour (Yeom et al. style).
+//! The loss-threshold attack: scores membership directly from the target
+//! model's per-sample loss (Yeom et al. style).
 
 use crate::{MembershipAttack, Result};
 use dinar_data::Dataset;
-use dinar_fl::eval::{confidences_of_params, losses_of_params};
+use dinar_fl::eval::losses_of_params;
 use dinar_nn::{Model, ModelParams};
 
 /// Loss-threshold attack: members were fit by the model, so their loss is
@@ -27,36 +27,6 @@ impl MembershipAttack for LossThresholdAttack {
     ) -> Result<Vec<f32>> {
         let losses = losses_of_params(target, template, samples)?;
         Ok(losses.into_iter().map(|l| -l).collect())
-    }
-}
-
-/// Confidence-threshold attack: the maximum softmax probability as the
-/// membership score (members are predicted more confidently).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConfidenceThresholdAttack;
-
-impl MembershipAttack for ConfidenceThresholdAttack {
-    fn name(&self) -> &'static str {
-        "confidence_threshold"
-    }
-
-    fn score(
-        &mut self,
-        target: &ModelParams,
-        template: &mut Model,
-        samples: &Dataset,
-    ) -> Result<Vec<f32>> {
-        let confs = confidences_of_params(target, template, samples)?;
-        let classes = samples.num_classes();
-        let p = confs.as_slice();
-        Ok((0..samples.len())
-            .map(|i| {
-                p[i * classes..(i + 1) * classes]
-                    .iter()
-                    .copied()
-                    .fold(f32::NEG_INFINITY, f32::max)
-            })
-            .collect())
     }
 }
 
@@ -118,20 +88,6 @@ mod tests {
         )
         .unwrap();
         assert!(result.auc > 0.8, "attack AUC {} too low", result.auc);
-    }
-
-    #[test]
-    fn confidence_attack_beats_random_on_overfit_model() {
-        let (params, mut template, members, nonmembers) = overfit_setup();
-        let result = evaluate_attack(
-            &mut ConfidenceThresholdAttack,
-            &params,
-            &mut template,
-            &members,
-            &nonmembers,
-        )
-        .unwrap();
-        assert!(result.auc > 0.7, "attack AUC {} too low", result.auc);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!
 //! Steps 2–4 are packaged as an FL client middleware
 //! ([`middleware::DinarMiddleware`]) that drops into the
-//! [`dinar_fl`] engine next to any baseline defense.
+//! [`dinar_fl`] engine next to any baseline defense. A deployment runs
+//! step 1 once ([`init::agree_on_layer`]) and attaches one middleware per
+//! client with the agreed layer, as the example below does with a pinned
+//! layer.
 //!
 //! # Example
 //!
@@ -57,13 +60,11 @@ mod error;
 pub mod init;
 pub mod middleware;
 pub mod obfuscation;
-pub mod pipeline;
 pub mod sensitivity;
 
 pub use error::DinarError;
 pub use middleware::DinarMiddleware;
 pub use obfuscation::ObfuscationStrategy;
-pub use pipeline::Dinar;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DinarError>;

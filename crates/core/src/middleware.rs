@@ -57,11 +57,6 @@ impl DinarMiddleware {
         }
     }
 
-    /// The protected layer indices.
-    pub fn private_layers(&self) -> &[usize] {
-        &self.layers
-    }
-
     /// The stored parameters for the `i`-th protected layer, if any round
     /// has completed.
     pub fn stored_layer(&self, i: usize) -> Option<&LayerParams> {

@@ -44,7 +44,6 @@ pub mod catalog;
 pub mod csv;
 pub mod dataset;
 mod error;
-pub mod normalize;
 pub mod partition;
 pub mod split;
 pub mod synth;

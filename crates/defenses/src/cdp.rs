@@ -43,11 +43,6 @@ impl CentralDp {
             telemetry: Telemetry::disabled(),
         }
     }
-
-    /// The configured budget.
-    pub fn dp_params(&self) -> DpParams {
-        self.dp
-    }
 }
 
 impl ServerMiddleware for CentralDp {

@@ -156,18 +156,6 @@ pub fn clip_noise_onto(
     Ok(out)
 }
 
-/// The full clip-then-noise Gaussian mechanism.
-///
-/// Noise is scaled per coordinate as `σ · clip / √d` (with `d` the parameter
-/// count), so the *norm* of the added noise is `σ · clip` in expectation —
-/// proportional to the clipping bound and to the noise multiplier, as in the
-/// client-level DP literature. Norm and parameter count come from one pass
-/// over a [`ParamView`] instead of two traversals.
-pub fn gaussian_mechanism(params: &mut ModelParams, dp: &DpParams, rng: &mut Rng) {
-    let (_, count) = clip_l2_with_count(params, dp.clip_norm);
-    add_gaussian_noise(params, dp.noise_std_dev(count), rng);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +241,8 @@ mod tests {
             clip_norm: 3.0,
         };
         let mut rng = Rng::seed_from(1);
-        gaussian_mechanism(&mut p, &dp, &mut rng);
+        let std_dev = dp.noise_std_dev(p.param_count());
+        add_gaussian_noise(&mut p, std_dev, &mut rng);
         // Input was zero so the output is pure noise with expected norm
         // sigma * clip.
         let expected = dp.noise_multiplier() * dp.clip_norm;

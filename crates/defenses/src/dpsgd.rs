@@ -10,8 +10,8 @@
 //! of Opacus's per-sample clipping, preserving the noise-vs-budget shape).
 
 use crate::dp::{clip_factor, DpParams};
-use dinar_nn::optim::Optimizer;
-use dinar_nn::{Model, Result};
+use dinar_nn::optim::{OptimState, Optimizer};
+use dinar_nn::{Model, NnError, Result};
 use dinar_telemetry::Telemetry;
 use dinar_tensor::Rng;
 
@@ -52,11 +52,6 @@ impl DpOptimizer {
         assert!(steps > 0, "amortization requires at least one step");
         self.amortization = (steps as f32).sqrt();
         self
-    }
-
-    /// The configured budget.
-    pub fn dp_params(&self) -> DpParams {
-        self.dp
     }
 }
 
@@ -114,6 +109,19 @@ impl Optimizer for DpOptimizer {
         self.telemetry = telemetry.clone();
         self.client_id = client_id;
         self.inner.attach_telemetry(telemetry, client_id);
+    }
+
+    /// Refuses every resume: the exported state is empty, so the image
+    /// carries neither the noise stream nor the wrapped optimizer's state,
+    /// and a run restored without them would diverge.
+    fn import_state(&mut self, _state: OptimState) -> Result<()> {
+        Err(NnError::InvalidConfig {
+            reason: format!(
+                "`dp-sgd` cannot resume: the resume image carries neither its noise \
+                 stream nor the state of the wrapped `{}`",
+                self.inner.name()
+            ),
+        })
     }
 }
 

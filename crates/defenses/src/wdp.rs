@@ -5,7 +5,7 @@
 //! al., "Can You Really Backdoor Federated Learning?"). The paper's setting
 //! is a norm bound of 5 and σ = 0.025 (§5.2). As in that work, the bound
 //! applies to the client's **model update** (trained minus received global).
-//! Unlike [`crate::LocalDp`], the noise is an absolute magnitude, not
+//! Unlike [`crate::DpOptimizer`], the noise is an absolute magnitude, not
 //! calibrated to a budget — hence "weak": good utility, limited protection
 //! (its attack AUC stays high in Fig. 6).
 //!
@@ -15,7 +15,7 @@
 //! model-sized allocation per round.
 
 use crate::dp::clip_noise_onto;
-use dinar_fl::{ClientMiddleware, FlError, Result};
+use dinar_fl::{ClientMiddleware, FlError, MiddlewareState, Result};
 use dinar_nn::ModelParams;
 use dinar_telemetry::Telemetry;
 use dinar_tensor::Rng;
@@ -103,6 +103,24 @@ impl ClientMiddleware for WeakDp {
         self.telemetry = telemetry.clone();
         self.client_id = client_id;
     }
+
+    /// The noise stream is WDP's only state across rounds: the reference
+    /// global is re-received at the start of every round.
+    fn export_state(&self) -> Option<MiddlewareState> {
+        Some(MiddlewareState {
+            rng: Some(self.rng.state()),
+            stored: Vec::new(),
+        })
+    }
+
+    fn import_state(&mut self, state: MiddlewareState) -> Result<()> {
+        let rng = state.rng.ok_or_else(|| FlError::Middleware {
+            name: "wdp",
+            reason: "resume image carries no noise stream".into(),
+        })?;
+        self.rng = Rng::from_state(rng);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -139,25 +157,21 @@ mod tests {
         assert!(dev < 1.0, "deviation {dev}");
     }
 
+    /// WDP's fixed σ adds far less noise than the Gaussian mechanism at
+    /// the paper's (ε, δ) budget does to the same zero update.
     #[test]
     fn noise_is_much_weaker_than_ldp() {
-        use crate::{dp::DpParams, ldp::LocalDp};
-        let measure = |is_wdp: bool| {
-            let mut g = params(0.5);
-            let mut trained = params(0.5); // zero true update
-            if is_wdp {
-                let mut mw = WeakDp::paper_default(Rng::seed_from(3));
-                mw.transform_download(0, &mut g).unwrap();
-                mw.transform_upload(0, &mut trained).unwrap();
-            } else {
-                let mut mw = LocalDp::new(DpParams::paper_default(), Rng::seed_from(3));
-                mw.transform_download(0, &mut g).unwrap();
-                mw.transform_upload(0, &mut trained).unwrap();
-            }
-            trained.sub(&params(0.5)).unwrap().l2_norm()
-        };
-        let wdp_dev = measure(true);
-        let ldp_dev = measure(false);
+        use crate::dp::{add_gaussian_noise, DpParams};
+        let mut mw = WeakDp::paper_default(Rng::seed_from(3));
+        mw.transform_download(0, &mut params(0.5)).unwrap();
+        let mut trained = params(0.5); // zero true update
+        mw.transform_upload(0, &mut trained).unwrap();
+        let wdp_dev = trained.sub(&params(0.5)).unwrap().l2_norm();
+
+        let mut noised = params(0.5);
+        let std_dev = DpParams::paper_default().noise_std_dev(noised.param_count());
+        add_gaussian_noise(&mut noised, std_dev, &mut Rng::seed_from(3));
+        let ldp_dev = noised.sub(&params(0.5)).unwrap().l2_norm();
         assert!(
             ldp_dev > wdp_dev * 2.0,
             "ldp {ldp_dev} should out-noise wdp {wdp_dev}"

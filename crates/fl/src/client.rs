@@ -155,11 +155,6 @@ impl FlClient {
         }
     }
 
-    /// Names of the installed middleware, in order.
-    pub fn middleware_names(&self) -> Vec<&'static str> {
-        self.middleware.iter().map(|m| m.name()).collect()
-    }
-
     /// Receives the global model: runs the download middleware chain and
     /// installs the result into the local model.
     ///

@@ -8,7 +8,6 @@
 
 use crate::Result;
 use dinar_data::Dataset;
-use dinar_metrics::confusion::ConfusionMatrix;
 use dinar_nn::loss::{softmax_rows, CrossEntropyLoss};
 use dinar_nn::{Model, ModelParams};
 use dinar_tensor::Tensor;
@@ -62,27 +61,6 @@ pub fn confidences_of_params(
     Ok(softmax_rows(&logits)?)
 }
 
-/// Confusion matrix of `params` on a dataset (inference mode) — per-class
-/// accuracy for the non-IID analyses.
-///
-/// # Errors
-///
-/// Propagates shape and forward-pass errors.
-pub fn confusion_of_params(
-    params: &ModelParams,
-    template: &mut Model,
-    dataset: &Dataset,
-) -> Result<ConfusionMatrix> {
-    template.set_params(params)?;
-    let batch = dataset.full_batch()?;
-    let predicted = template.predict(&batch.features)?;
-    Ok(ConfusionMatrix::from_pairs(
-        &batch.labels,
-        &predicted,
-        dataset.num_classes(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +98,5 @@ mod tests {
         let (params, mut template, ds) = toy();
         let acc = accuracy_of_params(&params, &mut template, &ds).unwrap();
         assert!((0.0..=1.0).contains(&acc));
-    }
-
-    #[test]
-    fn confusion_matches_accuracy() {
-        let (params, mut template, ds) = toy();
-        let acc = accuracy_of_params(&params, &mut template, &ds).unwrap();
-        let matrix = confusion_of_params(&params, &mut template, &ds).unwrap();
-        assert_eq!(matrix.total(), ds.len() as u64);
-        assert!((matrix.accuracy() - acc as f64).abs() < 1e-6);
     }
 }

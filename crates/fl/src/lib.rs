@@ -17,8 +17,9 @@
 //! as an FL *middleware*:
 //!
 //! * [`middleware::ClientMiddleware`] transforms the parameter sets a client
-//!   downloads and uploads (LDP, WDP, gradient compression, secure-aggregation
-//!   masking, and DINAR's personalize/obfuscate pipeline live here);
+//!   downloads and uploads (WDP, gradient compression, secure-aggregation
+//!   masking, and DINAR's personalize/obfuscate pipeline live here; LDP is
+//!   DP-SGD, an optimizer wrapper);
 //! * [`middleware::ServerMiddleware`] transforms the aggregated model
 //!   (central DP lives here).
 //!

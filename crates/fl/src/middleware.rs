@@ -3,9 +3,10 @@
 //! The paper frames DINAR as an FL *middleware* running at the client side
 //! (Fig. 2): it intercepts the global model on its way in (personalization)
 //! and the client model on its way out (obfuscation). The baseline defenses
-//! fit the same two hook points — LDP/WDP/GC/SA transform uploads, CDP
-//! transforms the server aggregate — so this module defines both traits and
-//! the engine threads every exchanged parameter set through them.
+//! fit the same two hook points — WDP/GC/SA transform uploads, CDP
+//! transforms the server aggregate (LDP is DP-SGD, which wraps the
+//! optimizer instead) — so this module defines both traits and the engine
+//! threads every exchanged parameter set through them.
 //!
 //! Middleware and fault tolerance compose cleanly: the threaded transport
 //! drives each round through [`FlClient::run_protocol`](crate::FlClient::run_protocol),
@@ -126,40 +127,28 @@ pub trait ServerMiddleware: std::fmt::Debug + Send {
     }
 }
 
-/// The no-op middleware (the undefended FL baseline).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Passthrough;
-
-impl ClientMiddleware for Passthrough {
-    fn name(&self) -> &'static str {
-        "passthrough"
-    }
-}
-
-impl ServerMiddleware for Passthrough {
-    fn transform_aggregate(&mut self, _params: &mut ModelParams) -> Result<()> {
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "passthrough"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dinar_nn::LayerParams;
     use dinar_tensor::Tensor;
 
+    /// A middleware that overrides nothing but its name runs the trait's
+    /// default transforms, which leave the parameters untouched.
     #[test]
     fn passthrough_is_identity() {
+        #[derive(Debug)]
+        struct Passthrough;
+        impl ClientMiddleware for Passthrough {
+            fn name(&self) -> &'static str {
+                "passthrough"
+            }
+        }
         let mut mw = Passthrough;
         let mut params = ModelParams::new(vec![LayerParams::new(vec![Tensor::ones(&[3])])]);
         let before = params.share();
-        ClientMiddleware::transform_download(&mut mw, 0, &mut params).unwrap();
-        ClientMiddleware::transform_upload(&mut mw, 0, &mut params).unwrap();
-        ServerMiddleware::transform_aggregate(&mut mw, &mut params).unwrap();
+        mw.transform_download(0, &mut params).unwrap();
+        mw.transform_upload(0, &mut params).unwrap();
         assert_eq!(params, before);
     }
 }

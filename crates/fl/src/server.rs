@@ -68,10 +68,27 @@ impl FlServer {
     /// recycled aggregation scratch is dropped — its content never affects
     /// results (it is zero-filled before reuse), so a resumed run stays
     /// bit-identical to an uninterrupted one.
-    pub fn restore_state(&mut self, global: ModelParams, rounds_completed: usize) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::InvalidConfig`], leaving the server untouched,
+    /// if it runs middleware: a resume image carries no server middleware
+    /// state (central DP's noise stream and previous global), so the
+    /// resumed run would diverge.
+    pub fn restore_state(&mut self, global: ModelParams, rounds_completed: usize) -> Result<()> {
+        if let Some(mw) = self.middleware.first() {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "server middleware `{}` cannot resume: the resume image carries no \
+                     server middleware state",
+                    mw.name()
+                ),
+            });
+        }
         self.global = global;
         self.scratch = None;
         self.rounds_completed = rounds_completed;
+        Ok(())
     }
 
     /// FedAvg-aggregates the client updates into a new global model and runs

@@ -337,8 +337,9 @@ impl FlSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] on a client-count mismatch and
-    /// propagates per-client restore errors.
+    /// Returns [`FlError::InvalidConfig`] on a client-count mismatch or
+    /// when the server runs middleware (see [`FlServer::restore_state`]),
+    /// and propagates per-client restore errors.
     pub fn restore(&mut self, ckpt: FlCheckpoint) -> Result<()> {
         if ckpt.clients.len() != self.clients.len() {
             return Err(FlError::InvalidConfig {
@@ -349,10 +350,10 @@ impl FlSystem {
                 ),
             });
         }
+        self.server.restore_state(ckpt.global, ckpt.rounds_run)?;
         for (client, state) in self.clients.iter_mut().zip(ckpt.clients) {
             client.import_state(state)?;
         }
-        self.server.restore_state(ckpt.global, ckpt.rounds_run);
         self.pending = ckpt.pending;
         Ok(())
     }

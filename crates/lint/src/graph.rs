@@ -562,15 +562,9 @@ fn check_l013(ws: &Workspace, findings: &mut Vec<Finding>) {
 const L015_SCALAR_DRAWS: [&str; 2] = ["normal", "normal_with"];
 
 /// L015's own list of the parameter-plane files it polices beside the
-/// whole defenses crate: the modules that move or noise whole parameter
-/// sets every round.
-pub const L015_FILES: [&str; 13] = [
-    "crates/defenses/src/dp.rs",
-    "crates/defenses/src/ldp.rs",
-    "crates/defenses/src/wdp.rs",
-    "crates/defenses/src/cdp.rs",
-    "crates/defenses/src/gc.rs",
-    "crates/defenses/src/sa.rs",
+/// whole defenses crate: the modules outside it that move or noise whole
+/// parameter sets every round.
+pub const L015_FILES: [&str; 7] = [
     "crates/core/src/obfuscation.rs",
     "crates/nn/src/view.rs",
     "crates/fl/src/server.rs",

@@ -6,7 +6,7 @@
 //! * **Attack AUC** ([`roc`]) — the paper's privacy metric: the area under
 //!   the ROC curve of the binary member/non-member classifier implementing
 //!   the MIA. 50% is the optimum a defense can reach (random attacker);
-//!   100% is a perfect attacker.
+//!   100% is a perfect attacker. [`roc::roc_curve`] gives the curve itself.
 //! * **Jensen–Shannon divergence over histograms** ([`histogram`]) — the
 //!   generalization-gap measure of §3 used to rank layers by privacy
 //!   sensitivity (Fig. 1/4).
@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod confusion;
 pub mod cost;
 pub mod histogram;
 pub mod roc;

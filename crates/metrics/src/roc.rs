@@ -60,14 +60,6 @@ pub fn attack_auc(member_scores: &[f32], nonmember_scores: &[f32]) -> f64 {
     u / (m as f64 * n as f64)
 }
 
-/// The paper reports attack AUC in `[50%, 100%]`: an attacker that scores
-/// *below* 0.5 is as informative as its inversion, so the reported value is
-/// `max(auc, 1 - auc)`.
-pub fn reported_attack_auc(member_scores: &[f32], nonmember_scores: &[f32]) -> f64 {
-    let auc = attack_auc(member_scores, nonmember_scores);
-    auc.max(1.0 - auc)
-}
-
 /// A point on the ROC curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
@@ -138,7 +130,6 @@ mod tests {
     fn inverted_separation_gives_zero() {
         let auc = attack_auc(&[0.1, 0.2], &[0.8, 0.9]);
         assert!(auc.abs() < 1e-12);
-        assert!((reported_attack_auc(&[0.1, 0.2], &[0.8, 0.9]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   a `mini` profile for CPU-scale experiments.
 //! * **The optimizers of Algorithm 1 and the ablation (Fig. 11).**
 //!   [`optim`] implements the paper's Adagrad-style adaptive gradient descent
-//!   (Alg. 1 lines 8–14) plus SGD, Adam, AdaMax, RMSProp and ADGD.
+//!   (Alg. 1 lines 8–14) plus SGD, Adam, AdaMax and ADGD.
 //!
 //! # Example
 //!

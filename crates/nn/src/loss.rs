@@ -97,25 +97,6 @@ impl CrossEntropyLoss {
     }
 }
 
-/// Mean-squared-error loss (used by unit tests and the attack-model trainer).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MseLoss;
-
-impl MseLoss {
-    /// Batch-mean squared error and gradient with respect to predictions.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error if shapes differ.
-    pub fn loss_and_grad(&self, pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
-        let diff = pred.sub(target)?;
-        let n = diff.len().max(1) as f32;
-        let loss = diff.as_slice().iter().map(|d| d * d).sum::<f32>() / n;
-        let grad = diff.mul_scalar(2.0 / n);
-        Ok((loss, grad))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +177,5 @@ mod tests {
                 classes: 3
             })
         ));
-    }
-
-    #[test]
-    fn mse_basic() {
-        let pred = Tensor::from_slice(&[1.0, 2.0]);
-        let target = Tensor::from_slice(&[0.0, 0.0]);
-        let (loss, grad) = MseLoss.loss_and_grad(&pred, &target).unwrap();
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.as_slice(), &[1.0, 2.0]);
     }
 }

@@ -80,12 +80,6 @@ impl BatchNorm {
     pub fn running_stats(&self) -> (&Tensor, &Tensor) {
         (&self.running_mean, &self.running_var)
     }
-
-    /// Mutable access to the running statistics (used when restoring model
-    /// state received from the FL server).
-    pub fn running_stats_mut(&mut self) -> (&mut Tensor, &mut Tensor) {
-        (&mut self.running_mean, &mut self.running_var)
-    }
 }
 
 impl Layer for BatchNorm {

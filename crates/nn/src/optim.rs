@@ -5,7 +5,7 @@
 //! `θ ← θ − η·∇ / sqrt(G + 1e-5)`. The paper motivates Adagrad over
 //! momentum-based methods in federated settings (§4.4); the ablation of
 //! Fig. 11 swaps in [`Adam`], [`AdaMax`] and [`Adgd`], all provided here,
-//! plus [`Sgd`] and [`RmsProp`] as common baselines.
+//! plus [`Sgd`] as the common baseline.
 
 use crate::{Model, Result};
 use dinar_tensor::Tensor;
@@ -416,64 +416,6 @@ impl Optimizer for AdaMax {
     }
 }
 
-/// RMSProp optimizer (Tieleman & Hinton).
-#[derive(Debug)]
-pub struct RmsProp {
-    lr: f32,
-    decay: f32,
-    eps: f32,
-    sq: Vec<Tensor>,
-}
-
-impl RmsProp {
-    /// RMSProp with decay 0.99.
-    pub fn new(lr: f32) -> Self {
-        RmsProp {
-            lr,
-            decay: 0.99,
-            eps: 1e-8,
-            sq: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, model: &mut Model) -> Result<()> {
-        let mut pg = model.params_and_grads();
-        ensure_state(&mut self.sq, &pg);
-        for (i, (p, g)) in pg.iter_mut().enumerate() {
-            let sq = self.sq[i].as_mut_slice();
-            let ps = p.as_mut_slice();
-            for ((pv, &gv), sv) in ps.iter_mut().zip(g.as_slice()).zip(sq.iter_mut()) {
-                *sv = self.decay * *sv + (1.0 - self.decay) * gv * gv;
-                *pv -= self.lr * gv / (sv.sqrt() + self.eps);
-            }
-        }
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.sq.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "rmsprop"
-    }
-
-    fn export_state(&self) -> OptimState {
-        OptimState {
-            scalars: Vec::new(),
-            groups: vec![self.sq.clone()],
-        }
-    }
-
-    fn import_state(&mut self, mut state: OptimState) -> Result<()> {
-        check_state_arity("rmsprop", &state, 0, 1)?;
-        self.sq = state.groups.swap_remove(0);
-        Ok(())
-    }
-}
-
 /// ADGD — adaptive gradient descent without descent
 /// (Malitsky & Mishchenko, 2020), cited as the paper's Fig. 11 ablation.
 ///
@@ -577,15 +519,14 @@ impl Optimizer for Adgd {
 /// rate) — convenience for the ablation harness, which resolves a name once
 /// and then builds one optimizer per client.
 ///
-/// Recognized names: `"sgd"`, `"adagrad"`, `"adam"`, `"adamax"`, `"rmsprop"`,
-/// `"adgd"`. Returns `None` for anything else.
+/// Recognized names: `"sgd"`, `"adagrad"`, `"adam"`, `"adamax"`, `"adgd"`.
+/// Returns `None` for anything else.
 pub fn by_name(name: &str) -> Option<fn(f32) -> Box<dyn Optimizer>> {
     let make: fn(f32) -> Box<dyn Optimizer> = match name {
         "sgd" => |lr| Box::new(Sgd::new(lr)),
         "adagrad" => |lr| Box::new(Adagrad::new(lr)),
         "adam" => |lr| Box::new(Adam::new(lr)),
         "adamax" => |lr| Box::new(AdaMax::new(lr)),
-        "rmsprop" => |lr| Box::new(RmsProp::new(lr)),
         "adgd" => |lr| Box::new(Adgd::new(lr)),
         _ => return None,
     };
@@ -635,7 +576,6 @@ mod tests {
             ("adagrad", Box::new(Adagrad::new(0.1))),
             ("adam", Box::new(Adam::new(0.01))),
             ("adamax", Box::new(AdaMax::new(0.01))),
-            ("rmsprop", Box::new(RmsProp::new(0.005))),
             ("adgd", Box::new(Adgd::new(0.01))),
         ] {
             let final_loss = train_with(opt.as_mut(), 120);
@@ -719,7 +659,7 @@ mod tests {
 
     #[test]
     fn by_name_resolves_all_and_rejects_unknown() {
-        for name in ["sgd", "adagrad", "adam", "adamax", "rmsprop", "adgd"] {
+        for name in ["sgd", "adagrad", "adam", "adamax", "adgd"] {
             let opt = by_name(name).unwrap()(0.01);
             assert_eq!(opt.name(), name);
         }
@@ -751,7 +691,7 @@ mod tests {
         // steps → reference losses. Then: fresh model + fresh optimizer,
         // install the exported snapshot, continue M more. Both continuations
         // must produce bit-identical losses for every optimizer.
-        for name in ["sgd", "adagrad", "adam", "adamax", "rmsprop", "adgd"] {
+        for name in ["sgd", "adagrad", "adam", "adamax", "adgd"] {
             let mut rng = Rng::seed_from(9);
             let n = 24;
             let mut x = Tensor::zeros(&[n, 2]);

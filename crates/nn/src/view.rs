@@ -34,13 +34,6 @@ impl<'a> ParamView<'a> {
         }
     }
 
-    /// View over a single layer.
-    pub fn of_layer(layer: &'a LayerParams) -> Self {
-        ParamView {
-            layers: vec![layer],
-        }
-    }
-
     /// The viewed tensors, in canonical (layer-major) order.
     pub fn tensors(&self) -> impl Iterator<Item = &'a Tensor> + '_ {
         self.layers.iter().flat_map(|l| l.tensors.iter())
@@ -67,9 +60,7 @@ impl<'a> ParamView<'a> {
     /// `ModelParams::l2_norm` it replaces bit-for-bit: each tensor's norm is
     /// rounded to `f32`, squared and summed in `f64` within its layer; each
     /// layer's norm is rounded to `f32`, squared and summed in `f64` across
-    /// layers. (For a single-layer view the outer round-trip is exact: an
-    /// `f32`-precision value squares exactly in `f64`, and the correctly
-    /// rounded square root recovers it.)
+    /// layers.
     pub fn norm_and_count(&self) -> (f32, usize) {
         let mut count = 0usize;
         let mut norm = NestedNorm::default();
@@ -135,13 +126,6 @@ impl<'a> ParamViewMut<'a> {
         }
     }
 
-    /// Mutable view over a single layer.
-    pub fn of_layer(layer: &'a mut LayerParams) -> Self {
-        ParamViewMut {
-            tensors: layer.tensors.iter_mut().collect(),
-        }
-    }
-
     /// Total number of scalars in the view.
     pub fn param_count(&self) -> usize {
         self.tensors.iter().map(|t| t.len()).sum()
@@ -183,10 +167,6 @@ mod tests {
         let (norm, count) = ParamView::of_model(&p).norm_and_count();
         assert_eq!(norm.to_bits(), p.l2_norm().to_bits());
         assert_eq!(count, p.param_count());
-        for l in &p.layers {
-            let lv = ParamView::of_layer(l);
-            assert_eq!(lv.l2_norm().to_bits(), l.l2_norm().to_bits());
-        }
     }
 
     #[test]

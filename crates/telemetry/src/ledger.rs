@@ -50,8 +50,8 @@ struct Accum {
 /// One composed account, as reported by [`PrivacyLedger::accounts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrivacyAccount {
-    /// Defense name, as reported by the middleware/optimizer (`"dp-sgd"`,
-    /// `"ldp"`, `"wdp"`, `"cdp"`, `"sa"`, `"gc"`, …).
+    /// Defense name, as reported by the middleware/optimizer (`"dpsgd"`,
+    /// `"wdp"`, `"cdp"`, `"sa"`, `"gc"`, …).
     pub defense: String,
     /// Budget owner: `"client[i]"` for local defenses, `"global"` for
     /// server-side ones.

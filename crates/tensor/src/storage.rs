@@ -22,7 +22,7 @@
 //! * [`QuantTensor`] — native `i8` storage for quantized parameters: the
 //!   wire's `quant_i8` codec decodes straight into a `Buffer<i8>` plus one
 //!   scale, and dequantizes to a dense `f32` [`Tensor`](crate::Tensor)
-//!   lazily at first read.
+//!   where a reader needs one.
 
 use crate::{alloc, profile, Result, Tensor, TensorError};
 use std::fmt;
@@ -443,15 +443,14 @@ impl BufferPool<f32> {
 ///
 /// This is the resident form of quantized parameters in the serving plane
 /// and the landing type of the wire's `quant_i8` codec: decoding fills a
-/// [`Buffer<i8>`] (one byte per element instead of four) and the dense
-/// `f32` tensor is materialized lazily, at first read, through
-/// [`QuantTensor::dense`].
+/// [`Buffer<i8>`] (one byte per element instead of four), and
+/// [`QuantTensor::to_tensor`] or [`QuantTensor::dequantize_into`] expand it
+/// to dense `f32` where a reader needs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantTensor {
     levels: Buffer<i8>,
     scale: f32,
     shape: Vec<usize>,
-    cache: Option<Tensor>,
 }
 
 impl QuantTensor {
@@ -473,7 +472,6 @@ impl QuantTensor {
             levels: Buffer::new(levels),
             scale,
             shape: shape.to_vec(),
-            cache: None,
         })
     }
 
@@ -503,27 +501,11 @@ impl QuantTensor {
     }
 
     /// Resident storage bytes: one per level plus the four-byte scale.
-    /// Excludes any lazily materialized dense cache.
     pub fn resident_bytes(&self) -> u64 {
         self.levels.byte_len() + 4
     }
 
-    /// Whether the dense `f32` form has been materialized yet.
-    pub fn is_materialized(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// The dense `f32` tensor, dequantized on first call and cached; later
-    /// calls are O(1) shares of the cached buffer.
-    pub fn dense(&mut self) -> &Tensor {
-        if self.cache.is_none() {
-            self.cache = Some(self.to_tensor());
-        }
-        // lint: allow(L001, the line above just filled the cache)
-        self.cache.as_ref().expect("dense cache was just filled")
-    }
-
-    /// Eagerly dequantizes into a fresh dense tensor without caching.
+    /// Dequantizes into a fresh dense tensor.
     pub fn to_tensor(&self) -> Tensor {
         let scale = self.scale;
         let data: Vec<f32> = self
@@ -732,29 +714,12 @@ mod tests {
         assert_eq!(thread_live_bytes(), before + 4, "4 i8 levels = 4 bytes");
         assert_eq!(q.resident_bytes(), 8);
         assert_eq!(q.shape(), &[2, 2]);
-        assert!(!q.is_materialized());
-        drop(q);
-        assert_eq!(thread_live_bytes(), before);
-    }
-
-    #[test]
-    fn quant_dense_is_lazy_and_cached() {
-        let t = crate::Tensor::from_vec(vec![1.0, -1.0, 0.5, -0.25], &[4]).unwrap();
-        let mut q = quantize(&t);
-        let before = thread_live_bytes();
-        let first = q.dense().clone();
-        // Materialization allocated exactly the 16-byte dense buffer.
-        assert_eq!(thread_live_bytes(), before + 16);
-        assert!(q.is_materialized());
-        let shares_before = crate::profile::param_snapshot();
-        let second = q.dense().clone();
-        let delta = crate::profile::param_snapshot().delta_since(&shares_before);
-        assert_eq!(delta.copy_calls, 0, "second read must share, not copy");
-        assert_eq!(first, second);
         // Quantization error is bounded by half a level.
-        for (&a, &b) in t.as_slice().iter().zip(first.as_slice()) {
+        for (&a, &b) in t.as_slice().iter().zip(q.to_tensor().as_slice()) {
             assert!((a - b).abs() <= q.scale() * 0.5 + 1e-6);
         }
+        drop(q);
+        assert_eq!(thread_live_bytes(), before);
     }
 
     #[test]

@@ -619,11 +619,6 @@ impl Tensor {
         }
     }
 
-    /// Adds `s` to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.unary_elementwise(move |x| x + s)
-    }
-
     /// Multiplies every element by `s`.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
         self.unary_elementwise(move |x| x * s)

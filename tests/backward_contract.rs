@@ -329,7 +329,6 @@ fn every_backward_caller_zeroes_its_gradients_first() {
         "crates/core/src/sensitivity.rs",
         "crates/attacks/src/shadow.rs",
         "crates/attacks/src/threshold.rs",
-        "crates/attacks/src/gradient.rs",
         "crates/attacks/src/repair.rs",
         "crates/attacks/src/inversion.rs",
     ] {

@@ -131,32 +131,3 @@ fn csv_export_import_then_train() {
     let report = system.run_round().unwrap();
     assert!(report.mean_train_loss.is_finite());
 }
-
-/// Per-class evaluation across a federated system: merged client confusion
-/// matrices agree with the mean accuracy metric.
-#[test]
-fn merged_confusions_are_consistent_with_accuracy() {
-    use dinar_fl::eval::confusion_of_params;
-    use dinar_metrics::confusion::ConfusionMatrix;
-
-    let (_, test) = shards();
-    let mut system = build(false);
-    system.run(2).unwrap();
-    system.sync_clients().unwrap();
-
-    let mut rng = Rng::seed_from(21);
-    let mut template = arch(&mut rng).unwrap();
-    let mut merged = ConfusionMatrix::new(test.num_classes());
-    let mut acc_sum = 0.0f64;
-    let n_clients = system.clients().len();
-    for client in system.clients() {
-        let params = client.model().params();
-        let matrix = confusion_of_params(&params, &mut template, &test).unwrap();
-        acc_sum += matrix.accuracy();
-        merged.merge(&matrix);
-    }
-    assert_eq!(merged.total(), (test.len() * n_clients) as u64);
-    // All clients hold the same global model after sync, so the merged
-    // accuracy equals each client's accuracy.
-    assert!((merged.accuracy() - acc_sum / n_clients as f64).abs() < 1e-9);
-}

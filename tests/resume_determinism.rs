@@ -10,13 +10,21 @@
 //! so they must agree bit for bit, and a round finished through the resume
 //! pair must leave the same report fields and counters as any other.
 //!
+//! A noised defense resumes bit for bit or refuses the image: WDP carries
+//! its noise stream in the image, while DP-SGD and central DP, whose state
+//! the image does not carry, fail `restore` with a typed error.
+//!
 //! These tests also run under `--features sanitize`.
 
-use dinar_fl::ckpt::{decode_resume, encode_resume};
+use dinar_defenses::{CentralDp, DpOptimizer, DpParams, WeakDp};
+use dinar_fl::ckpt::{decode_resume, encode_resume, FlCheckpoint};
 use dinar_fl::clock::WallClock;
-use dinar_fl::{run_threaded_wire, FlConfig, FlSystem, RoundPolicy, RoundReport, WireConfig};
+use dinar_fl::{
+    run_threaded_wire, FlConfig, FlError, FlSystem, RoundPolicy, RoundReport, WireConfig,
+};
 use dinar_nn::models::{self, Activation};
-use dinar_nn::optim::Adam;
+use dinar_nn::optim::{Adam, Optimizer};
+use dinar_nn::NnError;
 use dinar_telemetry::{ManualClock, Telemetry};
 use dinar_tensor::{par, Rng, Tensor};
 use std::sync::{Arc, Mutex};
@@ -41,7 +49,24 @@ fn per_width<T>(f: impl Fn() -> T) -> Vec<T> {
     results
 }
 
+/// The defense a fixture system runs: the resume image must carry every
+/// piece of state it keeps between rounds, or `restore` must refuse.
+#[derive(Debug, Clone, Copy)]
+enum Defense {
+    None,
+    /// Weak DP: a per-client noise stream in the upload middleware.
+    Wdp,
+    /// DP-SGD: a noise stream and the wrapped Adam inside the optimizer.
+    DpSgd,
+    /// Central DP: a noise stream and the previous global on the server.
+    Cdp,
+}
+
 fn build_system() -> FlSystem {
+    build_defended(Defense::None)
+}
+
+fn build_defended(defense: Defense) -> FlSystem {
     let data = {
         let mut rng = Rng::seed_from(5);
         let mut features = Tensor::zeros(&[90, 2]);
@@ -63,7 +88,7 @@ fn build_system() -> FlSystem {
         &mut rng,
     )
     .expect("partition");
-    FlSystem::builder(FlConfig {
+    let builder = FlSystem::builder(FlConfig {
         local_epochs: 2,
         batch_size: 16,
         seed: 3,
@@ -73,9 +98,32 @@ fn build_system() -> FlSystem {
         |rng| models::mlp(&[2, 8, 2], Activation::ReLU, rng),
         // Adam carries per-tensor moments and a step counter, so any state
         // the resume image drops would surface as divergent bits.
-        |_| Box::new(Adam::new(0.05)),
+        move |id| -> Box<dyn Optimizer> {
+            let adam = Box::new(Adam::new(0.05));
+            match defense {
+                Defense::DpSgd => Box::new(DpOptimizer::new(
+                    adam,
+                    DpParams::paper_default(),
+                    Rng::seed_from(100 + id as u64),
+                )),
+                _ => adam,
+            }
+        },
     )
-    .expect("clients")
+    .expect("clients");
+    match defense {
+        Defense::Wdp => builder.with_client_middleware(|id| {
+            vec![Box::new(WeakDp::paper_default(Rng::seed_from(
+                200 + id as u64,
+            )))]
+        }),
+        Defense::Cdp => builder.with_server_middleware(Box::new(CentralDp::new(
+            DpParams::paper_default(),
+            3,
+            Rng::seed_from(300),
+        ))),
+        Defense::None | Defense::DpSgd => builder,
+    }
     .build()
     .expect("system")
 }
@@ -90,25 +138,28 @@ fn global_bits(system: &FlSystem) -> Vec<u32> {
 }
 
 /// The uninterrupted reference: `rounds` full rounds.
-fn straight_run(rounds: usize) -> Vec<u32> {
-    let mut system = build_system();
+fn straight_run(defense: Defense, rounds: usize) -> Vec<u32> {
+    let mut system = build_defended(defense);
     system.run(rounds).expect("straight run");
     global_bits(&system)
 }
 
-/// Kill-and-resume: one warm-up round, then the next round is stopped
-/// after `k` clients, the image crosses bytes (the simulated kill), a
-/// fresh system restores it and finishes the round plus one more.
-fn resumed_run(k: usize, rounds_after: usize) -> Vec<u32> {
-    let mut first = build_system();
+/// One warm-up round, then the next round is stopped after `k` clients
+/// and its image crosses bytes (the simulated kill).
+fn killed_after(defense: Defense, k: usize) -> FlCheckpoint {
+    let mut first = build_defended(defense);
     first.run(1).expect("warm-up round");
     first.begin_round_partial(k).expect("partial round");
     let bytes = encode_resume(&first.checkpoint()).expect("encode");
     drop(first); // the "killed" process
+    decode_resume(&bytes).expect("decode")
+}
 
-    let image = decode_resume(&bytes).expect("decode");
-    let mut second = build_system();
-    second.restore(image).expect("restore");
+/// Kill-and-resume: a fresh system restores the image of
+/// [`killed_after`] and finishes the round plus `rounds_after` more.
+fn resumed_run(defense: Defense, k: usize, rounds_after: usize) -> Vec<u32> {
+    let mut second = build_defended(defense);
+    second.restore(killed_after(defense, k)).expect("restore");
     assert!(second.has_pending_round());
     second.finish_round().expect("finish interrupted round");
     second.run(rounds_after).expect("post-resume rounds");
@@ -120,9 +171,9 @@ fn resumed_run(k: usize, rounds_after: usize) -> Vec<u32> {
 /// every pool width.
 #[test]
 fn resumed_run_is_bit_identical_at_every_width_and_kill_point() {
-    let reference = per_width(|| straight_run(3));
+    let reference = per_width(|| straight_run(Defense::None, 3));
     for k in 1..=3 {
-        let resumed = per_width(|| resumed_run(k, 1));
+        let resumed = per_width(|| resumed_run(Defense::None, k, 1));
         assert_eq!(
             reference, resumed,
             "kill after client {k} diverged from the uninterrupted run"
@@ -134,7 +185,7 @@ fn resumed_run_is_bit_identical_at_every_width_and_kill_point() {
 /// the repo-wide pool-width bit-identity contract.
 #[test]
 fn resume_bits_agree_across_widths() {
-    let runs = per_width(|| resumed_run(2, 1));
+    let runs = per_width(|| resumed_run(Defense::None, 2, 1));
     assert!(
         runs.windows(2).all(|w| w[0] == w[1]),
         "pool widths disagree after resume"
@@ -145,7 +196,7 @@ fn resume_bits_agree_across_widths() {
 /// into the same bits too.
 #[test]
 fn between_round_checkpoints_resume_bit_identically() {
-    let reference = straight_run(3);
+    let reference = straight_run(Defense::None, 3);
     let mut first = build_system();
     first.run(2).expect("two rounds");
     let bytes = encode_resume(&first.checkpoint()).expect("encode");
@@ -158,6 +209,40 @@ fn between_round_checkpoints_resume_bit_identically() {
     assert!(!second.has_pending_round());
     second.run(1).expect("final round");
     assert_eq!(reference, global_bits(&second));
+}
+
+/// WDP's noise stream crosses the resume image, so a WDP run killed after
+/// client 1 resumes into the uninterrupted run's bits at every width.
+#[test]
+fn wdp_resume_is_bit_identical_at_every_width() {
+    let reference = per_width(|| straight_run(Defense::Wdp, 3));
+    let resumed = per_width(|| resumed_run(Defense::Wdp, 1, 1));
+    assert_eq!(reference, resumed, "WDP resume diverged");
+}
+
+/// The image carries neither DP-SGD's noise stream nor its wrapped Adam's
+/// moments, so `restore` refuses it with a typed error naming them.
+#[test]
+fn dpsgd_restore_is_refused_with_a_typed_error() {
+    let mut system = build_defended(Defense::DpSgd);
+    match system.restore(killed_after(Defense::DpSgd, 1)) {
+        Err(FlError::Nn(NnError::InvalidConfig { reason })) => {
+            assert!(reason.contains("noise stream"), "{reason}");
+            assert!(reason.contains("adam"), "{reason}");
+        }
+        other => panic!("DP-SGD restore returned {other:?}"),
+    }
+}
+
+/// The image carries no server middleware state, so a central-DP system
+/// refuses to restore one.
+#[test]
+fn cdp_restore_is_refused_with_a_typed_error() {
+    let mut system = build_defended(Defense::Cdp);
+    match system.restore(killed_after(Defense::Cdp, 1)) {
+        Err(FlError::InvalidConfig { reason }) => assert!(reason.contains("cdp"), "{reason}"),
+        other => panic!("CDP restore returned {other:?}"),
+    }
 }
 
 /// What the engine gate compares: the final global model's bits and every
