@@ -30,7 +30,6 @@ use dinar_fl::{
 use dinar_nn::ckpt;
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::{Adagrad, Sgd};
-use dinar_nn::serve::ServingModel;
 use dinar_telemetry::{export, Telemetry};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::{par, profile, Dtype, Rng, Tensor};
@@ -221,17 +220,18 @@ const SERVE_BATCH_ROWS: usize = 64;
 const SERVE_BATCHES: usize = 64;
 
 /// `BENCH_serve`: one seeded `mlp[600,256,100]` checkpointed through the
-/// `DNCK` plane at f32 and at quant_i8 storage width, each checkpoint
-/// answering the same batched inference stream through [`ServingModel`] at
-/// pool width 1. Each row is the resident weight bytes (a pure function of
-/// architecture and dtype), their ratio to the f32 row, the measured batch
-/// throughput, and the largest logit drift against the f32 run.
-/// `tests/bench_ratchet.rs::i8_serving_halves_resident_weight_bytes` holds
-/// quant_i8 at ≥ 2× fewer bytes and comparable throughput.
+/// `DNCK` plane at every storage width, each checkpoint installed with
+/// `set_params` into a freshly built, differently seeded model of the same
+/// architecture and answering the same batched inference stream through
+/// `Model::forward` at pool width 1. Each row is the checkpoint's bytes (a
+/// pure function of architecture and dtype), their ratio to the f32 row,
+/// the measured batch throughput, and the largest logit drift against the
+/// f32 run. `tests/bench_ratchet.rs::i8_checkpoints_halve_checkpoint_bytes`
+/// holds quant_i8 at ≥ 2× fewer bytes and at least half the f32 throughput.
 pub fn bench_serve() -> Result<Output> {
     let rows = at_width(1, serve_rows)?;
     let mut text = String::from(
-        "Serving plane — resident weight bytes and batch throughput by storage width, \
+        "Serving plane — checkpoint bytes and batch throughput by storage width, \
          pool width 1\n\n",
     );
     text.push_str(&render_rows(&rows));
@@ -248,25 +248,32 @@ fn serve_rows() -> Result<Vec<Json>> {
     let batches: Vec<Tensor> = (0..SERVE_BATCHES)
         .map(|_| rng.randn(&[SERVE_BATCH_ROWS, SERVE_MLP[0]]))
         .collect();
+    let trained = models::mlp(
+        &SERVE_MLP,
+        Activation::ReLU,
+        &mut Rng::seed_from(SERVE_MODEL_SEED),
+    )?
+    .params();
     let mut rows = Vec::new();
-    let mut f32_run: Option<(u64, Vec<Tensor>)> = None;
-    for (name, dtype) in [("f32", Dtype::F32), ("quant_i8", Dtype::I8)] {
-        // The same seed both times: the two serving models differ only in
-        // storage width, never in the underlying weights.
-        let model = models::mlp(
+    let mut f32_run: Option<(usize, Vec<Tensor>)> = None;
+    for (name, dtype) in [
+        ("f32", Dtype::F32),
+        ("quant_i8", Dtype::I8),
+        ("f16", Dtype::F16),
+    ] {
+        let mut model = models::mlp(
             &SERVE_MLP,
             Activation::ReLU,
-            &mut Rng::seed_from(SERVE_MODEL_SEED),
+            &mut Rng::seed_from(SERVE_MODEL_SEED + 1),
         )?;
-        let raw = ckpt::decode_checkpoint_raw(&ckpt::encode_checkpoint(&model.params(), dtype)?)?;
-        let mut serving = ServingModel::from_checkpoint(raw)?;
+        model.set_params(&ckpt::decode_checkpoint(&ckpt::encode_checkpoint(
+            &trained, dtype,
+        )?)?)?;
         let logits = batches
             .iter()
-            .map(|x| serving.infer(x))
+            .map(|x| model.forward(x, false))
             .collect::<dinar_nn::Result<Vec<_>>>()?;
-        // One timed iteration = one batch, cycling through the stream so the
-        // pool's steady-state reuse (not the first-batch allocation) is what
-        // gets measured.
+        // One timed iteration = one batch, cycling through the stream.
         let mut next = 0usize;
         let config = Config {
             warmup: Duration::from_millis(100),
@@ -276,12 +283,12 @@ fn serve_rows() -> Result<Vec<Json>> {
         let ns_per_batch = bench(&format!("serve_{name}"), &config, || {
             let x = &batches[next % batches.len()];
             next += 1;
-            // lint: allow(L001, every batch already inferred successfully above)
-            serving.infer(x).expect("shapes validated above")
+            // lint: allow(L001, every batch already ran forward successfully above)
+            model.forward(x, false).expect("shapes validated above")
         })
         .median_ns();
-        let resident = serving.resident_weight_bytes();
-        let (f32_bytes, f32_logits) = f32_run.get_or_insert((resident, logits.clone()));
+        let bytes = ckpt::encoded_checkpoint_len(&trained, dtype);
+        let (f32_bytes, f32_logits) = f32_run.get_or_insert((bytes, logits.clone()));
         let max_diff = f32_logits
             .iter()
             .zip(&logits)
@@ -290,10 +297,10 @@ fn serve_rows() -> Result<Vec<Json>> {
             .fold(0.0, f64::max);
         rows.push(Json::obj([
             ("storage", name.to_json()),
-            ("resident_weight_bytes", resident.to_json()),
+            ("checkpoint_bytes", bytes.to_json()),
             (
                 "bytes_ratio_vs_f32",
-                (*f32_bytes as f64 / resident.max(1) as f64).to_json(),
+                (*f32_bytes as f64 / bytes.max(1) as f64).to_json(),
             ),
             ("batch_rows", SERVE_BATCH_ROWS.to_json()),
             ("timed_batches", batches.len().to_json()),
@@ -313,7 +320,7 @@ const PARAMS_ROUNDS: usize = 5;
 
 /// `BENCH_params`: the parameter plane's copy traffic. The default FL
 /// configuration (Purchase100-mini, 8 clients, the paper's weak-DP client
-/// defense) runs [`PARAMS_ROUNDS`] rounds; each `per_round` row diffs the
+/// defense) runs `PARAMS_ROUNDS` rounds; each `per_round` row diffs the
 /// tensor buffer counters ([`profile::param_snapshot`]) — buffers
 /// deep-copied, bytes those copies duplicated, clones served by an O(1)
 /// share — and the summary adds their means and a FedAvg aggregation
@@ -527,8 +534,8 @@ fn timed_fl_run(instrument: bool) -> Result<f64> {
 /// one ratchet loader reads both. Primitive throughput — one flight event,
 /// one counter bump (registry update plus its `metric` event), one span
 /// enter/exit, one ledger charge — then export latency over a populated
-/// sink, then the end-to-end pair: the [`telemetry_system`] run, fully
-/// instrumented and not, as the median of [`FL_RUN_SAMPLES`] alternating
+/// sink, then the end-to-end pair: the `telemetry_system` run, fully
+/// instrumented and not, as the median of `FL_RUN_SAMPLES` alternating
 /// samples so host noise hits both sides alike. `tests/bench_ratchet.rs`
 /// holds the instrumented run within 5 % of the uninstrumented one.
 pub fn bench_telemetry() -> Result<Output> {
@@ -653,7 +660,7 @@ fn telemetry_entries() -> Result<(Vec<TensorBenchEntry>, String)> {
     Ok((entries, line))
 }
 
-/// `TELEMETRY_fl_round`: the observed [`telemetry_system`] run's report
+/// `TELEMETRY_fl_round`: the observed `telemetry_system` run's report
 /// ([`export::run_document`]: Perfetto trace events with per-round,
 /// per-client, per-middleware and per-layer spans, every metric, the
 /// summary tree, span coverage, privacy ledger and flight view, so the file
@@ -803,7 +810,7 @@ fn check(audits: &[DefenseAudit]) -> Vec<String> {
 ///
 /// # Errors
 ///
-/// Fails, writing nothing, on any problem [`check`] finds.
+/// Fails, writing nothing, on any problem its `check` finds.
 pub fn audit_privacy() -> Result<Output> {
     let mut spec = ExperimentSpec::mini_default(catalog::purchase100(PROFILE));
     spec.clients = 4;

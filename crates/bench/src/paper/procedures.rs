@@ -433,10 +433,10 @@ const PROFILE_RUNS: usize = 3;
 /// Where one local training step's time goes, by layer kind: the `vgg11_mini`
 /// step on GTSRB (Table 3's model) and the `fcnn6` step on Purchase100 (the
 /// headline configuration), at pool widths 1 and 2. Each configuration runs
-/// [`PROFILE_STEPS`] batch-64 Adam steps as a client does (forward, loss
+/// `PROFILE_STEPS` batch-64 Adam steps as a client does (forward, loss
 /// gradient, backward, optimizer) under an enabled sink attached to the
 /// model, one `step` span per step, and keeps the fastest of
-/// [`PROFILE_RUNS`] runs; its rows are the `fwd[..]`/`bwd[..]`
+/// `PROFILE_RUNS` runs; its rows are the `fwd[..]`/`bwd[..]`
 /// span totals summed per layer kind, plus the step's self time (batching,
 /// loss, optimizer and the sink's gradient-norm gauges), in µs per step and
 /// as a share of the step.

@@ -57,12 +57,6 @@ impl DinarMiddleware {
         }
     }
 
-    /// The stored parameters for the `i`-th protected layer, if any round
-    /// has completed.
-    pub fn stored_layer(&self, i: usize) -> Option<&LayerParams> {
-        self.stored.get(i).and_then(Option::as_ref)
-    }
-
     fn check_range(&self, params: &ModelParams) -> dinar_fl::Result<()> {
         if let Some(&bad) = self.layers.iter().find(|&&p| p >= params.layers.len()) {
             return Err(FlError::Middleware {
@@ -173,7 +167,6 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&x| x != 2.0));
-        assert_eq!(mw.stored_layer(0).unwrap().tensors[0].as_slice(), &[2.0; 4]);
 
         // Round 2 download: the global layer 1 (a garbage average, say 9.0)
         // is replaced by the stored 2.0; layer 0 comes from the global.

@@ -97,11 +97,6 @@ fn write_f32_layers<L: AsRef<[Tensor]>>(w: &mut ByteWriter, layers: &[L]) -> Wir
     write_layers(w, layers, |_, _, t, w| encode_section(t, Dtype::F32, w))
 }
 
-/// One section, widened to f32 whatever width it was stored at.
-fn dense_section(r: &mut ByteReader<'_>) -> WireResult<Tensor> {
-    decode_section(r, |t| t, |q| q.to_tensor())
-}
-
 fn write_rng(w: &mut ByteWriter, rng: &RngState) {
     for &word in &rng.words {
         w.put_u64(word);
@@ -163,7 +158,7 @@ fn read_middleware(r: &mut ByteReader<'_>) -> WireResult<Option<MiddlewareState>
     let stored = read_seq(r, |r| {
         let present = r.read_flag("resume middleware slot flag")?;
         present
-            .then(|| read_seq(r, dense_section).map(LayerParams::new))
+            .then(|| read_seq(r, decode_section).map(LayerParams::new))
             .transpose()
     })?;
     Ok(Some(MiddlewareState { rng, stored }))
@@ -224,11 +219,11 @@ fn read_file_usize(r: &mut ByteReader<'_>, what: &'static str) -> WireResult<usi
 fn read_client(r: &mut ByteReader<'_>) -> WireResult<ClientCkpt> {
     let id = read_file_usize(r, "resume client id")?;
     let rng = read_rng(r)?;
-    let params = read_layers(r, dense_section)?.into();
+    let params = read_layers(r, decode_section)?.into();
     let scalars = r.read_f32s("resume optim scalar count")?;
     let optim = OptimState {
         scalars,
-        groups: read_layers(r, dense_section)?,
+        groups: read_layers(r, decode_section)?,
     };
     let middleware = read_seq(r, read_middleware)?;
     Ok(ClientCkpt {
@@ -244,7 +239,7 @@ fn read_completed(r: &mut ByteReader<'_>) -> WireResult<(f32, ClientUpdate)> {
     let client_id = read_file_usize(r, "resume update client id")?;
     let loss = r.read_f32()?;
     let num_samples = read_file_usize(r, "resume update samples")?;
-    let params = read_layers(r, dense_section)?.into();
+    let params = read_layers(r, decode_section)?.into();
     Ok((
         loss,
         ClientUpdate {
@@ -266,7 +261,7 @@ pub fn decode_resume(bytes: &[u8]) -> Result<FlCheckpoint> {
     let mut r = ByteReader::new(bytes);
     expect_header(&mut r, CkptKind::FlResume)?;
     let rounds_run = read_file_usize(&mut r, "resume round counter")?;
-    let global = read_layers(&mut r, dense_section)?.into();
+    let global = read_layers(&mut r, decode_section)?.into();
     let clients = read_seq(&mut r, read_client)?;
     let pending = match r.read_flag("resume pending-round flag")? {
         true => Some(PendingRound {

@@ -32,11 +32,11 @@
 //! the round deadline (budgeted on the injectable [`Clock`], so a
 //! [`ManualClock`](crate::clock::ManualClock) replay, whose deadline never
 //! expires, still terminates through the accounting paths). The round then
-//! aggregates if at least [`Quorum::required`] updates arrived — FedAvg is
+//! aggregates if at least [`Quorum::required`](crate::Quorum::required) updates arrived — FedAvg is
 //! sample-weighted, so the partial aggregate renormalizes over the arrived
 //! subset — and otherwise fails with [`FlError::ClientFailure`]. Stale
 //! updates from earlier rounds are tag-checked and discarded. Transient
-//! failures are retried per [`RetryPolicy`]. Deterministic fault schedules
+//! failures are retried per [`RetryPolicy`](crate::RetryPolicy). Deterministic fault schedules
 //! come from a [`FaultPlan`].
 //!
 //! # The wire plane
@@ -122,7 +122,7 @@ pub struct ClientMsg {
     /// Client-side wall-clock seconds spent this round.
     pub train_s: f64,
     /// Peak extra tensor bytes this client's thread allocated during the
-    /// round (its own [`MemoryScope`] ledger — per-thread, so concurrent
+    /// round (its own [`MemoryScope`](dinar_tensor::alloc::MemoryScope) ledger — per-thread, so concurrent
     /// clients never attribute each other's allocations).
     pub peak_mem_bytes: u64,
 }

@@ -3,7 +3,7 @@
 //! Backs the Table 3 comparison ("training duration per FL round on client
 //! side", "aggregation duration on server side", "GPU memory usage on client
 //! side"). Time is read through the sanctioned injectable
-//! [`Clock`](crate::clock::Clock) — [`WallClock`] by default, a
+//! [`Clock`] — [`WallClock`] by default, a
 //! [`ManualClock`](crate::clock::ManualClock) in replay tests — and memory
 //! is the peak of extra live tensor bytes measured through
 //! `dinar_tensor::alloc`.

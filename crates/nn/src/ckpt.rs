@@ -4,7 +4,27 @@
 //! round traffic, `DNCK` frames *durable* state: the global model between
 //! rounds, personalized client models for serving, and (from the same
 //! sections and model framing) full mid-round resume images assembled by
-//! `dinar-fl`. The layout:
+//! `dinar-fl`.
+//!
+//! A model checkpoint holds parameters only (each trainable layer's
+//! tensors, then its buffers, as [`Model::params`](crate::Model::params)
+//! lists them); the architecture comes from the zoo constructor that built
+//! the model. Serving a checkpoint is therefore the training forward:
+//!
+//! ```
+//! use dinar_nn::{ckpt, models::{self, Activation}};
+//! use dinar_tensor::{Dtype, Rng};
+//!
+//! let trained = models::mlp(&[4, 8, 3], Activation::Tanh, &mut Rng::seed_from(1))?;
+//! let bytes = ckpt::encode_checkpoint(&trained.params(), Dtype::I8)?;
+//! let mut served = models::mlp(&[4, 8, 3], Activation::Tanh, &mut Rng::seed_from(2))?;
+//! served.set_params(&ckpt::decode_checkpoint(&bytes)?)?;
+//! let classes = served.predict(&Rng::seed_from(3).randn(&[5, 4]))?;
+//! assert_eq!(classes.len(), 5);
+//! # Ok::<(), dinar_nn::NnError>(())
+//! ```
+//!
+//! The layout:
 //!
 //! ```text
 //! magic "DNCK" (4 bytes)
@@ -24,14 +44,13 @@
 //! readers fail loudly on tags they do not know. The header check and the
 //! sections are [`dinar_tensor::wire`]'s, the codec `DNWR` streams use, and
 //! the counts are [`crate::snapshot`]'s model framing; this module owns the
-//! kind byte, the at-width decoded form and file I/O. Every payload's byte
-//! budget is validated before allocation, corrupt counts run into
-//! [`WireError::Truncated`] instead of a giant reservation, and the whole
-//! buffer must be consumed.
+//! kind byte and file I/O. Every payload's byte budget is validated before
+//! allocation, corrupt counts run into [`WireError::Truncated`] instead of a
+//! giant reservation, and the whole buffer must be consumed.
 //!
-//! The I8 payload *is* the wire plane's `quant_i8` payload, so a model
-//! checkpointed at i8 decodes to exactly the values a client would have
-//! received over a `quant_i8` uplink.
+//! Every section is widened to f32 as it is decoded. The I8 payload *is* the
+//! wire plane's `quant_i8` payload, so a model checkpointed at i8 decodes to
+//! exactly the values a client would have received over a `quant_i8` uplink.
 
 use crate::snapshot::{framed_len, read_layers, write_layers};
 use crate::{ModelParams, NnError, Result};
@@ -39,7 +58,7 @@ use dinar_tensor::wire::{
     self, decode_section, encode_section, encoded_section_len, ByteReader, ByteWriter, WireError,
 };
 pub use dinar_tensor::wire::{FORMAT_VERSION, HEADER_LEN};
-use dinar_tensor::{Dtype, QuantTensor, Tensor};
+use dinar_tensor::Dtype;
 use std::fs;
 use std::path::Path;
 
@@ -115,51 +134,6 @@ pub fn expect_header(r: &mut ByteReader<'_>, expected: CkptKind) -> Result<()> {
     Ok(())
 }
 
-/// A decoded checkpoint tensor, still in its on-disk storage width.
-///
-/// [`decode_checkpoint_raw`] returns these so a serving path can keep i8 weights
-/// resident as [`QuantTensor`]s instead of eagerly widening to f32.
-#[derive(Debug, Clone)]
-pub enum CkptTensor {
-    /// A dense f32 tensor (decoded from an F32 or F16 section).
-    Dense(Tensor),
-    /// An i8-quantized tensor (decoded from an I8 section).
-    Quant(QuantTensor),
-}
-
-impl CkptTensor {
-    /// Widens to a dense f32 tensor (dequantizing an I8 section).
-    pub fn into_tensor(self) -> Tensor {
-        match self {
-            CkptTensor::Dense(t) => t,
-            CkptTensor::Quant(q) => q.to_tensor(),
-        }
-    }
-
-    /// The tensor's shape, regardless of storage width.
-    pub fn shape(&self) -> &[usize] {
-        match self {
-            CkptTensor::Dense(t) => t.shape(),
-            CkptTensor::Quant(q) => q.shape(),
-        }
-    }
-}
-
-/// A decoded checkpoint body with tensors kept at their on-disk widths.
-#[derive(Debug, Clone)]
-pub struct RawCheckpoint {
-    /// One entry per layer; each entry is that layer's tensor sections.
-    pub layers: Vec<Vec<CkptTensor>>,
-}
-
-impl RawCheckpoint {
-    /// Densifies every section into a plain f32 [`ModelParams`].
-    pub fn into_params(self) -> ModelParams {
-        let dense = |ts: Vec<CkptTensor>| ts.into_iter().map(CkptTensor::into_tensor).collect();
-        ModelParams::from(self.layers.into_iter().map(dense).collect::<Vec<_>>())
-    }
-}
-
 /// Exact byte length [`encode_checkpoint`] will produce for `params` under
 /// `dtype` — usable for byte metering without encoding.
 pub fn encoded_checkpoint_len(params: &ModelParams, dtype: Dtype) -> usize {
@@ -182,31 +156,21 @@ pub fn encode_checkpoint(params: &ModelParams, dtype: Dtype) -> Result<Vec<u8>> 
     Ok(w.into_bytes())
 }
 
-/// Decodes a complete `DNCK` checkpoint, every section at its on-disk
-/// width. The whole buffer must be consumed.
+/// Decodes a complete `DNCK` checkpoint to dense f32 [`ModelParams`],
+/// widening every section from its on-disk width. The whole buffer must be
+/// consumed.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::Wire`] for truncated buffers, bad magic/version,
 /// unknown dtype tags, overflowing length headers or trailing bytes.
 /// Never panics and never allocates more than the remaining buffer.
-pub fn decode_checkpoint_raw(bytes: &[u8]) -> Result<RawCheckpoint> {
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<ModelParams> {
     let mut r = ByteReader::new(bytes);
     expect_header(&mut r, CkptKind::Model)?;
-    let layers = read_layers(&mut r, |r| {
-        decode_section(r, CkptTensor::Dense, CkptTensor::Quant)
-    })?;
+    let layers = read_layers(&mut r, decode_section)?;
     r.finish()?;
-    Ok(RawCheckpoint { layers })
-}
-
-/// Decodes a complete `DNCK` checkpoint to dense f32 [`ModelParams`].
-///
-/// # Errors
-///
-/// Same conditions as [`decode_checkpoint_raw`].
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<ModelParams> {
-    Ok(decode_checkpoint_raw(bytes)?.into_params())
+    Ok(layers.into())
 }
 
 /// Saves `params` to a `DNCK` file at `path` under `dtype`.
@@ -222,33 +186,26 @@ pub fn save(params: &ModelParams, dtype: Dtype, path: impl AsRef<Path>) -> Resul
     })
 }
 
-/// Loads a `DNCK` file at its on-disk widths.
+/// Loads a `DNCK` file as dense f32 [`ModelParams`]; install them with
+/// [`Model::set_params`](crate::Model::set_params) on the architecture
+/// they were saved from.
 ///
 /// # Errors
 ///
-/// Same conditions as [`decode_checkpoint_raw`], plus I/O failures as
+/// Same conditions as [`decode_checkpoint`], plus I/O failures as
 /// [`NnError::InvalidConfig`].
-pub fn load_raw(path: impl AsRef<Path>) -> Result<RawCheckpoint> {
+pub fn load(path: impl AsRef<Path>) -> Result<ModelParams> {
     let bytes = fs::read(path.as_ref()).map_err(|e| NnError::InvalidConfig {
         reason: format!("cannot read checkpoint {}: {e}", path.as_ref().display()),
     })?;
-    decode_checkpoint_raw(&bytes)
-}
-
-/// Loads a `DNCK` file as dense f32 [`ModelParams`].
-///
-/// # Errors
-///
-/// Same conditions as [`load_raw`].
-pub fn load(path: impl AsRef<Path>) -> Result<ModelParams> {
-    Ok(load_raw(path)?.into_params())
+    decode_checkpoint(&bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{self, Activation};
-    use dinar_tensor::Rng;
+    use dinar_tensor::{Rng, Tensor};
 
     fn params() -> ModelParams {
         let mut rng = Rng::seed_from(7);
@@ -300,19 +257,19 @@ mod tests {
     #[test]
     fn i8_matches_the_wire_quantizer_exactly() {
         let p = params();
-        let bytes = encode_checkpoint(&p, Dtype::I8).unwrap();
-        let raw = decode_checkpoint_raw(&bytes).unwrap();
-        for (layer, raw_layer) in p.layers.iter().zip(&raw.layers) {
-            for (t, sec) in layer.tensors.iter().zip(raw_layer) {
-                let CkptTensor::Quant(q) = sec else {
-                    panic!("i8 checkpoint produced a dense section")
-                };
+        let back = decode_checkpoint(&encode_checkpoint(&p, Dtype::I8).unwrap()).unwrap();
+        for (layer, back_layer) in p.layers.iter().zip(&back.layers) {
+            for (t, got) in layer.tensors.iter().zip(&back_layer.tensors) {
                 let mut w = ByteWriter::new();
                 wire::encode_tensor(t, wire::Codec::QuantI8, &mut w).unwrap();
-                let expect =
-                    wire::decode_tensor_quant(&mut ByteReader::new(&w.into_bytes())).unwrap();
-                assert_eq!(q.levels(), expect.levels());
-                assert_eq!(q.scale().to_bits(), expect.scale().to_bits());
+                let expect = wire::decode_tensor(
+                    &mut ByteReader::new(&w.into_bytes()),
+                    wire::Codec::QuantI8,
+                )
+                .unwrap();
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&expect));
             }
         }
     }
@@ -327,10 +284,9 @@ mod tests {
         for dtype in [Dtype::F32, Dtype::F16, Dtype::I8] {
             encode_section(&t, dtype, &mut w).unwrap();
         }
-        let raw = decode_checkpoint_raw(&w.into_bytes()).unwrap();
-        assert_eq!(raw.layers.len(), 1);
-        assert_eq!(raw.layers[0].len(), 3);
-        let dense = raw.into_params();
+        let dense = decode_checkpoint(&w.into_bytes()).unwrap();
+        assert_eq!(dense.layers.len(), 1);
+        assert_eq!(dense.layers[0].tensors.len(), 3);
         assert_eq!(dense.layers[0].tensors[0].as_slice(), t.as_slice());
         assert_eq!(dense.layers[0].tensors[1].as_slice(), t.as_slice());
     }

@@ -59,7 +59,6 @@ pub mod norm;
 pub mod optim;
 pub mod params;
 pub mod pool;
-pub mod serve;
 pub mod snapshot;
 pub mod view;
 

@@ -292,12 +292,14 @@ impl Model {
         ModelParams::new(layers)
     }
 
-    /// Restores the full model state from [`ModelParams`].
+    /// Restores the full model state from [`ModelParams`], all or nothing:
+    /// every layer's tensor count and every parameter and buffer shape is
+    /// checked before any tensor is replaced.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ParamShapeMismatch`] if `params` does not match the
-    /// model architecture.
+    /// model architecture; the model is then left as it was.
     pub fn set_params(&mut self, params: &ModelParams) -> Result<()> {
         if params.num_layers() != self.trainable.len() {
             return Err(NnError::ParamShapeMismatch {
@@ -308,9 +310,11 @@ impl Model {
                 ),
             });
         }
-        let trainable = self.trainable.clone();
-        for (slot, &i) in trainable.iter().enumerate() {
-            self.set_trainable_layer(i, &params.layers[slot])?;
+        for (&i, layer) in self.trainable.iter().zip(&params.layers) {
+            check_layer_params(self.layers[i].as_ref(), layer)?;
+        }
+        for (&i, layer) in self.trainable.iter().zip(&params.layers) {
+            write_layer_params(self.layers[i].as_mut(), layer);
         }
         Ok(())
     }
@@ -346,45 +350,8 @@ impl Model {
             index,
             trainable: self.trainable.len(),
         })?;
-        self.set_trainable_layer(i, params)
-    }
-
-    fn set_trainable_layer(&mut self, raw_index: usize, params: &LayerParams) -> Result<()> {
-        let layer = &mut self.layers[raw_index];
-        let n_params = layer.params().len();
-        let n_buffers = layer.buffers().len();
-        if params.tensors.len() != n_params + n_buffers {
-            return Err(NnError::ParamShapeMismatch {
-                reason: format!(
-                    "layer `{}` has {} tensors ({} params + {} buffers), got {}",
-                    layer.name(),
-                    n_params + n_buffers,
-                    n_params,
-                    n_buffers,
-                    params.tensors.len()
-                ),
-            });
-        }
-        for (dst, src) in layer.params_mut().into_iter().zip(&params.tensors) {
-            if dst.shape() != src.shape() {
-                return Err(NnError::ParamShapeMismatch {
-                    reason: format!("parameter shape {:?} != {:?}", dst.shape(), src.shape()),
-                });
-            }
-            *dst = src.clone();
-        }
-        for (dst, src) in layer
-            .buffers_mut()
-            .into_iter()
-            .zip(&params.tensors[n_params..])
-        {
-            if dst.shape() != src.shape() {
-                return Err(NnError::ParamShapeMismatch {
-                    reason: format!("buffer shape {:?} != {:?}", dst.shape(), src.shape()),
-                });
-            }
-            *dst = src.clone();
-        }
+        check_layer_params(self.layers[i].as_ref(), params)?;
+        write_layer_params(self.layers[i].as_mut(), params);
         Ok(())
     }
 
@@ -444,6 +411,49 @@ impl Model {
         }
         let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         Ok(correct as f32 / labels.len() as f32)
+    }
+}
+
+/// Checks that `params` fits `layer`: its parameters, then its buffers, in
+/// count and in every shape. Borrows only; nothing is copied.
+fn check_layer_params(layer: &dyn Layer, params: &LayerParams) -> Result<()> {
+    let n_params = layer.params().len();
+    let n_buffers = layer.buffers().len();
+    if params.tensors.len() != n_params + n_buffers {
+        return Err(NnError::ParamShapeMismatch {
+            reason: format!(
+                "layer `{}` has {} tensors ({} params + {} buffers), got {}",
+                layer.name(),
+                n_params + n_buffers,
+                n_params,
+                n_buffers,
+                params.tensors.len()
+            ),
+        });
+    }
+    let own = layer.params().into_iter().chain(layer.buffers());
+    for (k, (dst, src)) in own.zip(&params.tensors).enumerate() {
+        if dst.shape() != src.shape() {
+            let what = if k < n_params { "parameter" } else { "buffer" };
+            return Err(NnError::ParamShapeMismatch {
+                reason: format!("{what} shape {:?} != {:?}", dst.shape(), src.shape()),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Installs `params` into `layer`, each tensor an `Arc` share of the one in
+/// `params`. The caller has run [`check_layer_params`].
+fn write_layer_params(layer: &mut dyn Layer, params: &LayerParams) {
+    let dsts = layer.params_mut();
+    let n_params = dsts.len();
+    for (dst, src) in dsts.into_iter().zip(&params.tensors) {
+        *dst = src.clone();
+    }
+    let buffers = &params.tensors[n_params..];
+    for (dst, src) in layer.buffers_mut().into_iter().zip(buffers) {
+        *dst = src.clone();
     }
 }
 
@@ -630,6 +640,34 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&x| x == 9.0));
+    }
+
+    #[test]
+    fn refused_set_params_changes_nothing() {
+        let mut model = models::resnet_mini(3, 4, &mut Rng::seed_from(5)).unwrap();
+        // A train-mode pass moves the BatchNorm running statistics off init.
+        let x = Rng::seed_from(6).randn(&[2, 3, 8, 8]);
+        model.forward(&x, true).unwrap();
+        let bits =
+            |p: &ModelParams| -> Vec<u32> { p.to_flat().iter().map(|v| v.to_bits()).collect() };
+        let before = bits(&model.params());
+        let other = models::resnet_mini(3, 4, &mut Rng::seed_from(7))
+            .unwrap()
+            .params();
+        let last = other.num_layers() - 1;
+        // The classifier's weights, then the first BatchNorm's running
+        // variance (a buffer behind that layer's two parameters).
+        for (layer, tensor) in [(last, 0), (1, 3)] {
+            let mut bad = other.share();
+            bad.layers[layer].tensors[tensor] = Tensor::zeros(&[1]);
+            assert!(matches!(
+                model.set_params(&bad),
+                Err(NnError::ParamShapeMismatch { .. })
+            ));
+            assert!(bits(&model.params()) == before, "layer {layer} was written");
+        }
+        model.set_params(&other).unwrap();
+        assert!(bits(&model.params()) == bits(&other));
     }
 
     #[test]

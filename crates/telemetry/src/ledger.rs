@@ -47,7 +47,7 @@ struct Accum {
     sum_eps_expm1: f64,
 }
 
-/// One composed account, as reported by [`PrivacyLedger::accounts`].
+/// One composed account, as the ledger's `accounts` reports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrivacyAccount {
     /// Defense name, as reported by the middleware/optimizer (`"dpsgd"`,

@@ -1,11 +1,11 @@
 //! The one event record, its per-thread logs, and hierarchical spans.
 //!
 //! Every span, deterministic counter update and
-//! [`flight_record`](crate::Telemetry::flight_record) call is one [`Event`]
+//! [`flight_record`](crate::Telemetry::flight_record) call is one `Event`
 //! — scope, kind, name, start time, value or duration — in an enabled
-//! sink's [`EventLog`]. Each recording thread appends to its own log, and a
+//! sink's `EventLog`. Each recording thread appends to its own log, and a
 //! thread's `tid` is its log's registration index in the sink. The span
-//! list ([`EventLog::spans`], behind [`export`](crate::export)) and the
+//! list (`EventLog::spans`, behind [`export`](crate::export)) and the
 //! flight dump ([`recorder`](crate::recorder)) are views over those logs.
 //!
 //! A span is a named interval on the injected [`Clock`], identified by its

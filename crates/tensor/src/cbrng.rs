@@ -14,7 +14,7 @@
 //! `(key, i) → bits`. A bulk fill is then an embarrassingly parallel map
 //! over positions, written as straight-line chunk loops over fixed-size
 //! arrays that the compiler autovectorizes. All element math is `f32` with
-//! explicit polynomial kernels ([`ln_1to1`]-style, see below) instead of
+//! explicit polynomial kernels (`ln_unit` and its siblings below) instead of
 //! `f64` libm, so one Gaussian sample costs a handful of vector lanes.
 //!
 //! # Stream layout (the spec)

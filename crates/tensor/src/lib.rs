@@ -49,7 +49,7 @@ pub mod wire;
 pub use cbrng::CbRng;
 pub use error::TensorError;
 pub use rng::{Rng, RngState};
-pub use storage::{Buffer, BufferPool, Dtype, Element, QuantTensor, F16};
+pub use storage::{Buffer, Dtype, Element, F16};
 pub use tensor::Tensor;
 
 /// Crate-wide result alias for fallible tensor operations.

@@ -1,8 +1,9 @@
 //! Generic dtype storage backend behind the [`Tensor`](crate::Tensor) facade.
 //!
-//! Historically tensor storage was a hard-coded `Arc<Vec<f32>>`. This module
-//! splits storage from the tensor front-end the way the checkpoint/serving
-//! plane needs it:
+//! Every tensor holds its values as `f32`; the narrower widths exist on the
+//! wire and on disk, where a `DNCK` checkpoint section or a `quant_i8` frame
+//! is widened back to `f32` as it is decoded. This module owns the types
+//! those widths are spelled in and the one storage unit:
 //!
 //! * [`Element`] — the closed set of storable scalar types (`f32`, `i8`, and
 //!   the bit-pattern half float [`F16`]), each tagged with a [`Dtype`] and
@@ -10,21 +11,13 @@
 //!   reinterpretation, [`F16`]'s software conversion, goes through
 //!   `f32::to_bits`/`from_bits` in this file, and `unsafe` (hence
 //!   `transmute`) is forbidden on every target of the workspace.
-//! * [`Buffer`] — the owned, dtype-generic storage unit. Construction,
-//!   copy-on-write materialization (`Clone`) and `Drop` register with the
-//!   two-ledger [`alloc`](crate::alloc) accounting exactly as the old
-//!   `f32`-only buffer did, so all memory-overhead measurements
-//!   (Table 3 of the paper) are unchanged bit for bit.
-//! * [`BufferPool`] — a round-scoped free-list allocator: released buffers
-//!   park their raw capacity in the pool and re-enter the ledgers only when
-//!   re-acquired, so per-batch scratch (the serving plane's dequantization
-//!   buffers) stops paying one heap allocation per use.
-//! * [`QuantTensor`] — native `i8` storage for quantized parameters: the
-//!   wire's `quant_i8` codec decodes straight into a `Buffer<i8>` plus one
-//!   scale, and dequantizes to a dense `f32` [`Tensor`](crate::Tensor)
-//!   where a reader needs one.
+//! * [`Buffer`] — the owned storage unit, generic over the element type.
+//!   Construction, copy-on-write materialization (`Clone`) and `Drop`
+//!   register with the two-ledger [`alloc`] accounting, so every
+//!   memory-overhead measurement (Table 3 of the paper) counts tensor bytes
+//!   at their element width.
 
-use crate::{alloc, profile, Result, Tensor, TensorError};
+use crate::{alloc, profile};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -265,9 +258,9 @@ fn f16_bits_to_f32(h: u16) -> f32 {
 /// and allocation-accounting boundary.
 ///
 /// A `Buffer` owns the flat element vector and is the single place where the
-/// [`alloc`](crate::alloc) ledgers see tensor memory: construction records
-/// the allocation, dropping records the deallocation (on the dropping
-/// thread, preserving the cross-thread two-ledger semantics), and `Clone` —
+/// [`alloc`] ledgers see tensor memory: construction records the allocation,
+/// dropping records the deallocation (on the dropping thread, preserving the
+/// cross-thread two-ledger semantics), and `Clone` —
 /// reached only through `Arc::make_mut` when a *shared* buffer is written —
 /// records the allocation of the materialized private copy plus a
 /// buffer-copy tick for the copy-traffic counters.
@@ -313,14 +306,6 @@ impl<T: Element> Buffer<T> {
         &mut self.data
     }
 
-    /// Moves the vector out, settling this buffer's ledger charge; the
-    /// caller now owns untracked memory (the later zero-length `Drop`
-    /// records a zero-byte deallocation).
-    pub fn take_data(&mut self) -> Vec<T> {
-        alloc::record_dealloc(self.byte_len());
-        std::mem::take(&mut self.data)
-    }
-
     fn bytes_for(len: usize) -> u64 {
         (len * T::DTYPE.width()) as u64
     }
@@ -348,209 +333,10 @@ impl<T: Element> PartialEq for Buffer<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BufferPool
-// ---------------------------------------------------------------------------
-
-/// A round-scoped free-list allocator for [`Buffer`]s of one dtype.
-///
-/// Hot loops that allocate a same-sized scratch buffer per iteration (the
-/// serving plane's per-batch dequantization scratch, a round's staging
-/// buffers) acquire from the pool instead: a released buffer parks its raw
-/// capacity here — off the alloc ledgers, like any caller-owned vector — and
-/// the next acquisition of a fitting size reuses it, re-entering the ledgers
-/// through the normal [`Buffer::new`] path. Accounting therefore stays
-/// exact: bytes are charged exactly while they sit inside a live `Buffer`.
-#[derive(Debug, Default)]
-pub struct BufferPool<T: Element> {
-    free: Vec<Vec<T>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<T: Element> BufferPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        BufferPool {
-            free: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// A zero-filled buffer of `len` elements, reusing parked capacity when
-    /// a released vector can hold it without reallocating.
-    pub fn acquire(&mut self, len: usize) -> Buffer<T> {
-        match self.free.iter().position(|v| v.capacity() >= len) {
-            Some(i) => {
-                let mut v = self.free.swap_remove(i);
-                v.clear();
-                v.resize(len, T::from_f32(0.0));
-                self.hits += 1;
-                Buffer::new(v)
-            }
-            None => {
-                self.misses += 1;
-                Buffer::zeros(len)
-            }
-        }
-    }
-
-    /// Returns a buffer's capacity to the pool for reuse.
-    pub fn release(&mut self, mut buf: Buffer<T>) {
-        self.free.push(buf.take_data());
-    }
-
-    /// Acquisitions served from parked capacity.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Acquisitions that had to allocate fresh.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of released vectors currently parked.
-    pub fn parked(&self) -> usize {
-        self.free.len()
-    }
-}
-
-impl BufferPool<f32> {
-    /// A zero-filled tensor backed by pooled storage.
-    pub fn acquire_tensor(&mut self, shape: &[usize]) -> Tensor {
-        let len = shape.iter().product();
-        Tensor::from_buffer_unchecked(self.acquire(len), shape.to_vec())
-    }
-
-    /// Reclaims a tensor's storage into the pool. A buffer still shared
-    /// with another tensor cannot be reclaimed and is simply dropped
-    /// (its refcount falls; the other owners keep it).
-    pub fn release_tensor(&mut self, t: Tensor) {
-        if let Some(buf) = t.try_into_buffer() {
-            self.release(buf);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QuantTensor
-// ---------------------------------------------------------------------------
-
-/// A tensor stored natively as `i8` quantization levels plus one `f32`
-/// scale: `value[i] = scale * levels[i]`.
-///
-/// This is the resident form of quantized parameters in the serving plane
-/// and the landing type of the wire's `quant_i8` codec: decoding fills a
-/// [`Buffer<i8>`] (one byte per element instead of four), and
-/// [`QuantTensor::to_tensor`] or [`QuantTensor::dequantize_into`] expand it
-/// to dense `f32` where a reader needs it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    levels: Buffer<i8>,
-    scale: f32,
-    shape: Vec<usize>,
-}
-
-impl QuantTensor {
-    /// Builds a quantized tensor from raw levels, a scale and a shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeDataMismatch`] if the product of `shape`
-    /// does not equal `levels.len()`.
-    pub fn from_levels(levels: Vec<i8>, scale: f32, shape: &[usize]) -> Result<Self> {
-        let expected: usize = shape.iter().product();
-        if expected != levels.len() {
-            return Err(TensorError::ShapeDataMismatch {
-                shape: shape.to_vec(),
-                data_len: levels.len(),
-            });
-        }
-        Ok(QuantTensor {
-            levels: Buffer::new(levels),
-            scale,
-            shape: shape.to_vec(),
-        })
-    }
-
-    /// The tensor's shape.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// `true` if the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// The shared dequantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The raw quantization levels.
-    pub fn levels(&self) -> &[i8] {
-        self.levels.as_slice()
-    }
-
-    /// Resident storage bytes: one per level plus the four-byte scale.
-    pub fn resident_bytes(&self) -> u64 {
-        self.levels.byte_len() + 4
-    }
-
-    /// Dequantizes into a fresh dense tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        let scale = self.scale;
-        let data: Vec<f32> = self
-            .levels
-            .as_slice()
-            .iter()
-            .map(|&l| l.to_f32() * scale)
-            .collect();
-        Tensor::from_buffer_unchecked(Buffer::new(data), self.shape.clone())
-    }
-
-    /// Dequantizes into an existing tensor (e.g. pooled scratch) in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeDataMismatch`] if `out`'s element count
-    /// differs from this tensor's.
-    pub fn dequantize_into(&self, out: &mut Tensor) -> Result<()> {
-        if out.len() != self.len() {
-            return Err(TensorError::ShapeDataMismatch {
-                shape: self.shape.clone(),
-                data_len: out.len(),
-            });
-        }
-        let scale = self.scale;
-        for (dst, &l) in out.as_mut_slice().iter_mut().zip(self.levels.as_slice()) {
-            *dst = l.to_f32() * scale;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alloc::thread_live_bytes;
-    use crate::wire::{self, ByteReader, ByteWriter, Codec};
-
-    /// A tensor quantized the one way there is: through the wire's i8 frame,
-    /// decoded natively into i8 storage.
-    fn quantize(t: &Tensor) -> QuantTensor {
-        let mut w = ByteWriter::new();
-        wire::encode_tensor(t, Codec::QuantI8, &mut w).unwrap();
-        wire::decode_tensor_quant(&mut ByteReader::new(&w.into_bytes())).unwrap()
-    }
 
     #[test]
     fn dtype_tags_roundtrip_and_widths_match() {
@@ -661,100 +447,5 @@ mod tests {
         assert_eq!(delta.copy_calls, 1);
         drop(c);
         assert_eq!(thread_live_bytes(), before);
-    }
-
-    #[test]
-    fn pool_reuses_capacity_and_keeps_ledgers_exact() {
-        let mut pool = BufferPool::<f32>::new();
-        let base = thread_live_bytes();
-        let a = pool.acquire(256);
-        assert_eq!(thread_live_bytes(), base + 1024);
-        assert_eq!((pool.hits(), pool.misses()), (0, 1));
-        pool.release(a);
-        // Parked capacity is off the ledgers until re-acquired.
-        assert_eq!(thread_live_bytes(), base);
-        assert_eq!(pool.parked(), 1);
-        let b = pool.acquire(200); // fits in the parked 256-capacity vec
-        assert_eq!((pool.hits(), pool.misses()), (1, 1));
-        assert_eq!(thread_live_bytes(), base + 800);
-        assert!(
-            b.as_slice().iter().all(|&x| x == 0.0),
-            "reused scratch must be zeroed"
-        );
-        pool.release(b);
-        let c = pool.acquire(512); // does not fit: fresh allocation
-        assert_eq!((pool.hits(), pool.misses()), (1, 2));
-        drop(c);
-        assert_eq!(thread_live_bytes(), base);
-    }
-
-    #[test]
-    fn pooled_tensors_roundtrip_through_the_pool() {
-        let mut pool = BufferPool::<f32>::new();
-        let mut t = pool.acquire_tensor(&[4, 8]);
-        assert_eq!(t.shape(), &[4, 8]);
-        t.as_mut_slice()[0] = 3.0;
-        pool.release_tensor(t);
-        assert_eq!(pool.parked(), 1);
-        let t2 = pool.acquire_tensor(&[4, 8]);
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(t2.as_slice()[0], 0.0, "recycled tensor must be zeroed");
-        // A shared buffer cannot be reclaimed: the share keeps it alive.
-        let shared = t2.clone();
-        pool.release_tensor(t2);
-        assert_eq!(pool.parked(), 0);
-        drop(shared);
-    }
-
-    #[test]
-    fn quant_tensor_stores_one_byte_per_element() {
-        let t = crate::Tensor::from_vec(vec![1.0, -0.5, 0.25, 0.0], &[2, 2]).unwrap();
-        let before = thread_live_bytes();
-        let q = quantize(&t);
-        assert_eq!(thread_live_bytes(), before + 4, "4 i8 levels = 4 bytes");
-        assert_eq!(q.resident_bytes(), 8);
-        assert_eq!(q.shape(), &[2, 2]);
-        // Quantization error is bounded by half a level.
-        for (&a, &b) in t.as_slice().iter().zip(q.to_tensor().as_slice()) {
-            assert!((a - b).abs() <= q.scale() * 0.5 + 1e-6);
-        }
-        drop(q);
-        assert_eq!(thread_live_bytes(), before);
-    }
-
-    #[test]
-    fn quant_matches_wire_codec_decode() {
-        // The resident i8 form of a quant_i8 frame dequantises to the bits
-        // the wire's dense decode gives (same scale, same levels).
-        let mut rng = crate::Rng::seed_from(11);
-        let t = rng.randn(&[13]);
-        let mut w = ByteWriter::new();
-        wire::encode_tensor(&t, Codec::QuantI8, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        let via_wire = wire::decode_tensor(&mut ByteReader::new(&bytes), Codec::QuantI8).unwrap();
-        let via_quant = quantize(&t).to_tensor();
-        for (a, b) in via_wire.as_slice().iter().zip(via_quant.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn dequantize_into_fills_pooled_scratch() {
-        let t = crate::Tensor::from_vec(vec![2.0, -2.0, 1.0, 0.0], &[4]).unwrap();
-        let q = quantize(&t);
-        let mut pool = BufferPool::<f32>::new();
-        let mut scratch = pool.acquire_tensor(&[4]);
-        q.dequantize_into(&mut scratch).unwrap();
-        let direct = q.to_tensor();
-        assert_eq!(scratch.as_slice(), direct.as_slice());
-        let mut wrong = pool.acquire_tensor(&[5]);
-        assert!(q.dequantize_into(&mut wrong).is_err());
-    }
-
-    #[test]
-    fn from_levels_validates_shape() {
-        assert!(QuantTensor::from_levels(vec![1, 2, 3], 0.1, &[2, 2]).is_err());
-        let q = QuantTensor::from_levels(vec![1, 2, 3, 4], 0.5, &[2, 2]).unwrap();
-        assert_eq!(q.to_tensor().as_slice(), &[0.5, 1.0, 1.5, 2.0]);
     }
 }

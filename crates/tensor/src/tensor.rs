@@ -130,24 +130,6 @@ impl Tensor {
         }
     }
 
-    /// Wraps an already-accounted [`storage::Buffer`](crate::storage::Buffer)
-    /// (e.g. one acquired from a [`BufferPool`](crate::storage::BufferPool))
-    /// without re-registering it; the invariant that `shape` matches the
-    /// buffer length is the caller's and is checked in debug builds only.
-    pub(crate) fn from_buffer_unchecked(buf: Buf, shape: Vec<usize>) -> Self {
-        debug_assert_eq!(shape.iter().product::<usize>(), buf.len());
-        Tensor {
-            buf: Arc::new(buf),
-            shape,
-        }
-    }
-
-    /// Recovers the underlying buffer if this tensor is its sole owner
-    /// (pool reclamation); a shared buffer stays with its other owners.
-    pub(crate) fn try_into_buffer(self) -> Option<Buf> {
-        Arc::try_unwrap(self.buf).ok()
-    }
-
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
         Tensor::from_parts(data.to_vec(), vec![data.len()])
@@ -724,7 +706,7 @@ impl Tensor {
 
     /// Matrix product of two rank-2 tensors.
     ///
-    /// Packed register-blocked FMA microkernel (see [`crate::kernels`])
+    /// Packed register-blocked FMA microkernel (the private `kernels` module)
     /// behind a driver that parallelizes over output-row ranges on the
     /// [`par`] pool; every output element is one serial ascending-`p`
     /// `mul_add` chain, so results are bit-identical for any thread count

@@ -68,7 +68,7 @@
 //! [`crate::cast`]; lint rule L017 keeps byte-level (de)serialization
 //! confined to this module and bans bare narrowing casts inside it.
 
-use crate::storage::{Dtype, Element, QuantTensor, F16};
+use crate::storage::{Dtype, Element, F16};
 use crate::{cast, Tensor};
 use std::cell::Cell;
 use std::fmt;
@@ -803,23 +803,22 @@ pub fn decode_tensor_onto(
     decode_frame(r, codec.into(), Some(base))
 }
 
-/// Decodes one checkpoint section at its stored width, handing it to
-/// `dense` (f32, f16) or — still at i8, through [`decode_tensor_quant`] —
-/// to `quant`. Fails as [`decode_tensor`], or on an unknown dtype tag.
-pub fn decode_section<T>(
-    r: &mut ByteReader<'_>,
-    dense: impl FnOnce(Tensor) -> T,
-    quant: impl FnOnce(QuantTensor) -> T,
-) -> WireResult<T> {
+/// Decodes one checkpoint section — its dtype tag, then a frame at that
+/// width — widened to f32 (an i8 level decodes to `level × scale`, as the
+/// `quant_i8` frame does). Fails as [`decode_tensor`], or on an unknown
+/// dtype tag.
+///
+/// # Errors
+///
+/// Returns a typed [`WireError`] for an unknown tag or any truncated,
+/// oversized or corrupt frame; never panics.
+pub fn decode_section(r: &mut ByteReader<'_>) -> WireResult<Tensor> {
     let tag = r.read_u8()?;
-    match Dtype::from_tag(tag) {
-        Some(Dtype::I8) => decode_tensor_quant(r).map(quant),
-        Some(dtype) => decode_frame(r, dtype.into(), None).map(dense),
-        None => Err(WireError::UnknownTag {
-            what: "DNCK dtype",
-            tag,
-        }),
-    }
+    let dtype = Dtype::from_tag(tag).ok_or(WireError::UnknownTag {
+        what: "DNCK dtype",
+        tag,
+    })?;
+    decode_frame(r, dtype.into(), None)
 }
 
 /// Decodes a frame's payload, adding each value onto its `base` element
@@ -901,30 +900,6 @@ fn collect_onto(values: impl Iterator<Item = f32>, len: usize, base: Option<&[f3
         None => out.extend(values),
     }
     out
-}
-
-/// Decodes one i8 frame natively into `i8` storage: one byte per element
-/// lands in a [`Buffer<i8>`](crate::storage::Buffer) instead of a four-byte
-/// `f32`, and the dense form is materialized lazily at first read
-/// ([`QuantTensor::dense`](crate::storage::QuantTensor::dense)).
-///
-/// # Errors
-///
-/// Returns a typed [`WireError`] for any truncated, oversized or corrupt
-/// frame; never panics.
-pub fn decode_tensor_quant(r: &mut ByteReader<'_>) -> WireResult<QuantTensor> {
-    let (shape, len) = read_shape(r)?;
-    let scale = r.read_f32()?;
-    let levels: Vec<i8> = r
-        .take(len)?
-        .iter()
-        .map(|&b| i8::from_le_bytes([b]))
-        .collect();
-    let actual = levels.len();
-    QuantTensor::from_levels(levels, scale, &shape).map_err(|_| WireError::ShapeMismatch {
-        declared: len,
-        actual,
-    })
 }
 
 /// The Sign1 shared scale: mean |x|, accumulated sequentially in f64 so
@@ -1090,14 +1065,8 @@ mod tests {
             assert_eq!(bytes.len(), encoded_section_len(&t, dtype), "{dtype}");
             assert_eq!(bytes[0], dtype.tag());
             let mut r = ByteReader::new(&bytes);
-            let back = decode_section(&mut r, |t| t, |q| q.to_tensor()).unwrap();
+            let back = decode_section(&mut r).unwrap();
             r.finish().unwrap();
-            let resident = decode_section(&mut ByteReader::new(&bytes), |_| false, |_| true);
-            assert_eq!(
-                resident.unwrap(),
-                dtype == Dtype::I8,
-                "{dtype}: only i8 stays resident"
-            );
             let want: Vec<u32> = match dtype {
                 Dtype::F32 => bits(&t),
                 Dtype::F16 => t
@@ -1120,7 +1089,7 @@ mod tests {
             }
         }
         assert_eq!(
-            decode_section(&mut ByteReader::new(&[0x7F]), |_| (), |_| ()).unwrap_err(),
+            decode_section(&mut ByteReader::new(&[0x7F])).unwrap_err(),
             WireError::UnknownTag {
                 what: "DNCK dtype",
                 tag: 0x7F

@@ -10,14 +10,11 @@
 
 use dinar_fl::ckpt::{decode_resume, encode_resume, load_resume, save_resume, FlCheckpoint};
 use dinar_fl::{FlConfig, FlError, FlSystem, MiddlewareState};
-use dinar_nn::ckpt::{
-    self, CkptKind, CkptTensor, RawCheckpoint, FORMAT_VERSION, HEADER_LEN, MAGIC,
-};
+use dinar_nn::ckpt::{self, CkptKind, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::Adam;
-use dinar_nn::serve::ServingModel;
 use dinar_nn::snapshot::{decode_params, encode_params};
-use dinar_nn::{LayerParams, ModelParams, NnError};
+use dinar_nn::{LayerParams, Model, ModelParams, NnError};
 use dinar_tensor::wire::{self, ByteWriter, Codec, WireError};
 use dinar_tensor::{Dtype, Rng, Tensor};
 use std::path::PathBuf;
@@ -144,7 +141,7 @@ fn truncated_model_checkpoints_error_at_every_cut() {
         );
     }
     let mixed = mixed_width_checkpoint(&params);
-    corruption::assert_every_prefix_fails("mixed", &mixed, ckpt::decode_checkpoint_raw);
+    corruption::assert_every_prefix_fails("mixed", &mixed, ckpt::decode_checkpoint);
 }
 
 /// Header corruption surfaces as typed errors: wrong magic, unsupported
@@ -198,7 +195,7 @@ fn corrupted_model_checkpoints_never_panic() {
         &mixed_width_checkpoint(&params),
         98,
         200,
-        ckpt::decode_checkpoint_raw,
+        ckpt::decode_checkpoint,
     );
 }
 
@@ -248,12 +245,123 @@ fn serving_loader_rejects_corrupt_files() {
     let path = temp_path("serve-corrupt.dnck");
     let bytes = ckpt::encode_checkpoint(&params, Dtype::I8).expect("encode");
     std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write truncated");
-    assert!(matches!(
-        ServingModel::load(&path),
-        Err(NnError::Wire(_) | NnError::InvalidConfig { .. })
-    ));
+    assert!(matches!(ckpt::load(&path), Err(NnError::Wire(_))));
     std::fs::remove_file(&path).ok();
-    assert!(ServingModel::load(temp_path("does-not-exist.dnck")).is_err());
+    assert!(matches!(
+        ckpt::load(temp_path("does-not-exist.dnck")),
+        Err(NnError::InvalidConfig { .. })
+    ));
+}
+
+/// The four zoo families the figures train — fcnn6 (tanh), `vgg11_mini`,
+/// `resnet_mini` (BatchNorm buffers) and `m18_mini` — each built twice
+/// from different seeds, with the class count of the wrong-architecture
+/// twin and an input batch.
+fn served_zoo() -> Vec<(&'static str, ZooCtor, Tensor)> {
+    let mut rng = Rng::seed_from(0x5E7E);
+    vec![
+        (
+            "fcnn6",
+            |classes, rng| models::fcnn6(40, classes, 64, rng),
+            rng.randn(&[6, 40]),
+        ),
+        (
+            "vgg11_mini",
+            |classes, rng| models::vgg11_mini(3, classes, rng),
+            rng.randn(&[3, 3, 16, 16]),
+        ),
+        (
+            "resnet_mini",
+            |classes, rng| models::resnet_mini(3, classes, rng),
+            rng.randn(&[3, 3, 8, 8]),
+        ),
+        (
+            "m18_mini",
+            |classes, rng| models::m18_mini(classes, rng),
+            rng.randn(&[3, 1, 256]),
+        ),
+    ]
+}
+
+type ZooCtor = fn(usize, &mut Rng) -> dinar_nn::Result<Model>;
+
+fn state_bits(model: &Model) -> Vec<u32> {
+    model
+        .params()
+        .to_flat()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// Serving is the zoo model plus `set_params(&ckpt::load(..)?)`: an f32
+/// checkpoint loaded into a differently seeded model of the same
+/// architecture gives eval logits bit-identical to the source model's; f16
+/// and i8 checkpoints load and predict through the same path; and a
+/// checkpoint of the same family with another class count (every layer but
+/// the classifier fits) is refused with every parameter and buffer left as
+/// it was.
+#[test]
+fn checkpoints_serve_through_the_zoo_model() {
+    const CLASSES: usize = 7;
+    for (name, build, x) in served_zoo() {
+        let mut source = build(CLASSES, &mut Rng::seed_from(1)).expect("source");
+        // A train-mode pass moves BatchNorm running statistics off init,
+        // so the checkpoint has to carry them.
+        source.forward(&x, true).expect("train forward");
+        let want = source.forward(&x, false).expect("source logits");
+        let mut served = build(CLASSES, &mut Rng::seed_from(2)).expect("served");
+        assert_ne!(
+            tensor_bits(&served.forward(&x, false).expect("fresh logits")),
+            tensor_bits(&want),
+            "{name}: the fresh model already agreed"
+        );
+
+        let path = temp_path(&format!("serve-{name}-f32.dnck"));
+        ckpt::save(&source.params(), Dtype::F32, &path).expect("save");
+        served
+            .set_params(&ckpt::load(&path).expect("load"))
+            .expect("install");
+        std::fs::remove_file(&path).ok();
+        let got = served.forward(&x, false).expect("served logits");
+        assert_eq!(tensor_bits(&got), tensor_bits(&want), "{name}: f32 logits");
+        assert!(state_bits(&served) == state_bits(&source), "{name}: state");
+
+        for dtype in [Dtype::F16, Dtype::I8] {
+            let path = temp_path(&format!("serve-{name}-{dtype}.dnck"));
+            ckpt::save(&source.params(), dtype, &path).expect("save");
+            let mut narrow = build(CLASSES, &mut Rng::seed_from(3)).expect("narrow");
+            narrow
+                .set_params(&ckpt::load(&path).expect("load"))
+                .expect("install");
+            std::fs::remove_file(&path).ok();
+            // The narrow widths track the f32 logits on O(1) activations.
+            let logits = narrow.forward(&x, false).expect("narrow logits");
+            let drift = logits
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f32, f32::max);
+            let bound = if dtype == Dtype::I8 { 0.2 } else { 0.02 };
+            assert!(drift < bound, "{name} {dtype}: logits drifted by {drift}");
+            let classes = narrow.predict(&x).expect("predict");
+            assert_eq!(classes.len(), x.shape()[0], "{name} {dtype}");
+            assert!(classes.iter().all(|&c| c < CLASSES), "{name} {dtype}");
+        }
+
+        let twin = build(CLASSES + 1, &mut Rng::seed_from(4)).expect("twin");
+        let before = state_bits(&served);
+        let path = temp_path(&format!("serve-{name}-twin.dnck"));
+        ckpt::save(&twin.params(), Dtype::F32, &path).expect("save");
+        let refused = served.set_params(&ckpt::load(&path).expect("load"));
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(refused, Err(NnError::ParamShapeMismatch { .. })),
+            "{name}: {refused:?}"
+        );
+        assert!(state_bits(&served) == before, "{name}: refused load wrote");
+    }
 }
 
 /// The writers and reader the shared section codec replaced, copied from
@@ -264,10 +372,9 @@ fn serving_loader_rejects_corrupt_files() {
 mod parent {
     use dinar_fl::ckpt::FlCheckpoint;
     use dinar_fl::MiddlewareState;
-    use dinar_nn::ckpt::CkptTensor;
     use dinar_nn::ModelParams;
     use dinar_tensor::wire::{ByteReader, ByteWriter, Codec};
-    use dinar_tensor::{cast, Dtype, Element, QuantTensor, RngState, Tensor, F16};
+    use dinar_tensor::{cast, Dtype, Element, RngState, Tensor, F16};
 
     fn quantise(xs: &[f32]) -> (f32, Vec<i8>) {
         let max = xs
@@ -435,8 +542,8 @@ mod parent {
     }
 
     /// `nn::ckpt::read_params_raw` at the parent, after the header: grow by
-    /// push, one element per read.
-    pub fn read_model(bytes: &[u8]) -> Vec<Vec<CkptTensor>> {
+    /// push, one element per read, an i8 level widened as `level × scale`.
+    pub fn read_model(bytes: &[u8]) -> Vec<Vec<Tensor>> {
         let mut r = ByteReader::new(&bytes[7..]);
         let mut out = Vec::new();
         for _ in 0..r.read_u32().unwrap() {
@@ -447,28 +554,19 @@ mod parent {
                     .map(|_| r.read_u32().unwrap() as usize)
                     .collect();
                 let len = shape.iter().product();
-                layer.push(match dtype {
-                    Dtype::F32 => CkptTensor::Dense(
-                        Tensor::from_vec((0..len).map(|_| r.read_f32().unwrap()).collect(), &shape)
-                            .unwrap(),
-                    ),
-                    Dtype::F16 => CkptTensor::Dense(
-                        Tensor::from_vec(
-                            (0..len)
-                                .map(|_| F16::from_u16(r.read_u16().unwrap()).to_f32())
-                                .collect(),
-                            &shape,
-                        )
-                        .unwrap(),
-                    ),
+                let values: Vec<f32> = match dtype {
+                    Dtype::F32 => (0..len).map(|_| r.read_f32().unwrap()).collect(),
+                    Dtype::F16 => (0..len)
+                        .map(|_| F16::from_u16(r.read_u16().unwrap()).to_f32())
+                        .collect(),
                     Dtype::I8 => {
                         let scale = r.read_f32().unwrap();
-                        let levels = (0..len)
-                            .map(|_| i8::from_le_bytes([r.read_u8().unwrap()]))
-                            .collect();
-                        CkptTensor::Quant(QuantTensor::from_levels(levels, scale, &shape).unwrap())
+                        (0..len)
+                            .map(|_| f32::from(i8::from_le_bytes([r.read_u8().unwrap()])) * scale)
+                            .collect()
                     }
-                });
+                };
+                layer.push(Tensor::from_vec(values, &shape).unwrap());
             }
             out.push(layer);
         }
@@ -481,26 +579,22 @@ fn tensor_bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
-/// A section's variant and every bit it decoded to.
-fn section_bits(section: &CkptTensor) -> (bool, Vec<usize>, Vec<u32>) {
-    match section {
-        CkptTensor::Dense(t) => (false, t.shape().to_vec(), tensor_bits(t)),
-        CkptTensor::Quant(q) => {
-            let mut bits: Vec<u32> = q
-                .levels()
-                .iter()
-                .map(|&l| u32::from(l.to_le_bytes()[0]))
-                .collect();
-            bits.push(q.scale().to_bits());
-            (true, q.shape().to_vec(), bits)
-        }
-    }
+/// Every decoded layer's tensors as their shapes and bits.
+fn layer_bits(layers: &[Vec<Tensor>]) -> Vec<Vec<(Vec<usize>, Vec<u32>)>> {
+    layers
+        .iter()
+        .map(|l| {
+            l.iter()
+                .map(|t| (t.shape().to_vec(), tensor_bits(t)))
+                .collect()
+        })
+        .collect()
 }
 
-fn raw_bits(raw: &[Vec<CkptTensor>]) -> Vec<Vec<(bool, Vec<usize>, Vec<u32>)>> {
-    raw.iter()
-        .map(|l| l.iter().map(section_bits).collect())
-        .collect()
+/// The dense tensors `ckpt::decode_checkpoint` gives, by layer.
+fn decoded_layers(bytes: &[u8]) -> Vec<Vec<Tensor>> {
+    let params = ckpt::decode_checkpoint(bytes).expect("decode");
+    params.layers.into_iter().map(|l| l.tensors).collect()
 }
 
 /// Parameters with every awkward value a payload can meet: both zeros,
@@ -564,7 +658,7 @@ fn full_resume_image() -> FlCheckpoint {
 /// Same bytes: `DNWR` streams under every codec, `DNCK` models at every
 /// dtype, a mixed-width checkpoint and a full resume image all encode to
 /// exactly what the parent's element-at-a-time writers wrote, and decode to
-/// the bits and `RawCheckpoint` variants the parent's reader produced.
+/// the bits the parent's reader produced.
 #[test]
 fn codecs_write_the_parents_bytes() {
     let params = awkward_params();
@@ -592,10 +686,9 @@ fn codecs_write_the_parents_bytes() {
             let bytes = ckpt::encode_checkpoint(p, dtype).expect("encode");
             assert_eq!(bytes, parent::dnck(p, dtype), "DNCK {dtype:?}");
             assert_eq!(bytes.len(), ckpt::encoded_checkpoint_len(p, dtype));
-            let RawCheckpoint { layers } = ckpt::decode_checkpoint_raw(&bytes).expect("decode");
             assert_eq!(
-                raw_bits(&layers),
-                raw_bits(&parent::read_model(&bytes)),
+                layer_bits(&decoded_layers(&bytes)),
+                layer_bits(&parent::read_model(&bytes)),
                 "DNCK {dtype:?}"
             );
         }
@@ -610,8 +703,10 @@ fn codecs_write_the_parents_bytes() {
         parent::section(&mut want, t, ALL_DTYPES[i % 3]);
     }
     assert_eq!(mixed, want.into_bytes(), "mixed-width sections");
-    let RawCheckpoint { layers } = ckpt::decode_checkpoint_raw(&mixed).expect("decode");
-    assert_eq!(raw_bits(&layers), raw_bits(&parent::read_model(&mixed)));
+    assert_eq!(
+        layer_bits(&decoded_layers(&mixed)),
+        layer_bits(&parent::read_model(&mixed))
+    );
 
     let image = full_resume_image();
     let bytes = encode_resume(&image).expect("encode");
