@@ -121,7 +121,7 @@ impl ClientMiddleware for DinarMiddleware {
         })
     }
 
-    fn import_state(&mut self, state: MiddlewareState) -> dinar_fl::Result<()> {
+    fn check_state(&self, state: &MiddlewareState) -> dinar_fl::Result<()> {
         if state.stored.len() != self.stored.len() {
             return Err(FlError::Middleware {
                 name: "dinar",
@@ -132,11 +132,14 @@ impl ClientMiddleware for DinarMiddleware {
                 ),
             });
         }
+        Ok(())
+    }
+
+    fn import_state(&mut self, state: MiddlewareState) {
         if let Some(rng) = state.rng {
             self.rng = Rng::from_state(rng);
         }
         self.stored = state.stored;
-        Ok(())
     }
 }
 

@@ -19,23 +19,47 @@
 //! * [`Modality::BinaryTabular`] — per-class Bernoulli feature profiles with
 //!   flip noise (stands in for Purchase100 and Texas100's binary records).
 //!
-//! # Row offsets
+//! # Stream layout (images and audio)
 //!
-//! A dataset is the serial walk of one stream: class prototypes (or
-//! profiles), then rows `0..n` in order, then the shuffle. Image rows take
-//! `flen` scalar normals and tabular rows two raw draws per feature, so
-//! where row `i` starts in the stream is known without drawing the rows
-//! before it. Each parallel part therefore advances a copy of the stream to
-//! its first row ([`Rng::advance`]; for images, whether a part starts on the
-//! cached half of a Box–Muller pair follows from the count), the caller's
-//! stream is advanced past the last row, and the output — dataset and the
-//! caller's state after it — is the serial walk's at every pool width.
-//! Audio rows draw a rejection-sampled shift first, so their offsets depend
-//! on the data: they are walked serially through the same row function.
+//! The prototype generator draws every Gaussian from one counter-based
+//! stream ([`CbRng`]), keyed by the caller's next two raw outputs, as
+//! [`Rng::fill_normal`] keys its fills. Write `z(p)` for that stream's
+//! standard normal at position `p` (half `p % 2` of
+//! [`CbRng::ref_normal_pair`]`(p / 2)`), `C` for the class count, `F` for
+//! the row length and `n` for the sample count. The caller's `rng` draws,
+//! in this order:
+//!
+//! 1. the key: two raw outputs ([`Rng::next_u64`]);
+//! 2. audio only: the `C` waveform prototypes (three sinusoids of three
+//!    [`Rng::uniform_in`] draws each), then one shift per row in row
+//!    order, [`Rng::below`]`(F / 8)` when `F > 8` and 0 otherwise;
+//! 3. the shuffle: [`Rng::permutation`]`(n)`.
+//!
+//! Image prototype `c` element `j` is `z(c·F + j)·1 + 0` (an
+//! `N(0, 1)` fill). Generated row `i` has label `i % C`, and its element `j`
+//! is `proto[(j + shift) % F] + z(P + i·F + j)·noise`, where `P = C·F` for
+//! images (the positions the prototypes took) and `0` for audio, and an
+//! image row's shift is 0. Shuffled row `r` is generated row `perm[r]`.
+//!
+//! Row `i`'s noise is the fixed position range `[P + i·F, P + (i+1)·F)`,
+//! so every shuffled slot is filled straight from its own range, in
+//! parallel parts, and the partition cannot change a bit. The caller's
+//! `rng` takes no scalar Gaussian draw, so a cached Box–Muller half-sample
+//! stays cached.
+//!
+//! # Row offsets (tabular)
+//!
+//! A tabular dataset is the serial walk of the caller's stream: class
+//! profiles, then rows `0..n` in order at two raw draws per feature, then
+//! the shuffle. Where row `i` starts is therefore known without drawing the
+//! rows before it: each parallel part advances a copy of the stream to its
+//! first row ([`Rng::advance`]), the caller's stream is advanced past the
+//! last row, and the output — dataset and the caller's state after it — is
+//! the serial walk's at every pool width.
 
 use crate::{DataError, Dataset, Result};
 use dinar_tensor::json::{Json, ToJson};
-use dinar_tensor::{par, Rng, Tensor};
+use dinar_tensor::{par, CbRng, Rng, Tensor};
 
 /// The feature modality of a synthetic task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,9 +205,8 @@ impl SynthSpec {
     /// Labels are balanced (`num_samples / num_classes` each, up to
     /// remainder) and rows are shuffled. The same `rng` state always yields
     /// the same dataset, and leaves `rng` in the same state, at every pool
-    /// width: image and tabular rows take a fixed number of draws each, so
-    /// they are filled in parallel parts, each from a copy of the stream
-    /// advanced to its first row (see [`Rng::advance`]).
+    /// width: every row is drawn from a position range known before any row
+    /// is drawn (see the module docs), so rows are filled in parallel parts.
     ///
     /// # Errors
     ///
@@ -196,43 +219,50 @@ impl SynthSpec {
         }
     }
 
-    /// Prototype-plus-noise generator for images and audio. For audio a
-    /// random circular shift is applied so that models must learn
-    /// shift-tolerant features (as convolutions with pooling do).
+    /// Prototype-plus-noise generator for images and audio, in the stream
+    /// layout of the module docs. For audio a random circular shift is
+    /// applied so that models must learn shift-tolerant features (as
+    /// convolutions with pooling do).
     fn generate_prototype(&self, rng: &mut Rng) -> Result<Dataset> {
-        let flen = self.modality.feature_len();
-        // Per-class prototypes.
-        let prototypes: Vec<Vec<f32>> = (0..self.num_classes)
-            .map(|_| match self.modality {
-                Modality::Audio { len } => waveform_prototype(rng, len),
-                _ => (0..flen).map(|_| rng.normal()).collect(),
-            })
-            .collect();
-        let class_of = |row: usize| &prototypes[row % self.num_classes];
-        let noise = self.noise;
-        if let Modality::Audio { .. } = self.modality {
-            // The shift is rejection-sampled (`Rng::below`), so where a row's
-            // draws start depends on the rows before it: audio rows are
-            // walked serially, and shuffled once all are drawn.
-            let mut rows = vec![0.0f32; self.num_samples * flen];
-            for (i, row) in rows.chunks_exact_mut(flen).enumerate() {
-                let shift = if flen > 8 { rng.below(flen / 8) } else { 0 };
-                noisy_row(row, class_of(i), shift, noise, rng);
+        let (n, classes, flen) = (
+            self.num_samples,
+            self.num_classes,
+            self.modality.feature_len(),
+        );
+        let stream = CbRng::new(rng.next_u64(), rng.next_u64());
+        // Row `i`'s noise starts at `first + i·flen`: past the prototypes
+        // the stream holds for images, at 0 for audio.
+        let (prototypes, shifts, first) = match self.modality {
+            Modality::Audio { len } => {
+                let prototypes: Vec<f32> = (0..classes)
+                    .flat_map(|_| waveform_prototype(rng, len))
+                    .collect();
+                // The shift is rejection-sampled (`Rng::below`), so the
+                // shifts are drawn serially, before any row.
+                let shifts = (0..n)
+                    .map(|_| if flen > 8 { rng.below(flen / 8) } else { 0 })
+                    .collect();
+                (prototypes, shifts, 0)
             }
-            let perm = rng.permutation(self.num_samples);
-            let data = perm
-                .iter()
-                .flat_map(|&i| &rows[i * flen..][..flen])
-                .copied()
-                .collect();
-            return self.dataset(data, &perm);
-        }
-        // An image row is `flen` scalar normals.
-        self.shuffled_rows(
-            rng,
-            |stream, rows| skip_normals(stream, rows * flen),
-            |row, i, stream| noisy_row(row, class_of(i), 0, noise, stream),
-        )
+            _ => {
+                let mut prototypes = vec![0.0f32; classes * flen];
+                stream.fill_normal(0, &mut prototypes, 0.0, 1.0);
+                (prototypes, vec![0; n], classes * flen)
+            }
+        };
+        let perm = rng.permutation(n);
+        let noise = self.noise;
+        let mut data = vec![0.0f32; n * flen];
+        let row_bytes = flen * std::mem::size_of::<f32>();
+        par::for_each_part_mut(&mut data, flen, row_bytes, |offset, part| {
+            for (row, &i) in part.chunks_exact_mut(flen).zip(&perm[offset / flen..]) {
+                let class = i % classes;
+                row.copy_from_slice(&prototypes[class * flen..][..flen]);
+                row.rotate_left(shifts[i]);
+                stream.axpy_normal(first + i * flen, row, noise);
+            }
+        });
+        self.dataset(data, &perm)
     }
 
     /// Bernoulli-profile generator for binary tabular data.
@@ -255,24 +285,19 @@ impl SynthSpec {
             .collect();
         let flip = bernoulli_threshold(self.noise);
         // A tabular row is two raw draws per feature.
-        self.shuffled_rows(
-            rng,
-            |stream, rows| stream.advance(2 * (rows * features) as u64),
-            |row, i, stream| {
-                for (slot, &on) in row.iter_mut().zip(&profiles[i % self.num_classes]) {
-                    let bit = (stream.next_u64() >> 40) < on;
-                    let flipped = (stream.next_u64() >> 40) < flip; // label-independent flip noise
-                    *slot = f32::from(u8::from(bit ^ flipped));
-                }
-            },
-        )
+        self.shuffled_rows(rng, 2 * features as u64, |row, i, stream| {
+            for (slot, &on) in row.iter_mut().zip(&profiles[i % self.num_classes]) {
+                let bit = (stream.next_u64() >> 40) < on;
+                let flipped = (stream.next_u64() >> 40) < flip; // label-independent flip noise
+                *slot = f32::from(u8::from(bit ^ flipped));
+            }
+        })
     }
 
-    /// Draws the rows of a generator whose rows take a fixed number of
-    /// draws, then shuffles them, as a serial walk over `rng` would — each
-    /// row drawn straight into its shuffled place, on the pool.
+    /// Draws the rows of a generator whose rows take `draws_per_row` raw
+    /// draws each, then shuffles them, as a serial walk over `rng` would —
+    /// each row drawn straight into its shuffled place, on the pool.
     ///
-    /// `skip(stream, rows)` moves a stream past `rows` rows, and
     /// `fill(row, i, stream)` draws row `i` from a stream at its first
     /// draw. Each parallel part advances a copy of `rng` to its first row;
     /// `rng` itself is advanced past the last row and then draws the
@@ -280,12 +305,12 @@ impl SynthSpec {
     fn shuffled_rows(
         &self,
         rng: &mut Rng,
-        skip: impl Fn(&mut Rng, usize) + Sync,
+        draws_per_row: u64,
         fill: impl Fn(&mut [f32], usize, &mut Rng) + Sync,
     ) -> Result<Dataset> {
         let (n, flen) = (self.num_samples, self.modality.feature_len());
         let start = rng.clone();
-        skip(rng, n);
+        rng.advance(n as u64 * draws_per_row);
         let perm = rng.permutation(n);
         let mut data = vec![0.0f32; n * flen];
         // Shuffled row `r` is row `perm[r]`: order the slots by their row.
@@ -298,7 +323,7 @@ impl SynthSpec {
         let row_bytes = flen * std::mem::size_of::<f32>();
         par::for_each_part_mut(&mut slots, 1, row_bytes, |first, part| {
             let mut stream = start.clone();
-            skip(&mut stream, first);
+            stream.advance(first as u64 * draws_per_row);
             for (i, row) in part.iter_mut() {
                 fill(row, *i, &mut stream);
             }
@@ -317,33 +342,6 @@ impl SynthSpec {
             &self.modality.sample_shape(),
             self.num_classes,
         )
-    }
-}
-
-/// One prototype-plus-noise row: element `j` is `proto[(j + shift) % flen]`
-/// plus `noise` times the next scalar normal of `rng` — `flen` normals,
-/// whatever the shift.
-fn noisy_row(row: &mut [f32], proto: &[f32], shift: usize, noise: f32, rng: &mut Rng) {
-    let rotated = proto[shift..].iter().chain(&proto[..shift]);
-    for (slot, &p) in row.iter_mut().zip(rotated) {
-        *slot = p + noise * rng.normal();
-    }
-}
-
-/// Moves `rng` past `count` scalar normals: the state `count` calls of
-/// [`Rng::normal`] leave. A call returns the cached half-sample if there is
-/// one; otherwise it draws a Box–Muller pair (two raw outputs) and caches
-/// the pair's second half.
-fn skip_normals(rng: &mut Rng, count: usize) {
-    if count == 0 {
-        return;
-    }
-    let mut state = rng.state();
-    let fresh = count - usize::from(state.gauss_cache.take().is_some());
-    *rng = Rng::from_state(state);
-    rng.advance(2 * (fresh / 2) as u64);
-    if fresh % 2 == 1 {
-        rng.normal();
     }
 }
 

@@ -114,7 +114,7 @@ impl Optimizer for DpOptimizer {
     /// Refuses every resume: the exported state is empty, so the image
     /// carries neither the noise stream nor the wrapped optimizer's state,
     /// and a run restored without them would diverge.
-    fn import_state(&mut self, _state: OptimState) -> Result<()> {
+    fn check_state(&self, _state: &OptimState) -> Result<()> {
         Err(NnError::InvalidConfig {
             reason: format!(
                 "`dp-sgd` cannot resume: the resume image carries neither its noise \

@@ -113,13 +113,20 @@ impl ClientMiddleware for WeakDp {
         })
     }
 
-    fn import_state(&mut self, state: MiddlewareState) -> Result<()> {
-        let rng = state.rng.ok_or_else(|| FlError::Middleware {
-            name: "wdp",
-            reason: "resume image carries no noise stream".into(),
-        })?;
-        self.rng = Rng::from_state(rng);
-        Ok(())
+    fn check_state(&self, state: &MiddlewareState) -> Result<()> {
+        match state.rng {
+            Some(_) => Ok(()),
+            None => Err(FlError::Middleware {
+                name: "wdp",
+                reason: "resume image carries no noise stream".into(),
+            }),
+        }
+    }
+
+    fn import_state(&mut self, state: MiddlewareState) {
+        if let Some(rng) = state.rng {
+            self.rng = Rng::from_state(rng);
+        }
     }
 }
 

@@ -177,7 +177,8 @@ impl FlClient {
     }
 
     /// Runs `local_epochs` of mini-batch training on the local shard and
-    /// returns the mean training loss over all batches.
+    /// returns the mean training loss over all batches. The model's layer
+    /// caches are dropped when training ends.
     ///
     /// # Errors
     ///
@@ -199,6 +200,9 @@ impl FlClient {
                 batches += 1;
             }
         }
+        // The last batch's activations are dead once training ends; the
+        // upload middleware allocates model-sized buffers on top of them.
+        self.model.clear_cache();
         Ok((total / batches.max(1) as f64) as f32)
     }
 
@@ -259,15 +263,16 @@ impl FlClient {
         }
     }
 
-    /// Restores state captured by [`export_state`](FlClient::export_state)
-    /// into this client. The client must have been rebuilt with the same
-    /// id, architecture, optimizer and middleware stack.
+    /// Checks, writing nothing, that [`import_state`](FlClient::import_state)
+    /// would accept `state`: the client id, the middleware slot count, the
+    /// parameter shapes, and the optimizer's and every middleware's own
+    /// check.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] on an id or stack-shape mismatch
-    /// and propagates parameter/optimizer/middleware restore errors.
-    pub fn import_state(&mut self, state: ClientCkpt) -> Result<()> {
+    /// and propagates parameter/optimizer/middleware check errors.
+    pub fn check_state(&self, state: &ClientCkpt) -> Result<()> {
         if state.id != self.id {
             return Err(FlError::InvalidConfig {
                 reason: format!("resume image is for client {}, not {}", state.id, self.id),
@@ -282,12 +287,33 @@ impl FlClient {
                 ),
             });
         }
+        self.model.check_params(&state.params)?;
+        self.optimizer.check_state(&state.optim)?;
+        for (mw, st) in self.middleware.iter().zip(&state.middleware) {
+            if let Some(st) = st {
+                mw.check_state(st)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores state captured by [`export_state`](FlClient::export_state)
+    /// into this client, all or nothing: [`check_state`](FlClient::check_state)
+    /// runs before anything is written. The client must have been rebuilt
+    /// with the same id, architecture, optimizer and middleware stack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`check_state`](FlClient::check_state)'s errors, leaving the
+    /// client as it was.
+    pub fn import_state(&mut self, state: ClientCkpt) -> Result<()> {
+        self.check_state(&state)?;
         self.model.set_params(&state.params)?;
         self.rng = Rng::from_state(state.rng);
-        self.optimizer.import_state(state.optim)?;
+        self.optimizer.import_state(state.optim);
         for (mw, st) in self.middleware.iter_mut().zip(state.middleware) {
             if let Some(st) = st {
-                mw.import_state(st)?;
+                mw.import_state(st);
             }
         }
         Ok(())

@@ -87,20 +87,30 @@ pub trait ClientMiddleware: std::fmt::Debug + Send {
         None
     }
 
-    /// Restores state previously captured by
-    /// [`export_state`](ClientMiddleware::export_state). Only called with
-    /// a `Some` export, so the stateless default rejects: reaching it means
-    /// a resume image was taken with a different middleware stack.
+    /// Checks, writing nothing, that `state` is one
+    /// [`import_state`](ClientMiddleware::import_state) can install: a
+    /// capture by [`export_state`](ClientMiddleware::export_state) of the
+    /// same middleware. Only called with a `Some` export, so the stateless
+    /// default refuses: reaching it means a resume image was taken with a
+    /// different middleware stack. A resume checks every section of its
+    /// image this way before it writes any.
     ///
     /// # Errors
     ///
     /// Returns [`crate::FlError::Middleware`] if the state is incompatible.
-    fn import_state(&mut self, state: MiddlewareState) -> Result<()> {
+    fn check_state(&self, state: &MiddlewareState) -> Result<()> {
         let _ = state;
         Err(crate::FlError::Middleware {
             name: self.name(),
             reason: "middleware is stateless; resume image does not match this stack".into(),
         })
+    }
+
+    /// Installs a state that [`check_state`](ClientMiddleware::check_state)
+    /// accepted. It cannot fail: every refusal is `check_state`'s. The
+    /// stateless default has nothing to install.
+    fn import_state(&mut self, state: MiddlewareState) {
+        let _ = state;
     }
 }
 

@@ -76,19 +76,26 @@ impl FlServer {
     /// state (central DP's noise stream and previous global), so the
     /// resumed run would diverge.
     pub fn restore_state(&mut self, global: ModelParams, rounds_completed: usize) -> Result<()> {
-        if let Some(mw) = self.middleware.first() {
-            return Err(FlError::InvalidConfig {
+        self.check_restore()?;
+        self.global = global;
+        self.scratch = None;
+        self.rounds_completed = rounds_completed;
+        Ok(())
+    }
+
+    /// Checks, writing nothing, that [`FlServer::restore_state`] would
+    /// accept a resume image: the server runs no middleware.
+    pub(crate) fn check_restore(&self) -> Result<()> {
+        match self.middleware.first() {
+            Some(mw) => Err(FlError::InvalidConfig {
                 reason: format!(
                     "server middleware `{}` cannot resume: the resume image carries no \
                      server middleware state",
                     mw.name()
                 ),
-            });
+            }),
+            None => Ok(()),
         }
-        self.global = global;
-        self.scratch = None;
-        self.rounds_completed = rounds_completed;
-        Ok(())
     }
 
     /// FedAvg-aggregates the client updates into a new global model and runs

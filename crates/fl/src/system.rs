@@ -335,11 +335,15 @@ impl FlSystem {
     /// mutable state, making the resumed run bit-identical to one that was
     /// never interrupted.
     ///
+    /// All or nothing: the server's section and every client's
+    /// ([`FlClient::check_state`]) are checked before anything is written,
+    /// so a refused image leaves the system as it was.
+    ///
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] on a client-count mismatch or
     /// when the server runs middleware (see [`FlServer::restore_state`]),
-    /// and propagates per-client restore errors.
+    /// and propagates per-client check errors.
     pub fn restore(&mut self, ckpt: FlCheckpoint) -> Result<()> {
         if ckpt.clients.len() != self.clients.len() {
             return Err(FlError::InvalidConfig {
@@ -350,6 +354,11 @@ impl FlSystem {
                 ),
             });
         }
+        self.server.check_restore()?;
+        for (client, state) in self.clients.iter().zip(&ckpt.clients) {
+            client.check_state(state)?;
+        }
+        // Every section passed its check, so no write below is refused.
         self.server.restore_state(ckpt.global, ckpt.rounds_run)?;
         for (client, state) in self.clients.iter_mut().zip(ckpt.clients) {
             client.import_state(state)?;

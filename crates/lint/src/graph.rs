@@ -574,16 +574,21 @@ pub const L015_FILES: [&str; 7] = [
     "crates/fl/src/middleware.rs",
 ];
 
-/// L015: in the defenses crate and the parameter-plane modules
-/// ([`L015_FILES`]), scalar `.normal()`/`.normal_with()` draws must not sit
-/// inside `for`/`while`/`loop` bodies. A per-element Box–Muller draw walks
-/// the sequential generator one sample at a time — an order of magnitude
+/// L015: in the defenses crate, the data generators (`crates/data/src/`)
+/// and the parameter-plane modules ([`L015_FILES`]), scalar
+/// `.normal()`/`.normal_with()` draws must not sit inside
+/// `for`/`while`/`loop` bodies. A per-element Box–Muller draw walks the
+/// sequential generator one sample at a time — an order of magnitude
 /// slower than the chunked counter-based fills — and a loop over parameters
-/// is exactly the hot shape where that cost dominates a defense's round
-/// time. Use `fill_normal`/`fill_normal_with`/`axpy_normal` on the whole
-/// slice instead; they are also cache-free and telemetry-counted.
+/// or dataset rows is exactly the hot shape where that cost dominates a
+/// defense's round time or a run's set-up. Use
+/// `fill_normal`/`fill_normal_with`/`axpy_normal` on the whole slice
+/// instead; they are also cache-free and telemetry-counted.
 fn check_l015(path: &str, stripped: &Stripped, findings: &mut Vec<Finding>) {
-    let in_scope = path.starts_with("crates/defenses/src/") || L015_FILES.contains(&path);
+    let in_scope = ["crates/defenses/src/", "crates/data/src/"]
+        .iter()
+        .any(|dir| path.starts_with(dir))
+        || L015_FILES.contains(&path);
     if !in_scope {
         return;
     }
@@ -1079,6 +1084,21 @@ mod tests {
             "fn f(rng: &mut Rng, xs: &mut [f32]) {\n\
                  for x in xs.iter_mut() {\n\
                      *x = rng.normal();\n\
+                 }\n\
+             }\n",
+        )]);
+        let l015 = rule_findings(&sources, Rule::L015);
+        assert_eq!(l015.len(), 1, "{l015:?}");
+        assert_eq!(l015[0].line, 3);
+    }
+
+    #[test]
+    fn l015_polices_the_data_generators() {
+        let sources = files(&[(
+            "crates/data/src/synth.rs",
+            "fn noisy_row(row: &mut [f32], proto: &[f32], noise: f32, rng: &mut Rng) {\n\
+                 for (slot, &p) in row.iter_mut().zip(proto) {\n\
+                     *slot = p + noise * rng.normal();\n\
                  }\n\
              }\n",
         )]);

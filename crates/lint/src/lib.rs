@@ -24,7 +24,7 @@
 //! | L011 | seed-taint: no `seed_from(<integer literal>)` outside tests/benches — RNG streams derive from plumbed config |
 //! | L012 | panic-reachability: no `panic!`/`unwrap`/`expect` reachable through the call graph from the FL round loop or the threaded transport |
 //! | L013 | lock-order: nested `Mutex` acquisitions follow the global order `telemetry.event_threads < telemetry.event_log < telemetry.registry < telemetry.histo < tensor.par` |
-//! | L015 | no scalar `.normal()`/`.normal_with()` draws inside loop bodies in the defenses and parameter plane — use the bulk `fill_normal`/`axpy_normal` |
+//! | L015 | no scalar `.normal()`/`.normal_with()` draws inside loop bodies in the defenses, the data generators and the parameter plane — use the bulk `fill_normal`/`axpy_normal` |
 //! | L016 | ledger coverage: every defense transform entry point reaches `privacy_charge` (or `privacy_charge_zero`) through the call graph |
 //! | L017 | wire confinement: byte-level codecs only in `crates/tensor/src/wire.rs`, and no narrowing `as` casts inside it |
 //! | L019 | env switches: `crates/*/src` reads only `DINAR_THREADS` and `DINAR_OBSERVE` from the environment, and still reads both |

@@ -206,13 +206,14 @@ impl Rule {
                  it. Same-class re-entry is flagged too: std Mutex self-deadlocks."
             }
             Rule::L015 => {
-                "L015 — no scalar normal() draws inside loops in defenses/param-plane code.\n\n\
+                "L015 — no scalar normal() draws inside loops in defenses/data/param-plane code.\n\n\
                  A `rng.normal()`/`normal_with()` call inside a loop walks the\n\
                  sequential xoshiro stream one sample at a time through a scalar\n\
                  f64 Box–Muller — roughly an order of magnitude slower per element\n\
                  than the chunked counter-based fills, and since the defenses noise\n\
                  every parameter in place each round, this is exactly the hot-loop\n\
-                 shape that made noise the dominant per-round defense cost. Draw\n\
+                 shape that made noise the dominant per-round defense cost (and the\n\
+                 dataset generators' row loops the dominant set-up cost). Draw\n\
                  the whole slice at once with `Rng::axpy_normal` /\n\
                  `Rng::fill_normal[_with]` (bit-reproducible, cache-free, and\n\
                  counted by the `tensor.rng.samples` telemetry). A genuinely\n\

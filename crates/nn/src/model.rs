@@ -294,13 +294,29 @@ impl Model {
 
     /// Restores the full model state from [`ModelParams`], all or nothing:
     /// every layer's tensor count and every parameter and buffer shape is
-    /// checked before any tensor is replaced.
+    /// checked ([`Model::check_params`]) before any tensor is replaced.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ParamShapeMismatch`] if `params` does not match the
     /// model architecture; the model is then left as it was.
     pub fn set_params(&mut self, params: &ModelParams) -> Result<()> {
+        self.check_params(params)?;
+        for (&i, layer) in self.trainable.iter().zip(&params.layers) {
+            write_layer_params(self.layers[i].as_mut(), layer);
+        }
+        Ok(())
+    }
+
+    /// Checks, writing nothing, that [`Model::set_params`] would accept
+    /// `params`: one entry per trainable layer, each with the layer's tensor
+    /// count and every parameter and buffer shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParamShapeMismatch`] if `params` does not match the
+    /// model architecture.
+    pub fn check_params(&self, params: &ModelParams) -> Result<()> {
         if params.num_layers() != self.trainable.len() {
             return Err(NnError::ParamShapeMismatch {
                 reason: format!(
@@ -312,9 +328,6 @@ impl Model {
         }
         for (&i, layer) in self.trainable.iter().zip(&params.layers) {
             check_layer_params(self.layers[i].as_ref(), layer)?;
-        }
-        for (&i, layer) in self.trainable.iter().zip(&params.layers) {
-            write_layer_params(self.layers[i].as_mut(), layer);
         }
         Ok(())
     }

@@ -49,15 +49,18 @@ pub trait Optimizer: std::fmt::Debug + Send {
         OptimState::default()
     }
 
-    /// Restores state exported by [`Optimizer::export_state`] from the same
-    /// optimizer type, so a resumed run steps bit-identically to an
-    /// uninterrupted one.
+    /// Checks, writing nothing, that `state` is a snapshot
+    /// [`Optimizer::import_state`] can install: one exported by
+    /// [`Optimizer::export_state`] from the same optimizer type. A resume
+    /// checks every section of its image this way before it writes any, so
+    /// a refused image leaves everything as it was.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::InvalidConfig`] if the snapshot's shape
-    /// (scalar/group counts) does not match this optimizer.
-    fn import_state(&mut self, state: OptimState) -> Result<()> {
+    /// (scalar/group counts) does not match this optimizer, or if the
+    /// optimizer cannot resume at all.
+    fn check_state(&self, state: &OptimState) -> Result<()> {
         if state.is_empty() {
             Ok(())
         } else {
@@ -68,6 +71,14 @@ pub trait Optimizer: std::fmt::Debug + Send {
                 ),
             })
         }
+    }
+
+    /// Installs a snapshot that [`Optimizer::check_state`] accepted, so a
+    /// resumed run steps bit-identically to an uninterrupted one. It cannot
+    /// fail: every refusal is `check_state`'s. The default (for stateless
+    /// optimizers) has nothing to install.
+    fn import_state(&mut self, state: OptimState) {
+        let _ = state;
     }
 }
 
@@ -113,6 +124,19 @@ fn check_state_arity(
         });
     }
     Ok(())
+}
+
+/// Scalar register `i` of a checked snapshot (`0.0` past its end, which a
+/// snapshot [`check_state_arity`] accepted never reaches).
+fn scalar(state: &OptimState, i: usize) -> f32 {
+    state.scalars.get(i).copied().unwrap_or_default()
+}
+
+/// The first `N` tensor groups of a checked snapshot, in order (empty past
+/// its end, which a snapshot [`check_state_arity`] accepted never reaches).
+fn groups<const N: usize>(state: OptimState) -> [Vec<Tensor>; N] {
+    let mut groups = state.groups.into_iter();
+    std::array::from_fn(|_| groups.next().unwrap_or_default())
 }
 
 fn ensure_state(state: &mut Vec<Tensor>, params: &[(&mut Tensor, &Tensor)]) {
@@ -190,10 +214,12 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn import_state(&mut self, mut state: OptimState) -> Result<()> {
-        check_state_arity("sgd", &state, 0, 1)?;
-        self.velocity = state.groups.swap_remove(0);
-        Ok(())
+    fn check_state(&self, state: &OptimState) -> Result<()> {
+        check_state_arity("sgd", state, 0, 1)
+    }
+
+    fn import_state(&mut self, state: OptimState) {
+        [self.velocity] = groups(state);
     }
 }
 
@@ -251,10 +277,12 @@ impl Optimizer for Adagrad {
         }
     }
 
-    fn import_state(&mut self, mut state: OptimState) -> Result<()> {
-        check_state_arity("adagrad", &state, 0, 1)?;
-        self.accum = state.groups.swap_remove(0);
-        Ok(())
+    fn check_state(&self, state: &OptimState) -> Result<()> {
+        check_state_arity("adagrad", state, 0, 1)
+    }
+
+    fn import_state(&mut self, state: OptimState) {
+        [self.accum] = groups(state);
     }
 }
 
@@ -330,12 +358,13 @@ impl Optimizer for Adam {
         }
     }
 
-    fn import_state(&mut self, mut state: OptimState) -> Result<()> {
-        check_state_arity("adam", &state, 1, 2)?;
-        self.t = state.scalars[0] as u32;
-        self.v = state.groups.swap_remove(1);
-        self.m = state.groups.swap_remove(0);
-        Ok(())
+    fn check_state(&self, state: &OptimState) -> Result<()> {
+        check_state_arity("adam", state, 1, 2)
+    }
+
+    fn import_state(&mut self, state: OptimState) {
+        self.t = scalar(&state, 0) as u32;
+        [self.m, self.v] = groups(state);
     }
 }
 
@@ -407,12 +436,13 @@ impl Optimizer for AdaMax {
         }
     }
 
-    fn import_state(&mut self, mut state: OptimState) -> Result<()> {
-        check_state_arity("adamax", &state, 1, 2)?;
-        self.t = state.scalars[0] as u32;
-        self.u = state.groups.swap_remove(1);
-        self.m = state.groups.swap_remove(0);
-        Ok(())
+    fn check_state(&self, state: &OptimState) -> Result<()> {
+        check_state_arity("adamax", state, 1, 2)
+    }
+
+    fn import_state(&mut self, state: OptimState) {
+        self.t = scalar(&state, 0) as u32;
+        [self.m, self.u] = groups(state);
     }
 }
 
@@ -505,13 +535,14 @@ impl Optimizer for Adgd {
         }
     }
 
-    fn import_state(&mut self, mut state: OptimState) -> Result<()> {
-        check_state_arity("adgd", &state, 2, 2)?;
-        self.lambda = state.scalars[0];
-        self.theta = state.scalars[1];
-        self.prev_grads = state.groups.swap_remove(1);
-        self.prev_params = state.groups.swap_remove(0);
-        Ok(())
+    fn check_state(&self, state: &OptimState) -> Result<()> {
+        check_state_arity("adgd", state, 2, 2)
+    }
+
+    fn import_state(&mut self, state: OptimState) {
+        self.lambda = scalar(&state, 0);
+        self.theta = scalar(&state, 1);
+        [self.prev_params, self.prev_grads] = groups(state);
     }
 }
 
@@ -728,7 +759,8 @@ mod tests {
             let mut resumed = models::mlp(&[2, 16, 3], Activation::ReLU, &mut rng2).unwrap();
             resumed.set_params(&params).unwrap();
             let mut fresh = by_name(name).unwrap()(0.01);
-            fresh.import_state(state).unwrap();
+            fresh.check_state(&state).unwrap();
+            fresh.import_state(state);
             let mut got = Vec::new();
             for _ in 0..3 {
                 got.push(step(&mut resumed, fresh.as_mut()));
@@ -739,14 +771,14 @@ mod tests {
 
     #[test]
     fn import_rejects_mismatched_arity() {
-        let mut opt = Adam::new(0.01);
+        let opt = Adam::new(0.01);
         let bad = OptimState {
             scalars: Vec::new(),
             groups: vec![Vec::new()],
         };
-        assert!(opt.import_state(bad).is_err());
+        assert!(opt.check_state(&bad).is_err());
         // A fresh optimizer's own export always round-trips.
         let fresh = Adam::new(0.01).export_state();
-        assert!(opt.import_state(fresh).is_ok());
+        assert!(opt.check_state(&fresh).is_ok());
     }
 }

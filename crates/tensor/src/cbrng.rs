@@ -35,6 +35,11 @@
 //!   of pair `i / 2` — so an odd-length fill simply discards the last
 //!   `z1` instead of caching it (no `gauss_cache` hazard; see
 //!   [`crate::Rng::fill_normal`]).
+//! * A Gaussian fill may start at any position `start`: its element `k` is
+//!   Gaussian element `start + k`. The chunked loop takes the elements up to
+//!   the next multiple of the chunk length through the scalar reference,
+//!   then runs its chunks on that grid — so a consumer can hand disjoint
+//!   position ranges of one stream to parallel parts.
 //!
 //! # Determinism argument
 //!
@@ -218,7 +223,7 @@ impl CbRng {
     }
 
     /// Standard normal element `i` of this stream, through the scalar
-    /// reference path (the sub-chunk tails).
+    /// reference path (the heads and tails off the chunk grid).
     #[inline]
     fn ref_normal(&self, i: usize) -> f32 {
         let (z0, z1) = self.ref_normal_pair(i / 2);
@@ -230,16 +235,20 @@ impl CbRng {
     }
 
     /// Maps `out` in place through `f(old, z)` where `z` is the standard
-    /// normal sample at that position of this stream — bit-identical to
-    /// driving [`CbRng::ref_normal_pair`] element by element. This one
-    /// chunked loop backs overwriting fills (`f = |_, z| z·σ + µ`) and
-    /// accumulating noise (`f = |x, z| x + z·σ`) without duplicating the
-    /// sampler.
+    /// normal sample at position `start + k` of this stream for `out[k]` —
+    /// bit-identical to driving [`CbRng::ref_normal_pair`] element by
+    /// element. This one chunked loop backs overwriting fills
+    /// (`f = |_, z| z·σ + µ`) and accumulating noise (`f = |x, z| x + z·σ`)
+    /// without duplicating the sampler.
     #[inline]
-    fn for_each_normal(&self, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
-        let mut chunks = out.chunks_exact_mut(CHUNK);
-        let mut base = 0usize;
-        for chunk in &mut chunks {
+    fn for_each_normal(&self, start: usize, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+        let (head, body) = out.split_at_mut(head_len(start, out.len()));
+        for (o, i) in head.iter_mut().zip(start..) {
+            *o = f(*o, self.ref_normal(i));
+        }
+        let mut base = start + head.len();
+        let (chunks, tail) = body.as_chunks_mut::<CHUNK>();
+        for chunk in chunks {
             let (r, cv, sv) = self.pair_factors(base);
             // Stage 4 (vectorizable): interleave z0 = r·cosθ, z1 = r·sinθ.
             for (p, pair) in chunk.chunks_exact_mut(2).enumerate() {
@@ -248,13 +257,13 @@ impl CbRng {
             }
             base += CHUNK;
         }
-        for (i, o) in chunks.into_remainder().iter_mut().enumerate() {
-            *o = f(*o, self.ref_normal(base + i));
+        for (o, i) in tail.iter_mut().zip(base..) {
+            *o = f(*o, self.ref_normal(i));
         }
     }
 
-    /// Writes `out[i] = f(a[i], b[i], zᵢ)`, with `zᵢ` the standard normal
-    /// sample at position `i` of this stream (the samples
+    /// Writes `out[k] = f(a[k], b[k], z)`, with `z` the standard normal
+    /// sample at position `start + k` of this stream (the samples
     /// [`CbRng::axpy_normal`] adds): the sampler's stage 4 fused with a
     /// caller's own elementwise pass over two operands that live beside
     /// `out`, so a mechanism like `(a − b)·c + σ·z + b` needs no staging
@@ -266,6 +275,7 @@ impl CbRng {
     /// Panics unless `a`, `b` and `out` have one length.
     pub fn zip_normal(
         &self,
+        start: usize,
         out: &mut [f32],
         a: &[f32],
         b: &[f32],
@@ -278,34 +288,52 @@ impl CbRng {
             b.len(),
             out.len()
         );
+        let h = head_len(start, out.len());
+        let (head, out) = out.split_at_mut(h);
+        let ((a_head, a), (b_head, b)) = (a.split_at(h), b.split_at(h));
+        for (((o, &a), &b), i) in head.iter_mut().zip(a_head).zip(b_head).zip(start..) {
+            *o = f(a, b, self.ref_normal(i));
+        }
+        let mut base = start + h;
         let (chunks, tail) = out.as_chunks_mut::<CHUNK>();
         let (a_chunks, a_tail) = a.as_chunks::<CHUNK>();
         let (b_chunks, b_tail) = b.as_chunks::<CHUNK>();
-        for (c, ((o, a), b)) in chunks.iter_mut().zip(a_chunks).zip(b_chunks).enumerate() {
-            let (r, cv, sv) = self.pair_factors(c * CHUNK);
+        for ((o, a), b) in chunks.iter_mut().zip(a_chunks).zip(b_chunks) {
+            let (r, cv, sv) = self.pair_factors(base);
             for p in 0..PAIRS {
                 o[2 * p] = f(a[2 * p], b[2 * p], r[p] * cv[p]);
                 o[2 * p + 1] = f(a[2 * p + 1], b[2 * p + 1], r[p] * sv[p]);
             }
+            base += CHUNK;
         }
-        let base = chunks.len() * CHUNK;
-        for (i, ((o, &a), &b)) in tail.iter_mut().zip(a_tail).zip(b_tail).enumerate() {
-            *o = f(a, b, self.ref_normal(base + i));
+        for (((o, &a), &b), i) in tail.iter_mut().zip(a_tail).zip(b_tail).zip(base..) {
+            *o = f(a, b, self.ref_normal(i));
         }
     }
 
-    /// Overwrites `out` with `N(mean, std_dev²)` samples from this stream.
-    pub fn fill_normal(&self, out: &mut [f32], mean: f32, std_dev: f32) {
-        self.for_each_normal(out, |_, z| z * std_dev + mean);
+    /// Overwrites `out` with `N(mean, std_dev²)` samples: `out[k]` from
+    /// the standard normal at position `start + k` of this stream.
+    pub fn fill_normal(&self, start: usize, out: &mut [f32], mean: f32, std_dev: f32) {
+        self.for_each_normal(start, out, |_, z| z * std_dev + mean);
     }
 
-    /// Adds `std_dev · z_i` to each element of `out` (`z_i` standard
-    /// normal). Negating `std_dev` negates every contribution exactly
-    /// (IEEE `(-σ)·z = -(σ·z)`), which is what the pairwise SA masks rely
-    /// on to cancel.
-    pub fn axpy_normal(&self, out: &mut [f32], std_dev: f32) {
-        self.for_each_normal(out, |x, z| x + z * std_dev);
+    /// Adds `std_dev · z` to each element of `out`, with `z` for `out[k]`
+    /// the standard normal at position `start + k` of this stream. Negating
+    /// `std_dev` negates every contribution exactly (IEEE
+    /// `(-σ)·z = -(σ·z)`), which is what the pairwise SA masks rely on to
+    /// cancel.
+    pub fn axpy_normal(&self, start: usize, out: &mut [f32], std_dev: f32) {
+        self.for_each_normal(start, out, |x, z| x + z * std_dev);
     }
+}
+
+/// How many elements of a fill of `len` starting at stream position
+/// `start` lie before the first [`CHUNK`] boundary: the scalar head that
+/// brings the chunked loop onto the chunk grid, where [`CbRng::pair_factors`]
+/// expects it.
+#[inline]
+fn head_len(start: usize, len: usize) -> usize {
+    (start.next_multiple_of(CHUNK) - start).min(len)
 }
 
 // ----------------------------------------------------------------------
@@ -585,12 +613,55 @@ mod tests {
             let g = CbRng::new(key, !key);
             for n in [1usize, 2, 7, CHUNK, CHUNK + 1, 2 * CHUNK + 3] {
                 let mut out = vec![0.0f32; n];
-                g.fill_normal(&mut out, 0.0, 1.0);
+                g.fill_normal(0, &mut out, 0.0, 1.0);
                 for (i, &v) in out.iter().enumerate() {
                     let (z0, z1) = g.ref_normal_pair(i / 2);
                     let z = if i % 2 == 0 { z0 } else { z1 };
                     let want = z * 1.0 + 0.0;
                     assert_eq!(v.to_bits(), want.to_bits(), "key={key} i={i} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn offset_fills_read_the_stream_from_their_start() {
+        // Starts on and off the chunk grid, at odd positions (the second half
+        // of a pair) and lengths that end before, on and after a boundary.
+        let g = CbRng::new(0x5EED, 0xF11);
+        let want = |i: usize| {
+            let (z0, z1) = g.ref_normal_pair(i / 2);
+            if i.is_multiple_of(2) {
+                z0
+            } else {
+                z1
+            }
+        };
+        let starts = [
+            0usize,
+            1,
+            2,
+            63,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            5 * CHUNK + 77,
+        ];
+        for start in starts {
+            for n in [0usize, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5] {
+                let mut fill = vec![0.0f32; n];
+                g.fill_normal(start, &mut fill, 0.0, 1.0);
+                let mut axpy = vec![1.0f32; n];
+                g.axpy_normal(start, &mut axpy, 0.5);
+                let mut zip = vec![0.0f32; n];
+                let ones = vec![1.0f32; n];
+                g.zip_normal(start, &mut zip, &ones, &ones, |a, _, z| a + z * 0.5);
+                for k in 0..n {
+                    let z = want(start + k);
+                    let ctx = format!("start={start} n={n} k={k}");
+                    assert_eq!(fill[k].to_bits(), (z * 1.0 + 0.0).to_bits(), "{ctx}");
+                    assert_eq!(axpy[k].to_bits(), (1.0 + z * 0.5).to_bits(), "{ctx}");
+                    assert_eq!(zip[k].to_bits(), axpy[k].to_bits(), "{ctx}");
                 }
             }
         }
@@ -604,9 +675,9 @@ mod tests {
             let b: Vec<f32> = (0..n).map(|i| 1.0 - i as f32).collect();
             // The unfused form: the elementwise pass, then the noise.
             let mut want: Vec<f32> = a.iter().zip(&b).map(|(a, b)| (a - b) * 0.75).collect();
-            g.axpy_normal(&mut want, 0.25);
+            g.axpy_normal(0, &mut want, 0.25);
             let mut got = vec![f32::NAN; n];
-            g.zip_normal(&mut got, &a, &b, |a, b, z| (a - b) * 0.75 + z * 0.25);
+            g.zip_normal(0, &mut got, &a, &b, |a, b, z| (a - b) * 0.75 + z * 0.25);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "n={n}");
         }
@@ -615,7 +686,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zip_normal")]
     fn zip_normal_rejects_operands_of_another_length() {
-        CbRng::new(3, 4).zip_normal(&mut [0.0; 4], &[0.0; 4], &[0.0; 3], |a, _, _| a);
+        CbRng::new(3, 4).zip_normal(0, &mut [0.0; 4], &[0.0; 4], &[0.0; 3], |a, _, _| a);
     }
 
     #[test]
@@ -623,8 +694,8 @@ mod tests {
         let g = CbRng::new(9, 9);
         let mut plus = vec![0.0f32; 301];
         let mut minus = vec![0.0f32; 301];
-        g.axpy_normal(&mut plus, 2.5);
-        g.axpy_normal(&mut minus, -2.5);
+        g.axpy_normal(0, &mut plus, 2.5);
+        g.axpy_normal(0, &mut minus, -2.5);
         for (p, m) in plus.iter().zip(&minus) {
             // z·(-σ) is exactly -(z·σ), so the contributions negate
             // bit-for-bit — the property the pairwise SA masks rest on.
@@ -822,7 +893,7 @@ mod tests {
         let g = CbRng::new(0xFEED, 0xF00D);
         let n = 1_000_000usize;
         let mut out = vec![0.0f32; n];
-        g.fill_normal(&mut out, 0.0, 1.0);
+        g.fill_normal(0, &mut out, 0.0, 1.0);
         let mean = out.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
         let var = out.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n as f64;
         let tail3 = out.iter().filter(|&&x| x.abs() > 3.0).count() as f64 / n as f64;

@@ -125,9 +125,12 @@ pub fn threads() -> usize {
         return current;
     }
     let resolved = width_from_env();
-    // A racing resolver writes the same value; last store wins harmlessly.
-    THREADS.store(resolved, Ordering::Relaxed);
-    resolved
+    // Only an unset width is resolved: a `set_threads` that lands between
+    // the load and here keeps its value instead of being overwritten.
+    match THREADS.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => resolved,
+        Err(set) => set,
+    }
 }
 
 /// Overrides the process-wide pool width (clamped to at least 1).

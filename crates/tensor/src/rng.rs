@@ -23,7 +23,7 @@
 //! O(log n) time. A consumer whose items take a fixed number of draws can
 //! therefore hand each parallel part a copy of the stream already at its
 //! first item, and get the serial walk's output bit for bit at any pool
-//! width — how `dinar-data`'s generators fill their rows.
+//! width — how `dinar-data`'s tabular generator fills its rows.
 
 use crate::cbrng::CbRng;
 use crate::{profile, Tensor};
@@ -436,7 +436,7 @@ impl Rng {
             return;
         }
         profile::record_rng_samples(out.len());
-        self.derive_cb().fill_normal(out, mean, std_dev);
+        self.derive_cb().fill_normal(0, out, mean, std_dev);
     }
 
     /// Adds `std_dev · zᵢ` to every element of `out`, with `zᵢ` i.i.d.
@@ -449,7 +449,7 @@ impl Rng {
             return;
         }
         profile::record_rng_samples(out.len());
-        self.derive_cb().axpy_normal(out, std_dev);
+        self.derive_cb().axpy_normal(0, out, std_dev);
     }
 
     /// Writes `out[i] = f(a[i], b[i], zᵢ)`, with `zᵢ` i.i.d. standard
@@ -472,7 +472,7 @@ impl Rng {
             return;
         }
         profile::record_rng_samples(out.len());
-        self.derive_cb().zip_normal(out, a, b, f);
+        self.derive_cb().zip_normal(0, out, a, b, f);
     }
 
     // ------------------------------------------------------------------

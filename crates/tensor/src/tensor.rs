@@ -456,12 +456,13 @@ impl Tensor {
 
     /// Parallel elementwise combine used by the fixed arithmetic ops.
     /// Per-element results are independent, so partitioning cannot change
-    /// them; `f` is a plain function pointer (capture-free, `Sync`).
+    /// them; `f` is a generic closure, so each op is inlined into the loop
+    /// rather than called through a pointer per element.
     fn binary_elementwise(
         &self,
         other: &Tensor,
         op: &'static str,
-        f: fn(f32, f32) -> f32,
+        f: impl Fn(f32, f32) -> f32 + Sync,
     ) -> Result<Tensor> {
         self.zip_check(other, op)?;
         let mut out = Tensor::zeros(&self.shape);

@@ -7,9 +7,9 @@
 //! order. These tests pin that contract end to end: matmul-family kernels,
 //! conv forward/backward, and a full FL round must produce bit-identical
 //! results for threads ∈ {1, 2, 4}. The synthetic dataset generators fill
-//! their rows in parallel parts from advanced copies of one stream; they
-//! must reproduce the serial walk they replaced, datasets and caller's
-//! stream alike.
+//! their rows in parallel parts, each row from a stream position known up
+//! front; they must reproduce a scalar reference of their stream layout,
+//! datasets and caller's stream alike.
 //!
 //! The pool width is process-global, so the tests serialize their width
 //! changes through one mutex and restore the default afterwards.
@@ -26,7 +26,7 @@ use dinar_fl::{FlConfig, FlSystem};
 use dinar_nn::models::{self, Activation};
 use dinar_nn::{Layer, Model};
 use dinar_tensor::conv::{col2im2d, im2col2d, Conv2dGeom};
-use dinar_tensor::{par, Rng, RngState, Tensor};
+use dinar_tensor::{par, CbRng, Rng, RngState, Tensor};
 use std::sync::Mutex;
 
 /// Serializes mutations of the process-global pool width across tests.
@@ -557,6 +557,11 @@ fn fl_round_is_bit_identical_across_widths() {
 /// FNV-1a over a generated dataset (feature bits, then labels) and the
 /// generator's state afterwards (words, then the cached half-sample).
 fn dataset_digest(ds: &Dataset, after: RngState) -> u64 {
+    digest_parts(&bits(ds.features()), ds.labels(), after)
+}
+
+/// [`dataset_digest`] over a dataset given as feature bits and labels.
+fn digest_parts(features: &[u32], labels: &[usize], after: RngState) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     let mut eat = |word: u64| {
         for b in word.to_le_bytes() {
@@ -564,11 +569,8 @@ fn dataset_digest(ds: &Dataset, after: RngState) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    ds.features()
-        .as_slice()
-        .iter()
-        .for_each(|x| eat(u64::from(x.to_bits())));
-    ds.labels().iter().for_each(|&l| eat(l as u64));
+    features.iter().for_each(|&x| eat(u64::from(x)));
+    labels.iter().for_each(|&l| eat(l as u64));
     after.words.iter().for_each(|&w| eat(w));
     eat(after
         .gauss_cache
@@ -578,20 +580,32 @@ fn dataset_digest(ds: &Dataset, after: RngState) -> u64 {
 
 #[test]
 fn catalog_mini_datasets_are_the_serial_generators_at_every_width() {
-    // Recorded from the serial generator (one stream walked row by row)
-    // before generation went row-parallel, seed 42. Purchase100's 2400
-    // rows of 600 features (4 bytes written each) split.
+    // Seed 42. Purchase100 and Texas100 were recorded from the serial
+    // generator (one stream walked row by row) before generation went
+    // row-parallel; the five image and audio digests from the counter-based
+    // stream layout (`dinar_data::synth`), which the scalar reference below
+    // reproduces element by element. Purchase100's 2400 rows of 600
+    // features and GTSRB's 1600 rows of 768 (4 bytes written each) split.
     assert_eq!(parts_at_width_2(2400, 4 * 600), 2);
+    assert_eq!(parts_at_width_2(1600, 4 * 768), 2);
     let serial = [
-        ("cifar10", 0x2802_6431_94de_f5fa_u64),
-        ("cifar100", 0xc033_84d6_9d62_49bb),
-        ("gtsrb", 0x887a_d241_71e0_f258),
-        ("celeba", 0x8b8c_9e7f_d495_6b58),
-        ("speech_commands", 0x9165_db8f_6d3a_6835),
+        ("cifar10", 0xd786_9a62_bda9_1fba_u64),
+        ("cifar100", 0xa518_d21c_9fd8_40f5),
+        ("gtsrb", 0xe4d0_c4e5_96dd_7357),
+        ("celeba", 0xcbb9_0127_d712_2307),
+        ("speech_commands", 0xe480_85a2_7ed9_9acd),
         ("purchase100", 0xfd76_e68d_01e2_9c84),
         ("texas100", 0xceae_a80e_62f1_15f0),
     ];
     let entries = catalog::all(Profile::Mini);
+    let reference: Vec<u64> = entries
+        .iter()
+        .map(|entry| {
+            let mut rng = Rng::seed_from(42);
+            let (bits, labels) = reference_generate(&entry.spec, &mut rng);
+            digest_parts(&bits, &labels, rng.state())
+        })
+        .collect();
     let results = per_width(|| {
         entries
             .iter()
@@ -603,19 +617,28 @@ fn catalog_mini_datasets_are_the_serial_generators_at_every_width() {
             .collect::<Vec<_>>()
     });
     for (w, result) in WIDTHS.iter().zip(&results) {
-        for ((name, got), (want_name, want)) in result.iter().zip(serial) {
+        for (((name, got), (want_name, want)), reference) in
+            result.iter().zip(serial).zip(&reference)
+        {
             assert_eq!(name, want_name);
             assert_eq!(
+                got, reference,
+                "{name} left the scalar reference at {w} threads: {got:#018x}"
+            );
+            assert_eq!(
                 *got, want,
-                "{name} left the serial generator at {w} threads: {got:#018x}"
+                "{name} left its recorded digest at {w} threads: {got:#018x}"
             );
         }
     }
 }
 
-/// The serial walk the row-parallel generators replaced, for image and
-/// tabular specs: the shuffled features as bits, and the labels.
-fn serial_generate(spec: &SynthSpec, rng: &mut Rng) -> (Vec<u32>, Vec<usize>) {
+/// A scalar reference of the generators: tabular specs as the serial walk
+/// of one stream, image and audio specs as the counter-based stream layout
+/// of `dinar_data::synth`'s module docs, element by element through
+/// [`CbRng::ref_normal_pair`]. Returns the shuffled features as bits, and
+/// the labels.
+fn reference_generate(spec: &SynthSpec, rng: &mut Rng) -> (Vec<u32>, Vec<usize>) {
     let (n, classes, flen) = (
         spec.num_samples,
         spec.num_classes,
@@ -646,12 +669,33 @@ fn serial_generate(spec: &SynthSpec, rng: &mut Rng) -> (Vec<u32>, Vec<usize>) {
             }
         }
     } else {
-        let prototypes: Vec<Vec<f32>> = (0..classes)
-            .map(|_| (0..flen).map(|_| rng.normal()).collect())
-            .collect();
+        let stream = CbRng::new(rng.next_u64(), rng.next_u64());
+        let z = |p: usize| {
+            let (z0, z1) = stream.ref_normal_pair(p / 2);
+            if p.is_multiple_of(2) {
+                z0
+            } else {
+                z1
+            }
+        };
+        let (prototypes, shifts, first): (Vec<Vec<f32>>, Vec<usize>, usize) =
+            if let Modality::Audio { len } = spec.modality {
+                let prototypes = (0..classes).map(|_| waveform(rng, len)).collect();
+                let shifts = (0..n)
+                    .map(|_| if flen > 8 { rng.below(flen / 8) } else { 0 })
+                    .collect();
+                (prototypes, shifts, 0)
+            } else {
+                let prototypes = (0..classes)
+                    .map(|c| (0..flen).map(|j| z(c * flen + j) * 1.0 + 0.0).collect())
+                    .collect();
+                (prototypes, vec![0; n], classes * flen)
+            };
         for i in 0..n {
-            for &p in &prototypes[i % classes] {
-                data.push(p + spec.noise * rng.normal());
+            let proto = &prototypes[i % classes];
+            for j in 0..flen {
+                let p = proto[(j + shifts[i]) % flen];
+                data.push(p + z(first + i * flen + j) * spec.noise);
             }
         }
     }
@@ -661,6 +705,29 @@ fn serial_generate(spec: &SynthSpec, rng: &mut Rng) -> (Vec<u32>, Vec<usize>) {
         .flat_map(|&i| data[i * flen..][..flen].iter().map(|x| x.to_bits()))
         .collect();
     (bits, perm.iter().map(|&i| i % classes).collect())
+}
+
+/// The audio prototype as the module docs define it: three sinusoids of a
+/// frequency, a phase and an amplitude each.
+fn waveform(rng: &mut Rng, len: usize) -> Vec<f32> {
+    let components: Vec<(f32, f32, f32)> = (0..3)
+        .map(|_| {
+            (
+                rng.uniform_in(1.0, 24.0),
+                rng.uniform_in(0.0, std::f32::consts::TAU),
+                rng.uniform_in(0.5, 1.0),
+            )
+        })
+        .collect();
+    (0..len)
+        .map(|t| {
+            let x = t as f32 / len as f32;
+            components
+                .iter()
+                .map(|&(f, p, a)| a * (std::f32::consts::TAU * f * x + p).sin())
+                .sum()
+        })
+        .collect()
 }
 
 #[test]
@@ -676,15 +743,25 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
         },
         noise: 0.7,
     };
-    // An odd row length puts odd rows at odd normal counts, where a part
-    // starts on the cached half of a Box–Muller pair; odd and even
-    // `classes · flen` start the rows on either half. 20,001 rows of 105
-    // features (4 bytes written each) split at odd rows at widths 2 and 4.
+    // An odd row length puts odd rows at odd stream positions, so parts
+    // and rows start on the second half of a Box–Muller pair and off the
+    // sampler's chunk grid; odd and even `classes · flen` start the rows on
+    // either half. 20,001 rows of 105 features (4 bytes written each) split
+    // at odd rows at widths 2 and 4.
     assert_eq!(parts_at_width_2(20_001, 4 * 105), 2);
+    let audio = |len| SynthSpec {
+        name: "audio".into(),
+        num_classes: 7,
+        num_samples: 20_001,
+        modality: Modality::Audio { len },
+        noise: 0.8,
+    };
     let specs = [
         image(3, [3, 5, 7]), // flen 105, classes·flen 315
         image(4, [3, 5, 7]), // flen 105, classes·flen 420
         image(3, [2, 4, 8]), // flen 64
+        audio(105),          // odd flen, shifts in 0..13
+        audio(8),            // no shift
         SynthSpec {
             name: "tabular".into(),
             num_classes: 5,
@@ -703,7 +780,7 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
     let mut want = Vec::new();
     for spec in &specs {
         for mut rng in callers() {
-            want.push((serial_generate(spec, &mut rng), rng.state()));
+            want.push((reference_generate(spec, &mut rng), rng.state()));
         }
     }
     let results = per_width(|| {
@@ -726,11 +803,11 @@ fn generation_leaves_the_callers_stream_where_the_serial_walk_does() {
         for (case, (g, want)) in got.iter().zip(&want).enumerate() {
             assert!(
                 g.0 == want.0,
-                "case {case}: dataset left the serial walk at {w} threads"
+                "case {case}: dataset left the scalar reference at {w} threads"
             );
             assert_eq!(
                 g.1, want.1,
-                "case {case}: caller's stream left the serial walk at {w} threads"
+                "case {case}: caller's stream left the scalar reference at {w} threads"
             );
         }
     }

@@ -12,7 +12,8 @@
 //!
 //! A noised defense resumes bit for bit or refuses the image: WDP carries
 //! its noise stream in the image, while DP-SGD and central DP, whose state
-//! the image does not carry, fail `restore` with a typed error.
+//! the image does not carry, fail `restore` with a typed error. A refused
+//! restore writes nothing.
 //!
 //! These tests also run under `--features sanitize`.
 
@@ -243,6 +244,67 @@ fn cdp_restore_is_refused_with_a_typed_error() {
         Err(FlError::InvalidConfig { reason }) => assert!(reason.contains("cdp"), "{reason}"),
         other => panic!("CDP restore returned {other:?}"),
     }
+}
+
+/// Everything a restore may write, as bytes: the global model, the round
+/// counter, and every client's parameters, RNG state, optimizer state and
+/// middleware state (the system's own resume image).
+fn system_state(system: &FlSystem) -> Vec<u8> {
+    encode_resume(&system.checkpoint()).expect("encode")
+}
+
+/// A system two rounds in, whose state differs from every image
+/// [`killed_after`] makes.
+fn trained(defense: Defense) -> FlSystem {
+    let mut system = build_defended(defense);
+    system.run(2).expect("two rounds");
+    system
+}
+
+/// A refused restore writes nothing: for DP-SGD (refused by a client's
+/// optimizer) and central DP (refused by the server), the global and every
+/// client are bit for bit as before, not the image's.
+#[test]
+fn refused_restores_change_nothing() {
+    for defense in [Defense::DpSgd, Defense::Cdp] {
+        let mut system = trained(defense);
+        let before = system_state(&system);
+        let global = global_bits(&system);
+        let refused = system.restore(killed_after(defense, 1));
+        assert!(refused.is_err(), "{defense:?} restore returned {refused:?}");
+        assert_eq!(
+            global_bits(&system),
+            global,
+            "{defense:?}: the global moved"
+        );
+        assert!(
+            system_state(&system) == before,
+            "{defense:?}: the refused restore wrote state"
+        );
+        assert!(!system.has_pending_round());
+    }
+}
+
+/// An image whose last client carries another id is refused before the
+/// server or any earlier client is written.
+#[test]
+fn wrong_id_at_the_last_client_changes_nothing() {
+    let mut system = trained(Defense::None);
+    let before = system_state(&system);
+    let mut image = killed_after(Defense::None, 1);
+    let last = image.clients.last_mut().expect("clients");
+    last.id = 7;
+    match system.restore(image) {
+        Err(FlError::InvalidConfig { reason }) => {
+            assert!(reason.contains("client 7"), "{reason}");
+        }
+        other => panic!("wrong-id restore returned {other:?}"),
+    }
+    assert!(
+        system_state(&system) == before,
+        "the refused restore wrote state"
+    );
+    assert!(!system.has_pending_round());
 }
 
 /// What the engine gate compares: the final global model's bits and every
