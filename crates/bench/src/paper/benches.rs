@@ -4,9 +4,10 @@
 //! `AUDIT_*` or `TELEMETRY_*` file stem it writes and returns its rows as
 //! JSON with the text table rendered from them.
 //!
-//! `BENCH_tensor`, `BENCH_serve` and `BENCH_telemetry` time kernels at pool
-//! width 1 (the ratchet's loader refuses rows from any other width), so
-//! those procedures pin the width themselves and restore it afterwards.
+//! `BENCH_tensor`, `BENCH_close`, `BENCH_serve` and `BENCH_telemetry` time
+//! kernels at pool width 1 (the ratchet's loader refuses rows from any
+//! other width), so those procedures pin the width themselves and restore
+//! it afterwards.
 
 use super::{at_width, render_rows, seeds, Output, Result, PROFILE};
 use crate::harness::{
@@ -22,6 +23,7 @@ use dinar_defenses::WeakDp;
 use dinar_fl::clock::{ManualClock, WallClock};
 use dinar_fl::eval::accuracy_of_params;
 use dinar_fl::netsim::Codec;
+use dinar_fl::server::EncodedUpdate;
 use dinar_fl::system::FlSystemBuilder;
 use dinar_fl::{
     run_threaded_wire, ClientMiddleware, ClientUpdate, FaultPlan, FlConfig, FlServer, FlSystem,
@@ -30,6 +32,8 @@ use dinar_fl::{
 use dinar_nn::ckpt;
 use dinar_nn::models::{self, Activation};
 use dinar_nn::optim::{Adagrad, Sgd};
+use dinar_nn::snapshot::{decode_params_onto, CheckedParams, ErrorFeedback};
+use dinar_nn::ModelParams;
 use dinar_telemetry::{export, Telemetry};
 use dinar_tensor::json::{Json, ToJson};
 use dinar_tensor::{par, profile, Dtype, Rng, Tensor};
@@ -403,6 +407,89 @@ pub fn bench_params() -> Result<Output> {
         text,
         json: Some(json),
         seeds: vec![PLANE_SEED],
+    })
+}
+
+/// Clients whose uploads `BENCH_close` folds: four, as on `comm_wdp_i8`.
+const CLOSE_CLIENTS: usize = 4;
+
+/// `BENCH_close`: the server's round close at the `comm_wdp_i8` model
+/// (`mlp[600,1024,100]`, 717,924 parameters) over four i8 delta uploads
+/// with unequal sample counts, at pool width 1, from checked frames to the
+/// new global. `close_fused` is the engine's close
+/// ([`FlServer::aggregate_encoded`]: one blocked pass that dequantises each
+/// frame onto its base inside the FedAvg sum; the arrival check reads only
+/// headers); `close_stepwise` is the close it replaced, kept here as the
+/// reference: [`decode_params_onto`] per upload, then `zero_fill` and one
+/// `scaled_add_assign` per update. Both produce the same bits (checked
+/// before timing); `tests/bench_ratchet.rs` holds the fused row at half the
+/// reference's, both read from this file.
+pub fn bench_close() -> Result<Output> {
+    at_width(1, close_rows)
+}
+
+fn close_rows() -> Result<Output> {
+    let mut rng = Rng::seed_from(6);
+    let base = models::mlp(&[600, 1024, 100], Activation::ReLU, &mut rng)?.params();
+    let size = format!("{CLOSE_CLIENTS}x{}", base.param_count());
+    let mut frames = Vec::with_capacity(CLOSE_CLIENTS);
+    for client in 0..CLOSE_CLIENTS {
+        let mut trained = base.share();
+        let noise = rng.randn(&[1]).as_slice()[0];
+        trained.map_inplace(|x| x * (1.0 + 0.01 * noise) + 1e-3);
+        let frame = ErrorFeedback::new().compress_delta(&trained, &base, Codec::QuantI8)?;
+        frames.push((client, 200 + 17 * client, frame));
+    }
+    let mut encoded = Vec::with_capacity(CLOSE_CLIENTS);
+    for (client_id, num_samples, frame) in &frames {
+        encoded.push(EncodedUpdate {
+            client_id: *client_id,
+            num_samples: *num_samples,
+            frame: CheckedParams::check(frame.clone(), &base)?,
+            base: Some(base.share()),
+        });
+    }
+    let total: usize = frames.iter().map(|(_, n, _)| n).sum();
+    let stepwise = |acc: &mut ModelParams| -> Result<()> {
+        let decoded = frames
+            .iter()
+            .map(|(_, n, frame)| Ok((*n, decode_params_onto(frame, &base)?)))
+            .collect::<Result<Vec<_>>>()?;
+        acc.zero_fill();
+        for (n, params) in &decoded {
+            acc.scaled_add_assign(*n as f32 / total as f32, params)?;
+        }
+        Ok(())
+    };
+    let (mut server, mut acc) = (FlServer::new(base.share()), base.zeros_like());
+    stepwise(&mut acc)?;
+    let bits = |p: &ModelParams| p.to_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    if bits(server.aggregate_encoded(&encoded)?) != bits(&acc) {
+        return Err("the fused close and the stepwise reference disagree".into());
+    }
+    let config = Config::default();
+    let fused = bench("close_fused", &config, || {
+        black_box(server.aggregate_encoded(&encoded).map(|_| ()))
+    });
+    let reference = bench("close_stepwise", &config, || black_box(stepwise(&mut acc)));
+    let entries =
+        [("close_fused", fused), ("close_stepwise", reference)].map(|(op, m)| TensorBenchEntry {
+            op: op.to_string(),
+            size: size.clone(),
+            ns_per_iter: m.median_ns(),
+            threads: par::threads(),
+            gflops: None,
+        });
+    let json = tensor_suite::to_json(&entries);
+    let mut text = String::from(
+        "Round close — four i8 delta uploads of the 717,924-parameter MLP folded into \
+         FedAvg, median ns per close, pool width 1\n\n",
+    );
+    text.push_str(&render_rows(entries_of(&json)));
+    Ok(Output {
+        text,
+        json: Some(json),
+        seeds: vec![6],
     })
 }
 

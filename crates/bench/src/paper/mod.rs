@@ -305,7 +305,7 @@ pub enum Plan {
 /// Every artifact by name — its file stem under `bench-results/` and the
 /// runner's argument — in the order `paper all` regenerates them (fig6
 /// before fig7, which reads its JSON).
-pub const ARTIFACTS: [(&str, Plan); 24] = [
+pub const ARTIFACTS: [(&str, Plan); 25] = [
     ("table1", Plan::Procedure(procedures::table1)),
     ("table2", Plan::Procedure(procedures::table2)),
     ("table3", Plan::Grid(grids::table3)),
@@ -330,6 +330,7 @@ pub const ARTIFACTS: [(&str, Plan); 24] = [
     ("BENCH_serve", Plan::Procedure(benches::bench_serve)),
     ("BENCH_params", Plan::Procedure(benches::bench_params)),
     ("BENCH_dropout", Plan::Procedure(benches::bench_dropout)),
+    ("BENCH_close", Plan::Procedure(benches::bench_close)),
     ("BENCH_telemetry", Plan::Procedure(benches::bench_telemetry)),
     ("AUDIT_privacy", Plan::Procedure(benches::audit_privacy)),
     (

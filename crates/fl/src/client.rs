@@ -155,14 +155,20 @@ impl FlClient {
         }
     }
 
-    /// Receives the global model: runs the download middleware chain and
-    /// installs the result into the local model.
+    /// Receives the global model: checks its architecture against the local
+    /// model, then runs the download middleware chain and installs the
+    /// result into the local model.
     ///
     /// # Errors
     ///
-    /// Propagates middleware and shape errors.
+    /// Returns [`NnError::ParamShapeMismatch`](dinar_nn::NnError) (wrapped)
+    /// for a global of another architecture, before any middleware sees it:
+    /// a refused global leaves the client — its model, its RNG and every
+    /// middleware's state — exactly as it was. Propagates middleware
+    /// errors.
     pub fn receive_global(&mut self, global: &ModelParams) -> Result<()> {
         let _span = self.telemetry.span("download");
+        self.model.check_params(global)?;
         let mut install = global.share();
         for mw in &mut self.middleware {
             let _mw_span = if self.telemetry.is_enabled() {

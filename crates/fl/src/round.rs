@@ -12,18 +12,27 @@
 //! metrics, and the [`RoundReport`]. The round number is the server's own
 //! [`FlServer::rounds_completed`] counter — there is no second one to keep
 //! in step.
+//!
+//! A round accepts an update in the form its engine received it: decoded
+//! parameters from the in-process engine, or an upload frame the threaded
+//! wire engine checked on arrival and did not decode. The close folds them
+//! all into FedAvg in one pass over the server's recycled scratch (the one
+//! FedAvg core in `server.rs`): block by block, every update in client-id
+//! order, an encoded one dequantised onto its delta base inside the sum.
 
 use crate::clock::Clock;
+use crate::server::Upload;
 use crate::{ClientUpdate, FlClient, FlError, FlServer, Result, RoundReport};
 use dinar_metrics::cost::{measure_with, CostSample};
 use dinar_nn::ModelParams;
 use dinar_telemetry::{bridge, SpanGuard, Telemetry};
 use dinar_tensor::profile;
 
-/// One client's finished share of a round: its update plus the per-round
-/// measurements the report folds.
+/// One client's finished share of a round: its update — decoded
+/// parameters, or (`U` = [`Upload`]) whatever form the engine received —
+/// plus the per-round measurements the report folds.
 #[derive(Debug)]
-pub(crate) struct Contribution {
+pub(crate) struct Contribution<U = ClientUpdate> {
     /// The client's mean training loss this round.
     pub loss: f32,
     /// Client-side seconds spent on the round protocol (zero for a pair
@@ -32,7 +41,7 @@ pub(crate) struct Contribution {
     /// Peak extra tensor bytes on the client's thread during the protocol.
     pub peak_mem: u64,
     /// The (defense-transformed) update to aggregate.
-    pub update: ClientUpdate,
+    pub update: U,
 }
 
 impl Contribution {
@@ -72,7 +81,7 @@ pub(crate) struct Round<'a> {
     span: SpanGuard,
     kernels_before: profile::KernelSnapshot,
     global: ModelParams,
-    accepted: Vec<Contribution>,
+    accepted: Vec<Contribution<Upload>>,
     /// First failure observed, named by a below-quorum error.
     first_failure: Option<(usize, String)>,
 }
@@ -116,9 +125,21 @@ impl<'a> Round<'a> {
         self.span.path()
     }
 
-    /// Adds one client's contribution, in any order.
-    pub fn accept(&mut self, contribution: Contribution) {
-        self.accepted.push(contribution);
+    /// Adds one client's contribution, decoded or checked-encoded, in any
+    /// order.
+    pub fn accept(&mut self, contribution: Contribution<impl Into<Upload>>) {
+        let Contribution {
+            loss,
+            train_s,
+            peak_mem,
+            update,
+        } = contribution;
+        self.accepted.push(Contribution {
+            loss,
+            train_s,
+            peak_mem,
+            update: update.into(),
+        });
     }
 
     /// Contributions accepted so far.
@@ -132,8 +153,8 @@ impl<'a> Round<'a> {
         self.first_failure.get_or_insert((client, cause));
     }
 
-    /// Closes the round: checks the quorum, FedAvg-aggregates the accepted
-    /// updates in client-id order and reports.
+    /// Closes the round: checks the quorum, folds the accepted updates into
+    /// FedAvg in client-id order in one pass, and reports.
     ///
     /// # Errors
     ///
@@ -166,7 +187,7 @@ impl<'a> Round<'a> {
                 ),
             });
         }
-        accepted.sort_by_key(|c| c.update.client_id);
+        accepted.sort_by_key(|c| c.update.client_id());
         let participants = accepted.len().max(1) as f64;
         let mut loss_sum = 0.0f64;
         let mut train_s_sum = 0.0f64;
@@ -180,7 +201,7 @@ impl<'a> Round<'a> {
         }
         let (aggregated, agg_elapsed, _) = {
             let _agg_span = telemetry.span("aggregate");
-            measure_with(clock, || server.aggregate(&updates).map(|_| ()))
+            measure_with(clock, || server.aggregate_uploads(&updates).map(|_| ()))
         };
         aggregated?;
         drop(span);
@@ -203,5 +224,148 @@ impl<'a> Round<'a> {
                 client_peak_mem_bytes: peak_mem,
             },
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::ManualClock;
+    use crate::server::EncodedUpdate;
+    use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, CheckedParams};
+    use dinar_nn::LayerParams;
+    use dinar_tensor::wire::Codec;
+    use dinar_tensor::{par, Rng};
+
+    /// Shapes with a tensor large enough to split at width 2, one that
+    /// ends mid-block and mid-byte (sign1 padding), and a tiny layer.
+    const SHAPES: [&[usize]; 5] = [&[300, 700], &[700], &[1031], &[5, 3], &[3]];
+
+    /// Parameters whose values stress the fold: ±0, subnormals, large
+    /// magnitudes either side of overflow in a weighted sum, and normals.
+    fn awkward(rng: &mut Rng) -> ModelParams {
+        let special = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            3e38,
+            -1e30,
+        ];
+        let tensor = |shape: &[usize], rng: &mut Rng| {
+            let mut t = rng.randn(shape);
+            for x in t.as_mut_slice() {
+                if rng.below(4) == 0 {
+                    *x = special[rng.below(special.len())];
+                }
+            }
+            t
+        };
+        let mut t = SHAPES.iter().map(|s| tensor(s, rng));
+        let mut layer = |n: usize| LayerParams::new(t.by_ref().take(n).collect());
+        ModelParams::new(vec![layer(2), layer(1), layer(2)])
+    }
+
+    fn bits(p: &ModelParams) -> Vec<u32> {
+        p.to_flat().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The stepwise FedAvg the fold replaced: every upload decoded (onto
+    /// its base), then `zero_fill` and one `scaled_add_assign` per update
+    /// in client-id order.
+    fn reference(global: &ModelParams, decoded: &[(usize, usize, ModelParams)]) -> Vec<u32> {
+        let total: usize = decoded.iter().map(|(_, n, _)| n).sum();
+        let mut acc = global.share();
+        acc.zero_fill();
+        for (_, n, params) in decoded {
+            acc.scaled_add_assign(*n as f32 / total as f32, params)
+                .unwrap();
+        }
+        bits(&acc)
+    }
+
+    /// Closes a round over `uploads` accepted in `order`, on a server at
+    /// `global`, and returns the new global's bits.
+    fn close<U: Into<Upload>>(global: &ModelParams, uploads: Vec<U>, order: &[usize]) -> Vec<u32> {
+        let mut server = FlServer::new(global.share());
+        let (telemetry, clock) = (Telemetry::disabled(), ManualClock::new());
+        let mut round = Round::open(&mut server, &telemetry, &clock);
+        let mut uploads: Vec<Option<U>> = uploads.into_iter().map(Some).collect();
+        for &i in order {
+            let update = uploads[i].take().unwrap();
+            round.accept(Contribution {
+                loss: 0.0,
+                train_s: 0.0,
+                peak_mem: 0,
+                update,
+            });
+        }
+        round.close(order.len()).unwrap();
+        bits(server.global_params())
+    }
+
+    #[test]
+    fn the_fused_close_is_the_stepwise_fedavg_bit_for_bit() {
+        let mut rng = Rng::seed_from(0xF01D);
+        let global = awkward(&mut rng);
+        let work = 4 + 7 * 5;
+        par::set_threads(2);
+        assert!(
+            par::parts(300 * 700, work) > 1,
+            "the large tensor runs inline"
+        );
+        for width in [1, 2, 4] {
+            par::set_threads(width);
+            for uplink in Codec::all() {
+                // The downlink the clients decoded their base from.
+                for downlink in [Codec::F32, Codec::QuantI8, Codec::Sign1] {
+                    let base = match downlink.is_lossy() {
+                        false => global.share(),
+                        true => decode_params(&encode_params(&global, downlink).unwrap()).unwrap(),
+                    };
+                    for n in 1..=7 {
+                        let case = format!("width {width}, {uplink:?} up, {downlink:?} down, {n}");
+                        let clients: Vec<(usize, usize, Vec<u8>)> = (0..n)
+                            .map(|id| {
+                                let bytes = encode_params(&awkward(&mut rng), uplink).unwrap();
+                                (id, 1 + rng.below(500), bytes)
+                            })
+                            .collect();
+                        let decoded: Vec<(usize, usize, ModelParams)> = clients
+                            .iter()
+                            .map(|(id, samples, bytes)| {
+                                let p = match uplink.is_lossy() {
+                                    true => decode_params_onto(bytes, &base).unwrap(),
+                                    false => decode_params(bytes).unwrap(),
+                                };
+                                (*id, *samples, p)
+                            })
+                            .collect();
+                        let want = reference(&global, &decoded);
+                        let order = rng.permutation(n);
+                        let encoded: Vec<EncodedUpdate> = clients
+                            .into_iter()
+                            .map(|(client_id, num_samples, bytes)| EncodedUpdate {
+                                client_id,
+                                num_samples,
+                                frame: CheckedParams::check(bytes, &global).unwrap(),
+                                base: uplink.is_lossy().then(|| base.share()),
+                            })
+                            .collect();
+                        assert_eq!(close(&global, encoded, &order), want, "encoded: {case}");
+                        let in_memory: Vec<ClientUpdate> = decoded
+                            .into_iter()
+                            .map(|(client_id, num_samples, params)| ClientUpdate {
+                                client_id,
+                                params,
+                                num_samples,
+                            })
+                            .collect();
+                        assert_eq!(close(&global, in_memory, &order), want, "decoded: {case}");
+                    }
+                }
+            }
+        }
+        par::reset_threads();
     }
 }

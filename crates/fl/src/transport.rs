@@ -56,9 +56,19 @@
 //! ([`ClientReply::Fatal`]), a corrupt upload drops that update — the run
 //! reports, it does not abort.
 //!
+//! The server validates each upload when it arrives and decodes none:
+//! [`CheckedParams::check`] runs every check a decode would (header, codec,
+//! each tensor's shape against the round's global, payload lengths, sign1
+//! padding) and keeps the frame's bytes. The round's close then folds the
+//! accepted frames into FedAvg in one blocked pass
+//! ([`FlServer::aggregate_encoded`](crate::FlServer::aggregate_encoded)),
+//! dequantising each delta onto its base inside the sum — so no upload is
+//! ever built into a model of its own, and the only serial work left
+//! after the last upload arrives is that one pass.
+//!
 //! Both engines close their rounds through the same crate-private
 //! `round::Round`: this module supplies the broadcast, the collection
-//! policy and the fault accounting, and hands every decoded upload to the
+//! policy and the fault accounting, and hands every checked upload to the
 //! round, which sorts by client id, folds and aggregates. So
 //! [`run_threaded_wire`] under the default [`RoundPolicy`] and
 //! [`WireConfig`] produces bit-identical global models to the in-process
@@ -71,10 +81,11 @@ use crate::deadline::{recv_blocking, DeadlineReceiver, Step};
 use crate::fault::{FaultKind, FaultPlan, RoundFaultStats, RoundPolicy};
 use crate::netsim::{RoundMeter, RoundWireStats, WireConfig};
 use crate::round::{Contribution, Round};
-use crate::{ClientUpdate, FlClient, FlError, FlSystem, Result, RoundReport};
-use dinar_nn::snapshot::{decode_params, decode_params_onto, encode_params, ErrorFeedback};
+use crate::server::EncodedUpdate;
+use crate::{FlClient, FlError, FlSystem, Result, RoundReport};
+use dinar_nn::snapshot::{decode_params, encode_params, CheckedParams, ErrorFeedback};
 use dinar_nn::ModelParams;
-use dinar_telemetry::bridge;
+use dinar_telemetry::{bridge, Telemetry};
 use dinar_tensor::par;
 use dinar_tensor::wire::Codec;
 use std::collections::{BTreeMap, BTreeSet};
@@ -206,10 +217,11 @@ pub struct ResilientRun {
 /// broadcasts the frame in a [`ServerMsg::StartRound`] to every client
 /// thread; each client decodes it, installs it (running its download
 /// middleware), trains locally, applies its upload middleware and sends an
-/// encoded [`ClientReply`] back; the server decodes the uploads and hands
-/// them to the round engine, which sorts them by client id (for a
-/// deterministic aggregation order) and runs FedAvg plus the server
-/// middleware.
+/// encoded [`ClientReply`] back; the server checks each upload frame as it
+/// arrives (a frame that fails is a dropped update) and hands it, still
+/// encoded, to the round engine, which sorts the uploads by client id (for
+/// a deterministic aggregation order), folds them into FedAvg in one pass
+/// and runs the server middleware.
 ///
 /// Rounds proceed while at least [`Quorum::required`] updates arrive; a
 /// round that falls below quorum fails the run with
@@ -223,9 +235,10 @@ pub struct ResilientRun {
 /// config the decoded models match the in-process engine bit for bit.
 /// Lossy uplinks switch clients to encoding the *delta* against the
 /// received global, with error-feedback residuals carried client-side
-/// across rounds; the server reconstructs by adding back its own decode of
-/// the round's broadcast frame, so both sides agree on the base even when
-/// the downlink is itself lossy.
+/// across rounds; the server's fold adds each delta onto the base the
+/// clients decoded — the round's global itself under a lossless downlink,
+/// which delivers it bit for bit, and the server's own decode of the
+/// broadcast frame under a lossy one — so both sides agree on the base.
 ///
 /// [`Quorum::required`]: crate::fault::Quorum::required
 ///
@@ -340,15 +353,15 @@ pub fn run_threaded_wire(
             }
         }
 
-        // Base for reconstructing delta uploads: the server's own decode of
-        // the frame it broadcast, so lossy downlinks leave both sides
-        // agreeing on the base bit for bit. Lossless uplinks send absolute
-        // parameters and need no base. Decoded here, while the clients
-        // train, rather than ahead of the broadcast they all wait for.
-        let delta_base = if wire.uplink.is_lossy() {
-            Some(decode_params(&frame)?)
-        } else {
-            None
+        // The base delta uploads are added onto: what the clients decoded.
+        // A lossless downlink delivers the round's global bit for bit, so
+        // that is the base; a lossy one is decoded here once, while the
+        // clients train, so both sides agree on the base bit for bit.
+        // Lossless uplinks send absolute parameters and need no base.
+        let delta_base = match (wire.uplink.is_lossy(), wire.downlink.is_lossy()) {
+            (false, _) => None,
+            (true, false) => Some(open_round.global().share()),
+            (true, true) => Some(decode_params(&frame)?),
         };
 
         // Collect until every dispatched client is accounted for or the
@@ -379,22 +392,7 @@ pub fn run_threaded_wire(
                             stale += 1;
                             continue;
                         }
-                        // Decode at the trust boundary: a frame that fails
-                        // validation is a dropped update, never an abort.
-                        match decode_update(&msg, delta_base.as_ref()) {
-                            Ok(contribution) => open_round.accept(contribution),
-                            Err(e) => {
-                                telemetry.flight_record(
-                                    "wire",
-                                    "update_decode_failed",
-                                    msg.client_id as u64,
-                                );
-                                open_round.reject(
-                                    msg.client_id,
-                                    format!("update frame failed to decode: {e}"),
-                                );
-                            }
-                        }
+                        admit(&mut open_round, msg, delta_base.as_ref(), &telemetry);
                     }
                     Step::Msg(ClientReply::Dropped { client, round })
                     | Step::Msg(ClientReply::Delayed { client, round }) => {
@@ -562,30 +560,57 @@ pub fn run_threaded_wire(
     })
 }
 
-/// Decodes and validates one client upload at the server's trust boundary,
-/// reconstructing absolute parameters from a delta frame by decoding it
-/// straight onto `delta_base` (the server's decode of the round's
-/// broadcast).
-fn decode_update(msg: &ClientMsg, delta_base: Option<&ModelParams>) -> Result<Contribution> {
-    let params = if msg.delta {
-        let base = delta_base.ok_or_else(|| FlError::InvalidConfig {
-            reason: format!(
-                "client {} sent a delta update but the uplink codec is lossless",
-                msg.client_id
-            ),
-        })?;
-        decode_params_onto(&msg.frame, base)?
-    } else {
-        decode_params(&msg.frame)?
+/// Admits one client upload to `round` at the server's trust boundary. The
+/// frame is checked ([`CheckedParams::check`]: header, codec, every
+/// tensor's shape against the round's global, payload lengths, sign1
+/// padding) but not decoded — the round's close folds it into FedAvg. A
+/// delta frame is paired with `delta_base`, the base its values are added
+/// onto. A frame that fails the check is a dropped update
+/// (`wire/update_decode_failed`), never an aborted round.
+fn admit(
+    round: &mut Round<'_>,
+    msg: ClientMsg,
+    delta_base: Option<&ModelParams>,
+    telemetry: &Telemetry,
+) {
+    let client = msg.client_id;
+    match check_upload(msg, round.global(), delta_base) {
+        Ok(contribution) => round.accept(contribution),
+        Err(e) => {
+            telemetry.flight_record("wire", "update_decode_failed", client as u64);
+            round.reject(client, format!("update frame failed to decode: {e}"));
+        }
+    }
+}
+
+/// [`admit`]'s check: the upload as an [`EncodedUpdate`] of `like`'s
+/// architecture, a delta frame carrying a share of `delta_base`.
+fn check_upload(
+    msg: ClientMsg,
+    like: &ModelParams,
+    delta_base: Option<&ModelParams>,
+) -> Result<Contribution<EncodedUpdate>> {
+    let base = match (msg.delta, delta_base) {
+        (false, _) => None,
+        (true, Some(base)) => Some(base.share()),
+        (true, None) => {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "client {} sent a delta update but the uplink codec is lossless",
+                    msg.client_id
+                ),
+            })
+        }
     };
     Ok(Contribution {
         loss: msg.train_loss,
         train_s: msg.train_s,
         peak_mem: msg.peak_mem_bytes,
-        update: ClientUpdate {
+        update: EncodedUpdate {
             client_id: msg.client_id,
-            params,
             num_samples: msg.num_samples,
+            frame: CheckedParams::check(msg.frame, like)?,
+            base,
         },
     })
 }
@@ -765,6 +790,10 @@ mod tests {
     use super::*;
     use crate::clock::{ManualClock, WallClock};
     use crate::system::tests::{global_bits, small_system};
+    use crate::{ClientUpdate, FlServer};
+    use dinar_nn::models::{self, Activation};
+    use dinar_nn::snapshot::decode_params_onto;
+    use dinar_tensor::Rng;
 
     /// The surviving entry point under the defaults that exist as data.
     fn run_with(system: FlSystem, rounds: usize, policy: RoundPolicy) -> Result<ResilientRun> {
@@ -855,6 +884,83 @@ mod tests {
             assert_eq!(s.stale_discarded, 0);
             assert!(!s.deadline_expired);
         }
+    }
+
+    /// An upload of `params` from `client`, as its thread would send it:
+    /// the delta against `base` under `codec`.
+    fn upload(client: usize, params: &ModelParams, base: &ModelParams, codec: Codec) -> ClientMsg {
+        ClientMsg {
+            round: 1,
+            client_id: client,
+            num_samples: 10 + client,
+            frame: ErrorFeedback::new()
+                .compress_delta(params, base, codec)
+                .unwrap(),
+            delta: true,
+            train_loss: 0.5,
+            train_s: 0.0,
+            peak_mem_bytes: 0,
+        }
+    }
+
+    #[test]
+    fn corrupt_uploads_are_refused_on_arrival_and_the_round_folds_the_rest() {
+        let (mut server, clients, _) = small_system(5).into_parts();
+        let global = server.global_params().share();
+        let trained: Vec<ModelParams> = clients.iter().map(|c| c.model().params()).collect();
+        let shifted = |k: f32| {
+            let mut p = trained[0].share();
+            p.map_inplace(|x| x * k + 0.01);
+            p
+        };
+        let good = [(1, shifted(0.9)), (3, shifted(1.1))];
+        let mut truncated = upload(0, &shifted(1.2), &global, Codec::QuantI8);
+        truncated.frame.pop();
+        let other = models::mlp(&[2, 7, 2], Activation::ReLU, &mut Rng::seed_from(4))
+            .unwrap()
+            .params();
+        let wrong_shape = upload(2, &other, &other, Codec::QuantI8);
+        // The last tensor (2 biases) packs into one byte; bit 7 is padding.
+        let mut padded = upload(4, &shifted(0.8), &global, Codec::Sign1);
+        *padded.frame.last_mut().unwrap() |= 0x80;
+
+        let (telemetry, clock) = (Telemetry::disabled(), ManualClock::new());
+        let mut round = Round::open(&mut server, &telemetry, &clock);
+        for msg in [truncated, wrong_shape, padded] {
+            admit(&mut round, msg, Some(&global), &telemetry);
+        }
+        for (id, params) in &good {
+            admit(
+                &mut round,
+                upload(*id, params, &global, Codec::QuantI8),
+                Some(&global),
+                &telemetry,
+            );
+        }
+        assert_eq!(round.accepted(), 2);
+        round.close(2).unwrap();
+
+        // The two good uploads, decoded and aggregated stepwise.
+        let decoded: Vec<ClientUpdate> = good
+            .iter()
+            .map(|(id, params)| ClientUpdate {
+                client_id: *id,
+                params: decode_params_onto(
+                    &upload(*id, params, &global, Codec::QuantI8).frame,
+                    &global,
+                )
+                .unwrap(),
+                num_samples: 10 + id,
+            })
+            .collect();
+        let mut reference = FlServer::new(global.share());
+        reference.aggregate(&decoded).unwrap();
+        let bits =
+            |p: &ModelParams| -> Vec<u32> { p.to_flat().iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(
+            bits(server.global_params()),
+            bits(reference.global_params())
+        );
     }
 
     #[test]

@@ -36,12 +36,15 @@
 //! lost back over `v`, where the next round's sweep A finds it. The sender
 //! never decodes its own frame. [`decode_params_onto`] is the receiving
 //! half: each level is dequantised straight onto the base it is a delta to.
+//! The FL server decodes no upload at all: [`CheckedParams::check`] runs
+//! the same checks on arrival, and the round's close reads the checked
+//! payloads a block at a time inside its FedAvg pass.
 
 use crate::{LayerParams, ModelParams, NnError, Result};
 use dinar_tensor::wire::{
-    decode_tensor, decode_tensor_onto, encode_tensor, encode_tensor_feedback, encoded_tensor_len,
-    read_header, read_seq, write_header, write_seq, ByteReader, ByteWriter, Codec, WireError,
-    WireResult, HEADER_LEN, MAGIC,
+    encode_tensor, encode_tensor_feedback, encoded_tensor_len, read_header, read_seq, write_header,
+    write_seq, ByteReader, ByteWriter, Codec, PayloadSpan, PayloadView, WireError, WireResult,
+    HEADER_LEN, MAGIC,
 };
 use dinar_tensor::Tensor;
 
@@ -134,29 +137,96 @@ pub fn decode_params_onto(bytes: &[u8], base: &ModelParams) -> Result<ModelParam
 }
 
 fn decode_frame(bytes: &[u8], base: Option<&ModelParams>) -> Result<ModelParams> {
+    let mut onto = base.map(|b| b.layers.iter().flat_map(|l| &l.tensors));
+    let layers = read_frame(bytes, base, |shape, view| {
+        let base = onto.as_mut().and_then(Iterator::next).map(Tensor::as_slice);
+        Ok(view.decode(&shape, base)?)
+    })?;
+    Ok(ModelParams::from(layers))
+}
+
+/// The one reader of a `DNWR` model frame: header, model framing and every
+/// tensor's [`PayloadView`], handed with its shape to `tensor`. With `like`,
+/// the frame must have `like`'s architecture, tensor by tensor before each
+/// payload is read and layer by layer at the end.
+fn read_frame<T>(
+    bytes: &[u8],
+    like: Option<&ModelParams>,
+    mut tensor: impl FnMut(Vec<usize>, PayloadView<'_>) -> Result<T>,
+) -> Result<Vec<Vec<T>>> {
     let mismatch = || NnError::ParamShapeMismatch {
-        reason: "delta frame does not have the architecture of its base".into(),
+        reason: "frame does not have the architecture of its base".into(),
     };
-    let mut onto = base
-        .into_iter()
-        .flat_map(|b| &b.layers)
-        .flat_map(|l| &l.tensors);
+    let mut shapes = like.map(|l| l.layers.iter().flat_map(|l| &l.tensors));
     let mut r = ByteReader::new(bytes);
     let codec = Codec::from_tag(read_header(&mut r, MAGIC)?)?;
     let layers = read_layers(&mut r, |r| {
-        Ok::<_, NnError>(match base {
-            Some(_) => decode_tensor_onto(r, codec, onto.next().ok_or_else(mismatch)?)?,
-            None => decode_tensor(r, codec)?,
-        })
+        let expect = match shapes.as_mut() {
+            Some(shapes) => Some(shapes.next().ok_or_else(mismatch)?.shape()),
+            None => None,
+        };
+        let (shape, view) = PayloadView::read(r, codec, expect)?;
+        tensor(shape, view)
     })?;
     r.finish()?;
-    let params = ModelParams::from(layers);
     // Tensor by tensor the shapes agreed; the layer grouping and a frame
     // shorter than its base are what is left to rule out.
-    if base.is_some_and(|b| !params.same_shape(b)) {
+    let grouped = |like: &ModelParams| {
+        layers.len() == like.layers.len()
+            && layers
+                .iter()
+                .zip(&like.layers)
+                .all(|(l, b)| l.len() == b.tensors.len())
+    };
+    if like.is_some_and(|like| !grouped(like)) {
         return Err(mismatch());
     }
-    Ok(params)
+    Ok(layers)
+}
+
+/// A `DNWR` model frame checked at the trust boundary and not decoded.
+///
+/// [`CheckedParams::check`] runs every check [`decode_params_onto`] runs —
+/// header, codec, each tensor's shape against the expected architecture,
+/// payload byte budgets, sign1 padding, trailing bytes — and keeps the
+/// bytes with where each tensor's payload sits in them. Reading the values
+/// afterwards cannot fail: the FL server folds a checked upload straight
+/// into FedAvg at its round close without building the model it
+/// encodes.
+#[derive(Debug)]
+pub struct CheckedParams {
+    bytes: Vec<u8>,
+    /// Each tensor's shape and payload, layer by layer.
+    layers: Vec<Vec<(Vec<usize>, PayloadSpan)>>,
+}
+
+impl CheckedParams {
+    /// Checks `bytes` as a frame of `like`'s architecture, decoding nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_params_onto`] with `like` as the base.
+    pub fn check(bytes: Vec<u8>, like: &ModelParams) -> Result<CheckedParams> {
+        let layers = read_frame(&bytes, Some(like), |shape, view| Ok((shape, view.span())))?;
+        Ok(CheckedParams { bytes, layers })
+    }
+
+    /// Whether the frame has `params`' architecture.
+    pub fn same_shape(&self, params: &ModelParams) -> bool {
+        self.layers.len() == params.layers.len()
+            && self.layers.iter().zip(&params.layers).all(|(l, p)| {
+                l.len() == p.tensors.len()
+                    && l.iter().zip(&p.tensors).all(|((s, _), t)| s == t.shape())
+            })
+    }
+
+    /// Each tensor's payload, layer by layer.
+    pub fn payloads(&self) -> impl Iterator<Item = PayloadView<'_>> {
+        self.layers
+            .iter()
+            .flatten()
+            .map(|(_, span)| span.view(&self.bytes))
+    }
 }
 
 /// Client-side error-feedback state for lossy update compression.

@@ -477,6 +477,11 @@ impl Indicator<'_> {
         // Rows past `k` are never selected (their bits are clear); they
         // point at zeros so that the block's table is total.
         let zeros = [0.0f32; IB];
+        // A full block whose rows are not adjacent in `B` is copied here
+        // once and read from the copy: at a 4 KiB pitch (1,024 columns) its
+        // 64 rows alias onto the same L1 sets. Same values, same adds. A `B`
+        // of `IB` columns is one contiguous block and pays for no scratch.
+        let mut copy = (b.rs != IB && n >= IB).then(|| [[0.0f32; IB]; WORD]);
         for jc in (0..n).step_by(IB) {
             let nb = IB.min(n - jc);
             for (w, pc) in (0..k).step_by(WORD).enumerate() {
@@ -486,7 +491,16 @@ impl Indicator<'_> {
                 for (row, src) in block.iter_mut().zip(rows) {
                     *row = &src[..nb];
                 }
-                let full = block.map(|row| row.first_chunk::<IB>().unwrap_or(&zeros));
+                let full = match copy.as_mut().filter(|_| nb == IB) {
+                    Some(copy) => {
+                        for (dst, row) in copy.iter_mut().zip(&block) {
+                            dst.copy_from_slice(row);
+                        }
+                        let copy = &*copy;
+                        std::array::from_fn(|p| &copy[p])
+                    }
+                    None => block.map(|row| row.first_chunk::<IB>().unwrap_or(&zeros)),
+                };
                 for (r, row) in out_rows.chunks_exact_mut(n).enumerate() {
                     let mask = a.word(i0 + r, w);
                     if resume && mask == 0 {

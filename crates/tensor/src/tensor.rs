@@ -228,6 +228,18 @@ impl Tensor {
         self.data_mut()
     }
 
+    /// Mutable view of a buffer the caller overwrites in full before it
+    /// reads any of it: a uniquely-held buffer is handed out as-is, a
+    /// shared one is swapped for a fresh zero buffer rather than copied
+    /// (its old contents are about to be discarded, as in
+    /// [`Tensor::zero_fill`]).
+    pub fn as_overwrite_slice(&mut self) -> &mut [f32] {
+        if Arc::get_mut(&mut self.buf).is_none() {
+            *self = Tensor::zeros(&self.shape);
+        }
+        self.data_mut()
+    }
+
     /// Consumes the tensor, returning the underlying buffer. A
     /// uniquely-held buffer moves out (and leaves the alloc ledgers, since
     /// the caller now owns untracked memory); a shared one is copied.

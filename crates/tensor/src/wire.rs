@@ -24,8 +24,15 @@
 //! two callers: the second hands it the tensor mutably, and the same pass
 //! that writes a level also leaves `v − level·scale` (what the codec lost)
 //! in `v`'s place, so error feedback never decodes its own frame.
-//! [`decode_tensor_onto`] is the server's half: it dequantises
-//! `level·scale + base` in the one pass that builds the output buffer.
+//!
+//! Decoding has one reader and one set of element decoders:
+//! [`PayloadView::read`] checks a frame at the trust boundary and returns a
+//! view of its payload, and every decode is built on the view —
+//! [`decode_tensor`], [`decode_tensor_onto`] and [`decode_section`] build a
+//! fresh buffer from it ([`PayloadView::decode`]), and the FL server folds
+//! a checked upload into FedAvg through [`PayloadView::decode_with`], which
+//! decodes any element range (`level·scale + base` for an i8 delta) into
+//! the caller's store and cannot fail.
 //!
 //! # Format
 //!
@@ -514,7 +521,11 @@ impl<'a> ByteReader<'a> {
     /// budget checked against the buffer before allocating.
     pub fn read_f32s(&mut self, what: &'static str) -> WireResult<Vec<f32>> {
         let len = self.read_len(what)?;
-        Ok(f32_values(self.take_elems(len, 4)?).collect())
+        Ok(self
+            .take_elems(len, 4)?
+            .chunks_exact(4)
+            .map(f32_at)
+            .collect())
     }
 
     /// Asserts the buffer is fully consumed.
@@ -783,7 +794,8 @@ fn read_shape(r: &mut ByteReader<'_>) -> WireResult<(Vec<usize>, usize)> {
 /// Returns a typed [`WireError`] for any truncated, oversized or corrupt
 /// frame; never panics.
 pub fn decode_tensor(r: &mut ByteReader<'_>, codec: Codec) -> WireResult<Tensor> {
-    decode_frame(r, codec.into(), None)
+    let (shape, view) = PayloadView::read(r, codec, None)?;
+    view.decode(&shape, None)
 }
 
 /// Decodes one *delta* frame onto its base: element `i` of the result is
@@ -800,7 +812,8 @@ pub fn decode_tensor_onto(
     codec: Codec,
     base: &Tensor,
 ) -> WireResult<Tensor> {
-    decode_frame(r, codec.into(), Some(base))
+    let (shape, view) = PayloadView::read(r, codec, Some(base.shape()))?;
+    view.decode(&shape, Some(base.as_slice()))
 }
 
 /// Decodes one checkpoint section — its dtype tag, then a frame at that
@@ -818,88 +831,321 @@ pub fn decode_section(r: &mut ByteReader<'_>) -> WireResult<Tensor> {
         what: "DNCK dtype",
         tag,
     })?;
-    decode_frame(r, dtype.into(), None)
+    let (shape, view) = PayloadView::read_as(r, dtype.into(), None)?;
+    view.decode(&shape, None)
 }
 
-/// Decodes a frame's payload, adding each value onto its `base` element
-/// when there is one. Every byte count is taken from the reader — and so
-/// checked against the buffer — before the output is allocated. Inlined so
-/// `base` is a constant per caller: shared, the f32 copy loop ran 25 % slower.
-#[inline(always)]
-fn decode_frame(
-    r: &mut ByteReader<'_>,
+/// A tensor frame's payload, checked and not decoded: the one decoder.
+///
+/// [`PayloadView::read`] takes the frame at the trust boundary — its shape
+/// header (against an expected shape, when there is one), its scale, its
+/// byte budget against the buffer and the sign1 padding bits — and
+/// everything after that is infallible: [`decode_with`](Self::decode_with)
+/// decodes any element range, which is how the server folds an upload into
+/// FedAvg a block at a time, and [`decode_tensor`], [`decode_tensor_onto`],
+/// [`decode_section`] and the model decoders in `dinar_nn::snapshot` build
+/// their fresh buffers from the same values.
+///
+/// A holder that must keep the check apart from the reading (the bytes
+/// move into a round, the view would borrow them) keeps the view's
+/// [`PayloadSpan`] beside the buffer instead.
+#[derive(Debug, Clone, Copy)]
+pub struct PayloadView<'a> {
+    span: PayloadSpan,
+    data: &'a [u8],
+}
+
+/// Where a checked payload sits in the buffer it was read from, and how to
+/// read it: a [`PayloadView`] without the borrow.
+#[derive(Debug, Clone, Copy)]
+pub struct PayloadSpan {
     payload: Payload,
-    base: Option<&Tensor>,
-) -> WireResult<Tensor> {
-    let (shape, len) = read_shape(r)?;
-    if let Some(base) = base.filter(|b| b.shape() != shape) {
-        return Err(WireError::BaseMismatch {
-            declared: shape,
-            base: base.shape().to_vec(),
-        });
-    }
-    let base = base.map(Tensor::as_slice);
-    let data = match payload {
-        Payload::F32 => collect_onto(f32_values(r.take_elems(len, 4)?), len, base),
-        Payload::F16 => {
-            let bytes = r.take_elems(len, 2)?;
-            let values = bytes
-                .chunks_exact(2)
-                .map(|b| F16::from_u16(u16::from_le_bytes([b[0], b[1]])).to_f32());
-            collect_onto(values, len, base)
+    /// The sign1/i8 scale (unused by the f32 and f16 payloads).
+    scale: f32,
+    /// Elements the frame holds.
+    len: usize,
+    /// Byte offset of the packed values in the buffer.
+    at: usize,
+}
+
+impl PayloadSpan {
+    /// Bytes of packed values the span covers.
+    fn byte_len(&self) -> usize {
+        match self.payload {
+            Payload::F32 => 4 * self.len,
+            Payload::F16 => 2 * self.len,
+            Payload::Sign1 => self.len.div_ceil(8),
+            Payload::QuantI8 => self.len,
         }
-        Payload::Sign1 => {
-            let scale = r.read_f32()?;
-            let packed = r.take(len.div_ceil(8))?;
-            // Only the last byte can carry padding. A corrupted tail byte
-            // with stray high bits would decode "successfully" under a
-            // laxer reader; reject it.
-            if let Some(&last) = packed.last() {
-                if len % 8 != 0 && last >> (len % 8) != 0 {
-                    return Err(WireError::NonzeroPadding {
-                        at: packed.len() - 1,
-                    });
+    }
+
+    /// The view over `buf`, the buffer this span was read from.
+    ///
+    /// # Panics
+    ///
+    /// If `buf` is shorter than the buffer the span was read from — a
+    /// holder that keeps the two together never passes another.
+    pub fn view<'a>(&self, buf: &'a [u8]) -> PayloadView<'a> {
+        PayloadView {
+            span: *self,
+            data: &buf[self.at..self.at + self.byte_len()],
+        }
+    }
+}
+
+impl<'a> PayloadView<'a> {
+    /// Reads and checks one `codec` frame — shape header, scale, payload
+    /// byte budget against the buffer, sign1 padding — and returns its
+    /// shape and the view of its payload. With `expect`, a frame of another
+    /// shape is refused before its payload is touched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::BaseMismatch`] for a shape other than `expect`,
+    /// and a typed [`WireError`] for any truncated, oversized or corrupt
+    /// frame; never panics.
+    pub fn read(
+        r: &mut ByteReader<'a>,
+        codec: Codec,
+        expect: Option<&[usize]>,
+    ) -> WireResult<(Vec<usize>, PayloadView<'a>)> {
+        PayloadView::read_as(r, codec.into(), expect)
+    }
+
+    fn read_as(
+        r: &mut ByteReader<'a>,
+        payload: Payload,
+        expect: Option<&[usize]>,
+    ) -> WireResult<(Vec<usize>, PayloadView<'a>)> {
+        let (shape, len) = read_shape(r)?;
+        if let Some(base) = expect.filter(|&b| b != shape) {
+            return Err(WireError::BaseMismatch {
+                declared: shape,
+                base: base.to_vec(),
+            });
+        }
+        let scale = match payload {
+            Payload::Sign1 | Payload::QuantI8 => r.read_f32()?,
+            Payload::F32 | Payload::F16 => 0.0,
+        };
+        let at = r.pos;
+        let data = match payload {
+            Payload::F32 => r.take_elems(len, 4)?,
+            Payload::F16 => r.take_elems(len, 2)?,
+            Payload::Sign1 => r.take(len.div_ceil(8))?,
+            Payload::QuantI8 => r.take(len)?,
+        };
+        // Only the last sign1 byte can carry padding. A corrupted tail byte
+        // with stray high bits would decode "successfully" under a laxer
+        // reader; reject it.
+        if let (Payload::Sign1, Some(&last)) = (payload, data.last()) {
+            if len % 8 != 0 && last >> (len % 8) != 0 {
+                return Err(WireError::NonzeroPadding { at: data.len() - 1 });
+            }
+        }
+        let span = PayloadSpan {
+            payload,
+            scale,
+            len,
+            at,
+        };
+        Ok((shape, PayloadView { span, data }))
+    }
+
+    /// The owned half of the view: where its payload sits in the buffer.
+    pub fn span(&self) -> PayloadSpan {
+        self.span
+    }
+
+    /// Bytes one element of the payload occupies, rounded up: what a pass
+    /// over it reads per element.
+    pub fn bytes_per_element(&self) -> usize {
+        match self.span.payload {
+            Payload::F32 => 4,
+            Payload::F16 => 2,
+            Payload::Sign1 | Payload::QuantI8 => 1,
+        }
+    }
+
+    /// Decodes elements `start..start + out.len()` of the frame, each added
+    /// onto its `base` element (`value + base`, the operand order of
+    /// `add_assign`) when a base is given, and hands them to the caller's
+    /// store: `put(&mut out[j], value)` for each `j` in order. The values
+    /// are the bits every decoder of this module produces; `|o, v| *o = v`
+    /// writes them, and the FedAvg pass folds them into its accumulator in
+    /// the same loop. Inlined, so each payload runs one loop with the store
+    /// in it.
+    ///
+    /// # Panics
+    ///
+    /// If the range runs past the frame or `base` is shorter than `out`.
+    #[inline(always)]
+    pub fn decode_with(
+        &self,
+        start: usize,
+        out: &mut [f32],
+        base: Option<&[f32]>,
+        put: impl Fn(&mut f32, f32),
+    ) {
+        let end = start + out.len();
+        let base = base.map(|b| &b[..out.len()]);
+        let (scale, data) = (self.span.scale, self.data);
+        match self.span.payload {
+            Payload::F32 => {
+                let values = data[4 * start..4 * end].chunks_exact(4).map(f32_at);
+                put_onto(out, values, base, put);
+            }
+            Payload::F16 => {
+                let values = data[2 * start..2 * end].chunks_exact(2).map(f16_at);
+                put_onto(out, values, base, put);
+            }
+            Payload::QuantI8 => {
+                let values = data[start..end].iter().map(|&b| level_at(b, scale));
+                put_onto(out, values, base, put);
+            }
+            Payload::Sign1 => {
+                let packed = &data[..end.div_ceil(8)];
+                match base {
+                    Some(base) => sign1_with(packed, start, scale, out, |o, j, v| {
+                        put(o, v + base[j]);
+                    }),
+                    None => sign1_with(packed, start, scale, out, |o, _, v| put(o, v)),
                 }
             }
-            let values = (0..len).map(|i| match packed[i / 8] >> (i % 8) & 1 {
-                1 => scale,
-                _ => -scale,
-            });
-            collect_onto(values, len, base)
         }
-        Payload::QuantI8 => {
-            let scale = r.read_f32()?;
-            let levels = r.take(len)?;
-            let values = levels
-                .iter()
-                .map(|&b| f32::from(i8::from_le_bytes([b])) * scale);
-            collect_onto(values, len, base)
+    }
+
+    /// The whole frame as a fresh tensor of `shape` (the shape
+    /// [`read`](Self::read) returned with the view), each element onto its
+    /// `base` element when given. The buffer is reserved once and written
+    /// once, never zero-filled: straight from the payload, or for sign1
+    /// through [`decode_with`](Self::decode_with) a block at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::ShapeMismatch`] if `shape` does not hold the
+    /// frame's element count or `base` is shorter than the frame.
+    pub fn decode(&self, shape: &[usize], base: Option<&[f32]>) -> WireResult<Tensor> {
+        let (len, scale, data) = (self.span.len, self.span.scale, self.data);
+        let mismatch = |actual| WireError::ShapeMismatch {
+            declared: len,
+            actual,
+        };
+        if let Some(base) = base.filter(|b| b.len() < len) {
+            return Err(mismatch(base.len()));
         }
-    };
-    let actual = data.len();
-    Tensor::from_vec(data, &shape).map_err(|_| WireError::ShapeMismatch {
-        declared: len,
-        actual,
-    })
+        let mut out = Vec::with_capacity(len);
+        match self.span.payload {
+            Payload::F32 => extend_onto(&mut out, data.chunks_exact(4).map(f32_at), base),
+            Payload::F16 => extend_onto(&mut out, data.chunks_exact(2).map(f16_at), base),
+            Payload::QuantI8 => {
+                extend_onto(&mut out, data.iter().map(|&b| level_at(b, scale)), base);
+            }
+            Payload::Sign1 => {
+                let mut block = [0.0f32; DECODE_BLOCK];
+                for start in (0..len).step_by(DECODE_BLOCK) {
+                    let staged = &mut block[..DECODE_BLOCK.min(len - start)];
+                    self.decode_with(start, staged, base.map(|b| &b[start..]), |o, v| *o = v);
+                    out.extend_from_slice(staged);
+                }
+            }
+        }
+        Tensor::from_vec(out, shape).map_err(|_| mismatch(len))
+    }
 }
 
-/// Raw little-endian f32 bit patterns, four bytes each.
-fn f32_values(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
-    bytes
-        .chunks_exact(4)
-        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+/// Elements a sign1 [`PayloadView::decode`] stages at a time: 4 KiB.
+const DECODE_BLOCK: usize = 1024;
+
+/// An f32 payload element: its raw little-endian bit pattern.
+#[inline(always)]
+fn f32_at(b: &[u8]) -> f32 {
+    f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-/// Collects `len` decoded values into one exactly-sized buffer, each added
-/// onto its `base` element (`value + base`, the operand order of
-/// `add_assign`) when a base is given.
-fn collect_onto(values: impl Iterator<Item = f32>, len: usize, base: Option<&[f32]>) -> Vec<f32> {
-    let mut out = Vec::with_capacity(len);
+/// An f16 payload element, widened.
+#[inline(always)]
+fn f16_at(b: &[u8]) -> f32 {
+    F16::from_u16(u16::from_le_bytes([b[0], b[1]])).to_f32()
+}
+
+/// An i8 payload element: `level × scale`.
+#[inline(always)]
+fn level_at(b: u8, scale: f32) -> f32 {
+    f32::from(i8::from_le_bytes([b])) * scale
+}
+
+/// A sign1 payload element: `±scale` by bit `bit` of `byte` (LSB-first,
+/// 1 = non-negative).
+#[inline(always)]
+fn sign_at(byte: u8, bit: usize, scale: f32) -> f32 {
+    if byte >> bit & 1 == 1 {
+        scale
+    } else {
+        -scale
+    }
+}
+
+/// Appends `values` to a buffer being built, each added onto its `base`
+/// element (`value + base`) when a base is given.
+#[inline(always)]
+fn extend_onto(out: &mut Vec<f32>, values: impl Iterator<Item = f32>, base: Option<&[f32]>) {
     match base {
         Some(base) => out.extend(values.zip(base).map(|(v, &b)| v + b)),
         None => out.extend(values),
     }
-    out
+}
+
+/// `put(&mut out[j], value)` over `values`, each added onto its `base`
+/// element (`value + base`) when a base is given.
+#[inline(always)]
+fn put_onto(
+    out: &mut [f32],
+    values: impl Iterator<Item = f32>,
+    base: Option<&[f32]>,
+    put: impl Fn(&mut f32, f32),
+) {
+    match base {
+        Some(base) => {
+            for ((o, v), &b) in out.iter_mut().zip(values).zip(base) {
+                put(o, v + b);
+            }
+        }
+        None => {
+            for (o, v) in out.iter_mut().zip(values) {
+                put(o, v);
+            }
+        }
+    }
+}
+
+/// Sign1 elements `start..start + out.len()` from the packed bits, handed
+/// as `emit(&mut out[j], j, value)`; whole bytes in the middle.
+#[inline(always)]
+fn sign1_with(
+    packed: &[u8],
+    start: usize,
+    scale: f32,
+    out: &mut [f32],
+    emit: impl Fn(&mut f32, usize, f32),
+) {
+    let head = ((8 - start % 8) % 8).min(out.len());
+    let (first, rest) = out.split_at_mut(head);
+    for (j, o) in first.iter_mut().enumerate() {
+        let i = start + j;
+        emit(o, j, sign_at(packed[i / 8], i % 8, scale));
+    }
+    let bytes = &packed[(start + head) / 8..];
+    let last = rest.len() / 8;
+    let mut whole = rest.chunks_exact_mut(8);
+    for (c, (o8, &byte)) in (&mut whole).zip(bytes).enumerate() {
+        for (bit, o) in o8.iter_mut().enumerate() {
+            emit(o, head + 8 * c + bit, sign_at(byte, bit, scale));
+        }
+    }
+    for (bit, o) in whole.into_remainder().iter_mut().enumerate() {
+        emit(o, head + 8 * last + bit, sign_at(bytes[last], bit, scale));
+    }
 }
 
 /// The Sign1 shared scale: mean |x|, accumulated sequentially in f64 so

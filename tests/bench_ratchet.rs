@@ -29,6 +29,12 @@
 //! the branch-free Bernoulli test and the rows drawn straight into their
 //! shuffled places, not the fan-out, carry it there.
 //!
+//! Fused round close: the committed `bench-results/BENCH_close.json`
+//! (`paper -- BENCH_close`, pool width 1) must keep the server's fused
+//! FedAvg close of four i8 delta uploads at ≤ half the stepwise close
+//! (decode each upload, zero-fill, one weighted add per update) timed in
+//! the same run — a same-run ratio, no frozen constant.
+//!
 //! Training-step profile: the committed `bench-results/step_profile.json`
 //! (one `paper -- step_profile` run, so every row shares one provenance)
 //! must keep the `vgg11_mini` step where the lane-parallel max-pool and the
@@ -273,6 +279,25 @@ fn fused_uplink_holds_3x_over_the_decode_own_frame_pipeline() {
     for op in ["decode_onto_quant_i8", "encode_f32", "decode_f32"] {
         assert!(ns_for(&entries, op, "717924") > 0.0, "{op} row is empty");
     }
+}
+
+/// The fused round close against the stepwise close it replaced, both rows
+/// of one committed run at pool width 1 — a same-run reference, so no
+/// frozen constant: the fused pass reads each upload once and writes the
+/// aggregate once, where the stepwise close built a model per upload and
+/// swept the aggregate 1 + n times.
+#[test]
+fn fused_close_holds_2x_over_the_stepwise_close() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = load_entries(&root.join("bench-results/BENCH_close.json"));
+    let fused = ns_for(&entries, "close_fused", "4x717924");
+    let stepwise = ns_for(&entries, "close_stepwise", "4x717924");
+    assert!(
+        fused > 0.0 && fused * 2.0 <= stepwise,
+        "close_fused 4x717924 at {fused:.0} ns/iter is not ≥2× under the stepwise \
+         close's {stepwise:.0} ns/iter from the same run — the round close is \
+         decoding uploads into models or sweeping the aggregate per update again"
+    );
 }
 
 #[test]

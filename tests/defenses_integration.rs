@@ -143,6 +143,55 @@ fn wdp_bounds_every_upload() {
     }
 }
 
+/// A global of another architecture is refused before any download
+/// middleware sees it: WDP keeps the reference it received last, so the
+/// client's next upload is bit for bit its twin's, which never saw the
+/// refused call, and both leave every RNG where the other does.
+#[test]
+fn a_refused_global_leaves_the_wdp_client_as_it_was() {
+    let build = || {
+        let (shards, _) = setup();
+        FlSystem::builder(config())
+            .clients_from_shards(shards, arch, |_| Box::new(Adagrad::new(0.05)))
+            .unwrap()
+            .with_client_middleware(|id| {
+                vec![Box::new(WeakDp::paper_default(Rng::seed_from(id as u64)))
+                    as Box<dyn ClientMiddleware>]
+            })
+            .build()
+            .unwrap()
+    };
+    let (mut refused, mut twin) = (build(), build());
+    let global = refused.global_params().share();
+    let wrong = models::fcnn6(600, 100, 32, &mut Rng::seed_from(5))
+        .unwrap()
+        .params();
+    let (a, b) = (&mut refused.clients_mut()[0], &mut twin.clients_mut()[0]);
+    for client in [&mut *a, &mut *b] {
+        client.receive_global(&global).unwrap();
+        client.train_local().unwrap();
+    }
+    let before = param_bits(&a.model().params());
+    assert!(matches!(
+        a.receive_global(&wrong),
+        Err(dinar_fl::FlError::Nn(
+            dinar_nn::NnError::ParamShapeMismatch { .. }
+        ))
+    ));
+    assert_eq!(param_bits(&a.model().params()), before, "model written");
+    let (got, want) = (a.produce_update().unwrap(), b.produce_update().unwrap());
+    assert_eq!(param_bits(&got.params), param_bits(&want.params));
+    let (sa, sb) = (a.export_state(), b.export_state());
+    assert_eq!(sa.rng, sb.rng, "client stream");
+    let mw_rng = |s: &dinar_fl::ClientCkpt| -> Vec<_> {
+        s.middleware
+            .iter()
+            .map(|m| m.as_ref().and_then(|m| m.rng))
+            .collect()
+    };
+    assert_eq!(mw_rng(&sa), mw_rng(&sb), "WDP noise stream");
+}
+
 /// The WDP upload as it was composed before the fold, kept as the
 /// reference: materialize the update, clip it, noise it, add the global
 /// back.

@@ -4,7 +4,8 @@
 //! `// lint: allow(RULE, reason)` on the offending line is the only
 //! exemption. The tests below partition the rules between them, so together
 //! they cover every rule exactly once; `lint_ratchet_holds` takes every rule
-//! without a test of its own, including any rule added later.
+//! without a test of its own, including any rule added later. Beside them,
+//! `workspace_is_rustfmt_clean` holds the workspace to `cargo fmt --check`.
 
 use dinar_lint::rules::Rule;
 use std::path::Path;
@@ -86,4 +87,29 @@ fn nn_calls_no_libm_transcendental() {
     // A training step's transcendentals run through dinar-tensor's own
     // kernels, so every trained digest is a function of the input bits alone.
     assert_no_findings("libm call in dinar-nn (L020)", |r| r == Rule::L020);
+}
+
+#[test]
+fn workspace_is_rustfmt_clean() {
+    // `cargo fmt --all -- --check` over the workspace members (`benchmark/`
+    // is its own workspace and stays outside). A change that leaves a file
+    // unformatted fails here with rustfmt's diff, so no later formatter run
+    // has to drown an unrelated diff.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = std::process::Command::new(cargo)
+        .args(["fmt", "--all", "--", "--check"])
+        .current_dir(root)
+        .output()
+        .expect("cargo runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    if !out.status.success() && stderr.contains("no such command") {
+        eprintln!("rustfmt is not installed; formatting not checked: {stderr}");
+        return;
+    }
+    assert!(
+        out.status.success(),
+        "the workspace is not rustfmt-clean; run `cargo fmt --all`:\n{}{stderr}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
